@@ -390,15 +390,37 @@ func BenchmarkCountingCore(b *testing.B) {
 }
 
 // BenchmarkHoldTableBuild times the shared per-granule counting pass by
-// itself.
+// itself: on the standard dataset at the experiments' thresholds, and
+// cold at the shape the end-to-end benchmark mines — a year at 300
+// tx/day (Quest 1000 items / 200 patterns / |T| 10 / |I| 4), unbounded
+// k, supports 0.03 / 0.05 / 0.08 — so `go test -bench HoldTableBuild`
+// shows a change to the build without the harness (EXPERIMENTS.md,
+// E11b, keeps the before/after).
 func BenchmarkHoldTableBuild(b *testing.B) {
-	tbl := dataset(b)
-	cfg := bench.Cfg()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildHoldTable(tbl, cfg); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, tbl *tdb.TxTable, cfg core.Config) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.BuildHoldTable(tbl, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
+	}
+	b.Run("standard", func(b *testing.B) { run(b, dataset(b), bench.Cfg()) })
+	var year *tdb.TxTable
+	for _, support := range []float64{0.03, 0.05, 0.08} {
+		b.Run(fmt.Sprintf("year300/support=%g", support), func(b *testing.B) {
+			if year == nil {
+				tbl, _, err := bench.StandardDataset(bench.StandardConfig{TxPerDay: 300, Days: 365, Seed: 1998})
+				if err != nil {
+					b.Fatal(err)
+				}
+				year = tbl
+			}
+			cfg := bench.Cfg()
+			cfg.MinSupport, cfg.MinFreq, cfg.MaxK = support, 0.9, 0
+			b.ResetTimer()
+			run(b, year, cfg)
+		})
 	}
 }
 

@@ -176,22 +176,28 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 		return nil, err
 	}
 
-	// Level 1: one pass with a plain counter map.
+	// Level 1: one pass with a plain counter per item, ranked as met.
 	var t0 time.Time
 	if trace {
 		tr.StartPass(1)
 		t0 = time.Now()
 	}
-	c1 := make(map[itemset.Item]int)
+	var ranks itemset.Ranks
+	var c1 []int
 	src.ForEach(func(tx itemset.Set) {
 		for _, x := range tx {
-			c1[x]++
+			r := ranks.Rank(x)
+			if r < 0 {
+				r = ranks.Add(x)
+				c1 = append(c1, 0)
+			}
+			c1[r]++
 		}
 	})
 	var l1 []ItemsetCount
-	for x, cnt := range c1 {
+	for r, cnt := range c1 {
 		if cnt >= minCount {
-			l1 = append(l1, ItemsetCount{Set: itemset.Set{x}, Count: cnt})
+			l1 = append(l1, ItemsetCount{Set: itemset.Set{ranks.Items()[r]}, Count: cnt})
 		}
 	}
 	sort.Slice(l1, func(i, j int) bool { return l1[i].Set.Compare(l1[j].Set) < 0 })

@@ -109,7 +109,7 @@ func (c hashTreeCounter) CountLevel(cands []itemset.Set, k int) ([]int, error) {
 
 type bitmapCounter struct {
 	src     Source
-	keep    map[itemset.Item]bool
+	keep    *itemset.Ranks
 	workers int
 
 	once sync.Once
@@ -123,7 +123,7 @@ func (c *bitmapCounter) CountLevel(cands []itemset.Set, k int) ([]int, error) {
 
 type roaringCounter struct {
 	src     Source
-	keep    map[itemset.Item]bool
+	keep    *itemset.Ranks
 	workers int
 
 	once sync.Once
@@ -182,10 +182,10 @@ func (c Config) newCounter(src Source, l1 []ItemsetCount) (Counter, Backend, *Pr
 
 // keepItems collects the frequent items of a level-1 result, the
 // ingest filter of the vertical index builders.
-func keepItems(l1 []ItemsetCount) map[itemset.Item]bool {
-	keep := make(map[itemset.Item]bool, len(l1))
+func keepItems(l1 []ItemsetCount) *itemset.Ranks {
+	keep := new(itemset.Ranks)
 	for _, ic := range l1 {
-		keep[ic.Set[0]] = true
+		keep.Add(ic.Set[0])
 	}
 	return keep
 }

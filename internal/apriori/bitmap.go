@@ -15,64 +15,82 @@ import (
 //
 // The index is built once per mining run (one scan of the source) and
 // then serves every level; it is immutable after construction, so any
-// number of goroutines may count against it concurrently.
+// number of goroutines may count against it concurrently. Intersection
+// scratch comes from bitmapScratchPool, not from the index: a sync.Pool
+// inside the index would register the index with the runtime and keep
+// it reachable for two collections after its last use.
 type BitmapIndex struct {
 	n     int
 	words int
-	bits  map[itemset.Item][]uint64
-	zero  []uint64 // shared all-zero bitmap for items absent from the index
-	// setBits is the total number of set bits across all item bitmaps
-	// (= retained item occurrences); used by density diagnostics.
-	setBits int64
-	// scratch pools per-goroutine accumulator rows so EachIntersection
-	// allocates nothing in steady state.
-	scratch sync.Pool // *bitmapScratch
+	ranks *itemset.Ranks // item → row of bits
+	bits  [][]uint64     // nil for a kept item that never occurred
+	zero  []uint64       // shared all-zero bitmap for items absent from the index
 }
 
 // bitmapScratch is the pooled accumulator of one intersection chain:
 // row d holds the intersection of a candidate's items [0..d+1].
 type bitmapScratch struct{ acc [][]uint64 }
 
+// bitmapScratchPool holds accumulators of any index; getScratch fits
+// one to the index it is drawn for, so steady-state EachIntersection
+// calls against one index allocate nothing.
+var bitmapScratchPool sync.Pool // *bitmapScratch
+
 func (ix *BitmapIndex) getScratch(levels int) *bitmapScratch {
-	sc, _ := ix.scratch.Get().(*bitmapScratch)
+	sc, _ := bitmapScratchPool.Get().(*bitmapScratch)
 	if sc == nil {
 		sc = &bitmapScratch{}
 	}
 	for len(sc.acc) < levels {
-		sc.acc = append(sc.acc, make([]uint64, ix.words))
+		sc.acc = append(sc.acc, nil)
+	}
+	for d, row := range sc.acc[:levels] {
+		if cap(row) < ix.words {
+			row = make([]uint64, ix.words)
+		}
+		sc.acc[d] = row[:ix.words]
 	}
 	return sc
 }
 
 // NewBitmapIndex ingests src once, assigning transaction IDs in scan
-// order. keep == nil indexes every item; otherwise only items with
-// keep[x] get a bitmap — the level-wise miner passes its frequent
+// order. keep == nil indexes every item; otherwise only the items keep
+// ranks get a bitmap — the level-wise miner passes its frequent
 // 1-itemsets, since an infrequent item can never appear in a candidate.
-func NewBitmapIndex(src Source, keep map[itemset.Item]bool) *BitmapIndex {
+// keep is retained and must not be added to afterwards.
+func NewBitmapIndex(src Source, keep *itemset.Ranks) *BitmapIndex {
 	n := src.Len()
 	words := (n + 63) / 64
 	ix := &BitmapIndex{
 		n:     n,
 		words: words,
-		bits:  make(map[itemset.Item][]uint64),
+		ranks: keep,
 		zero:  make([]uint64, words),
 	}
+	if keep == nil {
+		ix.ranks = new(itemset.Ranks)
+	}
+	ix.bits = make([][]uint64, ix.ranks.Len())
 	row := 0
 	src.ForEach(func(tx itemset.Set) {
 		if row >= n {
 			return // defensive: source delivered more rows than Len()
 		}
 		for _, x := range tx {
-			if keep != nil && !keep[x] {
-				continue
+			r := ix.ranks.Rank(x)
+			if r < 0 {
+				if keep != nil {
+					continue
+				}
+				r = ix.ranks.Add(x)
+				ix.bits = append(ix.bits, nil)
 			}
-			b := ix.bits[x]
+			b := ix.bits[r]
 			if b == nil {
 				b = make([]uint64, words)
-				ix.bits[x] = b
+				ix.bits[r] = b
 			}
 			b[row>>6] |= 1 << uint(row&63)
-			ix.setBits++
 		}
 		row++
 	})
@@ -82,17 +100,11 @@ func NewBitmapIndex(src Source, keep map[itemset.Item]bool) *BitmapIndex {
 // N returns the number of transactions indexed.
 func (ix *BitmapIndex) N() int { return ix.n }
 
-// Words returns the number of uint64 words per item bitmap.
-func (ix *BitmapIndex) Words() int { return ix.words }
-
-// Items returns the number of distinct items indexed.
-func (ix *BitmapIndex) Items() int { return len(ix.bits) }
-
 // itemBits returns x's bitmap, or the shared zero bitmap when x never
 // occurred (or was filtered at ingest).
 func (ix *BitmapIndex) itemBits(x itemset.Item) []uint64 {
-	if b := ix.bits[x]; b != nil {
-		return b
+	if r := ix.ranks.Rank(x); r >= 0 && ix.bits[r] != nil {
+		return ix.bits[r]
 	}
 	return ix.zero
 }
@@ -158,7 +170,7 @@ func (ix *BitmapIndex) EachIntersection(cands []itemset.Set, fn func(i int, word
 	// first j+1 items. The rows come from a pool, so steady-state calls
 	// allocate nothing.
 	sc := ix.getScratch(k - 1)
-	defer ix.scratch.Put(sc)
+	defer bitmapScratchPool.Put(sc)
 	acc := sc.acc
 	var prev itemset.Set
 	for i, c := range cands {

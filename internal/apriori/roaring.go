@@ -838,48 +838,58 @@ func (dst *RoaringAcc) intersectAccItem(src *RoaringAcc, r *Roaring) {
 // RoaringIndex is the compressed counterpart of BitmapIndex: one
 // Roaring bitmap per item, the same prefix-reuse intersection chain,
 // plus a batched container-major counting path. Immutable after
-// construction; scratch accumulators are pooled per goroutine.
+// construction; scratch accumulators come from roaringScratchPool, not
+// from the index (see BitmapIndex).
 type RoaringIndex struct {
-	n       int
-	nc      int // containers per bitmap
-	bits    map[itemset.Item]*Roaring
-	empty   *Roaring // shared all-zero bitmap for absent items
-	setBits int64
-	scratch sync.Pool // *roaringScratch
+	n     int
+	nc    int            // containers per bitmap
+	ranks *itemset.Ranks // item → bitmap
+	bits  []*Roaring     // nil for a kept item that never occurred
+	empty *Roaring       // shared all-zero bitmap for absent items
 }
 
 // NewRoaringIndex ingests src once, assigning transaction IDs in scan
 // order; keep filters indexed items exactly like NewBitmapIndex.
-func NewRoaringIndex(src Source, keep map[itemset.Item]bool) *RoaringIndex {
+func NewRoaringIndex(src Source, keep *itemset.Ranks) *RoaringIndex {
 	n := src.Len()
 	nc := (n + containerBits - 1) / containerBits
 	ix := &RoaringIndex{
 		n:     n,
 		nc:    nc,
-		bits:  make(map[itemset.Item]*Roaring),
+		ranks: keep,
 		empty: &Roaring{n: n, cs: make([]*container, nc)},
 	}
+	if keep == nil {
+		ix.ranks = new(itemset.Ranks)
+	}
+	ix.bits = make([]*Roaring, ix.ranks.Len())
 	row := 0
 	src.ForEach(func(tx itemset.Set) {
 		if row >= n {
 			return // defensive: source delivered more rows than Len()
 		}
 		for _, x := range tx {
-			if keep != nil && !keep[x] {
-				continue
+			ri := ix.ranks.Rank(x)
+			if ri < 0 {
+				if keep != nil {
+					continue
+				}
+				ri = ix.ranks.Add(x)
+				ix.bits = append(ix.bits, nil)
 			}
-			r := ix.bits[x]
+			r := ix.bits[ri]
 			if r == nil {
 				r = &Roaring{n: n, cs: make([]*container, nc)}
-				ix.bits[x] = r
+				ix.bits[ri] = r
 			}
 			r.add(row)
-			ix.setBits++
 		}
 		row++
 	})
 	for _, r := range ix.bits {
-		r.finalize()
+		if r != nil {
+			r.finalize()
+		}
 	}
 	return ix
 }
@@ -887,16 +897,13 @@ func NewRoaringIndex(src Source, keep map[itemset.Item]bool) *RoaringIndex {
 // N returns the number of transactions indexed.
 func (ix *RoaringIndex) N() int { return ix.n }
 
-// Items returns the number of distinct items indexed.
-func (ix *RoaringIndex) Items() int { return len(ix.bits) }
-
 // ItemBits returns x's compressed bitmap, or a shared empty bitmap when
 // x never occurred (or was filtered at ingest).
 func (ix *RoaringIndex) ItemBits(x itemset.Item) *Roaring { return ix.itemBits(x) }
 
 func (ix *RoaringIndex) itemBits(x itemset.Item) *Roaring {
-	if r := ix.bits[x]; r != nil {
-		return r
+	if ri := ix.ranks.Rank(x); ri >= 0 && ix.bits[ri] != nil {
+		return ix.bits[ri]
 	}
 	return ix.empty
 }
@@ -919,15 +926,42 @@ func (sc *roaringScratch) wordBuf() []uint64 {
 	return sc.words
 }
 
+// roaringScratchPool holds working sets of any index; getScratch fits
+// one to the index it is drawn for and putScratch drops what it
+// borrowed from that index, so a pooled working set never keeps a dead
+// index's containers reachable.
+var roaringScratchPool sync.Pool // *roaringScratch
+
 func (ix *RoaringIndex) getScratch(levels int) *roaringScratch {
-	sc, _ := ix.scratch.Get().(*roaringScratch)
+	sc, _ := roaringScratchPool.Get().(*roaringScratch)
 	if sc == nil {
 		sc = &roaringScratch{}
 	}
 	for len(sc.accs) < levels {
-		sc.accs = append(sc.accs, &RoaringAcc{n: ix.n, slots: make([]accSlot, ix.nc)})
+		sc.accs = append(sc.accs, &RoaringAcc{})
+	}
+	for _, a := range sc.accs[:levels] {
+		a.n = ix.n
+		if cap(a.slots) < ix.nc {
+			a.slots = make([]accSlot, ix.nc)
+		}
+		a.slots = a.slots[:ix.nc]
 	}
 	return sc
+}
+
+// putScratch returns sc to the pool without the pointers into the
+// index it served: the last-item directory, and the item view a k = 1
+// EachIntersection leaves in the first accumulator.
+func putScratch(sc *roaringScratch) {
+	clear(sc.last[:cap(sc.last)])
+	if len(sc.accs) > 0 {
+		a := sc.accs[0]
+		for ci := range a.slots {
+			a.slots[ci].clear()
+		}
+	}
+	roaringScratchPool.Put(sc)
 }
 
 // EachIntersection visits the compressed intersection of every
@@ -945,7 +979,7 @@ func (ix *RoaringIndex) EachIntersection(cands []itemset.Set, fn func(i int, acc
 		levels = 1
 	}
 	sc := ix.getScratch(levels)
-	defer ix.scratch.Put(sc)
+	defer putScratch(sc)
 	if k == 1 {
 		view := sc.accs[0]
 		for i, c := range cands {
@@ -1006,7 +1040,7 @@ func (ix *RoaringIndex) countInto(cands []itemset.Set, counts []int) {
 		levels = 1
 	}
 	sc := ix.getScratch(levels)
-	defer ix.scratch.Put(sc)
+	defer putScratch(sc)
 	var prevPrefix itemset.Set
 	lo := 0
 	for lo < len(cands) {

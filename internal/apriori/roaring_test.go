@@ -2,8 +2,10 @@ package apriori
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/tarm-project/tarm/internal/itemset"
 )
@@ -444,8 +446,9 @@ func TestPrefixRunChunks(t *testing.T) {
 	}
 }
 
-// TestBitmapEachIntersectionZeroAlloc asserts the pooled accumulator
-// keeps steady-state EachIntersection calls allocation-free.
+// TestBitmapEachIntersectionZeroAlloc asserts the accumulator drawn
+// from bitmapScratchPool keeps steady-state EachIntersection calls
+// allocation-free.
 func TestBitmapEachIntersectionZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector")
@@ -473,7 +476,8 @@ func TestBitmapEachIntersectionZeroAlloc(t *testing.T) {
 }
 
 // TestRoaringCountSetsZeroAlloc asserts the same for the compressed
-// index's batched counting path (output slice aside).
+// index's batched counting path and roaringScratchPool (output slice
+// aside).
 func TestRoaringCountSetsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under the race detector")
@@ -497,4 +501,49 @@ func TestRoaringCountSetsZeroAlloc(t *testing.T) {
 	if avg >= 1 {
 		t.Errorf("countInto allocates %.1f per call in steady state, want 0", avg)
 	}
+}
+
+// collectedByOneGC reports whether what use builds, counts against and
+// then drops is garbage after a single collection: use sets a finalizer
+// that closes freed and returns with no reference to its object left,
+// and one runtime.GC() must queue that finalizer.
+func collectedByOneGC(t *testing.T, use func(freed chan struct{})) {
+	t.Helper()
+	freed := make(chan struct{})
+	use(freed)
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Error("still reachable after one GC: something the runtime holds points into the index")
+	}
+}
+
+// TestIndexNotPinnedByScratch pins the scratch ownership: an index that
+// served an intersection must not stay reachable through what the
+// intersection used. A sync.Pool field would do that — first use puts
+// the pool, an interior pointer of the index, on the runtime's pool
+// list for the next two collections — and so would a pooled working set
+// that kept its directory of the index's bitmaps.
+func TestIndexNotPinnedByScratch(t *testing.T) {
+	src := randomSource(3, 1000, 12)
+	pairs := []itemset.Set{itemset.New(1, 2), itemset.New(1, 3), itemset.New(2, 3)}
+	t.Run("bitmap", func(t *testing.T) {
+		collectedByOneGC(t, func(freed chan struct{}) {
+			ix := NewBitmapIndex(src, nil)
+			ix.EachIntersection(pairs, func(int, []uint64) {})
+			runtime.SetFinalizer(ix, func(*BitmapIndex) { close(freed) })
+		})
+	})
+	t.Run("roaring", func(t *testing.T) {
+		collectedByOneGC(t, func(freed chan struct{}) {
+			ix := NewRoaringIndex(src, nil)
+			ix.EachIntersection(pairs, func(int, *RoaringAcc) {})
+			_ = ix.CountSets(pairs) // fills the scratch's last-item directory
+			// On a bitmap, not the index: the index reaches it, so this
+			// covers both, and finalizers run in dependency order — with
+			// one on each, a single collection would queue the index's only.
+			runtime.SetFinalizer(ix.ItemBits(3), func(*Roaring) { close(freed) })
+		})
+	})
 }

@@ -153,9 +153,16 @@ func (f *MiningFlags) Backend() (apriori.Backend, error) {
 	return apriori.ParseBackend(f.BackendName)
 }
 
-// CacheBytes converts -cache to the byte budget NewHoldCache expects
-// (0 disables caching).
-func (f *MiningFlags) CacheBytes() int64 { return int64(f.CacheMB) << 20 }
+// CacheBytes converts -cache to a byte budget for core.NewHoldCache or
+// server.Config.CacheBytes. -cache 0 (or less) disables caching and
+// comes out as -1, not 0: the server's Config reads 0 as "unset" and
+// would fall back to the 256 MB default.
+func (f *MiningFlags) CacheBytes() int64 {
+	if f.CacheMB <= 0 {
+		return -1
+	}
+	return int64(f.CacheMB) << 20
+}
 
 // StatementContext applies -timeout to parent: with a timeout it
 // returns a deadline context, without one it returns parent and a

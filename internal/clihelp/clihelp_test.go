@@ -121,8 +121,17 @@ func TestCacheBytes(t *testing.T) {
 	if got := (&MiningFlags{CacheMB: 64}).CacheBytes(); got != 64<<20 {
 		t.Errorf("CacheBytes(64MB) = %d", got)
 	}
-	if got := (&MiningFlags{CacheMB: 0}).CacheBytes(); got != 0 {
-		t.Errorf("CacheBytes(0) = %d", got)
+	// -cache 0 is documented as "disable caching". Both consumers must
+	// read the converted value that way: NewHoldCache, and the server's
+	// Config, for which 0 means "unset, use the default".
+	for _, mb := range []int{0, -1} {
+		got := (&MiningFlags{CacheMB: mb}).CacheBytes()
+		if got >= 0 {
+			t.Errorf("CacheBytes(%d MB) = %d, want a negative budget", mb, got)
+		}
+		if core.NewHoldCache(got) != nil {
+			t.Errorf("-cache %d: NewHoldCache(%d) built a cache", mb, got)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -71,49 +72,114 @@ func sameHoldTable(t *testing.T, label string, want, got *HoldTable) {
 	}
 }
 
+// tableOfDays builds a table with days[d] as the transactions of day d
+// (a nil day stays empty).
+func tableOfDays(t *testing.T, days ...[]itemset.Set) *tdb.TxTable {
+	t.Helper()
+	tbl, err := tdb.NewTxTable("shape")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2001, 3, 1, 9, 0, 0, 0, time.UTC)
+	for d, txs := range days {
+		for i, tx := range txs {
+			tbl.Append(start.AddDate(0, 0, d).Add(time.Duration(i)*time.Minute), tx)
+		}
+	}
+	return tbl
+}
+
 // TestHoldTableBackendEquivalence is the per-granule half of the
-// cross-backend property test: naive, hash-tree and bitmap builds of
-// the HoldTable must agree bit for bit across a support grid, with the
-// parallel worker pool of each backend exercised as well.
+// cross-backend property test: naive, hash-tree, bitmap and roaring
+// builds of the HoldTable must agree bit for bit — same levels, a
+// trailing empty level included, same vectors — with the parallel
+// worker pool of each backend exercised as well. Naive is the
+// unfiltered reference; the rest go through the level-2 pair prefilter,
+// so the grid walks the shapes that prefilter has to get right.
 func TestHoldTableBackendEquivalence(t *testing.T) {
-	tbl := backendTestTable(t, 42)
-	for _, minsup := range []float64{0.1, 0.05} {
-		base := Config{
-			Granularity:   timegran.Day,
-			MinSupport:    minsup,
-			MinConfidence: 0.5,
-			MinFreq:       0.8,
-			MaxK:          3,
-		}
-		ref := base
+	planted := backendTestTable(t, 42)
+	base := Config{
+		Granularity:   timegran.Day,
+		MinSupport:    0.1,
+		MinConfidence: 0.5,
+		MinFreq:       0.8,
+		MaxK:          3,
+	}
+	with := func(edit func(*Config)) Config {
+		cfg := base
+		edit(&cfg)
+		return cfg
+	}
+	s := itemset.New
+	const big = itemset.Item(4_000_000_000)
+	cases := []struct {
+		name      string
+		tbl       *tdb.TxTable
+		cfg       Config
+		pairCells int
+		levels    int // expected len(ByK)-1, 0 = unchecked
+	}{
+		{"planted/0.1", planted, base, maxPairCells, 0},
+		{"planted/0.05", planted, with(func(c *Config) { c.MinSupport = 0.05 }), maxPairCells, 0},
+		{"planted/unbounded-k", planted, with(func(c *Config) { c.MaxK = 0 }), maxPairCells, 0},
+		{"planted/MaxK=2", planted, with(func(c *Config) { c.MaxK = 2 }), maxPairCells, 2},
+		// Days draw Poisson(25) transactions: a floor of 25 leaves about
+		// half the granules inactive, and their pairs must not be marked.
+		{"planted/inactive-granules", planted, with(func(c *Config) { c.MinGranuleTx = 25 }), maxPairCells, 0},
+		// The triangle does not fit the budget: one scan per row block,
+		// down to one row a block, and split across workers.
+		{"planted/row-blocked", planted, with(func(c *Config) { c.MinSupport = 0.05 }), 200, 0},
+		{"planted/row-per-scan", planted, base, 0, 0},
+		{"one-granule", tableOfDays(t, []itemset.Set{s(1, 2, 3), s(1, 2), s(2, 3), s(1, 2, 3)}),
+			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 3},
+		{"L1=0", tableOfDays(t, []itemset.Set{s(1), s(2), s(3), s(4)}),
+			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 1},
+		{"L1=1", tableOfDays(t, []itemset.Set{s(1), s(1), s(2), s(3)}, nil, []itemset.Set{s(1), s(1)}),
+			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 1},
+		{"L1=2", tableOfDays(t, []itemset.Set{s(1, 2), s(1, 2), s(1), s(3)}),
+			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 2},
+		// The join {1,2} is non-empty and nothing survives it: the level
+		// is still appended, as Rethreshold and Maintain replay it.
+		{"zero-survivors", tableOfDays(t, []itemset.Set{s(1), s(1), s(2), s(2)}, []itemset.Set{s(1), s(2)}),
+			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 2},
+		{"sparse-ids", tableOfDays(t,
+			[]itemset.Set{s(7, big-1, big), s(7, big), s(big-1, big), s(7, big-1, big)},
+			[]itemset.Set{s(7, 70_000), s(7, 70_000, big)}),
+			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 3},
+	}
+	type variant struct {
+		backend apriori.Backend
+		workers int
+	}
+	variants := []variant{
+		{apriori.BackendAuto, 0},
+		{apriori.BackendNaive, 4},
+		{apriori.BackendHashTree, 1},
+		{apriori.BackendHashTree, 4},
+		{apriori.BackendBitmap, 1},
+		{apriori.BackendBitmap, 4},
+		{apriori.BackendRoaring, 1},
+		{apriori.BackendRoaring, 4},
+	}
+	for _, tc := range cases {
+		ref := tc.cfg
 		ref.Backend = apriori.BackendNaive
-		want, err := BuildHoldTable(tbl, ref)
+		want, err := BuildHoldTable(tc.tbl, ref)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		type variant struct {
-			backend apriori.Backend
-			workers int
-		}
-		variants := []variant{
-			{apriori.BackendAuto, 0},
-			{apriori.BackendNaive, 4},
-			{apriori.BackendHashTree, 1},
-			{apriori.BackendHashTree, 4},
-			{apriori.BackendBitmap, 1},
-			{apriori.BackendBitmap, 4},
-			{apriori.BackendRoaring, 1},
-			{apriori.BackendRoaring, 4},
+		if tc.levels != 0 && len(want.ByK)-1 != tc.levels {
+			t.Fatalf("%s: reference has %d levels, the case is meant to have %d", tc.name, len(want.ByK)-1, tc.levels)
 		}
 		for _, v := range variants {
-			cfg := base
+			cfg := tc.cfg
 			cfg.Backend = v.backend
 			cfg.Workers = v.workers
-			got, err := BuildHoldTable(tbl, cfg)
+			got, err := buildHoldTable(context.Background(), tc.tbl, cfg, tc.pairCells)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", tc.name, err)
 			}
-			label := fmt.Sprintf("minsup=%g backend=%v workers=%d", minsup, v.backend, v.workers)
+			label := fmt.Sprintf("%s backend=%v workers=%d", tc.name, v.backend, v.workers)
 			sameHoldTable(t, label, want, got)
 		}
 	}

@@ -61,6 +61,40 @@ func TestBuildHoldTableCancelMidBuild(t *testing.T) {
 	}
 }
 
+// startPassCancelTracer cancels as pass `level` opens: after the loop's
+// own check at the top of the level, before anything of the pass ran.
+type startPassCancelTracer struct {
+	passCancelTracer
+	level int
+}
+
+func (t *startPassCancelTracer) StartPass(k int) {
+	if k == t.level {
+		t.cancel()
+	}
+}
+
+// TestBuildHoldTableCancelDuringPairPrefilter cancels between the top
+// of level 2 and its prefilter scan. The scan stops at its first granule
+// boundary with no pair marked; taken at face value that is a level with
+// zero survivors, and the build would return a table that ends at L1.
+func TestBuildHoldTableCancelDuringPairPrefilter(t *testing.T) {
+	tbl := buildFixture(t)
+	for _, backend := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring} {
+		for _, workers := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cfg := fixtureConfig()
+			cfg.Backend, cfg.Workers = backend, workers
+			cfg.Tracer = &startPassCancelTracer{passCancelTracer: passCancelTracer{cancel: cancel}, level: 2}
+			h, err := BuildHoldTableContext(ctx, tbl, cfg)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%v/workers=%d: table %v, err = %v, want context.Canceled", backend, workers, h != nil, err)
+			}
+		}
+	}
+}
+
 func TestBuildHoldTableCancelParallel(t *testing.T) {
 	tbl := buildFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())

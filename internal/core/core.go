@@ -49,14 +49,14 @@ type Config struct {
 	// rule. Zero defaults to 1 (empty granules are inactive).
 	MinGranuleTx int
 	// Workers parallelises the per-granule counting pass — across
-	// contiguous granule blocks on the hash-tree backend, across
-	// candidate chunks on the bitmap backend. Either way granule
-	// counts are identical to a sequential pass. 0 or 1 counts
-	// sequentially.
+	// contiguous granule blocks on the level-1 scan, the level-2 pair
+	// prefilter and the hash-tree backend, across candidate chunks on
+	// the bitmap and roaring backends. Either way granule counts are
+	// identical to a sequential pass. 0 or 1 counts sequentially.
 	Workers int
 	// Backend selects the support-counting backend of the per-granule
-	// pass (auto, naive, hashtree, bitmap); see the apriori package.
-	// Auto picks from the data shape after the level-1 scan.
+	// pass (auto, naive, hashtree, bitmap, roaring); see the apriori
+	// package. Auto picks from the data shape after the level-1 scan.
 	Backend apriori.Backend
 	// Tracer receives per-pass telemetry from the hold-table build and
 	// per-task counters from the mining task drivers. Nil disables

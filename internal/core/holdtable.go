@@ -75,10 +75,13 @@ func ceilCount(frac float64, n int) int {
 	return apriori.CeilCount(frac, n)
 }
 
-// BuildHoldTable runs the shared level-wise pass over tbl. Each level
-// makes one scan of the span, counting all candidates per granule with
-// a single hash tree that is flushed at granule boundaries (the data is
-// time-ordered, so each granule is a contiguous run).
+// BuildHoldTable runs the shared level-wise pass over tbl: a level-1
+// item scan, then per level a join+prune and a per-granule count of the
+// candidates on the configured backend (hash tree, flat or roaring
+// bitmaps, or the naive reference). The data is time-ordered, so each
+// granule is a contiguous run of rows in every scan. Level 2 is where
+// nearly all candidates are and nearly none survive, so the production
+// backends count it in two steps — see frequentPairs.
 func BuildHoldTable(tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
 	return BuildHoldTableContext(context.Background(), tbl, cfg)
 }
@@ -87,9 +90,16 @@ func BuildHoldTable(tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
 // observes cancellation at granule-block and pass boundaries — never
 // per transaction, so the check stays off the counting hot path — and
 // returns ctx.Err() promptly once the context is done. Every counting
-// backend (sequential and parallel hash tree, naive, bitmap) is
-// covered.
+// backend (sequential and parallel hash tree, naive, bitmap, roaring)
+// and the level-2 pair prefilter are covered.
 func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
+	return buildHoldTable(ctx, tbl, cfg, maxPairCells)
+}
+
+// buildHoldTable is BuildHoldTableContext with the pair prefilter's
+// scratch budget as a parameter, so tests can force its row-blocked
+// path on small tables.
+func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells int) (*HoldTable, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
 		return nil, err
@@ -140,7 +150,7 @@ func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*
 		tr.StartPass(1)
 		t0 = time.Now()
 	}
-	c1 := h.countLevel1(ctx, tbl, cfg.Workers)
+	items, c1 := h.countLevel1(ctx, tbl, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -148,9 +158,9 @@ func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*
 	// item with its total occurrences across active granules.
 	stats := apriori.CountStats{N: nActiveTx, Granules: n}
 	var l1 []itemset.Set
-	for x, v := range c1 {
+	for r, v := range c1 {
 		if h.frequentSomewhere(v) {
-			s := itemset.Set{x}
+			s := itemset.Set{items[r]}
 			l1 = append(l1, s)
 			h.counts[s.Key()] = v
 			total := 0
@@ -184,6 +194,12 @@ func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*
 	var countingNS int64
 	var bm *granuleBitmap
 	var rm *granuleRoaring
+	// l1ranks ranks the L1 items in item order: the row numbering of the
+	// pair prefilter and the ingest filter of the vertical indexes.
+	l1ranks := new(itemset.Ranks)
+	for _, s := range l1 {
+		l1ranks.Add(s[0])
+	}
 
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK); k++ {
@@ -204,37 +220,48 @@ func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*
 			}
 			break
 		}
-		var perGranule [][]int32
 		tc0 := time.Now()
+		// The stopping rule above saw the whole join, and the pass stats
+		// below report all of it as counted: the prefilter does count
+		// every pair, it just keeps no vector for the ones it drops. The
+		// naive backend stays the unfiltered reference.
+		counted := cands
+		if k == 2 && backend != apriori.BackendNaive {
+			counted = h.frequentPairs(ctx, tbl, l1ranks, cands, cfg.Workers, pairCells)
+		}
+		var perGranule [][]int32
 		switch {
+		case len(counted) == 0:
+			// nothing survived: the level is empty, no backend runs
 		case backend == apriori.BackendBitmap:
 			if bm == nil {
-				bm = h.buildGranuleBitmap(ctx, tbl, l1)
+				bm = h.buildGranuleBitmap(ctx, tbl, l1ranks)
 			}
-			perGranule = bm.count(ctx, h, cands, cfg.Workers)
+			perGranule = bm.count(ctx, h, counted, cfg.Workers)
 		case backend == apriori.BackendRoaring:
 			if rm == nil {
-				rm = h.buildGranuleRoaring(ctx, tbl, l1)
+				rm = h.buildGranuleRoaring(ctx, tbl, l1ranks)
 			}
-			perGranule = rm.count(ctx, h, cands, cfg.Workers)
+			perGranule = rm.count(ctx, h, counted, cfg.Workers)
 		case backend == apriori.BackendNaive:
-			perGranule = h.countPerGranuleNaive(ctx, tbl, cands, cfg.Workers)
+			perGranule = h.countPerGranuleNaive(ctx, tbl, counted, cfg.Workers)
 		case cfg.Workers > 1:
-			perGranule, err = h.countPerGranuleParallel(ctx, tbl, cands, k, cfg.Workers)
+			perGranule, err = h.countPerGranuleParallel(ctx, tbl, counted, k, cfg.Workers)
 		default:
-			perGranule, err = h.countPerGranule(ctx, tbl, cands, k)
+			perGranule, err = h.countPerGranule(ctx, tbl, counted, k)
 		}
 		countingNS += time.Since(tc0).Nanoseconds()
 		if err != nil {
 			return nil, err
 		}
-		// A cancelled scan leaves partial counts; discard them rather
-		// than admitting an undercounted level.
+		// A cancelled scan leaves partial counts — or partial prefilter
+		// marks, which read as fewer survivors; discard them rather than
+		// admitting an undercounted level.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var level []itemset.Set
-		for i, c := range cands {
+		for i, c := range counted {
 			if h.frequentSomewhere(perGranule[i]) {
 				level = append(level, c)
 				h.counts[c.Key()] = perGranule[i]
@@ -353,62 +380,179 @@ func granuleBlocks(n, workers int) [][2]int {
 	return blocks
 }
 
-// countLevel1 runs the level-1 item scan, producing each item's
-// per-granule count vector. With workers > 1 the span is sharded into
-// contiguous granule blocks counted concurrently; blocks own disjoint
-// granule columns, so the merged vectors are identical to a sequential
-// scan.
-func (h *HoldTable) countLevel1(ctx context.Context, tbl *tdb.TxTable, workers int) map[itemset.Item][]int32 {
+// countLevel1 runs the level-1 item scan, producing the distinct items
+// and, by the same index, each one's per-granule count vector. With
+// workers > 1 the span is sharded into contiguous granule blocks counted
+// concurrently; blocks own disjoint granule columns, so the merged
+// vectors are identical to a sequential scan.
+func (h *HoldTable) countLevel1(ctx context.Context, tbl *tdb.TxTable, workers int) ([]itemset.Item, [][]int32) {
 	n := h.NGranules()
 	blocks := granuleBlocks(n, workers)
 	if len(blocks) == 1 {
-		c1 := make(map[itemset.Item][]int32)
-		h.eachActiveTx(ctx, tbl, func(gi int, tx itemset.Set) {
-			for _, x := range tx {
-				v := c1[x]
-				if v == nil {
-					v = make([]int32, n)
-					c1[x] = v
-				}
-				v[gi]++
-			}
-		})
-		return c1
+		return h.countLevel1Range(ctx, tbl, 0, n)
 	}
-	parts := make([]map[itemset.Item][]int32, len(blocks))
+	partItems := make([][]itemset.Item, len(blocks))
+	partVecs := make([][][]int32, len(blocks))
 	var wg sync.WaitGroup
 	for w, blk := range blocks {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			local := make(map[itemset.Item][]int32)
-			h.eachActiveTxRange(ctx, tbl, lo, hi, func(gi int, tx itemset.Set) {
-				for _, x := range tx {
-					v := local[x]
-					if v == nil {
-						v = make([]int32, hi-lo)
-						local[x] = v
-					}
-					v[gi-lo]++
-				}
-			})
-			parts[w] = local
+			partItems[w], partVecs[w] = h.countLevel1Range(ctx, tbl, lo, hi)
 		}(w, blk[0], blk[1])
 	}
 	wg.Wait()
-	c1 := make(map[itemset.Item][]int32)
+	var ranks itemset.Ranks
+	var vecs [][]int32
 	for w, blk := range blocks {
-		lo := blk[0]
-		for x, lv := range parts[w] {
-			v := c1[x]
-			if v == nil {
-				v = make([]int32, n)
-				c1[x] = v
+		for i, x := range partItems[w] {
+			r := ranks.Add(x)
+			if r == len(vecs) {
+				vecs = append(vecs, make([]int32, n))
 			}
-			copy(v[lo:lo+len(lv)], lv)
+			copy(vecs[r][blk[0]:blk[1]], partVecs[w][i])
 		}
 	}
-	return c1
+	return ranks.Items(), vecs
+}
+
+// countLevel1Range is the level-1 scan of granule offsets [lo, hi), with
+// vectors hi-lo wide. Items are ranked as they are met, so an occurrence
+// costs one table load and one increment, not a map access.
+func (h *HoldTable) countLevel1Range(ctx context.Context, tbl *tdb.TxTable, lo, hi int) ([]itemset.Item, [][]int32) {
+	var ranks itemset.Ranks
+	var vecs [][]int32
+	h.eachActiveTxRange(ctx, tbl, lo, hi, func(gi int, tx itemset.Set) {
+		for _, x := range tx {
+			r := ranks.Rank(x)
+			if r < 0 {
+				r = ranks.Add(x)
+				vecs = append(vecs, make([]int32, hi-lo))
+			}
+			vecs[r][gi-lo]++
+		}
+	})
+	return ranks.Items(), vecs
+}
+
+// maxPairCells caps the pair prefilter's counter scratch, summed over
+// workers: 64 MiB of int32 cells, a whole triangle for up to 5 793 L1
+// items on one worker. Past it frequentPairs scans once per block of
+// rows instead of allocating m(m-1)/2 cells.
+const maxPairCells = 1 << 24
+
+// frequentPairs returns, in order, the level-2 candidates that are
+// frequent in at least one active granule, decided by horizontal scans
+// rather than by producing every candidate's count vector: each
+// transaction's L1 items are mapped to their ranks and every pair of
+// them bumps a cell of a triangular counter array, which is held
+// against MinCounts[gi] and zeroed at each granule boundary. The
+// counting backend then builds vectors for the survivors only —
+// typically a few percent of the join.
+//
+// ranks must rank the L1 items in item order, so a transaction's ranks
+// ascend like its items. workers > 1 shards the span into granule
+// blocks as countLevel1 does; each worker marks into its own array and
+// the marks are ORed, so any worker count selects the same pairs. When
+// the triangle exceeds pairCells the rows are split into blocks that
+// fit and the span is scanned once per block. A cancelled scan leaves
+// partial marks: the caller checks ctx.Err() before using the result.
+func (h *HoldTable) frequentPairs(ctx context.Context, tbl *tdb.TxTable, ranks *itemset.Ranks, cands []itemset.Set, workers, pairCells int) []itemset.Set {
+	m := ranks.Len()
+	// Row i of the triangle holds the pairs (i, j), i < j < m, at cells
+	// rowStart[i] + (j-i-1).
+	rowStart := make([]int, m+1)
+	for i := 0; i < m; i++ {
+		rowStart[i+1] = rowStart[i] + m - 1 - i
+	}
+	marks := make([]bool, rowStart[m])
+	blocks := granuleBlocks(h.NGranules(), workers)
+	perWorker := pairCells / len(blocks)
+	for r0 := 0; r0 < m-1 && ctx.Err() == nil; {
+		r1 := r0 + 1
+		for r1 < m-1 && rowStart[r1+1]-rowStart[r0] <= perWorker {
+			r1++
+		}
+		rowMarks := marks[rowStart[r0]:rowStart[r1]]
+		parts := make([][]bool, len(blocks))
+		var wg sync.WaitGroup
+		for w, blk := range blocks {
+			wg.Add(1)
+			go func(w, lo, hi int) {
+				defer wg.Done()
+				parts[w] = h.markPairRows(ctx, tbl, ranks, rowStart, r0, r1, lo, hi)
+			}(w, blk[0], blk[1])
+		}
+		wg.Wait()
+		for _, part := range parts {
+			for c, marked := range part {
+				if marked {
+					rowMarks[c] = true
+				}
+			}
+		}
+		r0 = r1
+	}
+	var out []itemset.Set
+	for _, c := range cands {
+		i, j := ranks.Rank(c[0]), ranks.Rank(c[1])
+		if marks[rowStart[i]+j-i-1] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// markPairRows is one scan of frequentPairs: it counts the pairs whose
+// lower rank lies in rows [r0, r1) over granule offsets [lo, hi) and
+// returns marks, true at cell - rowStart[r0] for each pair that reaches
+// a granule's threshold. The flush sweeps the whole array: at these
+// sizes that beats keeping a list of touched cells, whose bookkeeping
+// sits on the increment path.
+func (h *HoldTable) markPairRows(ctx context.Context, tbl *tdb.TxTable, ranks *itemset.Ranks, rowStart []int, r0, r1, lo, hi int) (marks []bool) {
+	base := rowStart[r0]
+	marks = make([]bool, rowStart[r1]-base)
+	cells := make([]int32, len(marks))
+	var txRanks []int
+	current := -1
+	flush := func() {
+		if current < 0 {
+			return
+		}
+		min := int32(h.MinCounts[current])
+		for c, v := range cells {
+			if v >= min {
+				marks[c] = true
+			}
+		}
+		clear(cells)
+	}
+	h.eachActiveTxRange(ctx, tbl, lo, hi, func(gi int, tx itemset.Set) {
+		if gi != current {
+			flush()
+			current = gi
+		}
+		txRanks = txRanks[:0]
+		for _, x := range tx {
+			if r := ranks.Rank(x); r >= 0 {
+				txRanks = append(txRanks, r)
+			}
+		}
+		for a, i := range txRanks {
+			if i < r0 {
+				continue
+			}
+			if i >= r1 {
+				break
+			}
+			row := cells[rowStart[i]-base : rowStart[i+1]-base]
+			for _, j := range txRanks[a+1:] {
+				row[j-i-1]++
+			}
+		}
+	})
+	flush()
+	return marks
 }
 
 // countPerGranule counts every candidate in every active granule in a
@@ -463,7 +607,7 @@ type granuleBitmap struct {
 // given by the prefix sums of its transaction counts; only items of
 // the granule-frequent 1-itemsets are indexed, since no other item can
 // appear in a candidate.
-func (h *HoldTable) buildGranuleBitmap(ctx context.Context, tbl *tdb.TxTable, l1 []itemset.Set) *granuleBitmap {
+func (h *HoldTable) buildGranuleBitmap(ctx context.Context, tbl *tdb.TxTable, keep *itemset.Ranks) *granuleBitmap {
 	n := h.NGranules()
 	g := &granuleBitmap{rowLo: make([]int, n), rowHi: make([]int, n)}
 	rows := 0
@@ -473,10 +617,6 @@ func (h *HoldTable) buildGranuleBitmap(ctx context.Context, tbl *tdb.TxTable, l1
 			rows += h.TxCounts[gi]
 		}
 		g.rowHi[gi] = rows
-	}
-	keep := make(map[itemset.Item]bool, len(l1))
-	for _, s := range l1 {
-		keep[s[0]] = true
 	}
 	src := apriori.FuncSource{
 		N: rows,
@@ -558,7 +698,7 @@ type granuleRoaring struct {
 
 // buildGranuleRoaring mirrors buildGranuleBitmap over the compressed
 // index; see that function for the row-range construction.
-func (h *HoldTable) buildGranuleRoaring(ctx context.Context, tbl *tdb.TxTable, l1 []itemset.Set) *granuleRoaring {
+func (h *HoldTable) buildGranuleRoaring(ctx context.Context, tbl *tdb.TxTable, keep *itemset.Ranks) *granuleRoaring {
 	n := h.NGranules()
 	g := &granuleRoaring{rowLo: make([]int, n), rowHi: make([]int, n)}
 	rows := 0
@@ -568,10 +708,6 @@ func (h *HoldTable) buildGranuleRoaring(ctx context.Context, tbl *tdb.TxTable, l
 			rows += h.TxCounts[gi]
 		}
 		g.rowHi[gi] = rows
-	}
-	keep := make(map[itemset.Item]bool, len(l1))
-	for _, s := range l1 {
-		keep[s[0]] = true
 	}
 	src := apriori.FuncSource{
 		N: rows,

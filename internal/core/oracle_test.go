@@ -10,6 +10,7 @@ package core
 // and search path is independent.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -46,13 +47,18 @@ type oracleData struct {
 // granules, 0-6 transactions per granule (so some granules are
 // inactive), and random thresholds. Item 0 is boosted so most datasets
 // have at least one multi-item frequent itemset to exercise the rule
-// paths.
-func genDataset(rng *rand.Rand) oracleData {
+// paths. sparse moves the last two items to the top of the uint32 id
+// space, where no table indexed by id can follow them; it draws nothing,
+// so a seed yields the same baskets either way.
+func genDataset(rng *rand.Rand, sparse bool) oracleData {
 	nItems := 4 + rng.Intn(3)
 	nGranules := 8 + rng.Intn(13)
 	items := make([]itemset.Item, nItems)
 	for i := range items {
 		items[i] = itemset.Item(i + 1)
+	}
+	if sparse {
+		items[nItems-2], items[nItems-1] = 3_999_999_999, 4_000_000_000
 	}
 	start := timegran.Start(19700+timegran.Granule(rng.Intn(400)), timegran.Day)
 
@@ -183,6 +189,9 @@ func bruteBuild(d oracleData) *bruteTable {
 		set := itemset.New(s...)
 		v := make([]int32, n)
 		for gi, g := range d.txs {
+			if !b.active[gi] {
+				continue // inactive granules are skipped entirely
+			}
 			for _, tx := range g {
 				if tx.ContainsAll(set) {
 					v[gi]++
@@ -651,9 +660,14 @@ func TestDifferentialOracle(t *testing.T) {
 	checked := 0
 	for c := 0; c < oracleCases; c++ {
 		rng := rand.New(rand.NewSource(int64(1000 + c)))
-		d := genDataset(rng)
+		d := genDataset(rng, c%5 == 2)
 		if !d.active() {
 			continue
+		}
+		if c%4 == 1 {
+			// Granules hold 0–6 transactions: a floor of 3 turns about
+			// half of the non-empty ones inactive as well.
+			d.cfg.MinGranuleTx = 3
 		}
 		b := bruteBuild(d)
 
@@ -670,6 +684,17 @@ func TestDifferentialOracle(t *testing.T) {
 			checkHoldTable(t, fmt.Sprintf("case %d %v/w%d", c, m.backend, m.workers), ht, b)
 			h = ht
 		}
+		// The same again with the pair prefilter short of scratch (the
+		// triangle of 4–6 items is 6–15 cells), rotating through the
+		// production configurations.
+		m := backendMatrix[2+c%(len(backendMatrix)-2)]
+		cfg := d.cfg
+		cfg.Backend, cfg.Workers = m.backend, m.workers
+		ht, err := buildHoldTable(context.Background(), d.tbl, cfg, c%6)
+		if err != nil {
+			t.Fatalf("case %d %v/w%d row-blocked: %v", c, m.backend, m.workers, err)
+		}
+		checkHoldTable(t, fmt.Sprintf("case %d %v/w%d row-blocked", c, m.backend, m.workers), ht, b)
 
 		// 2. Task I: valid periods.
 		pcfg := PeriodConfig{MinLen: 1 + rng.Intn(3)}
@@ -890,7 +915,7 @@ func TestAppendInterleavedOracle(t *testing.T) {
 	checked := 0
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(7000 + c)))
-		d := genDataset(rng)
+		d := genDataset(rng, false)
 		if !d.active() {
 			continue
 		}

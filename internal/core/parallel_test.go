@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
@@ -73,8 +75,13 @@ func TestQuickParallelBuildEquivalent(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// Any production backend, any worker count, and a pair
+		// prefilter with room for the whole triangle of the eight-item
+		// universe (28 cells), for part of it, or for a row at a time.
+		mcfg.Backend = []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring}[r.Intn(3)]
 		mcfg.Workers = 1 + r.Intn(7)
-		par, err := BuildHoldTable(tbl, mcfg)
+		pairCells := []int{maxPairCells, 10, 0}[r.Intn(3)]
+		par, err := buildHoldTable(context.Background(), tbl, mcfg, pairCells)
 		if err != nil {
 			return false
 		}

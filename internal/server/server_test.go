@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tarm-project/tarm/internal/clihelp"
+	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/minisql"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
@@ -207,6 +209,24 @@ func TestConcurrentIdenticalStatementsSingleBuild(t *testing.T) {
 // TestDeadlineExceeded504 checks the per-statement deadline path: a
 // server timeout far below any real mining run must surface as 504
 // via the context plumbing, and bump the timeout counter.
+// TestCacheBytesConfig pins the two readings of a zero cache budget: a
+// library caller's Config{CacheBytes: 0} means "unset" and gets the
+// default, while the -cache 0 flag means "disabled" — clihelp converts
+// it to a negative budget so it survives the defaulting.
+func TestCacheBytesConfig(t *testing.T) {
+	s := New(fixtureDB(t), Config{})
+	if c := s.Executor().Cache; c == nil || c.Stats().MaxBytes != core.DefaultCacheBytes {
+		t.Errorf("Config{CacheBytes: 0}: cache %+v, want the %d-byte default", c.Stats(), core.DefaultCacheBytes)
+	}
+	for _, mb := range []int{0, -1} {
+		budget := (&clihelp.MiningFlags{CacheMB: mb}).CacheBytes()
+		s := New(fixtureDB(t), Config{CacheBytes: budget})
+		if c := s.Executor().Cache; c != nil {
+			t.Errorf("-cache %d (CacheBytes %d): cache with budget %d, want caching disabled", mb, budget, c.Stats().MaxBytes)
+		}
+	}
+}
+
 func TestDeadlineExceeded504(t *testing.T) {
 	s, ts := newTestServer(t, Config{Timeout: time.Nanosecond})
 	code, body, _ := postStatement(t, ts.URL, testStatements[2], "")
