@@ -8,6 +8,7 @@ package tarm
 // internal/bench.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -268,20 +269,18 @@ func BenchmarkHashTreeVsNaive(b *testing.B) {
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
 	}
-	b.Run(fmt.Sprintf("hashtree-%dcands", len(cands)), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := apriori.CountSets(src, cands, 2); err != nil {
-				b.Fatal(err)
+	// The whole table is the one-slice case of the counting seam; at
+	// this size the hash-tree backend counts by hash tree.
+	for _, bk := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendNaive} {
+		b.Run(fmt.Sprintf("%v-%dcands", bk, len(cands)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := apriori.NewSliceCounter(bk, []apriori.Source{src}, nil, 0).Count(context.Background(), cands); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run(fmt.Sprintf("naive-%dcands", len(cands)), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			apriori.CountSetsNaive(src, cands)
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkCountingBackend is the backend ablation on the paper's
@@ -343,8 +342,9 @@ func countingCoreDataset(n, nItems int, density float64) (apriori.Transactions, 
 // once, candidates counted per iteration), at a density where the flat
 // bitmap's density-blind AND over the full universe is mostly zeros
 // (sparse, 1/512) and at one where it is well used (dense, 1/8).
-// roaring-scalar counts through EachIntersection one candidate at a
-// time; roaring uses the batched container-major CountSets.
+// Both count through the seam over the whole table as one slice, which
+// roaring serves by its batched container-major path; roaring-scalar
+// counts through EachIntersection one candidate at a time.
 func BenchmarkCountingCore(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -357,33 +357,40 @@ func BenchmarkCountingCore(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		txs, cands := countingCoreDataset(sh.n, sh.items, sh.density)
-		bix := apriori.NewBitmapIndex(txs, nil)
-		rix := apriori.NewRoaringIndex(txs, nil)
-		b.Run(sh.name+"/bitmap", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = bix.CountSets(cands)
+		// Each variant counts through a seam counter whose index was built
+		// (by a first Count) before any timing starts.
+		variants := []struct {
+			name    string
+			counter *apriori.SliceCounter
+		}{
+			{"bitmap", apriori.NewSliceCounter(apriori.BackendBitmap, []apriori.Source{txs}, nil, 0)},
+			{"roaring", apriori.NewSliceCounter(apriori.BackendRoaring, []apriori.Source{txs}, nil, 0)},
+			{"roaring-parallel4", apriori.NewSliceCounter(apriori.BackendRoaring, []apriori.Source{txs}, nil, 4)},
+		}
+		for _, v := range variants {
+			if _, err := v.counter.Count(context.Background(), cands[:1]); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(sh.name+"/roaring", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = rix.CountSets(cands)
-			}
-		})
+		}
+		for _, v := range variants {
+			b.Run(sh.name+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := v.counter.Count(context.Background(), cands); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 		b.Run(sh.name+"/roaring-scalar", func(b *testing.B) {
-			b.ReportAllocs()
+			rix := apriori.NewRoaringIndex(txs, nil)
 			counts := make([]int, len(cands))
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rix.EachIntersection(cands, func(j int, acc *apriori.RoaringAcc) {
 					counts[j] = acc.Card()
 				})
-			}
-		})
-		b.Run(sh.name+"/roaring-parallel4", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = rix.CountSetsParallel(cands, 4)
 			}
 		})
 	}

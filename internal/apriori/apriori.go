@@ -24,19 +24,15 @@ type Config struct {
 	MinCount int
 	// MaxK bounds the size of itemsets mined; 0 means unbounded.
 	MaxK int
-	// Fanout and LeafSize tune the hash tree; 0 selects the defaults.
-	Fanout, LeafSize int
 	// Backend selects the support-counting strategy; the zero value
-	// (BackendAuto) picks hash tree or bitmap from the data shape.
+	// (BackendAuto) lets the cost model pick hash tree, bitmap or
+	// roaring from the level-1 item densities.
 	Backend Backend
-	// Workers parallelises the bitmap backend's candidate counting
-	// across a worker pool; 0 or 1 counts sequentially. Counts are
-	// identical at any worker count.
+	// Workers fans the bitmap and roaring backends' candidate counting
+	// out over a worker pool; 0 or 1 counts sequentially (as the hash
+	// tree and naive backends always do over a whole table, which is a
+	// single slice). Counts are identical at any worker count.
 	Workers int
-	// NaiveCounting replaces the hash tree with the direct per-candidate
-	// subset test. Deprecated: set Backend to BackendNaive instead; the
-	// flag is honoured only while Backend is BackendAuto.
-	NaiveCounting bool
 	// Tracer receives per-pass telemetry (candidates generated, pruned,
 	// counted, frequent survivors, backend, wall time). Nil disables
 	// tracing at no measurable cost; see internal/obs.
@@ -149,9 +145,15 @@ func Mine(src Source, cfg Config) (*Frequent, error) {
 }
 
 // MineContext is Mine under a context. Cancellation is observed at
-// pass boundaries — a pass that has started runs to completion, so the
-// latency of a cancel is one counting pass, never one transaction.
+// pass boundaries and, on the vertical backends, between candidate
+// blocks of a pass — never per transaction.
 func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error) {
+	if !cfg.Backend.Valid() {
+		return nil, fmt.Errorf("apriori: invalid counting backend %d", int(cfg.Backend))
+	}
+	if cfg.MaxK < 0 {
+		return nil, fmt.Errorf("apriori: MaxK %d negative", cfg.MaxK)
+	}
 	n := src.Len()
 	if n == 0 {
 		return nil, ErrEmptySource
@@ -216,10 +218,20 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 		res.counts[ic.Set.Key()] = ic.Count
 	}
 
-	counter, backend, pred, err := cfg.newCounter(src, l1)
-	if err != nil {
-		return nil, err
+	// The cost model reads the exact level-1 density histogram; a forced
+	// backend keeps the prediction for its own cost, so the caller can
+	// report both what ran and what the model expected.
+	stats := CountStats{N: n, Granules: 1}
+	for _, ic := range l1 {
+		stats.AddItem(ic.Count)
 	}
+	pred := Predict(stats)
+	backend := cfg.Backend
+	if backend == BackendAuto {
+		backend = pred.Choice
+	}
+	// The whole table is the one-slice case of the counting seam.
+	counter := NewSliceCounter(backend, []Source{src}, keepItems(l1), cfg.Workers)
 	if trace {
 		tr.Gauge(obs.MetricCountingPredictedCost, pred.Cost(backend))
 	}
@@ -244,16 +256,20 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 			break
 		}
 		tc0 := time.Now()
-		counts, err := counter.CountLevel(cands, k)
+		counts, err := counter.Count(ctx, cands)
 		if err != nil {
 			return nil, err
 		}
 		countingNS += time.Since(tc0).Nanoseconds()
+		// A cancelled count is partial: discard it.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		var level []ItemsetCount
 		for i, c := range cands {
-			if counts[i] >= minCount {
-				level = append(level, ItemsetCount{Set: c, Count: counts[i]})
-				res.counts[c.Key()] = counts[i]
+			if v := counts.Row(i); v != nil && int(v[0]) >= minCount {
+				level = append(level, ItemsetCount{Set: c, Count: int(v[0])})
+				res.counts[c.Key()] = int(v[0])
 			}
 		}
 		res.ByK = append(res.ByK, level)

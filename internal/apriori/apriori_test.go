@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -101,6 +102,13 @@ func TestMineErrors(t *testing.T) {
 	if _, err := Mine(groceries(), Config{MinSupport: 1.5}); err == nil {
 		t.Error("MinSupport > 1 accepted")
 	}
+	// A negative MaxK used to read as "stop after level 1".
+	if _, err := Mine(groceries(), Config{MinSupport: 0.3, MaxK: -1}); err == nil {
+		t.Error("negative MaxK accepted")
+	}
+	if _, err := Mine(groceries(), Config{MinSupport: 0.3, Backend: BackendRoaring + 1}); err == nil {
+		t.Error("unknown backend accepted")
+	}
 }
 
 func TestMineNaiveMatchesHashTree(t *testing.T) {
@@ -110,7 +118,7 @@ func TestMineNaiveMatchesHashTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Mine(src, Config{MinSupport: ms, NaiveCounting: true})
+		b, err := Mine(src, Config{MinSupport: ms, Backend: BackendNaive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +185,7 @@ func TestHashTreeMatchesNaiveQuick(t *testing.T) {
 			return false
 		}
 		src.ForEach(tree.Add)
-		naive := CountSetsNaive(src, cands)
-		return reflect.DeepEqual(tree.Counts(), naive)
+		return reflect.DeepEqual(tree.Counts(), referenceCounts(src, cands))
 	}
 	if err := quick.Check(law, cfg); err != nil {
 		t.Error(err)
@@ -210,19 +217,28 @@ func TestHashTreeRejectsBadCandidates(t *testing.T) {
 	}
 }
 
+// TestCountSets pins the one-slice seam on the fixture: counts by
+// candidate, a nil vector for a candidate that never occurs, nothing
+// for no candidates.
 func TestCountSets(t *testing.T) {
 	src := groceries()
-	cands := []itemset.Set{itemset.New(0, 1), itemset.New(3, 4), itemset.New(0, 4)}
-	counts, err := CountSets(src, cands, 2)
-	if err != nil {
-		t.Fatal(err)
+	cands := []itemset.Set{itemset.New(0, 1), itemset.New(0, 4), itemset.New(3, 4)}
+	for _, b := range []Backend{BackendNaive, BackendHashTree, BackendBitmap, BackendRoaring} {
+		counts, err := NewSliceCounter(b, []Source{src}, nil, 0).Count(context.Background(), cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [][]int32{counts.Row(0), counts.Row(1), counts.Row(2)}
+		if want := [][]int32{{5}, nil, {3}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: Count = %v, want %v", b, got, want)
+		}
+		if _, err := NewSliceCounter(b, []Source{src}, nil, 0).Count(context.Background(), nil); err != nil {
+			t.Errorf("%v: Count(no candidates): %v", b, err)
+		}
 	}
-	if want := []int{5, 3, 0}; !reflect.DeepEqual(counts, want) {
-		t.Errorf("CountSets = %v, want %v", counts, want)
-	}
-	empty, err := CountSets(src, nil, 2)
-	if err != nil || empty != nil {
-		t.Errorf("CountSets(nil candidates) = %v, %v", empty, err)
+	ragged := []itemset.Set{itemset.New(0, 1), itemset.New(2)}
+	if _, err := NewSliceCounter(BackendBitmap, []Source{src}, nil, 0).Count(context.Background(), ragged); err == nil {
+		t.Error("candidates of mixed length accepted")
 	}
 }
 
@@ -430,12 +446,12 @@ func TestHashTreeLargeCandidateSetMatchesNaive(t *testing.T) {
 		seen[s.Key()] = true
 		cands = append(cands, s)
 	}
-	got, err := CountSets(src, cands, 2)
+	tree, err := NewHashTree(cands, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CountSetsNaive(src, cands)
-	if !reflect.DeepEqual(got, want) {
+	src.ForEach(tree.Add)
+	if !reflect.DeepEqual(tree.Counts(), referenceCounts(src, cands)) {
 		t.Error("adaptive-fanout tree disagrees with naive counting")
 	}
 }

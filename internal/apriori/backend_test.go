@@ -3,8 +3,6 @@ package apriori
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/tarm-project/tarm/internal/itemset"
 )
 
 func TestParseBackend(t *testing.T) {
@@ -100,39 +98,6 @@ func TestCeilCountEdges(t *testing.T) {
 	for _, frac := range []float64{0, -0.5, 1.5} {
 		if _, err := (Config{MinSupport: frac}).minCount(10); err == nil {
 			t.Errorf("minCount accepted MinSupport %v", frac)
-		}
-	}
-}
-
-func TestBitmapIndexMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var txs Transactions
-	for i := 0; i < 300; i++ {
-		var items []itemset.Item
-		for x := 0; x < 20; x++ {
-			if rng.Intn(4) == 0 {
-				items = append(items, itemset.Item(x))
-			}
-		}
-		txs = append(txs, itemset.New(items...))
-	}
-	var cands []itemset.Set
-	for a := 0; a < 20; a++ {
-		for b := a + 1; b < 20; b++ {
-			for c := b + 1; c < 20; c++ {
-				cands = append(cands, itemset.New(itemset.Item(a), itemset.Item(b), itemset.Item(c)))
-			}
-		}
-	}
-	itemset.SortSets(cands)
-	want := CountSetsNaive(txs, cands)
-	ix := NewBitmapIndex(txs, nil)
-	for _, workers := range []int{1, 4} {
-		got := ix.CountSetsParallel(cands, workers)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d cand %v: bitmap count %d, naive %d", workers, cands[i], got[i], want[i])
-			}
 		}
 	}
 }

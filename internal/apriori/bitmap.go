@@ -117,15 +117,6 @@ func andInto(dst, a, b []uint64) {
 	}
 }
 
-// popcount counts the set bits of a whole bitmap.
-func popcount(words []uint64) int {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // PopcountRange counts the set bits of words in bit positions [lo, hi).
 // The temporal miners use it to slice one intersection into per-granule
 // counts: granules cover contiguous transaction-ID ranges, so a single
@@ -141,8 +132,8 @@ func PopcountRange(words []uint64, lo, hi int) int {
 		return bits.OnesCount64(words[loW] & loMask & hiMask)
 	}
 	n := bits.OnesCount64(words[loW] & loMask)
-	for w := loW + 1; w < hiW; w++ {
-		n += bits.OnesCount64(words[w])
+	for _, w := range words[loW+1 : hiW] { // one bounds check, not one per word
+		n += bits.OnesCount64(w)
 	}
 	return n + bits.OnesCount64(words[hiW]&hiMask)
 }
@@ -195,46 +186,16 @@ func (ix *BitmapIndex) EachIntersection(cands []itemset.Set, fn func(i int, word
 	}
 }
 
-// CountSets returns the support count of every candidate. Candidates
-// must share one length and be sorted (see EachIntersection).
-func (ix *BitmapIndex) CountSets(cands []itemset.Set) []int {
-	counts := make([]int, len(cands))
+// fill implements verticalIndex: one AND chain per candidate, one range
+// popcount per slice.
+func (ix *BitmapIndex) fill(m *Counts, base int, cands []itemset.Set, bounds []int) {
 	ix.EachIntersection(cands, func(i int, words []uint64) {
-		counts[i] = popcount(words)
+		for s := 0; s+1 < len(bounds); s++ {
+			if n := PopcountRange(words, bounds[s], bounds[s+1]); n != 0 {
+				m.set(base+i, s, n)
+			}
+		}
 	})
-	return counts
-}
-
-// CountSetsParallel is CountSets fanned out over a worker pool. The
-// sorted candidate list is split into contiguous chunks aligned to
-// (k-1)-prefix run boundaries — prefix reuse keeps working inside each
-// chunk and no run pays its shared prefix intersection twice — and
-// workers write disjoint ranges of the output, so the result is
-// identical to the sequential count.
-func (ix *BitmapIndex) CountSetsParallel(cands []itemset.Set, workers int) []int {
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		return ix.CountSets(cands)
-	}
-	counts := make([]int, len(cands))
-	chunks := PrefixRunChunks(cands, workers)
-	if len(chunks) <= 1 {
-		return ix.CountSets(cands)
-	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ix.EachIntersection(cands[lo:hi], func(i int, words []uint64) {
-				counts[lo+i] = popcount(words)
-			})
-		}(ch[0], ch[1])
-	}
-	wg.Wait()
-	return counts
 }
 
 // samePrefixK1 reports whether a and b share their first len(a)-1
@@ -262,19 +223,7 @@ func PrefixRunChunks(cands []itemset.Set, workers int) [][2]int {
 		return nil
 	}
 	if workers <= 1 || len(cands[0]) <= 1 {
-		chunks := make([][2]int, 0, workers)
-		if workers < 1 {
-			workers = 1
-		}
-		chunk := (len(cands) + workers - 1) / workers
-		for lo := 0; lo < len(cands); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cands) {
-				hi = len(cands)
-			}
-			chunks = append(chunks, [2]int{lo, hi})
-		}
-		return chunks
+		return Blocks(len(cands), workers)
 	}
 	chunk := (len(cands) + workers - 1) / workers
 	chunks := make([][2]int, 0, workers)

@@ -229,27 +229,3 @@ func Predict(s CountStats) Prediction {
 	choice, costs := ChooseBackend(s)
 	return Prediction{Stats: s, Choice: choice, Costs: costs}
 }
-
-// statsFromMean builds a CountStats whose histogram puts every item at
-// the mean density — what legacy callers with only aggregate counts
-// can provide.
-func statsFromMean(n, nItems int, occurrences int64, granules int) CountStats {
-	s := CountStats{N: n, Granules: granules}
-	if nItems > 0 {
-		mean := int(occurrences / int64(nItems))
-		for i := 0; i < nItems; i++ {
-			s.AddItem(mean)
-		}
-	}
-	return s
-}
-
-// ChooseAuto resolves BackendAuto from aggregate shape alone: n
-// transactions holding occurrences total occurrences of nItems
-// distinct (frequent) items. It is the legacy entry point, retained
-// for callers without per-item counts: the cost model runs on a
-// flat histogram at the mean density.
-func ChooseAuto(n, nItems int, occurrences int64) Backend {
-	b, _ := ChooseBackend(statsFromMean(n, nItems, occurrences, 1))
-	return b
-}

@@ -11,11 +11,11 @@ func TestDensityBucket(t *testing.T) {
 	cases := []struct {
 		count, n, want int
 	}{
-		{100, 100, 0},  // density 1 → bucket 0
-		{60, 100, 0},   // > 1/2
-		{50, 100, 1},   // exactly 1/2 is the top of (1/4, 1/2]
-		{26, 100, 1},   // (1/4, 1/2]
-		{13, 100, 2},   // (1/8, 1/4]
+		{100, 100, 0},                    // density 1 → bucket 0
+		{60, 100, 0},                     // > 1/2
+		{50, 100, 1},                     // exactly 1/2 is the top of (1/4, 1/2]
+		{26, 100, 1},                     // (1/4, 1/2]
+		{13, 100, 2},                     // (1/8, 1/4]
 		{1, 1 << 20, densityBuckets - 1}, // clamped to last bucket
 		{0, 100, densityBuckets - 1},     // degenerate
 		{5, 0, densityBuckets - 1},       // degenerate
@@ -88,6 +88,13 @@ func TestChooseBackendGuards(t *testing.T) {
 	if got, _ := ChooseBackend(CountStats{N: 1 << 20}); got != BackendHashTree {
 		t.Errorf("empty item set chose %v, want hashtree", got)
 	}
+	tiny := CountStats{N: 32, Granules: 1}
+	for i := 0; i < 5; i++ {
+		tiny.AddItem(19)
+	}
+	if got, _ := ChooseBackend(tiny); got != BackendHashTree {
+		t.Errorf("tiny dense table chose %v, want hashtree", got)
+	}
 	// naive is never an auto pick, whatever the shape.
 	for _, s := range []CountStats{denseStats(1<<16, 8), sparseStats(1<<16, 8)} {
 		if got, _ := ChooseBackend(s); got == BackendNaive {
@@ -150,15 +157,5 @@ func TestBitmapCostCapacityGuard(t *testing.T) {
 	}
 	if p.Cost(BackendBitmap) < 1e300 {
 		t.Errorf("oversized bitmap cost = %g, want ~inf", p.Cost(BackendBitmap))
-	}
-}
-
-func TestChooseAutoLegacy(t *testing.T) {
-	// The aggregate-only entry point still resolves both regimes.
-	if got := ChooseAuto(1<<17, 64, int64(1<<17)*64/4); got != BackendBitmap {
-		t.Errorf("legacy dense pick = %v, want bitmap", got)
-	}
-	if got := ChooseAuto(32, 5, 96); got != BackendHashTree {
-		t.Errorf("legacy tiny pick = %v, want hashtree", got)
 	}
 }

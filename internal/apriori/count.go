@@ -1,0 +1,382 @@
+package apriori
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"github.com/tarm-project/tarm/internal/itemset"
+)
+
+// SliceCounter is the counting primitive every miner in this repository
+// rests on: given one level of sorted k-candidates and a transaction
+// source cut into consecutive slices, Count returns count[cand][slice],
+// the number of transactions of each slice that contain each candidate.
+// Whole-table Apriori passes one slice; the temporal hold table passes
+// one slice per granule of its span (an inactive granule is an empty
+// slice); incremental maintenance passes only the dirty granules.
+//
+// It is implemented once per representation. The horizontal driver
+// scans a slice, feeds a resettable subset counter and flushes its
+// tallies into the slice's column; the vertical driver ingests the
+// slices into a TID index once — slice s owns the consecutive rows
+// bounds[s]..bounds[s+1] — then intersects each candidate once and cuts
+// the intersection into slice counts by range-count. The backend picks
+// the driver and its parameter: the subset counter (hash tree,
+// candidate-key map, naive subset test) or the index (flat words,
+// roaring containers).
+//
+// A SliceCounter serves one mining run, level after level, so the
+// vertical index is built by the first Count and reused by the rest. It
+// is not safe for concurrent use.
+type SliceCounter struct {
+	backend Backend
+	slices  []Source
+	keep    *itemset.Ranks
+	workers int
+	rows    int // transactions over all slices
+
+	index  verticalIndex // vertical backends: built by the first Count
+	bounds []int         // slice s is rows [bounds[s], bounds[s+1]) of index
+}
+
+// NewSliceCounter prepares counting over slices on the given backend;
+// anything but naive, bitmap and roaring counts by hash tree. keep, when
+// non-nil, names the only items candidates can contain — the ingest
+// filter of the vertical indexes — and must not be added to afterwards.
+// workers > 1 fans a Count out: over contiguous blocks of slices on the
+// horizontal driver, over prefix-aligned candidate chunks on the
+// vertical one. Counts are identical at any worker count.
+func NewSliceCounter(backend Backend, slices []Source, keep *itemset.Ranks, workers int) *SliceCounter {
+	c := &SliceCounter{backend: backend, slices: slices, keep: keep, workers: workers}
+	for _, s := range slices {
+		c.rows += s.Len()
+	}
+	return c
+}
+
+// Count returns count[cand][slice] for one level of candidates, which
+// must share one length k ≥ 1 and arrive in canonical sorted order.
+//
+// Cancellation is sampled at slice and candidate-block boundaries only,
+// never per transaction; a cancelled Count returns partial counts, which
+// the caller must discard after checking ctx.Err().
+func (c *SliceCounter) Count(ctx context.Context, cands []itemset.Set) (*Counts, error) {
+	m := newCounts(len(cands), len(c.slices))
+	if len(cands) == 0 || c.rows == 0 {
+		return m, nil // no rows: no index to build, nothing occurs
+	}
+	k := len(cands[0])
+	for _, cand := range cands {
+		if len(cand) != k || k < 1 {
+			return nil, fmt.Errorf("apriori: candidate %v has length %d, want %d ≥ 1", cand, len(cand), k)
+		}
+	}
+	if c.backend == BackendBitmap || c.backend == BackendRoaring {
+		c.countVertical(ctx, cands, m)
+		return m, nil
+	}
+	return m, c.countHorizontal(ctx, cands, m, c.subsetCounterFor(cands, k))
+}
+
+// Counts is the result of a Count: count[cand][slice], sparse by row — a
+// candidate that occurs in no slice has a nil row, never an allocated
+// zero one, so a large level counted over a few small slices stays
+// cheap. Over a single slice there are no row headers at all, only one
+// count per candidate: a whole-table level costs one allocation.
+type Counts struct {
+	rows  [][]int32 // several slices: allocated on a row's first nonzero cell
+	flat  []int32   // one slice: row i is flat[i:i+1], or nil while zero
+	width int
+}
+
+func newCounts(nCands, width int) *Counts {
+	if width == 1 {
+		return &Counts{flat: make([]int32, nCands), width: 1}
+	}
+	return &Counts{rows: make([][]int32, nCands), width: width}
+}
+
+// Row returns candidate i's count in every slice, or nil when it occurs
+// in none. The vector is shared: callers must not modify it, and over a
+// single slice keeping it keeps the level's counts alive.
+func (m *Counts) Row(i int) []int32 {
+	if m.flat == nil {
+		return m.rows[i]
+	}
+	if m.flat[i] == 0 {
+		return nil
+	}
+	return m.flat[i : i+1 : i+1]
+}
+
+// set stores a nonzero count. Concurrent callers must own distinct rows.
+func (m *Counts) set(i, s, n int) {
+	if m.flat != nil {
+		m.flat[i] = int32(n)
+		return
+	}
+	if m.rows[i] == nil {
+		m.rows[i] = make([]int32, m.width)
+	}
+	m.rows[i][s] = int32(n)
+}
+
+// --- horizontal driver ----------------------------------------------
+
+// subsetCounter is the horizontal driver's parameter: it tallies, per
+// candidate, how many of the transactions added since the last Reset
+// contain it. Counts aliases internal state.
+type subsetCounter interface {
+	Add(tx itemset.Set)
+	Counts() []int
+	Reset()
+}
+
+// smallSourceRows is the row total under which the hash-tree backend
+// counts levels up to k = 4 by key map instead: over a few dirty
+// granules the tree's construction over thousands of candidates costs
+// far more than enumerating the subsets of a handful of rows.
+const smallSourceRows = 4096
+
+// subsetCounterFor is the horizontal driver's choice of parameter: the
+// reference scan for the naive backend, else by the work it can see.
+func (c *SliceCounter) subsetCounterFor(cands []itemset.Set, k int) func() (subsetCounter, error) {
+	switch {
+	case c.backend == BackendNaive:
+		return func() (subsetCounter, error) { return newSubsetScan(cands), nil }
+	case c.rows <= smallSourceRows && k <= 4:
+		return func() (subsetCounter, error) { return newKeyMap(cands, k), nil }
+	}
+	return func() (subsetCounter, error) { return NewHashTree(cands, k, 0, 0) }
+}
+
+// countHorizontal scans each slice into a subset counter and flushes
+// its tallies into the slice's column. Slices are independent, so
+// workers take contiguous blocks of them, each with a counter of its
+// own from newCounter.
+func (c *SliceCounter) countHorizontal(ctx context.Context, cands []itemset.Set, m *Counts, newCounter func() (subsetCounter, error)) error {
+	blocks := Blocks(len(c.slices), c.workers)
+	if len(blocks) > 1 {
+		// Workers own columns and share rows, so no worker may allocate
+		// one: all of them exist before the fan-out, and the untouched
+		// ones are dropped after it.
+		for i := range m.rows {
+			m.rows[i] = make([]int32, m.width)
+		}
+	}
+	errs := make([]error, len(blocks))
+	fanOut(blocks, func(b, lo, hi int) {
+		sc, err := newCounter()
+		if err != nil {
+			errs[b] = err
+			return
+		}
+		for s := lo; s < hi && ctx.Err() == nil; s++ {
+			if c.slices[s].Len() == 0 {
+				continue
+			}
+			c.slices[s].ForEach(sc.Add)
+			for i, n := range sc.Counts() {
+				if n != 0 {
+					m.set(i, s, n)
+				}
+			}
+			sc.Reset()
+		}
+	})
+	if len(blocks) > 1 {
+		for i, v := range m.rows {
+			if allZero(v) {
+				m.rows[i] = nil
+			}
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func allZero(v []int32) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// subsetScan is the reference subset counter: a direct subset test of
+// every candidate against every transaction. The property tests anchor
+// every other counter to it.
+type subsetScan struct {
+	cands  []itemset.Set
+	counts []int
+}
+
+func newSubsetScan(cands []itemset.Set) *subsetScan {
+	return &subsetScan{cands: cands, counts: make([]int, len(cands))}
+}
+
+func (n *subsetScan) Add(tx itemset.Set) {
+	for i, c := range n.cands {
+		if tx.ContainsAll(c) {
+			n.counts[i]++
+		}
+	}
+}
+
+func (n *subsetScan) Counts() []int { return n.counts }
+func (n *subsetScan) Reset()        { clear(n.counts) }
+
+// keyMap counts by enumerating each transaction's k-subsets against a
+// candidate hash map. Construction is one map insert per candidate — no
+// tree nodes — but a transaction costs C(|tx|, k) probes, so it only
+// pays on few rows and shallow levels (see smallSourceRows).
+type keyMap struct {
+	idx    map[string]int
+	k      int
+	counts []int
+	chosen itemset.Set
+	key    []byte
+}
+
+func newKeyMap(cands []itemset.Set, k int) *keyMap {
+	m := &keyMap{
+		idx:    make(map[string]int, len(cands)),
+		k:      k,
+		counts: make([]int, len(cands)),
+		chosen: make(itemset.Set, k),
+		key:    make([]byte, 0, 4*k),
+	}
+	for i, c := range cands {
+		m.idx[c.Key()] = i
+	}
+	return m
+}
+
+func (m *keyMap) Add(tx itemset.Set) {
+	if len(tx) >= m.k {
+		m.subsets(tx, 0, 0)
+	}
+}
+
+// subsets extends chosen[:depth] with every way of drawing the
+// remaining items from tx[start:], probing the map at full depth.
+func (m *keyMap) subsets(tx itemset.Set, start, depth int) {
+	if depth == m.k {
+		m.key = m.chosen.AppendKey(m.key[:0])
+		if i, ok := m.idx[string(m.key)]; ok {
+			m.counts[i]++
+		}
+		return
+	}
+	for i := start; i <= len(tx)-(m.k-depth); i++ {
+		m.chosen[depth] = tx[i]
+		m.subsets(tx, i+1, depth+1)
+	}
+}
+
+func (m *keyMap) Counts() []int { return m.counts }
+func (m *keyMap) Reset()        { clear(m.counts) }
+
+// --- vertical driver ------------------------------------------------
+
+// verticalIndex is the vertical driver's parameter: a TID index over
+// the ingested rows. fill computes each candidate's intersection once
+// and cuts it into slice counts — one range-count over
+// [bounds[s], bounds[s+1]) per slice — stored as rows base.. of m.
+type verticalIndex interface {
+	fill(m *Counts, base int, cands []itemset.Set, bounds []int)
+}
+
+// cancelBlock is the number of candidates the vertical driver counts
+// between cancellation checks: large enough to keep the check off the
+// intersection hot path and to preserve prefix reuse within the block,
+// small enough to stop a big level promptly.
+const cancelBlock = 512
+
+func (c *SliceCounter) countVertical(ctx context.Context, cands []itemset.Set, m *Counts) {
+	if c.index == nil {
+		c.ingest(ctx)
+	}
+	if c.index == nil {
+		return // the ingest was cancelled
+	}
+	// Chunks fall on (k-1)-prefix run boundaries, so prefix reuse keeps
+	// working inside each and no run pays its prefix intersection twice;
+	// workers write disjoint rows.
+	fanOut(PrefixRunChunks(cands, min(c.workers, len(cands))), func(_, lo, hi int) {
+		for b := lo; b < hi && ctx.Err() == nil; b += cancelBlock {
+			e := min(b+cancelBlock, hi)
+			c.index.fill(m, b, cands[b:e], c.bounds)
+		}
+	})
+}
+
+// ingest builds the index over the slices in order, so that each owns a
+// contiguous row range. A cancelled ingest is dropped, not kept half
+// built.
+func (c *SliceCounter) ingest(ctx context.Context) {
+	bounds := make([]int, len(c.slices)+1)
+	for s, sl := range c.slices {
+		bounds[s+1] = bounds[s] + sl.Len()
+	}
+	src := FuncSource{N: c.rows, Scan: func(fn func(tx itemset.Set)) {
+		for _, sl := range c.slices {
+			if ctx.Err() != nil {
+				return
+			}
+			sl.ForEach(fn)
+		}
+	}}
+	var ix verticalIndex
+	if c.backend == BackendBitmap {
+		ix = NewBitmapIndex(src, c.keep)
+	} else {
+		ix = NewRoaringIndex(src, c.keep)
+	}
+	if ctx.Err() == nil {
+		c.index, c.bounds = ix, bounds
+	}
+}
+
+// --- fan-out ----------------------------------------------------------
+
+// Blocks splits [0, n) into at most workers contiguous, non-empty
+// blocks [lo, hi); workers ≤ 1 yields the single block [0, n).
+func Blocks(n, workers int) [][2]int {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		return [][2]int{{0, n}}
+	}
+	blocks := make([][2]int, 0, workers)
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		blocks = append(blocks, [2]int{lo, min(lo+chunk, n)})
+	}
+	return blocks
+}
+
+// fanOut runs fn on every range — inline when there is only one, else
+// one goroutine each — and returns when all are done.
+func fanOut(ranges [][2]int, fn func(r, lo, hi int)) {
+	if len(ranges) == 1 {
+		fn(0, ranges[0][0], ranges[0][1])
+		return
+	}
+	var wg sync.WaitGroup
+	for r, rg := range ranges {
+		wg.Add(1)
+		go func(r, lo, hi int) {
+			defer wg.Done()
+			fn(r, lo, hi)
+		}(r, rg[0], rg[1])
+	}
+	wg.Wait()
+}

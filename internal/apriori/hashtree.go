@@ -35,8 +35,8 @@ type htNode struct {
 	bucket []int32
 }
 
-// DefaultLeafSize is the bucket size used when a Config leaves it
-// zero. The default fanout is adaptive: the tree has at most k levels,
+// DefaultLeafSize is the bucket size used when NewHashTree is given
+// none. The default fanout is adaptive: the tree has at most k levels,
 // so to keep leaves near DefaultLeafSize the fanout must scale like
 // the k-th root of the candidate count — a fixed small fanout degrades
 // to linear bucket scans on large candidate sets.
@@ -170,36 +170,4 @@ func (t *HashTree) Reset() {
 	for i := range t.counts {
 		t.counts[i] = 0
 	}
-}
-
-// CountSets counts the support of candidates (all length k) in src
-// using a hash tree, returning one count per candidate. It is the
-// convenience entry point used by the temporal miners and tests.
-func CountSets(src Source, candidates []itemset.Set, k int) ([]int, error) {
-	if len(candidates) == 0 {
-		return nil, nil
-	}
-	tree, err := NewHashTree(candidates, k, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	src.ForEach(tree.Add)
-	out := make([]int, len(tree.counts))
-	copy(out, tree.counts)
-	return out, nil
-}
-
-// CountSetsNaive is the reference counter: a direct subset test of
-// every candidate against every transaction. It exists for property
-// tests (hash tree must agree with it exactly) and for tiny inputs.
-func CountSetsNaive(src Source, candidates []itemset.Set) []int {
-	counts := make([]int, len(candidates))
-	src.ForEach(func(tx itemset.Set) {
-		for i, c := range candidates {
-			if tx.ContainsAll(c) {
-				counts[i]++
-			}
-		}
-	})
-	return counts
 }

@@ -1012,26 +1012,38 @@ func (ix *RoaringIndex) EachIntersection(cands []itemset.Set, fn func(i int, acc
 	}
 }
 
-// CountSets returns the support count of every candidate. Candidates
-// must share one length and be sorted (see EachIntersection). Counting
-// is container-major: each maximal same-(k-1)-prefix run builds its
-// prefix intersection once, then walks containers outer and candidates
-// inner, so one prefix container stays hot while every candidate's
-// last item intersects against it.
-func (ix *RoaringIndex) CountSets(cands []itemset.Set) []int {
-	counts := make([]int, len(cands))
-	ix.countInto(cands, counts)
-	return counts
+// fill implements verticalIndex: one intersection chain per candidate,
+// one container range-count per slice. A single slice is the whole
+// index, which the batched path counts without materialising the last
+// intersection.
+func (ix *RoaringIndex) fill(m *Counts, base int, cands []itemset.Set, bounds []int) {
+	if m.flat != nil {
+		ix.countInto(cands, m.flat[base:base+len(cands)])
+		return
+	}
+	ix.EachIntersection(cands, func(i int, acc *RoaringAcc) {
+		for s := 0; s+1 < len(bounds); s++ {
+			if n := acc.RangeCount(bounds[s], bounds[s+1]); n != 0 {
+				m.set(base+i, s, n)
+			}
+		}
+	})
 }
 
-func (ix *RoaringIndex) countInto(cands []itemset.Set, counts []int) {
+// countInto adds the support count of every candidate to counts.
+// Candidates must share one length and be sorted (see EachIntersection).
+// Counting is container-major: each maximal same-(k-1)-prefix run builds
+// its prefix intersection once, then walks containers outer and
+// candidates inner, so one prefix container stays hot while every
+// candidate's last item intersects against it.
+func (ix *RoaringIndex) countInto(cands []itemset.Set, counts []int32) {
 	if len(cands) == 0 {
 		return
 	}
 	k := len(cands[0])
 	if k == 1 {
 		for i, c := range cands {
-			counts[i] = ix.itemBits(c[0]).card
+			counts[i] += int32(ix.itemBits(c[0]).card)
 		}
 		return
 	}
@@ -1100,7 +1112,7 @@ func (ix *RoaringIndex) countInto(cands []itemset.Set, counts []int) {
 				splatContainer(w, pc)
 				for i := range run {
 					if cb := last[i].cs[ci]; cb != nil && cb.card > 0 {
-						out[i] += cardWithWords(cb, w)
+						out[i] += int32(cardWithWords(cb, w))
 					}
 				}
 				unsplatContainer(w, pc)
@@ -1108,39 +1120,10 @@ func (ix *RoaringIndex) countInto(cands []itemset.Set, counts []int) {
 			}
 			for i := range run {
 				if cb := last[i].cs[ci]; cb != nil && cb.card > 0 {
-					out[i] += intersectCard(pc, cb)
+					out[i] += int32(intersectCard(pc, cb))
 				}
 			}
 		}
 		lo = hi
 	}
-}
-
-// CountSetsParallel is CountSets fanned out over a worker pool, with
-// chunks aligned to prefix-run boundaries so no run pays its prefix
-// intersection twice. Workers write disjoint output ranges, so the
-// result is identical to the sequential count.
-func (ix *RoaringIndex) CountSetsParallel(cands []itemset.Set, workers int) []int {
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		return ix.CountSets(cands)
-	}
-	counts := make([]int, len(cands))
-	chunks := PrefixRunChunks(cands, workers)
-	if len(chunks) <= 1 {
-		ix.countInto(cands, counts)
-		return counts
-	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			ix.countInto(cands[lo:hi], counts[lo:hi])
-		}(ch[0], ch[1])
-	}
-	wg.Wait()
-	return counts
 }

@@ -288,8 +288,10 @@ func randomSource(seed int64, n, items int) Transactions {
 	return Transactions(txs)
 }
 
-// TestRoaringIndexMatchesBitmap cross-checks the compressed index
-// against the flat bitmap index over every counting entry point.
+// TestRoaringIndexMatchesBitmap cross-checks the compressed index's
+// accumulators against the flat bitmap's intersections: Card and
+// RangeCount against PopcountRange. (Count equivalence of the two
+// indexes is the seam test's, TestCountSlicesFixedInputs.)
 func TestRoaringIndexMatchesBitmap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		src := randomSource(seed, 2000, 24)
@@ -298,44 +300,14 @@ func TestRoaringIndexMatchesBitmap(t *testing.T) {
 		if bix.N() != rix.N() {
 			t.Fatalf("N mismatch: %d vs %d", bix.N(), rix.N())
 		}
-		// all 1-, 2- and 3-item candidates over a subset of items
-		var lvl1, lvl2, lvl3 []itemset.Set
-		for a := 0; a < 24; a++ {
-			lvl1 = append(lvl1, itemset.New(itemset.Item(a)))
-			for b := a + 1; b < 24; b++ {
-				lvl2 = append(lvl2, itemset.New(itemset.Item(a), itemset.Item(b)))
-				for c := b + 1; c < 24 && c < b+4; c++ {
-					lvl3 = append(lvl3, itemset.New(itemset.Item(a), itemset.Item(b), itemset.Item(c)))
-				}
-			}
-		}
-		for li, cands := range [][]itemset.Set{lvl1, lvl2, lvl3} {
-			itemset.SortSets(cands)
-			want := bix.CountSets(cands)
-			got := rix.CountSets(cands)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d level %d cand %v: roaring=%d bitmap=%d", seed, li+1, cands[i], got[i], want[i])
-				}
-			}
-			for _, workers := range []int{2, 4, 7} {
-				gotP := rix.CountSetsParallel(cands, workers)
-				for i := range want {
-					if gotP[i] != want[i] {
-						t.Fatalf("seed %d level %d workers %d cand %v: parallel=%d want %d", seed, li+1, workers, cands[i], gotP[i], want[i])
-					}
-				}
-			}
-		}
-		// EachIntersection: Card and RangeCount against PopcountRange
-		itemset.SortSets(lvl2)
+		lvl2 := octaveLevels(24)[1]
 		bWords := make([][]uint64, len(lvl2))
 		bix.EachIntersection(lvl2, func(i int, words []uint64) {
 			bWords[i] = append([]uint64(nil), words...)
 		})
 		rng := rand.New(rand.NewSource(seed))
 		rix.EachIntersection(lvl2, func(i int, acc *RoaringAcc) {
-			if got, want := acc.Card(), popcount(bWords[i]); got != want {
+			if got, want := acc.Card(), PopcountRange(bWords[i], 0, bix.N()); got != want {
 				t.Fatalf("seed %d cand %v: acc.Card=%d want %d", seed, lvl2[i], got, want)
 			}
 			for trial := 0; trial < 5; trial++ {
@@ -370,20 +342,10 @@ func TestRoaringIndexLargeUniverse(t *testing.T) {
 	src := Transactions(txs)
 	bix := NewBitmapIndex(src, nil)
 	rix := NewRoaringIndex(src, nil)
-	var cands []itemset.Set
-	for a := 0; a < 6; a++ {
-		for b := a + 1; b < 6; b++ {
-			cands = append(cands, itemset.New(itemset.Item(a), itemset.Item(b)))
-		}
-	}
-	itemset.SortSets(cands)
-	want := bix.CountSets(cands)
-	got := rix.CountSets(cands)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cand %v: roaring=%d bitmap=%d", cands[i], got[i], want[i])
-		}
-	}
+	// Slices that end inside, on and across the container boundary.
+	pairs := octaveLevels(6)[1]
+	checkSeam(t, "large/whole", src, pairs, []rowRange{{0, n}}, nil)
+	checkSeam(t, "large/sliced", src, pairs, []rowRange{{0, 40000}, {40000, containerBits}, {containerBits, containerBits + 9}, {containerBits + 500, n}}, nil)
 	for _, x := range []int{0, 3, 5} {
 		r := rix.ItemBits(itemset.Item(x))
 		w := bix.itemBits(itemset.Item(x))
@@ -464,9 +426,9 @@ func TestBitmapEachIntersectionZeroAlloc(t *testing.T) {
 	itemset.SortSets(cands)
 	sink := 0
 	// warm the pool
-	ix.EachIntersection(cands, func(i int, words []uint64) { sink += popcount(words) })
+	ix.EachIntersection(cands, func(i int, words []uint64) { sink += PopcountRange(words, 0, ix.N()) })
 	avg := testing.AllocsPerRun(20, func() {
-		ix.EachIntersection(cands, func(i int, words []uint64) { sink += popcount(words) })
+		ix.EachIntersection(cands, func(i int, words []uint64) { sink += PopcountRange(words, 0, ix.N()) })
 	})
 	// < 1 tolerates a rare pool refill after a GC between runs.
 	if avg >= 1 {
@@ -493,7 +455,7 @@ func TestRoaringCountSetsZeroAlloc(t *testing.T) {
 		}
 	}
 	itemset.SortSets(cands)
-	counts := make([]int, len(cands))
+	counts := make([]int32, len(cands))
 	ix.countInto(cands, counts) // warm the pool
 	avg := testing.AllocsPerRun(20, func() {
 		ix.countInto(cands, counts)
@@ -539,7 +501,7 @@ func TestIndexNotPinnedByScratch(t *testing.T) {
 		collectedByOneGC(t, func(freed chan struct{}) {
 			ix := NewRoaringIndex(src, nil)
 			ix.EachIntersection(pairs, func(int, *RoaringAcc) {})
-			_ = ix.CountSets(pairs) // fills the scratch's last-item directory
+			ix.countInto(pairs, make([]int32, len(pairs))) // fills the scratch's last-item directory
 			// On a bitmap, not the index: the index reaches it, so this
 			// covers both, and finalizers run in dependency order — with
 			// one on each, a single collection would queue the index's only.

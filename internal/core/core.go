@@ -50,8 +50,8 @@ type Config struct {
 	MinGranuleTx int
 	// Workers parallelises the per-granule counting pass — across
 	// contiguous granule blocks on the level-1 scan, the level-2 pair
-	// prefilter and the hash-tree backend, across candidate chunks on
-	// the bitmap and roaring backends. Either way granule counts are
+	// prefilter and the hash-tree and naive backends, across candidate
+	// chunks on the bitmap and roaring backends. Either way granule counts are
 	// identical to a sequential pass. 0 or 1 counts sequentially.
 	Workers int
 	// Backend selects the support-counting backend of the per-granule
@@ -86,6 +86,9 @@ func (c Config) normalise() (Config, error) {
 	}
 	if c.MinGranuleTx == 0 {
 		c.MinGranuleTx = 1
+	}
+	if c.MaxK < 0 {
+		return c, fmt.Errorf("core: MaxK %d negative", c.MaxK)
 	}
 	if c.Workers < 0 {
 		return c, fmt.Errorf("core: Workers %d negative", c.Workers)

@@ -81,6 +81,8 @@ func TestConfigValidation(t *testing.T) {
 		{Granularity: timegran.Day, MinSupport: 0.5, MinFreq: 1.5},
 		{Granularity: timegran.Granularity(99), MinSupport: 0.5, MinFreq: 1},
 		{Granularity: timegran.Day, MinSupport: 0.5, MinFreq: 1, MinGranuleTx: -1},
+		// a negative MaxK used to read as "stop after level 1"
+		{Granularity: timegran.Day, MinSupport: 0.5, MinFreq: 1, MaxK: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := BuildHoldTable(tbl, cfg); err == nil {

@@ -108,26 +108,11 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	if !ok {
 		return nil, fmt.Errorf("core: transaction table %q is empty", tbl.Name())
 	}
-	n := int(span.Len())
-	h := &HoldTable{
-		Cfg:       cfg,
-		Span:      span,
-		TxCounts:  tbl.GranuleCounts(cfg.Granularity, span),
-		MinCounts: make([]int, n),
-		Active:    make([]bool, n),
-		ByK:       [][]itemset.Set{nil},
-		counts:    make(map[string][]int32),
+	h, err := newHoldTable(tbl, cfg, span, 0)
+	if err != nil {
+		return nil, err
 	}
-	for i, txc := range h.TxCounts {
-		if txc >= cfg.MinGranuleTx {
-			h.Active[i] = true
-			h.NActive++
-			h.MinCounts[i] = ceilCount(cfg.MinSupport, txc)
-		}
-	}
-	if h.NActive == 0 {
-		return nil, fmt.Errorf("core: no granule has at least %d transactions", cfg.MinGranuleTx)
-	}
+	n := h.NGranules()
 	nActiveTx := 0
 	for gi, txc := range h.TxCounts {
 		if h.Active[gi] {
@@ -192,14 +177,13 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		tr.Gauge(obs.MetricCountingPredictedCost, pred.Cost(backend))
 	}
 	var countingNS int64
-	var bm *granuleBitmap
-	var rm *granuleRoaring
 	// l1ranks ranks the L1 items in item order: the row numbering of the
 	// pair prefilter and the ingest filter of the vertical indexes.
 	l1ranks := new(itemset.Ranks)
 	for _, s := range l1 {
 		l1ranks.Add(s[0])
 	}
+	counter := apriori.NewSliceCounter(backend, h.slices(tbl), l1ranks, cfg.Workers)
 
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK); k++ {
@@ -229,27 +213,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		if k == 2 && backend != apriori.BackendNaive {
 			counted = h.frequentPairs(ctx, tbl, l1ranks, cands, cfg.Workers, pairCells)
 		}
-		var perGranule [][]int32
-		switch {
-		case len(counted) == 0:
-			// nothing survived: the level is empty, no backend runs
-		case backend == apriori.BackendBitmap:
-			if bm == nil {
-				bm = h.buildGranuleBitmap(ctx, tbl, l1ranks)
-			}
-			perGranule = bm.count(ctx, h, counted, cfg.Workers)
-		case backend == apriori.BackendRoaring:
-			if rm == nil {
-				rm = h.buildGranuleRoaring(ctx, tbl, l1ranks)
-			}
-			perGranule = rm.count(ctx, h, counted, cfg.Workers)
-		case backend == apriori.BackendNaive:
-			perGranule = h.countPerGranuleNaive(ctx, tbl, counted, cfg.Workers)
-		case cfg.Workers > 1:
-			perGranule, err = h.countPerGranuleParallel(ctx, tbl, counted, k, cfg.Workers)
-		default:
-			perGranule, err = h.countPerGranule(ctx, tbl, counted, k)
-		}
+		perGranule, err := counter.Count(ctx, counted)
 		countingNS += time.Since(tc0).Nanoseconds()
 		if err != nil {
 			return nil, err
@@ -262,9 +226,9 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		}
 		var level []itemset.Set
 		for i, c := range counted {
-			if h.frequentSomewhere(perGranule[i]) {
+			if v := perGranule.Row(i); h.frequentSomewhere(v) {
 				level = append(level, c)
-				h.counts[c.Key()] = perGranule[i]
+				h.counts[c.Key()] = v
 			}
 		}
 		h.ByK = append(h.ByK, level)
@@ -285,6 +249,47 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	return h, nil
 }
 
+// newHoldTable builds the header of a table over span — per-granule
+// transaction counts, activity and thresholds — holding no itemsets
+// yet. sizeHint pre-sizes the count map.
+func newHoldTable(tbl *tdb.TxTable, cfg Config, span timegran.Interval, sizeHint int) (*HoldTable, error) {
+	n := int(span.Len())
+	h := &HoldTable{
+		Cfg:       cfg,
+		Span:      span,
+		TxCounts:  tbl.GranuleCounts(cfg.Granularity, span),
+		MinCounts: make([]int, n),
+		Active:    make([]bool, n),
+		ByK:       [][]itemset.Set{nil},
+		counts:    make(map[string][]int32, sizeHint),
+	}
+	for i, txc := range h.TxCounts {
+		if txc >= cfg.MinGranuleTx {
+			h.Active[i] = true
+			h.NActive++
+			h.MinCounts[i] = ceilCount(cfg.MinSupport, txc)
+		}
+	}
+	if h.NActive == 0 {
+		return nil, fmt.Errorf("core: no granule has at least %d transactions", cfg.MinGranuleTx)
+	}
+	return h, nil
+}
+
+// slices cuts the span into the counting seam's slices, one per
+// granule, so a slice's index is its granule's offset; an inactive
+// granule is an empty slice.
+func (h *HoldTable) slices(tbl *tdb.TxTable) []apriori.Source {
+	out := make([]apriori.Source, h.NGranules())
+	for gi := range out {
+		out[gi] = apriori.Transactions(nil)
+		if h.Active[gi] {
+			out[gi] = tbl.GranuleSource(h.Cfg.Granularity, h.Span.Lo+timegran.Granule(gi))
+		}
+	}
+	return out
+}
+
 // frequentSomewhere reports whether the count vector clears the
 // threshold in at least one active granule.
 func (h *HoldTable) frequentSomewhere(v []int32) bool {
@@ -296,36 +301,26 @@ func (h *HoldTable) frequentSomewhere(v []int32) bool {
 	return false
 }
 
-// frequentInGranules is frequentSomewhere restricted to the listed
-// granules (assumed active). Maintain uses it on count vectors that are
-// zero outside the dirty region, where scanning the full span per
-// candidate would dominate the whole delta pass. Nil vectors are never
-// frequent.
-func (h *HoldTable) frequentInGranules(v []int32, granules []timegran.Granule) bool {
-	if v == nil {
-		return false
-	}
-	for _, g := range granules {
-		gi := int(g - h.Span.Lo)
-		if int(v[gi]) >= h.MinCounts[gi] {
+// frequentInSlices is frequentSomewhere for a count vector over a list
+// of active granules: v[j] is the count in the granule at offset
+// cols[j]. Maintain uses it on the dirty-region counts, where scanning
+// the full span per candidate would dominate the whole delta pass. Nil
+// vectors are never frequent.
+func (h *HoldTable) frequentInSlices(v []int32, cols []int) bool {
+	for j, c := range v {
+		if int(c) >= h.MinCounts[cols[j]] {
 			return true
 		}
 	}
 	return false
 }
 
-// eachActiveTx scans the span once, handing each transaction of each
-// active granule to fn with the granule offset. The scan is bounded to
-// the span's row range, so a table holding data outside the span (a
-// sub-span build) is not walked end to end.
-func (h *HoldTable) eachActiveTx(ctx context.Context, tbl *tdb.TxTable, fn func(gi int, tx itemset.Set)) {
-	h.eachActiveTxRange(ctx, tbl, 0, len(h.Active), fn)
-}
-
-// eachActiveTxRange is eachActiveTx restricted to granule offsets
-// [lo, hi): the shard primitive of the parallel build. Each shard's
-// rows are located by binary search, so shards cost proportionally to
-// their own data.
+// eachActiveTxRange scans granule offsets [lo, hi) of the span once,
+// handing each transaction of each active granule to fn with the
+// granule offset: the shard primitive of the level-1 scan and the pair
+// prefilter. Each shard's rows are located by binary search, so shards
+// cost proportionally to their own data, and a table holding data
+// outside the span (a sub-span build) is not walked end to end.
 //
 // Cancellation is sampled at granule boundaries only — a granule is
 // the natural block unit of every counting loop, and a per-transaction
@@ -359,27 +354,6 @@ func (h *HoldTable) eachActiveTxRange(ctx context.Context, tbl *tdb.TxTable, lo,
 	})
 }
 
-// granuleBlocks splits the granule offsets [0, n) into at most workers
-// contiguous, non-empty blocks [lo, hi).
-func granuleBlocks(n, workers int) [][2]int {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return [][2]int{{0, n}}
-	}
-	blocks := make([][2]int, 0, workers)
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		blocks = append(blocks, [2]int{lo, hi})
-	}
-	return blocks
-}
-
 // countLevel1 runs the level-1 item scan, producing the distinct items
 // and, by the same index, each one's per-granule count vector. With
 // workers > 1 the span is sharded into contiguous granule blocks counted
@@ -387,7 +361,7 @@ func granuleBlocks(n, workers int) [][2]int {
 // vectors are identical to a sequential scan.
 func (h *HoldTable) countLevel1(ctx context.Context, tbl *tdb.TxTable, workers int) ([]itemset.Item, [][]int32) {
 	n := h.NGranules()
-	blocks := granuleBlocks(n, workers)
+	blocks := apriori.Blocks(n, workers)
 	if len(blocks) == 1 {
 		return h.countLevel1Range(ctx, tbl, 0, n)
 	}
@@ -466,7 +440,7 @@ func (h *HoldTable) frequentPairs(ctx context.Context, tbl *tdb.TxTable, ranks *
 		rowStart[i+1] = rowStart[i] + m - 1 - i
 	}
 	marks := make([]bool, rowStart[m])
-	blocks := granuleBlocks(h.NGranules(), workers)
+	blocks := apriori.Blocks(h.NGranules(), workers)
 	perWorker := pairCells / len(blocks)
 	for r0 := 0; r0 < m-1 && ctx.Err() == nil; {
 		r1 := r0 + 1
@@ -553,321 +527,6 @@ func (h *HoldTable) markPairRows(ctx context.Context, tbl *tdb.TxTable, ranks *i
 	})
 	flush()
 	return marks
-}
-
-// countPerGranule counts every candidate in every active granule in a
-// single scan. The transactions arrive time-ordered, so the hash tree
-// is flushed into the per-granule columns whenever the granule changes.
-func (h *HoldTable) countPerGranule(ctx context.Context, tbl *tdb.TxTable, cands []itemset.Set, k int) ([][]int32, error) {
-	out := make([][]int32, len(cands))
-	for i := range out {
-		out[i] = make([]int32, h.NGranules())
-	}
-	tree, err := apriori.NewHashTree(cands, k, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	current := -1
-	flush := func() {
-		if current < 0 {
-			return
-		}
-		for i, c := range tree.Counts() {
-			if c != 0 {
-				out[i][current] = int32(c)
-			}
-		}
-		tree.Reset()
-	}
-	h.eachActiveTx(ctx, tbl, func(gi int, tx itemset.Set) {
-		if gi != current {
-			flush()
-			current = gi
-		}
-		tree.Add(tx)
-	})
-	flush()
-	return out, nil
-}
-
-// granuleBitmap is the vertical counting state of a hold-table build:
-// one TID-bitmap index over the active-granule transactions (rows
-// numbered in time order) plus each granule's row range. A candidate's
-// per-granule counts then come from a single bitmap intersection
-// followed by one range popcount per granule — the per-granule pass no
-// longer rebuilds any per-level structure per granule.
-type granuleBitmap struct {
-	ix    *apriori.BitmapIndex
-	rowLo []int // first row of granule gi (inactive granules are empty)
-	rowHi []int // one past the last row of granule gi
-}
-
-// buildGranuleBitmap ingests the span once. Transactions arrive in
-// time order, so each active granule occupies the contiguous row range
-// given by the prefix sums of its transaction counts; only items of
-// the granule-frequent 1-itemsets are indexed, since no other item can
-// appear in a candidate.
-func (h *HoldTable) buildGranuleBitmap(ctx context.Context, tbl *tdb.TxTable, keep *itemset.Ranks) *granuleBitmap {
-	n := h.NGranules()
-	g := &granuleBitmap{rowLo: make([]int, n), rowHi: make([]int, n)}
-	rows := 0
-	for gi := 0; gi < n; gi++ {
-		g.rowLo[gi] = rows
-		if h.Active[gi] {
-			rows += h.TxCounts[gi]
-		}
-		g.rowHi[gi] = rows
-	}
-	src := apriori.FuncSource{
-		N: rows,
-		Scan: func(fn func(tx itemset.Set)) {
-			h.eachActiveTx(ctx, tbl, func(gi int, tx itemset.Set) { fn(tx) })
-		},
-	}
-	g.ix = apriori.NewBitmapIndex(src, keep)
-	return g
-}
-
-// count produces the per-granule count matrix of one candidate level.
-// workers > 1 splits the sorted candidate list into contiguous chunks
-// (keeping the prefix-intersection reuse inside each chunk); workers
-// write disjoint rows of the output, so any worker count produces the
-// same matrix.
-func (g *granuleBitmap) count(ctx context.Context, h *HoldTable, cands []itemset.Set, workers int) [][]int32 {
-	out := make([][]int32, len(cands))
-	for i := range out {
-		out[i] = make([]int32, h.NGranules())
-	}
-	// Cancellation is sampled per candidate block, not per candidate:
-	// the block is large enough to keep the check off the intersection
-	// hot path yet small enough to stop a big level promptly. Blocking
-	// also preserves the prefix-intersection reuse within each block.
-	const cancelBlock = 512
-	countChunk := func(lo, hi int) {
-		for b := lo; b < hi; b += cancelBlock {
-			if ctx.Err() != nil {
-				return
-			}
-			e := b + cancelBlock
-			if e > hi {
-				e = hi
-			}
-			g.ix.EachIntersection(cands[b:e], func(i int, words []uint64) {
-				v := out[b+i]
-				for gi := range v {
-					if c := apriori.PopcountRange(words, g.rowLo[gi], g.rowHi[gi]); c != 0 {
-						v[gi] = int32(c)
-					}
-				}
-			})
-		}
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		countChunk(0, len(cands))
-		return out
-	}
-	chunks := apriori.PrefixRunChunks(cands, workers)
-	if len(chunks) <= 1 {
-		countChunk(0, len(cands))
-		return out
-	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			countChunk(lo, hi)
-		}(ch[0], ch[1])
-	}
-	wg.Wait()
-	return out
-}
-
-// granuleRoaring is granuleBitmap over the compressed container index:
-// the same row numbering and per-granule row ranges, but candidates
-// intersect through per-container kernels that skip empty containers,
-// and per-granule counts come from container range-counts.
-type granuleRoaring struct {
-	ix    *apriori.RoaringIndex
-	rowLo []int
-	rowHi []int
-}
-
-// buildGranuleRoaring mirrors buildGranuleBitmap over the compressed
-// index; see that function for the row-range construction.
-func (h *HoldTable) buildGranuleRoaring(ctx context.Context, tbl *tdb.TxTable, keep *itemset.Ranks) *granuleRoaring {
-	n := h.NGranules()
-	g := &granuleRoaring{rowLo: make([]int, n), rowHi: make([]int, n)}
-	rows := 0
-	for gi := 0; gi < n; gi++ {
-		g.rowLo[gi] = rows
-		if h.Active[gi] {
-			rows += h.TxCounts[gi]
-		}
-		g.rowHi[gi] = rows
-	}
-	src := apriori.FuncSource{
-		N: rows,
-		Scan: func(fn func(tx itemset.Set)) {
-			h.eachActiveTx(ctx, tbl, func(gi int, tx itemset.Set) { fn(tx) })
-		},
-	}
-	g.ix = apriori.NewRoaringIndex(src, keep)
-	return g
-}
-
-// count is granuleBitmap.count over the compressed index: chunks align
-// to prefix-run boundaries, cancellation is sampled per candidate
-// block, and each intersection is sliced into granule counts by
-// RangeCount over its containers.
-func (g *granuleRoaring) count(ctx context.Context, h *HoldTable, cands []itemset.Set, workers int) [][]int32 {
-	out := make([][]int32, len(cands))
-	for i := range out {
-		out[i] = make([]int32, h.NGranules())
-	}
-	const cancelBlock = 512
-	countChunk := func(lo, hi int) {
-		for b := lo; b < hi; b += cancelBlock {
-			if ctx.Err() != nil {
-				return
-			}
-			e := b + cancelBlock
-			if e > hi {
-				e = hi
-			}
-			g.ix.EachIntersection(cands[b:e], func(i int, acc *apriori.RoaringAcc) {
-				v := out[b+i]
-				for gi := range v {
-					if c := acc.RangeCount(g.rowLo[gi], g.rowHi[gi]); c != 0 {
-						v[gi] = int32(c)
-					}
-				}
-			})
-		}
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		countChunk(0, len(cands))
-		return out
-	}
-	chunks := apriori.PrefixRunChunks(cands, workers)
-	if len(chunks) <= 1 {
-		countChunk(0, len(cands))
-		return out
-	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			countChunk(lo, hi)
-		}(ch[0], ch[1])
-	}
-	wg.Wait()
-	return out
-}
-
-// countPerGranuleNaive is the reference per-granule counter: a direct
-// subset test of every candidate against every transaction. It exists
-// so the cross-backend property tests have a trivially-correct anchor.
-// workers > 1 shards the span into contiguous granule blocks; blocks
-// write disjoint columns of the output, so any worker count produces
-// the same matrix.
-func (h *HoldTable) countPerGranuleNaive(ctx context.Context, tbl *tdb.TxTable, cands []itemset.Set, workers int) [][]int32 {
-	out := make([][]int32, len(cands))
-	for i := range out {
-		out[i] = make([]int32, h.NGranules())
-	}
-	countBlock := func(lo, hi int) {
-		h.eachActiveTxRange(ctx, tbl, lo, hi, func(gi int, tx itemset.Set) {
-			for i, c := range cands {
-				if tx.ContainsAll(c) {
-					out[i][gi]++
-				}
-			}
-		})
-	}
-	blocks := granuleBlocks(h.NGranules(), workers)
-	if len(blocks) == 1 {
-		countBlock(0, h.NGranules())
-		return out
-	}
-	var wg sync.WaitGroup
-	for _, blk := range blocks {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			countBlock(lo, hi)
-		}(blk[0], blk[1])
-	}
-	wg.Wait()
-	return out
-}
-
-// countPerGranuleParallel splits the span into contiguous granule
-// blocks and counts each block with its own hash tree in its own
-// goroutine. Granules are independent partitions of the data, so the
-// result is bit-identical to the sequential pass; workers write
-// disjoint columns of the output.
-func (h *HoldTable) countPerGranuleParallel(ctx context.Context, tbl *tdb.TxTable, cands []itemset.Set, k, workers int) ([][]int32, error) {
-	n := h.NGranules()
-	if workers > n {
-		workers = n
-	}
-	out := make([][]int32, len(cands))
-	for i := range out {
-		out[i] = make([]int32, n)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tree, err := apriori.NewHashTree(cands, k, 0, 0)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			for gi := lo; gi < hi; gi++ {
-				if ctx.Err() != nil {
-					return
-				}
-				if !h.Active[gi] {
-					continue
-				}
-				src := tbl.GranuleSource(h.Cfg.Granularity, h.Span.Lo+int64(gi))
-				src.ForEach(tree.Add)
-				for i, c := range tree.Counts() {
-					if c != 0 {
-						out[i][gi] = int32(c)
-					}
-				}
-				tree.Reset()
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // generateFromSets is the Apriori join+prune over a sorted level of

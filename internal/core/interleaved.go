@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -123,21 +124,11 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 	if !ok {
 		return nil, CycleMinerStats{}, fmt.Errorf("core: transaction table %q is empty", tbl.Name())
 	}
-	n := int(span.Len())
-	txCounts := tbl.GranuleCounts(cfg.Granularity, span)
-	active := make([]bool, n)
-	minCounts := make([]int, n)
-	nActive := 0
-	for i, c := range txCounts {
-		if c >= cfg.MinGranuleTx {
-			active[i] = true
-			nActive++
-			minCounts[i] = ceilCount(cfg.MinSupport, c)
-		}
+	head, err := newHoldTable(tbl, cfg, span, 0)
+	if err != nil {
+		return nil, CycleMinerStats{}, err
 	}
-	if nActive == 0 {
-		return nil, CycleMinerStats{}, fmt.Errorf("core: no granule has at least %d transactions", cfg.MinGranuleTx)
-	}
+	n, active, minCounts := head.NGranules(), head.Active, head.MinCounts
 	stats := CycleMinerStats{}
 
 	// Level 1: count every item per granule in one scan.
@@ -232,12 +223,14 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 			}
 			stats.GranulesScanned++
 			stats.CandidateGranulePairs += int64(len(sets))
-			counts, err := apriori.CountSets(tbl.GranuleSource(cfg.Granularity, span.Lo+int64(gi)), sets, k)
+			// One granule, these candidates: the counting seam's smallest case.
+			granule := []apriori.Source{tbl.GranuleSource(cfg.Granularity, span.Lo+int64(gi))}
+			counts, err := apriori.NewSliceCounter(apriori.BackendHashTree, granule, nil, 0).Count(context.Background(), sets)
 			if err != nil {
 				return nil, CycleMinerStats{}, err
 			}
 			for i, ci := range liveIDs {
-				if counts[i] < minCounts[gi] {
+				if v := counts.Row(i); v == nil || int(v[0]) < minCounts[gi] {
 					eliminateAt(cands[ci], span.Lo+int64(gi)) // cycle-elimination
 				}
 			}

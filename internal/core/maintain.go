@@ -81,24 +81,9 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		tr.Gauge(obs.MetricGranulesDirty, float64(len(dirty)))
 	}
 
-	nh := &HoldTable{
-		Cfg:       h.Cfg,
-		Span:      span,
-		TxCounts:  tbl.GranuleCounts(h.Cfg.Granularity, span),
-		MinCounts: make([]int, n),
-		Active:    make([]bool, n),
-		ByK:       [][]itemset.Set{nil},
-		counts:    make(map[string][]int32, len(h.counts)),
-	}
-	for i, txc := range nh.TxCounts {
-		if txc >= nh.Cfg.MinGranuleTx {
-			nh.Active[i] = true
-			nh.NActive++
-			nh.MinCounts[i] = ceilCount(nh.Cfg.MinSupport, txc)
-		}
-	}
-	if nh.NActive == 0 {
-		return nil, fmt.Errorf("core: no granule has at least %d transactions", nh.Cfg.MinGranuleTx)
+	nh, err := newHoldTable(tbl, h.Cfg, span, len(h.counts))
+	if err != nil {
+		return nil, err
 	}
 
 	// Dirty membership by new-span offset, with the soundness check: a
@@ -124,20 +109,28 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		}
 	}
 	// Active dirty granules drive all recounting; inactive ones hold no
-	// counts in a cold build either.
-	var dirtyActive []timegran.Granule
-	for _, g := range dirty {
-		if nh.Active[int(g-span.Lo)] {
-			dirtyActive = append(dirtyActive, g)
-		}
-	}
-	// Clean active granules, for newcomer recovery scans.
-	var cleanActive []timegran.Granule
+	// counts in a cold build either. Clean active granules serve the
+	// newcomer recovery scans. Each list is one sliced view of the table:
+	// counts over it are indexed by position in the list, and the cols
+	// give each position's offset in the span.
+	var dirtyCols, cleanCols []int
 	for gi := 0; gi < n; gi++ {
-		if nh.Active[gi] && !dirtySet[gi] {
-			cleanActive = append(cleanActive, span.Lo+timegran.Granule(gi))
+		switch {
+		case !nh.Active[gi]:
+		case dirtySet[gi]:
+			dirtyCols = append(dirtyCols, gi)
+		default:
+			cleanCols = append(cleanCols, gi)
 		}
 	}
+	slices := func(cols []int) []apriori.Source {
+		out := make([]apriori.Source, len(cols))
+		for j, gi := range cols {
+			out[j] = tbl.GranuleSource(nh.Cfg.Granularity, span.Lo+timegran.Granule(gi))
+		}
+		return out
+	}
+	dirtySlices := slices(dirtyCols)
 
 	// rebase widens an old count vector to the new span, leaving dirty
 	// columns zeroed for the splice.
@@ -151,22 +144,31 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		}
 		return v
 	}
+	// splice writes a dirty-region vector (nil = all zero) into the dirty
+	// columns of a span-wide one.
+	splice := func(v, dirtyCounts []int32) []int32 {
+		if dirtyCounts != nil {
+			for j, gi := range dirtyCols {
+				v[gi] = dirtyCounts[j]
+			}
+		}
+		return v
+	}
 
 	// Level 1: per-item counts over the active dirty granules only.
 	c1 := make(map[itemset.Item][]int32)
-	for _, g := range dirtyActive {
+	for j, src := range dirtySlices {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		gi := int(g - span.Lo)
-		tbl.GranuleSource(nh.Cfg.Granularity, g).ForEach(func(tx itemset.Set) {
+		src.ForEach(func(tx itemset.Set) {
 			for _, x := range tx {
 				v := c1[x]
 				if v == nil {
-					v = make([]int32, n)
+					v = make([]int32, len(dirtyCols))
 					c1[x] = v
 				}
-				v[gi]++
+				v[j]++
 			}
 		})
 	}
@@ -174,59 +176,40 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	tracked := make(map[string]bool, len(h.ByK[1]))
 	for _, s := range h.ByK[1] {
 		tracked[s.Key()] = true
-		v := rebase(h.counts[s.Key()])
-		if nv := c1[s[0]]; nv != nil {
-			for gi, dirt := range dirtySet {
-				if dirt {
-					v[gi] = nv[gi]
-				}
-			}
-		}
+		v := splice(rebase(h.counts[s.Key()]), c1[s[0]])
 		if nh.frequentSomewhere(v) {
 			l1 = append(l1, s)
 			nh.counts[s.Key()] = v
 		}
 	}
-	// Items seen in the dirty region at all. A higher-level candidate
-	// whose items are not all present there cannot have a nonzero dirty
-	// count, so the per-level recounts below skip it outright.
-	dirtyItems := make(map[itemset.Item]bool, len(c1))
-	for x := range c1 {
-		dirtyItems[x] = true
-	}
-	var newcomers []itemset.Set
-	for x, nv := range c1 {
-		s := itemset.Set{x}
-		if tracked[s.Key()] {
-			continue
-		}
-		if nh.frequentInGranules(nv, dirtyActive) {
-			newcomers = append(newcomers, s)
+	// Items not tracked before that cross a threshold in the dirty
+	// region. A higher-level candidate whose items are not all present
+	// in the dirty region (c1's keys) cannot have a nonzero dirty count,
+	// so the per-level recounts below skip it outright.
+	newcomers := make(map[itemset.Item][]int32)
+	for x, dc := range c1 {
+		if s := (itemset.Set{x}); !tracked[s.Key()] && nh.frequentInSlices(dc, dirtyCols) {
+			v := splice(make([]int32, n), dc)
+			newcomers[x] = v
+			nh.counts[s.Key()] = v
+			l1 = append(l1, s)
 		}
 	}
 	if len(newcomers) > 0 {
 		// The only history-proportional part: recover the clean-region
 		// counts of items that just became granule-frequent.
-		want := make(map[itemset.Item][]int32, len(newcomers))
-		for _, s := range newcomers {
-			want[s[0]] = c1[s[0]]
-		}
-		for _, g := range cleanActive {
+		for j, src := range slices(cleanCols) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			gi := int(g - span.Lo)
-			tbl.GranuleSource(nh.Cfg.Granularity, g).ForEach(func(tx itemset.Set) {
+			gi := cleanCols[j]
+			src.ForEach(func(tx itemset.Set) {
 				for _, x := range tx {
-					if v, ok := want[x]; ok {
+					if v, ok := newcomers[x]; ok {
 						v[gi]++
 					}
 				}
 			})
-		}
-		for _, s := range newcomers {
-			nh.counts[s.Key()] = c1[s[0]]
-			l1 = append(l1, s)
 		}
 	}
 	itemset.SortSets(l1)
@@ -236,7 +219,11 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	// generation, same stopping rule — but each candidate batch is
 	// counted over the dirty region only, spliced into carried vectors,
 	// and untracked candidates that cross a threshold there get one
-	// clean-region recovery pass.
+	// clean-region recovery pass. Both regions are a few small slices of
+	// history, whatever the configured backend: the horizontal driver
+	// picks its subset counter from their row totals.
+	dirtyCounter := apriori.NewSliceCounter(apriori.BackendHashTree, dirtySlices, nil, 0)
+	var cleanCounter *apriori.SliceCounter
 	prev := l1
 	for k := 2; len(prev) > 1 && (nh.Cfg.MaxK == 0 || k <= nh.Cfg.MaxK); k++ {
 		if err := ctx.Err(); err != nil {
@@ -253,7 +240,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		for i, c := range cands {
 			all := true
 			for _, x := range c {
-				if !dirtyItems[x] {
+				if c1[x] == nil {
 					all = false
 					break
 				}
@@ -263,56 +250,22 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 				countIdx = append(countIdx, i)
 			}
 		}
+		counted, err := dirtyCounter.Count(ctx, countable)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		dirtyCounts := make([][]int32, len(cands))
-		if len(countable) > 0 {
-			counted, err := countGranules(ctx, tbl, nh, countable, k, dirtyActive)
-			if err != nil {
-				return nil, err
-			}
-			for j, i := range countIdx {
-				dirtyCounts[i] = counted[j]
-			}
+		for j, i := range countIdx {
+			dirtyCounts[i] = counted.Row(j)
 		}
-		var risers []itemset.Set
-		var riserIdx []int
-		for i, c := range cands {
-			// Dirty-frequency first: it is a few column compares (false
-			// for the nil vectors most candidates keep), cheaper than the
-			// countsOf key lookup.
-			if nh.frequentInGranules(dirtyCounts[i], dirtyActive) && h.countsOf(c) == nil {
-				risers = append(risers, c)
-				riserIdx = append(riserIdx, i)
-			}
-		}
-		if len(risers) > 0 {
-			histCounts, err := countGranules(ctx, tbl, nh, risers, k, cleanActive)
-			if err != nil {
-				return nil, err
-			}
-			for j := range risers {
-				hist := histCounts[j]
-				if hist == nil {
-					continue // no clean-region occurrences: zeros are right
-				}
-				v := dirtyCounts[riserIdx[j]]
-				for gi := 0; gi < n; gi++ {
-					if !dirtySet[gi] {
-						v[gi] = hist[gi]
-					}
-				}
-			}
-		}
-		var level []itemset.Set
+		var level, risers []itemset.Set
+		var riserVecs [][]int32
 		for i, c := range cands {
 			if old := h.countsOf(c); old != nil {
-				v := rebase(old)
-				if dc := dirtyCounts[i]; dc != nil {
-					for gi, dirt := range dirtySet {
-						if dirt {
-							v[gi] = dc[gi]
-						}
-					}
-				}
+				v := splice(rebase(old), dirtyCounts[i])
 				if nh.frequentSomewhere(v) {
 					level = append(level, c)
 					nh.counts[c.Key()] = v
@@ -320,11 +273,35 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 				continue
 			}
 			// Untracked: by the splice invariant it cannot be frequent in
-			// a clean granule, so dirty-region frequency decides — and a
-			// riser's recovered clean history never changes the verdict.
-			if nh.frequentInGranules(dirtyCounts[i], dirtyActive) {
+			// a clean granule, so dirty-region frequency decides — and the
+			// clean history recovered below never changes the verdict.
+			if nh.frequentInSlices(dirtyCounts[i], dirtyCols) {
+				v := splice(make([]int32, n), dirtyCounts[i])
 				level = append(level, c)
-				nh.counts[c.Key()] = dirtyCounts[i]
+				nh.counts[c.Key()] = v
+				risers = append(risers, c)
+				riserVecs = append(riserVecs, v)
+			}
+		}
+		if len(risers) > 0 {
+			if cleanCounter == nil {
+				cleanCounter = apriori.NewSliceCounter(apriori.BackendHashTree, slices(cleanCols), nil, 0)
+			}
+			hist, err := cleanCounter.Count(ctx, risers)
+			if err != nil {
+				return nil, err
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for r, v := range riserVecs {
+				hv := hist.Row(r)
+				if hv == nil {
+					continue // no clean-region occurrences: zeros are right
+				}
+				for j, gi := range cleanCols {
+					v[gi] = hv[j]
+				}
 			}
 		}
 		nh.ByK = append(nh.ByK, level)
@@ -334,53 +311,4 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		tr.Counter(obs.MetricItemsetsFrequent, int64(nh.TotalItemsets()))
 	}
 	return nh, nil
-}
-
-// smallSourceRows is the row budget under which countGranules counts
-// by subset enumeration (MapCounter) instead of building a hash tree:
-// for a typical append batch the tree construction over thousands of
-// candidates costs far more than scanning the handful of dirty rows.
-const smallSourceRows = 4096
-
-// countGranules counts cands per granule over the listed granules (all
-// assumed active), one counter built per level and reused per granule.
-// Output vectors span the whole new table with unlisted granules zero;
-// a candidate with no occurrence at all gets a nil vector rather than
-// an allocated all-zero one, so a large candidate level counted over a
-// tiny dirty region stays cheap.
-func countGranules(ctx context.Context, tbl *tdb.TxTable, nh *HoldTable, cands []itemset.Set, k int, granules []timegran.Granule) ([][]int32, error) {
-	out := make([][]int32, len(cands))
-	if len(granules) == 0 {
-		return out, nil
-	}
-	rows := 0
-	for _, g := range granules {
-		rows += tbl.CountRange(nh.Cfg.Granularity, timegran.Interval{Lo: g, Hi: g})
-	}
-	var lc interface{ Count(apriori.Source) []int }
-	if rows <= smallSourceRows && k <= 4 {
-		lc = apriori.NewMapCounter(cands, k)
-	} else {
-		tree, err := apriori.NewLevelCounter(cands, k)
-		if err != nil {
-			return nil, err
-		}
-		lc = tree
-	}
-	for _, g := range granules {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gi := int(g - nh.Span.Lo)
-		counts := lc.Count(tbl.GranuleSource(nh.Cfg.Granularity, g))
-		for i, c := range counts {
-			if c != 0 {
-				if out[i] == nil {
-					out[i] = make([]int32, nh.NGranules())
-				}
-				out[i][gi] = int32(c)
-			}
-		}
-	}
-	return out, nil
 }
