@@ -8,7 +8,7 @@
 //	iqms -db ./data          # open or create a database directory
 //	iqms -db ./data -f run.sql  # execute a script, then exit
 //	iqms -db ./data -metrics :6060  # serve /metrics, /debug/vars, /debug/pprof
-//	iqms -db ./data -wal -fsync always  # WAL-backed storage engine: crash-safe writes
+//	iqms -db ./data -fsync interval  # trade a bounded loss window for faster writes (default: always)
 //
 // Inside the REPL:
 //
@@ -55,21 +55,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var db *tdb.DB
+	db := tdb.NewMemDB()
 	if *dbDir != "" {
-		db, err = mf.OpenDB(*dbDir, obs.Default)
-	} else {
-		if mf.WAL {
-			err = fmt.Errorf("-wal needs a database directory (-db)")
-		} else {
-			db = tdb.NewMemDB()
+		if db, err = mf.OpenDB(*dbDir, obs.Default); err != nil {
+			fmt.Fprintln(os.Stderr, "iqms:", err)
+			os.Exit(1)
 		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iqms:", err)
-		os.Exit(1)
-	}
-	if db.Durable() {
 		rec := db.Recovery()
 		fmt.Fprintf(os.Stderr, "iqms: durable open (fsync %s): replayed %d wal records (%d tx, %d skipped, %d torn bytes) in %s\n",
 			db.FsyncPolicy(), rec.Records, rec.AppendedTx, rec.SkippedTx, rec.TornBytes, rec.Wall.Round(time.Millisecond))
@@ -112,14 +103,11 @@ func main() {
 	closeDB(db)
 }
 
-// closeDB checkpoints and closes a durable database on the way out, so
-// a clean exit restarts from segment files instead of WAL replay. A
-// failed checkpoint is not fatal: the WAL already holds every acked
-// append, so the next open replays it.
+// closeDB checkpoints and closes the database on the way out (a no-op
+// for an in-memory session), so a clean exit restarts from segment
+// files instead of WAL replay. A failed checkpoint is not fatal: the WAL
+// already holds every acked append, so the next open replays it.
 func closeDB(db *tdb.DB) {
-	if !db.Durable() {
-		return
-	}
 	if err := db.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "iqms: close:", err)
 	}
@@ -372,23 +360,13 @@ func metaCommand(cmd string, session *tml.Session, db *tdb.DB, w io.Writer, stat
 			fmt.Fprintf(w, "%-24s %s\n", n, kind)
 		}
 		return false, nil
-	case "\\save":
-		if err := db.Flush(); err != nil {
-			return false, err
-		}
-		fmt.Fprintln(w, "database saved")
-		return false, nil
-	case "\\flush":
+	case "\\save", "\\flush":
 		st, err := db.Checkpoint()
 		if err != nil {
 			return false, err
 		}
-		if db.Durable() {
-			fmt.Fprintf(w, "checkpointed %d tables (%d segments written, %d unchanged), wal truncated %d bytes in %s\n",
-				st.Tables, st.SegmentsWritten, st.SegmentsSkipped, st.WALTruncated, st.Wall.Round(time.Millisecond))
-		} else {
-			fmt.Fprintln(w, "database saved")
-		}
+		fmt.Fprintf(w, "checkpointed %d tables (%d segments written, %d unchanged), wal truncated %d bytes in %s\n",
+			st.Tables, st.SegmentsWritten, st.SegmentsSkipped, st.WALTruncated, st.Wall.Round(time.Millisecond))
 		return false, nil
 	case "\\subscribe":
 		if len(fields) == 1 {
@@ -470,7 +448,7 @@ Meta: \tables  \save  \flush  \cache  \trace  \import <table> <file.csv>  \expor
       table past a granule boundary, its rule deltas print (+ added, - removed, ~ changed).
       \subscribe lists the standing statements; \unsubscribe <n> removes one.
       \trace shows the span tree of the last statement (operators, hold-table build, counting passes).
-      \flush checkpoints a durable (-wal) database and truncates its log; elsewhere it saves like \save.
+      \flush (or \save) checkpoints a -db database and truncates its log; an in-memory session has nothing to save to.
 CSV:  transaction tables use "timestamp,item1;item2"; relational tables a header row.
 `)
 		return false, nil

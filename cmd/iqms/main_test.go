@@ -104,9 +104,21 @@ func TestMetaCommands(t *testing.T) {
 		t.Error("unknown meta command accepted")
 	}
 
-	// \save on a memory DB must fail cleanly.
-	if _, err := metaCommand(`\save`, tml.NewSession(db), db, &out, &replState{}); err == nil {
-		t.Error("\\save on memory DB succeeded")
+	// \save and \flush are one command: a checkpoint of a -db session,
+	// a clean error in a memory-only one.
+	ddb, err := tdb.OpenDurable(t.TempDir(), tdb.Durability{Fsync: tdb.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ddb.Kill()
+	for _, cmd := range []string{`\save`, `\flush`} {
+		if _, err := metaCommand(cmd, tml.NewSession(db), db, &out, &replState{}); err == nil {
+			t.Errorf("%s on memory DB succeeded", cmd)
+		}
+		out.Reset()
+		if _, err := metaCommand(cmd, tml.NewSession(ddb), ddb, &out, &replState{}); err != nil || !strings.Contains(out.String(), "checkpointed") {
+			t.Errorf("%s on a directory: %v %q", cmd, err, out.String())
+		}
 	}
 }
 

@@ -85,11 +85,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if db.Durable() {
-		rec := db.Recovery()
-		fmt.Fprintf(os.Stderr, "tarmd: durable open (fsync %s): replayed %d wal records (%d tx, %d skipped, %d torn bytes) in %s\n",
-			db.FsyncPolicy(), rec.Records, rec.AppendedTx, rec.SkippedTx, rec.TornBytes, rec.Wall.Round(time.Millisecond))
-	}
+	rec := db.Recovery()
+	fmt.Fprintf(os.Stderr, "tarmd: durable open (fsync %s): replayed %d wal records (%d tx, %d skipped, %d torn bytes) in %s\n",
+		db.FsyncPolicy(), rec.Records, rec.AppendedTx, rec.SkippedTx, rec.TornBytes, rec.Wall.Round(time.Millisecond))
 
 	cfg := server.Config{
 		Pool:        *pool,
@@ -138,16 +136,8 @@ func run() error {
 	}
 	// The drain stopped admission and the pool is empty: checkpoint so
 	// appends acknowledged this run restart from segments, not replay.
-	// (Durable databases truncate the WAL here; a plain -db directory
-	// gets a whole-file Flush, closing the old exit-discards-appends
-	// hole either way.)
 	if err := db.Close(); err != nil {
 		return fmt.Errorf("close: %w", err)
-	}
-	if !db.Durable() {
-		if err := db.Flush(); err != nil {
-			return fmt.Errorf("flush: %w", err)
-		}
 	}
 	fmt.Fprintln(os.Stderr, "tarmd: drained, bye")
 	return nil

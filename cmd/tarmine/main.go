@@ -106,11 +106,11 @@ func main() {
 	}
 }
 
-// execStatement opens the database (durably under -wal) and runs one
-// TML or SQL statement under ctx, feeding any mining telemetry to
-// tracer. A mining statement cancelled by -timeout returns
-// context.DeadlineExceeded. A durable database is checkpointed and
-// closed before returning, so a batch INSERT restarts from segments.
+// execStatement opens the database and runs one TML or SQL statement
+// under ctx, feeding any mining telemetry to tracer. A mining statement
+// cancelled by -timeout returns context.DeadlineExceeded. The database
+// is checkpointed and closed before returning, so a batch INSERT
+// restarts from segments.
 func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt string, backend apriori.Backend, w io.Writer, tracer obs.Tracer) error {
 	db, err := mf.OpenDB(dbDir, obs.Default)
 	if err != nil {
@@ -122,16 +122,11 @@ func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt str
 	session.TML.Tracer = tracer
 	res, err := session.ExecContext(ctx, stmt)
 	if err != nil {
-		if db.Durable() {
-			db.Kill() // keep the WAL: nothing acked is lost
-		}
+		db.Kill() // keep the WAL: nothing acked is lost
 		return err
 	}
 	minisql.Format(w, res)
-	if db.Durable() {
-		return db.Close()
-	}
-	return nil
+	return db.Close()
 }
 
 // writeStats dumps the collected MineStats as indented JSON; "-" writes

@@ -19,7 +19,7 @@ import (
 func fixtureDir(t *testing.T) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "db")
-	db, err := tdb.Open(dir)
+	db, err := tdb.OpenDurable(dir, tdb.Durability{Fsync: tdb.FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func fixtureDir(t *testing.T) string {
 			baskets.Append(at.AddDate(0, 0, d), itemset.New(bread, milk))
 		}
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -44,7 +44,7 @@ func fixtureDir(t *testing.T) string {
 func TestExecStatement(t *testing.T) {
 	dir := fixtureDir(t)
 	var out strings.Builder
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, apriori.BackendBitmap, &out, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2, FsyncName: "off"}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, apriori.BackendBitmap, &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "{bread}") {
@@ -52,14 +52,14 @@ func TestExecStatement(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{}, dir, `SELECT COUNT(*) AS n FROM baskets`, apriori.BackendAuto, &out, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `SELECT COUNT(*) AS n FROM baskets`, apriori.BackendAuto, &out, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "168") { // 14 days × 6 tx × 2 items
 		t.Errorf("SQL output: %q", out.String())
 	}
 
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{}, dir, `MINE garbage`, apriori.BackendAuto, &out, nil); err == nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `MINE garbage`, apriori.BackendAuto, &out, nil); err == nil {
 		t.Error("bad statement accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestStatsDump(t *testing.T) {
 	var progress, out strings.Builder
 	tracer := obs.Multi(collect, obs.NewProgressTracer(&progress))
 	stmt := `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 1}, dir, stmt, apriori.BackendBitmap, &out, tracer); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 1, FsyncName: "off"}, dir, stmt, apriori.BackendBitmap, &out, tracer); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "stats.json")
@@ -113,20 +113,32 @@ func TestRunExperimentsUnknown(t *testing.T) {
 	}
 }
 
-// TestExecStatementDurable drives -wal end to end: a legacy directory
-// is migrated on open, the statement runs, and the close checkpoints —
-// after which the directory only opens durably.
+// TestExecStatementDurable drives writes end to end under the default
+// durability: each run's close checkpoints what it wrote, so the next
+// run sees it and has nothing to replay.
 func TestExecStatementDurable(t *testing.T) {
 	dir := fixtureDir(t)
-	mf := &clihelp.MiningFlags{WAL: true, FsyncName: "always"}
+	mf := &clihelp.MiningFlags{FsyncName: "always"}
 	var out strings.Builder
-	if err := execStatement(context.Background(), mf, dir, `SELECT COUNT(*) AS n FROM baskets`, apriori.BackendAuto, &out, nil); err != nil {
-		t.Fatal(err)
+	for _, stmt := range []string{
+		`CREATE TABLE stores (id int, city string)`,
+		`INSERT INTO stores VALUES (7, 'york')`,
+		`SELECT city FROM stores WHERE id = 7`,
+	} {
+		out.Reset()
+		if err := execStatement(context.Background(), mf, dir, stmt, apriori.BackendAuto, &out, nil); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
 	}
-	if !strings.Contains(out.String(), "168") {
+	if !strings.Contains(out.String(), "york") {
 		t.Errorf("durable output: %q", out.String())
 	}
-	if _, err := tdb.Open(dir); err == nil {
-		t.Error("plain Open accepted a WAL-backed directory")
+	db, err := tdb.OpenDurable(dir, tdb.Durability{Fsync: tdb.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Kill()
+	if rec := db.Recovery(); rec.Records != 0 {
+		t.Errorf("clean tarmine exit left %+v to replay", rec)
 	}
 }

@@ -86,10 +86,13 @@ func generate(out, table string, days int, granName string, txPer, items, patter
 	if err != nil {
 		return fmt.Errorf("bad -start %q: %w", start, err)
 	}
-	db, err := tdb.Open(out)
+	// Fsync off: a dataset that did not finish generating is regenerated,
+	// not recovered, so there is no ack worth an fsync.
+	db, err := tdb.OpenDurable(out, tdb.Durability{Fsync: tdb.FsyncOff})
 	if err != nil {
 		return err
 	}
+	defer db.Kill() // releases the WAL file on the error paths; after Close it is already released
 	t0 := time.Now()
 	// Intern background item names first so generated ids resolve.
 	for i := 0; i < items; i++ {
@@ -120,11 +123,21 @@ func generate(out, table string, days int, granName string, txPer, items, patter
 			return err
 		}
 	}
-	src.Each(func(tx tdb.Tx) bool {
-		dst.Append(tx.At, tx.Items)
-		return true
-	})
-	if err := db.Flush(); err != nil {
+	// One WAL record per granule, not per transaction.
+	if iv, ok := src.Span(gran); ok {
+		var batch []tdb.Tx
+		for g := iv.Lo; g <= iv.Hi; g++ {
+			batch = batch[:0]
+			src.EachInRange(gran, timegran.Interval{Lo: g, Hi: g}, func(tx tdb.Tx) bool {
+				batch = append(batch, tx)
+				return true
+			})
+			if _, _, err := dst.AppendBatchDurable(batch); err != nil {
+				return err
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
 		return err
 	}
 	name := gen.Name(cfg.Quest, dst.Len())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -14,9 +15,22 @@ func TestGenerateWritesDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := tdb.Open(dir)
+	// tgen leaves a checkpointed engine directory, not a .txn file.
+	for _, want := range []string{"baskets.segd/manifest", "tdb.wal", "checkpoint", "items.dict"} {
+		if _, err := os.Stat(filepath.Join(dir, want)); err != nil {
+			t.Errorf("generated directory lacks %s: %v", want, err)
+		}
+	}
+	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.txn")); len(legacy) != 0 {
+		t.Errorf("generated directory holds legacy files %v", legacy)
+	}
+	db, err := tdb.OpenDurable(dir, tdb.Durability{Fsync: tdb.FsyncOff})
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer db.Kill()
+	if rec := db.Recovery(); rec.Records != 0 {
+		t.Errorf("generated directory replays %+v on open, want a clean checkpoint", rec)
 	}
 	tbl, ok := db.TxTable("baskets")
 	if !ok {

@@ -10,11 +10,12 @@ import (
 )
 
 // E16Durability measures what the WAL costs and what it buys. Every arm
-// appends the same precomputed batches; "none" is the non-durable
-// baseline, the other three are the engine's fsync policies. Each row
-// then kills the database (no checkpoint, no clean close), times the
-// reopen — recovery is a full replay of the run — and finally times the
-// checkpoint that truncates the log.
+// appends the same precomputed batches; "none" is the in-memory
+// baseline (tdb.NewMemDB: no directory, nothing to recover), the other
+// three are the engine's fsync policies. Each engine row then kills the
+// database (no checkpoint, no clean close), times the reopen — recovery
+// is a full replay of the run — and finally times the checkpoint that
+// truncates the log.
 func E16Durability(sc StandardConfig) (Table, error) {
 	scn := sc.normalise()
 	// Batch sizes mirror a bulk-ish ingest client (tgen -stream posts
@@ -74,14 +75,12 @@ func E16Durability(sc StandardConfig) (Table, error) {
 			cfg := a.cfg
 			st.open = func() (*tdb.DB, error) {
 				if cfg == nil {
-					return tdb.Open(dir)
+					return tdb.NewMemDB(), nil
 				}
 				return tdb.OpenDurable(dir, *cfg)
 			}
 			if st.db != nil {
-				if st.db.Durable() {
-					st.db.Kill()
-				}
+				st.db.Kill()
 				st.db = nil
 			}
 			st.db, err = st.open()
@@ -114,27 +113,24 @@ func E16Durability(sc StandardConfig) (Table, error) {
 	baseline := states[0].txps
 	for i, a := range arms {
 		st := states[i]
+		if a.cfg == nil {
+			// Nothing reached a disk: a kill here loses everything, which
+			// is exactly the gap the WAL closes.
+			t.AddRow(a.name, f(st.txps), "1.00", "0.00", "-", "-", "-")
+			continue
+		}
 		db := st.db
 		walMB := float64(db.WALSize()) / (1 << 20)
 
-		// Die and come back. The durable arms kill mid-flight and replay
-		// the whole run from the log; the baseline has nothing to replay
-		// and must flush first — a kill here would lose everything, which
-		// is exactly the gap the WAL closes.
-		if a.cfg == nil {
-			if err := db.Flush(); err != nil {
-				return t, err
-			}
-		} else {
-			// Pin the kill to just after a flush: the interval policy
-			// buffers in user space and may legally lose its flush
-			// window, but this experiment wants recovery to replay the
-			// whole run.
-			if err := db.SyncWAL(); err != nil {
-				return t, err
-			}
-			db.Kill()
+		// Die and come back: kill mid-flight and replay the whole run
+		// from the log. Pin the kill to just after a flush: the interval
+		// policy buffers in user space and may legally lose its flush
+		// window, but this experiment wants recovery to replay the whole
+		// run.
+		if err := db.SyncWAL(); err != nil {
+			return t, err
 		}
+		db.Kill()
 		var db2 *tdb.DB
 		rd, err := timed(func() error {
 			var oerr error
@@ -156,9 +152,7 @@ func E16Durability(sc StandardConfig) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		if db2.Durable() {
-			db2.Kill()
-		}
+		db2.Kill()
 
 		t.AddRow(a.name, f(st.txps), fmt.Sprintf("%.2f", st.txps/baseline),
 			fmt.Sprintf("%.2f", walMB), ms(rd.Seconds()*1000),

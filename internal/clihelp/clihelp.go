@@ -8,11 +8,13 @@ package clihelp
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/apriori"
@@ -31,7 +33,7 @@ const (
 	journalUsage    = "query-journal ring size in statements (0 = default 128, -1 = disable)"
 	slowQueryUsage  = "log a structured warning for statements slower than this, e.g. 2s (0 = off)"
 	journalLogUsage = "append every completed statement as a JSON line to this file"
-	walUsage        = "open the database with the WAL-backed storage engine (crash-safe appends)"
+	walUsage        = "accepted and ignored: the WAL-backed engine is the only storage engine (the non-durable setting is -fsync off)"
 	fsyncUsage      = "WAL fsync policy: always (group commit per ack), interval or off"
 	fsyncIntUsage   = "background fsync cadence under -fsync interval, e.g. 50ms"
 	checkpointUsage = "checkpoint cadence, e.g. 5m (0 = only on flush/exit); implies bounded recovery time"
@@ -54,8 +56,6 @@ type MiningFlags struct {
 	SlowQuery time.Duration
 	// JournalLog is the -journal-log value (JSONL sink path).
 	JournalLog string
-	// WAL is the -wal value: open the database durably.
-	WAL bool
 	// FsyncName is the raw -fsync value; resolve with Durability().
 	FsyncName string
 	// FsyncInterval is the -fsync-interval value.
@@ -94,7 +94,16 @@ func (f *MiningFlags) RegisterJournal(fs *flag.FlagSet) {
 // -checkpoint-interval, the storage-engine knobs of every binary that
 // opens a database directory.
 func (f *MiningFlags) RegisterDurability(fs *flag.FlagSet) {
-	fs.BoolVar(&f.WAL, "wal", false, walUsage)
+	// -wal used to select the engine; scripts still pass it, so it
+	// parses, but it no longer holds a value anyone reads. -wal=false
+	// asked for a storage path that is gone: say so rather than open the
+	// engine the caller tried to decline.
+	fs.BoolFunc("wal", walUsage, func(v string) error {
+		if on, err := strconv.ParseBool(v); err != nil || !on {
+			return errors.New("the WAL-backed engine cannot be switched off; use -fsync off for non-durable appends")
+		}
+		return nil
+	})
 	fs.StringVar(&f.FsyncName, "fsync", "always", fsyncUsage)
 	fs.DurationVar(&f.FsyncInterval, "fsync-interval", 0, fsyncIntUsage)
 	fs.DurationVar(&f.CheckpointInterval, "checkpoint-interval", 0, checkpointUsage)
@@ -122,12 +131,9 @@ func (f *MiningFlags) Durability(reg *obs.Registry) (tdb.Durability, error) {
 	}, nil
 }
 
-// OpenDB opens dir under the engine the flags select: OpenDurable with
-// -wal (metrics on reg when non-nil), the plain loader otherwise.
+// OpenDB opens dir under the storage engine with the durability the
+// flags resolve to (metrics on reg when non-nil).
 func (f *MiningFlags) OpenDB(dir string, reg *obs.Registry) (*tdb.DB, error) {
-	if !f.WAL {
-		return tdb.Open(dir)
-	}
 	cfg, err := f.Durability(reg)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package clihelp
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,7 +30,8 @@ func newFlagSet(name string, mf *MiningFlags) *flag.FlagSet {
 // through three independent FlagSets — one per binary — and asserts
 // every resolved value matches, which is the clihelp contract:
 // -backend/-workers/-timeout/-cache cannot drift between iqms, tarmine
-// and tarmd.
+// and tarmd. -wal parses everywhere and changes nothing; -wal=false is
+// an error everywhere.
 func TestFlagsIdenticalAcrossBinaries(t *testing.T) {
 	cases := [][]string{
 		{}, // defaults
@@ -36,20 +39,37 @@ func TestFlagsIdenticalAcrossBinaries(t *testing.T) {
 		{"-backend", "hashtree", "-timeout", "30s"},
 		{"-backend", "naive", "-workers", "2", "-timeout", "1500ms", "-cache", "64"},
 		{"-cache", "0"},
-		{"-wal", "-fsync", "interval", "-fsync-interval", "25ms", "-checkpoint-interval", "5m"},
+		{"-fsync", "interval", "-fsync-interval", "25ms", "-checkpoint-interval", "5m"},
 	}
+	bins := []string{"iqms", "tarmine", "tarmd"}
 	for _, args := range cases {
 		var got []MiningFlags
-		for _, bin := range []string{"iqms", "tarmine", "tarmd"} {
-			var mf MiningFlags
+		for _, bin := range bins {
+			var mf, withWAL MiningFlags
 			if err := newFlagSet(bin, &mf).Parse(args); err != nil {
 				t.Fatalf("%s %v: %v", bin, args, err)
+			}
+			for _, spelling := range []string{"-wal", "-wal=true"} {
+				if err := newFlagSet(bin, &withWAL).Parse(append([]string{spelling}, args...)); err != nil {
+					t.Fatalf("%s %s %v: %v", bin, spelling, args, err)
+				}
+				if withWAL != mf {
+					t.Errorf("%s %v: %s changed the parse to %+v from %+v", bin, args, spelling, withWAL, mf)
+				}
 			}
 			got = append(got, mf)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i] != got[0] {
 				t.Errorf("args %v: binary %d parsed %+v, binary 0 parsed %+v", args, i, got[i], got[0])
+			}
+		}
+	}
+	for _, bin := range bins {
+		for _, off := range []string{"-wal=false", "-wal=0", "-wal=maybe"} {
+			err := newFlagSet(bin, new(MiningFlags)).Parse([]string{off})
+			if err == nil || !strings.Contains(err.Error(), "-fsync off") {
+				t.Errorf("%s %s: err = %v, want a rejection pointing at -fsync off", bin, off, err)
 			}
 		}
 	}
@@ -143,7 +163,7 @@ func TestDurabilityFlags(t *testing.T) {
 	if err := newFlagSet("x", &mf).Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if mf.WAL || mf.FsyncName != "always" || mf.FsyncInterval != 0 || mf.CheckpointInterval != 0 {
+	if mf.FsyncName != "always" || mf.FsyncInterval != 0 || mf.CheckpointInterval != 0 {
 		t.Errorf("durability defaults: %+v", mf)
 	}
 	cfg, err := mf.Durability(nil)
@@ -160,7 +180,7 @@ func TestDurabilityFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mf.WAL || cfg.Fsync != tdb.FsyncInterval || cfg.SyncInterval != 25*time.Millisecond || cfg.CheckpointInterval != 5*time.Minute {
+	if cfg.Fsync != tdb.FsyncInterval || cfg.SyncInterval != 25*time.Millisecond || cfg.CheckpointInterval != 5*time.Minute {
 		t.Errorf("resolved %+v from %+v", cfg, mf)
 	}
 
@@ -175,37 +195,36 @@ func TestDurabilityFlags(t *testing.T) {
 	}
 }
 
-// TestOpenDB checks the flag→engine dispatch: without -wal a plain
-// directory database, with it a durable one whose directory then
-// refuses the plain loader.
+// TestOpenDB checks that -wal selects nothing: with or without it the
+// directory opens under the same engine, closes to a checkpoint and
+// opens again either way round. An invalid -fsync still fails the open.
 func TestOpenDB(t *testing.T) {
-	dir := t.TempDir() + "/plain"
-	mf := MiningFlags{FsyncName: "always"}
-	db, err := mf.OpenDB(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Durable() {
-		t.Error("plain OpenDB returned a durable database")
+	dir := t.TempDir() + "/db"
+	for i, args := range [][]string{{"-fsync", "off"}, {"-wal", "-fsync", "off"}, {"-fsync", "off"}} {
+		var mf MiningFlags
+		if err := newFlagSet("x", &mf).Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		db, err := mf.OpenDB(dir, nil)
+		if err != nil {
+			t.Fatalf("open %d %v: %v", i, args, err)
+		}
+		if !db.Durable() || db.FsyncPolicy() != tdb.FsyncOff {
+			t.Errorf("open %d %v: Durable() = %v, policy %s; want the engine under fsync off", i, args, db.Durable(), db.FsyncPolicy())
+		}
+		name := fmt.Sprintf("t%d", i)
+		if _, err := db.CreateTxTable(name); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(db.Names()); got != i+1 {
+			t.Errorf("open %d %v sees %d tables, want %d", i, args, got, i+1)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	dir = t.TempDir() + "/wal"
-	mf.WAL = true
-	db, err = mf.OpenDB(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.Durable() {
-		t.Fatal("OpenDB with WAL set returned a non-durable database")
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tdb.Open(dir); err == nil {
-		t.Error("plain Open accepted the WAL-backed directory")
-	}
-
-	mf.FsyncName = "sometimes"
+	mf := MiningFlags{FsyncName: "sometimes"}
 	if _, err := mf.OpenDB(t.TempDir(), nil); err == nil {
 		t.Error("OpenDB accepted an invalid fsync policy")
 	}

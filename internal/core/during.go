@@ -154,18 +154,12 @@ func MineDuringExpr(tbl *tdb.TxTable, cfg Config, expr string) ([]TemporalRule, 
 // against the temporal miners to count the rules a traditional approach
 // misses.
 func MineTraditional(tbl *tdb.TxTable, minSupport, minConfidence float64, maxK int) ([]apriori.Rule, error) {
-	return MineTraditionalWith(tbl, minSupport, minConfidence, maxK, apriori.BackendAuto, 0, nil)
+	return MineTraditionalContext(context.Background(), tbl, minSupport, minConfidence, maxK, apriori.BackendAuto, 0, nil)
 }
 
-// MineTraditionalWith is MineTraditional with an explicit counting
-// backend, worker count and tracer; the CLI front ends thread their
-// -backend and -workers flags (and any telemetry sink) through here.
-func MineTraditionalWith(tbl *tdb.TxTable, minSupport, minConfidence float64, maxK int, backend apriori.Backend, workers int, tracer obs.Tracer) ([]apriori.Rule, error) {
-	return MineTraditionalContext(context.Background(), tbl, minSupport, minConfidence, maxK, backend, workers, tracer)
-}
-
-// MineTraditionalContext is MineTraditionalWith under a context: the
-// level-wise passes observe cancellation between passes.
+// MineTraditionalContext is MineTraditional under a context — the
+// level-wise passes observe cancellation between passes — with an
+// explicit counting backend, worker count and tracer.
 func MineTraditionalContext(ctx context.Context, tbl *tdb.TxTable, minSupport, minConfidence float64, maxK int, backend apriori.Backend, workers int, tracer obs.Tracer) ([]apriori.Rule, error) {
 	_, rules, err := apriori.MineRulesContext(
 		ctx,

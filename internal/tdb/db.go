@@ -19,14 +19,15 @@ const (
 )
 
 // DB is a named collection of relational tables and transaction
-// tables, sharing one item dictionary. With a directory it persists;
-// with an empty dir it is memory-only. It is the substitute for the
-// Oracle instance behind the paper's IQMS prototype.
+// tables, sharing one item dictionary. OpenDurable backs it with a
+// directory under the WAL engine; NewMemDB keeps it memory-only. It is
+// the substitute for the Oracle instance behind the paper's IQMS
+// prototype.
 type DB struct {
 	dir string
 
-	// dur is the WAL-backed storage engine (nil when the database was
-	// opened with Open or NewMemDB). See durable.go.
+	// dur is the WAL-backed storage engine (nil for NewMemDB). See
+	// durable.go.
 	dur *durability
 
 	mu       sync.RWMutex
@@ -42,60 +43,6 @@ func NewMemDB() *DB {
 		txtables: make(map[string]*TxTable),
 		dict:     itemset.NewDict(),
 	}
-}
-
-// Open loads (or initialises) a database directory. Files that fail
-// their checksum abort the open with a descriptive error rather than
-// silently dropping data.
-func Open(dir string) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("tdb: open %s: %w", dir, err)
-	}
-	// A directory run under the WAL engine holds state (segment dirs,
-	// WAL tail) this loader would silently ignore — refuse rather than
-	// present a stale subset and let a later Flush clobber the rest.
-	for _, marker := range []string{checkpointFile, walFile} {
-		if _, err := os.Stat(filepath.Join(dir, marker)); err == nil {
-			return nil, fmt.Errorf("tdb: %s holds a WAL-backed database (found %s); open it durably (-wal)", dir, marker)
-		}
-	}
-	db := NewMemDB()
-	db.dir = dir
-
-	dictPath := filepath.Join(dir, dictFile)
-	if _, err := os.Stat(dictPath); err == nil {
-		dict, err := LoadDict(dictPath)
-		if err != nil {
-			return nil, err
-		}
-		db.dict = dict
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("tdb: open %s: %w", dir, err)
-	}
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		path := filepath.Join(dir, ent.Name())
-		switch {
-		case strings.HasSuffix(ent.Name(), extTable):
-			t, err := LoadTable(path)
-			if err != nil {
-				return nil, err
-			}
-			db.tables[strings.ToLower(t.Name())] = t
-		case strings.HasSuffix(ent.Name(), extTx):
-			t, err := LoadTxTable(path)
-			if err != nil {
-				return nil, err
-			}
-			db.txtables[strings.ToLower(t.Name())] = t
-		}
-	}
-	return db, nil
 }
 
 // Dict returns the shared item dictionary.
@@ -225,19 +172,6 @@ func (db *DB) TxTable(name string) (*TxTable, bool) {
 	return t, ok
 }
 
-// RegisterTable adds an existing relational table (used by loaders and
-// by AsTable materialisation).
-func (db *DB) RegisterTable(t *Table) error {
-	key := strings.ToLower(t.Name())
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[key]; ok {
-		return fmt.Errorf("tdb: table %q already exists", t.Name())
-	}
-	db.tables[key] = t
-	return nil
-}
-
 // Drop removes a table of either kind; it reports whether anything was
 // removed. Persisted files are deleted as well. On a durable database a
 // transaction-table drop is WAL-first: the drop record reaches the
@@ -325,33 +259,4 @@ func (db *DB) IsTxTable(name string) bool {
 	defer db.mu.RUnlock()
 	_, ok := db.txtables[strings.ToLower(name)]
 	return ok
-}
-
-// Flush persists every table and the dictionary. On a durable database
-// it is a checkpoint (segment files + WAL truncation); memory-only
-// databases return an error.
-func (db *DB) Flush() error {
-	if db.dir == "" {
-		return fmt.Errorf("tdb: Flush on a memory-only database")
-	}
-	if db.dur != nil {
-		_, err := db.Checkpoint()
-		return err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if err := SaveDict(db.dict, filepath.Join(db.dir, dictFile)); err != nil {
-		return err
-	}
-	for key, t := range db.tables {
-		if err := SaveTable(t, filepath.Join(db.dir, key+extTable)); err != nil {
-			return err
-		}
-	}
-	for key, t := range db.txtables {
-		if err := SaveTxTable(t, filepath.Join(db.dir, key+extTx)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,9 @@
 package tdb
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,8 +47,8 @@ type Durability struct {
 	// Zero means 50ms.
 	SyncInterval time.Duration
 	// CheckpointInterval, when positive, checkpoints on a background
-	// cadence; zero leaves checkpoints to Flush/Close and explicit
-	// Checkpoint calls.
+	// cadence; zero leaves checkpoints to Close and explicit Checkpoint
+	// calls.
 	CheckpointInterval time.Duration
 	// Segment is the on-disk segment grid for checkpointed transaction
 	// tables. The zero value means 32-day segments.
@@ -222,9 +224,11 @@ func (d *durability) stopBackground() {
 // OpenDurable loads (or initialises) a database directory under the
 // WAL-backed engine: newest checkpoint first, then the WAL tail
 // replayed on top, with any torn tail truncated to the longest valid
-// record prefix. Directories written by the non-durable Open/Flush
-// path load transparently (their .txn files are the checkpoint) and
-// are migrated to segment directories by the first checkpoint.
+// record prefix. It is the only way a directory is opened. Directories
+// that hold whole-file <table>.txn tables (written before the segment
+// writer became the checkpoint format) load transparently — the .txn
+// file is the checkpoint — and the first checkpoint replaces each with
+// a segment directory.
 func OpenDurable(dir string, cfg Durability) (*DB, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("tdb: OpenDurable needs a directory")
@@ -264,7 +268,15 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 	segmented := map[string]bool{}
 	for _, ent := range entries {
 		if ent.IsDir() && strings.HasSuffix(ent.Name(), segDirSuffix) {
-			t, _, err := LoadTxTableSegmented(filepath.Join(dir, ent.Name()))
+			segDir := filepath.Join(dir, ent.Name())
+			// The manifest is written last, so a segment directory
+			// without one is a table's first checkpoint cut short by a
+			// crash: the WAL (or the legacy .txn) still holds the whole
+			// table, and the next checkpoint rewrites the directory.
+			if _, err := os.Stat(filepath.Join(segDir, manifestFile)); errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
+			t, _, err := LoadTxTableSegmented(segDir)
 			if err != nil {
 				return nil, err
 			}
@@ -292,7 +304,7 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 			if segmented[strings.TrimSuffix(strings.ToLower(ent.Name()), extTx)] {
 				continue
 			}
-			t, err := LoadTxTable(path)
+			t, err := loadTxTable(path)
 			if err != nil {
 				return nil, err
 			}
@@ -369,7 +381,7 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 func (db *DB) Durable() bool { return db.dur != nil }
 
 // Recovery returns what opening this database replayed (zero value for
-// non-durable databases or a clean start).
+// memory-only databases or a clean start).
 func (db *DB) Recovery() RecoveryStats {
 	if db.dur == nil {
 		return RecoveryStats{}
@@ -387,7 +399,7 @@ func (db *DB) DurabilityErr() error {
 	return db.dur.wal.stickyErr()
 }
 
-// WALSize returns the current log length in bytes (0 for non-durable
+// WALSize returns the current log length in bytes (0 for memory-only
 // databases): the volume a crash at this instant would replay.
 func (db *DB) WALSize() int64 {
 	if db.dur == nil {
@@ -399,7 +411,7 @@ func (db *DB) WALSize() int64 {
 // SyncWAL forces the log to disk — flushing the interval policy's
 // user-space buffer and fsyncing — without the cost of a checkpoint.
 // After it returns, every append acknowledged so far survives both a
-// process kill and an OS crash. A no-op for non-durable databases.
+// process kill and an OS crash. A no-op for memory-only databases.
 func (db *DB) SyncWAL() error {
 	if db.dur == nil {
 		return nil
@@ -407,7 +419,7 @@ func (db *DB) SyncWAL() error {
 	return db.dur.wal.sync()
 }
 
-// FsyncPolicy returns the engine's policy (FsyncOff for non-durable
+// FsyncPolicy returns the engine's policy (FsyncOff for memory-only
 // databases).
 func (db *DB) FsyncPolicy() FsyncPolicy {
 	if db.dur == nil {
@@ -431,13 +443,13 @@ type CheckpointStats struct {
 
 // Checkpoint persists the full state and truncates the WAL. Appends are
 // stalled for the duration (the gate write lock freezes tables and log
-// as one consistent unit); reads proceed. On a non-durable persistent
-// database it degrades to a plain Flush.
+// as one consistent unit); reads proceed. A memory-only database has
+// nowhere to checkpoint to and returns an error.
 func (db *DB) Checkpoint() (CheckpointStats, error) {
 	var st CheckpointStats
 	d := db.dur
 	if d == nil {
-		return st, db.Flush()
+		return st, fmt.Errorf("tdb: Checkpoint on a memory-only database")
 	}
 	d.gate.Lock()
 	defer d.gate.Unlock()
@@ -509,7 +521,7 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 
 // Close checkpoints a durable database and releases the WAL. Every
 // acknowledged append is on disk in checkpoint form afterwards; the
-// next open replays nothing. No-op on non-durable databases.
+// next open replays nothing. No-op on memory-only databases.
 func (db *DB) Close() error {
 	if db.dur == nil {
 		return nil

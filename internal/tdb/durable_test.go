@@ -157,31 +157,48 @@ func TestDurableCloseThenReopen(t *testing.T) {
 	}
 }
 
-// Directories written by the non-durable path load under the durable
-// engine (the .txn file is the checkpoint), and after one checkpoint
-// the plain loader refuses the directory instead of showing a subset.
-func TestDurableLegacyMigration(t *testing.T) {
-	dir := t.TempDir()
-	plain, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+// legacyFixtureTxs is what testdata/legacy_plain/baskets.txn holds (see
+// testdata/README.md for the program that wrote it).
+func legacyFixtureTxs() []Tx {
+	start := time.Date(1998, 1, 1, 0, 0, 0, 0, time.UTC)
+	txs := make([]Tx, 36)
+	for i := range txs {
+		txs[i] = Tx{
+			ID:    int64(i),
+			At:    start.AddDate(0, 0, i/3).Add(time.Duration(9+i%3) * time.Hour),
+			Items: itemset.New(itemset.Item(i%12), itemset.Item((i*5+1)%12), itemset.Item((i/3)%12)),
+		}
 	}
-	tbl, _ := plain.CreateTxTable("baskets")
-	tbl.Append(durAt(0, 9), itemset.New(1, 2))
-	tbl.Append(durAt(1, 9), itemset.New(2, 3))
-	if err := plain.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	return txs
+}
 
+// A directory in the whole-file .txn form — nothing writes it any more,
+// so the input is pinned under testdata — loads under the engine (the
+// .txn file is the checkpoint), and the first checkpoint replaces it
+// with a segment directory holding the identical table.
+func TestDurableLegacyMigration(t *testing.T) {
+	dir := legacyFixtureDir(t)
 	db := durOpen(t, dir, FsyncOff)
-	dtbl, ok := db.TxTable("baskets")
+	tbl, ok := db.TxTable("BASKETS")
 	if !ok {
-		t.Fatal("legacy .txn table not loaded by durable open")
+		t.Fatal("legacy .txn table not loaded")
 	}
-	if dtbl.Len() != 2 {
-		t.Fatalf("legacy table has %d txs, want 2", dtbl.Len())
+	sameTxs(t, "legacy", collectTxs(tbl), legacyFixtureTxs())
+	if n := db.Dict().Len(); n != 12 || db.Dict().MustName(11) != "item11" {
+		t.Fatalf("legacy dictionary has %d names", n)
 	}
-	dtbl.Append(durAt(2, 9), itemset.New(5))
+	stores, ok := db.Table("stores")
+	if !ok || stores.Len() != 3 {
+		t.Fatalf("legacy .rel table missing or short (ok=%v)", ok)
+	}
+	if row, _ := stores.Row(1); row[0].AsInt() != 2 || row[1].AsString() != "york" {
+		t.Fatalf("stores row 1 = %v", row)
+	}
+	// IDs continue after the legacy load.
+	if id := tbl.Append(durAt(0, 9), itemset.New(5)); id != 36 {
+		t.Fatalf("append after legacy load got ID %d, want 36", id)
+	}
+	want := collectTxs(tbl)
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,16 +207,105 @@ func TestDurableLegacyMigration(t *testing.T) {
 	}
 	db.Kill()
 
-	if _, err := Open(dir); err == nil {
-		t.Fatal("plain Open accepted a WAL-backed directory")
-	}
-
 	db2 := durOpen(t, dir, FsyncOff)
-	tbl2, _ := db2.TxTable("baskets")
-	if tbl2.Len() != 3 {
-		t.Fatalf("migrated table has %d txs, want 3", tbl2.Len())
+	defer db2.Kill()
+	if rec := db2.Recovery(); rec.Records != 0 {
+		t.Fatalf("migrated directory replayed %+v, want nothing", rec)
 	}
-	db2.Kill()
+	tbl2, _ := db2.TxTable("baskets")
+	sameTxs(t, "migrated", collectTxs(tbl2), want)
+	if stores2, ok := db2.Table("stores"); !ok || stores2.Len() != 3 {
+		t.Fatalf("stores lost in migration (ok=%v)", ok)
+	}
+}
+
+// A crash inside a table's first checkpoint leaves <table>.segd without
+// a manifest (it is written last). Every record is still in the WAL —
+// or the legacy .txn — so the open must skip the directory, not refuse
+// the database, and the next checkpoint must rewrite it whole.
+func TestDurableInterruptedFirstCheckpoint(t *testing.T) {
+	// build returns a killed directory holding one table that spans two
+	// segments, all of it in the WAL, and the table's contents.
+	build := func(t *testing.T) (string, []Tx) {
+		dir := t.TempDir()
+		db := durOpen(t, dir, FsyncOff)
+		tbl, _ := db.CreateTxTable("baskets")
+		for i := 0; i < 40; i++ {
+			tbl.Append(durAt(i, 9), itemset.New(itemset.Item(i%7), 99))
+		}
+		db.Kill()
+		return dir, collectTxs(tbl)
+	}
+	cases := []struct {
+		name     string
+		segments int // the table's segment count under the default grid
+		setup    func(t *testing.T) (string, []Tx)
+	}{
+		{"empty-dir", 2, func(t *testing.T) (string, []Tx) {
+			dir, want := build(t)
+			if err := os.Mkdir(filepath.Join(dir, "baskets"+segDirSuffix), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return dir, want
+		}},
+		{"segments-no-manifest", 2, func(t *testing.T) (string, []Tx) {
+			dir, want := build(t)
+			// The first of the two segments made it out, then the crash.
+			src, _ := NewTxTable("baskets")
+			src.AppendBatch(want)
+			segd := filepath.Join(dir, "baskets"+segDirSuffix)
+			cfg := Durability{}.withDefaults().Segment
+			if _, err := SaveTxTableSegmented(src, segd, cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []string{manifestFile, segFileName(cfg.segIndex(want[len(want)-1].At))} {
+				if err := os.Remove(filepath.Join(segd, f)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return dir, want
+		}},
+		{"legacy-txn", 1, func(t *testing.T) (string, []Tx) {
+			dir := legacyFixtureDir(t)
+			if err := os.Mkdir(filepath.Join(dir, "baskets"+segDirSuffix), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return dir, legacyFixtureTxs()
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir, want := c.setup(t)
+			db, err := OpenDurable(dir, Durability{Fsync: FsyncOff})
+			if err != nil {
+				t.Fatalf("open after interrupted first checkpoint: %v", err)
+			}
+			tbl, ok := db.TxTable("baskets")
+			if !ok {
+				t.Fatal("table lost")
+			}
+			sameTxs(t, "recovered", collectTxs(tbl), want)
+			st, err := db.Checkpoint()
+			if err != nil {
+				t.Fatalf("checkpoint over the half-written directory: %v", err)
+			}
+			if st.SegmentsWritten != c.segments || st.SegmentsSkipped != 0 {
+				t.Fatalf("checkpoint wrote %d and skipped %d segments, want all %d rewritten", st.SegmentsWritten, st.SegmentsSkipped, c.segments)
+			}
+			db.Kill()
+
+			db2 := durOpen(t, dir, FsyncOff)
+			defer db2.Kill()
+			if rec := db2.Recovery(); rec.Records != 0 {
+				t.Fatalf("reopen after the checkpoint replayed %+v, want nothing", rec)
+			}
+			tbl2, _ := db2.TxTable("baskets")
+			sameTxs(t, "checkpointed", collectTxs(tbl2), want)
+			if st, err := db2.Checkpoint(); err != nil || st.SegmentsWritten != 0 {
+				t.Fatalf("second checkpoint = %+v, %v; want nothing to write", st, err)
+			}
+		})
+	}
 }
 
 // Fault injection: a write torn mid-record recovers to the longest

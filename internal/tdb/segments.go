@@ -31,6 +31,7 @@ const (
 	magicManifest = "TDBM"
 	magicSegment  = "TDBS"
 	segNameOffset = int64(1_000_000_000)
+	manifestFile  = "manifest"
 )
 
 // SegmentConfig fixes how a table is partitioned on disk.
@@ -86,7 +87,7 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 
 	// Previous manifest (absent on first save).
 	oldCounts := map[int64]int64{}
-	manifestPath := filepath.Join(dir, "manifest")
+	manifestPath := filepath.Join(dir, manifestFile)
 	if _, err := os.Stat(manifestPath); err == nil {
 		m, err := loadManifest(manifestPath)
 		if err != nil {
@@ -150,7 +151,7 @@ func (t *TxTable) nextIDSnapshot() int64 {
 // LoadTxTableSegmented reads a segment directory back into a table.
 // Every referenced segment must be present and pass its checksum.
 func LoadTxTableSegmented(dir string) (*TxTable, SegmentConfig, error) {
-	m, err := loadManifest(filepath.Join(dir, "manifest"))
+	m, err := loadManifest(filepath.Join(dir, manifestFile))
 	if err != nil {
 		return nil, SegmentConfig{}, err
 	}

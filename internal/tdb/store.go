@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -301,30 +300,11 @@ func LoadTable(path string) (*Table, error) {
 // ---------------------------------------------------------------------
 // Transaction tables.
 
-// SaveTxTable writes t to path.
-func SaveTxTable(t *TxTable, path string) error {
-	t.ensureSorted()
-	e := &encoder{}
-	e.buf.WriteString(magicTx)
-	e.u32(fmtVersion)
-	e.str(t.name)
-	t.mu.RLock()
-	e.i64(t.nextID)
-	e.u64(uint64(len(t.txs)))
-	for _, tx := range t.txs {
-		e.i64(tx.ID)
-		e.i64(tx.At.UnixNano())
-		e.u32(uint32(len(tx.Items)))
-		for _, it := range tx.Items {
-			e.u32(uint32(it))
-		}
-	}
-	t.mu.RUnlock()
-	return writeAtomic(path, e.buf.Bytes())
-}
-
-// LoadTxTable reads a transaction table written by SaveTxTable.
-func LoadTxTable(path string) (*TxTable, error) {
+// loadTxTable reads the legacy whole-file form of a transaction table
+// (<table>.txn), which nothing writes any more: OpenDurable calls it for
+// directories that predate the segment writer, and the first checkpoint
+// replaces the file with a segment directory.
+func loadTxTable(path string) (*TxTable, error) {
 	d, err := readChecked(path, magicTx)
 	if err != nil {
 		return nil, err
@@ -411,26 +391,4 @@ func LoadDict(path string) (*itemset.Dict, error) {
 		return nil, fmt.Errorf("tdb: %s: dictionary contains duplicate names", path)
 	}
 	return dict, nil
-}
-
-// CopyFile is a small helper used by tests and tools to snapshot
-// database files.
-func CopyFile(dst, src string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,33 +51,27 @@ func TestTableSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTxTableSaveLoadRoundTrip(t *testing.T) {
+// legacyFixtureDir copies testdata/legacy_plain — a directory in the
+// whole-file .txn form (see testdata/README.md) — into a fresh
+// temporary directory and returns its path.
+func legacyFixtureDir(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	tbl := buildTxTable(t)
-	path := filepath.Join(dir, "baskets.txn")
-	if err := SaveTxTable(tbl, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTxTable(path)
+	src := filepath.Join("testdata", "legacy_plain")
+	ents, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tbl.Len() {
-		t.Fatalf("loaded %d transactions, want %d", got.Len(), tbl.Len())
-	}
-	var orig, loaded []Tx
-	tbl.Each(func(tx Tx) bool { orig = append(orig, tx); return true })
-	got.Each(func(tx Tx) bool { loaded = append(loaded, tx); return true })
-	for i := range orig {
-		if !orig[i].At.Equal(loaded[i].At) || !orig[i].Items.Equal(loaded[i].Items) || orig[i].ID != loaded[i].ID {
-			t.Errorf("tx %d: %+v vs %+v", i, orig[i], loaded[i])
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ent.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// IDs continue after reload.
-	id := got.Append(time.Now(), itemset.New(9))
-	if id != int64(tbl.Len()) {
-		t.Errorf("next id after reload = %d, want %d", id, tbl.Len())
-	}
+	return dir
 }
 
 func TestDictSaveLoadRoundTrip(t *testing.T) {
@@ -151,20 +146,16 @@ func TestLoadDetectsCorruption(t *testing.T) {
 	}
 
 	// Wrong magic: a txn file loaded as a table.
-	txt := buildTxTable(t)
-	txPath := filepath.Join(dir, "b.txn")
-	if err := SaveTxTable(txt, txPath); err != nil {
-		t.Fatal(err)
-	}
+	txPath := filepath.Join(legacyFixtureDir(t), "baskets.txn")
 	if _, err := LoadTable(txPath); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("wrong-magic load: %v", err)
 	}
-	if _, err := LoadTxTable(txPath); err != nil {
+	if _, err := loadTxTable(txPath); err != nil {
 		t.Errorf("valid txn failed to load: %v", err)
 	}
 
 	corrupt(t, txPath)
-	if _, err := LoadTxTable(txPath); err == nil {
+	if _, err := loadTxTable(txPath); err == nil {
 		t.Error("corrupt txn loaded")
 	}
 
@@ -173,12 +164,9 @@ func TestLoadDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDBOpenFlushReload(t *testing.T) {
+func TestDBOpenCloseReload(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := durOpen(t, dir, FsyncOff)
 	schema := salesSchema(t)
 	tbl, err := db.CreateTable("sales", schema)
 	if err != nil {
@@ -194,14 +182,12 @@ func TestDBOpenFlushReload(t *testing.T) {
 	db.Dict().Intern("milk")
 	txt.Append(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC), itemset.New(0, 1))
 
-	if err := db.Flush(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := durOpen(t, dir, FsyncOff)
+	defer db2.Kill()
 	if got := db2.Names(); len(got) != 2 {
 		t.Fatalf("reloaded names = %v", got)
 	}
@@ -245,23 +231,35 @@ func TestDBCreateConflictsAndDrop(t *testing.T) {
 	if dropped {
 		t.Error("double drop reported success")
 	}
-	if err := db.Flush(); err == nil {
-		t.Error("Flush on memory DB succeeded")
+	if _, err := db.Checkpoint(); err == nil {
+		t.Error("Checkpoint on memory DB succeeded")
 	}
 }
 
+// A checkpoint file that fails its checksum aborts the open instead of
+// silently dropping the table it held.
 func TestDBOpenRejectsCorruptFiles(t *testing.T) {
-	dir := t.TempDir()
-	db, _ := Open(dir)
-	tbl, _ := db.CreateTable("sales", salesSchema(t))
-	for i := 0; i < 20; i++ {
-		tbl.Insert(Row{Int(int64(i)), Float(1), Str("x"), Time(time.Now())})
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	corrupt(t, filepath.Join(dir, "sales.rel"))
-	if _, err := Open(dir); err == nil {
-		t.Error("Open accepted a corrupt table file")
+	segFile := segFileName(Durability{}.withDefaults().Segment.segIndex(durAt(0, 9)))
+	for _, file := range []string{"sales.rel", dictFile, filepath.Join("baskets"+segDirSuffix, segFile)} {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			dir := t.TempDir()
+			db := durOpen(t, dir, FsyncOff)
+			tbl, _ := db.CreateTable("sales", salesSchema(t))
+			for i := 0; i < 20; i++ {
+				tbl.Insert(Row{Int(int64(i)), Float(1), Str("x"), Time(time.Now())})
+			}
+			txt, _ := db.CreateTxTable("baskets")
+			for i := 0; i < 20; i++ {
+				txt.Append(durAt(0, 9), db.Dict().InternAll("bread", fmt.Sprintf("item%02d", i)))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(t, filepath.Join(dir, file))
+			if db2, err := OpenDurable(dir, Durability{Fsync: FsyncOff}); err == nil {
+				db2.Kill()
+				t.Errorf("OpenDurable accepted a corrupt %s", file)
+			}
+		})
 	}
 }

@@ -144,7 +144,7 @@ func (t *TxTable) AppendBatch(txs []Tx) (firstID, epoch int64) {
 // durable table it returns only after the batch's WAL record is
 // committed under the configured fsync policy, and the error reflects
 // any WAL write/sync failure — callers acknowledging writes (tarmd)
-// must not ack when it is non-nil. On a non-durable table the error is
+// must not ack when it is non-nil. On a memory-only table the error is
 // always nil.
 func (t *TxTable) AppendBatchDurable(txs []Tx) (firstID, epoch int64, err error) {
 	return t.appendBatch(txs)

@@ -23,7 +23,7 @@ import (
 // and replays the WAL tail on top of it. Under FsyncAlways and FsyncOff
 // the record write is a direct syscall before the ack; FsyncInterval
 // trades a bounded loss window (one flush cadence) for a buffered
-// write path that keeps pace with non-durable ingest.
+// write path that keeps pace with in-memory ingest.
 //
 // File layout (<dir>/tdb.wal):
 //
@@ -66,7 +66,7 @@ const (
 	// background flusher writes and fsyncs on a fixed cadence (plus an
 	// inline flush if the buffer outgrows walBufFlushSize). Keeping the
 	// write syscall off the append path is what lets this policy track
-	// the non-durable ingest rate; the price is that up to one interval
+	// the in-memory ingest rate; the price is that up to one interval
 	// of acknowledged appends is exposed to a process kill or OS crash.
 	FsyncInterval
 	// FsyncOff writes each record immediately and never fsyncs; the OS

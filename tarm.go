@@ -122,28 +122,13 @@ type (
 	Tx = tdb.Tx
 )
 
-// Open loads or initialises a persistent database directory.
-func Open(dir string) (*DB, error) { return tdb.Open(dir) }
-
-// Segmented persistence: time-partitioned storage for append-mostly
-// transaction tables.
-type (
-	// SegmentConfig fixes the segment grid (granularity × width).
-	SegmentConfig = tdb.SegmentConfig
-	// SegmentSaveStats reports written vs skipped segments.
-	SegmentSaveStats = tdb.SegmentSaveStats
-)
-
-// SaveTxTableSegmented writes a transaction table as time segments,
-// rewriting only segments whose contents changed since the last save.
-func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSaveStats, error) {
-	return tdb.SaveTxTableSegmented(t, dir, cfg)
-}
-
-// LoadTxTableSegmented reads a segment directory back.
-func LoadTxTableSegmented(dir string) (*TxTable, SegmentConfig, error) {
-	return tdb.LoadTxTableSegmented(dir)
-}
+// Open loads or initialises a persistent database directory under the
+// WAL-backed storage engine with its default durability: every append
+// is logged and fsynced before it returns, and a directory left by a
+// crash is recovered on open. The caller must Close the database, which
+// checkpoints it and releases the log; DB.Checkpoint does the former
+// without the latter.
+func Open(dir string) (*DB, error) { return tdb.OpenDurable(dir, tdb.Durability{}) }
 
 // NewMemDB returns an in-memory database.
 func NewMemDB() *DB { return tdb.NewMemDB() }

@@ -41,13 +41,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One batch: Open's default durability fsyncs per append call.
+	var batch []Tx
 	generated.Each(func(tx Tx) bool {
-		baskets.Append(tx.At, tx.Items)
+		batch = append(batch, tx)
 		return true
 	})
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	baskets.AppendBatch(batch)
+	defer func() {
+		if err := db.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
 
 	cfg := Config{Granularity: Day, MinSupport: 0.2, MinConfidence: 0.6, MinFreq: 0.8, MaxK: 3}
 
