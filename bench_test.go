@@ -45,35 +45,35 @@ func BenchmarkE1MissedRules(b *testing.B) {
 	cfg := bench.Cfg()
 	b.Run("traditional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MineTraditional(tbl, cfg.MinSupport, cfg.MinConfidence, cfg.MaxK); err != nil {
+			if _, err := MineTraditional(tbl, cfg.MinSupport, cfg.MinConfidence, cfg.MaxK); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("taskI-periods", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
+			if _, err := MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("taskII-cycles", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MineCycles(tbl, cfg, core.CycleConfig{MaxLen: 10, MinReps: 4}); err != nil {
+			if _, err := MineCycles(tbl, cfg, core.CycleConfig{MaxLen: 10, MinReps: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("taskII-calendars", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MineCalendarPeriodicities(tbl, cfg, core.CycleConfig{MinReps: 4}); err != nil {
+			if _, err := MineCalendarPeriodicities(tbl, cfg, core.CycleConfig{MinReps: 4}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("taskIII-during", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.MineDuringExpr(tbl, cfg, "month in (jun..aug)"); err != nil {
+			if _, err := MineDuringExpr(tbl, cfg, "month in (jun..aug)"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,7 +88,7 @@ func BenchmarkE2SupportSweep(b *testing.B) {
 			cfg := bench.Cfg()
 			cfg.MinSupport = s
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
+				if _, err := MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -107,7 +107,7 @@ func BenchmarkE3ScaleUp(b *testing.B) {
 		b.Run(fmt.Sprintf("tx=%d", tbl.Len()), func(b *testing.B) {
 			cfg := bench.Cfg()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
+				if _, err := MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +125,7 @@ func BenchmarkE4TransactionSize(b *testing.B) {
 		b.Run(fmt.Sprintf("T=%.0f", sz), func(b *testing.B) {
 			cfg := bench.Cfg()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
+				if _, err := MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,7 +152,7 @@ func BenchmarkE6CycleRecovery(b *testing.B) {
 	for _, maxLen := range []int{7, 14, 31} {
 		b.Run(fmt.Sprintf("maxlen=%d", maxLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MineCycles(tbl, cfg, core.CycleConfig{MaxLen: maxLen, MinReps: 4}); err != nil {
+				if _, err := MineCycles(tbl, cfg, core.CycleConfig{MaxLen: maxLen, MinReps: 4}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,7 +194,7 @@ func BenchmarkE8CalendarSelectivity(b *testing.B) {
 		}
 		b.Run(expr, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MineDuring(tbl, cfg, p); err != nil {
+				if _, err := MineDuring(tbl, cfg, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -244,7 +244,7 @@ func BenchmarkE10FrequencySweep(b *testing.B) {
 			cfg := bench.Cfg()
 			cfg.MinFreq = mf
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MineCycles(tbl, cfg, core.CycleConfig{MaxLen: 10, MinReps: 4}); err != nil {
+				if _, err := MineCycles(tbl, cfg, core.CycleConfig{MaxLen: 10, MinReps: 4}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -407,7 +407,7 @@ func BenchmarkHoldTableBuild(b *testing.B) {
 	run := func(b *testing.B, tbl *tdb.TxTable, cfg core.Config) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildHoldTable(tbl, cfg); err != nil {
+			if _, err := core.BuildHoldTableContext(context.Background(), tbl, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -441,7 +441,7 @@ func BenchmarkHoldTableWorkers(b *testing.B) {
 			cfg := bench.Cfg()
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildHoldTable(tbl, cfg); err != nil {
+				if _, err := core.BuildHoldTableContext(context.Background(), tbl, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -458,7 +458,7 @@ func BenchmarkExtendVsRebuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := bench.Cfg()
-	h, err := core.BuildHoldTable(tbl, cfg)
+	h, err := core.BuildHoldTableContext(context.Background(), tbl, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -470,14 +470,14 @@ func BenchmarkExtendVsRebuild(b *testing.B) {
 	}
 	b.Run("extend", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := h.Extend(tbl); err != nil {
+			if _, err := h.ExtendContext(context.Background(), tbl); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildHoldTable(tbl, cfg); err != nil {
+			if _, err := core.BuildHoldTableContext(context.Background(), tbl, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,10 +11,12 @@
 //     splices the fresh columns into the cached entry (outcome
 //     "delta") — bit-identical rules at a fraction of the rebuild.
 //  4. The same machinery is available below the session: DirtySince
-//     names the dirty granules and HoldTable.Maintain splices them.
+//     names the dirty granules and HoldTable.MaintainContext splices
+//     them.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -95,13 +97,14 @@ func main() {
 	// dirty days are recounted and spliced in.
 	exec("warm after append (delta):")
 
-	// The same splice below the session: DirtySince + Maintain give any
-	// embedding the delta path directly.
+	// The same splice below the session: DirtySince + MaintainContext
+	// give any embedding the delta path directly.
+	ctx := context.Background()
 	cfg := tarm.Config{
 		Granularity: tarm.Day, MinSupport: 0.15, MinConfidence: 0.6, MinFreq: 0.8,
 	}
 	t0 := time.Now()
-	hold, err := tarm.BuildHoldTable(baskets, cfg)
+	hold, err := tarm.BuildHoldTableContext(ctx, baskets, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func main() {
 		log.Fatal("change log trimmed; rebuild instead")
 	}
 	t0 = time.Now()
-	hold, err = hold.Maintain(baskets, dirty)
+	hold, err = hold.MaintainContext(ctx, baskets, dirty)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func main() {
 		build.Round(time.Microsecond), len(dirty), time.Since(t0).Round(time.Microsecond))
 
 	// The maintained state serves queries immediately.
-	rules, err := tarm.MineDuringFromTable(hold, weekend)
+	rules, err := tarm.MineDuringFromTableContext(ctx, hold, weekend)
 	if err != nil {
 		log.Fatal(err)
 	}

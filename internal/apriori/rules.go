@@ -142,14 +142,10 @@ func joinConsequents(level []itemset.Set) []itemset.Set {
 	return out
 }
 
-// MineRules is the one-call convenience: frequent itemsets plus rules.
-func MineRules(src Source, cfg Config, rcfg RuleConfig) (*Frequent, []Rule, error) {
-	return MineRulesContext(context.Background(), src, cfg, rcfg)
-}
-
-// MineRulesContext is MineRules under a context: the level-wise mining
-// passes observe cancellation, and rule generation (cheap relative to
-// counting) is entered only if the context is still live.
+// MineRulesContext is the one-call convenience: frequent itemsets plus
+// rules. The level-wise mining passes observe cancellation, and rule
+// generation (cheap relative to counting) is entered only if the
+// context is still live.
 func MineRulesContext(ctx context.Context, src Source, cfg Config, rcfg RuleConfig) (*Frequent, []Rule, error) {
 	f, err := MineContext(ctx, src, cfg)
 	if err != nil {

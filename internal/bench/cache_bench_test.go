@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"github.com/tarm-project/tarm/internal/core"
@@ -22,6 +23,7 @@ func BenchmarkHoldCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Cfg()
+	ctx := context.Background()
 	check := func(b *testing.B, h *core.HoldTable, err error) {
 		b.Helper()
 		if err != nil {
@@ -33,18 +35,18 @@ func BenchmarkHoldCache(b *testing.B) {
 	}
 	b.Run("cold-build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			h, err := core.BuildHoldTable(txt, cfg)
+			h, err := core.BuildHoldTableContext(ctx, txt, cfg)
 			check(b, h, err)
 		}
 	})
 	b.Run("warm-hit", func(b *testing.B) {
 		c := core.NewHoldCache(core.DefaultCacheBytes)
-		if _, err := c.Get(txt, cfg); err != nil {
+		if _, err := c.GetContext(ctx, txt, cfg); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h, err := c.Get(txt, cfg)
+			h, err := c.GetContext(ctx, txt, cfg)
 			check(b, h, err)
 		}
 		if st := c.Stats(); st.Hits != int64(b.N) {
@@ -53,14 +55,14 @@ func BenchmarkHoldCache(b *testing.B) {
 	})
 	b.Run("rethreshold", func(b *testing.B) {
 		c := core.NewHoldCache(core.DefaultCacheBytes)
-		if _, err := c.Get(txt, cfg); err != nil {
+		if _, err := c.GetContext(ctx, txt, cfg); err != nil {
 			b.Fatal(err)
 		}
 		qcfg := cfg
 		qcfg.MinSupport = cfg.MinSupport * 4 / 3
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h, err := c.Get(txt, qcfg)
+			h, err := c.GetContext(ctx, txt, qcfg)
 			check(b, h, err)
 		}
 		if st := c.Stats(); st.Rethresholds != int64(b.N) {
@@ -73,7 +75,7 @@ func BenchmarkHoldCache(b *testing.B) {
 		txt.Each(func(tx tdb.Tx) bool { last = tx; return true })
 		for i := 0; i < b.N; i++ {
 			txt.Append(last.At, last.Items)
-			h, err := c.Get(txt, cfg)
+			h, err := c.GetContext(ctx, txt, cfg)
 			check(b, h, err)
 		}
 		if st := c.Stats(); st.Misses != int64(b.N) {

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/core"
+	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
@@ -31,6 +34,18 @@ func timed(fn func() error) (time.Duration, error) {
 	t0 := time.Now()
 	err := fn()
 	return time.Since(t0), err
+}
+
+// mine is one cold run of a task: build tbl's hold table, then one
+// operator over it, so every timed call includes the counting pass.
+func mine[P, R any](tbl *tdb.TxTable, cfg core.Config, op func(context.Context, *core.HoldTable, P) (R, error), param P) (R, error) {
+	ctx := context.Background()
+	h, err := core.BuildHoldTableContext(ctx, tbl, cfg)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return op(ctx, h, param)
 }
 
 // E1MissedRules reproduces the paper's headline claim: temporal mining
@@ -67,7 +82,7 @@ func E1MissedRules(sc StandardConfig) (Table, error) {
 	}
 
 	// Traditional Apriori over the whole year.
-	trad, err := core.MineTraditional(tbl, cfg.MinSupport, cfg.MinConfidence, 0)
+	trad, err := core.MineTraditionalContext(context.Background(), tbl, cfg.MinSupport, cfg.MinConfidence, 0, apriori.BackendAuto, 0, nil)
 	if err != nil {
 		return t, err
 	}
@@ -82,7 +97,7 @@ func E1MissedRules(sc StandardConfig) (Table, error) {
 	t.AddRow("traditional Apriori", fmt.Sprint(len(trad)), fmt.Sprintf("%d/4", n), which)
 
 	// Task I: valid periods.
-	periods, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7})
+	periods, err := mine(tbl, cfg, core.MineValidPeriodsFromTableContext, core.PeriodConfig{MinLen: 7})
 	if err != nil {
 		return t, err
 	}
@@ -100,7 +115,7 @@ func E1MissedRules(sc StandardConfig) (Table, error) {
 	t.AddRow("Task I (valid periods)", fmt.Sprint(len(periods)), fmt.Sprintf("%d/2", n), which)
 
 	// Task II: cycles.
-	cycles, err := core.MineCycles(tbl, cfg, core.CycleConfig{MaxLen: 10, MinReps: 4})
+	cycles, err := mine(tbl, cfg, core.MineCyclesFromTableContext, core.CycleConfig{MaxLen: 10, MinReps: 4})
 	if err != nil {
 		return t, err
 	}
@@ -118,7 +133,7 @@ func E1MissedRules(sc StandardConfig) (Table, error) {
 	t.AddRow("Task II (cycles)", fmt.Sprint(len(cycles)), fmt.Sprintf("%d/2", n), which)
 
 	// Task II: calendar periodicities.
-	cals, err := core.MineCalendarPeriodicities(tbl, cfg, core.CycleConfig{MinReps: 4})
+	cals, err := mine(tbl, cfg, core.MineCalendarPeriodicitiesFromTableContext, core.CycleConfig{MinReps: 4})
 	if err != nil {
 		return t, err
 	}
@@ -136,7 +151,11 @@ func E1MissedRules(sc StandardConfig) (Table, error) {
 	t.AddRow("Task II (calendars)", fmt.Sprint(len(cals)), fmt.Sprintf("%d/2", n), which)
 
 	// Task III: mining during the summer feature.
-	during, err := core.MineDuringExpr(tbl, cfg, "month in (jun..aug)")
+	summer, err := timegran.ParsePattern("month in (jun..aug)")
+	if err != nil {
+		return t, err
+	}
+	during, err := mine(tbl, cfg, core.MineDuringFromTableContext, summer)
 	if err != nil {
 		return t, err
 	}
@@ -175,34 +194,38 @@ func E2SupportSweep(sc StandardConfig, supports []float64) (Table, error) {
 		Title:  "runtime vs minimum support, " + describe(sc),
 		Header: []string{"minsup", "taskI ms", "taskII ms", "taskIII ms", "traditional ms"},
 	}
+	// Weekends exist in any span, so the Task III timing does not
+	// depend on the dataset covering a particular season.
+	weekend, err := timegran.ParsePattern("weekday in (sat, sun)")
+	if err != nil {
+		return t, err
+	}
 	for _, s := range supports {
 		cfg := Cfg()
 		cfg.MinSupport = s
 		d1, err := timed(func() error {
-			_, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7})
+			_, err := mine(tbl, cfg, core.MineValidPeriodsFromTableContext, core.PeriodConfig{MinLen: 7})
 			return err
 		})
 		if err != nil {
 			return t, err
 		}
 		d2, err := timed(func() error {
-			_, err := core.MineCycles(tbl, cfg, core.CycleConfig{MaxLen: 10, MinReps: 4})
+			_, err := mine(tbl, cfg, core.MineCyclesFromTableContext, core.CycleConfig{MaxLen: 10, MinReps: 4})
 			return err
 		})
 		if err != nil {
 			return t, err
 		}
-		// Weekends exist in any span, so the Task III timing does not
-		// depend on the dataset covering a particular season.
 		d3, err := timed(func() error {
-			_, err := core.MineDuringExpr(tbl, cfg, "weekday in (sat, sun)")
+			_, err := mine(tbl, cfg, core.MineDuringFromTableContext, weekend)
 			return err
 		})
 		if err != nil {
 			return t, err
 		}
 		d4, err := timed(func() error {
-			_, err := core.MineTraditional(tbl, s, cfg.MinConfidence, 0)
+			_, err := core.MineTraditionalContext(context.Background(), tbl, s, cfg.MinConfidence, 0, apriori.BackendAuto, 0, nil)
 			return err
 		})
 		if err != nil {
@@ -234,14 +257,14 @@ func E3ScaleUp(days []int, seed int64) (Table, error) {
 		}
 		cfg := Cfg()
 		d1, err := timed(func() error {
-			_, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7})
+			_, err := mine(tbl, cfg, core.MineValidPeriodsFromTableContext, core.PeriodConfig{MinLen: 7})
 			return err
 		})
 		if err != nil {
 			return t, err
 		}
 		d2, err := timed(func() error {
-			_, err := core.MineTraditional(tbl, cfg.MinSupport, cfg.MinConfidence, 0)
+			_, err := core.MineTraditionalContext(context.Background(), tbl, cfg.MinSupport, cfg.MinConfidence, 0, apriori.BackendAuto, 0, nil)
 			return err
 		})
 		if err != nil {
@@ -268,7 +291,7 @@ func E4TransactionSize(sizes []float64, seed int64) (Table, error) {
 			return t, err
 		}
 		d, err := timed(func() error {
-			_, err := core.MineValidPeriods(tbl, Cfg(), core.PeriodConfig{MinLen: 7})
+			_, err := mine(tbl, Cfg(), core.MineValidPeriodsFromTableContext, core.PeriodConfig{MinLen: 7})
 			return err
 		})
 		if err != nil {

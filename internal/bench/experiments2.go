@@ -58,7 +58,7 @@ func E5ValidPeriodRecovery(txPerDay int, seed int64) (Table, error) {
 		return Table{}, err
 	}
 	cfg := Cfg()
-	found, err := core.MineValidPeriods(tbl, cfg, core.PeriodConfig{MinLen: 7})
+	found, err := mine(tbl, cfg, core.MineValidPeriodsFromTableContext, core.PeriodConfig{MinLen: 7})
 	if err != nil {
 		return Table{}, err
 	}
@@ -155,7 +155,7 @@ func E6CycleRecovery(txPerDay int, seed int64) (Table, error) {
 		var rules []core.CyclicRule
 		d, err := timed(func() error {
 			var err error
-			rules, err = core.MineCycles(tbl, cfg, core.CycleConfig{MaxLen: maxLen, MinReps: 4})
+			rules, err = mine(tbl, cfg, core.MineCyclesFromTableContext, core.CycleConfig{MaxLen: maxLen, MinReps: 4})
 			return err
 		})
 		if err != nil {
@@ -285,7 +285,7 @@ func E8CalendarSelectivity(sc StandardConfig) (Table, error) {
 		var rules []core.TemporalRule
 		d, err := timed(func() error {
 			var err error
-			rules, err = core.MineDuring(tbl, cfg, p)
+			rules, err = mine(tbl, cfg, core.MineDuringFromTableContext, p)
 			return err
 		})
 		if err != nil {
@@ -375,7 +375,7 @@ func E10FrequencySweep(txPerDay int, seed int64) (Table, error) {
 		var rules []core.CyclicRule
 		d, err := timed(func() error {
 			var err error
-			rules, err = core.MineCycles(tbl, cfg, core.CycleConfig{MaxLen: 10, MinReps: 4})
+			rules, err = mine(tbl, cfg, core.MineCyclesFromTableContext, core.CycleConfig{MaxLen: 10, MinReps: 4})
 			return err
 		})
 		if err != nil {

@@ -164,7 +164,7 @@ func TestHoldTableBackendEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		ref := tc.cfg
 		ref.Backend = apriori.BackendNaive
-		want, err := BuildHoldTable(tc.tbl, ref)
+		want, err := BuildHoldTableContext(bg, tc.tbl, ref)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -34,7 +34,7 @@ import (
 // covers the window since the entry was built and the dirty region is
 // a minority of the data, the entry is delta-maintained in place —
 // only the dirty granules are recounted and their count vectors
-// spliced into the carried entry (see HoldTable.Maintain) — and the
+// spliced into the carried entry (see HoldTable.MaintainContext) — and the
 // statement is served from the refreshed entry. Only when the log has
 // been trimmed past the entry, or most of the table changed, does the
 // entry fall back to invalidation and a cold rebuild. Concurrent
@@ -191,18 +191,15 @@ func maxKCovers(have, want int) bool {
 	return have == 0 || (want != 0 && want <= have)
 }
 
-// Get returns a hold table for (tbl, cfg), from cache when a resident
-// build covers the statement, building (and caching) otherwise. The
-// returned table carries cfg verbatim — confidence, frequency and
+// GetContext returns a hold table for (tbl, cfg), from cache when a
+// resident build covers the statement, building (and caching) otherwise.
+// The returned table carries cfg verbatim — confidence, frequency and
 // tracer are the caller's — and must be treated as read-only, like
 // every shared HoldTable. A nil cache builds directly.
-func (c *HoldCache) Get(tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
-	return c.GetContext(context.Background(), tbl, cfg)
-}
-
-// GetContext is Get under a context. Cancellation reaches every path:
-// a cold build runs BuildHoldTableContext, and a singleflight waiter
-// selects on ctx alongside the flight — a cancelled waiter returns
+//
+// Cancellation reaches every path: a cold build runs
+// BuildHoldTableContext, and a singleflight waiter selects on ctx
+// alongside the flight — a cancelled waiter returns
 // ctx.Err() immediately while the build keeps running for the others.
 // When the *winning* builder is the one cancelled, its flight fails
 // with a context error that is not the waiter's own; such waiters
@@ -423,8 +420,8 @@ func (c *HoldCache) DisableDelta() {
 // thresholds exactly), "rethreshold" (a resident entry covers them at
 // lower support / deeper MaxK), "delta" (a covering entry is stale but
 // would be refreshed by delta maintenance rather than rebuilt) or
-// "build" (no covering entry; a Get would build or join an in-flight
-// build). Read-only: no counter, LRU or invalidation side effects. A
+// "build" (no covering entry; GetContext would build or join an
+// in-flight build). Read-only: no counter, LRU or invalidation side effects. A
 // nil cache always reports "build".
 func (c *HoldCache) Probe(tbl *tdb.TxTable, cfg Config) string {
 	if c == nil {

@@ -15,14 +15,14 @@ import (
 func TestHoldCacheDeltaRethreshold(t *testing.T) {
 	tbl := backendTestTable(t, 7)
 	c := NewHoldCache(DefaultCacheBytes)
-	if _, err := c.Get(tbl, cacheTestCfg(0.05, 3)); err != nil {
+	if _, err := c.GetContext(bg, tbl, cacheTestCfg(0.05, 3)); err != nil {
 		t.Fatal(err)
 	}
 	at := time.Date(2001, 4, 10, 9, 0, 0, 0, time.UTC)
 	tbl.Append(at, itemset.New(500, 501))
 	tbl.Append(at.Add(time.Hour), itemset.New(500, 501, 502))
 
-	got, err := c.Get(tbl, cacheTestCfg(0.1, 3))
+	got, err := c.GetContext(bg, tbl, cacheTestCfg(0.1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +30,13 @@ func TestHoldCacheDeltaRethreshold(t *testing.T) {
 	if st.Deltas != 1 || st.Rethresholds != 0 || st.Invalidations != 0 {
 		t.Fatalf("stats after delta+rethreshold get: %+v", st)
 	}
-	want, err := BuildHoldTable(tbl, cacheTestCfg(0.1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustBuild(t, tbl, cacheTestCfg(0.1, 3))
 	if !holdTablesEqual(got, want) {
 		t.Fatal("delta + rethreshold differs from cold build")
 	}
 	// The refreshed entry is stored at its original build support, so
 	// the lower-support statement still rethresholds off it.
-	if _, err := c.Get(tbl, cacheTestCfg(0.1, 3)); err != nil {
+	if _, err := c.GetContext(bg, tbl, cacheTestCfg(0.1, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Rethresholds != 1 {
@@ -54,7 +51,7 @@ func TestHoldCacheDeltaBulkFallback(t *testing.T) {
 	tbl := backendTestTable(t, 11)
 	c := NewHoldCache(DefaultCacheBytes)
 	cfg := cacheTestCfg(0.05, 3)
-	if _, err := c.Get(tbl, cfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Append more rows than the table held: the dirty region is now the
@@ -67,7 +64,7 @@ func TestHoldCacheDeltaBulkFallback(t *testing.T) {
 	if got := c.Probe(tbl, cfg); got != "build" {
 		t.Fatalf("Probe after bulk append = %q, want build", got)
 	}
-	if _, err := c.Get(tbl, cfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -83,16 +80,13 @@ func TestHoldCacheDeltaConcurrent(t *testing.T) {
 	tbl := backendTestTable(t, 23)
 	c := NewHoldCache(DefaultCacheBytes)
 	cfg := cacheTestCfg(0.05, 3)
-	if _, err := c.Get(tbl, cfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	at := time.Date(2001, 4, 20, 9, 0, 0, 0, time.UTC)
 	tbl.Append(at, itemset.New(500, 501))
 
-	want, err := BuildHoldTable(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustBuild(t, tbl, cfg)
 	const workers = 8
 	var wg sync.WaitGroup
 	results := make([]*HoldTable, workers)
@@ -101,7 +95,7 @@ func TestHoldCacheDeltaConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Get(tbl, cfg)
+			results[i], errs[i] = c.GetContext(bg, tbl, cfg)
 		}(i)
 	}
 	wg.Wait()

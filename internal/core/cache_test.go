@@ -75,10 +75,7 @@ func TestRethresholdMatchesColdBuild(t *testing.T) {
 		for _, g := range grids {
 			bcfg := cacheTestCfg(buildSup, g.buildK)
 			bcfg.Backend = backend
-			base, err := BuildHoldTable(tbl, bcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			base := mustBuild(t, tbl, bcfg)
 			bases[backend][g.buildK] = base
 		}
 	}
@@ -86,10 +83,7 @@ func TestRethresholdMatchesColdBuild(t *testing.T) {
 		for _, g := range grids {
 			for _, queryK := range g.queryKs {
 				qcfg := cacheTestCfg(querySup, queryK)
-				want, err := BuildHoldTable(tbl, qcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := mustBuild(t, tbl, qcfg)
 				for _, backend := range backends {
 					got, err := bases[backend][g.buildK].Rethreshold(qcfg)
 					if err != nil {
@@ -108,10 +102,7 @@ func TestRethresholdMatchesColdBuild(t *testing.T) {
 // different granule grid cannot be derived and must error.
 func TestRethresholdRejectsUncovered(t *testing.T) {
 	tbl := backendTestTable(t, 7)
-	base, err := BuildHoldTable(tbl, cacheTestCfg(0.1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustBuild(t, tbl, cacheTestCfg(0.1, 3))
 	bad := []Config{
 		cacheTestCfg(0.05, 3), // support below build
 		cacheTestCfg(0.1, 4),  // deeper than built
@@ -137,7 +128,7 @@ func TestHoldCacheHitMissRethreshold(t *testing.T) {
 	c := NewHoldCache(DefaultCacheBytes)
 
 	cfg := cacheTestCfg(0.05, 3)
-	h1, err := c.Get(tbl, cfg)
+	h1, err := c.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +137,7 @@ func TestHoldCacheHitMissRethreshold(t *testing.T) {
 	}
 
 	// Same thresholds again: exact hit, shared data.
-	h2, err := c.Get(tbl, cfg)
+	h2, err := c.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,29 +148,26 @@ func TestHoldCacheHitMissRethreshold(t *testing.T) {
 
 	// Higher support: served by re-thresholding, equal to a cold build.
 	qcfg := cacheTestCfg(0.1, 3)
-	warm, err := c.Get(tbl, qcfg)
+	warm, err := c.GetContext(bg, tbl, qcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Rethresholds != 1 || st.Misses != 1 {
 		t.Fatalf("after rethreshold Get: %+v", st)
 	}
-	cold, err := BuildHoldTable(tbl, qcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := mustBuild(t, tbl, qcfg)
 	sameHoldTable(t, "rethreshold", cold, warm)
 
 	// Lower support: not covered, rebuilds and replaces the entry.
 	lcfg := cacheTestCfg(0.02, 3)
-	if _, err := c.Get(tbl, lcfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, lcfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
 		t.Fatalf("after lower-support Get: %+v", st)
 	}
 	// The broader entry now serves the original thresholds too.
-	if _, err := c.Get(tbl, cfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Rethresholds != 2 || st.Misses != 2 {
@@ -192,18 +180,18 @@ func TestHoldCacheHitMissRethreshold(t *testing.T) {
 func TestHoldCacheMaxKCoverage(t *testing.T) {
 	tbl := backendTestTable(t, 42)
 	c := NewHoldCache(DefaultCacheBytes)
-	if _, err := c.Get(tbl, cacheTestCfg(0.05, 2)); err != nil {
+	if _, err := c.GetContext(bg, tbl, cacheTestCfg(0.05, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// Deeper than built: miss (and the new unbounded entry replaces it).
-	if _, err := c.Get(tbl, cacheTestCfg(0.05, 0)); err != nil {
+	if _, err := c.GetContext(bg, tbl, cacheTestCfg(0.05, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Rethresholds != 0 {
 		t.Fatalf("bounded entry served an unbounded query: %+v", st)
 	}
 	// Unbounded entry covers any bounded depth.
-	if _, err := c.Get(tbl, cacheTestCfg(0.05, 2)); err != nil {
+	if _, err := c.GetContext(bg, tbl, cacheTestCfg(0.05, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Rethresholds != 1 || st.Misses != 2 {
@@ -218,7 +206,7 @@ func TestHoldCacheEpochDelta(t *testing.T) {
 	tbl := backendTestTable(t, 42)
 	c := NewHoldCache(DefaultCacheBytes)
 	cfg := cacheTestCfg(0.05, 3)
-	h1, err := c.Get(tbl, cfg)
+	h1, err := c.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +215,7 @@ func TestHoldCacheEpochDelta(t *testing.T) {
 	if got := c.Probe(tbl, cfg); got != "delta" {
 		t.Fatalf("Probe after append = %q, want delta", got)
 	}
-	h2, err := c.Get(tbl, cfg)
+	h2, err := c.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,16 +228,13 @@ func TestHoldCacheEpochDelta(t *testing.T) {
 	}
 	// The refreshed entry serves hits again, and is bit-identical to a
 	// cold rebuild.
-	if _, err := c.Get(tbl, cfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {
 		t.Fatalf("no hit after delta maintenance: %+v", st)
 	}
-	rebuilt, err := BuildHoldTable(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := mustBuild(t, tbl, cfg)
 	if !holdTablesEqual(h2, rebuilt) {
 		t.Fatal("delta-maintained table differs from cold rebuild")
 	}
@@ -263,7 +248,7 @@ func TestHoldCacheEpochInvalidation(t *testing.T) {
 	c := NewHoldCache(DefaultCacheBytes)
 	c.DisableDelta()
 	cfg := cacheTestCfg(0.05, 3)
-	h1, err := c.Get(tbl, cfg)
+	h1, err := c.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +257,7 @@ func TestHoldCacheEpochInvalidation(t *testing.T) {
 	if got := c.Probe(tbl, cfg); got != "build" {
 		t.Fatalf("Probe after append with delta off = %q, want build", got)
 	}
-	h2, err := c.Get(tbl, cfg)
+	h2, err := c.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +269,7 @@ func TestHoldCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("rebuilt table does not cover the appended granule: %d vs %d granules", h2.NGranules(), h1.NGranules())
 	}
 	// And the fresh entry serves hits again.
-	if _, err := c.Get(tbl, cfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {
@@ -297,19 +282,16 @@ func TestHoldCacheEpochInvalidation(t *testing.T) {
 func TestHoldCacheEviction(t *testing.T) {
 	tbl := backendTestTable(t, 42)
 	cfg1 := cacheTestCfg(0.05, 3)
-	h, err := BuildHoldTable(tbl, cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, cfg1)
 	c := NewHoldCache(h.MemBytes() + h.MemBytes()/2)
-	if _, err := c.Get(tbl, cfg1); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg1); err != nil {
 		t.Fatal(err)
 	}
 	// A different MinGranuleTx is a different granule grid — a second
 	// cache key over the same table.
 	cfg2 := cacheTestCfg(0.05, 3)
 	cfg2.MinGranuleTx = 2
-	if _, err := c.Get(tbl, cfg2); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg2); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -320,7 +302,7 @@ func TestHoldCacheEviction(t *testing.T) {
 		t.Fatalf("resident %d exceeds budget %d", st.ResidentBytes, st.MaxBytes)
 	}
 	// The first entry is gone: querying it again misses.
-	if _, err := c.Get(tbl, cfg1); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg1); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 3 {
@@ -359,7 +341,7 @@ func TestHoldCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, err := c.Get(tbl, cfg)
+			h, err := c.GetContext(bg, tbl, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -392,7 +374,7 @@ func TestHoldCacheSingleflight(t *testing.T) {
 func TestHoldCacheNilSafe(t *testing.T) {
 	tbl := backendTestTable(t, 7)
 	var c *HoldCache
-	h, err := c.Get(tbl, cacheTestCfg(0.1, 3))
+	h, err := c.GetContext(bg, tbl, cacheTestCfg(0.1, 3))
 	if err != nil || h == nil {
 		t.Fatalf("nil cache Get: %v, %v", h, err)
 	}

@@ -113,10 +113,7 @@ func TestBuildHoldTableCancelParallel(t *testing.T) {
 // emitting results.
 func TestTaskDriversCancelled(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 

@@ -60,7 +60,7 @@ func TestPremaintain(t *testing.T) {
 	tbl := cacheEquivTable(t, 7)
 	c := NewHoldCache(DefaultCacheBytes)
 	cfg := cacheTestCfg(0.05, 3)
-	if _, err := c.Get(tbl, cfg); err != nil {
+	if _, err := c.GetContext(bg, tbl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	at := time.Date(2001, 4, 6, 12, 0, 0, 0, time.UTC)
@@ -80,14 +80,11 @@ func TestPremaintain(t *testing.T) {
 	if st.Deltas != 1 {
 		t.Fatalf("Premaintain did not use the delta path: %+v", st)
 	}
-	h, err := c.Get(tbl, cfg)
+	h, err := c.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := BuildHoldTable(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := mustBuild(t, tbl, cfg)
 	if !holdTablesEqual(h, rebuilt) {
 		t.Fatal("premaintained table differs from cold rebuild")
 	}

@@ -5,19 +5,26 @@
 // AR : X ⇒ Y together with a temporal feature TF describing *when* the
 // rule holds. Because the joint search space (rules × temporal
 // features) is intractable, the system offers three restricted tasks,
-// each a function in this package:
+// each an operator over a built HoldTable:
 //
-//   - MineValidPeriods (Task I): find the maximal time intervals during
-//     which each rule holds.
-//   - MineCycles / MineCalendarPeriodicities (Task II): find the
-//     periodicities — arithmetic cycles over the granule axis, or
-//     calendar classes such as day-of-week — that each rule obeys.
-//   - MineDuring (Task III): given a temporal feature expressed in the
-//     calendar algebra, find the rules that hold during it.
+//   - MineValidPeriodsFromTableContext (Task I): find the maximal time
+//     intervals during which each rule holds.
+//   - MineCyclesFromTableContext / MineCalendarPeriodicitiesFromTableContext
+//     (Task II): find the periodicities — arithmetic cycles over the
+//     granule axis, or calendar classes such as day-of-week — that each
+//     rule obeys.
+//   - MineDuringFromTableContext (Task III): given a temporal feature
+//     expressed in the calendar algebra, find the rules that hold during
+//     it.
 //
 // All three share one counting substrate, the HoldTable: a level-wise
 // Apriori pass that counts every candidate itemset in every time
-// granule of the dataset in a single scan per level.
+// granule of the dataset in a single scan per level. A caller builds it
+// once (BuildHoldTableContext, or HoldCache.GetContext to share it
+// across statements), runs any number of operators over it, and
+// refreshes it after appends with MaintainContext / ExtendContext. That
+// (ctx, hold-table) form is the only spelling of a task here; the
+// one-call convenience forms live in the tarm facade.
 package core
 
 import (

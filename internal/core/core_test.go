@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
@@ -58,6 +60,19 @@ func buildFixture(t *testing.T) *tdb.TxTable {
 	return tbl
 }
 
+// bg is the context of every test that does not exercise cancellation.
+var bg = context.Background()
+
+// mustBuild is a cold hold-table build that fails the test on error.
+func mustBuild(t testing.TB, tbl *tdb.TxTable, cfg Config) *HoldTable {
+	t.Helper()
+	h, err := BuildHoldTableContext(bg, tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func fixtureConfig() Config {
 	return Config{
 		Granularity:   timegran.Day,
@@ -85,22 +100,19 @@ func TestConfigValidation(t *testing.T) {
 		{Granularity: timegran.Day, MinSupport: 0.5, MinFreq: 1, MaxK: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := BuildHoldTable(tbl, cfg); err == nil {
+		if _, err := BuildHoldTableContext(bg, tbl, cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
 	empty, _ := tdb.NewTxTable("empty")
-	if _, err := BuildHoldTable(empty, fixtureConfig()); err == nil {
+	if _, err := BuildHoldTableContext(bg, empty, fixtureConfig()); err == nil {
 		t.Error("empty table accepted")
 	}
 }
 
 func TestBuildHoldTableBasics(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	if h.NGranules() != 28 || h.NActive != 28 {
 		t.Fatalf("granules=%d active=%d", h.NGranules(), h.NActive)
 	}
@@ -142,10 +154,7 @@ func TestBuildHoldTableBasics(t *testing.T) {
 
 func TestHoldsSequences(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	check := func(ante, cons itemset.Set, wantHold func(d int) bool) {
 		t.Helper()
 		rc := RuleCandidate{Ante: ante, Cons: cons, Full: ante.Union(cons)}
@@ -242,7 +251,7 @@ func TestMaximalDenseIntervals(t *testing.T) {
 
 func TestMineValidPeriodsFixture(t *testing.T) {
 	tbl := buildFixture(t)
-	rules, err := MineValidPeriods(tbl, fixtureConfig(), PeriodConfig{MinLen: 2})
+	rules, err := MineValidPeriodsFromTableContext(bg, mustBuild(t, tbl, fixtureConfig()), PeriodConfig{MinLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +324,7 @@ func TestMineValidPeriodsAcrossInactiveGap(t *testing.T) {
 			tbl.Append(at.Add(time.Duration(i)*time.Minute), itemset.New(bread, milk))
 		}
 	}
-	rules, err := MineValidPeriods(tbl, fixtureConfig(), PeriodConfig{MinLen: 2})
+	rules, err := MineValidPeriodsFromTableContext(bg, mustBuild(t, tbl, fixtureConfig()), PeriodConfig{MinLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +344,7 @@ func TestMineValidPeriodsAcrossInactiveGap(t *testing.T) {
 
 func TestMineTraditionalMissesTemporalRules(t *testing.T) {
 	tbl := buildFixture(t)
-	rules, err := MineTraditional(tbl, 0.5, 0.7, 0)
+	rules, err := MineTraditionalContext(bg, tbl, 0.5, 0.7, 0, apriori.BackendAuto, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/tarm-project/tarm/internal/obs"
-	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
@@ -42,85 +41,38 @@ type CyclicRule struct {
 	Cycle timegran.Cycle
 }
 
-// MineCycles runs Task II over tbl: for every rule, find the arithmetic
-// cycles (length ≤ MaxLen) such that the rule holds in at least MinFreq
-// of the cycle's active occurrence granules. With MinFreq = 1 these are
-// exact cycles in the sense of Özden et al.; lower values tolerate
-// noise. Redundant multiples of discovered cycles are suppressed.
-func MineCycles(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig) ([]CyclicRule, error) {
-	return MineCyclesContext(context.Background(), tbl, cfg, ccfg)
-}
-
-// MineCyclesContext is MineCycles under a context.
-func MineCyclesContext(ctx context.Context, tbl *tdb.TxTable, cfg Config, ccfg CycleConfig) ([]CyclicRule, error) {
-	h, err := BuildHoldTableContext(ctx, tbl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return MineCyclesFromTableContext(ctx, h, ccfg)
-}
-
-// MineCyclesFromTable is MineCycles over a prebuilt HoldTable.
-func MineCyclesFromTable(h *HoldTable, ccfg CycleConfig) ([]CyclicRule, error) {
-	return MineCyclesFromTableContext(context.Background(), h, ccfg)
-}
-
-// MineCyclesFromTableContext is MineCyclesFromTable under a context;
-// cancellation is sampled every few hundred candidates.
+// MineCyclesFromTableContext runs the arithmetic half of Task II over a
+// built hold table: for every rule, find the arithmetic cycles (length ≤
+// MaxLen) such that the rule holds in at least MinFreq of the cycle's
+// active occurrence granules. With MinFreq = 1 these are exact cycles in
+// the sense of Özden et al.; lower values tolerate noise. Redundant
+// multiples of discovered cycles are suppressed. Cancellation is sampled
+// every few hundred candidates.
 func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleConfig) ([]CyclicRule, error) {
 	ccfg, err := ccfg.normalise()
 	if err != nil {
 		return nil, err
 	}
-	if tr := h.Cfg.tracer(); tr.Enabled() {
-		tr.StartTask(obs.TaskSpan(obs.TaskCycles))
-		defer tr.EndTask()
-	}
-	var out []CyclicRule
-	err = ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
-		hold, ok := h.Holds(rc)
-		if !ok {
-			return
-		}
+	return emitRules(ctx, h, obs.TaskCycles, cyclicLess, func(out []CyclicRule, rc RuleCandidate, hold []bool) []CyclicRule {
 		cycles := detectCycles(hold, h.Active, h.Span.Lo, ccfg.MaxLen, ccfg.MinReps, h.Cfg.MinFreq)
 		for _, cyc := range FilterRedundantCycles(cycles) {
-			keep := func(gi int) bool { return cyc.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) }
-			rule, ok := h.AggStats(rc, keep)
-			if !ok {
-				continue
+			occurs := func(gi int) bool { return cyc.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) }
+			if tr, ok := h.featureRule(rc, hold, cyc, occurs); ok {
+				out = append(out, CyclicRule{TemporalRule: tr, Cycle: cyc})
 			}
-			occ, hit := cycleOccurrences(hold, h.Active, h.Span.Lo, cyc)
-			out = append(out, CyclicRule{
-				TemporalRule: TemporalRule{
-					Rule:            rule,
-					Feature:         cyc,
-					Granularity:     h.Cfg.Granularity,
-					Freq:            float64(hit) / float64(occ),
-					HoldGranules:    hit,
-					FeatureGranules: occ,
-				},
-				Cycle: cyc,
-			})
 		}
+		return out
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortCyclicRules(out)
-	h.Cfg.tracer().Counter(obs.MetricRulesEmitted, int64(len(out)))
-	return out, nil
 }
 
-func sortCyclicRules(rules []CyclicRule) {
-	sort.Slice(rules, func(i, j int) bool {
-		if c := rules[i].Rule.Compare(rules[j].Rule); c != 0 {
-			return c < 0
-		}
-		if rules[i].Cycle.Length != rules[j].Cycle.Length {
-			return rules[i].Cycle.Length < rules[j].Cycle.Length
-		}
-		return rules[i].Cycle.Offset < rules[j].Cycle.Offset
-	})
+func cyclicLess(a, b CyclicRule) bool {
+	if c := a.Rule.Compare(b.Rule); c != 0 {
+		return c < 0
+	}
+	if a.Cycle.Length != b.Cycle.Length {
+		return a.Cycle.Length < b.Cycle.Length
+	}
+	return a.Cycle.Offset < b.Cycle.Offset
 }
 
 // detectCycles scans a hold sequence for cycles (length ℓ ≤ maxLen)
@@ -156,21 +108,6 @@ func detectCycles(hold, active []bool, spanLo int64, maxLen, minReps int, minFre
 		}
 	}
 	return out
-}
-
-// cycleOccurrences counts the active occurrences of cyc within the
-// span, and how many of them hold.
-func cycleOccurrences(hold, active []bool, spanLo int64, cyc timegran.Cycle) (occ, hit int) {
-	for gi := range hold {
-		if !active[gi] || !cyc.Matches(0, spanLo+int64(gi)) {
-			continue
-		}
-		occ++
-		if hold[gi] {
-			hit++
-		}
-	}
-	return occ, hit
 }
 
 // sortCycles orders cycles canonically by (length, offset).
@@ -237,44 +174,20 @@ func calendarFieldsFor(g timegran.Granularity) []timegran.CalField {
 	}
 }
 
-// MineCalendarPeriodicities runs the calendar side of Task II: for each
-// rule and each applicable calendar field, find the field values whose
-// active granules hold the rule with frequency ≥ MinFreq, and report
-// them as a Calendar pattern. Classes are reported only when they are
-// informative: at least one value qualifies and not every observed
-// value does (a rule holding on all seven weekdays is simply always
-// true and belongs to Task I/III output, not here). Classes need at
-// least minReps occurrences, reusing CycleConfig.MinReps.
-func MineCalendarPeriodicities(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig) ([]CalendarRule, error) {
-	return MineCalendarPeriodicitiesContext(context.Background(), tbl, cfg, ccfg)
-}
-
-// MineCalendarPeriodicitiesContext is MineCalendarPeriodicities under
-// a context.
-func MineCalendarPeriodicitiesContext(ctx context.Context, tbl *tdb.TxTable, cfg Config, ccfg CycleConfig) ([]CalendarRule, error) {
-	h, err := BuildHoldTableContext(ctx, tbl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return MineCalendarPeriodicitiesFromTableContext(ctx, h, ccfg)
-}
-
-// MineCalendarPeriodicitiesFromTable is MineCalendarPeriodicities over
-// a prebuilt HoldTable.
-func MineCalendarPeriodicitiesFromTable(h *HoldTable, ccfg CycleConfig) ([]CalendarRule, error) {
-	return MineCalendarPeriodicitiesFromTableContext(context.Background(), h, ccfg)
-}
-
-// MineCalendarPeriodicitiesFromTableContext is the context-aware form;
-// cancellation is sampled every few hundred candidates.
+// MineCalendarPeriodicitiesFromTableContext runs the calendar half of
+// Task II over a built hold table: for each rule and each applicable
+// calendar field, find the field values whose active granules hold the
+// rule with frequency ≥ MinFreq, and report them as a Calendar pattern.
+// Classes are reported only when they are informative: at least one
+// value qualifies and not every observed value does (a rule holding on
+// all seven weekdays is simply always true and belongs to Task I/III
+// output, not here). Classes need at least minReps occurrences, reusing
+// CycleConfig.MinReps. Cancellation is sampled every few hundred
+// candidates.
 func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleConfig) ([]CalendarRule, error) {
 	ccfg, err := ccfg.normalise()
 	if err != nil {
 		return nil, err
-	}
-	if tr := h.Cfg.tracer(); tr.Enabled() {
-		tr.StartTask(obs.TaskSpan(obs.TaskCalendars))
-		defer tr.EndTask()
 	}
 	fields := calendarFieldsFor(h.Cfg.Granularity)
 	if len(fields) == 0 {
@@ -290,12 +203,7 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 		}
 	}
 
-	var out []CalendarRule
-	err = ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
-		hold, ok := h.Holds(rc)
-		if !ok {
-			return
-		}
+	return emitRules(ctx, h, obs.TaskCalendars, calendarLess, func(out []CalendarRule, rc RuleCandidate, hold []bool) []CalendarRule {
 		for fi, f := range fields {
 			lo, hi := timegran.FieldDomain(f)
 			occ := make([]int, hi-lo+1)
@@ -334,45 +242,21 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 			if err != nil {
 				continue
 			}
-			keep := func(gi int) bool { return h.Active[gi] && cal.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) }
-			rule, ok := h.AggStats(rc, keep)
-			if !ok {
-				continue
+			inClass := func(gi int) bool { return cal.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) }
+			if tr, ok := h.featureRule(rc, hold, cal, inClass); ok {
+				out = append(out, CalendarRule{TemporalRule: tr, Field: f})
 			}
-			nOcc, nHit := 0, 0
-			for gi := range hold {
-				if keep(gi) {
-					nOcc++
-					if hold[gi] {
-						nHit++
-					}
-				}
-			}
-			out = append(out, CalendarRule{
-				TemporalRule: TemporalRule{
-					Rule:            rule,
-					Feature:         cal,
-					Granularity:     h.Cfg.Granularity,
-					Freq:            float64(nHit) / float64(nOcc),
-					HoldGranules:    nHit,
-					FeatureGranules: nOcc,
-				},
-				Field: f,
-			})
 		}
+		return out
 	})
-	if err != nil {
-		return nil, err
+}
+
+func calendarLess(a, b CalendarRule) bool {
+	if c := a.Rule.Compare(b.Rule); c != 0 {
+		return c < 0
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Rule.Compare(out[j].Rule); c != 0 {
-			return c < 0
-		}
-		if out[i].Field != out[j].Field {
-			return out[i].Field < out[j].Field
-		}
-		return out[i].Feature.String() < out[j].Feature.String()
-	})
-	h.Cfg.tracer().Counter(obs.MetricRulesEmitted, int64(len(out)))
-	return out, nil
+	if a.Field != b.Field {
+		return a.Field < b.Field
+	}
+	return a.Feature.String() < b.Feature.String()
 }

@@ -110,7 +110,7 @@ func TestFilterRedundantCycles(t *testing.T) {
 
 func TestMineCyclesFixture(t *testing.T) {
 	tbl := buildFixture(t)
-	rules, err := MineCycles(tbl, fixtureConfig(), CycleConfig{MaxLen: 10, MinReps: 2})
+	rules, err := MineCyclesFromTableContext(bg, mustBuild(t, tbl, fixtureConfig()), CycleConfig{MaxLen: 10, MinReps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMineCyclesFixture(t *testing.T) {
 
 func TestMineCalendarPeriodicitiesFixture(t *testing.T) {
 	tbl := buildFixture(t)
-	rules, err := MineCalendarPeriodicities(tbl, fixtureConfig(), CycleConfig{MinReps: 2})
+	rules, err := MineCalendarPeriodicitiesFromTableContext(bg, mustBuild(t, tbl, fixtureConfig()), CycleConfig{MinReps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +195,18 @@ func TestMineCalendarPeriodicitiesFixture(t *testing.T) {
 	}
 }
 
+func mustPattern(t *testing.T, expr string) timegran.Pattern {
+	t.Helper()
+	p, err := timegran.ParsePattern(expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestMineDuringFixture(t *testing.T) {
-	tbl := buildFixture(t)
-	rules, err := MineDuringExpr(tbl, fixtureConfig(), "weekday in (sat, sun)")
+	h := mustBuild(t, buildFixture(t), fixtureConfig())
+	rules, err := MineDuringFromTableContext(bg, h, mustPattern(t, "weekday in (sat, sun)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +237,10 @@ func TestMineDuringFixture(t *testing.T) {
 	}
 
 	// A feature covering no data is an error.
-	if _, err := MineDuringExpr(tbl, fixtureConfig(), "month in (7)"); err == nil {
+	if _, err := MineDuringFromTableContext(bg, h, mustPattern(t, "month in (7)")); err == nil {
 		t.Error("feature covering no granules accepted")
 	}
-	if _, err := MineDuringExpr(tbl, fixtureConfig(), "weekday in (bogus)"); err == nil {
-		t.Error("unparsable feature accepted")
-	}
-	if _, err := MineDuring(tbl, fixtureConfig(), nil); err == nil {
+	if _, err := MineDuringFromTableContext(bg, h, nil); err == nil {
 		t.Error("nil feature accepted")
 	}
 }
@@ -245,7 +251,7 @@ func TestMineDuringLowerFreq(t *testing.T) {
 	cfg.MinFreq = 0.2
 	// Over the whole span ("always"), the seasonal rule holds in 7 of
 	// 28 granules = 0.25 ≥ 0.2 → it must appear now.
-	rules, err := MineDuringExpr(tbl, cfg, "always")
+	rules, err := MineDuringFromTableContext(bg, mustBuild(t, tbl, cfg), timegran.Always{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,14 +389,14 @@ func TestQuickItemsetCycleMinersEquivalent(t *testing.T) {
 }
 
 func TestCycleConfigValidation(t *testing.T) {
-	tbl := buildFixture(t)
-	if _, err := MineCycles(tbl, fixtureConfig(), CycleConfig{MaxLen: -1}); err == nil {
+	h := mustBuild(t, buildFixture(t), fixtureConfig())
+	if _, err := MineCyclesFromTableContext(bg, h, CycleConfig{MaxLen: -1}); err == nil {
 		t.Error("negative MaxLen accepted")
 	}
-	if _, err := MineCycles(tbl, fixtureConfig(), CycleConfig{MinReps: -2}); err == nil {
+	if _, err := MineCyclesFromTableContext(bg, h, CycleConfig{MinReps: -2}); err == nil {
 		t.Error("negative MinReps accepted")
 	}
-	if _, err := MineValidPeriods(tbl, fixtureConfig(), PeriodConfig{MinLen: -1}); err == nil {
+	if _, err := MineValidPeriodsFromTableContext(bg, h, PeriodConfig{MinLen: -1}); err == nil {
 		t.Error("negative MinLen accepted")
 	}
 }

@@ -121,11 +121,11 @@ func TestKillRecoverOracle(t *testing.T) {
 							Backend:       m.backend,
 							Workers:       m.workers,
 						}
-						got, err := BuildHoldTable(tbl, mcfg)
+						got, err := BuildHoldTableContext(bg, tbl, mcfg)
 						if err != nil {
 							t.Fatalf("%s: recovered build: %v", tag, err)
 						}
-						want, err := BuildHoldTable(twin, mcfg)
+						want, err := BuildHoldTableContext(bg, twin, mcfg)
 						if err != nil {
 							t.Fatalf("%s: twin build: %v", tag, err)
 						}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/obs"
@@ -10,15 +11,14 @@ import (
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
-// cancelStride is how many rule candidates the task drivers enumerate
+// cancelStride is how many rule candidates the task operators enumerate
 // between context checks: coarse enough to stay off the hot path,
 // fine enough to stop a large enumeration promptly.
 const cancelStride = 256
 
 // ruleCandidateLoop runs fn for every rule candidate of h, sampling
 // ctx every cancelStride candidates, and returns ctx.Err() when the
-// enumeration stopped on cancellation. It is the shared cancellation
-// scaffold of the task drivers.
+// enumeration stopped on cancellation.
 func ruleCandidateLoop(ctx context.Context, h *HoldTable, fn func(rc RuleCandidate)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -44,50 +44,47 @@ func ruleCandidateLoop(ctx context.Context, h *HoldTable, fn func(rc RuleCandida
 	return nil
 }
 
-// MineDuring runs Task III: given a temporal feature expressed as a
-// calendar-algebra pattern, find the association rules that hold during
-// it — i.e. hold (per-granule support and confidence) in at least
-// MinFreq of the feature's active granules. The returned rules carry
-// aggregate support/confidence over the feature's sub-database.
+// emitRules is the scaffold shared by the rule-emitting task operators.
+// Under a task:<task> span it hands every rule candidate that is
+// granule-frequent somewhere, with its hold sequence, to detect — the
+// only per-task part: which features the sequence yields, each turned
+// into a rule by featureRule and appended to out. The collected rules
+// are sorted by less and counted as rules_emitted.
+func emitRules[R any](ctx context.Context, h *HoldTable, task string, less func(a, b R) bool,
+	detect func(out []R, rc RuleCandidate, hold []bool) []R) ([]R, error) {
+	if tr := h.Cfg.tracer(); tr.Enabled() {
+		tr.StartTask(obs.TaskSpan(task))
+		defer tr.EndTask()
+	}
+	var out []R
+	err := ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
+		if hold, ok := h.Holds(rc); ok {
+			out = detect(out, rc, hold)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	h.Cfg.tracer().Counter(obs.MetricRulesEmitted, int64(len(out)))
+	return out, nil
+}
+
+// MineDuringFromTableContext runs Task III over a built hold table:
+// given a temporal feature expressed as a calendar-algebra pattern, find
+// the association rules that hold during it — i.e. hold (per-granule
+// support and confidence) in at least MinFreq of the feature's active
+// granules. The returned rules carry aggregate support/confidence over
+// the feature's sub-database.
 //
-// This restricted task only needs to count inside the feature's
-// granules, so it builds its HoldTable from the feature's sub-span
-// rather than the whole table.
-func MineDuring(tbl *tdb.TxTable, cfg Config, feature timegran.Pattern) ([]TemporalRule, error) {
-	return MineDuringContext(context.Background(), tbl, cfg, feature)
-}
-
-// MineDuringContext is MineDuring under a context: both the hold-table
-// build and the rule enumeration observe cancellation.
-func MineDuringContext(ctx context.Context, tbl *tdb.TxTable, cfg Config, feature timegran.Pattern) ([]TemporalRule, error) {
-	cfg, err := cfg.normalise()
-	if err != nil {
-		return nil, err
-	}
-	if feature == nil {
-		return nil, fmt.Errorf("core: MineDuring needs a temporal feature")
-	}
-	h, err := BuildHoldTableContext(ctx, tbl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return MineDuringFromTableContext(ctx, h, feature)
-}
-
-// MineDuringFromTable is MineDuring over a prebuilt HoldTable.
-func MineDuringFromTable(h *HoldTable, feature timegran.Pattern) ([]TemporalRule, error) {
-	return MineDuringFromTableContext(context.Background(), h, feature)
-}
-
-// MineDuringFromTableContext is MineDuringFromTable under a context;
-// cancellation is sampled every few hundred rule candidates.
+// The restriction applies to scoring only: h counts every granule of
+// the table's span, so the task's cost does not fall with the feature's
+// coverage (EXPERIMENTS E8; ROADMAP "Make Task III cost proportional to
+// what it covers"). Cancellation is sampled every few hundred rule
+// candidates.
 func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timegran.Pattern) ([]TemporalRule, error) {
 	if feature == nil {
 		return nil, fmt.Errorf("core: MineDuring needs a temporal feature")
-	}
-	if tr := h.Cfg.tracer(); tr.Enabled() {
-		tr.StartTask(obs.TaskSpan(obs.TaskDuring))
-		defer tr.EndTask()
 	}
 	// Materialise the feature over the span once.
 	inFeature := make([]bool, h.NGranules())
@@ -102,13 +99,9 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 		return nil, fmt.Errorf("core: temporal feature %v covers no active granule of the data", feature)
 	}
 	minHold := ceilCount(h.Cfg.MinFreq, nFeature)
+	covered := func(gi int) bool { return inFeature[gi] }
 
-	var out []TemporalRule
-	err := ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
-		hold, ok := h.Holds(rc)
-		if !ok {
-			return
-		}
+	return emitRules(ctx, h, obs.TaskDuring, temporalRuleLess, func(out []TemporalRule, rc RuleCandidate, hold []bool) []TemporalRule {
 		nHold := 0
 		for gi, in := range inFeature {
 			if in && hold[gi] {
@@ -116,50 +109,29 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 			}
 		}
 		if nHold < minHold {
-			return
+			return out
 		}
-		rule, ok := h.AggStats(rc, func(gi int) bool { return inFeature[gi] })
-		if !ok {
-			return
+		if tr, ok := h.featureRule(rc, hold, feature, covered); ok {
+			out = append(out, tr)
 		}
-		out = append(out, TemporalRule{
-			Rule:            rule,
-			Feature:         feature,
-			Granularity:     h.Cfg.Granularity,
-			Freq:            float64(nHold) / float64(nFeature),
-			HoldGranules:    nHold,
-			FeatureGranules: nFeature,
-		})
+		return out
 	})
-	if err != nil {
-		return nil, err
-	}
-	SortTemporalRules(out)
-	h.Cfg.tracer().Counter(obs.MetricRulesEmitted, int64(len(out)))
-	return out, nil
 }
 
-// MineDuringExpr is MineDuring with the feature given in the textual
-// calendar-algebra syntax, e.g. "month in (jun..aug)".
-func MineDuringExpr(tbl *tdb.TxTable, cfg Config, expr string) ([]TemporalRule, error) {
-	p, err := timegran.ParsePattern(expr)
-	if err != nil {
-		return nil, err
+// temporalRuleLess orders results canonically: by rule, then by the
+// feature's textual form.
+func temporalRuleLess(a, b TemporalRule) bool {
+	if c := a.Rule.Compare(b.Rule); c != 0 {
+		return c < 0
 	}
-	return MineDuring(tbl, cfg, p)
+	return a.Feature.String() < b.Feature.String()
 }
 
-// MineTraditional is the time-agnostic baseline: plain Apriori over the
-// whole table, ignoring timestamps. Experiment E1 compares its output
+// MineTraditionalContext is the time-agnostic baseline: plain Apriori
+// over the whole table, ignoring timestamps, on the given counting
+// backend, worker count and tracer. Experiment E1 compares its output
 // against the temporal miners to count the rules a traditional approach
-// misses.
-func MineTraditional(tbl *tdb.TxTable, minSupport, minConfidence float64, maxK int) ([]apriori.Rule, error) {
-	return MineTraditionalContext(context.Background(), tbl, minSupport, minConfidence, maxK, apriori.BackendAuto, 0, nil)
-}
-
-// MineTraditionalContext is MineTraditional under a context — the
-// level-wise passes observe cancellation between passes — with an
-// explicit counting backend, worker count and tracer.
+// misses. The level-wise passes observe cancellation between passes.
 func MineTraditionalContext(ctx context.Context, tbl *tdb.TxTable, minSupport, minConfidence float64, maxK int, backend apriori.Backend, workers int, tracer obs.Tracer) ([]apriori.Rule, error) {
 	_, rules, err := apriori.MineRulesContext(
 		ctx,

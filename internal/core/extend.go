@@ -8,25 +8,20 @@ import (
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
-// Extend incrementally updates the hold table after new transactions
-// were appended to tbl at or after the old span's end (the production
-// pattern: one new day arrives, yesterday's table is refreshed without
-// recounting the whole history). It returns a new HoldTable; the
-// receiver is unchanged.
+// ExtendContext incrementally updates the hold table after new
+// transactions were appended to tbl at or after the old span's end (the
+// production pattern: one new day arrives, yesterday's table is
+// refreshed without recounting the whole history). It returns a new
+// HoldTable; the receiver is unchanged.
 //
-// Extend is the append-at-the-end special case of Maintain: the dirty
-// region is the old final granule (appends may land inside it) plus
-// every granule after it. It returns an error if the table's span no
-// longer starts where it used to, or if nothing new arrived; appends
-// that landed strictly inside the old span are caught by Maintain's
-// dirty-list soundness check and also surface as an error telling the
-// caller to rebuild.
-func (h *HoldTable) Extend(tbl *tdb.TxTable) (*HoldTable, error) {
-	return h.ExtendContext(context.Background(), tbl)
-}
-
-// ExtendContext is Extend under a context; cancellation is observed
-// between levels and between granule scans, never per transaction.
+// It is the append-at-the-end special case of MaintainContext: the
+// dirty region is the old final granule (appends may land inside it)
+// plus every granule after it. It returns an error if the table's span
+// no longer starts where it used to, or if nothing new arrived; appends
+// that landed strictly inside the old span are caught by
+// MaintainContext's dirty-list soundness check and also surface as an
+// error telling the caller to rebuild. Cancellation is observed between
+// levels and between granule scans, never per transaction.
 func (h *HoldTable) ExtendContext(ctx context.Context, tbl *tdb.TxTable) (*HoldTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

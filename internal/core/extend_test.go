@@ -16,10 +16,7 @@ import (
 // checks that Extend produces exactly what a full rebuild would.
 func TestExtendMatchesRebuildFixture(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 
 	// Week 5 arrives: a new pair {7,8} becomes frequent there, which
 	// exercises the newcomer path (it needs historical recounting).
@@ -34,14 +31,11 @@ func TestExtendMatchesRebuildFixture(t *testing.T) {
 		}
 	}
 
-	extended, err := h.Extend(tbl)
+	extended, err := h.ExtendContext(bg, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := mustBuild(t, tbl, fixtureConfig())
 	if !holdTablesEqual(extended, rebuilt) {
 		t.Fatal("Extend differs from full rebuild")
 	}
@@ -64,22 +58,19 @@ func TestExtendMatchesRebuildFixture(t *testing.T) {
 
 func TestExtendErrors(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	// Nothing new.
-	if _, err := h.Extend(tbl); err == nil {
+	if _, err := h.ExtendContext(bg, tbl); err == nil {
 		t.Error("Extend with no new granules accepted")
 	}
 	// Span start moved (data prepended): must demand a rebuild.
 	tbl.Append(fixtureStart.AddDate(0, 0, -3), itemset.New(bread))
 	tbl.Append(fixtureStart.AddDate(0, 0, 30), itemset.New(bread))
-	if _, err := h.Extend(tbl); err == nil {
+	if _, err := h.ExtendContext(bg, tbl); err == nil {
 		t.Error("Extend after prepend accepted")
 	}
 	empty, _ := tdb.NewTxTable("empty")
-	if _, err := h.Extend(empty); err == nil {
+	if _, err := h.ExtendContext(bg, empty); err == nil {
 		t.Error("Extend on empty table accepted")
 	}
 }
@@ -102,7 +93,7 @@ func TestQuickExtendEquivalent(t *testing.T) {
 			MinConfidence: 0.5,
 			MinFreq:       1,
 		}
-		h, err := BuildHoldTable(tbl, mcfg)
+		h, err := BuildHoldTableContext(bg, tbl, mcfg)
 		if err != nil {
 			return false
 		}
@@ -125,11 +116,11 @@ func TestQuickExtendEquivalent(t *testing.T) {
 				tbl.Append(base.AddDate(0, 0, d).Add(time.Duration(i)*time.Minute), itemset.New(items...))
 			}
 		}
-		extended, err := h.Extend(tbl)
+		extended, err := h.ExtendContext(bg, tbl)
 		if err != nil {
 			return false
 		}
-		rebuilt, err := BuildHoldTable(tbl, mcfg)
+		rebuilt, err := BuildHoldTableContext(bg, tbl, mcfg)
 		if err != nil {
 			return false
 		}
@@ -144,10 +135,7 @@ func TestQuickExtendEquivalent(t *testing.T) {
 // extended table and from a rebuilt one; identical output.
 func TestExtendThenMine(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	for d := 28; d < 42; d++ {
 		at := fixtureStart.AddDate(0, 0, d)
 		weekend := d%7 == 5 || d%7 == 6
@@ -162,16 +150,16 @@ func TestExtendThenMine(t *testing.T) {
 			tbl.Append(at.Add(time.Duration(i)*time.Minute), itemset.New(items...))
 		}
 	}
-	extended, err := h.Extend(tbl)
+	extended, err := h.ExtendContext(bg, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := MineCyclesFromTable(extended, CycleConfig{MaxLen: 10, MinReps: 2})
+	a, err := MineCyclesFromTableContext(bg, extended, CycleConfig{MaxLen: 10, MinReps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, _ := BuildHoldTable(tbl, fixtureConfig())
-	b, err := MineCyclesFromTable(rebuilt, CycleConfig{MaxLen: 10, MinReps: 2})
+	rebuilt, _ := BuildHoldTableContext(bg, tbl, fixtureConfig())
+	b, err := MineCyclesFromTableContext(bg, rebuilt, CycleConfig{MaxLen: 10, MinReps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,10 +21,7 @@ func TestWeekGranularityMining(t *testing.T) {
 	tbl := buildFixture(t)
 	cfg := fixtureConfig()
 	cfg.Granularity = timegran.Week
-	h, err := BuildHoldTable(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, cfg)
 	if h.NGranules() != 4 {
 		t.Fatalf("weeks = %d, want 4", h.NGranules())
 	}
@@ -81,7 +79,7 @@ func TestHourGranularityMining(t *testing.T) {
 		}
 	}
 	cfg := Config{Granularity: timegran.Hour, MinSupport: 0.5, MinConfidence: 0.7, MinFreq: 1}
-	cals, err := MineCalendarPeriodicitiesFromTable(mustBuild(t, tbl, cfg), CycleConfig{MinReps: 3})
+	cals, err := MineCalendarPeriodicitiesFromTableContext(bg, mustBuild(t, tbl, cfg), CycleConfig{MinReps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,64 +99,11 @@ func TestHourGranularityMining(t *testing.T) {
 	}
 }
 
-func mustBuild(t *testing.T, tbl *tdb.TxTable, cfg Config) *HoldTable {
-	t.Helper()
-	h, err := BuildHoldTable(tbl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
-// TestSharedHoldTableAcrossTasks runs all tasks from one counting pass
-// and cross-checks them against the one-call APIs.
-func TestSharedHoldTableAcrossTasks(t *testing.T) {
-	tbl := buildFixture(t)
-	cfg := fixtureConfig()
-	h := mustBuild(t, tbl, cfg)
-
-	p1, err := MineValidPeriodsFromTable(h, PeriodConfig{MinLen: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _ := MineValidPeriods(tbl, cfg, PeriodConfig{MinLen: 2})
-	if len(p1) != len(p2) {
-		t.Errorf("shared vs one-call periods: %d vs %d", len(p1), len(p2))
-	}
-
-	c1, err := MineCyclesFromTable(h, CycleConfig{MaxLen: 10, MinReps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := MineCycles(tbl, cfg, CycleConfig{MaxLen: 10, MinReps: 2})
-	if len(c1) != len(c2) {
-		t.Errorf("shared vs one-call cycles: %d vs %d", len(c1), len(c2))
-	}
-
-	weekend, _ := timegran.ParsePattern("weekday in (sat, sun)")
-	d1, err := MineDuringFromTable(h, weekend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _ := MineDuring(tbl, cfg, weekend)
-	if len(d1) != len(d2) {
-		t.Errorf("shared vs one-call during: %d vs %d", len(d1), len(d2))
-	}
-
-	cal1, err := MineCalendarPeriodicitiesFromTable(h, CycleConfig{MinReps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal2, _ := MineCalendarPeriodicities(tbl, cfg, CycleConfig{MinReps: 2})
-	if len(cal1) != len(cal2) {
-		t.Errorf("shared vs one-call calendars: %d vs %d", len(cal1), len(cal2))
-	}
-}
-
-// TestQuickAggStatsMatchesBruteForce verifies the aggregate
-// support/confidence computation against direct counting over the
-// selected granules.
-func TestQuickAggStatsMatchesBruteForce(t *testing.T) {
+// TestQuickFeatureRuleMatchesBruteForce verifies the shared emit step —
+// aggregate support/confidence and the covered/held granule counts —
+// against direct counting over the raw transactions of the granules a
+// random keep-mask selects.
+func TestQuickFeatureRuleMatchesBruteForce(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 20,
 		Values: func(vals []reflect.Value, r *rand.Rand) {
@@ -169,51 +114,62 @@ func TestQuickAggStatsMatchesBruteForce(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tbl := randomTemporalTable(r)
 		mcfg := Config{Granularity: timegran.Day, MinSupport: 0.3, MinConfidence: 0.5, MinFreq: 1}
-		h, err := BuildHoldTable(tbl, mcfg)
+		h, err := BuildHoldTableContext(bg, tbl, mcfg)
 		if err != nil {
 			return false
 		}
-		// Pick an arbitrary keep mask: even granule offsets.
-		keep := func(gi int) bool { return gi%2 == 0 }
+		mask := make([]bool, h.NGranules())
+		for gi := range mask {
+			mask[gi] = r.Intn(2) == 0
+		}
+		keep := func(gi int) bool { return mask[gi] }
 		okAll := true
 		h.EachRuleCandidate(func(rc RuleCandidate) bool {
-			rule, ok := h.AggStats(rc, keep)
+			hold, ok := h.Holds(rc)
 			if !ok {
 				return true
 			}
-			// Brute force over the raw transactions.
-			var nTx, nFull, nAnte int
+			got, ok := h.featureRule(rc, hold, timegran.Always{}, keep)
+			// Brute force over the raw transactions, granule by granule.
+			nTx := make([]int, h.NGranules())
+			nFull := make([]int, h.NGranules())
+			nAnte := make([]int, h.NGranules())
 			tbl.Each(func(tx tdb.Tx) bool {
-				g := timegran.GranuleOf(tx.At, timegran.Day)
-				gi := int(g - h.Span.Lo)
-				if gi < 0 || gi >= h.NGranules() || !h.Active[gi] || !keep(gi) {
-					return true
-				}
-				nTx++
+				gi := int(timegran.GranuleOf(tx.At, timegran.Day) - h.Span.Lo)
+				nTx[gi]++
 				if tx.Items.ContainsAll(rc.Full) {
-					nFull++
+					nFull[gi]++
 				}
 				if tx.Items.ContainsAll(rc.Ante) {
-					nAnte++
+					nAnte[gi]++
 				}
 				return true
 			})
-			if nTx == 0 || nAnte == 0 {
-				return true
+			var tx, full, ante, covered, held int
+			for gi := range mask {
+				if nTx[gi] == 0 || !mask[gi] { // MinGranuleTx defaults to 1
+					continue
+				}
+				tx, full, ante = tx+nTx[gi], full+nFull[gi], ante+nAnte[gi]
+				covered++
+				if nFull[gi] >= ceilCount(mcfg.MinSupport, nTx[gi]) &&
+					float64(nFull[gi])/float64(nAnte[gi])+1e-12 >= mcfg.MinConfidence {
+					held++
+				}
 			}
-			if rule.Count != nFull {
-				okAll = false
-				return false
+			if tx == 0 || ante == 0 {
+				okAll = !ok
+				return okAll
 			}
-			if diff := rule.Support - float64(nFull)/float64(nTx); diff > 1e-9 || diff < -1e-9 {
-				okAll = false
-				return false
-			}
-			if diff := rule.Confidence - float64(nFull)/float64(nAnte); diff > 1e-9 || diff < -1e-9 {
-				okAll = false
-				return false
-			}
-			return true
+			near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
+			okAll = ok &&
+				got.Rule.Count == full &&
+				near(got.Rule.Support, float64(full)/float64(tx)) &&
+				near(got.Rule.Confidence, float64(full)/float64(ante)) &&
+				got.FeatureGranules == covered &&
+				got.HoldGranules == held &&
+				near(got.Freq, float64(held)/float64(covered))
+			return okAll
 		})
 		return okAll
 	}
@@ -244,7 +200,7 @@ func TestMinGranuleTx(t *testing.T) {
 		t.Error("sparse day marked active")
 	}
 	// The rule still gets one unbroken 10-day period (day 4 neutral).
-	rules, err := MineValidPeriodsFromTable(h, PeriodConfig{MinLen: 2})
+	rules, err := MineValidPeriodsFromTableContext(bg, h, PeriodConfig{MinLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

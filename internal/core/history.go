@@ -6,7 +6,6 @@ import (
 
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/obs"
-	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
@@ -52,40 +51,10 @@ func (h *HoldTable) History(rc RuleCandidate) ([]GranuleStat, bool) {
 	return out, true
 }
 
-// RuleHistory is the one-call form: it builds a hold table (counting
-// only as deep as the rule needs) and returns the rule's history.
-func RuleHistory(tbl *tdb.TxTable, cfg Config, ante, cons itemset.Set) ([]GranuleStat, error) {
-	return RuleHistoryContext(context.Background(), tbl, cfg, ante, cons)
-}
-
-// RuleHistoryContext is RuleHistory under a context: the hold-table
-// build observes cancellation.
-func RuleHistoryContext(ctx context.Context, tbl *tdb.TxTable, cfg Config, ante, cons itemset.Set) ([]GranuleStat, error) {
-	if ante.Len() == 0 || cons.Len() == 0 {
-		return nil, fmt.Errorf("core: rule history needs non-empty antecedent and consequent")
-	}
-	if ante.Intersect(cons).Len() != 0 {
-		return nil, fmt.Errorf("core: antecedent and consequent overlap")
-	}
-	// Count exactly as deep as the rule needs: deeper wastes work,
-	// shallower would never count the rule's own itemset.
-	cfg.MaxK = ante.Union(cons).Len()
-	h, err := BuildHoldTableContext(ctx, tbl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RuleHistoryFromTableContext(ctx, h, ante, cons)
-}
-
-// RuleHistoryFromTable is RuleHistory over a prebuilt HoldTable, which
-// must be at least len(ante ∪ cons) levels deep (MaxK 0 or ≥ it).
-func RuleHistoryFromTable(h *HoldTable, ante, cons itemset.Set) ([]GranuleStat, error) {
-	return RuleHistoryFromTableContext(context.Background(), h, ante, cons)
-}
-
-// RuleHistoryFromTableContext is RuleHistoryFromTable under a context.
-// The lookup itself is cheap (one pass over the span), so the context
-// is only checked up front.
+// RuleHistoryFromTableContext returns a rule's per-granule history from
+// a built hold table, which must be at least len(ante ∪ cons) levels
+// deep (MaxK 0 or ≥ it). The lookup itself is cheap (one pass over the
+// span), so the context is only checked up front.
 func RuleHistoryFromTableContext(ctx context.Context, h *HoldTable, ante, cons itemset.Set) ([]GranuleStat, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -8,7 +8,7 @@ import (
 
 func TestRuleHistoryFixture(t *testing.T) {
 	tbl := buildFixture(t)
-	stats, err := RuleHistory(tbl, fixtureConfig(), itemset.New(bbq), itemset.New(charcoal))
+	stats, err := RuleHistoryFromTableContext(bg, mustBuild(t, tbl, fixtureConfig()), itemset.New(bbq), itemset.New(charcoal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRuleHistoryConfidenceBelowThreshold(t *testing.T) {
 	tbl := buildFixture(t)
 	cfg := fixtureConfig()
 	cfg.MinConfidence = 0.9 // the daily rule has confidence 0.8: never holds
-	stats, err := RuleHistory(tbl, cfg, itemset.New(bread), itemset.New(milk))
+	stats, err := RuleHistoryFromTableContext(bg, mustBuild(t, tbl, cfg), itemset.New(bread), itemset.New(milk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +57,23 @@ func TestRuleHistoryConfidenceBelowThreshold(t *testing.T) {
 func TestRuleHistoryErrors(t *testing.T) {
 	tbl := buildFixture(t)
 	cfg := fixtureConfig()
-	if _, err := RuleHistory(tbl, cfg, nil, itemset.New(milk)); err == nil {
+	h := mustBuild(t, tbl, cfg)
+	if _, err := RuleHistoryFromTableContext(bg, h, nil, itemset.New(milk)); err == nil {
 		t.Error("empty antecedent accepted")
 	}
-	if _, err := RuleHistory(tbl, cfg, itemset.New(bread), nil); err == nil {
+	if _, err := RuleHistoryFromTableContext(bg, h, itemset.New(bread), nil); err == nil {
 		t.Error("empty consequent accepted")
 	}
-	if _, err := RuleHistory(tbl, cfg, itemset.New(bread), itemset.New(bread)); err == nil {
+	if _, err := RuleHistoryFromTableContext(bg, h, itemset.New(bread), itemset.New(bread)); err == nil {
 		t.Error("overlapping rule accepted")
 	}
-	if _, err := RuleHistory(tbl, cfg, itemset.New(97), itemset.New(98)); err == nil {
+	if _, err := RuleHistoryFromTableContext(bg, h, itemset.New(97), itemset.New(98)); err == nil {
 		t.Error("never-frequent rule accepted")
 	}
-	// MaxK smaller than the rule is widened transparently.
+	// A table shallower than the rule cannot answer (the facade's
+	// one-call form builds at the rule's own depth).
 	cfg.MaxK = 1
-	if _, err := RuleHistory(tbl, cfg, itemset.New(bread), itemset.New(milk)); err != nil {
-		t.Errorf("MaxK widening failed: %v", err)
+	if _, err := RuleHistoryFromTableContext(bg, mustBuild(t, tbl, cfg), itemset.New(bread), itemset.New(milk)); err == nil {
+		t.Error("table counting only 1-itemsets answered a 2-item rule")
 	}
 }

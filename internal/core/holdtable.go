@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -75,23 +74,19 @@ func ceilCount(frac float64, n int) int {
 	return apriori.CeilCount(frac, n)
 }
 
-// BuildHoldTable runs the shared level-wise pass over tbl: a level-1
-// item scan, then per level a join+prune and a per-granule count of the
-// candidates on the configured backend (hash tree, flat or roaring
-// bitmaps, or the naive reference). The data is time-ordered, so each
-// granule is a contiguous run of rows in every scan. Level 2 is where
-// nearly all candidates are and nearly none survive, so the production
-// backends count it in two steps — see frequentPairs.
-func BuildHoldTable(tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
-	return BuildHoldTableContext(context.Background(), tbl, cfg)
-}
-
-// BuildHoldTableContext is BuildHoldTable under a context: the build
-// observes cancellation at granule-block and pass boundaries — never
-// per transaction, so the check stays off the counting hot path — and
-// returns ctx.Err() promptly once the context is done. Every counting
-// backend (sequential and parallel hash tree, naive, bitmap, roaring)
-// and the level-2 pair prefilter are covered.
+// BuildHoldTableContext runs the shared level-wise pass over tbl: a
+// level-1 item scan, then per level a join+prune and a per-granule count
+// of the candidates on the configured backend (hash tree, flat or
+// roaring bitmaps, or the naive reference). The data is time-ordered, so
+// each granule is a contiguous run of rows in every scan. Level 2 is
+// where nearly all candidates are and nearly none survive, so the
+// production backends count it in two steps — see frequentPairs.
+//
+// The build observes cancellation at granule-block and pass boundaries
+// — never per transaction, so the check stays off the counting hot path
+// — and returns ctx.Err() promptly once the context is done. Every
+// counting backend (sequential and parallel hash tree, naive, bitmap,
+// roaring) and the level-2 pair prefilter are covered.
 func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
 	return buildHoldTable(ctx, tbl, cfg, maxPairCells)
 }
@@ -592,20 +587,28 @@ func (h *HoldTable) EachRuleCandidate(fn func(rc RuleCandidate) bool) {
 	}
 }
 
-// AggStats aggregates a rule's counts over the granules selected by
-// keep (indexed by granule offset): total transactions, support and
-// confidence over that sub-database.
-func (h *HoldTable) AggStats(rc RuleCandidate, keep func(gi int) bool) (rule apriori.Rule, ok bool) {
+// featureRule is the one place a hold sequence becomes a temporal rule:
+// over the granules selected by keep (indexed by granule offset) that
+// are also active, it aggregates the rule's counts into support,
+// confidence and lift over that sub-database, and scores the feature —
+// FeatureGranules selected granules, HoldGranules of them holding. ok
+// is false when the selection carries no transaction of the antecedent.
+func (h *HoldTable) featureRule(rc RuleCandidate, hold []bool, feature timegran.Pattern, keep func(gi int) bool) (tr TemporalRule, ok bool) {
 	fullCounts := h.countsOf(rc.Full)
 	anteCounts := h.countsOf(rc.Ante)
 	consCounts := h.countsOf(rc.Cons)
 	if fullCounts == nil {
-		return apriori.Rule{}, false
+		return TemporalRule{}, false
 	}
 	var nTx, nFull, nAnte, nCons int64
+	nOcc, nHit := 0, 0
 	for gi := 0; gi < h.NGranules(); gi++ {
 		if !h.Active[gi] || !keep(gi) {
 			continue
+		}
+		nOcc++
+		if hold[gi] {
+			nHit++
 		}
 		nTx += int64(h.TxCounts[gi])
 		nFull += int64(fullCounts[gi])
@@ -617,7 +620,7 @@ func (h *HoldTable) AggStats(rc RuleCandidate, keep func(gi int) bool) (rule apr
 		}
 	}
 	if nTx == 0 || nAnte == 0 {
-		return apriori.Rule{}, false
+		return TemporalRule{}, false
 	}
 	conf := float64(nFull) / float64(nAnte)
 	supp := float64(nFull) / float64(nTx)
@@ -625,23 +628,19 @@ func (h *HoldTable) AggStats(rc RuleCandidate, keep func(gi int) bool) (rule apr
 	if nCons > 0 {
 		lift = conf / (float64(nCons) / float64(nTx))
 	}
-	return apriori.Rule{
-		Antecedent: rc.Ante,
-		Consequent: rc.Cons,
-		Count:      int(nFull),
-		Support:    supp,
-		Confidence: conf,
-		Lift:       lift,
+	return TemporalRule{
+		Rule: apriori.Rule{
+			Antecedent: rc.Ante,
+			Consequent: rc.Cons,
+			Count:      int(nFull),
+			Support:    supp,
+			Confidence: conf,
+			Lift:       lift,
+		},
+		Feature:         feature,
+		Granularity:     h.Cfg.Granularity,
+		Freq:            float64(nHit) / float64(nOcc),
+		HoldGranules:    nHit,
+		FeatureGranules: nOcc,
 	}, true
-}
-
-// SortTemporalRules orders results canonically: by rule, then by the
-// feature's textual form.
-func SortTemporalRules(rules []TemporalRule) {
-	sort.Slice(rules, func(i, j int) bool {
-		if c := rules[i].Rule.Compare(rules[j].Rule); c != 0 {
-			return c < 0
-		}
-		return rules[i].Feature.String() < rules[j].Feature.String()
-	})
 }

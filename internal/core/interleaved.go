@@ -65,7 +65,7 @@ func MineItemsetCyclesSequential(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig)
 	if err != nil {
 		return nil, CycleMinerStats{}, err
 	}
-	h, err := BuildHoldTable(tbl, cfg)
+	h, err := BuildHoldTableContext(context.Background(), tbl, cfg)
 	if err != nil {
 		return nil, CycleMinerStats{}, err
 	}

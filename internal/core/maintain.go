@@ -11,10 +11,10 @@ import (
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
-// Maintain delta-maintains the hold table after appends to tbl touched
-// only the given granules: it returns a new HoldTable that is
-// bit-identical to a cold BuildHoldTable of the current data, but whose
-// cost is proportional to the dirty region, not the span. The receiver
+// MaintainContext delta-maintains the hold table after appends to tbl
+// touched only the given granules: it returns a new HoldTable that is
+// bit-identical to a cold BuildHoldTableContext of the current data, but
+// whose cost is proportional to the dirty region, not the span. The receiver
 // is unchanged. dirty is the set of granules (at the table's build
 // granularity) that received appends since the receiver was built —
 // tdb.TxTable.DirtySince produces exactly this list.
@@ -46,15 +46,11 @@ import (
 // so the old build generated and counted c, and, c being frequent in
 // the clean granule then as now, retained it. Contradiction.
 //
-// Maintain returns an error (and the caller should fall back to a cold
-// rebuild) when the dirty list provably misses a changed granule, when
-// the table shrank, or when no granule is active.
-func (h *HoldTable) Maintain(tbl *tdb.TxTable, dirty []timegran.Granule) (*HoldTable, error) {
-	return h.MaintainContext(context.Background(), tbl, dirty)
-}
-
-// MaintainContext is Maintain under a context; cancellation is observed
-// between levels and between granule scans, never per transaction.
+// MaintainContext returns an error (and the caller should fall back to
+// a cold rebuild) when the dirty list provably misses a changed granule,
+// when the table shrank, or when no granule is active. Cancellation is
+// observed between levels and between granule scans, never per
+// transaction.
 func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty []timegran.Granule) (*HoldTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

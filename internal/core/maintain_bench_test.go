@@ -25,10 +25,7 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 		b.Fatal(err)
 	}
 	hcfg := Config{Granularity: timegran.Day, MinSupport: 0.15, MinConfidence: 0.6, MinFreq: 0.9}
-	h, err := BuildHoldTable(tbl, hcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := mustBuild(b, tbl, hcfg)
 	epoch := tbl.Epoch()
 	at := cfg.Start.AddDate(0, 0, 100).Add(6 * time.Hour)
 	for i := 0; i < 20; i++ {
@@ -40,14 +37,14 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 	}
 	b.Run("maintain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := h.Maintain(tbl, dirty); err != nil {
+			if _, err := h.MaintainContext(bg, tbl, dirty); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := BuildHoldTable(tbl, hcfg); err != nil {
+			if _, err := BuildHoldTableContext(bg, tbl, hcfg); err != nil {
 				b.Fatal(err)
 			}
 		}

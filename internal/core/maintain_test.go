@@ -26,10 +26,7 @@ func appendDay(tbl *tdb.TxTable, d, count int, items ...itemset.Item) timegran.G
 // cold rebuild.
 func TestMaintainInSpanDirty(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	// Day 3: a burst of {choc, wine} makes the weekend pair frequent on
 	// a weekday (newcomer path is not hit — the pair is tracked — but
 	// its vector changes in the middle of the span). Day 10: extra
@@ -37,14 +34,11 @@ func TestMaintainInSpanDirty(t *testing.T) {
 	// may drop below it there.
 	g3 := appendDay(tbl, 3, 12, choc, wine)
 	g10 := appendDay(tbl, 10, 10, bread)
-	m, err := h.Maintain(tbl, []timegran.Granule{g3, g10})
+	m, err := h.MaintainContext(bg, tbl, []timegran.Granule{g3, g10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := mustBuild(t, tbl, fixtureConfig())
 	if !holdTablesEqual(m, rebuilt) {
 		t.Fatal("Maintain differs from full rebuild")
 	}
@@ -59,22 +53,16 @@ func TestMaintainNewcomerRecovery(t *testing.T) {
 	for d := 0; d < 28; d += 4 {
 		appendDay(tbl, d, 2, 7, 8)
 	}
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	if h.Counts(itemset.New(7, 8)) != nil {
 		t.Fatal("fixture: {7,8} already tracked")
 	}
 	g := appendDay(tbl, 14, 15, 7, 8)
-	m, err := h.Maintain(tbl, []timegran.Granule{g})
+	m, err := h.MaintainContext(bg, tbl, []timegran.Granule{g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := mustBuild(t, tbl, fixtureConfig())
 	if !holdTablesEqual(m, rebuilt) {
 		t.Fatal("Maintain differs from full rebuild")
 	}
@@ -87,20 +75,14 @@ func TestMaintainNewcomerRecovery(t *testing.T) {
 // and after its end, all declared dirty.
 func TestMaintainSpanGrowth(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	gPre := appendDay(tbl, -2, 10, bread, milk)
 	gPost := appendDay(tbl, 30, 10, bread, milk)
-	m, err := h.Maintain(tbl, []timegran.Granule{gPre, gPost})
+	m, err := h.MaintainContext(bg, tbl, []timegran.Granule{gPre, gPost})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := mustBuild(t, tbl, fixtureConfig())
 	if !holdTablesEqual(m, rebuilt) {
 		t.Fatal("Maintain differs from full rebuild after span growth")
 	}
@@ -110,18 +92,15 @@ func TestMaintainSpanGrowth(t *testing.T) {
 // dirty list; Maintain must refuse rather than splice stale counts.
 func TestMaintainIncompleteDirtyList(t *testing.T) {
 	tbl := buildFixture(t)
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	g5 := appendDay(tbl, 5, 3, bread)
 	appendDay(tbl, 9, 3, bread)
-	if _, err := h.Maintain(tbl, []timegran.Granule{g5}); err == nil {
+	if _, err := h.MaintainContext(bg, tbl, []timegran.Granule{g5}); err == nil {
 		t.Fatal("Maintain accepted an incomplete dirty list")
 	}
 	// The complete list is fine.
 	g9 := timegran.GranuleOf(fixtureStart.AddDate(0, 0, 9), timegran.Day)
-	if _, err := h.Maintain(tbl, []timegran.Granule{g5, g9}); err != nil {
+	if _, err := h.MaintainContext(bg, tbl, []timegran.Granule{g5, g9}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,10 +110,7 @@ func TestMaintainIncompleteDirtyList(t *testing.T) {
 func TestMaintainWithDirtySince(t *testing.T) {
 	tbl := buildFixture(t)
 	epoch := tbl.Epoch()
-	h, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustBuild(t, tbl, fixtureConfig())
 	appendDay(tbl, 2, 6, choc, wine)
 	appendDay(tbl, 20, 4, bbq, charcoal)
 	appendDay(tbl, 29, 10, bread, milk)
@@ -142,14 +118,11 @@ func TestMaintainWithDirtySince(t *testing.T) {
 	if !ok {
 		t.Fatal("DirtySince not covered")
 	}
-	m, err := h.Maintain(tbl, dirty)
+	m, err := h.MaintainContext(bg, tbl, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := BuildHoldTable(tbl, fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuilt := mustBuild(t, tbl, fixtureConfig())
 	if !holdTablesEqual(m, rebuilt) {
 		t.Fatal("Maintain(DirtySince) differs from full rebuild")
 	}
@@ -180,7 +153,7 @@ func TestQuickMaintainEquivalent(t *testing.T) {
 			}
 		}
 		epoch := tbl.Epoch()
-		h, err := BuildHoldTable(tbl, cfg)
+		h, err := BuildHoldTableContext(bg, tbl, cfg)
 		if err != nil {
 			return true // degenerate (e.g. no active granule): nothing to maintain
 		}
@@ -203,11 +176,11 @@ func TestQuickMaintainEquivalent(t *testing.T) {
 		if !ok {
 			return false
 		}
-		m, err := h.Maintain(tbl, dirty)
+		m, err := h.MaintainContext(bg, tbl, dirty)
 		if err != nil {
 			return false
 		}
-		rebuilt, err := BuildHoldTable(tbl, cfg)
+		rebuilt, err := BuildHoldTableContext(bg, tbl, cfg)
 		if err != nil {
 			return false
 		}

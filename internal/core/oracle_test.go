@@ -677,7 +677,7 @@ func TestDifferentialOracle(t *testing.T) {
 			cfg := d.cfg
 			cfg.Backend = m.backend
 			cfg.Workers = m.workers
-			ht, err := BuildHoldTable(d.tbl, cfg)
+			ht, err := BuildHoldTableContext(bg, d.tbl, cfg)
 			if err != nil {
 				t.Fatalf("case %d %v/w%d: %v", c, m.backend, m.workers, err)
 			}
@@ -698,7 +698,7 @@ func TestDifferentialOracle(t *testing.T) {
 
 		// 2. Task I: valid periods.
 		pcfg := PeriodConfig{MinLen: 1 + rng.Intn(3)}
-		periods, err := MineValidPeriodsFromTable(h, pcfg)
+		periods, err := MineValidPeriodsFromTableContext(bg, h, pcfg)
 		if err != nil {
 			t.Fatalf("case %d periods: %v", c, err)
 		}
@@ -718,7 +718,7 @@ func TestDifferentialOracle(t *testing.T) {
 
 		// 3. Task II: cycles.
 		ccfg := CycleConfig{MaxLen: 4 + rng.Intn(8), MinReps: 2 + rng.Intn(2)}
-		cycles, err := MineCyclesFromTable(h, ccfg)
+		cycles, err := MineCyclesFromTableContext(bg, h, ccfg)
 		if err != nil {
 			t.Fatalf("case %d cycles: %v", c, err)
 		}
@@ -736,7 +736,7 @@ func TestDifferentialOracle(t *testing.T) {
 		}
 
 		// 4. Task II: calendar periodicities.
-		cals, err := MineCalendarPeriodicitiesFromTable(h, ccfg)
+		cals, err := MineCalendarPeriodicitiesFromTableContext(bg, h, ccfg)
 		if err != nil {
 			t.Fatalf("case %d calendars: %v", c, err)
 		}
@@ -761,7 +761,7 @@ func TestDifferentialOracle(t *testing.T) {
 			t.Fatalf("bad feature %q: %v", expr, err)
 		}
 		wantD, nFeature := b.oracleDuring(feature)
-		during, err := MineDuringFromTable(h, feature)
+		during, err := MineDuringFromTableContext(bg, h, feature)
 		if nFeature == 0 {
 			if err == nil {
 				t.Fatalf("case %d: feature %q covers no active granule but MineDuring returned %d rules",
@@ -794,7 +794,7 @@ func TestDifferentialOracle(t *testing.T) {
 		if full != nil {
 			cons := itemset.Set{full[len(full)-1]}
 			ante := full.WithoutItem(full[len(full)-1])
-			hist, err := RuleHistoryFromTable(h, ante, cons)
+			hist, err := RuleHistoryFromTableContext(bg, h, ante, cons)
 			if err != nil {
 				t.Fatalf("case %d history: %v", c, err)
 			}
@@ -939,7 +939,7 @@ func TestAppendInterleavedOracle(t *testing.T) {
 			cfg.Backend = m.backend
 			cfg.Workers = m.workers
 			cfgs[i] = cfg
-			h, err := BuildHoldTable(d.tbl, cfg)
+			h, err := BuildHoldTableContext(bg, d.tbl, cfg)
 			if err != nil {
 				t.Fatalf("case %d %v/w%d: %v", c, m.backend, m.workers, err)
 			}
@@ -978,11 +978,11 @@ func TestAppendInterleavedOracle(t *testing.T) {
 
 			for i := range maint {
 				tag := fmt.Sprintf("case %d round %d %v/w%d", c, round, cfgs[i].Backend, cfgs[i].Workers)
-				nh, err := maint[i].Maintain(d.tbl, dirty)
+				nh, err := maint[i].MaintainContext(bg, d.tbl, dirty)
 				if err != nil {
 					t.Fatalf("%s: Maintain: %v", tag, err)
 				}
-				cold, err := BuildHoldTable(d.tbl, cfgs[i])
+				cold, err := BuildHoldTableContext(bg, d.tbl, cfgs[i])
 				if err != nil {
 					t.Fatalf("%s: rebuild: %v", tag, err)
 				}
@@ -992,8 +992,8 @@ func TestAppendInterleavedOracle(t *testing.T) {
 
 				// The interleaved statement: Task I must answer the same
 				// off the maintained table as off the rebuilt one.
-				mp, err1 := MineValidPeriodsFromTable(nh, PeriodConfig{MinLen: 1})
-				cp, err2 := MineValidPeriodsFromTable(cold, PeriodConfig{MinLen: 1})
+				mp, err1 := MineValidPeriodsFromTableContext(bg, nh, PeriodConfig{MinLen: 1})
+				cp, err2 := MineValidPeriodsFromTableContext(bg, cold, PeriodConfig{MinLen: 1})
 				if (err1 == nil) != (err2 == nil) || len(mp) != len(cp) {
 					t.Fatalf("%s: %d period rules (err %v) off maintained, %d (err %v) off rebuild",
 						tag, len(mp), err1, len(cp), err2)

@@ -38,14 +38,11 @@ func holdTablesEqual(a, b *HoldTable) bool {
 func TestParallelBuildMatchesSequentialFixture(t *testing.T) {
 	tbl := buildFixture(t)
 	seqCfg := fixtureConfig()
-	seq, err := BuildHoldTable(tbl, seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := mustBuild(t, tbl, seqCfg)
 	for _, workers := range []int{2, 3, 8, 100} {
 		parCfg := fixtureConfig()
 		parCfg.Workers = workers
-		par, err := BuildHoldTable(tbl, parCfg)
+		par, err := BuildHoldTableContext(bg, tbl, parCfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -71,7 +68,7 @@ func TestQuickParallelBuildEquivalent(t *testing.T) {
 			MinConfidence: 0.5,
 			MinFreq:       1,
 		}
-		seq, err := BuildHoldTable(tbl, mcfg)
+		seq, err := BuildHoldTableContext(bg, tbl, mcfg)
 		if err != nil {
 			return false
 		}
@@ -96,7 +93,7 @@ func TestWorkersValidation(t *testing.T) {
 	tbl := buildFixture(t)
 	cfg := fixtureConfig()
 	cfg.Workers = -1
-	if _, err := BuildHoldTable(tbl, cfg); err == nil {
+	if _, err := BuildHoldTableContext(bg, tbl, cfg); err == nil {
 		t.Error("negative Workers accepted")
 	}
 }
@@ -105,12 +102,12 @@ func TestParallelMiningEndToEnd(t *testing.T) {
 	tbl := buildFixture(t)
 	cfg := fixtureConfig()
 	cfg.Workers = 4
-	rules, err := MineValidPeriods(tbl, cfg, PeriodConfig{MinLen: 2})
+	rules, err := MineValidPeriodsFromTableContext(bg, mustBuild(t, tbl, cfg), PeriodConfig{MinLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgSeq := fixtureConfig()
-	seqRules, err := MineValidPeriods(tbl, cfgSeq, PeriodConfig{MinLen: 2})
+	seqRules, err := MineValidPeriodsFromTableContext(bg, mustBuild(t, tbl, cfgSeq), PeriodConfig{MinLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/tarm-project/tarm/internal/obs"
-	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
@@ -36,62 +34,19 @@ type PeriodRule struct {
 	Interval timegran.Interval
 }
 
-// MineValidPeriods runs Task I over tbl: for every rule above the
-// per-granule thresholds somewhere, report the maximal intervals during
-// which it holds in at least MinFreq of the active granules, with both
-// endpoints holding.
-func MineValidPeriods(tbl *tdb.TxTable, cfg Config, pcfg PeriodConfig) ([]PeriodRule, error) {
-	return MineValidPeriodsContext(context.Background(), tbl, cfg, pcfg)
-}
-
-// MineValidPeriodsContext is MineValidPeriods under a context.
-func MineValidPeriodsContext(ctx context.Context, tbl *tdb.TxTable, cfg Config, pcfg PeriodConfig) ([]PeriodRule, error) {
-	h, err := BuildHoldTableContext(ctx, tbl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return MineValidPeriodsFromTableContext(ctx, h, pcfg)
-}
-
-// MineValidPeriodsFromTable is MineValidPeriods over a prebuilt
-// HoldTable, letting callers share the counting pass across tasks.
-func MineValidPeriodsFromTable(h *HoldTable, pcfg PeriodConfig) ([]PeriodRule, error) {
-	return MineValidPeriodsFromTableContext(context.Background(), h, pcfg)
-}
-
-// MineValidPeriodsFromTableContext is MineValidPeriodsFromTable under
-// a context; cancellation is sampled every few hundred candidates.
+// MineValidPeriodsFromTableContext runs Task I over a built hold table:
+// for every rule above the per-granule thresholds somewhere, report the
+// maximal intervals during which it holds in at least MinFreq of the
+// active granules, with both endpoints holding. Cancellation is sampled
+// every few hundred candidates.
 func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg PeriodConfig) ([]PeriodRule, error) {
 	pcfg, err := pcfg.normalise()
 	if err != nil {
 		return nil, err
 	}
-	if tr := h.Cfg.tracer(); tr.Enabled() {
-		tr.StartTask(obs.TaskSpan(obs.TaskPeriods))
-		defer tr.EndTask()
-	}
-	var out []PeriodRule
-	err = ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
-		hold, ok := h.Holds(rc)
-		if !ok {
-			return
-		}
+	return emitRules(ctx, h, obs.TaskPeriods, periodLess, func(out []PeriodRule, rc RuleCandidate, hold []bool) []PeriodRule {
 		for _, iv := range maximalDenseIntervals(hold, h.Active, h.Cfg.MinFreq, pcfg.MinLen) {
 			abs := timegran.Interval{Lo: h.Span.Lo + int64(iv.Lo), Hi: h.Span.Lo + int64(iv.Hi)}
-			keep := func(gi int) bool { return gi >= int(iv.Lo) && gi <= int(iv.Hi) }
-			rule, ok := h.AggStats(rc, keep)
-			if !ok {
-				continue
-			}
-			nAct, nHold := 0, 0
-			for gi := int(iv.Lo); gi <= int(iv.Hi); gi++ {
-				if h.Active[gi] {
-					nAct++
-					if hold[gi] {
-						nHold++
-					}
-				}
-			}
 			window, werr := timegran.NewWindow(
 				timegran.Start(abs.Lo, h.Cfg.Granularity),
 				timegran.Start(abs.Hi+1, h.Cfg.Granularity),
@@ -99,29 +54,13 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 			if werr != nil {
 				continue // cannot happen: Lo ≤ Hi
 			}
-			out = append(out, PeriodRule{
-				TemporalRule: TemporalRule{
-					Rule:            rule,
-					Feature:         window,
-					Granularity:     h.Cfg.Granularity,
-					Freq:            float64(nHold) / float64(nAct),
-					HoldGranules:    nHold,
-					FeatureGranules: nAct,
-				},
-				Interval: abs,
-			})
+			inPeriod := func(gi int) bool { return gi >= iv.Lo && gi <= iv.Hi }
+			if tr, ok := h.featureRule(rc, hold, window, inPeriod); ok {
+				out = append(out, PeriodRule{TemporalRule: tr, Interval: abs})
+			}
 		}
+		return out
 	})
-	if err != nil {
-		return nil, err
-	}
-	sortPeriodRules(out)
-	h.Cfg.tracer().Counter(obs.MetricRulesEmitted, int64(len(out)))
-	return out, nil
-}
-
-func sortPeriodRules(rules []PeriodRule) {
-	sort.Slice(rules, func(i, j int) bool { return periodLess(rules[i], rules[j]) })
 }
 
 func periodLess(a, b PeriodRule) bool {

@@ -26,7 +26,7 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%v/workers=%d", backend, workers)
 			collect := obs.NewCollectTracer()
-			h, err := BuildHoldTable(tbl, Config{
+			h, err := BuildHoldTableContext(bg, tbl, Config{
 				Granularity:   timegran.Day,
 				MinSupport:    0.05,
 				MinConfidence: 0.5,
@@ -40,7 +40,7 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			// Drive one task so the task span and rule counter appear.
-			rules, err := MineValidPeriodsFromTable(h, PeriodConfig{})
+			rules, err := MineValidPeriodsFromTableContext(bg, h, PeriodConfig{})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

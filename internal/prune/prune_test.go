@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -167,7 +168,7 @@ func TestFilterEndToEnd(t *testing.T) {
 		}
 		txs = append(txs, itemset.New(items...))
 	}
-	_, rules, err := apriori.MineRules(txs,
+	_, rules, err := apriori.MineRulesContext(context.Background(), txs,
 		apriori.Config{MinSupport: 0.05},
 		apriori.RuleConfig{MinConfidence: 0.3})
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 // time segments, one checksummed file per segment plus a manifest.
 // Appending new data and saving again rewrites only the segments whose
 // contents changed — on an append-mostly table that is the final
-// segment — pairing with core.(*HoldTable).Extend for an end-to-end
-// incremental pipeline.
+// segment — pairing with core.(*HoldTable).ExtendContext for an
+// end-to-end incremental pipeline.
 //
 // Layout of a segment directory:
 //

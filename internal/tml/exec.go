@@ -76,11 +76,6 @@ func (e *Executor) ExecContext(ctx context.Context, input string) (*minisql.Resu
 	return e.ExecStmtContext(ctx, stmt)
 }
 
-// ExecStmt runs a parsed MINE statement.
-func (e *Executor) ExecStmt(stmt *MineStmt) (*minisql.Result, error) {
-	return e.ExecStmtContext(context.Background(), stmt)
-}
-
 // ExecStmtContext runs a parsed MINE statement under a context. The
 // context reaches every layer — the hold-table build (including the
 // parallel sharded and bitmap paths), cache singleflight waits and the

@@ -105,7 +105,7 @@ func TestLimitZero(t *testing.T) {
 	}
 	db := fixtureDB(t)
 	ex := NewExecutor(db)
-	res, err := ex.ExecStmt(stmt)
+	res, err := ex.ExecStmtContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLimitZero(t *testing.T) {
 }
 
 // TestLimitNegativeClamps: a hand-built statement with a negative
-// non-sentinel limit (the parser rejects these, but ExecStmt accepts
+// non-sentinel limit (the parser rejects these, but ExecStmtContext accepts
 // arbitrary MineStmt values) clamps to zero instead of panicking.
 func TestLimitNegativeClamps(t *testing.T) {
 	stmt, err := Parse(`MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7`)
@@ -128,7 +128,7 @@ func TestLimitNegativeClamps(t *testing.T) {
 	stmt.Limit = -5
 	db := fixtureDB(t)
 	ex := NewExecutor(db)
-	res, err := ex.ExecStmt(stmt)
+	res, err := ex.ExecStmtContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

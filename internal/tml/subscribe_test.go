@@ -322,7 +322,7 @@ func runStandingOracle(t *testing.T, be apriori.Backend) {
 		cold.Backend = be
 		coldStmt := *stmt
 		coldStmt.Subscribe = false
-		res, err := cold.ExecStmt(&coldStmt)
+		res, err := cold.ExecStmtContext(context.Background(), &coldStmt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestStandingOracleAcrossStatements(t *testing.T) {
 			cold := NewExecutor(db)
 			coldStmt := *s.stmt
 			coldStmt.Subscribe = false
-			res, err := cold.ExecStmt(&coldStmt)
+			res, err := cold.ExecStmtContext(context.Background(), &coldStmt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,8 +7,15 @@
 //
 //   - the temporal database (DB, TxTable) and its SQL engine,
 //   - the calendar algebra (granularities, patterns, ParsePattern),
-//   - the three temporal mining tasks (MineValidPeriods, MineCycles and
-//     MineCalendarPeriodicities, MineDuring),
+//   - the three temporal mining tasks and the rule-history lookup, each
+//     spelled twice and only twice: the operator over a built HoldTable
+//     under a context (BuildHoldTableContext, then
+//     MineValidPeriodsFromTableContext, MineCyclesFromTableContext,
+//     MineCalendarPeriodicitiesFromTableContext,
+//     MineDuringFromTableContext, RuleHistoryFromTableContext — several
+//     tasks then share one counting pass), and a one-call form that
+//     builds and runs under context.Background() (MineValidPeriods,
+//     MineCycles, MineCalendarPeriodicities, MineDuring, RuleHistory),
 //   - the traditional Apriori baseline (MineTraditional),
 //   - the TML language and the IQMS session (NewSession), and
 //   - the synthetic workload generator used by the experiments.
@@ -164,9 +171,9 @@ type (
 	// CycleConfig tunes Task II.
 	CycleConfig = core.CycleConfig
 	// HoldTable is the shared per-granule counting substrate; build it
-	// once with BuildHoldTable to run several tasks over one pass, and
-	// refresh it incrementally with its Extend method as new
-	// transactions arrive.
+	// once with BuildHoldTableContext to run several tasks over one
+	// pass, and refresh it incrementally with its MaintainContext or
+	// ExtendContext method as new transactions arrive.
 	HoldTable = core.HoldTable
 	// HoldCache is a memory-bounded LRU cache of HoldTables that serves
 	// statements at equal-or-higher support from memory by
@@ -182,112 +189,124 @@ const DefaultCacheBytes = core.DefaultCacheBytes
 
 // NewHoldCache returns a hold-table cache bounded to roughly maxBytes
 // (maxBytes ≤ 0 returns nil, which disables caching: a nil *HoldCache
-// builds directly on every Get).
+// builds directly on every GetContext).
 func NewHoldCache(maxBytes int64) *HoldCache { return core.NewHoldCache(maxBytes) }
 
-// BuildHoldTable runs the shared counting pass; the *FromTable mining
-// variants in internal/core run any task over it without rescanning.
-func BuildHoldTable(tbl *TxTable, cfg Config) (*HoldTable, error) {
-	return core.BuildHoldTable(tbl, cfg)
-}
-
-// BuildHoldTableContext is BuildHoldTable under a context: the build
-// observes cancellation at granule-block and pass boundaries, so a
-// cancelled caller gets ctx.Err() promptly without per-transaction
-// overhead. Every miner below has the same Context form.
+// BuildHoldTableContext runs the shared counting pass; the
+// *FromTableContext operators below run any task over the result without
+// rescanning. The build observes cancellation at granule-block and pass
+// boundaries, so a cancelled caller gets ctx.Err() promptly without
+// per-transaction overhead.
 func BuildHoldTableContext(ctx context.Context, tbl *TxTable, cfg Config) (*HoldTable, error) {
 	return core.BuildHoldTableContext(ctx, tbl, cfg)
 }
 
-// MineValidPeriodsFromTable is Task I over a prebuilt HoldTable.
-func MineValidPeriodsFromTable(h *HoldTable, pcfg PeriodConfig) ([]PeriodRule, error) {
-	return core.MineValidPeriodsFromTable(h, pcfg)
-}
+// The five task operators: each runs one task over a built HoldTable
+// under a context. Build once, run several — the tasks then share one
+// counting pass.
 
-// MineValidPeriodsFromTableContext is the cancellable form.
+// MineValidPeriodsFromTableContext is Task I: rules with their maximal
+// valid periods.
 func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg PeriodConfig) ([]PeriodRule, error) {
 	return core.MineValidPeriodsFromTableContext(ctx, h, pcfg)
 }
 
-// MineCyclesFromTable is Task II (cycles) over a prebuilt HoldTable.
-func MineCyclesFromTable(h *HoldTable, ccfg CycleConfig) ([]CyclicRule, error) {
-	return core.MineCyclesFromTable(h, ccfg)
-}
-
-// MineCyclesFromTableContext is the cancellable form.
+// MineCyclesFromTableContext is the arithmetic half of Task II: rules
+// with the cycles they obey.
 func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleConfig) ([]CyclicRule, error) {
 	return core.MineCyclesFromTableContext(ctx, h, ccfg)
 }
 
-// MineDuringFromTable is Task III over a prebuilt HoldTable.
-func MineDuringFromTable(h *HoldTable, feature Pattern) ([]TemporalRule, error) {
-	return core.MineDuringFromTable(h, feature)
+// MineCalendarPeriodicitiesFromTableContext is the calendar half of
+// Task II: rules with calendar-class features such as
+// "weekday in (6..7)".
+func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleConfig) ([]CalendarRule, error) {
+	return core.MineCalendarPeriodicitiesFromTableContext(ctx, h, ccfg)
 }
 
-// MineDuringFromTableContext is the cancellable form.
+// MineDuringFromTableContext is Task III: rules that hold during the
+// given temporal feature.
 func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature Pattern) ([]TemporalRule, error) {
 	return core.MineDuringFromTableContext(ctx, h, feature)
 }
 
-// MineValidPeriods runs Task I: rules with their maximal valid periods.
+// RuleHistoryFromTableContext returns the per-granule
+// support/confidence series of one rule — the result-analysis companion
+// to the discovery tasks. The table must count at least
+// len(ante ∪ cons)-itemsets (MaxK 0 or ≥ it).
+func RuleHistoryFromTableContext(ctx context.Context, h *HoldTable, ante, cons Itemset) ([]GranuleStat, error) {
+	return core.RuleHistoryFromTableContext(ctx, h, ante, cons)
+}
+
+// oneCall is the one-call sugar: a cold build of tbl's hold table under
+// context.Background() followed by one operator over it.
+func oneCall[P, R any](tbl *TxTable, cfg Config, op func(context.Context, *HoldTable, P) (R, error), param P) (R, error) {
+	ctx := context.Background()
+	h, err := core.BuildHoldTableContext(ctx, tbl, cfg)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return op(ctx, h, param)
+}
+
+// MineValidPeriods is the one-call Task I: build, then
+// MineValidPeriodsFromTableContext.
 func MineValidPeriods(tbl *TxTable, cfg Config, pcfg PeriodConfig) ([]PeriodRule, error) {
-	return core.MineValidPeriods(tbl, cfg, pcfg)
+	return oneCall(tbl, cfg, core.MineValidPeriodsFromTableContext, pcfg)
 }
 
-// MineValidPeriodsContext is the cancellable form.
-func MineValidPeriodsContext(ctx context.Context, tbl *TxTable, cfg Config, pcfg PeriodConfig) ([]PeriodRule, error) {
-	return core.MineValidPeriodsContext(ctx, tbl, cfg, pcfg)
-}
-
-// MineCycles runs the arithmetic half of Task II: rules with the cycles
-// they obey.
+// MineCycles is the one-call Task II (cycles): build, then
+// MineCyclesFromTableContext.
 func MineCycles(tbl *TxTable, cfg Config, ccfg CycleConfig) ([]CyclicRule, error) {
-	return core.MineCycles(tbl, cfg, ccfg)
+	return oneCall(tbl, cfg, core.MineCyclesFromTableContext, ccfg)
 }
 
-// MineCyclesContext is the cancellable form.
-func MineCyclesContext(ctx context.Context, tbl *TxTable, cfg Config, ccfg CycleConfig) ([]CyclicRule, error) {
-	return core.MineCyclesContext(ctx, tbl, cfg, ccfg)
-}
-
-// MineCalendarPeriodicities runs the calendar half of Task II: rules
-// with calendar-class features such as "weekday in (6..7)".
+// MineCalendarPeriodicities is the one-call Task II (calendars): build,
+// then MineCalendarPeriodicitiesFromTableContext.
 func MineCalendarPeriodicities(tbl *TxTable, cfg Config, ccfg CycleConfig) ([]CalendarRule, error) {
-	return core.MineCalendarPeriodicities(tbl, cfg, ccfg)
+	return oneCall(tbl, cfg, core.MineCalendarPeriodicitiesFromTableContext, ccfg)
 }
 
-// MineCalendarPeriodicitiesContext is the cancellable form.
-func MineCalendarPeriodicitiesContext(ctx context.Context, tbl *TxTable, cfg Config, ccfg CycleConfig) ([]CalendarRule, error) {
-	return core.MineCalendarPeriodicitiesContext(ctx, tbl, cfg, ccfg)
-}
-
-// MineDuring runs Task III: rules that hold during the given temporal
-// feature.
+// MineDuring is the one-call Task III: build, then
+// MineDuringFromTableContext. The hold table is counted over the whole
+// table; the feature restricts scoring, not counting.
 func MineDuring(tbl *TxTable, cfg Config, feature Pattern) ([]TemporalRule, error) {
-	return core.MineDuring(tbl, cfg, feature)
+	return oneCall(tbl, cfg, core.MineDuringFromTableContext, feature)
 }
 
-// MineDuringContext is the cancellable form.
-func MineDuringContext(ctx context.Context, tbl *TxTable, cfg Config, feature Pattern) ([]TemporalRule, error) {
-	return core.MineDuringContext(ctx, tbl, cfg, feature)
-}
-
-// MineDuringExpr is MineDuring with a textual feature expression.
+// MineDuringExpr is MineDuring with the feature in the textual
+// calendar-algebra syntax, e.g. "month in (jun..aug)".
 func MineDuringExpr(tbl *TxTable, cfg Config, expr string) ([]TemporalRule, error) {
-	return core.MineDuringExpr(tbl, cfg, expr)
+	feature, err := ParsePattern(expr)
+	if err != nil {
+		return nil, err
+	}
+	return MineDuring(tbl, cfg, feature)
+}
+
+// RuleHistory is the one-call history: it builds a hold table exactly
+// as deep as the rule needs (cfg.MaxK is overridden with |ante ∪ cons|:
+// deeper wastes work, shallower would never count the rule's own
+// itemset), then RuleHistoryFromTableContext.
+func RuleHistory(tbl *TxTable, cfg Config, ante, cons Itemset) ([]GranuleStat, error) {
+	cfg.MaxK = ante.Union(cons).Len()
+	ctx := context.Background()
+	h, err := core.BuildHoldTableContext(ctx, tbl, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return core.RuleHistoryFromTableContext(ctx, h, ante, cons)
 }
 
 // MineTraditional is the time-agnostic Apriori baseline over the whole
-// table.
+// table, on the default backend, worker and tracer settings.
 func MineTraditional(tbl *TxTable, minSupport, minConfidence float64, maxK int) ([]Rule, error) {
-	return core.MineTraditional(tbl, minSupport, minConfidence, maxK)
+	return core.MineTraditionalContext(context.Background(), tbl, minSupport, minConfidence, maxK, BackendAuto, 0, nil)
 }
 
-// MineTraditionalContext is the cancellable form; it passes the default
-// backend, worker and tracer settings.
-func MineTraditionalContext(ctx context.Context, tbl *TxTable, minSupport, minConfidence float64, maxK int) ([]Rule, error) {
-	return core.MineTraditionalContext(ctx, tbl, minSupport, minConfidence, maxK, BackendAuto, 0, nil)
-}
+// GranuleStat is one granule of a rule's support history.
+type GranuleStat = core.GranuleStat
 
 // Rule post-processing (result analysis).
 type (
@@ -305,20 +324,6 @@ func PruneRules(rules []Rule, opt PruneOptions) ([]Rule, PruneStats, error) {
 
 // SortRulesByLift orders rules by descending lift for presentation.
 var SortRulesByLift = prune.SortByLift
-
-// GranuleStat is one granule of a rule's support history.
-type GranuleStat = core.GranuleStat
-
-// RuleHistory returns the per-granule support/confidence series of one
-// rule — the result-analysis companion to the discovery tasks.
-func RuleHistory(tbl *TxTable, cfg Config, ante, cons Itemset) ([]GranuleStat, error) {
-	return core.RuleHistory(tbl, cfg, ante, cons)
-}
-
-// RuleHistoryContext is the cancellable form.
-func RuleHistoryContext(ctx context.Context, tbl *TxTable, cfg Config, ante, cons Itemset) ([]GranuleStat, error) {
-	return core.RuleHistoryContext(ctx, tbl, cfg, ante, cons)
-}
 
 // IQMS: the integrated query-and-mining session.
 type (

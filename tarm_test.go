@@ -1,7 +1,9 @@
 package tarm
 
 import (
+	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -141,4 +143,96 @@ func TestFacadeHelpers(t *testing.T) {
 	if mem.Dict() == nil {
 		t.Error("NewMemDB has no dict")
 	}
+}
+
+// TestOneCallEqualsOperator pins the facade's two spellings of a task
+// to each other: the one-call sugar must return exactly what the
+// operator returns over a shared hold table, for all five tasks.
+func TestOneCallEqualsOperator(t *testing.T) {
+	// 28 days × 10 tx: {bread}⇒{milk} daily, {bbq}⇒{charcoal} in the
+	// second week only, {choc}⇒{wine} on weekends.
+	db := NewMemDB()
+	tbl, err := db.CreateTxTable("fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2024, 1, 1, 12, 0, 0, 0, time.UTC) // a Monday
+	for d := 0; d < 28; d++ {
+		for i := 0; i < 10; i++ {
+			names := []string{"bread"}
+			if i < 8 {
+				names = append(names, "milk")
+			}
+			if d >= 7 && d <= 13 {
+				names = append(names, "bbq", "charcoal")
+			}
+			if d%7 >= 5 && i < 9 {
+				names = append(names, "choc", "wine")
+			}
+			tbl.Append(start.AddDate(0, 0, d).Add(time.Duration(i)*time.Minute), db.Dict().InternAll(names...))
+		}
+	}
+	cfg := Config{Granularity: Day, MinSupport: 0.5, MinConfidence: 0.7, MinFreq: 1}
+	ctx := context.Background()
+	shared, err := BuildHoldTableContext(ctx, tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(task string, oneCall any, err1 error, operator any, err2 error) {
+		t.Helper()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: one-call err %v, operator err %v", task, err1, err2)
+		}
+		if reflect.ValueOf(oneCall).Len() == 0 {
+			t.Errorf("%s: fixture yields no result; the comparison is vacuous", task)
+		}
+		if !reflect.DeepEqual(oneCall, operator) {
+			t.Errorf("%s: one-call and operator disagree:\n%v\n%v", task, oneCall, operator)
+		}
+	}
+
+	pcfg := PeriodConfig{MinLen: 2}
+	p1, err1 := MineValidPeriods(tbl, cfg, pcfg)
+	p2, err2 := MineValidPeriodsFromTableContext(ctx, shared, pcfg)
+	same("periods", p1, err1, p2, err2)
+
+	ccfg := CycleConfig{MaxLen: 10, MinReps: 2}
+	c1, err1 := MineCycles(tbl, cfg, ccfg)
+	c2, err2 := MineCyclesFromTableContext(ctx, shared, ccfg)
+	same("cycles", c1, err1, c2, err2)
+
+	cal1, err1 := MineCalendarPeriodicities(tbl, cfg, ccfg)
+	cal2, err2 := MineCalendarPeriodicitiesFromTableContext(ctx, shared, ccfg)
+	same("calendars", cal1, err1, cal2, err2)
+
+	weekend, err := ParsePattern("weekday in (sat, sun)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, err1 := MineDuring(tbl, cfg, weekend)
+	d2, err2 := MineDuringFromTableContext(ctx, shared, weekend)
+	same("during", d1, err1, d2, err2)
+	d3, err1 := MineDuringExpr(tbl, cfg, "weekday in (sat, sun)")
+	same("during-expr", d3, err1, d2, err2)
+	if _, err := MineDuringExpr(tbl, cfg, "weekday in (bogus)"); err == nil {
+		t.Error("MineDuringExpr accepted an unparsable feature")
+	}
+
+	ante, cons := db.Dict().InternAll("bbq"), db.Dict().InternAll("charcoal")
+	h1, err1 := RuleHistory(tbl, cfg, ante, cons)
+	h2, err2 := RuleHistoryFromTableContext(ctx, shared, ante, cons)
+	same("history", h1, err1, h2, err2)
+
+	// The one-call history counts exactly as deep as the rule needs,
+	// whatever MaxK says; the operator answers from the table it is given.
+	cfg.MaxK = 1
+	shallow, err := BuildHoldTableContext(ctx, tbl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RuleHistoryFromTableContext(ctx, shallow, ante, cons); err == nil || !strings.Contains(err.Error(), "counts only 1-itemsets") {
+		t.Errorf("operator over a MaxK=1 table: err = %v, want the depth error", err)
+	}
+	h3, err1 := RuleHistory(tbl, cfg, ante, cons)
+	same("history at MaxK=1", h3, err1, h2, err2)
 }
