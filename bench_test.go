@@ -265,7 +265,7 @@ func BenchmarkHashTreeVsNaive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands := apriori.GenerateCandidates(f.ByK[1])
+	cands, _, _ := apriori.GenerateCandidatesCounted(f.ByK[1])
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
 	}
@@ -493,7 +493,7 @@ func BenchmarkHashTreeParams(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands := apriori.GenerateCandidates(f.ByK[1])
+	cands, _, _ := apriori.GenerateCandidatesCounted(f.ByK[1])
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
 	}

@@ -29,19 +29,36 @@ import (
 	"github.com/tarm-project/tarm/internal/tml"
 )
 
+// options is tarmine's command line.
+type options struct {
+	mf         clihelp.MiningFlags
+	dbDir      string
+	stmt       string
+	experiment string
+	statsPath  string
+	progress   bool
+	trace      bool
+}
+
+// registerFlags declares every flag tarmine accepts on fs.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.dbDir, "db", "", "database directory")
+	fs.StringVar(&o.stmt, "e", "", "statement to execute (TML or SQL)")
+	fs.StringVar(&o.experiment, "experiment", "", "experiment id (e1..e11, e13, e14) or 'all'")
+	fs.StringVar(&o.statsPath, "stats", "", "write mining telemetry JSON to this file ('-' = stdout; the result table then goes to stderr)")
+	fs.BoolVar(&o.progress, "progress", false, "render per-pass mining progress to stderr")
+	fs.BoolVar(&o.trace, "trace", false, "render the statement's span tree to stderr after the run")
+	o.mf.RegisterMining(fs)
+	o.mf.RegisterTimeout(fs)
+	o.mf.RegisterDurability(fs)
+	return o
+}
+
 func main() {
-	var mf clihelp.MiningFlags
-	dbDir := flag.String("db", "", "database directory")
-	stmt := flag.String("e", "", "statement to execute (TML or SQL)")
-	experiment := flag.String("experiment", "", "experiment id (e1..e17) or 'all'")
-	jsonPath := flag.String("json", "", "with -experiment: also write the result tables as JSON to this file ('-' = stdout)")
-	statsPath := flag.String("stats", "", "write mining telemetry JSON to this file ('-' = stdout; the result table then goes to stderr)")
-	progress := flag.Bool("progress", false, "render per-pass mining progress to stderr")
-	traceFlag := flag.Bool("trace", false, "render the statement's span tree to stderr after the run")
-	mf.RegisterMining(flag.CommandLine)
-	mf.RegisterTimeout(flag.CommandLine)
-	mf.RegisterDurability(flag.CommandLine)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
+	mf := &o.mf
 
 	backend, err := mf.Backend()
 	if err != nil {
@@ -50,44 +67,44 @@ func main() {
 	}
 	bench.Backend = backend
 	bench.Workers = mf.Workers
-	if *progress {
+	if o.progress {
 		bench.Tracer = obs.NewProgressTracer(os.Stderr)
 	}
 
 	switch {
-	case *experiment != "":
-		if err := runExperiments(*experiment, *jsonPath); err != nil {
+	case o.experiment != "":
+		if err := runExperiments(o.experiment); err != nil {
 			fmt.Fprintln(os.Stderr, "tarmine:", err)
 			os.Exit(1)
 		}
-	case *stmt != "":
-		if *dbDir == "" {
+	case o.stmt != "":
+		if o.dbDir == "" {
 			fmt.Fprintln(os.Stderr, "tarmine: -e needs -db")
 			os.Exit(2)
 		}
 		var tracers []obs.Tracer
 		var collect *obs.CollectTracer
-		if *statsPath != "" {
+		if o.statsPath != "" {
 			collect = obs.NewCollectTracer()
 			tracers = append(tracers, collect)
 		}
-		if *progress {
+		if o.progress {
 			tracers = append(tracers, obs.NewProgressTracer(os.Stderr))
 		}
 		// With -stats - the JSON owns stdout; the result table moves to
 		// stderr so both streams stay machine-readable.
 		out := io.Writer(os.Stdout)
-		if *statsPath == "-" {
+		if o.statsPath == "-" {
 			out = os.Stderr
 		}
 		ctx, cancel := mf.StatementContext(context.Background())
 		defer cancel()
 		var trace *obs.Trace
-		if *traceFlag {
+		if o.trace {
 			trace = obs.NewTrace("")
 			ctx = obs.ContextWithTrace(ctx, trace)
 		}
-		if err := execStatement(ctx, &mf, *dbDir, *stmt, backend, out, obs.Multi(tracers...)); err != nil {
+		if err := execStatement(ctx, mf, o.dbDir, o.stmt, backend, out, obs.Multi(tracers...)); err != nil {
 			fmt.Fprintln(os.Stderr, "tarmine:", err)
 			os.Exit(1)
 		}
@@ -95,7 +112,7 @@ func main() {
 			trace.WriteText(os.Stderr)
 		}
 		if collect != nil {
-			if err := writeStats(*statsPath, *stmt, collect.Stats()); err != nil {
+			if err := writeStats(o.statsPath, o.stmt, collect.Stats()); err != nil {
 				fmt.Fprintln(os.Stderr, "tarmine:", err)
 				os.Exit(1)
 			}
@@ -148,38 +165,19 @@ func writeStats(path, stmt string, st *obs.MineStats) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
-// runExperiments executes the selected experiments, rendering each
-// table to stdout; with jsonPath set it also writes the tables as a
-// JSON array so CI can archive machine-readable results.
-func runExperiments(id, jsonPath string) error {
-	ids := []string{id}
-	if id == "all" {
-		ids = bench.ExperimentIDs()
-	}
-	var tables []bench.Table
-	for _, eid := range ids {
-		run, ok := bench.Experiments[eid]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (have %v)", eid, bench.ExperimentIDs())
-		}
-		table, err := run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", eid, err)
-		}
-		fmt.Println(table.String())
-		tables = append(tables, table)
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(tables, "", "  ")
+// runExperiments executes the selected experiments in run order,
+// rendering each table to stdout.
+func runExperiments(id string) error {
+	exps, err := bench.Select(id)
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	if jsonPath == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
+	for _, e := range exps {
+		table, err := e.Run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		fmt.Println(table.String())
 	}
-	return os.WriteFile(jsonPath, buf, 0o644)
+	return nil
 }

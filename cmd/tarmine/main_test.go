@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,8 +110,33 @@ func TestStatsDump(t *testing.T) {
 }
 
 func TestRunExperimentsUnknown(t *testing.T) {
-	if err := runExperiments("nope", ""); err == nil {
+	if err := runExperiments("nope"); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+	// A retired id is unknown like any other, and the error lists the
+	// 13 that remain.
+	err := runExperiments("e12")
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "e12"`) ||
+		!strings.Contains(err.Error(), "[e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e13 e14]") {
+		t.Errorf("-experiment e12: %v", err)
+	}
+}
+
+// TestFlagSurface pins the command line: -json went with the CI
+// artifacts it fed, so it must fail the parse like any unknown flag.
+func TestFlagSurface(t *testing.T) {
+	parse := func(args ...string) error {
+		fs := flag.NewFlagSet("tarmine", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs)
+		return fs.Parse(args)
+	}
+	if err := parse("-experiment", "e14", "-backend", "bitmap", "-workers", "2"); err != nil {
+		t.Errorf("experiment flags rejected: %v", err)
+	}
+	err := parse("-experiment", "e14", "-json", "out.json")
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -json") {
+		t.Errorf("-json: %v, want an unknown-flag error", err)
 	}
 }
 

@@ -245,7 +245,7 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 			tr.StartPass(k)
 			t0 = time.Now()
 		}
-		cands, nGen, nPruned := generateCandidates(prev)
+		cands, nGen, nPruned := GenerateCandidatesCounted(prev)
 		if len(cands) == 0 {
 			if trace {
 				tr.EndPass(obs.PassStats{
@@ -289,27 +289,13 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 	return res, nil
 }
 
-// GenerateCandidates produces the (k+1)-candidates from the sorted
-// frequent k-level: prefix join followed by the Apriori prune (every
-// k-subset of a candidate must itself be frequent). The input must be
-// in canonical order, as produced by Mine.
-func GenerateCandidates(level []ItemsetCount) []itemset.Set {
-	out, _, _ := generateCandidates(level)
-	return out
-}
-
-// GenerateCandidatesCounted is GenerateCandidates with pass telemetry:
-// it also reports how many candidates the join produced (generated) and
-// how many the subset prune removed (pruned); len(out) equals
-// generated-pruned. The hold-table build uses it for its pass stats.
+// GenerateCandidatesCounted produces the (k+1)-candidates from the
+// sorted frequent k-level: prefix join followed by the Apriori prune
+// (every k-subset of a candidate must itself be frequent). The input
+// must be in canonical order, as produced by Mine. It also reports how
+// many candidates the join produced (generated) and how many the subset
+// prune removed (pruned); len(out) == generated-pruned.
 func GenerateCandidatesCounted(level []ItemsetCount) (out []itemset.Set, generated, pruned int) {
-	return generateCandidates(level)
-}
-
-// generateCandidates is GenerateCandidates with pass telemetry: it also
-// reports how many candidates the join produced (generated) and how
-// many the subset prune removed (pruned); len(out) == generated-pruned.
-func generateCandidates(level []ItemsetCount) (out []itemset.Set, generated, pruned int) {
 	if len(level) < 2 {
 		return nil, 0, 0
 	}

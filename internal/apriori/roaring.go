@@ -257,9 +257,6 @@ func nextClear(words []uint64, pos int) int {
 	return containerBits
 }
 
-// Card returns the number of TIDs in the bitmap.
-func (r *Roaring) Card() int { return r.card }
-
 // RangeCount counts the set bits in TID positions [lo, hi). The
 // temporal miners use it to slice one intersection into per-granule
 // counts, exactly like PopcountRange on flat bitmaps.
@@ -896,10 +893,6 @@ func NewRoaringIndex(src Source, keep *itemset.Ranks) *RoaringIndex {
 
 // N returns the number of transactions indexed.
 func (ix *RoaringIndex) N() int { return ix.n }
-
-// ItemBits returns x's compressed bitmap, or a shared empty bitmap when
-// x never occurred (or was filtered at ingest).
-func (ix *RoaringIndex) ItemBits(x itemset.Item) *Roaring { return ix.itemBits(x) }
 
 func (ix *RoaringIndex) itemBits(x itemset.Item) *Roaring {
 	if ri := ix.ranks.Rank(x); ri >= 0 && ix.bits[ri] != nil {

@@ -209,8 +209,8 @@ func TestRoaringBuilder(t *testing.T) {
 		r.add(tid)
 	}
 	r.finalize()
-	if r.Card() != len(tids) {
-		t.Fatalf("Card=%d want %d", r.Card(), len(tids))
+	if r.card != len(tids) {
+		t.Fatalf("card=%d want %d", r.card, len(tids))
 	}
 	if got := r.cs[0].kind; got != kindRuns {
 		t.Errorf("container 0 kind %v, want runs", got)
@@ -232,8 +232,8 @@ func TestRoaringBuilder(t *testing.T) {
 	}
 	_ = prev
 	r2.finalize()
-	if r2.Card() != count {
-		t.Fatalf("dense Card=%d want %d", r2.Card(), count)
+	if r2.card != count {
+		t.Fatalf("dense card=%d want %d", r2.card, count)
 	}
 	if got := r2.cs[0].kind; got != kindWords {
 		t.Errorf("dense container kind %v, want words", got)
@@ -347,7 +347,7 @@ func TestRoaringIndexLargeUniverse(t *testing.T) {
 	checkSeam(t, "large/whole", src, pairs, []rowRange{{0, n}}, nil)
 	checkSeam(t, "large/sliced", src, pairs, []rowRange{{0, 40000}, {40000, containerBits}, {containerBits, containerBits + 9}, {containerBits + 500, n}}, nil)
 	for _, x := range []int{0, 3, 5} {
-		r := rix.ItemBits(itemset.Item(x))
+		r := rix.itemBits(itemset.Item(x))
 		w := bix.itemBits(itemset.Item(x))
 		for trial := 0; trial < 40; trial++ {
 			lo := rng.Intn(n)
@@ -505,7 +505,7 @@ func TestIndexNotPinnedByScratch(t *testing.T) {
 			// On a bitmap, not the index: the index reaches it, so this
 			// covers both, and finalizers run in dependency order — with
 			// one on each, a single collection would queue the index's only.
-			runtime.SetFinalizer(ix.ItemBits(3), func(*Roaring) { close(freed) })
+			runtime.SetFinalizer(ix.itemBits(3), func(*Roaring) { close(freed) })
 		})
 	})
 }

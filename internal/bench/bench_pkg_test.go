@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,7 +25,7 @@ func TestStandardDataset(t *testing.T) {
 		t.Fatalf("ground truth = %d rules", len(truth))
 	}
 	for _, g := range truth {
-		ante, cons := g.TruthRule()
+		ante, cons := g.Items[:1], g.Items[1:]
 		if !g.MatchesRule(ante, cons) || !g.MatchesRule(cons, ante) {
 			t.Errorf("MatchesRule fails on its own truth %s", g.Name)
 		}
@@ -158,13 +160,35 @@ func TestE2E3E4SmokeSmall(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 17 {
-		t.Fatalf("ids = %v", ids)
+	want := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14"}
+	ids := func(exps []Experiment) []string {
+		var out []string
+		for _, e := range exps {
+			if e.Run == nil {
+				t.Errorf("experiment %s has no runner", e.ID)
+			}
+			out = append(out, e.ID)
+		}
+		return out
 	}
-	for _, id := range ids {
-		if Experiments[id] == nil {
-			t.Errorf("experiment %s missing from registry", id)
+	if got := ids(Experiments); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry = %v, want %v", got, want)
+	}
+	all, err := Select("all")
+	if err != nil || !reflect.DeepEqual(ids(all), want) {
+		t.Errorf("Select(all) = %v, %v; want exactly the registry in run order", ids(all), err)
+	}
+	for _, id := range want {
+		one, err := Select(id)
+		if err != nil || len(one) != 1 || one[0].ID != id {
+			t.Errorf("Select(%s) = %v, %v", id, ids(one), err)
+		}
+	}
+	// The retired ids are unknown, and the error lists what is left.
+	for _, id := range []string{"e12", "e15", "e16", "e17", "E1", ""} {
+		_, err := Select(id)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(want)) {
+			t.Errorf("Select(%q) error = %v, want unknown-experiment listing %v", id, err, want)
 		}
 	}
 }

@@ -107,10 +107,6 @@ func StandardDataset(c StandardConfig) (*tdb.TxTable, []GroundTruth, error) {
 	return tbl, truth, nil
 }
 
-// TruthRule returns the conventional antecedent/consequent split of a
-// planted itemset.
-func (g GroundTruth) TruthRule() (ante, cons itemset.Set) { return gen.RuleAnteCons(g.Items) }
-
 // MatchesRule reports whether a mined (ante, cons) pair is the planted
 // rule in either direction (a planted pair {a,b} may surface as a⇒b or
 // b⇒a).

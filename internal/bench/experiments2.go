@@ -9,7 +9,6 @@ import (
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
-	"github.com/tarm-project/tarm/internal/tml"
 )
 
 // intervalDataset plants k interval rules with random spans for E5.
@@ -300,20 +299,10 @@ func E8CalendarSelectivity(sc StandardConfig) (Table, error) {
 // the IQMS session (parse + plan + mine + render), plus a SQL statement
 // for the query half of the loop.
 func E9TML(sc StandardConfig) (Table, error) {
-	txt, _, err := StandardDataset(sc)
+	session, err := newSession(sc)
 	if err != nil {
 		return Table{}, err
 	}
-	db := tdb.NewMemDB()
-	dst, err := db.CreateTxTable("baskets")
-	if err != nil {
-		return Table{}, err
-	}
-	txt.Each(func(tx tdb.Tx) bool {
-		dst.Append(tx.At, tx.Items)
-		return true
-	})
-	session := tml.NewSession(db)
 	stmts := []string{
 		`SELECT item, COUNT(*) AS n FROM baskets GROUP BY item ORDER BY n DESC LIMIT 5`,
 		`MINE RULES FROM baskets THRESHOLD SUPPORT 0.15 CONFIDENCE 0.6`,
@@ -394,29 +383,44 @@ func E10FrequencySweep(txPerDay int, seed int64) (Table, error) {
 	return t, nil
 }
 
-// Experiments lists every experiment with a default-parameter runner,
-// keyed by lowercase id. cmd/tarmine uses it.
-var Experiments = map[string]func() (Table, error){
-	"e1":  func() (Table, error) { return E1MissedRules(StandardConfig{}) },
-	"e2":  func() (Table, error) { return E2SupportSweep(StandardConfig{}, nil) },
-	"e3":  func() (Table, error) { return E3ScaleUp(nil, 1998) },
-	"e4":  func() (Table, error) { return E4TransactionSize(nil, 1998) },
-	"e5":  func() (Table, error) { return E5ValidPeriodRecovery(0, 1998) },
-	"e6":  func() (Table, error) { return E6CycleRecovery(0, 1998) },
-	"e7":  func() (Table, error) { return E7CycleAblation(0, 1998, nil) },
-	"e8":  func() (Table, error) { return E8CalendarSelectivity(StandardConfig{}) },
-	"e9":  func() (Table, error) { return E9TML(StandardConfig{TxPerDay: 50}) },
-	"e10": func() (Table, error) { return E10FrequencySweep(0, 1998) },
-	"e11": func() (Table, error) { return E11CountingBackends(1998) },
-	"e12": func() (Table, error) { return E12InteractiveReplay(StandardConfig{TxPerDay: 50}) },
-	"e13": func() (Table, error) { return E13ConcurrentSessions(StandardConfig{TxPerDay: 50}) },
-	"e14": func() (Table, error) { return E14DensitySweep(1998) },
-	"e15": func() (Table, error) { return E15AppendDelta(StandardConfig{TxPerDay: 50}) },
-	"e16": func() (Table, error) { return E16Durability(StandardConfig{}) },
-	"e17": func() (Table, error) { return E17ContinuousLatency(1998) },
+// Experiment is one registry entry: a lowercase id and its
+// default-parameter runner.
+type Experiment struct {
+	ID  string
+	Run func() (Table, error)
 }
 
-// ExperimentIDs returns the ids in run order.
-func ExperimentIDs() []string {
-	return []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17"}
+// Experiments is the suite in run order — the paper-style experiments
+// E1–E11, plus the multi-client (E13) and density (E14) tables that
+// benchmark/ has no workload for. cmd/tarmine walks it.
+var Experiments = []Experiment{
+	{"e1", func() (Table, error) { return E1MissedRules(StandardConfig{}) }},
+	{"e2", func() (Table, error) { return E2SupportSweep(StandardConfig{}, nil) }},
+	{"e3", func() (Table, error) { return E3ScaleUp(nil, 1998) }},
+	{"e4", func() (Table, error) { return E4TransactionSize(nil, 1998) }},
+	{"e5", func() (Table, error) { return E5ValidPeriodRecovery(0, 1998) }},
+	{"e6", func() (Table, error) { return E6CycleRecovery(0, 1998) }},
+	{"e7", func() (Table, error) { return E7CycleAblation(0, 1998, nil) }},
+	{"e8", func() (Table, error) { return E8CalendarSelectivity(StandardConfig{}) }},
+	{"e9", func() (Table, error) { return E9TML(StandardConfig{TxPerDay: 50}) }},
+	{"e10", func() (Table, error) { return E10FrequencySweep(0, 1998) }},
+	{"e11", func() (Table, error) { return E11CountingBackends(1998) }},
+	{"e13", func() (Table, error) { return E13ConcurrentSessions(StandardConfig{TxPerDay: 50}) }},
+	{"e14", func() (Table, error) { return E14DensitySweep(1998) }},
+}
+
+// Select resolves tarmine's -experiment argument: one id, or "all" for
+// the whole suite in run order.
+func Select(id string) ([]Experiment, error) {
+	if id == "all" {
+		return Experiments, nil
+	}
+	ids := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		if e.ID == id {
+			return Experiments[i : i+1], nil
+		}
+		ids[i] = e.ID
+	}
+	return nil, fmt.Errorf("unknown experiment %q (have %v)", id, ids)
 }

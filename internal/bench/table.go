@@ -1,9 +1,11 @@
-// Package bench is the experiment harness: it builds the synthetic
-// workloads, runs every experiment of EXPERIMENTS.md (E1–E10) and
-// renders the tables/series the paper-style evaluation reports. The
+// Package bench is the paper-experiment suite: it builds the synthetic
+// workloads, runs the experiments of EXPERIMENTS.md that reproduce the
+// paper's claims (E1–E10) plus the counting ablations (E11, E14) and
+// the multi-client table (E13), and renders each as a text table. The
 // root-level benchmarks and cmd/tarmine both drive this package, so
 // the numbers in documentation and the numbers a user reproduces come
-// from the same code.
+// from the same code. Cache, maintenance, durability and streaming
+// costs are measured by benchmark/ on the shipped binary, not here.
 package bench
 
 import (

@@ -404,8 +404,9 @@ func deltaWorthwhile(tbl *tdb.TxTable, g timegran.Granularity, dirty []timegran.
 
 // DisableDelta turns off delta maintenance for this cache: stale
 // entries are invalidated on lookup and rebuilt from scratch, the
-// pre-delta behaviour. Used by experiments comparing the two policies
-// and available as an operational escape hatch.
+// pre-delta behaviour. benchmark/'s reference executor runs under it,
+// so the answers it checks tarmd's delta path against are recounted
+// from scratch.
 func (c *HoldCache) DisableDelta() {
 	if c == nil {
 		return

@@ -51,13 +51,6 @@ func (h *HoldTable) countsOf(s itemset.Set) []int32 {
 	return h.counts[string(s.AppendKey(a[:0]))]
 }
 
-// FrequentAt reports whether s is frequent in the (active) granule at
-// offset gi.
-func (h *HoldTable) FrequentAt(s itemset.Set, gi int) bool {
-	v := h.countsOf(s)
-	return v != nil && h.Active[gi] && int(v[gi]) >= h.MinCounts[gi]
-}
-
 // TotalItemsets returns the number of granule-frequent itemsets.
 func (h *HoldTable) TotalItemsets() int {
 	n := 0

@@ -71,9 +71,6 @@ func (s Set) Valid() bool {
 // Len returns the number of items; a k-itemset has Len k.
 func (s Set) Len() int { return len(s) }
 
-// Empty reports whether the set has no items.
-func (s Set) Empty() bool { return len(s) == 0 }
-
 // Clone returns an independent copy of s.
 func (s Set) Clone() Set {
 	if s == nil {

@@ -117,24 +117,6 @@ func (m *MineStats) Level(k int) *LevelStats {
 	return nil
 }
 
-// TotalFrequent sums the frequent survivors over all passes.
-func (m *MineStats) TotalFrequent() int {
-	n := 0
-	for _, l := range m.Levels {
-		n += l.Frequent
-	}
-	return n
-}
-
-// TotalGenerated sums the generated candidates over all passes.
-func (m *MineStats) TotalGenerated() int {
-	n := 0
-	for _, l := range m.Levels {
-		n += l.Generated
-	}
-	return n
-}
-
 // CollectTracer accumulates MineStats. It is safe for concurrent use
 // and reusable: Reset clears it between runs.
 type CollectTracer struct {

@@ -17,7 +17,6 @@
 //   - CollectTracer: accumulates a structured MineStats (per-level
 //     candidate/prune/frequent counts, backend, wall time; per-task
 //     spans and counters), the payload behind `tarmine -stats`.
-//   - LogTracer: structured log/slog lines.
 //   - ProgressTracer: human-readable per-pass lines, the payload behind
 //     `tarmine -progress`.
 //   - RegistryTracer: folds events into a metrics Registry, the payload
@@ -106,7 +105,6 @@ func OpSpan(op string) string { return "op:" + op }
 
 // Metric names shared by the miners, the collectors and the registry.
 const (
-	MetricRows             = "rows_scanned"      // transactions scanned (counter)
 	MetricRulesEmitted     = "rules_emitted"     // rules a task driver returned (counter)
 	MetricGranules         = "granules"          // span length of a hold-table build (gauge)
 	MetricGranulesActive   = "granules_active"   // active granules of a hold-table build (gauge)

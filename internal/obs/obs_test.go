@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -58,9 +57,6 @@ func TestCollectTracer(t *testing.T) {
 	if st.Level(2).Pruned+st.Level(2).Counted != st.Level(2).Generated {
 		t.Error("collected pass broke the generated invariant")
 	}
-	if st.TotalFrequent() != 7 || st.TotalGenerated() != 16 {
-		t.Errorf("totals: frequent=%d generated=%d", st.TotalFrequent(), st.TotalGenerated())
-	}
 	if st.Counters[MetricRulesEmitted] != 5 || st.Gauges[MetricGranulesActive] != 28 {
 		t.Errorf("counters/gauges: %v %v", st.Counters, st.Gauges)
 	}
@@ -84,25 +80,6 @@ func TestCollectTracer(t *testing.T) {
 
 	// EndTask with no open span must not panic.
 	c.EndTask()
-}
-
-func TestLogTracer(t *testing.T) {
-	var buf bytes.Buffer
-	lt := NewLogTracer(slog.New(slog.NewTextHandler(&buf, nil)))
-	lt.StartTask("apriori.Mine")
-	lt.EndPass(PassStats{Level: 2, Generated: 8, Pruned: 3, Counted: 5, Frequent: 2, Backend: "hashtree"})
-	lt.Counter("rules_emitted", 3)
-	lt.Gauge("granules", 12)
-	lt.EndTask()
-	out := buf.String()
-	for _, want := range []string{"level=2", "generated=8", "pruned=3", "frequent=2", "backend=hashtree", "rules_emitted", "granules"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
-	}
-	if NewLogTracer(nil).L == nil {
-		t.Error("nil logger not defaulted")
-	}
 }
 
 func TestProgressTracer(t *testing.T) {

@@ -3,49 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"sync"
 )
-
-// LogTracer emits structured log lines through a slog.Logger.
-type LogTracer struct {
-	L *slog.Logger
-}
-
-// NewLogTracer wraps l (nil means slog.Default()).
-func NewLogTracer(l *slog.Logger) *LogTracer {
-	if l == nil {
-		l = slog.Default()
-	}
-	return &LogTracer{L: l}
-}
-
-func (t *LogTracer) Enabled() bool { return true }
-
-func (t *LogTracer) StartTask(name string) { t.L.Debug("task start", "task", name) }
-func (t *LogTracer) EndTask()              { t.L.Debug("task end") }
-func (t *LogTracer) StartPass(level int)   { t.L.Debug("pass start", "level", level) }
-
-func (t *LogTracer) EndPass(ps PassStats) {
-	t.L.Info("pass",
-		"level", ps.Level,
-		"generated", ps.Generated,
-		"pruned", ps.Pruned,
-		"counted", ps.Counted,
-		"frequent", ps.Frequent,
-		"rows", ps.Rows,
-		"backend", ps.Backend,
-		"ms", float64(ps.Duration.Microseconds())/1000,
-	)
-}
-
-func (t *LogTracer) Counter(name string, delta int64) {
-	t.L.Info("counter", "name", name, "delta", delta)
-}
-
-func (t *LogTracer) Gauge(name string, v float64) {
-	t.L.Info("gauge", "name", name, "value", v)
-}
 
 // ProgressTracer renders live per-pass progress as human-readable
 // lines, one per event that matters — the `tarmine -progress` view.

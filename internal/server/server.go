@@ -302,9 +302,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // statementRequest is the POST /v1/statements JSON body.
 type statementRequest struct {
 	Statement string `json:"statement"`

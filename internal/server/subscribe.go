@@ -36,7 +36,7 @@ const (
 	MetricSubRefreshErrs = "tarmd_sub_refresh_err_total"  // re-runs that failed (counter)
 	MetricSubEvents      = "tarmd_sub_events_total"       // delta events emitted (counter)
 	MetricSubDeltas      = "tarmd_sub_deltas_total"       // rule deltas across all events (counter)
-	MetricSubDropped     = "tarmd_sub_dropped_total"      // events dropped from full subscriber rings (counter)
+	MetricSubDropped     = "tarmd_sub_dropped_total"      // events a full ring evicted before any reader had them (counter)
 	MetricSubRefreshSecs = "tarmd_sub_refresh_seconds"    // re-run latency (histogram)
 )
 
@@ -65,25 +65,30 @@ type subscription struct {
 	mu        sync.Mutex
 	events    []subEvent // ring, newest last; bounded by manager queue cap
 	nextSeq   int64
-	dropped   int64
+	handed    int64 // events with Seq < handed have gone out to a reader
+	dropped   int64 // evicted while Seq >= handed: lost, not merely aged out
 	refreshes int64
 	errs      int64
 	lastErr   string
 	wake      chan struct{} // closed on every push; long-pollers wait on it
 }
 
-// push appends an event to the ring, dropping the oldest when full, and
-// wakes every long-poller. Never blocks.
+// push appends an event to the ring, evicting the oldest when full, and
+// wakes every long-poller. Never blocks. The ring retains events after
+// delivery (a reconnecting reader can replay them), so an eviction is a
+// drop only when no reader was ever handed the evicted event.
 func (sub *subscription) push(ev subEvent, cap_ int) (dropped bool) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	ev.Seq = sub.nextSeq
 	sub.nextSeq++
 	if len(sub.events) >= cap_ {
+		if sub.events[0].Seq >= sub.handed {
+			sub.dropped++
+			dropped = true
+		}
 		n := copy(sub.events, sub.events[1:])
 		sub.events = sub.events[:n]
-		sub.dropped++
-		dropped = true
 	}
 	sub.events = append(sub.events, ev)
 	close(sub.wake)
@@ -91,7 +96,9 @@ func (sub *subscription) push(ev subEvent, cap_ int) (dropped bool) {
 	return dropped
 }
 
-// eventsAfter snapshots the retained events with Seq > after.
+// eventsAfter snapshots the retained events with Seq > after for a
+// reader (long-poll answer or SSE write) and records them as handed
+// out.
 func (sub *subscription) eventsAfter(after int64) (evs []subEvent, next int64, wake <-chan struct{}) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
@@ -101,6 +108,9 @@ func (sub *subscription) eventsAfter(after int64) (evs []subEvent, next int64, w
 			evs = append(evs, ev)
 			next = ev.Seq
 		}
+	}
+	if len(evs) > 0 && next >= sub.handed {
+		sub.handed = next + 1
 	}
 	return evs, next, sub.wake
 }
@@ -454,8 +464,9 @@ func (s *Server) handleSubDelete(w http.ResponseWriter, r *http.Request) {
 
 // subEventsResponse is the long-poll GET .../events answer. NextAfter
 // is the cursor for the next poll; Dropped is the lifetime count of
-// events lost to ring overflow (a jump in Seq numbers tells a client
-// *where*).
+// events the ring evicted before any reader was handed them (a jump in
+// Seq numbers tells a client *where*). A reader that keeps up sees 0
+// however many events have aged out of the ring behind it.
 type subEventsResponse struct {
 	ID        string     `json:"id"`
 	RequestID string     `json:"request_id,omitempty"`

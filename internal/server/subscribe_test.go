@@ -268,11 +268,10 @@ func TestSlowSubscriberDropsNotStalls(t *testing.T) {
 
 	// Eight day-closes produce more events than the 2-slot ring holds.
 	// The active subscriber polls as it goes, so every event is read
-	// before the ring overwrites it; the wedged one never reads. (The
-	// ring retains, it does not consume: the drop counter rises for both
-	// once the lifetime event count exceeds the ring, but an attentive
-	// reader has already read what gets overwritten — loss shows up as a
-	// seq gap, and the active stream must not have one.)
+	// before the ring overwrites it; the wedged one never reads. The
+	// ring retains, it does not consume: the active subscriber's events
+	// age out behind it too, but every one had been handed to it first,
+	// so it must see neither a seq gap nor a drop count.
 	var after int64 = -1
 	var activeEvents []subEvent
 	var lastEpoch int64
@@ -282,6 +281,9 @@ func TestSlowSubscriberDropsNotStalls(t *testing.T) {
 		ev := getEvents(t, ts.URL, active.ID, after, 0)
 		activeEvents = append(activeEvents, ev.Events...)
 		after = ev.NextAfter
+		if ev.Dropped != 0 {
+			t.Fatalf("day %d: active subscriber reads dropped = %d after %d delivered events, want 0", day, ev.Dropped, len(activeEvents))
+		}
 	}
 	for i, e := range activeEvents {
 		if e.Seq != int64(i) {

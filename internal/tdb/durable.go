@@ -224,11 +224,11 @@ func (d *durability) stopBackground() {
 // OpenDurable loads (or initialises) a database directory under the
 // WAL-backed engine: newest checkpoint first, then the WAL tail
 // replayed on top, with any torn tail truncated to the longest valid
-// record prefix. It is the only way a directory is opened. Directories
-// that hold whole-file <table>.txn tables (written before the segment
-// writer became the checkpoint format) load transparently — the .txn
-// file is the checkpoint — and the first checkpoint replaces each with
-// a segment directory.
+// record prefix. It is the only way a directory is opened. The
+// whole-file <table>.txn format that predates the segment writer has no
+// reader: a directory still holding such a table without its segment
+// directory is refused by name rather than opened with the table
+// missing.
 func OpenDurable(dir string, cfg Durability) (*DB, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("tdb: OpenDurable needs a directory")
@@ -265,14 +265,13 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tdb: open %s: %w", dir, err)
 	}
-	segmented := map[string]bool{}
 	for _, ent := range entries {
 		if ent.IsDir() && strings.HasSuffix(ent.Name(), segDirSuffix) {
 			segDir := filepath.Join(dir, ent.Name())
 			// The manifest is written last, so a segment directory
 			// without one is a table's first checkpoint cut short by a
-			// crash: the WAL (or the legacy .txn) still holds the whole
-			// table, and the next checkpoint rewrites the directory.
+			// crash: the WAL still holds the whole table, and the next
+			// checkpoint rewrites the directory.
 			if _, err := os.Stat(filepath.Join(segDir, manifestFile)); errors.Is(err, fs.ErrNotExist) {
 				continue
 			}
@@ -280,9 +279,7 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 			if err != nil {
 				return nil, err
 			}
-			key := strings.ToLower(t.Name())
-			db.txtables[key] = t
-			segmented[key] = true
+			db.txtables[strings.ToLower(t.Name())] = t
 		}
 	}
 	for _, ent := range entries {
@@ -298,17 +295,12 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 			}
 			db.tables[strings.ToLower(t.Name())] = t
 		case strings.HasSuffix(ent.Name(), extTx):
-			// Legacy whole-file form; a segment directory supersedes it
-			// (the file lingers only if a crash interrupted the
-			// checkpoint that migrated it).
-			if segmented[strings.TrimSuffix(strings.ToLower(ent.Name()), extTx)] {
-				continue
+			// Beside its loaded segment directory the file is a leftover
+			// the next checkpoint removes; alone it is a table this
+			// engine cannot read.
+			if _, ok := db.txtables[strings.TrimSuffix(strings.ToLower(ent.Name()), extTx)]; !ok {
+				return nil, fmt.Errorf("tdb: open %s: %s is a whole-file transaction table with no %s directory beside it; this engine no longer reads that format", dir, ent.Name(), segDirSuffix)
 			}
-			t, err := loadTxTable(path)
-			if err != nil {
-				return nil, err
-			}
-			db.txtables[strings.ToLower(t.Name())] = t
 		}
 	}
 
@@ -399,15 +391,6 @@ func (db *DB) DurabilityErr() error {
 	return db.dur.wal.stickyErr()
 }
 
-// WALSize returns the current log length in bytes (0 for memory-only
-// databases): the volume a crash at this instant would replay.
-func (db *DB) WALSize() int64 {
-	if db.dur == nil {
-		return 0
-	}
-	return db.dur.wal.sizeBytes()
-}
-
 // SyncWAL forces the log to disk — flushing the interval policy's
 // user-space buffer and fsyncing — without the cost of a checkpoint.
 // After it returns, every append acknowledged so far survives both a
@@ -486,7 +469,8 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 		}
 		st.SegmentsWritten += segStats.Written
 		st.SegmentsSkipped += segStats.Skipped
-		// The segment directory supersedes the legacy whole-file form.
+		// A pre-segment <table>.txn may linger beside the directory;
+		// OpenDurable tolerates it only there, so it goes now.
 		if err := removeIfExists(filepath.Join(db.dir, key+extTx)); err != nil {
 			return st, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,8 +97,8 @@ func TestDurableKillRecover(t *testing.T) {
 	}
 }
 
-// A checkpoint truncates the WAL; the reopened database replays nothing
-// and the legacy whole-file form is superseded by the segment dir.
+// A checkpoint truncates the WAL and writes the segment dir; the
+// reopened database replays nothing.
 func TestDurableCheckpointTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	db := durOpen(t, dir, FsyncOff)
@@ -157,72 +158,73 @@ func TestDurableCloseThenReopen(t *testing.T) {
 	}
 }
 
-// legacyFixtureTxs is what testdata/legacy_plain/baskets.txn holds (see
-// testdata/README.md for the program that wrote it).
-func legacyFixtureTxs() []Tx {
-	start := time.Date(1998, 1, 1, 0, 0, 0, 0, time.UTC)
-	txs := make([]Tx, 36)
-	for i := range txs {
-		txs[i] = Tx{
-			ID:    int64(i),
-			At:    start.AddDate(0, 0, i/3).Add(time.Duration(9+i%3) * time.Hour),
-			Items: itemset.New(itemset.Item(i%12), itemset.Item((i*5+1)%12), itemset.Item((i/3)%12)),
-		}
+// The whole-file <table>.txn format has no reader. Alone (or beside a
+// segment directory whose manifest never landed) the file is a table
+// the engine cannot load, so the open is refused by name — never a
+// silently missing table. Beside its loaded segment directory it is a
+// leftover: the open succeeds and the next checkpoint removes it.
+func TestDurableWholeFileTxn(t *testing.T) {
+	segd := "baskets" + segDirSuffix
+	cases := []struct {
+		name    string
+		arrange func(t *testing.T, dir string) // what sits beside baskets.txn
+		refused bool
+	}{
+		{"alone", func(*testing.T, string) {}, true},
+		{"beside-manifestless-segd", func(t *testing.T, dir string) {
+			if err := os.Mkdir(filepath.Join(dir, segd), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"beside-segd", func(t *testing.T, dir string) {
+			db := durOpen(t, dir, FsyncOff)
+			tbl, _ := db.CreateTxTable("Baskets")
+			tbl.Append(durAt(0, 9), itemset.New(1, 2))
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
 	}
-	return txs
-}
-
-// A directory in the whole-file .txn form — nothing writes it any more,
-// so the input is pinned under testdata — loads under the engine (the
-// .txn file is the checkpoint), and the first checkpoint replaces it
-// with a segment directory holding the identical table.
-func TestDurableLegacyMigration(t *testing.T) {
-	dir := legacyFixtureDir(t)
-	db := durOpen(t, dir, FsyncOff)
-	tbl, ok := db.TxTable("BASKETS")
-	if !ok {
-		t.Fatal("legacy .txn table not loaded")
-	}
-	sameTxs(t, "legacy", collectTxs(tbl), legacyFixtureTxs())
-	if n := db.Dict().Len(); n != 12 || db.Dict().MustName(11) != "item11" {
-		t.Fatalf("legacy dictionary has %d names", n)
-	}
-	stores, ok := db.Table("stores")
-	if !ok || stores.Len() != 3 {
-		t.Fatalf("legacy .rel table missing or short (ok=%v)", ok)
-	}
-	if row, _ := stores.Row(1); row[0].AsInt() != 2 || row[1].AsString() != "york" {
-		t.Fatalf("stores row 1 = %v", row)
-	}
-	// IDs continue after the legacy load.
-	if id := tbl.Append(durAt(0, 9), itemset.New(5)); id != 36 {
-		t.Fatalf("append after legacy load got ID %d, want 36", id)
-	}
-	want := collectTxs(tbl)
-	if _, err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "baskets"+extTx)); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint left the legacy .txn behind (err %v)", err)
-	}
-	db.Kill()
-
-	db2 := durOpen(t, dir, FsyncOff)
-	defer db2.Kill()
-	if rec := db2.Recovery(); rec.Records != 0 {
-		t.Fatalf("migrated directory replayed %+v, want nothing", rec)
-	}
-	tbl2, _ := db2.TxTable("baskets")
-	sameTxs(t, "migrated", collectTxs(tbl2), want)
-	if stores2, ok := db2.Table("stores"); !ok || stores2.Len() != 3 {
-		t.Fatalf("stores lost in migration (ok=%v)", ok)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.arrange(t, dir)
+			txn := filepath.Join(dir, "baskets"+extTx)
+			if err := os.WriteFile(txn, []byte("TDBX whole-file table"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := OpenDurable(dir, Durability{Fsync: FsyncOff})
+			if c.refused {
+				if err == nil {
+					db.Kill()
+					t.Fatal("directory with an unreadable .txn table opened")
+				}
+				if !strings.Contains(err.Error(), "baskets"+extTx) {
+					t.Fatalf("refusal does not name the file: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("open with a superseded .txn: %v", err)
+			}
+			defer db.Kill()
+			if tbl, ok := db.TxTable("baskets"); !ok || tbl.Len() != 1 {
+				t.Fatalf("segmented table not loaded (ok=%v)", ok)
+			}
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(txn); !os.IsNotExist(err) {
+				t.Fatalf("checkpoint left the .txn behind (err %v)", err)
+			}
+		})
 	}
 }
 
 // A crash inside a table's first checkpoint leaves <table>.segd without
-// a manifest (it is written last). Every record is still in the WAL —
-// or the legacy .txn — so the open must skip the directory, not refuse
-// the database, and the next checkpoint must rewrite it whole.
+// a manifest (it is written last). Every record is still in the WAL, so
+// the open must skip the directory, not refuse the database, and the
+// next checkpoint must rewrite it whole.
 func TestDurableInterruptedFirstCheckpoint(t *testing.T) {
 	// build returns a killed directory holding one table that spans two
 	// segments, all of it in the WAL, and the table's contents.
@@ -264,13 +266,6 @@ func TestDurableInterruptedFirstCheckpoint(t *testing.T) {
 				}
 			}
 			return dir, want
-		}},
-		{"legacy-txn", 1, func(t *testing.T) (string, []Tx) {
-			dir := legacyFixtureDir(t)
-			if err := os.Mkdir(filepath.Join(dir, "baskets"+segDirSuffix), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			return dir, legacyFixtureTxs()
 		}},
 	}
 	for _, c := range cases {

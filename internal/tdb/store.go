@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/tarm-project/tarm/internal/itemset"
 )
@@ -23,7 +22,6 @@ import (
 // the trailing CRC before any content is trusted.
 const (
 	magicTable = "TDBT"
-	magicTx    = "TDBX"
 	magicDict  = "TDBD"
 	fmtVersion = 1
 )
@@ -294,62 +292,6 @@ func LoadTable(path string) (*Table, error) {
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("tdb: %s: %d trailing bytes", path, len(d.b)-d.off)
 	}
-	return t, nil
-}
-
-// ---------------------------------------------------------------------
-// Transaction tables.
-
-// loadTxTable reads the legacy whole-file form of a transaction table
-// (<table>.txn), which nothing writes any more: OpenDurable calls it for
-// directories that predate the segment writer, and the first checkpoint
-// replaces the file with a segment directory.
-func loadTxTable(path string) (*TxTable, error) {
-	d, err := readChecked(path, magicTx)
-	if err != nil {
-		return nil, err
-	}
-	name := d.str()
-	nextID := d.i64()
-	n := d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-	t, err := NewTxTable(name)
-	if err != nil {
-		return nil, fmt.Errorf("tdb: %s: %w", path, err)
-	}
-	txs := make([]Tx, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		id := d.i64()
-		at := d.i64()
-		ni := int(d.u32())
-		if d.err != nil {
-			break
-		}
-		if ni < 0 || d.off+4*ni > len(d.b) {
-			return nil, fmt.Errorf("tdb: %s: implausible item count %d", path, ni)
-		}
-		items := make([]itemset.Item, ni)
-		for j := range items {
-			items[j] = itemset.Item(d.u32())
-		}
-		set := itemset.Set(items)
-		if !set.Valid() {
-			return nil, fmt.Errorf("tdb: %s: transaction %d has non-canonical itemset", path, id)
-		}
-		txs = append(txs, Tx{ID: id, At: time.Unix(0, at).UTC(), Items: set})
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("tdb: %s: %d trailing bytes", path, len(d.b)-d.off)
-	}
-	t.txs = txs
-	t.nextID = nextID
-	t.sorted = false // validate ordering lazily on first use
-	t.epoch = int64(len(txs))
 	return t, nil
 }
 

@@ -51,29 +51,6 @@ func TestTableSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyFixtureDir copies testdata/legacy_plain — a directory in the
-// whole-file .txn form (see testdata/README.md) — into a fresh
-// temporary directory and returns its path.
-func legacyFixtureDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	src := filepath.Join("testdata", "legacy_plain")
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range ents {
-		raw, err := os.ReadFile(filepath.Join(src, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, ent.Name()), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
 func TestDictSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	dict := itemset.NewDict()
@@ -145,18 +122,13 @@ func TestLoadDetectsCorruption(t *testing.T) {
 		t.Error("truncated table loaded")
 	}
 
-	// Wrong magic: a txn file loaded as a table.
-	txPath := filepath.Join(legacyFixtureDir(t), "baskets.txn")
-	if _, err := LoadTable(txPath); err == nil || !strings.Contains(err.Error(), "magic") {
+	// Wrong magic: a dictionary file loaded as a table.
+	dictPath := filepath.Join(dir, dictFile)
+	if err := SaveDict(itemset.NewDict(), dictPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTable(dictPath); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Errorf("wrong-magic load: %v", err)
-	}
-	if _, err := loadTxTable(txPath); err != nil {
-		t.Errorf("valid txn failed to load: %v", err)
-	}
-
-	corrupt(t, txPath)
-	if _, err := loadTxTable(txPath); err == nil {
-		t.Error("corrupt txn loaded")
 	}
 
 	if _, err := LoadTable(filepath.Join(dir, "missing.rel")); err == nil {

@@ -353,35 +353,6 @@ func (t *TxTable) GranuleSource(g timegran.Granularity, n timegran.Granule) apri
 	return t.RangeSource(g, timegran.Interval{Lo: n, Hi: n})
 }
 
-// SetSource exposes the union of an IntervalSet's granules.
-func (t *TxTable) SetSource(g timegran.Granularity, set timegran.IntervalSet) apriori.Source {
-	t.ensureSorted()
-	type span struct{ i, j int }
-	var spans []span
-	n := 0
-	t.mu.RLock()
-	for _, iv := range set.Intervals() {
-		i, j := t.rowRange(g, iv)
-		if j > i {
-			spans = append(spans, span{i, j})
-			n += j - i
-		}
-	}
-	t.mu.RUnlock()
-	return apriori.FuncSource{
-		N: n,
-		Scan: func(fn func(tx itemset.Set)) {
-			t.mu.RLock()
-			defer t.mu.RUnlock()
-			for _, sp := range spans {
-				for k := sp.i; k < sp.j; k++ {
-					fn(t.txs[k].Items)
-				}
-			}
-		},
-	}
-}
-
 // All exposes the entire table as a mining source (the traditional,
 // time-agnostic view).
 func (t *TxTable) All() apriori.Source {
@@ -478,42 +449,4 @@ func (t *TxTable) Each(fn func(tx Tx) bool) {
 			return
 		}
 	}
-}
-
-// AsTable materialises a relational view (tid, at, item) with one row
-// per (transaction, item) pair, so the SQL side of IQMS can query the
-// raw basket data like the paper's Oracle prototype did.
-func (t *TxTable) AsTable(dict *itemset.Dict) (*Table, error) {
-	schema, err := NewSchema(
-		Column{Name: "tid", Kind: KindInt},
-		Column{Name: "at", Kind: KindTime},
-		Column{Name: "item", Kind: KindString},
-	)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := NewTable(t.name+"_items", schema)
-	if err != nil {
-		return nil, err
-	}
-	var insertErr error
-	t.Each(func(tx Tx) bool {
-		for _, it := range tx.Items {
-			name := fmt.Sprintf("#%d", it)
-			if dict != nil {
-				if n, err := dict.Name(it); err == nil {
-					name = n
-				}
-			}
-			if err := tbl.Insert(Row{Int(tx.ID), Time(tx.At), Str(name)}); err != nil {
-				insertErr = err
-				return false
-			}
-		}
-		return true
-	})
-	if insertErr != nil {
-		return nil, insertErr
-	}
-	return tbl, nil
 }

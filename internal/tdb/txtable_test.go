@@ -87,20 +87,6 @@ func TestTxTableGranuleSources(t *testing.T) {
 		t.Errorf("CountRange = %d", n)
 	}
 
-	set := timegran.NewIntervalSet(
-		timegran.Interval{Lo: jan1, Hi: jan1},
-		timegran.Interval{Lo: jan1 + 2, Hi: jan1 + 2},
-	)
-	ss := tbl.SetSource(timegran.Day, set)
-	if ss.Len() != 3 {
-		t.Errorf("SetSource has %d transactions, want 3", ss.Len())
-	}
-	var seen int
-	ss.ForEach(func(itemset.Set) { seen++ })
-	if seen != 3 {
-		t.Errorf("SetSource scan visited %d", seen)
-	}
-
 	all := tbl.All()
 	if all.Len() != 5 {
 		t.Errorf("All has %d", all.Len())
@@ -128,47 +114,6 @@ func TestTxTableAppendCanonicalises(t *testing.T) {
 		}
 		return true
 	})
-}
-
-func TestTxTableAsTable(t *testing.T) {
-	tbl := buildTxTable(t)
-	dict := itemset.NewDict()
-	for _, n := range []string{"bread", "milk", "butter", "eggs", "jam"} {
-		dict.Intern(n)
-	}
-	rel, err := tbl.AsTable(dict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3+2+2+2+1 = 10 item rows.
-	if rel.Len() != 10 {
-		t.Errorf("AsTable rows = %d, want 10", rel.Len())
-	}
-	foundJam := false
-	rel.Scan(func(row Row) bool {
-		if row[2].AsString() == "jam" {
-			foundJam = true
-		}
-		return true
-	})
-	// item 4 = "jam" (ids 0-based: bread=0 … jam=4)
-	if !foundJam {
-		t.Error("item name not resolved through dict")
-	}
-	relNoDict, err := tbl.AsTable(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawHash := false
-	relNoDict.Scan(func(row Row) bool {
-		if row[2].AsString() == "#4" {
-			sawHash = true
-		}
-		return true
-	})
-	if !sawHash {
-		t.Error("nil dict should render #id names")
-	}
 }
 
 func TestTxTableEpoch(t *testing.T) {

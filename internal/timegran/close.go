@@ -28,19 +28,6 @@ func ClosedThrough(clock time.Time, g Granularity) Granule {
 	return GranuleOf(clock, g) - 1
 }
 
-// Closed reports whether granule n is closed under stream clock clock.
-func Closed(n Granule, g Granularity, clock time.Time) bool {
-	return n <= ClosedThrough(clock, g)
-}
-
-// NextClose returns the instant at which the next granule close happens
-// under stream clock clock: the end of the granule containing clock.
-// A clock exactly on a boundary has just closed a granule, so the next
-// close is one full granule later.
-func NextClose(clock time.Time, g Granularity) time.Time {
-	return End(GranuleOf(clock, g), g)
-}
-
 // ClosedOf splits the granule span of a dataset by the stream clock:
 // it returns the closed prefix of span under clock. The returned
 // interval is empty (ok=false) when not even span.Lo is closed. span.Hi

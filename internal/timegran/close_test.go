@@ -61,12 +61,6 @@ func TestClosedThroughBoundaries(t *testing.T) {
 			if got != tc.want {
 				t.Fatalf("ClosedThrough(%v, %v) = %d, want %d", tc.clock, tc.g, got, tc.want)
 			}
-			if !Closed(tc.want, tc.g, tc.clock) {
-				t.Fatalf("Closed(%d) = false, want true", tc.want)
-			}
-			if Closed(tc.want+1, tc.g, tc.clock) {
-				t.Fatalf("Closed(%d) = true, want false (open granule)", tc.want+1)
-			}
 		})
 	}
 }
@@ -87,17 +81,18 @@ func TestClosedThroughConsistency(t *testing.T) {
 			ct := ClosedThrough(clock, g)
 			for n := ct - 2; n <= ct+2; n++ {
 				defClosed := !clock.Before(End(n, g))
-				if got := Closed(n, g, clock); got != defClosed {
-					t.Fatalf("g=%v clock=%v granule=%d: Closed=%v, definition=%v", g, clock, n, got, defClosed)
+				if got := n <= ct; got != defClosed {
+					t.Fatalf("g=%v clock=%v granule=%d: n <= ClosedThrough is %v, definition says %v", g, clock, n, got, defClosed)
 				}
 			}
-			// NextClose is the first instant that closes another granule.
-			nc := NextClose(clock, g)
+			// The end of the open granule is the first instant that
+			// closes another one.
+			nc := End(GranuleOf(clock, g), g)
 			if ClosedThrough(nc, g) != ct+1 {
-				t.Fatalf("g=%v clock=%v: NextClose=%v closes through %d, want %d", g, clock, nc, ClosedThrough(nc, g), ct+1)
+				t.Fatalf("g=%v clock=%v: open granule ends %v, which closes through %d, want %d", g, clock, nc, ClosedThrough(nc, g), ct+1)
 			}
 			if ClosedThrough(nc.Add(-time.Second), g) > ct {
-				t.Fatalf("g=%v clock=%v: instant before NextClose already closed a new granule", g, clock)
+				t.Fatalf("g=%v clock=%v: instant before the open granule's end already closed a new granule", g, clock)
 			}
 		}
 	}

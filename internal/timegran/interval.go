@@ -26,9 +26,6 @@ func (iv Interval) Len() int64 { return iv.Hi - iv.Lo + 1 }
 // Contains reports whether g lies inside the interval.
 func (iv Interval) Contains(g Granule) bool { return g >= iv.Lo && g <= iv.Hi }
 
-// Overlaps reports whether the two intervals share any granule.
-func (iv Interval) Overlaps(o Interval) bool { return iv.Lo <= o.Hi && o.Lo <= iv.Hi }
-
 // Intersect returns the common part and whether it is non-empty.
 func (iv Interval) Intersect(o Interval) (Interval, bool) {
 	lo, hi := iv.Lo, iv.Hi
@@ -72,9 +69,6 @@ func NewIntervalSet(ivs ...Interval) IntervalSet {
 // Intervals returns the normalised intervals in ascending order. The
 // slice is shared; callers must not modify it.
 func (s IntervalSet) Intervals() []Interval { return s.ivs }
-
-// Empty reports whether the set covers no granule.
-func (s IntervalSet) Empty() bool { return len(s.ivs) == 0 }
 
 // Count returns the total number of granules covered.
 func (s IntervalSet) Count() int64 {
@@ -147,38 +141,6 @@ func (s IntervalSet) Intersect(o IntervalSet) IntervalSet {
 		}
 	}
 	return IntervalSet{ivs: out}
-}
-
-// Complement returns the granules of span not covered by s.
-func (s IntervalSet) Complement(span Interval) IntervalSet {
-	var out []Interval
-	next := span.Lo
-	for _, iv := range s.ivs {
-		if iv.Hi < span.Lo {
-			continue
-		}
-		if iv.Lo > span.Hi {
-			break
-		}
-		if iv.Lo > next {
-			out = append(out, Interval{Lo: next, Hi: iv.Lo - 1})
-		}
-		if iv.Hi+1 > next {
-			next = iv.Hi + 1
-		}
-		if next > span.Hi {
-			break
-		}
-	}
-	if next <= span.Hi {
-		out = append(out, Interval{Lo: next, Hi: span.Hi})
-	}
-	return IntervalSet{ivs: out}
-}
-
-// Clip returns the part of s inside span.
-func (s IntervalSet) Clip(span Interval) IntervalSet {
-	return s.Intersect(IntervalSet{ivs: []Interval{span}})
 }
 
 // Each calls fn for every covered granule in ascending order, stopping

@@ -26,14 +26,6 @@ func Granules(p Pattern, base Granularity, span Interval) IntervalSet {
 	return FromPredicate(span, func(g Granule) bool { return p.Matches(base, g) })
 }
 
-// Coverage returns the fraction of span's granules matching p.
-func Coverage(p Pattern, base Granularity, span Interval) float64 {
-	if span.Len() == 0 {
-		return 0
-	}
-	return float64(Granules(p, base, span).Count()) / float64(span.Len())
-}
-
 // ---------------------------------------------------------------------
 // Cycle: arithmetic periodicity over the granule axis.
 

@@ -138,9 +138,10 @@ func TestGranulesAndCoverage(t *testing.T) {
 	if want := int64(3); got.Count() != want { // granules 1, 4, 7
 		t.Errorf("Granules count = %d, want %d", got.Count(), want)
 	}
-	cov := Coverage(c, Day, span)
-	if cov < 0.33 || cov > 0.34 {
-		t.Errorf("Coverage = %v", cov)
+	for g := span.Lo; g <= span.Hi; g++ {
+		if got.Contains(g) != (g%3 == 1) {
+			t.Errorf("Granules covers %d = %v", g, got.Contains(g))
+		}
 	}
 }
 

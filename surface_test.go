@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -17,6 +19,22 @@ var ctxlessTwinsAllowed = map[string]bool{
 	"tml.Executor.Exec": true,
 	"tml.Session.Exec":  true,
 	"apriori.Mine":      true,
+}
+
+// qualifiedName spells a declaration "pkg.Name" or "pkg.Recv.Name".
+func qualifiedName(pkg string, fn *ast.FuncDecl) string {
+	name := pkg + "."
+	if fn.Recv != nil {
+		recv := fn.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if idx, ok := recv.(*ast.IndexExpr); ok { // generic receiver T[P]
+			recv = idx.X
+		}
+		name += recv.(*ast.Ident).Name + "."
+	}
+	return name + fn.Name.Name
 }
 
 // TestOneSpellingPerEntryPoint is the surface guard: in the mining
@@ -50,15 +68,7 @@ func TestOneSpellingPerEntryPoint(t *testing.T) {
 				if !ok || !fn.Name.IsExported() {
 					continue
 				}
-				name := pkg + "."
-				if fn.Recv != nil {
-					recv := fn.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					name += recv.(*ast.Ident).Name + "."
-				}
-				declared[name+fn.Name.Name] = true
+				declared[qualifiedName(pkg, fn)] = true
 			}
 		}
 		if len(declared) == 0 {
@@ -72,5 +82,100 @@ func TestOneSpellingPerEntryPoint(t *testing.T) {
 				t.Errorf("%s: internal/core exports only the XFromTableContext operator", name)
 			}
 		}
+	}
+}
+
+// testOnlyExportsAllowed lists the exported functions under internal/
+// that no non-test code names, each with the reason it stays. The first
+// group is kept on purpose. The second is dead code the sweep that
+// introduced this guard left standing: each has a dedicated unit test
+// that would have to be deleted with it, and a single change may only
+// retire a few tests — delete function and test together, then the
+// entry.
+var testOnlyExportsAllowed = map[string]string{
+	"tdb.DB.DurabilityErr":    "reports a sticky storage fault; safety surface, not a simplicity target",
+	"tdb.DB.SyncWAL":          "test seam: TestDurableKillRecover places its crash point just after a flush",
+	"tml.RuleSet.Sorted":      "canonical form both sides of the streaming oracles compare (tml and server tests)",
+	"apriori.RoaringAcc.Card": "read by the roaring-scalar reference arm of BenchmarkCountingCore",
+
+	"timegran.ClosedOf":     "dead; goes with TestClosedOfSpans",
+	"timegran.Convert":      "dead; goes with TestConvert",
+	"timegran.MakeInterval": "dead; goes with TestMakeInterval",
+	"itemset.FromSorted":    "dead; goes with TestFromSortedPanicsOnBadInput",
+	"itemset.Set.Hash":      "dead; goes with TestHashStability",
+	"itemset.ParseKey":      "dead; goes with TestKeyRoundTrip",
+	"gen.RuleAnteCons":      "dead; goes with TestRuleAnteCons",
+}
+
+// TestNoTestOnlyExports is the sweep guard: an exported function or
+// method declared in a non-test file under internal/ must be named at
+// least once, outside its own declaration, in non-test Go code of the
+// repository (cmd/, examples/, benchmark/ and tarm.go included). The
+// match is by bare name, so a method is kept alive by any use of that
+// name — the guard catches an export nothing reaches, not every one.
+func TestNoTestOnlyExports(t *testing.T) {
+	declared := map[string][]string{} // name -> "pkg.Recv.Name" spellings under internal/
+	named := map[string]int{}         // name -> identifier occurrences minus declarations
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, .bench_build (the benchmark's GOPATH)
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				named[n.Name]++
+			case *ast.FuncDecl:
+				named[n.Name.Name]--
+				if internal && n.Name.IsExported() {
+					declared[n.Name.Name] = append(declared[n.Name.Name], qualifiedName(f.Name.Name, n))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) == 0 {
+		t.Fatal("no exported functions found under internal/")
+	}
+	stale := map[string]bool{}
+	for name := range testOnlyExportsAllowed {
+		stale[name] = true
+	}
+	var findings []string
+	for name, spellings := range declared {
+		if named[name] > 0 {
+			continue
+		}
+		for _, s := range spellings {
+			if _, ok := testOnlyExportsAllowed[s]; ok {
+				delete(stale, s)
+				continue
+			}
+			findings = append(findings, s)
+		}
+	}
+	sort.Strings(findings)
+	for _, s := range findings {
+		t.Errorf("%s is exported but only tests name it: delete it with its test, unexport it, or allow-list it with a reason", s)
+	}
+	for name := range stale {
+		t.Errorf("allow-list entry %s is unnecessary: the function is gone or non-test code names it", name)
 	}
 }
