@@ -25,8 +25,7 @@ type Config struct {
 	// MaxK bounds the size of itemsets mined; 0 means unbounded.
 	MaxK int
 	// Backend selects the support-counting strategy; the zero value
-	// (BackendAuto) lets the cost model pick hash tree, bitmap or
-	// roaring from the level-1 item densities.
+	// (BackendAuto) is bitmap wherever its index fits in memory.
 	Backend Backend
 	// Workers fans the bitmap and roaring backends' candidate counting
 	// out over a worker pool; 0 or 1 counts sequentially (as the hash
@@ -218,23 +217,10 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 		res.counts[ic.Set.Key()] = ic.Count
 	}
 
-	// The cost model reads the exact level-1 density histogram; a forced
-	// backend keeps the prediction for its own cost, so the caller can
-	// report both what ran and what the model expected.
-	stats := CountStats{N: n, Granules: 1}
-	for _, ic := range l1 {
-		stats.AddItem(ic.Count)
-	}
-	pred := Predict(stats)
-	backend := cfg.Backend
-	if backend == BackendAuto {
-		backend = pred.Choice
-	}
-	// The whole table is the one-slice case of the counting seam.
-	counter := NewSliceCounter(backend, []Source{src}, keepItems(l1), cfg.Workers)
-	if trace {
-		tr.Gauge(obs.MetricCountingPredictedCost, pred.Cost(backend))
-	}
+	// The whole table is the one-slice case of the counting seam, which
+	// also resolves BackendAuto.
+	counter := NewSliceCounter(cfg.Backend, []Source{src}, keepItems(l1), cfg.Workers)
+	backend := counter.Backend()
 	var countingNS int64
 	prev := l1
 	for k := 2; len(prev) > 0 && (cfg.MaxK == 0 || k <= cfg.MaxK); k++ {

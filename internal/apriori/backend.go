@@ -12,9 +12,9 @@ import (
 type Backend int
 
 const (
-	// BackendAuto picks the cheapest of hash tree, bitmap and roaring
-	// per run, by the cost model's prediction from the level-1 item
-	// densities (see ChooseBackend).
+	// BackendAuto is bitmap wherever its index fits in memory: hash
+	// tree under 64 rows, roaring past the cap. NewSliceCounter
+	// resolves it; see resolveAuto for the rule and its reason.
 	BackendAuto Backend = iota
 	// BackendNaive tests every candidate against every transaction; it
 	// is the reference the others are property-tested against.
@@ -60,19 +60,15 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendAuto, nil
 	case "naive":
 		return BackendNaive, nil
-	case "hashtree", "tree":
+	case "hashtree":
 		return BackendHashTree, nil
-	case "bitmap", "vertical", "eclat":
+	case "bitmap":
 		return BackendBitmap, nil
-	case "roaring", "compressed":
+	case "roaring":
 		return BackendRoaring, nil
 	}
 	return 0, fmt.Errorf("apriori: unknown counting backend %q (want auto, naive, hashtree, bitmap or roaring)", s)
 }
-
-// maxBitmapBytes caps the memory the cost model will spend on a flat
-// bitmap index before ruling that backend out.
-const maxBitmapBytes = 512 << 20
 
 // keepItems collects the frequent items of a level-1 result, the
 // ingest filter of the vertical index builders.

@@ -7,17 +7,14 @@ import (
 
 func TestParseBackend(t *testing.T) {
 	cases := map[string]Backend{
-		"":           BackendAuto,
-		"auto":       BackendAuto,
-		"naive":      BackendNaive,
-		"hashtree":   BackendHashTree,
-		"Tree":       BackendHashTree,
-		"bitmap":     BackendBitmap,
-		"ECLAT":      BackendBitmap,
-		"vertical":   BackendBitmap,
-		"roaring":    BackendRoaring,
-		"ROARING":    BackendRoaring,
-		"compressed": BackendRoaring,
+		"":         BackendAuto,
+		"auto":     BackendAuto,
+		"naive":    BackendNaive,
+		"hashtree": BackendHashTree,
+		"HashTree": BackendHashTree,
+		"bitmap":   BackendBitmap,
+		"roaring":  BackendRoaring,
+		"ROARING":  BackendRoaring,
 	}
 	for in, want := range cases {
 		got, err := ParseBackend(in)
@@ -25,8 +22,12 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseBackend("quantum"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
+	// Only the five names the usage string lists: the old aliases are
+	// unknown backends like any other.
+	for _, in := range []string{"quantum", "Tree", "ECLAT", "vertical", "compressed"} {
+		if _, err := ParseBackend(in); err == nil {
+			t.Errorf("ParseBackend accepted %q", in)
+		}
 	}
 	for b := BackendAuto; b <= BackendRoaring; b++ {
 		rt, err := ParseBackend(b.String())

@@ -40,20 +40,52 @@ type SliceCounter struct {
 	bounds []int         // slice s is rows [bounds[s], bounds[s+1]) of index
 }
 
-// NewSliceCounter prepares counting over slices on the given backend;
-// anything but naive, bitmap and roaring counts by hash tree. keep, when
-// non-nil, names the only items candidates can contain — the ingest
-// filter of the vertical indexes — and must not be added to afterwards.
-// workers > 1 fans a Count out: over contiguous blocks of slices on the
-// horizontal driver, over prefix-aligned candidate chunks on the
-// vertical one. Counts are identical at any worker count.
+// NewSliceCounter prepares counting over slices on the given backend.
+// keep, when non-nil, names the only items candidates can contain — the
+// ingest filter of the vertical indexes — and must not be added to
+// afterwards. workers > 1 fans a Count out: over contiguous blocks of
+// slices on the horizontal driver, over prefix-aligned candidate chunks
+// on the vertical one. Counts are identical at any worker count.
+//
+// BackendAuto is resolved here, the one place that sees both inputs of
+// the rule, and nowhere else: Backend reports what it became.
 func NewSliceCounter(backend Backend, slices []Source, keep *itemset.Ranks, workers int) *SliceCounter {
 	c := &SliceCounter{backend: backend, slices: slices, keep: keep, workers: workers}
 	for _, s := range slices {
 		c.rows += s.Len()
 	}
+	if backend == BackendAuto {
+		items := 0 // no keep: nothing names the items an index would hold
+		if keep != nil {
+			items = keep.Len()
+		}
+		c.backend = resolveAuto(c.rows, items)
+	}
 	return c
 }
+
+// maxBitmapBytes caps the memory auto will spend on a flat bitmap
+// index: one row of ⌈rows/64⌉ words per kept item.
+const maxBitmapBytes = 512 << 20
+
+// resolveAuto is the whole of BackendAuto. It is a rule, not a model:
+// the flat bitmap won every full mine and hold-table build measured —
+// dense and sparse, 10⁴ to 10⁶ rows, up to 20 000 items (EXPERIMENTS.md
+// E14) — so there is nothing to price. Below a word of rows, or with no
+// items to index, the hash tree is never a bad pick; roaring is the one
+// vertical index that still fits once the flat one would not.
+func resolveAuto(rows, items int) Backend {
+	switch {
+	case rows < 64 || items == 0:
+		return BackendHashTree
+	case float64(items)*float64((rows+63)/64)*8 <= maxBitmapBytes:
+		return BackendBitmap
+	}
+	return BackendRoaring
+}
+
+// Backend reports the backend the counter counts on; never BackendAuto.
+func (c *SliceCounter) Backend() Backend { return c.backend }
 
 // Count returns count[cand][slice] for one level of candidates, which
 // must share one length k ≥ 1 and arrive in canonical sorted order.
@@ -62,6 +94,9 @@ func NewSliceCounter(backend Backend, slices []Source, keep *itemset.Ranks, work
 // never per transaction; a cancelled Count returns partial counts, which
 // the caller must discard after checking ctx.Err().
 func (c *SliceCounter) Count(ctx context.Context, cands []itemset.Set) (*Counts, error) {
+	if !c.backend.Valid() {
+		return nil, fmt.Errorf("apriori: invalid counting backend %d", int(c.backend))
+	}
 	m := newCounts(len(cands), len(c.slices))
 	if len(cands) == 0 || c.rows == 0 {
 		return m, nil // no rows: no index to build, nothing occurs

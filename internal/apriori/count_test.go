@@ -225,6 +225,11 @@ func TestCountSlicesFixedInputs(t *testing.T) {
 	checkSeam(t, "triples/whole", dense, triples, []rowRange{{0, 300}}, nil)
 	checkSeam(t, "triples/sliced", dense, triples, []rowRange{{0, 64}, {64, 64}, {70, 200}, {200, 300}}, nil)
 
+	// A backend outside the enum is an error, not a silent hash-tree run.
+	if _, err := NewSliceCounter(BackendRoaring+1, []Source{dense}, nil, 0).Count(context.Background(), triples); err == nil {
+		t.Error("Count on an out-of-range backend succeeded, want an invalid-backend error")
+	}
+
 	for _, seed := range []int64{1, 2, 3} {
 		src := randomSource(seed, 2000, 24)
 		for li, cands := range octaveLevels(24) {

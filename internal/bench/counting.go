@@ -11,10 +11,9 @@ import (
 // E14DensitySweep is the compressed-bitmap ablation: the same flat
 // Apriori workload swept across item density, timing the hash tree,
 // the uncompressed vertical bitmap and the roaring-container backend
-// side by side. For every run it also reports what the cost model
-// predicted (in abstract word-ops) next to the observed counting time,
-// and which backend the model would have picked — so the table shows
-// both where compression pays and whether the auto resolver agrees.
+// side by side, with the time inside the counting passes and the
+// backend auto resolved to — so the table shows whether compression
+// pays anywhere and that auto follows the measurement.
 func E14DensitySweep(seed int64) (Table, error) {
 	type shape struct {
 		label  string
@@ -34,8 +33,8 @@ func E14DensitySweep(seed int64) (Table, error) {
 
 	t := Table{
 		ID:     "E14",
-		Title:  "counting cost vs item density (hash tree vs bitmap vs roaring vs auto)",
-		Header: []string{"data", "minsup", "backend", "time ms", "predicted", "counting ms", "resolved", "itemsets"},
+		Title:  "bitmap vs roaring vs hash tree across density",
+		Header: []string{"data", "minsup", "backend", "time ms", "counting ms", "resolved", "itemsets"},
 	}
 	for _, sh := range shapes {
 		q, err := gen.NewQuest(gen.QuestConfig{NItems: sh.items, AvgTxLen: sh.txLen}, seed)
@@ -65,10 +64,6 @@ func E14DensitySweep(seed int64) (Table, error) {
 					label, b, f.TotalItemsets(), wantSets)
 			}
 			st := collect.Stats()
-			predicted := "-"
-			if v, ok := st.Gauges[obs.MetricCountingPredictedCost]; ok {
-				predicted = fmt.Sprintf("%.3g", v)
-			}
 			counting := "-"
 			if v, ok := st.Gauges[obs.MetricCountingObservedNS]; ok {
 				counting = ms(v / 1e6)
@@ -78,11 +73,11 @@ func E14DensitySweep(seed int64) (Table, error) {
 				resolved = st.Backend
 			}
 			t.AddRow(label, fmt.Sprintf("%g", sh.minsup), b.String(),
-				ms(d.Seconds()*1000), predicted, counting, resolved, fmt.Sprint(f.TotalItemsets()))
+				ms(d.Seconds()*1000), counting, resolved, fmt.Sprint(f.TotalItemsets()))
 		}
 	}
 	t.Notes = append(t.Notes,
-		"predicted = cost model estimate in word-ops for the backend that ran; counting ms = time inside the counting passes only",
-		"resolved = the backend the cost model picked for the auto run (over the frequent items); itemsets must agree across backends")
+		"counting ms = time inside the counting passes only",
+		"resolved = the backend the auto run counted on; itemsets must agree across backends")
 	return t, nil
 }

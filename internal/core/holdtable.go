@@ -127,20 +127,12 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// stats feeds the counting cost model: one AddItem per frequent
-	// item with its total occurrences across active granules.
-	stats := apriori.CountStats{N: nActiveTx, Granules: n}
 	var l1 []itemset.Set
 	for r, v := range c1 {
 		if h.frequentSomewhere(v) {
 			s := itemset.Set{items[r]}
 			l1 = append(l1, s)
 			h.counts[s.Key()] = v
-			total := 0
-			for _, c := range v {
-				total += int(c)
-			}
-			stats.AddItem(total)
 		}
 	}
 	itemset.SortSets(l1)
@@ -152,18 +144,6 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		})
 	}
 
-	// Resolve the counting backend through the cost model, fed the
-	// exact level-1 density histogram; a forced backend keeps the
-	// prediction for its own cost so EXPLAIN can compare it to the
-	// observed time.
-	pred := apriori.Predict(stats)
-	backend := cfg.Backend
-	if backend == apriori.BackendAuto {
-		backend = pred.Choice
-	}
-	if trace {
-		tr.Gauge(obs.MetricCountingPredictedCost, pred.Cost(backend))
-	}
 	var countingNS int64
 	// l1ranks ranks the L1 items in item order: the row numbering of the
 	// pair prefilter and the ingest filter of the vertical indexes.
@@ -171,7 +151,8 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	for _, s := range l1 {
 		l1ranks.Add(s[0])
 	}
-	counter := apriori.NewSliceCounter(backend, h.slices(tbl), l1ranks, cfg.Workers)
+	counter := apriori.NewSliceCounter(cfg.Backend, h.slices(tbl), l1ranks, cfg.Workers)
+	backend := counter.Backend()
 
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK); k++ {

@@ -76,23 +76,21 @@ type OpWall struct {
 // QueryRecord is one completed statement in the ring. Spans holds the
 // full trace tree; list views strip it to keep `GET /v1/queries` small.
 type QueryRecord struct {
-	Seq              int64       `json:"seq"`
-	TraceID          string      `json:"trace_id,omitempty"`
-	Statement        string      `json:"statement"`
-	Task             string      `json:"task,omitempty"`
-	Start            time.Time   `json:"start"`
-	WallMS           float64     `json:"wall_ms"`
-	Cache            string      `json:"cache,omitempty"`   // hit, rethreshold, delta, dedup, cold, ""
-	Backend          string      `json:"backend,omitempty"` // backend that counted
-	PredictedBackend string      `json:"predicted_backend,omitempty"`
-	PredictedCost    float64     `json:"predicted_cost,omitempty"`
-	CountingMS       float64     `json:"counting_ms,omitempty"`
-	Ops              []OpWall    `json:"ops,omitempty"`
-	Rules            int64       `json:"rules"`
-	Itemsets         int64       `json:"itemsets"`
-	Rows             int         `json:"rows"`
-	Error            string      `json:"error,omitempty"`
-	Spans            []*SpanNode `json:"spans,omitempty"`
+	Seq        int64       `json:"seq"`
+	TraceID    string      `json:"trace_id,omitempty"`
+	Statement  string      `json:"statement"`
+	Task       string      `json:"task,omitempty"`
+	Start      time.Time   `json:"start"`
+	WallMS     float64     `json:"wall_ms"`
+	Cache      string      `json:"cache,omitempty"`   // hit, rethreshold, delta, dedup, cold, ""
+	Backend    string      `json:"backend,omitempty"` // backend that counted
+	CountingMS float64     `json:"counting_ms,omitempty"`
+	Ops        []OpWall    `json:"ops,omitempty"`
+	Rules      int64       `json:"rules"`
+	Itemsets   int64       `json:"itemsets"`
+	Rows       int         `json:"rows"`
+	Error      string      `json:"error,omitempty"`
+	Spans      []*SpanNode `json:"spans,omitempty"`
 }
 
 // stripSpans returns a shallow copy without the span tree, for list
@@ -106,16 +104,14 @@ func (r *QueryRecord) stripSpans() *QueryRecord {
 // QueryOutcome is what the executor knows once a statement finishes;
 // End folds it into the ring record.
 type QueryOutcome struct {
-	Cache            string
-	Backend          string
-	PredictedBackend string
-	PredictedCost    float64
-	CountingMS       float64
-	Ops              []OpWall
-	Rules            int64
-	Itemsets         int64
-	Rows             int
-	Err              error
+	Cache      string
+	Backend    string
+	CountingMS float64
+	Ops        []OpWall
+	Rules      int64
+	Itemsets   int64
+	Rows       int
+	Err        error
 }
 
 // InflightQuery is the live handle for one executing statement: the
@@ -170,22 +166,20 @@ func (q *InflightQuery) End(out QueryOutcome) *QueryRecord {
 	}
 	wall := time.Since(q.start)
 	rec := &QueryRecord{
-		Seq:              q.seq,
-		TraceID:          q.trace.ID(),
-		Statement:        q.stmt,
-		Task:             q.task,
-		Start:            q.start,
-		WallMS:           float64(wall) / 1e6,
-		Cache:            out.Cache,
-		Backend:          out.Backend,
-		PredictedBackend: out.PredictedBackend,
-		PredictedCost:    out.PredictedCost,
-		CountingMS:       out.CountingMS,
-		Ops:              out.Ops,
-		Rules:            out.Rules,
-		Itemsets:         out.Itemsets,
-		Rows:             out.Rows,
-		Spans:            q.trace.Tree(),
+		Seq:        q.seq,
+		TraceID:    q.trace.ID(),
+		Statement:  q.stmt,
+		Task:       q.task,
+		Start:      q.start,
+		WallMS:     float64(wall) / 1e6,
+		Cache:      out.Cache,
+		Backend:    out.Backend,
+		CountingMS: out.CountingMS,
+		Ops:        out.Ops,
+		Rules:      out.Rules,
+		Itemsets:   out.Itemsets,
+		Rows:       out.Rows,
+		Spans:      q.trace.Tree(),
 	}
 	if out.Err != nil {
 		rec.Error = out.Err.Error()

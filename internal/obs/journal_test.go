@@ -95,7 +95,7 @@ func TestJournalInflightAndGet(t *testing.T) {
 	tr.EndTask()
 	tr.EndTask()
 	rec := q.End(QueryOutcome{
-		Cache: "cold", Backend: "bitmap", PredictedBackend: "bitmap",
+		Cache: "cold", Backend: "bitmap",
 		Ops:   []OpWall{{Op: "op:build-hold", WallMS: 1.5}},
 		Rules: 7, Rows: 7,
 	})

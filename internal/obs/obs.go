@@ -113,11 +113,7 @@ const (
 	MetricItemsetsFrequent = "itemsets_frequent" // frequent (or granule-frequent) itemsets (counter)
 	MetricStatements       = "statements"        // TML statements executed (counter)
 
-	// Counting cost model (apriori cost.go) events: the model's
-	// predicted cost for the backend that ran, in abstract word-op
-	// units, and the observed wall time of the counting passes.
-	MetricCountingPredictedCost = "counting_predicted_cost" // predicted cost of the chosen backend (gauge)
-	MetricCountingObservedNS    = "counting_observed_ns"    // observed counting wall time in ns (gauge)
+	MetricCountingObservedNS = "counting_observed_ns" // observed wall time of the counting passes in ns (gauge)
 
 	// Hold-table cache (core.HoldCache) events.
 	MetricCacheHits          = "holdcache_hits"           // exact-threshold cache hits (counter)

@@ -134,7 +134,7 @@ func Execute(ctx context.Context, root *Node, tr obs.Tracer) (any, []OpStat, err
 			tr.StartTask(span)
 			// A request-scoped trace gets each operator's EXPLAIN
 			// details as span attributes, so the span tree carries the
-			// same predicted-backend/threshold annotations EXPLAIN
+			// same backend/threshold annotations EXPLAIN
 			// prints.
 			if t := obs.TraceFromContext(ctx); t != nil {
 				for _, kv := range n.Detail {

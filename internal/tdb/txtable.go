@@ -42,31 +42,7 @@ type TxTable struct {
 	// strictly increasing. Bounded at changeLogCap; once trimmed, the
 	// oldest retained record marks how far back DirtySince can answer.
 	log []changeRec
-
-	// Item sets appended since the stats cache last drained, guarded by
-	// mu (NOT statsMu: appendLocked already holds mu, and CountStats
-	// locks statsMu before mu, so touching statsMu here would invert
-	// the lock order). Slice headers only — backing arrays are shared
-	// with txs. Bounded at statsPendingCap; once the bound is hit the
-	// list stops tracking and the next CountStats falls back to a full
-	// scan (it detects the gap via the epoch arithmetic).
-	statsPending []itemset.Set
-
-	// Cost-model statistics, cached per write epoch (see CountStats).
-	// statsCounts is the raw per-item occurrence map the aggregate is
-	// derived from; keeping it lets CountStats absorb appends by
-	// draining statsPending instead of rescanning the table.
-	statsMu     sync.Mutex
-	statsEpoch  int64
-	statsOK     bool
-	statsVal    apriori.CountStats
-	statsCounts map[itemset.Item]int
 }
-
-// statsPendingCap bounds the stats pending list (memory, not
-// correctness: a trimmed list fails the drain invariant and forces a
-// full rescan).
-const statsPendingCap = 1 << 16
 
 // changeRec is one entry of the append change log: the epoch the append
 // produced and the transaction timestamp, from which the touched
@@ -192,9 +168,6 @@ func (t *TxTable) appendLocked(at time.Time, items itemset.Set) int64 {
 	at = at.UTC()
 	t.txs = append(t.txs, Tx{ID: id, At: at, Items: items})
 	t.epoch++
-	if len(t.statsPending) < statsPendingCap {
-		t.statsPending = append(t.statsPending, items)
-	}
 	if len(t.log) >= changeLogCap {
 		// Drop the oldest half; the retained suffix stays contiguous in
 		// epoch, which is all DirtySince needs.
@@ -369,57 +342,28 @@ func (t *TxTable) All() apriori.Source {
 	}
 }
 
-// CountStats summarises the table's shape for the counting cost model
-// (internal/apriori): transaction count, distinct items, occurrences
-// and the per-item density histogram. Granules is left 0 for the
-// caller to set from its own span. The scan is cached per write epoch
-// and maintained incrementally under appends: a stale cache drains the
-// pending-append list into the retained per-item count map and
-// re-aggregates in O(distinct items), so plan builds under write
-// traffic do not rescan the table. A full scan happens only on the
-// first call or after the pending list overflowed its bound.
-func (t *TxTable) CountStats() apriori.CountStats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
+// TableStats is the shape of a table as CountStats reports it.
+type TableStats struct {
+	N           int   // transactions
+	Items       int   // distinct items
+	Occurrences int64 // item occurrences over all transactions
+}
+
+// CountStats scans the table for its shape. Nothing in the module reads
+// it any more — benchmark/'s tdb.count_stats_ms probe is its one caller
+// (ROADMAP item 4b drops the probe, then this method).
+func (t *TxTable) CountStats() TableStats {
 	t.mu.RLock()
-	epoch := t.epoch
-	t.mu.RUnlock()
-	if t.statsOK && t.statsEpoch == epoch {
-		return t.statsVal
-	}
-	// The cache is stale. Capture the pending appends, the epoch and
-	// (for the fallback) the rows in one write-locked critical section,
-	// so the counts attributed to statsEpoch match exactly the rows
-	// that existed at that epoch — a scan outside the section could
-	// see appends that a later drain would then double count.
-	t.mu.Lock()
-	epoch = t.epoch
-	n := len(t.txs)
-	pending := t.statsPending
-	t.statsPending = nil
-	if t.statsOK && t.statsCounts != nil && int64(len(pending)) == epoch-t.statsEpoch {
-		// Every missed append is in the pending list: drain it.
-		t.mu.Unlock()
-		for _, set := range pending {
-			for _, x := range set {
-				t.statsCounts[x]++
-			}
+	defer t.mu.RUnlock()
+	s := TableStats{N: len(t.txs)}
+	seen := make(map[itemset.Item]struct{})
+	for _, tx := range t.txs {
+		s.Occurrences += int64(len(tx.Items))
+		for _, x := range tx.Items {
+			seen[x] = struct{}{}
 		}
-	} else {
-		counts := make(map[itemset.Item]int, len(t.statsCounts))
-		for _, tx := range t.txs {
-			for _, x := range tx.Items {
-				counts[x]++
-			}
-		}
-		t.mu.Unlock()
-		t.statsCounts = counts
 	}
-	s := apriori.CountStats{N: n}
-	for _, c := range t.statsCounts {
-		s.AddItem(c)
-	}
-	t.statsVal, t.statsEpoch, t.statsOK = s, epoch, true
+	s.Items = len(seen)
 	return s
 }
 

@@ -156,7 +156,6 @@ func queryOutcome(root *plan.Node, st *obs.MineStats, ops []plan.OpStat, res *mi
 		out.Backend = st.Backend
 		out.Rules = st.Counters[obs.MetricRulesEmitted]
 		out.Itemsets = st.Counters[obs.MetricItemsetsFrequent]
-		out.PredictedCost = st.Gauges[obs.MetricCountingPredictedCost]
 		if v, ok := st.Gauges[obs.MetricCountingObservedNS]; ok {
 			out.CountingMS = v / 1e6
 		}
@@ -167,13 +166,6 @@ func queryOutcome(root *plan.Node, st *obs.MineStats, ops []plan.OpStat, res *mi
 	}
 	if res != nil {
 		out.Rows = len(res.Rows)
-	}
-	for _, n := range plan.Chain(root) {
-		for _, kv := range n.Detail {
-			if kv.Key == "predicted_backend" {
-				out.PredictedBackend = kv.Val
-			}
-		}
 	}
 	return out
 }
@@ -374,9 +366,6 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 			if strings.HasPrefix(t.Name, "op:") {
 				add("observed: "+t.Name, fmt.Sprintf("%.1fms", float64(t.WallNS)/1e6))
 			}
-		}
-		if v, ok := st.Gauges[obs.MetricCountingPredictedCost]; ok {
-			add("observed: counting cost (predicted)", fmt.Sprintf("%.3g word-ops", v))
 		}
 		if v, ok := st.Gauges[obs.MetricCountingObservedNS]; ok {
 			add("observed: counting cost (observed)", fmt.Sprintf("%.1fms", v/1e6))

@@ -297,28 +297,35 @@ func explainRows(t *testing.T, ex *Executor, stmtSrc string) map[string][]string
 	return out
 }
 
-// TestExplainCountingCost: every MINE plan carries the cost model's
-// predicted backend and predicted cost, and once the statement has
-// run EXPLAIN also reports the observed counting cost — including the
-// explicit zero of a cache-served run.
+// TestExplainCountingCost: a MINE plan names the configured backend and
+// predicts nothing — auto is a rule resolved where counting starts, so
+// there is no second opinion to print — and once the statement has run
+// EXPLAIN reports the backend that counted and the observed counting
+// cost, including the explicit zero of a cache-served run.
 func TestExplainCountingCost(t *testing.T) {
 	db := fixtureDB(t)
 	ex := NewExecutor(db)
 	const stmt = `MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7 FREQUENCY 1.0 LIMIT 10`
 
 	plan := strings.Join(planLines(t, ex, stmt), "\n")
-	for _, want := range []string{"predicted_backend=", "predicted_cost="} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("cold plan missing %q:\n%s", want, plan)
-		}
+	if !strings.Contains(plan, "backend=auto") {
+		t.Errorf("cold plan does not name the configured backend:\n%s", plan)
+	}
+	if strings.Contains(plan, "predicted") {
+		t.Errorf("cold plan carries a prediction:\n%s", plan)
 	}
 
 	if _, err := ex.Exec(stmt); err != nil {
 		t.Fatal(err)
 	}
 	rows := explainRows(t, ex, stmt)
-	if v := rows["observed: counting cost (predicted)"]; len(v) != 1 || !strings.Contains(v[0], "word-ops") {
-		t.Errorf("predicted counting cost line = %q", v)
+	for k := range rows {
+		if strings.Contains(k, "predicted") {
+			t.Errorf("EXPLAIN row %q: nothing is predicted", k)
+		}
+	}
+	if v := rows["observed: backend"]; len(v) != 1 || v[0] != "bitmap" {
+		t.Errorf("observed backend line = %q, want bitmap (280 rows, auto)", v)
 	}
 	if v := rows["observed: counting cost (observed)"]; len(v) != 1 || !strings.HasSuffix(v[0], "ms") {
 		t.Errorf("observed counting cost line = %q", v)

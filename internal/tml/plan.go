@@ -101,7 +101,6 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 			With("confidence", fmt.Sprintf("%g", stmt.Confidence)).
 			With("backend", e.Backend.String()).
 			With("workers", fmt.Sprint(e.Workers))
-		addPrediction(mine, tbl, 1, e.Backend)
 		if stmt.MaxSize > 0 {
 			mine.With("max_size", fmt.Sprint(stmt.MaxSize))
 		}
@@ -262,10 +261,6 @@ func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node)
 		op = plan.OpBuildHold
 		mode = "cold"
 	}
-	granules := 1
-	if span, ok := tbl.Span(cfg.Granularity); ok {
-		granules = int(span.Len())
-	}
 	n := &plan.Node{Op: op, Input: input}
 	n.With("cache", mode).
 		With("support", fmt.Sprintf("%g", cfg.MinSupport)).
@@ -274,38 +269,10 @@ func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node)
 	if cfg.MaxK > 0 {
 		n.With("max_size", fmt.Sprint(cfg.MaxK))
 	}
-	predCost := addPrediction(n, tbl, granules, cfg.Backend)
 	n.Run = func(ctx context.Context, in any) (any, error) {
-		// Seed the plan-time prediction so a cache-served statement still
-		// reports one; a cold build overwrites it with the exact
-		// frequent-items prediction.
-		if tr := cfg.Tracer; tr != nil && tr.Enabled() {
-			tr.Gauge(obs.MetricCountingPredictedCost, predCost)
-		}
 		return e.Cache.GetContext(ctx, in.(*tdb.TxTable), cfg)
 	}
 	return n
-}
-
-// addPrediction annotates a counting operator with the cost model's
-// view of the table: the backend it would pick and the predicted cost
-// (abstract word-op units) of the backend that will actually run. The
-// plan-time stats cover all items — the in-run decision re-predicts
-// over the frequent items only — so the annotation is advisory; the
-// observed cost lands in the statement stats for comparison. Returns
-// the predicted cost of the effective backend.
-func addPrediction(n *plan.Node, tbl *tdb.TxTable, granules int, configured apriori.Backend) float64 {
-	stats := tbl.CountStats()
-	stats.Granules = granules
-	pred := apriori.Predict(stats)
-	effective := configured
-	if effective == apriori.BackendAuto {
-		effective = pred.Choice
-	}
-	cost := pred.Cost(effective)
-	n.With("predicted_backend", pred.Choice.String()).
-		With("predicted_cost", fmt.Sprintf("%.3g", cost))
-	return cost
 }
 
 // renderNode wraps a row-building function as the render operator.

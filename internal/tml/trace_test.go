@@ -2,12 +2,16 @@ package tml
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/tarm-project/tarm/internal/gen"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
+	"github.com/tarm-project/tarm/internal/timegran"
 )
 
 // execTraced runs stmt under a fresh request-scoped trace and returns
@@ -120,6 +124,46 @@ func TestTraceMatchesExplainObserved(t *testing.T) {
 	}
 }
 
+// TestAutoJournalsBitmapAcrossSupports: on the end-to-end benchmark's
+// table shape scaled down (a year of days, Quest 1000 items, 200 tx/day
+// for its 300–1000) a cold auto statement counts on bitmap at supports
+// on both sides of 0.03–0.04, where the retired cost model flipped auto
+// to roaring and ran 2–3× slower than the backend it passed over.
+func TestAutoJournalsBitmapAcrossSupports(t *testing.T) {
+	src, err := gen.GenerateTemporal(gen.TemporalConfig{
+		Quest:        gen.QuestConfig{NItems: 1000, NPatterns: 200, AvgTxLen: 10, AvgPatLen: 4},
+		Start:        time.Date(1998, 1, 1, 0, 0, 0, 0, time.UTC),
+		Granularity:  timegran.Day,
+		NGranules:    365,
+		TxPerGranule: 200,
+	}, 1998)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := tdb.NewMemDB()
+	tbl, err := db.CreateTxTable("baskets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Each(func(tx tdb.Tx) bool {
+		tbl.Append(tx.At, tx.Items)
+		return true
+	})
+	for _, support := range []string{"0.03", "0.05"} {
+		ex := NewExecutor(db) // a fresh cache: both builds are cold
+		ex.Journal = obs.NewJournal(obs.JournalConfig{})
+		ctx := obs.ContextWithTrace(context.Background(), obs.NewTrace("s"+support))
+		stmt := "MINE PERIODS FROM baskets AT GRANULARITY day THRESHOLD SUPPORT " + support + " CONFIDENCE 0.6 FREQUENCY 0.9"
+		if _, err := ex.ExecContext(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := ex.Journal.Get("s" + support)
+		if rec == nil || rec.Cache != "cold" || rec.Backend != "bitmap" {
+			t.Errorf("support %s: journal record %+v, want a cold build on bitmap", support, rec)
+		}
+	}
+}
+
 // TestExecutorJournal: with a journal installed, a statement leaves a
 // complete record — cache outcome transitions cold → hit on repeat,
 // backends, operator wall times, row and rule counts, span tree.
@@ -155,11 +199,21 @@ func TestExecutorJournal(t *testing.T) {
 	if cold.Task != "cycles" || !strings.Contains(cold.Statement, "MINE CYCLES") {
 		t.Errorf("record statement/task = %q/%q", cold.Statement, cold.Task)
 	}
-	if cold.Backend == "" || cold.PredictedBackend == "" {
-		t.Errorf("backends = %q predicted %q, want both set", cold.Backend, cold.PredictedBackend)
+	if cold.Backend != "bitmap" {
+		t.Errorf("backend = %q, want bitmap (auto over 280 rows)", cold.Backend)
 	}
-	if cold.PredictedCost <= 0 {
-		t.Errorf("predicted cost = %v, want > 0", cold.PredictedCost)
+	line, err := json.Marshal(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(line, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		if strings.HasPrefix(k, "predicted") {
+			t.Errorf("journal record has key %q: the journal holds observations only", k)
+		}
 	}
 	if cold.Itemsets <= 0 {
 		t.Errorf("itemsets = %d, want > 0", cold.Itemsets)

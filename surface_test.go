@@ -179,3 +179,60 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("allow-list entry %s is unnecessary: the function is gone or non-test code names it", name)
 	}
 }
+
+// TestAutoResolvedInOnePlace guards the counting seam's ownership of
+// BackendAuto: apriori.NewSliceCounter resolves it, so no layer above
+// may compare against it or switch on it — that is a second resolver
+// (or a prediction of the first) waiting to disagree with it. Passing
+// the value along, as tarm.MineTraditional does, is fine.
+func TestAutoResolvedInOnePlace(t *testing.T) {
+	isAuto := func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e.Name == "BackendAuto"
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "BackendAuto"
+		}
+		return false
+	}
+	check := func(path string) {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var at token.Pos
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if (n.Op == token.EQL || n.Op == token.NEQ) && (isAuto(n.X) || isAuto(n.Y)) {
+					at = n.Pos()
+				}
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					if isAuto(e) {
+						at = e.Pos()
+					}
+				}
+			}
+			if at.IsValid() {
+				t.Errorf("%s branches on BackendAuto: only apriori.NewSliceCounter resolves it (read SliceCounter.Backend for what it became)", fset.Position(at))
+			}
+			return true
+		})
+	}
+	for _, root := range []string{"internal/core", "internal/tml", "internal/plan", "internal/server", "cmd", "tarm.go"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				check(path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -141,7 +141,8 @@ func Open(dir string) (*DB, error) { return tdb.OpenDurable(dir, tdb.Durability{
 func NewMemDB() *DB { return tdb.NewMemDB() }
 
 // CountingBackend selects the support-counting strategy of the miners:
-// BackendAuto picks per run with a cost model over the data shape,
+// BackendAuto is the bitmap backend wherever its index fits in memory
+// (hash tree under 64 transactions, roaring past 512 MiB of index),
 // BackendBitmap is the vertical TID-bitmap backend, BackendRoaring its
 // compressed-container variant, BackendHashTree the classic Apriori
 // hash tree and BackendNaive the reference subset test. Set it on
