@@ -10,6 +10,7 @@ package tarm
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -417,16 +418,119 @@ func BenchmarkHoldTableBuild(b *testing.B) {
 	for _, support := range []float64{0.03, 0.05, 0.08} {
 		b.Run(fmt.Sprintf("year300/support=%g", support), func(b *testing.B) {
 			if year == nil {
-				tbl, _, err := bench.StandardDataset(bench.StandardConfig{TxPerDay: 300, Days: 365, Seed: 1998})
-				if err != nil {
-					b.Fatal(err)
-				}
-				year = tbl
+				year = yearTable(b)
 			}
 			cfg := bench.Cfg()
 			cfg.MinSupport, cfg.MinFreq, cfg.MaxK = support, 0.9, 0
 			b.ResetTimer()
 			run(b, year, cfg)
+		})
+	}
+}
+
+// yearTable is the shape the end-to-end benchmark mines: a year at 300
+// tx/day of Quest data.
+func yearTable(tb testing.TB) *tdb.TxTable {
+	tb.Helper()
+	tbl, _, err := bench.StandardDataset(bench.StandardConfig{TxPerDay: 300, Days: 365, Seed: 1998})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tbl
+}
+
+// txTableBytesPerTx loads the year table (≈ 10⁵ transactions of ≈ 10
+// items) and returns what a stored transaction costs in live heap:
+// HeapAlloc after a collection, around the load, over the row count.
+func txTableBytesPerTx(tb testing.TB) float64 {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl := yearTable(tb)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perTx := float64(after.HeapAlloc-before.HeapAlloc) / float64(tbl.Len())
+	runtime.KeepAlive(tbl)
+	return perTx
+}
+
+// BenchmarkTxTableBytes reports the in-memory cost of a stored
+// transaction as B/tx (58 B of it are what the row occupies on disk).
+func BenchmarkTxTableBytes(b *testing.B) {
+	var perTx float64
+	for i := 0; i < b.N; i++ {
+		perTx = txTableBytesPerTx(b)
+	}
+	b.ReportMetric(perTx, "B/tx")
+}
+
+// TestTxTableBytesPerTx keeps the row layout from quietly fattening: the
+// table is ≈ 96 % of a serving process's heap, so a stored transaction
+// must stay within 80 B (DESIGN §tdb has the arithmetic).
+func TestTxTableBytesPerTx(t *testing.T) {
+	if perTx := txTableBytesPerTx(t); perTx > 80 {
+		t.Errorf("a stored transaction costs %.1f B of heap, want ≤ 80", perTx)
+	}
+}
+
+// BenchmarkTaskMiners times what a warm statement does after its cache
+// probe: the year table's hold table is built once at support 0.03 and
+// re-thresholded to 0.04 (the rethreshold sub-benchmark), then each
+// task operator runs over the 0.04 table. allocs/op against the table's
+// rule candidates shows what a candidate costs beyond its two itemsets.
+func BenchmarkTaskMiners(b *testing.B) {
+	ctx := context.Background()
+	cfg := bench.Cfg()
+	cfg.MinSupport, cfg.MinFreq, cfg.MaxK = 0.03, 0.9, 0
+	h03, err := core.BuildHoldTableContext(ctx, yearTable(b), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.MinSupport = 0.04
+	h, err := h03.Rethreshold(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	summer, err := timegran.ParsePattern("month in (jun..aug)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	candidates := 0
+	h.EachRuleCandidate(func(core.RuleCandidate) bool { candidates++; return true })
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"periods", func() error {
+			_, err := core.MineValidPeriodsFromTableContext(ctx, h, core.PeriodConfig{})
+			return err
+		}},
+		{"cycles", func() error {
+			_, err := core.MineCyclesFromTableContext(ctx, h, core.CycleConfig{})
+			return err
+		}},
+		{"calendars", func() error {
+			_, err := core.MineCalendarPeriodicitiesFromTableContext(ctx, h, core.CycleConfig{})
+			return err
+		}},
+		{"during", func() error {
+			_, err := core.MineDuringFromTableContext(ctx, h, summer)
+			return err
+		}},
+		{"rethreshold", func() error {
+			_, err := h03.Rethreshold(cfg)
+			return err
+		}},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := op.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(candidates), "candidates")
 		})
 	}
 }

@@ -109,12 +109,56 @@ func (ix *BitmapIndex) itemBits(x itemset.Item) []uint64 {
 	return ix.zero
 }
 
-// andInto sets dst = a & b, word by word.
-func andInto(dst, a, b []uint64) {
+// The word kernels below are shared by the flat and roaring backends
+// and by the temporal miners of internal/core, whose per-granule
+// vectors (hold sequences, activity, feature masks) are the same packed
+// words at one bit per granule. Operands of one call have equal length;
+// bits past the logical end of a vector are zero.
+
+// AndInto sets dst = a & b, word by word.
+func AndInto(dst, a, b []uint64) {
 	_ = dst[len(a)-1] // eliminate bounds checks in the loop
 	for w := range a {
 		dst[w] = a[w] & b[w]
 	}
+}
+
+// OrInto sets dst |= src, word by word.
+func OrInto(dst, src []uint64) {
+	_ = dst[len(src)-1]
+	for w := range src {
+		dst[w] |= src[w]
+	}
+}
+
+// AndCount returns popcount(a & b) without materialising the
+// intersection.
+func AndCount(a, b []uint64) int {
+	n := 0
+	_ = b[len(a)-1]
+	for w := range a {
+		n += bits.OnesCount64(a[w] & b[w])
+	}
+	return n
+}
+
+// FillRange sets bits [lo, hi) of w.
+func FillRange(w []uint64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	if first == last {
+		w[first] |= loMask & hiMask
+		return
+	}
+	w[first] |= loMask
+	for wi := first + 1; wi < last; wi++ {
+		w[wi] = ^uint64(0)
+	}
+	w[last] |= hiMask
 }
 
 // PopcountRange counts the set bits of words in bit positions [lo, hi).
@@ -179,7 +223,7 @@ func (ix *BitmapIndex) EachIntersection(cands []itemset.Set, fn func(i int, word
 			if j > 1 {
 				left = acc[j-2]
 			}
-			andInto(acc[j-1], left, ix.itemBits(c[j]))
+			AndInto(acc[j-1], left, ix.itemBits(c[j]))
 		}
 		fn(i, acc[k-2])
 		prev = c

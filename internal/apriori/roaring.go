@@ -321,7 +321,7 @@ func intersectCard(a, b *container) int {
 		}
 	case kindWords:
 		if b.kind == kindWords {
-			return cardWords(a.words, b.words)
+			return AndCount(a.words, b.words)
 		}
 		return cardWordsRuns(a.words, b.runs)
 	default:
@@ -428,15 +428,6 @@ func cardArrayRuns(arr []uint16, runs []runSpan) int {
 	return n
 }
 
-func cardWords(a, b []uint64) int {
-	n := 0
-	_ = b[len(a)-1]
-	for w := range a {
-		n += bits.OnesCount64(a[w] & b[w])
-	}
-	return n
-}
-
 func cardWordsRuns(words []uint64, runs []runSpan) int {
 	n := 0
 	for _, r := range runs {
@@ -460,7 +451,7 @@ func splatContainer(w []uint64, c *container) {
 		copy(w, c.words)
 	default:
 		for _, r := range c.runs {
-			fillRange(w, int(r.start), int(r.last)+1)
+			FillRange(w, int(r.start), int(r.last)+1)
 		}
 	}
 }
@@ -483,32 +474,13 @@ func unsplatContainer(w []uint64, c *container) {
 	}
 }
 
-// fillRange sets bits [lo, hi) of w.
-func fillRange(w []uint64, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	first, last := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << uint(lo&63)
-	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
-	if first == last {
-		w[first] |= loMask & hiMask
-		return
-	}
-	w[first] |= loMask
-	for wi := first + 1; wi < last; wi++ {
-		w[wi] = ^uint64(0)
-	}
-	w[last] |= hiMask
-}
-
 // cardWithWords counts |c ∧ w| where w is a splatted word view.
 func cardWithWords(c *container, w []uint64) int {
 	switch c.kind {
 	case kindArray:
 		return cardArrayWords(c.arr, w)
 	case kindWords:
-		return cardWords(c.words, w)
+		return AndCount(c.words, w)
 	default:
 		return cardWordsRuns(w, c.runs)
 	}

@@ -45,9 +45,9 @@ func sameHoldTable(t *testing.T, label string, want, got *HoldTable) {
 		t.Fatalf("%s: granules %d/%d, want %d/%d", label, got.NGranules(), got.NActive, want.NGranules(), want.NActive)
 	}
 	for gi := range want.MinCounts {
-		if got.MinCounts[gi] != want.MinCounts[gi] || got.Active[gi] != want.Active[gi] {
+		if got.MinCounts[gi] != want.MinCounts[gi] || bitAt(got.Active, gi) != bitAt(want.Active, gi) {
 			t.Fatalf("%s: granule %d threshold %d/%v, want %d/%v",
-				label, gi, got.MinCounts[gi], got.Active[gi], want.MinCounts[gi], want.Active[gi])
+				label, gi, got.MinCounts[gi], bitAt(got.Active, gi), want.MinCounts[gi], bitAt(want.Active, gi))
 		}
 	}
 	if len(got.ByK) != len(want.ByK) {

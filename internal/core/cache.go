@@ -584,36 +584,40 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 		counts:    make(map[string][]int32),
 	}
 	for gi, txc := range nh.TxCounts {
-		if nh.Active[gi] {
+		if bitAt(nh.Active, gi) {
 			nh.MinCounts[gi] = ceilCount(cfg.MinSupport, txc)
 		}
 	}
-	// Level 1: filter the stored items through the new thresholds. The
+	thr := nh.thresholds()
+	// filter passes a stored level through the new thresholds. The
 	// filtered slice of a sorted level stays sorted.
-	var l1 []itemset.Set
-	for _, s := range h.ByK[1] {
-		if v := h.countsOf(s); nh.frequentSomewhere(v) {
-			l1 = append(l1, s)
-			nh.counts[s.Key()] = v
+	filter := func(stored []itemset.Set) (level []itemset.Set) {
+		for _, s := range stored {
+			if v := h.countsOf(s); frequentSomewhere(v, thr) {
+				level = append(level, s)
+				nh.counts[s.Key()] = v
+			}
 		}
+		return level
 	}
+	l1 := filter(h.ByK[1])
 	nh.ByK = append(nh.ByK, l1)
 	// Higher levels replay the cold build's loop: stop where it would
 	// stop (thin level, empty join, MaxK), append an empty level where
 	// it would count candidates and find none. A stored k-level can
 	// never lack an itemset the cold build retains: that itemset is
-	// granule-frequent at the lower build support too.
+	// granule-frequent at the lower build support too. And a stored
+	// k-itemset that survives the filter is frequent in some granule,
+	// where by downward closure all its (k-1)-subsets are frequent too:
+	// they are in prev and the join of prev produces it. So a non-empty
+	// filtered level proves the join non-empty, and the join itself is
+	// run only to tell "counted, none frequent" from "nothing to count".
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK) && k < len(h.ByK); k++ {
-		cands, _, _ := generateFromSets(prev)
-		if len(cands) == 0 {
-			break
-		}
-		var level []itemset.Set
-		for _, s := range h.ByK[k] {
-			if v := h.countsOf(s); nh.frequentSomewhere(v) {
-				level = append(level, s)
-				nh.counts[s.Key()] = v
+		level := filter(h.ByK[k])
+		if len(level) == 0 {
+			if cands, _, _ := generateFromSets(prev); len(cands) == 0 {
+				break
 			}
 		}
 		nh.ByK = append(nh.ByK, level)

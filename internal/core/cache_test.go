@@ -79,7 +79,10 @@ func TestRethresholdMatchesColdBuild(t *testing.T) {
 			bases[backend][g.buildK] = base
 		}
 	}
-	for _, querySup := range []float64{buildSup, 0.08, 0.15, 0.4} {
+	// At 0.7 three items survive and none of their pairs does: the level
+	// the filter empties must still be appended, as the cold build's
+	// counted-and-found-none level 2 is.
+	for _, querySup := range []float64{buildSup, 0.08, 0.15, 0.4, 0.7} {
 		for _, g := range grids {
 			for _, queryK := range g.queryKs {
 				qcfg := cacheTestCfg(querySup, queryK)

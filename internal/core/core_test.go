@@ -158,7 +158,7 @@ func TestHoldsSequences(t *testing.T) {
 	check := func(ante, cons itemset.Set, wantHold func(d int) bool) {
 		t.Helper()
 		rc := RuleCandidate{Ante: ante, Cons: cons, Full: ante.Union(cons)}
-		hold, ok := h.Holds(rc)
+		hold, ok := holdSequence(h, rc)
 		if !ok {
 			t.Fatalf("rule %v=>%v has no hold sequence", ante, cons)
 		}
@@ -173,7 +173,7 @@ func TestHoldsSequences(t *testing.T) {
 	check(itemset.New(choc), itemset.New(wine), func(d int) bool { return d%7 == 5 || d%7 == 6 })
 
 	// A rule whose full itemset is never frequent.
-	if _, ok := h.Holds(RuleCandidate{
+	if _, ok := holdSequence(h, RuleCandidate{
 		Ante: itemset.New(bread), Cons: itemset.New(99),
 		Full: itemset.New(bread, 99),
 	}); ok {
@@ -235,7 +235,7 @@ func TestMaximalDenseIntervals(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		got := maximalDenseIntervals(c.hold, c.active, c.minFreq, c.minLen)
+		got := denseIntervalsOver(c.hold, c.active, c.minFreq, c.minLen)
 		if len(got) != len(c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 			continue

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
+	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
@@ -53,11 +55,14 @@ func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleCon
 	if err != nil {
 		return nil, err
 	}
-	return emitRules(ctx, h, obs.TaskCycles, cyclicLess, func(out []CyclicRule, rc RuleCandidate, hold []bool) []CyclicRule {
-		cycles := detectCycles(hold, h.Active, h.Span.Lo, ccfg.MaxLen, ccfg.MinReps, h.Cfg.MinFreq)
-		for _, cyc := range FilterRedundantCycles(cycles) {
-			occurs := func(gi int) bool { return cyc.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) }
-			if tr, ok := h.featureRule(rc, hold, cyc, occurs); ok {
+	classes := cycleClasses(h.Active, h.NGranules(), h.Span.Lo, ccfg.MaxLen, ccfg.MinReps, h.Cfg.MinFreq)
+	maskOf := make(map[timegran.Cycle][]uint64, len(classes))
+	for _, c := range classes {
+		maskOf[c.cycle] = c.mask
+	}
+	return emitRules(ctx, h, obs.TaskCycles, cyclicLess, func(out []CyclicRule, rc RuleCandidate, hold []uint64) []CyclicRule {
+		for _, cyc := range FilterRedundantCycles(detectCycles(hold, classes)) {
+			if tr, ok := h.featureRule(rc, hold, cyc, maskOf[cyc]); ok {
 				out = append(out, CyclicRule{TemporalRule: tr, Cycle: cyc})
 			}
 		}
@@ -75,36 +80,69 @@ func cyclicLess(a, b CyclicRule) bool {
 	return a.Cycle.Offset < b.Cycle.Offset
 }
 
-// detectCycles scans a hold sequence for cycles (length ℓ ≤ maxLen)
-// whose active occurrences number at least minReps and are held in at
-// least minFreq fraction. Offsets in the returned cycles are absolute
-// (relative to granule 0, not to the span start), so the cycles match
-// granule indices directly.
-func detectCycles(hold, active []bool, spanLo int64, maxLen, minReps int, minFreq float64) []timegran.Cycle {
-	var out []timegran.Cycle
-	n := len(hold)
+// cycleClass is one candidate cycle (ℓ, o) over a span: the mask of its
+// active occurrence granules and the least number of them a hold
+// sequence must cover to obey it. A cycle is a fixed residue class of
+// the granule axis, so its mask depends on the span and the activity
+// vector only — never on the rule.
+type cycleClass struct {
+	cycle timegran.Cycle // offset absolute: relative to granule 0, not the span start
+	mask  []uint64
+	need  int // minHits(minFreq, active occurrences)
+}
+
+// cycleClasses builds the classes of every cycle of length ℓ ≤ maxLen
+// with at least minReps active occurrences among the n granules from
+// spanLo on, ascending in need. It is built once per operator call —
+// at most maxLen(maxLen+1)/2 masks of ⌈n/64⌉ words, 496 × 6 for a year
+// of days at the default length 31, tens of microseconds — and not
+// kept: a cached copy would have to be invalidated with the table's
+// span and activity on every maintain.
+func cycleClasses(active []uint64, n int, spanLo int64, maxLen, minReps int, minFreq float64) []cycleClass {
+	words := len(active)
+	var classes []cycleClass
 	for l := 1; l <= maxLen; l++ {
-		for o := 0; o < l; o++ {
-			occ, hit := 0, 0
+		masks := make([]uint64, min(l, n)*words) // one length's masks, a row per offset
+		for o := 0; o < l && o < n; o++ {
+			mask := masks[o*words : (o+1)*words]
+			occ := 0
 			for gi := o; gi < n; gi += l {
-				if !active[gi] {
-					continue
-				}
-				occ++
-				if hold[gi] {
-					hit++
+				if bitAt(active, gi) {
+					setBit(mask, gi)
+					occ++
 				}
 			}
 			if occ < minReps {
 				continue
 			}
-			if float64(hit) >= minFreq*float64(occ)-1e-12 {
-				absOff := (spanLo + int64(o)) % int64(l)
-				if absOff < 0 {
-					absOff += int64(l)
-				}
-				out = append(out, timegran.Cycle{Length: int64(l), Offset: absOff})
+			absOff := (spanLo + int64(o)) % int64(l)
+			if absOff < 0 {
+				absOff += int64(l)
 			}
+			classes = append(classes, cycleClass{
+				cycle: timegran.Cycle{Length: int64(l), Offset: absOff},
+				mask:  mask,
+				need:  minHits(minFreq, occ),
+			})
+		}
+	}
+	sort.SliceStable(classes, func(i, j int) bool { return classes[i].need < classes[j].need })
+	return classes
+}
+
+// detectCycles returns the cycles of classes that the hold sequence
+// obeys: those whose active occurrences it covers in at least the
+// class's need. Classes ascend in need, so the scan stops at the first
+// one the whole sequence has too few bits for.
+func detectCycles(hold []uint64, classes []cycleClass) []timegran.Cycle {
+	var out []timegran.Cycle
+	nHold := popcount(hold)
+	for _, c := range classes {
+		if nHold < c.need {
+			break
+		}
+		if apriori.AndCount(hold, c.mask) >= c.need {
+			out = append(out, c.cycle)
 		}
 	}
 	return out
@@ -194,55 +232,65 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 		return nil, fmt.Errorf("core: no calendar folding defined for granularity %v", h.Cfg.Granularity)
 	}
 
-	// Precompute each granule's class per field.
-	classes := make([][]int, len(fields))
+	// One class per observed field value: the mask of the active granules
+	// carrying it and the hits it needs — unreachable under minReps
+	// occurrences. Values ascend within a field.
+	type valueClass struct {
+		value int
+		mask  []uint64
+		need  int
+	}
+	n, words := h.NGranules(), len(h.Active)
+	classes := make([][]valueClass, len(fields))
 	for fi, f := range fields {
-		classes[fi] = make([]int, h.NGranules())
-		for gi := range classes[fi] {
-			classes[fi][gi] = timegran.FieldValueAt(f, h.Cfg.Granularity, h.Span.Lo+int64(gi))
+		lo, hi := timegran.FieldDomain(f)
+		masks := make([]uint64, (hi-lo+1)*words)
+		for gi := 0; gi < n; gi++ {
+			if bitAt(h.Active, gi) {
+				v := timegran.FieldValueAt(f, h.Cfg.Granularity, h.Span.Lo+int64(gi)) - lo
+				setBit(masks[v*words:(v+1)*words], gi)
+			}
+		}
+		for v := 0; v <= hi-lo; v++ {
+			mask := masks[v*words : (v+1)*words]
+			occ := popcount(mask)
+			if occ == 0 {
+				continue
+			}
+			need := math.MaxInt
+			if occ >= ccfg.MinReps {
+				need = minHits(h.Cfg.MinFreq, occ)
+			}
+			classes[fi] = append(classes[fi], valueClass{value: v + lo, mask: mask, need: need})
 		}
 	}
 
-	return emitRules(ctx, h, obs.TaskCalendars, calendarLess, func(out []CalendarRule, rc RuleCandidate, hold []bool) []CalendarRule {
+	inClass := make([]uint64, words) // the qualifying values' granules, per candidate and field
+	return emitRules(ctx, h, obs.TaskCalendars, calendarLess, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
+		nHold := popcount(hold)
 		for fi, f := range fields {
-			lo, hi := timegran.FieldDomain(f)
-			occ := make([]int, hi-lo+1)
-			hit := make([]int, hi-lo+1)
-			for gi := range hold {
-				if !h.Active[gi] {
-					continue
-				}
-				v := classes[fi][gi] - lo
-				occ[v]++
-				if hold[gi] {
-					hit[v]++
-				}
-			}
 			var ranges []timegran.FieldRange
-			observed, qualifying := 0, 0
-			for v := range occ {
-				if occ[v] == 0 {
+			qualifying := 0
+			clear(inClass)
+			for _, c := range classes[fi] {
+				if nHold < c.need || apriori.AndCount(hold, c.mask) < c.need {
 					continue
 				}
-				observed++
-				if occ[v] >= ccfg.MinReps && float64(hit[v]) >= h.Cfg.MinFreq*float64(occ[v])-1e-12 {
-					qualifying++
-					val := v + lo
-					if n := len(ranges); n > 0 && ranges[n-1].Hi == val-1 {
-						ranges[n-1].Hi = val
-					} else {
-						ranges = append(ranges, timegran.FieldRange{Lo: val, Hi: val})
-					}
+				qualifying++
+				apriori.OrInto(inClass, c.mask)
+				if last := len(ranges) - 1; last >= 0 && ranges[last].Hi == c.value-1 {
+					ranges[last].Hi = c.value
+				} else {
+					ranges = append(ranges, timegran.FieldRange{Lo: c.value, Hi: c.value})
 				}
 			}
-			if qualifying == 0 || qualifying == observed {
+			if qualifying == 0 || qualifying == len(classes[fi]) {
 				continue // uninformative: never or always
 			}
 			cal, err := timegran.NewCalendar(f, ranges...)
 			if err != nil {
 				continue
 			}
-			inClass := func(gi int) bool { return cal.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) }
 			if tr, ok := h.featureRule(rc, hold, cal, inClass); ok {
 				out = append(out, CalendarRule{TemporalRule: tr, Field: f})
 			}

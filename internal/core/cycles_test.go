@@ -26,7 +26,7 @@ func TestDetectCycles(t *testing.T) {
 	for i := 1; i < 15; i += 3 {
 		hold[i] = true
 	}
-	got := detectCycles(hold, allActive(15), 0, 6, 2, 1)
+	got := detectCyclesOver(hold, allActive(15), 0, 6, 2, 1)
 	want3_1 := false
 	for _, c := range got {
 		if c.Length == 3 && c.Offset == 1 {
@@ -45,7 +45,7 @@ func TestDetectCycles(t *testing.T) {
 
 	// Absolute offsets: same sequence but span starts at granule 100.
 	// hold[1] is granule 101 → cycle (3, 101 mod 3 = 2).
-	got = detectCycles(hold, allActive(15), 100, 6, 2, 1)
+	got = detectCyclesOver(hold, allActive(15), 100, 6, 2, 1)
 	found := false
 	for _, c := range got {
 		if c.Length == 3 && c.Offset == 2 {
@@ -58,7 +58,7 @@ func TestDetectCycles(t *testing.T) {
 
 	// minReps: a "cycle" of length 8 in a 15-granule span has at most 2
 	// occurrences; with minReps=3 none of length 8 may appear.
-	got = detectCycles(hold, allActive(15), 0, 8, 3, 1)
+	got = detectCyclesOver(hold, allActive(15), 0, 8, 3, 1)
 	for _, c := range got {
 		if c.Length == 8 {
 			t.Errorf("cycle %v violates minReps", c)
@@ -80,10 +80,10 @@ func TestDetectCycles(t *testing.T) {
 		}
 		return false
 	}
-	if has(detectCycles(hold2, allActive(10), 0, 4, 2, 1), 2, 0) {
+	if has(detectCyclesOver(hold2, allActive(10), 0, 4, 2, 1), 2, 0) {
 		t.Error("exact detection accepted a miss")
 	}
-	if !has(detectCycles(hold2, allActive(10), 0, 4, 2, 0.75), 2, 0) {
+	if !has(detectCyclesOver(hold2, allActive(10), 0, 4, 2, 0.75), 2, 0) {
 		t.Error("fuzzy detection rejected 4/5 hits at minFreq 0.75")
 	}
 
@@ -91,7 +91,7 @@ func TestDetectCycles(t *testing.T) {
 	// not kill the cycle.
 	active := allActive(10)
 	active[4] = false
-	if !has(detectCycles(hold2, active, 0, 4, 2, 1), 2, 0) {
+	if !has(detectCyclesOver(hold2, active, 0, 4, 2, 1), 2, 0) {
 		t.Error("inactive miss killed the cycle")
 	}
 }

@@ -48,17 +48,20 @@ func ruleCandidateLoop(ctx context.Context, h *HoldTable, fn func(rc RuleCandida
 // Under a task:<task> span it hands every rule candidate that is
 // granule-frequent somewhere, with its hold sequence, to detect — the
 // only per-task part: which features the sequence yields, each turned
-// into a rule by featureRule and appended to out. The collected rules
-// are sorted by less and counted as rules_emitted.
+// into a rule by featureRule and appended to out. hold is one scratch
+// vector refilled per candidate, valid only during the detect call. The
+// collected rules are sorted by less and counted as rules_emitted.
 func emitRules[R any](ctx context.Context, h *HoldTable, task string, less func(a, b R) bool,
-	detect func(out []R, rc RuleCandidate, hold []bool) []R) ([]R, error) {
+	detect func(out []R, rc RuleCandidate, hold []uint64) []R) ([]R, error) {
 	if tr := h.Cfg.tracer(); tr.Enabled() {
 		tr.StartTask(obs.TaskSpan(task))
 		defer tr.EndTask()
 	}
 	var out []R
+	thr := h.thresholds()
+	hold := make([]uint64, len(h.Active))
 	err := ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
-		if hold, ok := h.Holds(rc); ok {
+		if h.Holds(rc, thr, hold) {
 			out = detect(out, rc, hold)
 		}
 	})
@@ -87,31 +90,23 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 		return nil, fmt.Errorf("core: MineDuring needs a temporal feature")
 	}
 	// Materialise the feature over the span once.
-	inFeature := make([]bool, h.NGranules())
-	nFeature := 0
-	for gi := range inFeature {
-		if h.Active[gi] && feature.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) {
-			inFeature[gi] = true
-			nFeature++
+	inFeature := make([]uint64, len(h.Active))
+	for gi := 0; gi < h.NGranules(); gi++ {
+		if bitAt(h.Active, gi) && feature.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) {
+			setBit(inFeature, gi)
 		}
 	}
+	nFeature := popcount(inFeature)
 	if nFeature == 0 {
 		return nil, fmt.Errorf("core: temporal feature %v covers no active granule of the data", feature)
 	}
 	minHold := ceilCount(h.Cfg.MinFreq, nFeature)
-	covered := func(gi int) bool { return inFeature[gi] }
 
-	return emitRules(ctx, h, obs.TaskDuring, temporalRuleLess, func(out []TemporalRule, rc RuleCandidate, hold []bool) []TemporalRule {
-		nHold := 0
-		for gi, in := range inFeature {
-			if in && hold[gi] {
-				nHold++
-			}
-		}
-		if nHold < minHold {
+	return emitRules(ctx, h, obs.TaskDuring, temporalRuleLess, func(out []TemporalRule, rc RuleCandidate, hold []uint64) []TemporalRule {
+		if apriori.AndCount(inFeature, hold) < minHold {
 			return out
 		}
-		if tr, ok := h.featureRule(rc, hold, feature, covered); ok {
+		if tr, ok := h.featureRule(rc, hold, feature, inFeature); ok {
 			out = append(out, tr)
 		}
 		return out

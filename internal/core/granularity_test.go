@@ -9,6 +9,7 @@ import (
 
 	"reflect"
 
+	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
@@ -30,7 +31,7 @@ func TestWeekGranularityMining(t *testing.T) {
 			t.Errorf("week %d has %d transactions, want 70", gi, n)
 		}
 	}
-	hold, ok := h.Holds(RuleCandidate{
+	hold, ok := holdSequence(h, RuleCandidate{
 		Ante: itemset.New(bbq), Cons: itemset.New(charcoal),
 		Full: itemset.New(bbq, charcoal),
 	})
@@ -45,11 +46,11 @@ func TestWeekGranularityMining(t *testing.T) {
 
 	// The weekend rule holds 18/70 ≈ 26% per week: below 50% support,
 	// invisible at week granularity — granularity choice matters.
-	if _, ok := h.Holds(RuleCandidate{
+	if _, ok := holdSequence(h, RuleCandidate{
 		Ante: itemset.New(choc), Cons: itemset.New(wine),
 		Full: itemset.New(choc, wine),
 	}); ok {
-		hold, _ := h.Holds(RuleCandidate{
+		hold, _ := holdSequence(h, RuleCandidate{
 			Ante: itemset.New(choc), Cons: itemset.New(wine),
 			Full: itemset.New(choc, wine),
 		})
@@ -102,7 +103,7 @@ func TestHourGranularityMining(t *testing.T) {
 // TestQuickFeatureRuleMatchesBruteForce verifies the shared emit step —
 // aggregate support/confidence and the covered/held granule counts —
 // against direct counting over the raw transactions of the granules a
-// random keep-mask selects.
+// random keep-mask selects (featureRule takes it packed).
 func TestQuickFeatureRuleMatchesBruteForce(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 20,
@@ -122,11 +123,14 @@ func TestQuickFeatureRuleMatchesBruteForce(t *testing.T) {
 		for gi := range mask {
 			mask[gi] = r.Intn(2) == 0
 		}
-		keep := func(gi int) bool { return mask[gi] }
+		// The mask form: the selected granules, restricted to active ones
+		// as every operator's feature mask is.
+		keep := packBits(mask)
+		apriori.AndInto(keep, keep, h.Active)
+		thr, hold := h.thresholds(), make([]uint64, len(h.Active))
 		okAll := true
 		h.EachRuleCandidate(func(rc RuleCandidate) bool {
-			hold, ok := h.Holds(rc)
-			if !ok {
+			if !h.Holds(rc, thr, hold) {
 				return true
 			}
 			got, ok := h.featureRule(rc, hold, timegran.Always{}, keep)
@@ -196,7 +200,7 @@ func TestMinGranuleTx(t *testing.T) {
 	if h.NActive != 9 {
 		t.Fatalf("active = %d, want 9", h.NActive)
 	}
-	if h.Active[4] {
+	if bitAt(h.Active, 4) {
 		t.Error("sparse day marked active")
 	}
 	// The rule still gets one unbroken 10-day period (day 4 neutral).

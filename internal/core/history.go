@@ -30,15 +30,16 @@ func (h *HoldTable) History(rc RuleCandidate) ([]GranuleStat, bool) {
 		return nil, false
 	}
 	anteCounts := h.countsOf(rc.Ante)
-	hold, _ := h.Holds(rc)
+	hold := make([]uint64, len(h.Active))
+	h.Holds(rc, h.thresholds(), hold)
 	out := make([]GranuleStat, h.NGranules())
 	for gi := range out {
 		s := GranuleStat{
 			Granule: h.Span.Lo + int64(gi),
 			TxCount: h.TxCounts[gi],
 			Count:   int(fullCounts[gi]),
-			Active:  h.Active[gi],
-			Holds:   hold[gi],
+			Active:  bitAt(h.Active, gi),
+			Holds:   bitAt(hold, gi),
 		}
 		if s.TxCount > 0 {
 			s.Support = float64(s.Count) / float64(s.TxCount)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -23,10 +25,16 @@ type HoldTable struct {
 	Span timegran.Interval
 
 	// Per-granule statistics, indexed by granule - Span.Lo.
-	TxCounts  []int  // transactions in the granule
-	MinCounts []int  // support threshold ceil(MinSupport · TxCounts)
-	Active    []bool // TxCounts ≥ MinGranuleTx
-	NActive   int
+	TxCounts  []int // transactions in the granule
+	MinCounts []int // support threshold ceil(MinSupport · TxCounts); 0 where inactive
+	// Active marks the granules with TxCounts ≥ MinGranuleTx, one bit
+	// per granule packed into ⌈n/64⌉ words (granule gi is bit gi&63 of
+	// word gi>>6; bits past the span are zero). Every per-granule
+	// vector of the task operators — hold sequences and feature masks —
+	// has this shape, so a detector is popcounts over a handful of
+	// words; see DESIGN §"Hold table".
+	Active  []uint64
+	NActive int
 
 	// ByK[k] lists the granule-frequent k-itemsets in canonical order.
 	ByK [][]itemset.Set
@@ -36,6 +44,35 @@ type HoldTable struct {
 
 // NGranules returns the number of granules in the span.
 func (h *HoldTable) NGranules() int { return int(h.Span.Len()) }
+
+// granuleWords is the length of a packed per-granule vector over n
+// granules.
+func granuleWords(n int) int { return (n + 63) / 64 }
+
+// bitAt reports whether granule gi is set in a packed vector.
+func bitAt(words []uint64, gi int) bool { return words[gi>>6]>>uint(gi&63)&1 != 0 }
+
+// setBit sets granule gi in a packed vector.
+func setBit(words []uint64, gi int) { words[gi>>6] |= 1 << uint(gi&63) }
+
+// popcount is the number of granules set in a packed vector.
+func popcount(words []uint64) int { return apriori.PopcountRange(words, 0, len(words)<<6) }
+
+// thresholds returns MinCounts in the form the counting loops compare
+// against: int32 like the count vectors, with inactive granules at
+// MaxInt32, which no count reaches — so "active and frequent" is one
+// compare per granule. It is derived per call (a few hundred entries),
+// not stored: MinCounts and Active stay the only copy of the facts.
+func (h *HoldTable) thresholds() []int32 {
+	thr := make([]int32, len(h.MinCounts))
+	for gi, minCount := range h.MinCounts {
+		thr[gi] = math.MaxInt32
+		if bitAt(h.Active, gi) {
+			thr[gi] = int32(minCount)
+		}
+	}
+	return thr
+}
 
 // Counts returns the per-granule count vector of s, or nil when s is
 // not granule-frequent. The slice is shared: callers must not modify.
@@ -101,9 +138,10 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		return nil, err
 	}
 	n := h.NGranules()
+	thr := h.thresholds()
 	nActiveTx := 0
 	for gi, txc := range h.TxCounts {
-		if h.Active[gi] {
+		if bitAt(h.Active, gi) {
 			nActiveTx += txc
 		}
 	}
@@ -123,13 +161,14 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		tr.StartPass(1)
 		t0 = time.Now()
 	}
-	items, c1 := h.countLevel1(ctx, tbl, cfg.Workers)
+	slices := h.slices(tbl)
+	items, c1 := countLevel1(ctx, slices, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var l1 []itemset.Set
 	for r, v := range c1 {
-		if h.frequentSomewhere(v) {
+		if frequentSomewhere(v, thr) {
 			s := itemset.Set{items[r]}
 			l1 = append(l1, s)
 			h.counts[s.Key()] = v
@@ -151,7 +190,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	for _, s := range l1 {
 		l1ranks.Add(s[0])
 	}
-	counter := apriori.NewSliceCounter(cfg.Backend, h.slices(tbl), l1ranks, cfg.Workers)
+	counter := apriori.NewSliceCounter(cfg.Backend, slices, l1ranks, cfg.Workers)
 	backend := counter.Backend()
 
 	prev := l1
@@ -180,7 +219,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		// naive backend stays the unfiltered reference.
 		counted := cands
 		if k == 2 && backend != apriori.BackendNaive {
-			counted = h.frequentPairs(ctx, tbl, l1ranks, cands, cfg.Workers, pairCells)
+			counted = h.frequentPairs(ctx, slices, l1ranks, cands, cfg.Workers, pairCells)
 		}
 		perGranule, err := counter.Count(ctx, counted)
 		countingNS += time.Since(tc0).Nanoseconds()
@@ -195,7 +234,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		}
 		var level []itemset.Set
 		for i, c := range counted {
-			if v := perGranule.Row(i); h.frequentSomewhere(v) {
+			if v := perGranule.Row(i); frequentSomewhere(v, thr) {
 				level = append(level, c)
 				h.counts[c.Key()] = v
 			}
@@ -228,13 +267,13 @@ func newHoldTable(tbl *tdb.TxTable, cfg Config, span timegran.Interval, sizeHint
 		Span:      span,
 		TxCounts:  tbl.GranuleCounts(cfg.Granularity, span),
 		MinCounts: make([]int, n),
-		Active:    make([]bool, n),
+		Active:    make([]uint64, granuleWords(n)),
 		ByK:       [][]itemset.Set{nil},
 		counts:    make(map[string][]int32, sizeHint),
 	}
 	for i, txc := range h.TxCounts {
 		if txc >= cfg.MinGranuleTx {
-			h.Active[i] = true
+			setBit(h.Active, i)
 			h.NActive++
 			h.MinCounts[i] = ceilCount(cfg.MinSupport, txc)
 		}
@@ -252,7 +291,7 @@ func (h *HoldTable) slices(tbl *tdb.TxTable) []apriori.Source {
 	out := make([]apriori.Source, h.NGranules())
 	for gi := range out {
 		out[gi] = apriori.Transactions(nil)
-		if h.Active[gi] {
+		if bitAt(h.Active, gi) {
 			out[gi] = tbl.GranuleSource(h.Cfg.Granularity, h.Span.Lo+timegran.Granule(gi))
 		}
 	}
@@ -260,10 +299,10 @@ func (h *HoldTable) slices(tbl *tdb.TxTable) []apriori.Source {
 }
 
 // frequentSomewhere reports whether the count vector clears the
-// threshold in at least one active granule.
-func (h *HoldTable) frequentSomewhere(v []int32) bool {
+// threshold in at least one active granule; thr is h.thresholds().
+func frequentSomewhere(v, thr []int32) bool {
 	for gi, c := range v {
-		if h.Active[gi] && int(c) >= h.MinCounts[gi] {
+		if c >= thr[gi] {
 			return true
 		}
 	}
@@ -287,40 +326,30 @@ func (h *HoldTable) frequentInSlices(v []int32, cols []int) bool {
 // eachActiveTxRange scans granule offsets [lo, hi) of the span once,
 // handing each transaction of each active granule to fn with the
 // granule offset: the shard primitive of the level-1 scan and the pair
-// prefilter. Each shard's rows are located by binary search, so shards
-// cost proportionally to their own data, and a table holding data
-// outside the span (a sub-span build) is not walked end to end.
+// prefilter. slices is h.slices(tbl) — the counting seam's own view, an
+// inactive granule empty — so a transaction arrives as its itemset, with
+// no timestamp to materialise or map back to a granule, and a shard
+// costs proportionally to its own data.
 //
 // Cancellation is sampled at granule boundaries only — a granule is
 // the natural block unit of every counting loop, and a per-transaction
 // check would cost on the hot path. A cancelled scan simply stops; the
 // caller is responsible for checking ctx.Err() before using the
 // (partial) counts.
-func (h *HoldTable) eachActiveTxRange(ctx context.Context, tbl *tdb.TxTable, lo, hi int, fn func(gi int, tx itemset.Set)) {
-	if lo >= hi {
-		return
-	}
+func eachActiveTxRange(ctx context.Context, slices []apriori.Source, lo, hi int, fn func(gi int, tx itemset.Set)) {
 	done := ctx.Done()
-	last := -1
-	iv := timegran.Interval{Lo: h.Span.Lo + int64(lo), Hi: h.Span.Lo + int64(hi) - 1}
-	tbl.EachInRange(h.Cfg.Granularity, iv, func(tx tdb.Tx) bool {
-		g := timegran.GranuleOf(tx.At, h.Cfg.Granularity)
-		gi := int(g - h.Span.Lo)
-		if gi != last {
-			last = gi
-			if done != nil {
-				select {
-				case <-done:
-					return false
-				default:
-				}
+	gi := lo
+	each := func(tx itemset.Set) { fn(gi, tx) } // one closure for the scan, not one per granule
+	for ; gi < hi; gi++ {
+		if done != nil {
+			select {
+			case <-done:
+				return
+			default:
 			}
 		}
-		if gi >= lo && gi < hi && h.Active[gi] {
-			fn(gi, tx.Items)
-		}
-		return true
-	})
+		slices[gi].ForEach(each)
+	}
 }
 
 // countLevel1 runs the level-1 item scan, producing the distinct items
@@ -328,11 +357,11 @@ func (h *HoldTable) eachActiveTxRange(ctx context.Context, tbl *tdb.TxTable, lo,
 // workers > 1 the span is sharded into contiguous granule blocks counted
 // concurrently; blocks own disjoint granule columns, so the merged
 // vectors are identical to a sequential scan.
-func (h *HoldTable) countLevel1(ctx context.Context, tbl *tdb.TxTable, workers int) ([]itemset.Item, [][]int32) {
-	n := h.NGranules()
+func countLevel1(ctx context.Context, slices []apriori.Source, workers int) ([]itemset.Item, [][]int32) {
+	n := len(slices)
 	blocks := apriori.Blocks(n, workers)
 	if len(blocks) == 1 {
-		return h.countLevel1Range(ctx, tbl, 0, n)
+		return countLevel1Range(ctx, slices, 0, n)
 	}
 	partItems := make([][]itemset.Item, len(blocks))
 	partVecs := make([][][]int32, len(blocks))
@@ -341,7 +370,7 @@ func (h *HoldTable) countLevel1(ctx context.Context, tbl *tdb.TxTable, workers i
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			partItems[w], partVecs[w] = h.countLevel1Range(ctx, tbl, lo, hi)
+			partItems[w], partVecs[w] = countLevel1Range(ctx, slices, lo, hi)
 		}(w, blk[0], blk[1])
 	}
 	wg.Wait()
@@ -362,10 +391,10 @@ func (h *HoldTable) countLevel1(ctx context.Context, tbl *tdb.TxTable, workers i
 // countLevel1Range is the level-1 scan of granule offsets [lo, hi), with
 // vectors hi-lo wide. Items are ranked as they are met, so an occurrence
 // costs one table load and one increment, not a map access.
-func (h *HoldTable) countLevel1Range(ctx context.Context, tbl *tdb.TxTable, lo, hi int) ([]itemset.Item, [][]int32) {
+func countLevel1Range(ctx context.Context, slices []apriori.Source, lo, hi int) ([]itemset.Item, [][]int32) {
 	var ranks itemset.Ranks
 	var vecs [][]int32
-	h.eachActiveTxRange(ctx, tbl, lo, hi, func(gi int, tx itemset.Set) {
+	eachActiveTxRange(ctx, slices, lo, hi, func(gi int, tx itemset.Set) {
 		for _, x := range tx {
 			r := ranks.Rank(x)
 			if r < 0 {
@@ -400,7 +429,7 @@ const maxPairCells = 1 << 24
 // the triangle exceeds pairCells the rows are split into blocks that
 // fit and the span is scanned once per block. A cancelled scan leaves
 // partial marks: the caller checks ctx.Err() before using the result.
-func (h *HoldTable) frequentPairs(ctx context.Context, tbl *tdb.TxTable, ranks *itemset.Ranks, cands []itemset.Set, workers, pairCells int) []itemset.Set {
+func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, cands []itemset.Set, workers, pairCells int) []itemset.Set {
 	m := ranks.Len()
 	// Row i of the triangle holds the pairs (i, j), i < j < m, at cells
 	// rowStart[i] + (j-i-1).
@@ -423,7 +452,7 @@ func (h *HoldTable) frequentPairs(ctx context.Context, tbl *tdb.TxTable, ranks *
 			wg.Add(1)
 			go func(w, lo, hi int) {
 				defer wg.Done()
-				parts[w] = h.markPairRows(ctx, tbl, ranks, rowStart, r0, r1, lo, hi)
+				parts[w] = h.markPairRows(ctx, slices, ranks, rowStart, r0, r1, lo, hi)
 			}(w, blk[0], blk[1])
 		}
 		wg.Wait()
@@ -452,7 +481,7 @@ func (h *HoldTable) frequentPairs(ctx context.Context, tbl *tdb.TxTable, ranks *
 // a granule's threshold. The flush sweeps the whole array: at these
 // sizes that beats keeping a list of touched cells, whose bookkeeping
 // sits on the increment path.
-func (h *HoldTable) markPairRows(ctx context.Context, tbl *tdb.TxTable, ranks *itemset.Ranks, rowStart []int, r0, r1, lo, hi int) (marks []bool) {
+func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, rowStart []int, r0, r1, lo, hi int) (marks []bool) {
 	base := rowStart[r0]
 	marks = make([]bool, rowStart[r1]-base)
 	cells := make([]int32, len(marks))
@@ -470,7 +499,7 @@ func (h *HoldTable) markPairRows(ctx context.Context, tbl *tdb.TxTable, ranks *i
 		}
 		clear(cells)
 	}
-	h.eachActiveTxRange(ctx, tbl, lo, hi, func(gi int, tx itemset.Set) {
+	eachActiveTxRange(ctx, slices, lo, hi, func(gi int, tx itemset.Set) {
 		if gi != current {
 			flush()
 			current = gi
@@ -514,20 +543,22 @@ type RuleCandidate struct {
 	Ante, Cons, Full itemset.Set
 }
 
-// Holds returns the per-granule hold sequence of the rule: hold[gi] is
-// true when, inside granule gi, supp(full) ≥ threshold and
-// supp(full)/supp(ante) ≥ MinConfidence. Inactive granules are false;
-// use the Active mask to tell "fails" from "no data". ok is false when
-// the full itemset is not granule-frequent (the rule can hold nowhere).
-func (h *HoldTable) Holds(rc RuleCandidate) (hold []bool, ok bool) {
+// Holds fills hold — a caller-owned packed vector of ⌈n/64⌉ words,
+// reused from candidate to candidate — with the rule's hold sequence:
+// granule gi is set when, inside it, supp(full) ≥ threshold and
+// supp(full)/supp(ante) ≥ MinConfidence. Inactive granules are clear;
+// use the Active mask to tell "fails" from "no data". thr is
+// h.thresholds(). It returns false, leaving hold untouched, when the
+// full itemset is not granule-frequent (the rule can hold nowhere).
+func (h *HoldTable) Holds(rc RuleCandidate, thr []int32, hold []uint64) bool {
 	fullCounts := h.countsOf(rc.Full)
 	if fullCounts == nil {
-		return nil, false
+		return false
 	}
 	anteCounts := h.countsOf(rc.Ante)
-	hold = make([]bool, h.NGranules())
-	for gi := range hold {
-		if !h.Active[gi] || int(fullCounts[gi]) < h.MinCounts[gi] {
+	clear(hold)
+	for gi, c := range fullCounts {
+		if c < thr[gi] {
 			continue
 		}
 		if anteCounts == nil || anteCounts[gi] == 0 {
@@ -535,10 +566,18 @@ func (h *HoldTable) Holds(rc RuleCandidate) (hold []bool, ok bool) {
 		}
 		conf := float64(fullCounts[gi]) / float64(anteCounts[gi])
 		if conf+1e-12 >= h.Cfg.MinConfidence {
-			hold[gi] = true
+			setBit(hold, gi)
 		}
 	}
-	return hold, true
+	return true
+}
+
+// minHits is the frequency test of every detector as an integer bound:
+// the least hit count with float64(hits) ≥ minFreq·occ − 1e-12, so a
+// class of occ granules is decided by one integer compare — and skipped
+// without counting when the whole hold sequence has fewer bits.
+func minHits(minFreq float64, occ int) int {
+	return max(0, int(math.Ceil(minFreq*float64(occ)-1e-12)))
 }
 
 // EachRuleCandidate enumerates every rule X ⇒ {y} derivable from the
@@ -561,13 +600,15 @@ func (h *HoldTable) EachRuleCandidate(fn func(rc RuleCandidate) bool) {
 	}
 }
 
-// featureRule is the one place a hold sequence becomes a temporal rule:
-// over the granules selected by keep (indexed by granule offset) that
-// are also active, it aggregates the rule's counts into support,
-// confidence and lift over that sub-database, and scores the feature —
-// FeatureGranules selected granules, HoldGranules of them holding. ok
-// is false when the selection carries no transaction of the antecedent.
-func (h *HoldTable) featureRule(rc RuleCandidate, hold []bool, feature timegran.Pattern, keep func(gi int) bool) (tr TemporalRule, ok bool) {
+// featureRule is the one place a hold sequence becomes a temporal rule,
+// and the one place a feature mask is consumed: over the granules set
+// in mask — the feature's granules within the span, already restricted
+// to active ones by whoever built it — it aggregates the rule's counts
+// into support, confidence and lift over that sub-database, and scores
+// the feature: FeatureGranules selected granules, HoldGranules of them
+// holding. Only set bits are visited. ok is false when the selection
+// carries no transaction of the antecedent.
+func (h *HoldTable) featureRule(rc RuleCandidate, hold []uint64, feature timegran.Pattern, mask []uint64) (tr TemporalRule, ok bool) {
 	fullCounts := h.countsOf(rc.Full)
 	anteCounts := h.countsOf(rc.Ante)
 	consCounts := h.countsOf(rc.Cons)
@@ -575,27 +616,24 @@ func (h *HoldTable) featureRule(rc RuleCandidate, hold []bool, feature timegran.
 		return TemporalRule{}, false
 	}
 	var nTx, nFull, nAnte, nCons int64
-	nOcc, nHit := 0, 0
-	for gi := 0; gi < h.NGranules(); gi++ {
-		if !h.Active[gi] || !keep(gi) {
-			continue
-		}
-		nOcc++
-		if hold[gi] {
-			nHit++
-		}
-		nTx += int64(h.TxCounts[gi])
-		nFull += int64(fullCounts[gi])
-		if anteCounts != nil {
-			nAnte += int64(anteCounts[gi])
-		}
-		if consCounts != nil {
-			nCons += int64(consCounts[gi])
+	for wi, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			gi := wi<<6 + bits.TrailingZeros64(w)
+			nTx += int64(h.TxCounts[gi])
+			nFull += int64(fullCounts[gi])
+			if anteCounts != nil {
+				nAnte += int64(anteCounts[gi])
+			}
+			if consCounts != nil {
+				nCons += int64(consCounts[gi])
+			}
 		}
 	}
 	if nTx == 0 || nAnte == 0 {
 		return TemporalRule{}, false
 	}
+	nOcc := popcount(mask)
+	nHit := apriori.AndCount(mask, hold)
 	conf := float64(nFull) / float64(nAnte)
 	supp := float64(nFull) / float64(nTx)
 	lift := 0.0

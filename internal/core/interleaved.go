@@ -81,14 +81,13 @@ func MineItemsetCyclesSequential(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig)
 	}
 
 	var out []ItemsetCycles
+	thr := h.thresholds()
+	hold := make([]uint64, len(h.Active))
+	classes := cycleClasses(h.Active, h.NGranules(), h.Span.Lo, ccfg.MaxLen, ccfg.MinReps, 1)
 	for k := 1; k < len(h.ByK); k++ {
 		for _, s := range h.ByK[k] {
-			counts := h.Counts(s)
-			hold := make([]bool, h.NGranules())
-			for gi := range hold {
-				hold[gi] = h.Active[gi] && int(counts[gi]) >= h.MinCounts[gi]
-			}
-			cycles := FilterRedundantCycles(detectCycles(hold, h.Active, h.Span.Lo, ccfg.MaxLen, ccfg.MinReps, 1))
+			frequentGranules(hold, h.Counts(s), thr)
+			cycles := FilterRedundantCycles(detectCycles(hold, classes))
 			if len(cycles) > 0 {
 				out = append(out, ItemsetCycles{Set: s, Cycles: cycles})
 			}
@@ -96,6 +95,17 @@ func MineItemsetCyclesSequential(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig)
 	}
 	sortItemsetCycles(out)
 	return out, stats, nil
+}
+
+// frequentGranules fills hold with an itemset's hold sequence: the
+// granules where its count vector v clears thr (h.thresholds()).
+func frequentGranules(hold []uint64, v, thr []int32) {
+	clear(hold)
+	for gi, c := range v {
+		if c >= thr[gi] {
+			setBit(hold, gi)
+		}
+	}
 }
 
 // liveCand tracks one candidate during the interleaved pass.
@@ -135,7 +145,7 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 	c1 := make(map[itemset.Item][]int32)
 	tbl.Each(func(tx tdb.Tx) bool {
 		gi := int(timegran.GranuleOf(tx.At, cfg.Granularity) - span.Lo)
-		if gi < 0 || gi >= n || !active[gi] {
+		if gi < 0 || gi >= n || !bitAt(active, gi) {
 			return true
 		}
 		for _, x := range tx.Items {
@@ -148,13 +158,13 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 		}
 		return true
 	})
-	hold := make([]bool, n)
+	thr := head.thresholds()
+	hold := make([]uint64, len(active))
+	classes := cycleClasses(active, n, span.Lo, ccfg.MaxLen, ccfg.MinReps, 1)
 	var prev []*liveCand
 	for x, v := range c1 {
-		for gi := range hold {
-			hold[gi] = active[gi] && int(v[gi]) >= minCounts[gi]
-		}
-		cycles := detectCycles(hold, active, span.Lo, ccfg.MaxLen, ccfg.MinReps, 1)
+		frequentGranules(hold, v, thr)
+		cycles := detectCycles(hold, classes)
 		if len(cycles) == 0 {
 			continue
 		}
@@ -194,7 +204,7 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 		byGranule := make([][]int32, n)
 		for ci, lc := range cands {
 			for gi := 0; gi < n; gi++ {
-				if !active[gi] {
+				if !bitAt(active, gi) {
 					continue
 				}
 				if candOccupies(lc, span.Lo+int64(gi)) {

@@ -112,7 +112,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	var dirtyCols, cleanCols []int
 	for gi := 0; gi < n; gi++ {
 		switch {
-		case !nh.Active[gi]:
+		case !bitAt(nh.Active, gi):
 		case dirtySet[gi]:
 			dirtyCols = append(dirtyCols, gi)
 		default:
@@ -127,6 +127,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		return out
 	}
 	dirtySlices := slices(dirtyCols)
+	thr := nh.thresholds()
 
 	// rebase widens an old count vector to the new span, leaving dirty
 	// columns zeroed for the splice.
@@ -173,7 +174,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	for _, s := range h.ByK[1] {
 		tracked[s.Key()] = true
 		v := splice(rebase(h.counts[s.Key()]), c1[s[0]])
-		if nh.frequentSomewhere(v) {
+		if frequentSomewhere(v, thr) {
 			l1 = append(l1, s)
 			nh.counts[s.Key()] = v
 		}
@@ -262,7 +263,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		for i, c := range cands {
 			if old := h.countsOf(c); old != nil {
 				v := splice(rebase(old), dirtyCounts[i])
-				if nh.frequentSomewhere(v) {
+				if frequentSomewhere(v, thr) {
 					level = append(level, c)
 					nh.counts[c.Key()] = v
 				}

@@ -317,9 +317,9 @@ func checkHoldTable(t *testing.T, tag string, h *HoldTable, b *bruteTable) {
 		t.Fatalf("%s: %d granules, oracle %d", tag, h.NGranules(), b.nGranules)
 	}
 	for gi := 0; gi < b.nGranules; gi++ {
-		if h.TxCounts[gi] != b.txCounts[gi] || h.Active[gi] != b.active[gi] || h.MinCounts[gi] != b.minCounts[gi] {
+		if h.TxCounts[gi] != b.txCounts[gi] || bitAt(h.Active, gi) != b.active[gi] || h.MinCounts[gi] != b.minCounts[gi] {
 			t.Fatalf("%s: granule %d: tx/active/min = %d/%v/%d, oracle %d/%v/%d", tag, gi,
-				h.TxCounts[gi], h.Active[gi], h.MinCounts[gi],
+				h.TxCounts[gi], bitAt(h.Active, gi), h.MinCounts[gi],
 				b.txCounts[gi], b.active[gi], b.minCounts[gi])
 		}
 	}
@@ -872,11 +872,11 @@ func checkIdenticalTables(t *testing.T, tag string, got, want *HoldTable) {
 		t.Fatalf("%s: span %v, cold rebuild %v", tag, got.Span, want.Span)
 	}
 	for gi := range want.TxCounts {
-		if got.TxCounts[gi] != want.TxCounts[gi] || got.Active[gi] != want.Active[gi] ||
+		if got.TxCounts[gi] != want.TxCounts[gi] || bitAt(got.Active, gi) != bitAt(want.Active, gi) ||
 			got.MinCounts[gi] != want.MinCounts[gi] {
 			t.Fatalf("%s: granule %d: tx/active/min = %d/%v/%d, cold rebuild %d/%v/%d", tag, gi,
-				got.TxCounts[gi], got.Active[gi], got.MinCounts[gi],
-				want.TxCounts[gi], want.Active[gi], want.MinCounts[gi])
+				got.TxCounts[gi], bitAt(got.Active, gi), got.MinCounts[gi],
+				want.TxCounts[gi], bitAt(want.Active, gi), want.MinCounts[gi])
 		}
 	}
 	if len(got.ByK) != len(want.ByK) {

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
+	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
@@ -44,8 +46,11 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 	if err != nil {
 		return nil, err
 	}
-	return emitRules(ctx, h, obs.TaskPeriods, periodLess, func(out []PeriodRule, rc RuleCandidate, hold []bool) []PeriodRule {
-		for _, iv := range maximalDenseIntervals(hold, h.Active, h.Cfg.MinFreq, pcfg.MinLen) {
+	var pos []holdPos // scratch, refilled per candidate
+	inPeriod := make([]uint64, len(h.Active))
+	return emitRules(ctx, h, obs.TaskPeriods, periodLess, func(out []PeriodRule, rc RuleCandidate, hold []uint64) []PeriodRule {
+		pos = holdPositions(pos[:0], hold, h.Active)
+		for _, iv := range maximalDenseIntervals(pos, h.Cfg.MinFreq, pcfg.MinLen) {
 			abs := timegran.Interval{Lo: h.Span.Lo + int64(iv.Lo), Hi: h.Span.Lo + int64(iv.Hi)}
 			window, werr := timegran.NewWindow(
 				timegran.Start(abs.Lo, h.Cfg.Granularity),
@@ -54,7 +59,9 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 			if werr != nil {
 				continue // cannot happen: Lo ≤ Hi
 			}
-			inPeriod := func(gi int) bool { return gi >= iv.Lo && gi <= iv.Hi }
+			clear(inPeriod)
+			apriori.FillRange(inPeriod, iv.Lo, iv.Hi+1)
+			apriori.AndInto(inPeriod, inPeriod, h.Active)
 			if tr, ok := h.featureRule(rc, hold, window, inPeriod); ok {
 				out = append(out, PeriodRule{TemporalRule: tr, Interval: abs})
 			}
@@ -76,49 +83,50 @@ func periodLess(a, b PeriodRule) bool {
 // ivOff is an interval of granule *offsets* within the span.
 type ivOff struct{ Lo, Hi int }
 
+// holdPos is one holding granule of a hold sequence: its offset in the
+// span and its rank among the active granules (how many active granules
+// precede it), so the active count between two holding granules is a
+// rank difference.
+type holdPos struct{ gi, rank int }
+
+// holdPositions appends the holding granules of hold, in order, to pos.
+// hold must be a subset of active, as Holds guarantees.
+func holdPositions(pos []holdPos, hold, active []uint64) []holdPos {
+	before := 0 // active granules in earlier words
+	for wi, w := range hold {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			pos = append(pos, holdPos{gi: wi<<6 + b, rank: before + bits.OnesCount64(active[wi]&(1<<uint(b)-1))})
+		}
+		before += bits.OnesCount64(active[wi])
+	}
+	return pos
+}
+
 // maximalDenseIntervals returns the intervals [a,b] (offsets) such that
-//   - hold[a] and hold[b] (so endpoints are active),
+//   - a and b hold (so endpoints are active),
 //   - among the active granules of [a,b], the fraction holding is at
 //     least minFreq,
 //   - [a,b] contains at least minLen active granules, and
 //   - no other qualifying interval strictly contains [a,b].
 //
 // Inactive granules are neutral: they neither extend nor break a
-// period. The search is O(n²) per rule over the granule span, which is
-// small (hundreds to low thousands of granules).
-func maximalDenseIntervals(hold, active []bool, minFreq float64, minLen int) []ivOff {
-	n := len(hold)
-	var cands []ivOff
-	for a := 0; a < n; a++ {
-		if !hold[a] {
-			continue
-		}
-		nAct, nHold := 0, 0
-		best := -1
-		for b := a; b < n; b++ {
-			if active[b] {
-				nAct++
-				if hold[b] {
-					nHold++
-				}
-			}
-			if hold[b] && nAct >= minLen && float64(nHold) >= minFreq*float64(nAct)-1e-12 {
-				best = b
-			}
-		}
-		if best >= 0 {
-			cands = append(cands, ivOff{Lo: a, Hi: best})
-		}
-	}
-	// Drop intervals contained in another candidate. Candidates are in
-	// ascending Lo order with one candidate per start, so containment
-	// means an earlier candidate reaches at least as far.
+// period. Both endpoints hold, so the search runs over pairs of holding
+// granules — O(m²) in their number m, whatever the span — taking each
+// start's furthest qualifying end. Starts ascend, so an interval is
+// contained in an earlier one exactly when it ends no later than the
+// furthest end reported so far; only ends beyond that are tried.
+func maximalDenseIntervals(pos []holdPos, minFreq float64, minLen int) []ivOff {
 	var out []ivOff
-	maxHi := -1
-	for _, c := range cands {
-		if c.Hi > maxHi {
-			out = append(out, c)
-			maxHi = c.Hi
+	last := -1 // index of the furthest end reported
+	for i, a := range pos {
+		for j := len(pos) - 1; j > last && j >= i; j-- {
+			nAct, nHold := pos[j].rank-a.rank+1, j-i+1
+			if nAct >= minLen && float64(nHold) >= minFreq*float64(nAct)-1e-12 {
+				out = append(out, ivOff{Lo: a.gi, Hi: pos[j].gi})
+				last = j
+				break
+			}
 		}
 	}
 	return out

@@ -140,6 +140,9 @@ func readAppend(r *http.Request) (appendRequest, error) {
 		if tx.At.IsZero() {
 			return req, fmt.Errorf("tarmd: transaction %d has no timestamp", i)
 		}
+		if err := tdb.CheckTime(tx.At); err != nil {
+			return req, fmt.Errorf("tarmd: transaction %d: %w", i, err)
+		}
 		if len(tx.Items) == 0 {
 			return req, fmt.Errorf("tarmd: transaction %d has no items", i)
 		}

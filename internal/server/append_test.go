@@ -139,6 +139,7 @@ func TestAppendBadRequests(t *testing.T) {
 		{"no transactions", `{"table": "baskets", "transactions": []}`, http.StatusBadRequest},
 		{"no timestamp", `{"table": "baskets", "transactions": [{"items": ["a"]}]}`, http.StatusBadRequest},
 		{"no items", `{"table": "baskets", "transactions": [{"at": "2024-01-29T12:00:00Z"}]}`, http.StatusBadRequest},
+		{"timestamp beyond UnixNano", `{"table": "baskets", "transactions": [{"at": "1500-06-01T00:00:00Z", "items": ["a"]}]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/append", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -149,8 +150,8 @@ func TestAppendBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
 	}
-	if got := s.Registry().Counter(MetricAppendErrors).Value(); got != 6 {
-		t.Errorf("append error counter = %d, want 6", got)
+	if got := s.Registry().Counter(MetricAppendErrors).Value(); got != 7 {
+		t.Errorf("append error counter = %d, want 7", got)
 	}
 	tbl, _ := s.db.TxTable("baskets")
 	if tbl.Len() != 280 {

@@ -67,6 +67,9 @@ func ImportBaskets(r io.Reader, tbl *TxTable, dict *itemset.Dict) (n int, err er
 		if len(items) == 0 {
 			return n, fmt.Errorf("tdb: basket csv record %d: empty basket", line)
 		}
+		if err := CheckTime(at); err != nil {
+			return n, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
+		}
 		tbl.Append(at, itemset.New(items...))
 		n++
 	}

@@ -99,7 +99,8 @@ type durability struct {
 }
 
 // logAppend writes the pending dictionary delta (if the dictionary
-// grew) plus the batch's append records, returning the LSN to commit.
+// grew) plus the append records of a batch — the rows of t just stored,
+// IDs consecutive from firstID — returning the LSN to commit.
 // Callers hold the table lock, so per-table WAL order matches ID order
 // — the replay skip-watermark depends on that. Write errors are sticky
 // on the wal and surface from the commit.
@@ -110,7 +111,7 @@ type durability struct {
 // reader would reject as corrupt must never be written, because it
 // would end the valid prefix at recovery and silently drop everything
 // acked after it.
-func (d *durability) logAppend(table string, firstID int64, txs []Tx) int64 {
+func (d *durability) logAppend(t *TxTable, firstID int64, rows []row) int64 {
 	d.logMu.Lock()
 	defer d.logMu.Unlock()
 	var frames [][]byte
@@ -120,17 +121,17 @@ func (d *durability) logAppend(table string, firstID int64, txs []Tx) int64 {
 		d.loggedDict = n
 	}
 	nframes := len(frames)
-	base := 1 + 4 + len(table) + 8 + 4
+	base := 1 + 4 + len(t.name) + 8 + 4
 	start, size := 0, base
-	for i, tx := range txs {
-		txSize := 8 + 4 + 4*len(tx.Items)
+	for i, r := range rows {
+		txSize := 8 + 4 + 4*int(r.n)
 		if i > start && size+txSize > maxWALRecord {
-			frames = append(frames, encodeAppendFrame(table, firstID+int64(start), txs[start:i]))
+			frames = append(frames, encodeAppendFrame(t, firstID+int64(start), rows[start:i]))
 			start, size = i, base
 		}
 		size += txSize
 	}
-	frames = append(frames, encodeAppendFrame(table, firstID+int64(start), txs[start:]))
+	frames = append(frames, encodeAppendFrame(t, firstID+int64(start), rows[start:]))
 	lsn, _ := d.wal.writeFrames(frames...)
 	if d.cfg.Registry != nil {
 		d.cfg.Registry.Counter(MetricWALAppends).Add(int64(len(frames) - nframes))

@@ -634,9 +634,31 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
+// encodeAppendRecord is the reference append-record encoder — the
+// payload field by field through the store encoder, from a batch as the
+// caller holds it. encodeAppendFrame, which encodes from the table's own
+// rows, is pinned to it below.
+func encodeAppendRecord(table string, firstID int64, txs []Tx) []byte {
+	e := &encoder{}
+	e.u8(walRecAppend)
+	e.str(table)
+	e.i64(firstID)
+	e.u32(uint32(len(txs)))
+	for _, tx := range txs {
+		e.i64(tx.At.UnixNano())
+		e.u32(uint32(len(tx.Items)))
+		for _, it := range tx.Items {
+			e.u32(uint32(it))
+		}
+	}
+	return e.buf.Bytes()
+}
+
 // TestEncodeAppendFrameEquivalence pins the single-alloc hot-path
-// framing to the reference encode-then-frame pair byte for byte, so
-// the two cannot drift apart.
+// framing, which reads the rows a batch became in the table, to the
+// reference encode-then-frame pair over the batch itself, byte for
+// byte: what is logged is what was appended, across an arena block
+// boundary too.
 func TestEncodeAppendFrameEquivalence(t *testing.T) {
 	for _, txs := range [][]Tx{
 		nil,
@@ -647,8 +669,14 @@ func TestEncodeAppendFrameEquivalence(t *testing.T) {
 			{At: durAt(3, 0), Items: itemset.Set{}},
 		},
 	} {
+		tbl, err := newTxTable("baskets", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.nextID = 41
+		tbl.AppendBatch(txs)
 		want := frameRecord(encodeAppendRecord("baskets", 41, txs))
-		got := encodeAppendFrame("baskets", 41, txs)
+		got := encodeAppendFrame(tbl, 41, tbl.rows)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encodeAppendFrame diverges for %d txs:\n got %x\nwant %x", len(txs), got, want)
 		}

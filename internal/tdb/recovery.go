@@ -74,7 +74,7 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 			}
 			rec.txs = append(rec.txs, Tx{
 				ID:    rec.firstID + int64(i),
-				At:    time.Unix(0, at).UTC(),
+				At:    nanoTime(at),
 				Items: set,
 			})
 		}
@@ -249,7 +249,7 @@ func (t *TxTable) restoreBatch(txs []Tx) (added, skipped int) {
 			continue
 		}
 		t.nextID = tx.ID
-		t.appendLocked(tx.At, tx.Items)
+		t.appendLocked(tx.At.UnixNano(), tx.Items)
 		added++
 	}
 	return added, skipped

@@ -100,32 +100,20 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 		oldCounts = m.counts
 	}
 
-	// Partition transactions by segment (table order is time order).
-	type segment struct {
-		idx int64
-		txs []Tx
-	}
-	var segs []segment
-	t.Each(func(tx Tx) bool {
-		idx := cfg.segIndex(tx.At)
-		if n := len(segs); n == 0 || segs[n-1].idx != idx {
-			segs = append(segs, segment{idx: idx})
-		}
-		segs[len(segs)-1].txs = append(segs[len(segs)-1].txs, tx)
-		return true
-	})
-
-	newCounts := make(map[int64]int64, len(segs))
-	for _, seg := range segs {
-		newCounts[seg.idx] = int64(len(seg.txs))
-		if oldCounts[seg.idx] == int64(len(seg.txs)) {
+	// Walk the segments (table order is time order), writing the ones
+	// whose count changed straight from the table's rows.
+	newCounts := map[int64]int64{}
+	err := t.eachSegment(cfg, func(idx int64, rows []row) error {
+		newCounts[idx] = int64(len(rows))
+		if oldCounts[idx] == int64(len(rows)) {
 			stats.Skipped++
-			continue
-		}
-		if err := writeSegment(filepath.Join(dir, segFileName(seg.idx)), seg.idx, seg.txs); err != nil {
-			return stats, err
+			return nil
 		}
 		stats.Written++
+		return writeSegment(filepath.Join(dir, segFileName(idx)), idx, t, rows)
+	})
+	if err != nil {
+		return stats, err
 	}
 	// Segments that vanished (data deleted) are removed.
 	for idx := range oldCounts {
@@ -139,6 +127,26 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 		return stats, err
 	}
 	return stats, nil
+}
+
+// eachSegment calls fn, in time order, with the rows of every segment
+// of cfg's grid that holds transactions. The table's read lock is held
+// throughout.
+func (t *TxTable) eachSegment(cfg SegmentConfig, fn func(idx int64, rows []row) error) error {
+	t.rlockSorted()
+	defer t.mu.RUnlock()
+	for lo := 0; lo < len(t.rows); {
+		idx := cfg.segIndex(t.timeAt(lo))
+		hi := lo + 1
+		for hi < len(t.rows) && cfg.segIndex(t.timeAt(hi)) == idx {
+			hi++
+		}
+		if err := fn(idx, t.rows[lo:hi]); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // nextIDSnapshot reads the id counter under the lock.
@@ -164,22 +172,18 @@ func LoadTxTableSegmented(dir string) (*TxTable, SegmentConfig, error) {
 		idxs = append(idxs, idx)
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	var txs []Tx
 	for _, idx := range idxs {
-		segTxs, err := readSegment(filepath.Join(dir, segFileName(idx)), idx)
+		n, err := tbl.loadSegment(filepath.Join(dir, segFileName(idx)), idx)
 		if err != nil {
 			return nil, SegmentConfig{}, err
 		}
-		if int64(len(segTxs)) != m.counts[idx] {
+		if int64(n) != m.counts[idx] {
 			return nil, SegmentConfig{}, fmt.Errorf("tdb: segment %d has %d transactions, manifest says %d",
-				idx, len(segTxs), m.counts[idx])
+				idx, n, m.counts[idx])
 		}
-		txs = append(txs, segTxs...)
 	}
-	tbl.txs = txs
 	tbl.nextID = m.nextID
-	tbl.sorted = false
-	tbl.epoch = int64(len(txs))
+	tbl.epoch = int64(len(tbl.rows))
 	return tbl, m.cfg, nil
 }
 
@@ -235,33 +239,38 @@ func loadManifest(path string) (*manifest, error) {
 	return m, nil
 }
 
-func writeSegment(path string, idx int64, txs []Tx) error {
+// writeSegment writes rows of t — the transactions of segment idx — as
+// one segment file.
+func writeSegment(path string, idx int64, t *TxTable, rows []row) error {
 	e := &encoder{}
 	e.buf.WriteString(magicSegment)
 	e.u32(fmtVersion)
 	e.i64(idx)
-	e.u64(uint64(len(txs)))
-	for _, tx := range txs {
-		e.i64(tx.ID)
-		e.i64(tx.At.UnixNano())
-		e.u32(uint32(len(tx.Items)))
-		for _, it := range tx.Items {
+	e.u64(uint64(len(rows)))
+	for _, r := range rows {
+		e.i64(r.id)
+		e.i64(r.at)
+		e.u32(r.n)
+		for _, it := range t.items(r) {
 			e.u32(uint32(it))
 		}
 	}
 	return writeAtomic(path, e.buf.Bytes())
 }
 
-func readSegment(path string, wantIdx int64) ([]Tx, error) {
+// loadSegment appends the transactions of one segment file to t, which
+// no one else can see yet, and returns how many there were. On an error
+// t holds a prefix of the segment and is to be discarded.
+func (t *TxTable) loadSegment(path string, wantIdx int64) (int, error) {
 	d, err := readChecked(path, magicSegment)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if idx := d.i64(); idx != wantIdx {
-		return nil, fmt.Errorf("tdb: %s: segment index %d, want %d", path, idx, wantIdx)
+		return 0, fmt.Errorf("tdb: %s: segment index %d, want %d", path, idx, wantIdx)
 	}
 	n := d.u64()
-	txs := make([]Tx, 0, n)
+	var items itemset.Set // decode scratch; storeRow copies it
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		id := d.i64()
 		at := d.i64()
@@ -270,23 +279,22 @@ func readSegment(path string, wantIdx int64) ([]Tx, error) {
 			break
 		}
 		if ni < 0 || d.off+4*ni > len(d.b) {
-			return nil, fmt.Errorf("tdb: %s: implausible item count %d", path, ni)
+			return 0, fmt.Errorf("tdb: %s: implausible item count %d", path, ni)
 		}
-		items := make([]itemset.Item, ni)
-		for j := range items {
-			items[j] = itemset.Item(d.u32())
+		items = items[:0]
+		for j := 0; j < ni; j++ {
+			items = append(items, itemset.Item(d.u32()))
 		}
-		set := itemset.Set(items)
-		if !set.Valid() {
-			return nil, fmt.Errorf("tdb: %s: non-canonical itemset in transaction %d", path, id)
+		if !items.Valid() {
+			return 0, fmt.Errorf("tdb: %s: non-canonical itemset in transaction %d", path, id)
 		}
-		txs = append(txs, Tx{ID: id, At: time.Unix(0, at).UTC(), Items: set})
+		t.storeRow(id, at, items)
 	}
 	if d.err != nil {
-		return nil, d.err
+		return 0, d.err
 	}
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("tdb: %s: %d trailing bytes", path, len(d.b)-d.off)
+		return 0, fmt.Errorf("tdb: %s: %d trailing bytes", path, len(d.b)-d.off)
 	}
-	return txs, nil
+	return int(n), nil
 }

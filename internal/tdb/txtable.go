@@ -1,7 +1,10 @@
 package tdb
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,6 +26,16 @@ type Tx struct {
 // granule-restricted scan API the temporal miners run on. Appends may
 // arrive out of order; the table keeps itself sorted (stably, so equal
 // timestamps preserve arrival order).
+//
+// A stored transaction is a 24-byte row plus its items in an arena — the
+// same {UnixNano, id, items} the WAL and the segment files hold, so what
+// is logged is byte for byte what is in memory, and a Tx exists only at
+// the scan callbacks. A timestamp is therefore kept as nanoseconds since
+// the Unix epoch: one outside that range (CheckTime) is the instant its
+// wrapped UnixNano names — in memory at once, as it always was after a
+// restart — so whatever takes timestamps from outside the program
+// (tarmd's append body, the CSV import) refuses it with CheckTime's
+// error before it reaches a table. See DESIGN §tdb for the layout.
 type TxTable struct {
 	name string
 
@@ -33,38 +46,61 @@ type TxTable struct {
 	dur *durability
 
 	mu     sync.RWMutex
-	txs    []Tx
+	rows   []row
 	sorted bool
 	nextID int64
 	epoch  int64
 
-	// Append change log: one record per append, oldest first, epochs
-	// strictly increasing. Bounded at changeLogCap; once trimmed, the
-	// oldest retained record marks how far back DirtySince can answer.
-	log []changeRec
+	// Item arena: fixed-size blocks of 1<<blockShift items, filled in
+	// append order and never reallocated, so there is no doubling slack
+	// and a row's items stay put. A transaction never straddles a block:
+	// one that does not fit the current block's tail opens the next, and
+	// one larger than a block gets a block of exactly its size that
+	// takes as many consecutive slots (the rest nil) as it spans, which
+	// keeps "slot = off >> blockShift" true for every row.
+	blocks     [][]itemset.Item
+	blockShift uint
+
+	// Append change log: the UnixNano timestamp of every append, oldest
+	// first. Epochs are consecutive, so the record at index i belongs to
+	// epoch (epoch - len(log) + 1 + i) and needs no epoch of its own.
+	// Bounded at changeLogCap; once trimmed, the oldest retained record
+	// marks how far back DirtySince can answer.
+	log []int64
 }
 
-// changeRec is one entry of the append change log: the epoch the append
-// produced and the transaction timestamp, from which the touched
-// granule at any granularity can be derived on demand.
-type changeRec struct {
-	epoch int64
-	at    time.Time
+// row is one stored transaction: its timestamp as UnixNano, its ID and
+// the place of its items in the arena (n items from global item index
+// off). An out-of-order append re-sorts rows; items never move.
+type row struct {
+	at  int64
+	id  int64
+	off uint32
+	n   uint32
 }
+
+// arenaBlockShift sizes the item arena's blocks: 16 Ki items, 64 KiB.
+const arenaBlockShift = 14
 
 // changeLogCap bounds the append change log. When the log fills, the
 // oldest half is dropped; DirtySince then reports windows reaching past
 // the retained prefix as uncovered, and callers fall back to a full
-// rebuild. 64k records (~1.5 MB) covers far more appends than any
+// rebuild. 64k records (0.5 MB) covers far more appends than any
 // cached hold table is worth delta-maintaining across.
 const changeLogCap = 1 << 16
 
 // NewTxTable creates an empty transaction table.
 func NewTxTable(name string) (*TxTable, error) {
+	return newTxTable(name, arenaBlockShift)
+}
+
+// newTxTable is NewTxTable with the arena block size as a parameter, so
+// tests can put block boundaries inside small tables.
+func newTxTable(name string, blockShift uint) (*TxTable, error) {
 	if name == "" {
 		return nil, fmt.Errorf("tdb: empty transaction table name")
 	}
-	return &TxTable{name: name, sorted: true}, nil
+	return &TxTable{name: name, sorted: true, blockShift: blockShift}, nil
 }
 
 // Name returns the table name.
@@ -74,35 +110,32 @@ func (t *TxTable) Name() string { return t.name }
 func (t *TxTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.txs)
+	return len(t.rows)
+}
+
+// CheckTime reports whether at can be stored faithfully: a transaction
+// timestamp is kept, in memory and on disk, as nanoseconds since the
+// Unix epoch, which covers 1677-09-21 to 2262-04-11. Anything outside
+// wraps to a different instant; the error names the timestamp.
+func CheckTime(at time.Time) error {
+	if !time.Unix(0, at.UnixNano()).Equal(at) {
+		return fmt.Errorf("tdb: timestamp %s is outside the storable range (%s to %s)",
+			at.Format(time.RFC3339Nano),
+			time.Unix(0, math.MinInt64).UTC().Format(time.RFC3339), time.Unix(0, math.MaxInt64).UTC().Format(time.RFC3339))
+	}
+	return nil
 }
 
 // Append stores a transaction and returns its assigned ID. The items
-// are canonicalised defensively. Every append bumps the table's epoch
-// and records the touched timestamp in the change log, so derived
-// structures keyed on the epoch can either invalidate or delta-maintain
-// themselves (see DirtySince).
+// are canonicalised defensively and copied: the caller keeps ownership
+// of its slice. Every append bumps the table's epoch and records the
+// touched timestamp in the change log, so derived structures keyed on
+// the epoch can either invalidate or delta-maintain themselves (see
+// DirtySince). Like AppendBatch it drops the verdict (a WAL commit error
+// stays sticky on the log; a refused transaction is not stored and the
+// ID is -1); callers that need a per-call answer use AppendBatchDurable.
 func (t *TxTable) Append(at time.Time, items itemset.Set) int64 {
-	if !items.Valid() {
-		items = itemset.New(items...)
-	}
-	d := t.dur
-	if d != nil {
-		d.gate.RLock()
-		defer d.gate.RUnlock()
-	}
-	t.mu.Lock()
-	id := t.appendLocked(at, items)
-	var lsn int64
-	if d != nil {
-		lsn = d.logAppend(t.name, id, []Tx{{ID: id, At: at.UTC(), Items: items}})
-	}
-	t.mu.Unlock()
-	if d != nil {
-		// Commit errors are sticky on the WAL; callers needing a per-
-		// call verdict use AppendBatchDurable or DB.DurabilityErr.
-		d.wal.commit(lsn)
-	}
+	id, _, _ := t.appendBatch([]Tx{{At: at, Items: items}})
 	return id
 }
 
@@ -110,45 +143,60 @@ func (t *TxTable) Append(at time.Time, items itemset.Set) int64 {
 // acquisition and epoch-log update per row, in slice order. It returns
 // the ID of the first appended transaction and the table epoch after
 // the batch; with the write lock held throughout, the batch is atomic
-// with respect to concurrent scans and epoch reads.
+// with respect to concurrent scans and epoch reads. It is
+// AppendBatchDurable with the error dropped.
 func (t *TxTable) AppendBatch(txs []Tx) (firstID, epoch int64) {
 	firstID, epoch, _ = t.appendBatch(txs)
 	return firstID, epoch
 }
 
-// AppendBatchDurable is AppendBatch with the durability verdict: on a
-// durable table it returns only after the batch's WAL record is
-// committed under the configured fsync policy, and the error reflects
-// any WAL write/sync failure — callers acknowledging writes (tarmd)
-// must not ack when it is non-nil. On a memory-only table the error is
-// always nil.
+// AppendBatchDurable is AppendBatch with the verdict. On a durable table
+// it returns only after the batch's WAL record is committed under the
+// configured fsync policy, and the error reflects any WAL write/sync
+// failure — callers acknowledging writes (tarmd) must not ack when it is
+// non-nil. A batch that could overflow the table's 2³²-item arena is
+// refused whole: nothing is stored or logged and firstID is -1. The
+// items of every transaction are copied, so the caller may reuse its
+// slices.
 func (t *TxTable) AppendBatchDurable(txs []Tx) (firstID, epoch int64, err error) {
 	return t.appendBatch(txs)
 }
 
 func (t *TxTable) appendBatch(txs []Tx) (firstID, epoch int64, err error) {
+	nItems := 0
+	for i := range txs {
+		nItems += len(txs[i].Items)
+	}
 	d := t.dur
 	if d != nil {
 		d.gate.RLock()
 		defer d.gate.RUnlock()
 	}
 	t.mu.Lock()
+	// Room in the arena, by the worst case: every transaction can waste
+	// less than its own length at a block switch, and the batch can end
+	// one block further on.
+	if uint64(len(t.blocks)+1)<<t.blockShift+2*uint64(nItems) > 1<<32 {
+		epoch = t.epoch
+		t.mu.Unlock()
+		return -1, epoch, fmt.Errorf("tdb: table %q is full: its item arena addresses 2^32 items and a batch of %d more may not fit", t.name, nItems)
+	}
 	firstID = t.nextID
-	start := len(t.txs)
-	for _, tx := range txs {
-		items := tx.Items
+	start := len(t.rows)
+	for i := range txs {
+		items := txs[i].Items
 		if !items.Valid() {
 			items = itemset.New(items...)
 		}
-		t.appendLocked(tx.At, items)
+		t.appendLocked(txs[i].At.UnixNano(), items)
 	}
 	epoch = t.epoch
 	var lsn int64
-	if d != nil && len(t.txs) > start {
-		// Log straight from the table's own entries (stable under t.mu,
-		// and exactly the {ID, UTC time, canonical items} replay needs)
-		// rather than building a parallel batch copy.
-		lsn = d.logAppend(t.name, firstID, t.txs[start:])
+	if d != nil && len(t.rows) > start {
+		// Log straight from the table's own rows (stable under t.mu, and
+		// exactly the {ID, UnixNano, canonical items} replay needs)
+		// rather than from the caller's batch.
+		lsn = d.logAppend(t, firstID, t.rows[start:])
 	}
 	t.mu.Unlock()
 	if d != nil {
@@ -157,16 +205,11 @@ func (t *TxTable) appendBatch(txs []Tx) (firstID, epoch int64, err error) {
 	return firstID, epoch, err
 }
 
-// appendLocked does the actual insert; callers hold the write lock and
-// have canonicalised items.
-func (t *TxTable) appendLocked(at time.Time, items itemset.Set) int64 {
-	id := t.nextID
+// appendLocked does the actual insert under the next ID; callers hold
+// the write lock and have canonicalised items, which are copied.
+func (t *TxTable) appendLocked(at int64, items itemset.Set) {
+	t.storeRow(t.nextID, at, items)
 	t.nextID++
-	if n := len(t.txs); n > 0 && t.txs[n-1].At.After(at) {
-		t.sorted = false
-	}
-	at = at.UTC()
-	t.txs = append(t.txs, Tx{ID: id, At: at, Items: items})
 	t.epoch++
 	if len(t.log) >= changeLogCap {
 		// Drop the oldest half; the retained suffix stays contiguous in
@@ -175,8 +218,40 @@ func (t *TxTable) appendLocked(at time.Time, items itemset.Set) int64 {
 		copy(t.log, t.log[len(t.log)-keep:])
 		t.log = t.log[:keep]
 	}
-	t.log = append(t.log, changeRec{epoch: t.epoch, at: at})
-	return id
+	t.log = append(t.log, at)
+}
+
+// storeRow appends one row, copying items into the arena. It is the
+// part of an append that loading a checkpoint shares: no ID assignment,
+// no epoch, no change log.
+func (t *TxTable) storeRow(id, at int64, items itemset.Set) {
+	if n := len(t.rows); n > 0 && t.rows[n-1].at > at {
+		t.sorted = false
+	}
+	slot := len(t.blocks) - 1
+	if slot < 0 || cap(t.blocks[slot])-len(t.blocks[slot]) < len(items) {
+		size, slots := 1<<t.blockShift, 1
+		if len(items) > size {
+			size, slots = len(items), (len(items)+size-1)>>t.blockShift
+		}
+		slot = len(t.blocks)
+		t.blocks = append(t.blocks, make([]itemset.Item, 0, size))
+		t.blocks = append(t.blocks, make([][]itemset.Item, slots-1)...)
+	}
+	b := t.blocks[slot]
+	t.rows = append(t.rows, row{at: at, id: id, off: uint32(slot<<t.blockShift + len(b)), n: uint32(len(items))})
+	t.blocks[slot] = append(b, items...)
+}
+
+// items returns r's itemset: a view into the arena, capped so that an
+// append by the receiver cannot reach the next transaction.
+func (t *TxTable) items(r row) itemset.Set {
+	if r.n == 0 {
+		return itemset.Set{} // its off may sit one past a full block
+	}
+	b := t.blocks[r.off>>t.blockShift]
+	lo := r.off & (1<<t.blockShift - 1)
+	return itemset.Set(b[lo : lo+r.n : lo+r.n])
 }
 
 // DirtySince reports which granules at granularity g were touched by
@@ -193,15 +268,14 @@ func (t *TxTable) DirtySince(g timegran.Granularity, since int64) (dirty []timeg
 	if since == epoch {
 		return nil, epoch, true
 	}
-	if since > epoch || len(t.log) == 0 || t.log[0].epoch > since+1 {
+	// The log holds the appends of epochs first..epoch, consecutively.
+	first := epoch - int64(len(t.log)) + 1
+	if since > epoch || len(t.log) == 0 || first > since+1 {
 		return nil, epoch, false
 	}
-	// Epochs in the log are strictly increasing: binary-search the first
-	// record past since.
-	i := sort.Search(len(t.log), func(i int) bool { return t.log[i].epoch > since })
 	seen := make(map[timegran.Granule]struct{})
-	for ; i < len(t.log); i++ {
-		n := timegran.GranuleOf(t.log[i].at, g)
+	for _, at := range t.log[since+1-first:] {
+		n := timegran.GranuleOf(nanoTime(at), g)
 		if _, dup := seen[n]; !dup {
 			seen[n] = struct{}{}
 			dirty = append(dirty, n)
@@ -221,34 +295,38 @@ func (t *TxTable) Epoch() int64 {
 	return t.epoch
 }
 
-// ensureSorted sorts by timestamp if out-of-order appends happened.
-// Callers must hold no lock; it takes the write lock itself.
-func (t *TxTable) ensureSorted() {
-	t.mu.RLock()
-	ok := t.sorted
-	t.mu.RUnlock()
-	if ok {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.sorted {
-		sort.SliceStable(t.txs, func(i, j int) bool { return t.txs[i].At.Before(t.txs[j].At) })
-		t.sorted = true
+// rlockSorted takes the read lock with the rows in time order. An
+// out-of-order append leaves them unsorted until the next reader: it
+// sorts under the write lock (stably, by timestamp; items stay where
+// they are in the arena) and retries, so no append can slip in between
+// the sort and the read lock — a reader that binary-searches rows which
+// are not sorted reads granules outside the range it asked for.
+func (t *TxTable) rlockSorted() {
+	for {
+		t.mu.RLock()
+		if t.sorted {
+			return
+		}
+		t.mu.RUnlock()
+		t.mu.Lock()
+		if !t.sorted {
+			slices.SortStableFunc(t.rows, func(a, b row) int { return cmp.Compare(a.at, b.at) })
+			t.sorted = true
+		}
+		t.mu.Unlock()
 	}
 }
 
 // Span returns the granule interval covered by the data at granularity
 // g; ok is false when the table is empty.
 func (t *TxTable) Span(g timegran.Granularity) (timegran.Interval, bool) {
-	t.ensureSorted()
-	t.mu.RLock()
+	t.rlockSorted()
 	defer t.mu.RUnlock()
-	if len(t.txs) == 0 {
+	if len(t.rows) == 0 {
 		return timegran.Interval{}, false
 	}
-	lo := timegran.GranuleOf(t.txs[0].At, g)
-	hi := timegran.GranuleOf(t.txs[len(t.txs)-1].At, g)
+	lo := timegran.GranuleOf(t.timeAt(0), g)
+	hi := timegran.GranuleOf(t.timeAt(len(t.rows)-1), g)
 	return timegran.Interval{Lo: lo, Hi: hi}, true
 }
 
@@ -257,30 +335,35 @@ func (t *TxTable) Span(g timegran.Granularity) (timegran.Interval, bool) {
 // instant (timegran.ClosedThrough). ok is false when the table is
 // empty.
 func (t *TxTable) MaxAt() (time.Time, bool) {
-	t.ensureSorted()
-	t.mu.RLock()
+	t.rlockSorted()
 	defer t.mu.RUnlock()
-	if len(t.txs) == 0 {
+	if len(t.rows) == 0 {
 		return time.Time{}, false
 	}
-	return t.txs[len(t.txs)-1].At, true
+	return t.timeAt(len(t.rows) - 1), true
 }
+
+// nanoTime is the instant a stored UnixNano names, as every Tx carries
+// it (and as a restart reconstructs it): in UTC.
+func nanoTime(at int64) time.Time { return time.Unix(0, at).UTC() }
+
+// timeAt is row i's timestamp.
+func (t *TxTable) timeAt(i int) time.Time { return nanoTime(t.rows[i].at) }
 
 // rowRange returns the half-open index range [i, j) of transactions
 // whose granule at g lies in iv. Requires the table sorted.
 func (t *TxTable) rowRange(g timegran.Granularity, iv timegran.Interval) (int, int) {
 	startT := timegran.Start(iv.Lo, g)
 	endT := timegran.Start(iv.Hi+1, g)
-	i := sort.Search(len(t.txs), func(i int) bool { return !t.txs[i].At.Before(startT) })
-	j := sort.Search(len(t.txs), func(i int) bool { return !t.txs[i].At.Before(endT) })
+	i := sort.Search(len(t.rows), func(i int) bool { return !t.timeAt(i).Before(startT) })
+	j := sort.Search(len(t.rows), func(i int) bool { return !t.timeAt(i).Before(endT) })
 	return i, j
 }
 
 // CountRange returns the number of transactions whose granule lies in
 // iv at granularity g.
 func (t *TxTable) CountRange(g timegran.Granularity, iv timegran.Interval) int {
-	t.ensureSorted()
-	t.mu.RLock()
+	t.rlockSorted()
 	defer t.mu.RUnlock()
 	i, j := t.rowRange(g, iv)
 	return j - i
@@ -290,14 +373,19 @@ func (t *TxTable) CountRange(g timegran.Granularity, iv timegran.Interval) int {
 // span, indexed by g - span.Lo. The temporal miners use it to size
 // per-granule thresholds.
 func (t *TxTable) GranuleCounts(g timegran.Granularity, span timegran.Interval) []int {
-	t.ensureSorted()
-	t.mu.RLock()
+	t.rlockSorted()
 	defer t.mu.RUnlock()
 	counts := make([]int, span.Len())
 	i, j := t.rowRange(g, span)
-	for ; i < j; i++ {
-		n := timegran.GranuleOf(t.txs[i].At, g)
-		counts[n-span.Lo]++
+	for i < j {
+		// Rows are in time order: row i's granule runs to the first row
+		// at or past the granule's end, found by binary search — one
+		// timestamp conversion per probe instead of one per row.
+		n := timegran.GranuleOf(t.timeAt(i), g)
+		end := timegran.Start(n+1, g)
+		run := sort.Search(j-i, func(k int) bool { return !t.timeAt(i + k).Before(end) })
+		counts[n-span.Lo] += run
+		i += run
 	}
 	return counts
 }
@@ -305,8 +393,7 @@ func (t *TxTable) GranuleCounts(g timegran.Granularity, span timegran.Interval) 
 // RangeSource exposes the transactions of the granule interval iv as a
 // mining source. The view is cheap (no copying) and repeatable.
 func (t *TxTable) RangeSource(g timegran.Granularity, iv timegran.Interval) apriori.Source {
-	t.ensureSorted()
-	t.mu.RLock()
+	t.rlockSorted()
 	i, j := t.rowRange(g, iv)
 	t.mu.RUnlock()
 	return apriori.FuncSource{
@@ -314,8 +401,8 @@ func (t *TxTable) RangeSource(g timegran.Granularity, iv timegran.Interval) apri
 		Scan: func(fn func(tx itemset.Set)) {
 			t.mu.RLock()
 			defer t.mu.RUnlock()
-			for k := i; k < j; k++ {
-				fn(t.txs[k].Items)
+			for _, r := range t.rows[i:j] {
+				fn(t.items(r))
 			}
 		},
 	}
@@ -329,14 +416,13 @@ func (t *TxTable) GranuleSource(g timegran.Granularity, n timegran.Granule) apri
 // All exposes the entire table as a mining source (the traditional,
 // time-agnostic view).
 func (t *TxTable) All() apriori.Source {
-	t.ensureSorted()
 	return apriori.FuncSource{
 		N: t.Len(),
 		Scan: func(fn func(tx itemset.Set)) {
-			t.mu.RLock()
+			t.rlockSorted()
 			defer t.mu.RUnlock()
-			for _, tx := range t.txs {
-				fn(tx.Items)
+			for _, r := range t.rows {
+				fn(t.items(r))
 			}
 		},
 	}
@@ -355,11 +441,11 @@ type TableStats struct {
 func (t *TxTable) CountStats() TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := TableStats{N: len(t.txs)}
+	s := TableStats{N: len(t.rows)}
 	seen := make(map[itemset.Item]struct{})
-	for _, tx := range t.txs {
-		s.Occurrences += int64(len(tx.Items))
-		for _, x := range tx.Items {
+	for _, r := range t.rows {
+		s.Occurrences += int64(r.n)
+		for _, x := range t.items(r) {
 			seen[x] = struct{}{}
 		}
 	}
@@ -372,24 +458,25 @@ func (t *TxTable) CountStats() TableStats {
 // scan to the interval's row range by binary search, so iterating a
 // sub-span costs proportionally to the sub-span, not the table.
 func (t *TxTable) EachInRange(g timegran.Granularity, iv timegran.Interval, fn func(tx Tx) bool) {
-	t.ensureSorted()
-	t.mu.RLock()
+	t.rlockSorted()
 	defer t.mu.RUnlock()
 	i, j := t.rowRange(g, iv)
-	for ; i < j; i++ {
-		if !fn(t.txs[i]) {
-			return
-		}
-	}
+	t.scan(t.rows[i:j], fn)
 }
 
 // Each iterates transactions in time order; fn returning false stops.
 func (t *TxTable) Each(fn func(tx Tx) bool) {
-	t.ensureSorted()
-	t.mu.RLock()
+	t.rlockSorted()
 	defer t.mu.RUnlock()
-	for _, tx := range t.txs {
-		if !fn(tx) {
+	t.scan(t.rows, fn)
+}
+
+// scan materialises each of rows as a Tx for fn, until fn returns false.
+// The Tx is built in the call, not by a helper: a 56-byte struct returned
+// and then passed on is copied twice, which doubles the cost of a scan.
+func (t *TxTable) scan(rows []row, fn func(tx Tx) bool) {
+	for _, r := range rows {
+		if !fn(Tx{ID: r.id, At: nanoTime(r.at), Items: t.items(r)}) {
 			return
 		}
 	}

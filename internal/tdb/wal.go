@@ -444,50 +444,27 @@ func (w *wal) stickyErr() error {
 // ---------------------------------------------------------------------
 // Record encoding. Payloads reuse the encoder of store.go.
 
-func encodeAppendRecord(table string, firstID int64, txs []Tx) []byte {
-	e := &encoder{}
-	// Exact pre-size: batch encoding is on the append hot path, and
-	// growing the buffer in steps re-zeroes and copies it several times
-	// for a day-sized batch.
-	size := 1 + 4 + len(table) + 8 + 4
-	for _, tx := range txs {
-		size += 8 + 4 + 4*len(tx.Items)
-	}
-	e.buf.Grow(size)
-	e.u8(walRecAppend)
-	e.str(table)
-	e.i64(firstID)
-	e.u32(uint32(len(txs)))
-	for _, tx := range txs {
-		e.i64(tx.At.UnixNano())
-		e.u32(uint32(len(tx.Items)))
-		for _, it := range tx.Items {
-			e.u32(uint32(it))
-		}
-	}
-	return e.buf.Bytes()
-}
-
-// encodeAppendFrame is encodeAppendRecord plus frameRecord in a single
-// exactly-sized allocation: the payload is built behind an 8-byte hole
-// that then receives the length+CRC frame header. One alloc and no
-// copy instead of two of each — this is the append hot path.
-func encodeAppendFrame(table string, firstID int64, txs []Tx) []byte {
-	size := 1 + 4 + len(table) + 8 + 4
-	for _, tx := range txs {
-		size += 8 + 4 + 4*len(tx.Items)
+// encodeAppendFrame encodes rows of t as one framed append record —
+// type, table, first ID, then {UnixNano, item count, items} per row —
+// in a single exactly-sized allocation: the payload is built behind an
+// 8-byte hole that then receives the length+CRC frame header. One alloc
+// and no copy — this is the append hot path. The caller holds t.mu.
+func encodeAppendFrame(t *TxTable, firstID int64, rows []row) []byte {
+	size := 1 + 4 + len(t.name) + 8 + 4
+	for _, r := range rows {
+		size += 8 + 4 + 4*int(r.n)
 	}
 	out := make([]byte, 8+size)
 	p := out[8:8]
 	p = append(p, walRecAppend)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(table)))
-	p = append(p, table...)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(t.name)))
+	p = append(p, t.name...)
 	p = binary.LittleEndian.AppendUint64(p, uint64(firstID))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(txs)))
-	for _, tx := range txs {
-		p = binary.LittleEndian.AppendUint64(p, uint64(tx.At.UnixNano()))
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(tx.Items)))
-		for _, it := range tx.Items {
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(rows)))
+	for _, r := range rows {
+		p = binary.LittleEndian.AppendUint64(p, uint64(r.at))
+		p = binary.LittleEndian.AppendUint32(p, r.n)
+		for _, it := range t.items(r) {
 			p = binary.LittleEndian.AppendUint32(p, uint32(it))
 		}
 	}
