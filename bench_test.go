@@ -10,6 +10,7 @@ package tarm
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/gen"
 	"github.com/tarm-project/tarm/internal/itemset"
+	"github.com/tarm-project/tarm/internal/minisql"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 	"github.com/tarm-project/tarm/internal/tml"
@@ -478,7 +480,10 @@ func TestTxTableBytesPerTx(t *testing.T) {
 // probe: the year table's hold table is built once at support 0.03 and
 // re-thresholded to 0.04 (the rethreshold sub-benchmark), then each
 // task operator runs over the 0.04 table. allocs/op against the table's
-// rule candidates shows what a candidate costs beyond its two itemsets.
+// rule candidates shows what a candidate costs: nothing unless it emits.
+// periods@0.03 is Task I over the 0.03 build itself, the largest answer
+// a warm session asks for, and format renders that answer through
+// minisql.Format as the seven PERIODS columns.
 func BenchmarkTaskMiners(b *testing.B) {
 	ctx := context.Background()
 	cfg := bench.Cfg()
@@ -498,10 +503,33 @@ func BenchmarkTaskMiners(b *testing.B) {
 	}
 	candidates := 0
 	h.EachRuleCandidate(func(core.RuleCandidate) bool { candidates++; return true })
+	periods03, err := core.MineValidPeriodsFromTableContext(ctx, h03, core.PeriodConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	answer := &minisql.Result{Cols: []string{"antecedent", "consequent", "support", "confidence", "from", "to", "frequency"}}
+	for _, r := range periods03 {
+		answer.Rows = append(answer.Rows, tdb.Row{
+			tdb.Str(r.Rule.Antecedent.String()), tdb.Str(r.Rule.Consequent.String()),
+			tdb.Float(r.Rule.Support), tdb.Float(r.Rule.Confidence),
+			tdb.Str(timegran.FormatGranule(r.Interval.Lo, r.Granularity)),
+			tdb.Str(timegran.FormatGranule(r.Interval.Hi, r.Granularity)),
+			tdb.Float(r.Freq),
+		})
+	}
+	b.Logf("periods@0.03: %d rules", len(periods03))
 	for _, op := range []struct {
 		name string
 		run  func() error
 	}{
+		{"periods@0.03", func() error {
+			_, err := core.MineValidPeriodsFromTableContext(ctx, h03, core.PeriodConfig{})
+			return err
+		}},
+		{"format", func() error {
+			minisql.Format(io.Discard, answer)
+			return nil
+		}},
 		{"periods", func() error {
 			_, err := core.MineValidPeriodsFromTableContext(ctx, h, core.PeriodConfig{})
 			return err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,6 +68,9 @@ func sameHoldTable(t *testing.T, label string, want, got *HoldTable) {
 				if wc[gi] != gc[gi] {
 					t.Fatalf("%s: %v counts differ at granule %d: %d, want %d", label, w, gi, gc[gi], wc[gi])
 				}
+			}
+			if wf, gf := want.levelFreq(k, i), got.levelFreq(k, i); !slices.Equal(wf, gf) {
+				t.Fatalf("%s: %v frequency words %x, want %x", label, w, gf, wf)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/tarm-project/tarm/internal/itemset"
@@ -523,15 +524,17 @@ func (h *HoldTable) withCfg(cfg Config) *HoldTable {
 
 // MemBytes estimates the resident heap size of the hold table: the
 // per-granule count vectors dominate (4 bytes × itemsets × granules),
-// plus per-itemset key/slice/map overhead and the per-granule
-// scaffolding. It is the sizing unit of the HoldCache budget.
+// plus the frequency words (one bit per granule), per-itemset
+// key/slice/map overhead and the per-granule scaffolding. It is the
+// sizing unit of the HoldCache budget.
 func (h *HoldTable) MemBytes() int64 {
 	// Map entry, key string header+bytes, count-slice header, ByK slot.
 	const perItemset = 96
 	n := int64(h.NGranules())
+	freqBytes := 8 * int64(len(h.Active))
 	var itemBytes int64
 	for k, level := range h.ByK {
-		itemBytes += int64(len(level)) * (4*n + int64(8*k) + perItemset)
+		itemBytes += int64(len(level)) * (4*n + freqBytes + int64(8*k) + perItemset)
 	}
 	return itemBytes + n*24
 }
@@ -542,7 +545,9 @@ func (h *HoldTable) MemBytes() int64 {
 // recomputed, every stored level is filtered through them, and the
 // level-wise stopping rule is replayed so the ByK structure matches a
 // cold build level for level. Count vectors are shared with h, never
-// copied.
+// copied. An itemset's filter visits only the granules its stored
+// frequency words name, so a re-threshold costs the frequent cells, not
+// the span.
 //
 // The monotonicity argument: per-granule counts do not depend on the
 // thresholds, and an itemset frequent in granule g at the higher
@@ -581,6 +586,7 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 		Active:    h.Active,
 		NActive:   h.NActive,
 		ByK:       [][]itemset.Set{nil},
+		freq:      [][]uint64{nil},
 		counts:    make(map[string][]int32),
 	}
 	for gi, txc := range nh.TxCounts {
@@ -588,20 +594,41 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 			nh.MinCounts[gi] = ceilCount(cfg.MinSupport, txc)
 		}
 	}
+	// filter passes stored level k through the new thresholds, visiting
+	// only the granules where the itemset was frequent at the build
+	// support: the thresholds only rose, so those are a superset of
+	// where it is frequent now. The filtered slice of a sorted level
+	// stays sorted.
 	thr := nh.thresholds()
-	// filter passes a stored level through the new thresholds. The
-	// filtered slice of a sorted level stays sorted.
-	filter := func(stored []itemset.Set) (level []itemset.Set) {
-		for _, s := range stored {
-			if v := h.countsOf(s); frequentSomewhere(v, thr) {
+	fw := make([]uint64, len(h.Active))
+	var words []uint64
+	filter := func(k int) (level []itemset.Set) {
+		words = words[:0]
+		for i, s := range h.ByK[k] {
+			v := h.countsOf(s)
+			var found uint64
+			for wi, w := range h.levelFreq(k, i) {
+				var nw uint64
+				for ; w != 0; w &= w - 1 {
+					b := bits.TrailingZeros64(w)
+					gi := wi<<6 + b
+					// v[gi] ≥ thr[gi] as the sign of thr-1-v: no branch to
+					// mispredict on a coin-flip test.
+					nw |= uint64(int64(thr[gi])-1-int64(v[gi])) >> 63 << b
+				}
+				fw[wi] = nw
+				found |= nw
+			}
+			if found != 0 {
 				level = append(level, s)
+				words = append(words, fw...)
 				nh.counts[s.Key()] = v
 			}
 		}
 		return level
 	}
-	l1 := filter(h.ByK[1])
-	nh.ByK = append(nh.ByK, l1)
+	l1 := filter(1)
+	nh.appendLevel(l1, words)
 	// Higher levels replay the cold build's loop: stop where it would
 	// stop (thin level, empty join, MaxK), append an empty level where
 	// it would count candidates and find none. A stored k-level can
@@ -614,13 +641,13 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 	// run only to tell "counted, none frequent" from "nothing to count".
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK) && k < len(h.ByK); k++ {
-		level := filter(h.ByK[k])
+		level := filter(k)
 		if len(level) == 0 {
 			if cands, _, _ := generateFromSets(prev); len(cands) == 0 {
 				break
 			}
 		}
-		nh.ByK = append(nh.ByK, level)
+		nh.appendLevel(level, words)
 		prev = level
 	}
 	if tr := cfg.tracer(); tr.Enabled() {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/obs"
@@ -60,7 +62,7 @@ func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleCon
 	for _, c := range classes {
 		maskOf[c.cycle] = c.mask
 	}
-	return emitRules(ctx, h, obs.TaskCycles, cyclicLess, func(out []CyclicRule, rc RuleCandidate, hold []uint64) []CyclicRule {
+	return emitRules(ctx, h, obs.TaskCycles, cyclicCmp, func(out []CyclicRule, rc RuleCandidate, hold []uint64) []CyclicRule {
 		for _, cyc := range FilterRedundantCycles(detectCycles(hold, classes)) {
 			if tr, ok := h.featureRule(rc, hold, cyc, maskOf[cyc]); ok {
 				out = append(out, CyclicRule{TemporalRule: tr, Cycle: cyc})
@@ -70,14 +72,14 @@ func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleCon
 	})
 }
 
-func cyclicLess(a, b CyclicRule) bool {
+func cyclicCmp(a, b CyclicRule) int {
 	if c := a.Rule.Compare(b.Rule); c != 0 {
-		return c < 0
+		return c
 	}
-	if a.Cycle.Length != b.Cycle.Length {
-		return a.Cycle.Length < b.Cycle.Length
+	if c := cmp.Compare(a.Cycle.Length, b.Cycle.Length); c != 0 {
+		return c
 	}
-	return a.Cycle.Offset < b.Cycle.Offset
+	return cmp.Compare(a.Cycle.Offset, b.Cycle.Offset)
 }
 
 // cycleClass is one candidate cycle (ℓ, o) over a span: the mask of its
@@ -266,7 +268,7 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 	}
 
 	inClass := make([]uint64, words) // the qualifying values' granules, per candidate and field
-	return emitRules(ctx, h, obs.TaskCalendars, calendarLess, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
+	return emitRules(ctx, h, obs.TaskCalendars, calendarCmp, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
 		nHold := popcount(hold)
 		for fi, f := range fields {
 			var ranges []timegran.FieldRange
@@ -299,12 +301,12 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 	})
 }
 
-func calendarLess(a, b CalendarRule) bool {
+func calendarCmp(a, b CalendarRule) int {
 	if c := a.Rule.Compare(b.Rule); c != 0 {
-		return c < 0
+		return c
 	}
-	if a.Field != b.Field {
-		return a.Field < b.Field
+	if c := cmp.Compare(a.Field, b.Field); c != 0 {
+		return c
 	}
-	return a.Feature.String() < b.Feature.String()
+	return strings.Compare(a.Feature.String(), b.Feature.String())
 }

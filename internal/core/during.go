@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/obs"
@@ -49,26 +50,25 @@ func ruleCandidateLoop(ctx context.Context, h *HoldTable, fn func(rc RuleCandida
 // granule-frequent somewhere, with its hold sequence, to detect — the
 // only per-task part: which features the sequence yields, each turned
 // into a rule by featureRule and appended to out. hold is one scratch
-// vector refilled per candidate, valid only during the detect call. The
-// collected rules are sorted by less and counted as rules_emitted.
-func emitRules[R any](ctx context.Context, h *HoldTable, task string, less func(a, b R) bool,
+// vector refilled per candidate, valid only during the detect call, as
+// are the candidate's antecedent and consequent. The collected rules are
+// sorted by cmp and counted as rules_emitted.
+func emitRules[R any](ctx context.Context, h *HoldTable, task string, cmp func(a, b R) int,
 	detect func(out []R, rc RuleCandidate, hold []uint64) []R) ([]R, error) {
 	if tr := h.Cfg.tracer(); tr.Enabled() {
 		tr.StartTask(obs.TaskSpan(task))
 		defer tr.EndTask()
 	}
 	var out []R
-	thr := h.thresholds()
 	hold := make([]uint64, len(h.Active))
 	err := ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
-		if h.Holds(rc, thr, hold) {
-			out = detect(out, rc, hold)
-		}
+		h.Holds(rc, hold)
+		out = detect(out, rc, hold)
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	slices.SortFunc(out, cmp)
 	h.Cfg.tracer().Counter(obs.MetricRulesEmitted, int64(len(out)))
 	return out, nil
 }
@@ -102,7 +102,7 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 	}
 	minHold := ceilCount(h.Cfg.MinFreq, nFeature)
 
-	return emitRules(ctx, h, obs.TaskDuring, temporalRuleLess, func(out []TemporalRule, rc RuleCandidate, hold []uint64) []TemporalRule {
+	return emitRules(ctx, h, obs.TaskDuring, temporalRuleCmp, func(out []TemporalRule, rc RuleCandidate, hold []uint64) []TemporalRule {
 		if apriori.AndCount(inFeature, hold) < minHold {
 			return out
 		}
@@ -113,13 +113,13 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 	})
 }
 
-// temporalRuleLess orders results canonically: by rule, then by the
+// temporalRuleCmp orders results canonically: by rule, then by the
 // feature's textual form.
-func temporalRuleLess(a, b TemporalRule) bool {
+func temporalRuleCmp(a, b TemporalRule) int {
 	if c := a.Rule.Compare(b.Rule); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.Feature.String() < b.Feature.String()
+	return strings.Compare(a.Feature.String(), b.Feature.String())
 }
 
 // MineTraditionalContext is the time-agnostic baseline: plain Apriori

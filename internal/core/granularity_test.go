@@ -127,12 +127,10 @@ func TestQuickFeatureRuleMatchesBruteForce(t *testing.T) {
 		// as every operator's feature mask is.
 		keep := packBits(mask)
 		apriori.AndInto(keep, keep, h.Active)
-		thr, hold := h.thresholds(), make([]uint64, len(h.Active))
+		hold := make([]uint64, len(h.Active))
 		okAll := true
 		h.EachRuleCandidate(func(rc RuleCandidate) bool {
-			if !h.Holds(rc, thr, hold) {
-				return true
-			}
+			h.Holds(rc, hold)
 			got, ok := h.featureRule(rc, hold, timegran.Always{}, keep)
 			// Brute force over the raw transactions, granule by granule.
 			nTx := make([]int, h.NGranules())

@@ -25,13 +25,12 @@ type GranuleStat struct {
 // only in summer?"). ok is false when the rule's itemset is not
 // granule-frequent anywhere — then no counts were retained.
 func (h *HoldTable) History(rc RuleCandidate) ([]GranuleStat, bool) {
-	fullCounts := h.countsOf(rc.Full)
-	if fullCounts == nil {
+	if rc.Freq = h.freqOf(rc.Full); rc.Freq == nil {
 		return nil, false
 	}
-	anteCounts := h.countsOf(rc.Ante)
 	hold := make([]uint64, len(h.Active))
-	h.Holds(rc, h.thresholds(), hold)
+	h.Holds(rc, hold)
+	fullCounts, anteCounts := h.countsOf(rc.Full), h.countsOf(rc.Ante)
 	out := make([]GranuleStat, h.NGranules())
 	for gi := range out {
 		s := GranuleStat{

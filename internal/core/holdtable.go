@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,6 +39,13 @@ type HoldTable struct {
 
 	// ByK[k] lists the granule-frequent k-itemsets in canonical order.
 	ByK [][]itemset.Set
+
+	// freq[k] holds the frequency words of ByK[k], len(Active) words
+	// per itemset in ByK order: granule gi is set where the itemset's
+	// count clears MinCounts[gi] in an active granule. The support test
+	// is run once per itemset by whoever produces the level (build,
+	// Maintain, Rethreshold) and never again per rule candidate.
+	freq [][]uint64
 
 	counts map[string][]int32
 }
@@ -86,6 +94,51 @@ func (h *HoldTable) Counts(s itemset.Set) []int32 { return h.countsOf(s) }
 func (h *HoldTable) countsOf(s itemset.Set) []int32 {
 	var a [64]byte
 	return h.counts[string(s.AppendKey(a[:0]))]
+}
+
+// levelFreq is the frequency-word view of ByK[k][i].
+func (h *HoldTable) levelFreq(k, i int) []uint64 {
+	w := len(h.Active)
+	return h.freq[k][i*w : (i+1)*w : (i+1)*w]
+}
+
+// freqOf returns s's frequency words, or nil when s is not
+// granule-frequent, by binary search in its level.
+func (h *HoldTable) freqOf(s itemset.Set) []uint64 {
+	k := len(s)
+	if k == 0 || k >= len(h.ByK) {
+		return nil
+	}
+	i, found := slices.BinarySearchFunc(h.ByK[k], s, itemset.Set.Compare)
+	if !found {
+		return nil
+	}
+	return h.levelFreq(k, i)
+}
+
+// appendLevel stores the next level: its itemsets in canonical order
+// and their frequency words in the same order. words is the producer's
+// scratch; it is copied to size, so a resident table carries no slack.
+func (h *HoldTable) appendLevel(level []itemset.Set, words []uint64) {
+	h.ByK = append(h.ByK, level)
+	h.freq = append(h.freq, slices.Clone(words))
+}
+
+// sortLevel orders a level collected out of order canonically, carrying
+// each itemset's w frequency words along.
+func sortLevel(level []itemset.Set, words []uint64, w int) ([]itemset.Set, []uint64) {
+	order := make([]int, len(level))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return level[a].Compare(level[b]) })
+	sets := make([]itemset.Set, len(level))
+	sorted := make([]uint64, 0, len(words))
+	for i, j := range order {
+		sets[i] = level[j]
+		sorted = append(sorted, words[j*w:(j+1)*w]...)
+	}
+	return sets, sorted
 }
 
 // TotalItemsets returns the number of granule-frequent itemsets.
@@ -166,16 +219,20 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	w := len(h.Active)
+	fw := make([]uint64, w) // one itemset's frequency words
 	var l1 []itemset.Set
+	var words []uint64
 	for r, v := range c1 {
-		if frequentSomewhere(v, thr) {
+		if frequentGranules(fw, v, thr) {
 			s := itemset.Set{items[r]}
 			l1 = append(l1, s)
+			words = append(words, fw...)
 			h.counts[s.Key()] = v
 		}
 	}
-	itemset.SortSets(l1)
-	h.ByK = append(h.ByK, l1)
+	l1, words = sortLevel(l1, words, w)
+	h.appendLevel(l1, words)
 	if trace {
 		tr.EndPass(obs.PassStats{
 			Level: 1, Generated: len(c1), Counted: len(c1), Frequent: len(l1),
@@ -233,13 +290,15 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 			return nil, err
 		}
 		var level []itemset.Set
+		words = words[:0]
 		for i, c := range counted {
-			if v := perGranule.Row(i); frequentSomewhere(v, thr) {
+			if v := perGranule.Row(i); frequentGranules(fw, v, thr) {
 				level = append(level, c)
+				words = append(words, fw...)
 				h.counts[c.Key()] = v
 			}
 		}
-		h.ByK = append(h.ByK, level)
+		h.appendLevel(level, words)
 		prev = level
 		if trace {
 			tr.EndPass(obs.PassStats{
@@ -269,6 +328,7 @@ func newHoldTable(tbl *tdb.TxTable, cfg Config, span timegran.Interval, sizeHint
 		MinCounts: make([]int, n),
 		Active:    make([]uint64, granuleWords(n)),
 		ByK:       [][]itemset.Set{nil},
+		freq:      [][]uint64{nil},
 		counts:    make(map[string][]int32, sizeHint),
 	}
 	for i, txc := range h.TxCounts {
@@ -298,25 +358,27 @@ func (h *HoldTable) slices(tbl *tdb.TxTable) []apriori.Source {
 	return out
 }
 
-// frequentSomewhere reports whether the count vector clears the
-// threshold in at least one active granule; thr is h.thresholds().
-func frequentSomewhere(v, thr []int32) bool {
+// frequentGranules fills words — len(h.Active) of them — with the
+// frequency words of count vector v: the granules where v clears thr
+// (h.thresholds(), so inactive granules never). It reports whether any
+// granule is set, i.e. whether the itemset is granule-frequent. A nil
+// vector is frequent nowhere.
+func frequentGranules(words []uint64, v, thr []int32) bool {
+	clear(words)
+	found := false
 	for gi, c := range v {
 		if c >= thr[gi] {
-			return true
+			setBit(words, gi)
+			found = true
 		}
 	}
-	return false
+	return found
 }
 
-// frequentInSlices is frequentSomewhere for a count vector over a list
-// of active granules: v[j] is the count in the granule at offset
-// cols[j]. Maintain uses it on the dirty-region counts, where scanning
-// the full span per candidate would dominate the whole delta pass. Nil
-// vectors are never frequent.
-func (h *HoldTable) frequentInSlices(v []int32, cols []int) bool {
-	for j, c := range v {
-		if int(c) >= h.MinCounts[cols[j]] {
+// anySet reports whether a packed vector has any granule set.
+func anySet(words []uint64) bool {
+	for _, x := range words {
+		if x != 0 {
 			return true
 		}
 	}
@@ -538,38 +600,38 @@ func generateFromSets(level []itemset.Set) (cands []itemset.Set, generated, prun
 }
 
 // RuleCandidate is one potential temporal rule considered by the
-// miners: antecedent ⇒ consequent with the full itemset cached.
+// miners: antecedent ⇒ consequent with the full itemset cached, and
+// Freq, the full itemset's stored frequency words.
 type RuleCandidate struct {
 	Ante, Cons, Full itemset.Set
+	Freq             []uint64
 }
 
 // Holds fills hold — a caller-owned packed vector of ⌈n/64⌉ words,
 // reused from candidate to candidate — with the rule's hold sequence:
 // granule gi is set when, inside it, supp(full) ≥ threshold and
-// supp(full)/supp(ante) ≥ MinConfidence. Inactive granules are clear;
-// use the Active mask to tell "fails" from "no data". thr is
-// h.thresholds(). It returns false, leaving hold untouched, when the
-// full itemset is not granule-frequent (the rule can hold nowhere).
-func (h *HoldTable) Holds(rc RuleCandidate, thr []int32, hold []uint64) bool {
-	fullCounts := h.countsOf(rc.Full)
-	if fullCounts == nil {
-		return false
+// supp(full)/supp(ante) ≥ MinConfidence. The support half is rc.Freq,
+// so only its set bits are visited and take the confidence test.
+// Inactive granules are clear; use the Active mask to tell "fails" from
+// "no data".
+func (h *HoldTable) Holds(rc RuleCandidate, hold []uint64) {
+	fullCounts, anteCounts := h.countsOf(rc.Full), h.countsOf(rc.Ante)
+	if anteCounts == nil {
+		clear(hold)
+		return // defensive; ante ⊆ full is frequent wherever full is
 	}
-	anteCounts := h.countsOf(rc.Ante)
-	clear(hold)
-	for gi, c := range fullCounts {
-		if c < thr[gi] {
-			continue
+	minConf := h.Cfg.MinConfidence
+	for wi, w := range rc.Freq {
+		var hw uint64
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			gi := wi<<6 + b
+			if a := anteCounts[gi]; a != 0 && float64(fullCounts[gi])/float64(a)+1e-12 >= minConf {
+				hw |= 1 << uint(b)
+			}
 		}
-		if anteCounts == nil || anteCounts[gi] == 0 {
-			continue // defensive; ante ⊆ full is frequent wherever full is
-		}
-		conf := float64(fullCounts[gi]) / float64(anteCounts[gi])
-		if conf+1e-12 >= h.Cfg.MinConfidence {
-			setBit(hold, gi)
-		}
+		hold[wi] = hw
 	}
-	return true
 }
 
 // minHits is the frequency test of every detector as an integer bound:
@@ -582,16 +644,20 @@ func minHits(minFreq float64, occ int) int {
 
 // EachRuleCandidate enumerates every rule X ⇒ {y} derivable from the
 // granule-frequent itemsets (single-item consequents, following the
-// companion papers' presentation convention), in canonical order.
+// companion papers' presentation convention), in canonical order, each
+// with its full itemset's stored frequency words. Ante and Cons are
+// scratch sets the loop refills: they are valid only during fn, and a
+// caller that keeps a rule copies them (featureRule does, on emit).
 func (h *HoldTable) EachRuleCandidate(fn func(rc RuleCandidate) bool) {
+	var ante itemset.Set
+	cons := make(itemset.Set, 1)
 	for k := 2; k < len(h.ByK); k++ {
-		for _, full := range h.ByK[k] {
-			for _, y := range full {
-				rc := RuleCandidate{
-					Ante: full.WithoutItem(y),
-					Cons: itemset.Set{y},
-					Full: full,
-				}
+		for i, full := range h.ByK[k] {
+			rc := RuleCandidate{Cons: cons, Full: full, Freq: h.levelFreq(k, i)}
+			for j, y := range full {
+				ante = append(append(ante[:0], full[:j]...), full[j+1:]...)
+				cons[0] = y
+				rc.Ante = ante
 				if !fn(rc) {
 					return
 				}
@@ -607,7 +673,8 @@ func (h *HoldTable) EachRuleCandidate(fn func(rc RuleCandidate) bool) {
 // into support, confidence and lift over that sub-database, and scores
 // the feature: FeatureGranules selected granules, HoldGranules of them
 // holding. Only set bits are visited. ok is false when the selection
-// carries no transaction of the antecedent.
+// carries no transaction of the antecedent. The emitted rule owns
+// copies of the candidate's antecedent and consequent.
 func (h *HoldTable) featureRule(rc RuleCandidate, hold []uint64, feature timegran.Pattern, mask []uint64) (tr TemporalRule, ok bool) {
 	fullCounts := h.countsOf(rc.Full)
 	anteCounts := h.countsOf(rc.Ante)
@@ -642,8 +709,8 @@ func (h *HoldTable) featureRule(rc RuleCandidate, hold []uint64, feature timegra
 	}
 	return TemporalRule{
 		Rule: apriori.Rule{
-			Antecedent: rc.Ante,
-			Consequent: rc.Cons,
+			Antecedent: rc.Ante.Clone(),
+			Consequent: rc.Cons.Clone(),
 			Count:      int(nFull),
 			Support:    supp,
 			Confidence: conf,

@@ -81,13 +81,11 @@ func MineItemsetCyclesSequential(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig)
 	}
 
 	var out []ItemsetCycles
-	thr := h.thresholds()
-	hold := make([]uint64, len(h.Active))
 	classes := cycleClasses(h.Active, h.NGranules(), h.Span.Lo, ccfg.MaxLen, ccfg.MinReps, 1)
 	for k := 1; k < len(h.ByK); k++ {
-		for _, s := range h.ByK[k] {
-			frequentGranules(hold, h.Counts(s), thr)
-			cycles := FilterRedundantCycles(detectCycles(hold, classes))
+		for i, s := range h.ByK[k] {
+			// An itemset's hold sequence is its frequency words.
+			cycles := FilterRedundantCycles(detectCycles(h.levelFreq(k, i), classes))
 			if len(cycles) > 0 {
 				out = append(out, ItemsetCycles{Set: s, Cycles: cycles})
 			}
@@ -95,17 +93,6 @@ func MineItemsetCyclesSequential(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig)
 	}
 	sortItemsetCycles(out)
 	return out, stats, nil
-}
-
-// frequentGranules fills hold with an itemset's hold sequence: the
-// granules where its count vector v clears thr (h.thresholds()).
-func frequentGranules(hold []uint64, v, thr []int32) {
-	clear(hold)
-	for gi, c := range v {
-		if c >= thr[gi] {
-			setBit(hold, gi)
-		}
-	}
 }
 
 // liveCand tracks one candidate during the interleaved pass.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/itemset"
@@ -152,6 +153,42 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		return v
 	}
 
+	// Frequency words, without a span scan. A clean granule kept its
+	// transaction count, so its threshold and every itemset's verdict
+	// there are unchanged: carry rebases a tracked itemset's old bits by
+	// off and tests only the dirty columns of its spliced vector v. An
+	// itemset untracked before is frequent in no clean granule (the
+	// splice invariant), so rise tests only its dirty-region counts. Each
+	// fills fw and reports whether the itemset is granule-frequent.
+	w := len(nh.Active)
+	fw := make([]uint64, w)
+	var words []uint64
+	carry := func(old []uint64, v []int32) bool {
+		clear(fw)
+		for wi, x := range old {
+			for ; x != 0; x &= x - 1 {
+				if gi := wi<<6 + bits.TrailingZeros64(x) + off; !dirtySet[gi] {
+					setBit(fw, gi)
+				}
+			}
+		}
+		for _, gi := range dirtyCols {
+			if v[gi] >= thr[gi] {
+				setBit(fw, gi)
+			}
+		}
+		return anySet(fw)
+	}
+	rise := func(dirtyCounts []int32) bool {
+		clear(fw)
+		for j, c := range dirtyCounts {
+			if gi := dirtyCols[j]; c >= thr[gi] {
+				setBit(fw, gi)
+			}
+		}
+		return anySet(fw)
+	}
+
 	// Level 1: per-item counts over the active dirty granules only.
 	c1 := make(map[itemset.Item][]int32)
 	for j, src := range dirtySlices {
@@ -170,12 +207,11 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		})
 	}
 	var l1 []itemset.Set
-	tracked := make(map[string]bool, len(h.ByK[1]))
-	for _, s := range h.ByK[1] {
-		tracked[s.Key()] = true
-		v := splice(rebase(h.counts[s.Key()]), c1[s[0]])
-		if frequentSomewhere(v, thr) {
+	for i, s := range h.ByK[1] {
+		v := splice(rebase(h.countsOf(s)), c1[s[0]])
+		if carry(h.levelFreq(1, i), v) {
 			l1 = append(l1, s)
+			words = append(words, fw...)
 			nh.counts[s.Key()] = v
 		}
 	}
@@ -185,11 +221,12 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	// so the per-level recounts below skip it outright.
 	newcomers := make(map[itemset.Item][]int32)
 	for x, dc := range c1 {
-		if s := (itemset.Set{x}); !tracked[s.Key()] && nh.frequentInSlices(dc, dirtyCols) {
+		if s := (itemset.Set{x}); h.countsOf(s) == nil && rise(dc) {
 			v := splice(make([]int32, n), dc)
 			newcomers[x] = v
 			nh.counts[s.Key()] = v
 			l1 = append(l1, s)
+			words = append(words, fw...)
 		}
 	}
 	if len(newcomers) > 0 {
@@ -209,8 +246,8 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 			})
 		}
 	}
-	itemset.SortSets(l1)
-	nh.ByK = append(nh.ByK, l1)
+	l1, words = sortLevel(l1, words, w)
+	nh.appendLevel(l1, words)
 
 	// Higher levels replay the cold build's level-wise loop — same
 	// generation, same stopping rule — but each candidate batch is
@@ -260,11 +297,23 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		}
 		var level, risers []itemset.Set
 		var riserVecs [][]int32
+		words = words[:0]
+		// Candidates and the old level are both in canonical order: one
+		// merge walk finds each tracked candidate's stored words.
+		var tracked []itemset.Set
+		if k < len(h.ByK) {
+			tracked = h.ByK[k]
+		}
+		t := 0
 		for i, c := range cands {
-			if old := h.countsOf(c); old != nil {
-				v := splice(rebase(old), dirtyCounts[i])
-				if frequentSomewhere(v, thr) {
+			for t < len(tracked) && tracked[t].Compare(c) < 0 {
+				t++
+			}
+			if t < len(tracked) && tracked[t].Equal(c) {
+				v := splice(rebase(h.countsOf(c)), dirtyCounts[i])
+				if carry(h.levelFreq(k, t), v) {
 					level = append(level, c)
+					words = append(words, fw...)
 					nh.counts[c.Key()] = v
 				}
 				continue
@@ -272,9 +321,10 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 			// Untracked: by the splice invariant it cannot be frequent in
 			// a clean granule, so dirty-region frequency decides — and the
 			// clean history recovered below never changes the verdict.
-			if nh.frequentInSlices(dirtyCounts[i], dirtyCols) {
+			if rise(dirtyCounts[i]) {
 				v := splice(make([]int32, n), dirtyCounts[i])
 				level = append(level, c)
+				words = append(words, fw...)
 				nh.counts[c.Key()] = v
 				risers = append(risers, c)
 				riserVecs = append(riserVecs, v)
@@ -301,7 +351,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 				}
 			}
 		}
-		nh.ByK = append(nh.ByK, level)
+		nh.appendLevel(level, words)
 		prev = level
 	}
 	if tr.Enabled() {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -355,6 +356,14 @@ func checkHoldTable(t *testing.T, tag string, h *HoldTable, b *bruteTable) {
 			for gi := range bv {
 				if hv[gi] != bv[gi] {
 					t.Fatalf("%s: counts(%v)[%d] = %d, oracle %d", tag, s, gi, hv[gi], bv[gi])
+				}
+			}
+			// And the stored frequency words: the support test, granule by
+			// granule, against the oracle's own thresholds.
+			hf := h.freqOf(s)
+			for gi := range bv {
+				if want := b.active[gi] && int(bv[gi]) >= b.minCounts[gi]; bitAt(hf, gi) != want {
+					t.Fatalf("%s: freq(%v) granule %d = %v, oracle %v", tag, s, gi, bitAt(hf, gi), want)
 				}
 			}
 		}
@@ -896,6 +905,9 @@ func checkIdenticalTables(t *testing.T, tag string, got, want *HoldTable) {
 				if gv[gi] != wv[gi] {
 					t.Fatalf("%s: counts(%v)[%d] = %d, cold rebuild %d", tag, s, gi, gv[gi], wv[gi])
 				}
+			}
+			if gf, wf := got.levelFreq(k, i), want.levelFreq(k, i); !slices.Equal(gf, wf) {
+				t.Fatalf("%s: freq(%v) = %x, cold rebuild %x", tag, s, gf, wf)
 			}
 		}
 	}

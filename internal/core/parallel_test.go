@@ -30,6 +30,11 @@ func holdTablesEqual(a, b *HoldTable) bool {
 			if !reflect.DeepEqual(a.Counts(s), b.Counts(s)) {
 				return false
 			}
+			// The stored support test too: a refresh (Maintain, Extend)
+			// must leave the words a cold build would compute.
+			if !reflect.DeepEqual(a.levelFreq(k, i), b.levelFreq(k, i)) {
+				return false
+			}
 		}
 	}
 	return true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -48,7 +49,7 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 	}
 	var pos []holdPos // scratch, refilled per candidate
 	inPeriod := make([]uint64, len(h.Active))
-	return emitRules(ctx, h, obs.TaskPeriods, periodLess, func(out []PeriodRule, rc RuleCandidate, hold []uint64) []PeriodRule {
+	return emitRules(ctx, h, obs.TaskPeriods, periodCmp, func(out []PeriodRule, rc RuleCandidate, hold []uint64) []PeriodRule {
 		pos = holdPositions(pos[:0], hold, h.Active)
 		for _, iv := range maximalDenseIntervals(pos, h.Cfg.MinFreq, pcfg.MinLen) {
 			abs := timegran.Interval{Lo: h.Span.Lo + int64(iv.Lo), Hi: h.Span.Lo + int64(iv.Hi)}
@@ -70,14 +71,14 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 	})
 }
 
-func periodLess(a, b PeriodRule) bool {
+func periodCmp(a, b PeriodRule) int {
 	if c := a.Rule.Compare(b.Rule); c != 0 {
-		return c < 0
+		return c
 	}
-	if a.Interval.Lo != b.Interval.Lo {
-		return a.Interval.Lo < b.Interval.Lo
+	if c := cmp.Compare(a.Interval.Lo, b.Interval.Lo); c != 0 {
+		return c
 	}
-	return a.Interval.Hi < b.Interval.Hi
+	return cmp.Compare(a.Interval.Hi, b.Interval.Hi)
 }
 
 // ivOff is an interval of granule *offsets* within the span.

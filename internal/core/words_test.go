@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,12 +39,15 @@ func unpackBits(words []uint64, n int) []bool {
 	return v
 }
 
-// holdSequence is Holds with its own scratch, one bool per granule.
+// holdSequence is Holds with its own scratch, one bool per granule, for
+// a candidate named by its sets: false when its full itemset is not
+// granule-frequent (there are no words to hold on).
 func holdSequence(h *HoldTable, rc RuleCandidate) ([]bool, bool) {
-	hold := make([]uint64, len(h.Active))
-	if !h.Holds(rc, h.thresholds(), hold) {
+	if rc.Freq = h.freqOf(rc.Full); rc.Freq == nil {
 		return nil, false
 	}
+	hold := make([]uint64, len(h.Active))
+	h.Holds(rc, hold)
 	return unpackBits(hold, h.NGranules()), true
 }
 
@@ -320,7 +324,7 @@ func TestQuickDetectCyclesMatchesBool(t *testing.T) {
 				}
 			}
 		}
-		sort.Slice(want, func(i, j int) bool { return cyclicLess(want[i], want[j]) })
+		slices.SortFunc(want, cyclicCmp)
 		return reflect.DeepEqual(rules, want)
 	})
 }
@@ -353,7 +357,7 @@ func TestQuickMaximalDenseIntervalsMatchesBool(t *testing.T) {
 				}
 			}
 		}
-		sort.Slice(want, func(i, j int) bool { return periodLess(want[i], want[j]) })
+		slices.SortFunc(want, periodCmp)
 		return reflect.DeepEqual(rules, want)
 	})
 }
@@ -392,6 +396,23 @@ func vectorTable(c wordCase) *HoldTable {
 	h.counts[itemset.New(1).Key()] = one
 	h.counts[itemset.New(2).Key()] = two
 	h.counts[itemset.New(1, 2).Key()] = both
+	return withFreq(h)
+}
+
+// withFreq gives a hand-built table the frequency words a build would
+// store beside its count vectors.
+func withFreq(h *HoldTable) *HoldTable {
+	thr := h.thresholds()
+	fw := make([]uint64, len(h.Active))
+	h.freq = [][]uint64{nil}
+	for k := 1; k < len(h.ByK); k++ {
+		var words []uint64
+		for _, s := range h.ByK[k] {
+			frequentGranules(fw, h.countsOf(s), thr)
+			words = append(words, fw...)
+		}
+		h.freq = append(h.freq, words)
+	}
 	return h
 }
 
@@ -429,7 +450,7 @@ func TestQuickCalendarsMatchBool(t *testing.T) {
 				}
 			}
 		}
-		sort.Slice(want, func(i, j int) bool { return calendarLess(want[i], want[j]) })
+		slices.SortFunc(want, calendarCmp)
 		return reflect.DeepEqual(got, want)
 	})
 }
@@ -475,7 +496,100 @@ func TestQuickDuringMatchesBool(t *testing.T) {
 				}
 			}
 		}
-		sort.Slice(want, func(i, j int) bool { return temporalRuleLess(want[i], want[j]) })
+		slices.SortFunc(want, temporalRuleCmp)
 		return reflect.DeepEqual(got, want)
 	})
+}
+
+// holdsBool is the per-granule Holds the word form replaced: every
+// granule of the span takes the support test against thresholds() —
+// inactive granules at MaxInt32 — and the ones that pass take the
+// confidence test.
+func holdsBool(h *HoldTable, rc RuleCandidate) []bool {
+	fullCounts := h.countsOf(rc.Full)
+	anteCounts := h.countsOf(rc.Ante)
+	thr := h.thresholds()
+	hold := make([]bool, h.NGranules())
+	for gi, c := range fullCounts {
+		if c < thr[gi] || anteCounts == nil || anteCounts[gi] == 0 {
+			continue
+		}
+		hold[gi] = float64(c)/float64(anteCounts[gi])+1e-12 >= h.Cfg.MinConfidence
+	}
+	return hold
+}
+
+// randomCountTable is a hold table over items {1, 2, 3} whose count
+// vectors are drawn independently — not a consistent build, which the
+// law does not need: Holds must equal its oracle on any vectors. It
+// mixes inactive granules (whose counts may be large), active granules
+// whose threshold no count reaches (MaxInt32), zero antecedent counts,
+// and every span length the word form has an edge at.
+func randomCountTable(r *rand.Rand) *HoldTable {
+	n := []int{1, 63, 64, 65, 365}[r.Intn(5)]
+	h := &HoldTable{
+		Cfg:       Config{Granularity: timegran.Day, MinSupport: 0.5, MinConfidence: []float64{0, 0.3, 0.6, 1}[r.Intn(4)], MinFreq: 1, MinGranuleTx: 1},
+		Span:      timegran.Interval{Lo: int64(r.Intn(100)), Hi: 0},
+		TxCounts:  make([]int, n),
+		MinCounts: make([]int, n),
+		Active:    make([]uint64, granuleWords(n)),
+		ByK: [][]itemset.Set{nil,
+			{itemset.New(1), itemset.New(2), itemset.New(3)},
+			{itemset.New(1, 2), itemset.New(1, 3), itemset.New(2, 3)},
+			{itemset.New(1, 2, 3)}},
+		counts: map[string][]int32{},
+	}
+	h.Span.Hi = h.Span.Lo + int64(n) - 1
+	pActive := []float64{1, 0.7, 0.2}[r.Intn(3)]
+	for gi := range h.TxCounts {
+		h.TxCounts[gi] = r.Intn(12)
+		if r.Float64() < pActive {
+			setBit(h.Active, gi)
+			h.NActive++
+			h.MinCounts[gi] = 1 + r.Intn(4)
+			if r.Intn(8) == 0 {
+				h.MinCounts[gi] = math.MaxInt32
+			}
+		}
+	}
+	for _, level := range h.ByK[1:] {
+		for _, s := range level {
+			v := make([]int32, n)
+			for gi := range v {
+				switch {
+				case !bitAt(h.Active, gi) && r.Intn(2) == 0:
+					v[gi] = math.MaxInt32 - 1
+				case r.Intn(4) != 0:
+					v[gi] = int32(r.Intn(6))
+				}
+			}
+			h.counts[s.Key()] = v
+		}
+	}
+	return withFreq(h)
+}
+
+// TestQuickHoldsMatchesBool: the word form of Holds — the confidence
+// test on the set bits of the full itemset's stored frequency words, as
+// EachRuleCandidate hands them over — equals the per-granule loop on
+// every rule candidate.
+func TestQuickHoldsMatchesBool(t *testing.T) {
+	law := func(seed int64) bool {
+		h := randomCountTable(rand.New(rand.NewSource(seed)))
+		hold := make([]uint64, len(h.Active))
+		ok := true
+		h.EachRuleCandidate(func(rc RuleCandidate) bool {
+			want := holdsBool(h, rc)
+			h.Holds(rc, hold)
+			if got := unpackBits(hold, h.NGranules()); !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d: %v => %v: got %v, want %v", seed, rc.Ante, rc.Cons, got, want)
+				ok = false
+			}
+			return ok
+		})
+		return ok
+	}
+	if err := quick.Check(law, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
 }

@@ -88,22 +88,24 @@ func (d *Dict) Len() int {
 }
 
 // Names renders a set using the dictionary, e.g. "{bread, milk}".
-// Unknown identifiers render as "#<id>".
+// Unknown identifiers render as "#<id>". The text is appended into one
+// buffer, so a rendered rule cell costs one string allocation.
 func (d *Dict) Names(s Set) string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := "{"
+	var a [64]byte
+	out := append(a[:0], '{')
 	for i, x := range s {
 		if i > 0 {
-			out += ", "
+			out = append(out, ", "...)
 		}
 		if int(x) < len(d.byID) {
-			out += d.byID[x]
+			out = append(out, d.byID[x]...)
 		} else {
-			out += fmt.Sprintf("#%d", x)
+			out = fmt.Appendf(out, "#%d", x)
 		}
 	}
-	return out + "}"
+	return string(append(out, '}'))
 }
 
 // SortedNames returns all interned names in identifier order (useful

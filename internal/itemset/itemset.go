@@ -44,18 +44,6 @@ func New(items ...Item) Set {
 	return s[:w]
 }
 
-// FromSorted wraps a slice that is already strictly increasing. It
-// panics if the invariant does not hold; callers use it on slices they
-// constructed in order, where a silent repair would hide a bug.
-func FromSorted(items []Item) Set {
-	for i := 1; i < len(items); i++ {
-		if items[i] <= items[i-1] {
-			panic(fmt.Sprintf("itemset: FromSorted input not strictly increasing at %d: %v", i, items))
-		}
-	}
-	return Set(items)
-}
-
 // Valid reports whether s satisfies the sorted, duplicate-free
 // invariant. It is used by property tests and by code that accepts
 // itemsets from untrusted encodings.
@@ -286,22 +274,6 @@ func ParseKey(key string) (Set, error) {
 		return nil, fmt.Errorf("itemset: key decodes to non-canonical set %v", s)
 	}
 	return s, nil
-}
-
-// Hash returns a 64-bit FNV-1a hash of the set, suitable for bucketing.
-func (s Set) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, x := range s {
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(x >> shift))
-			h *= prime64
-		}
-	}
-	return h
 }
 
 // String renders the set as "{1, 5, 9}".

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/tarm-project/tarm/internal/tdb"
 )
@@ -648,41 +650,71 @@ func applyLimit(res *Result, limit int) {
 	}
 }
 
-// Format renders a result as an aligned text table, REPL style.
+// Format renders a result as an aligned text table, REPL style, in one
+// Write. Every cell is rendered once, by tdb.Value.AppendDisplay, into
+// one arena. A column is as wide as its longest cell or header in
+// bytes, and a cell is padded to that width by its rune count, so a
+// non-ASCII cell carries extra padding — the layout the table has
+// always had (it was %-*s over byte widths).
 func Format(w io.Writer, res *Result) {
 	widths := make([]int, len(res.Cols))
 	for i, c := range res.Cols {
 		widths[i] = len(c)
 	}
-	cells := make([][]string, len(res.Rows))
-	for r, row := range res.Rows {
-		cells[r] = make([]string, len(row))
+	nCells := 0
+	for _, row := range res.Rows {
+		nCells += len(row)
+	}
+	arena := make([]byte, 0, 12*nCells)
+	ends := make([]int32, 0, nCells) // ends[i] is where the i-th cell, row-major, ends
+	for _, row := range res.Rows {
 		for c, v := range row {
-			s := v.Display()
-			cells[r][c] = s
-			if c < len(widths) && len(s) > widths[c] {
-				widths[c] = len(s)
+			start := len(arena)
+			arena = v.AppendDisplay(arena)
+			ends = append(ends, int32(len(arena)))
+			if c < len(widths) && len(arena)-start > widths[c] {
+				widths[c] = len(arena) - start
 			}
 		}
 	}
-	var sep strings.Builder
+	var sep []byte
 	for _, wd := range widths {
-		sep.WriteString("+")
-		sep.WriteString(strings.Repeat("-", wd+2))
+		sep = append(sep, '+')
+		sep = appendRepeat(sep, '-', wd+2)
 	}
-	sep.WriteString("+\n")
-	fmt.Fprint(w, sep.String())
+	sep = append(sep, "+\n"...)
+	out := make([]byte, 0, len(sep)*(len(res.Rows)+4)+len(arena)+24)
+	cell := func(s []byte, width int) {
+		out = append(out, "| "...)
+		out = append(out, s...)
+		out = appendRepeat(out, ' ', width-utf8.RuneCount(s))
+		out = append(out, ' ')
+	}
+	out = append(out, sep...)
 	for i, c := range res.Cols {
-		fmt.Fprintf(w, "| %-*s ", widths[i], c)
+		cell([]byte(c), widths[i])
 	}
-	fmt.Fprint(w, "|\n")
-	fmt.Fprint(w, sep.String())
-	for _, row := range cells {
-		for c, s := range row {
-			fmt.Fprintf(w, "| %-*s ", widths[c], s)
+	out = append(out, "|\n"...)
+	out = append(out, sep...)
+	i, start := 0, int32(0)
+	for _, row := range res.Rows {
+		for c := range row {
+			cell(arena[start:ends[i]], widths[c])
+			start = ends[i]
+			i++
 		}
-		fmt.Fprint(w, "|\n")
+		out = append(out, "|\n"...)
 	}
-	fmt.Fprint(w, sep.String())
-	fmt.Fprintf(w, "%d row(s)\n", len(res.Rows))
+	out = append(out, sep...)
+	out = strconv.AppendInt(out, int64(len(res.Rows)), 10)
+	out = append(out, " row(s)\n"...)
+	w.Write(out)
+}
+
+// appendRepeat appends n copies of c to b (none when n ≤ 0).
+func appendRepeat(b []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, c)
+	}
+	return b
 }

@@ -162,8 +162,8 @@ func Execute(ctx context.Context, root *Node, tr obs.Tracer) (any, []OpStat, err
 // conventional EXPLAIN orientation: the top line is what the statement
 // returns, each child below it is that operator's input.
 //
-//	limit (n=10)
-//	└─ render (cols=antecedent, consequent, ...)
+//	render (cols=antecedent, consequent, ...)
+//	└─ limit (n=10)
 //	   └─ mine:periods (min_length=2)
 //	      └─ cached-hold (cache=rethreshold, backend=bitmap)
 //	         └─ scan (table=baskets, transactions=280)

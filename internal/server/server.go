@@ -411,7 +411,7 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 		Statement: req.Statement,
 		RequestID: w.Header().Get("X-Request-ID"),
 		Cols:      res.Cols,
-		Rows:      displayRows(res),
+		Rows:      tml.DisplayCells(res),
 		RowCount:  len(res.Rows),
 		WallMS:    float64(wall) / float64(time.Millisecond),
 	}
@@ -642,20 +642,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-// displayRows renders every cell exactly as the CLI table renderer
-// displays it, so JSON and ?format=text consumers see the same values.
-func displayRows(res *minisql.Result) [][]string {
-	rows := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = v.Display()
-		}
-		rows[i] = cells
-	}
-	return rows
 }
 
 // retryAfterSeconds formats the Retry-After header (whole seconds,

@@ -162,38 +162,48 @@ func (v Value) Equal(o Value) bool {
 	return err == nil && c == 0
 }
 
-// String renders the value as SQL-ish text.
+// String renders the value as SQL-ish text: Display, with strings and
+// times quoted.
 func (v Value) String() string {
 	switch v.K {
-	case KindNull:
-		return "NULL"
-	case KindInt:
-		return strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
-	case KindBool:
-		if v.i != 0 {
-			return "TRUE"
-		}
-		return "FALSE"
 	case KindTime:
-		return "'" + v.AsTime().Format("2006-01-02 15:04:05") + "'"
+		return "'" + v.Display() + "'"
 	default:
-		return fmt.Sprintf("Value(kind=%d)", int(v.K))
+		return v.Display()
 	}
 }
 
 // Display renders the value for result tables: like String but without
 // quoting strings.
 func (v Value) Display() string {
-	switch v.K {
-	case KindString:
+	if v.K == KindString {
 		return v.s
+	}
+	return string(v.AppendDisplay(nil))
+}
+
+// AppendDisplay appends v's Display form to b: the one cell renderer,
+// which result encoders call per cell without a string in between.
+func (v Value) AppendDisplay(b []byte) []byte {
+	switch v.K {
+	case KindNull:
+		return append(b, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(b, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+	case KindString:
+		return append(b, v.s...)
+	case KindBool:
+		if v.i != 0 {
+			return append(b, "TRUE"...)
+		}
+		return append(b, "FALSE"...)
 	case KindTime:
-		return v.AsTime().Format("2006-01-02 15:04:05")
+		return v.AsTime().AppendFormat(b, "2006-01-02 15:04:05")
 	default:
-		return v.String()
+		return fmt.Appendf(b, "Value(kind=%d)", int(v.K))
 	}
 }

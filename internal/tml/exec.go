@@ -249,31 +249,25 @@ func (e *Executor) parseRuleSpec(spec string) (ante, cons itemset.Set, err error
 // names renders an itemset through the shared dictionary.
 func (e *Executor) names(s itemset.Set) string { return e.db.Dict().Names(s) }
 
-// limitRows truncates res to the statement's LIMIT. NoLimit passes
-// everything through; LIMIT 0 is a legal contract returning zero rows;
-// any other negative limit (possible only on a hand-built MineStmt —
-// the parser rejects them) clamps to zero rather than panicking on a
-// negative slice bound.
-func limitRows(res *minisql.Result, limit int) *minisql.Result {
-	if limit == NoLimit {
-		return res
-	}
-	if limit < 0 {
-		limit = 0
-	}
-	if len(res.Rows) > limit {
-		res.Rows = res.Rows[:limit]
-	}
-	return res
+// limited truncates typed results to the statement's LIMIT before
+// they are rendered. LIMIT 0 is a legal contract returning zero rows;
+// a negative limit (possible only on a hand-built MineStmt — the parser
+// rejects them) clamps to zero rather than panicking on a negative
+// slice bound. The caller handles NoLimit by not limiting at all.
+func limited[R any](rs []R, limit int) []R {
+	return rs[:min(len(rs), max(limit, 0))]
 }
 
-func ruleCells(e *Executor, r apriori.Rule) []tdb.Value {
-	return []tdb.Value{
+// ruleCells renders a rule's four leading columns followed by extra.
+func ruleCells(e *Executor, r apriori.Rule, extra ...tdb.Value) []tdb.Value {
+	row := make([]tdb.Value, 0, 4+len(extra))
+	row = append(row,
 		tdb.Str(e.names(r.Antecedent)),
 		tdb.Str(e.names(r.Consequent)),
 		tdb.Float(r.Support),
 		tdb.Float(r.Confidence),
-	}
+	)
+	return append(row, extra...)
 }
 
 // pruneOptions builds the filter options of a statement; n is the

@@ -3,9 +3,12 @@ package tml
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/tarm-project/tarm/internal/minisql"
 	"github.com/tarm-project/tarm/internal/obs"
 )
 
@@ -339,5 +342,94 @@ func TestExplainCountingCost(t *testing.T) {
 	rows = explainRows(t, ex, stmt)
 	if v := rows["observed: counting cost (observed)"]; len(v) != 1 || v[0] != "0.0ms" {
 		t.Errorf("cache-served observed counting cost = %q, want 0.0ms", v)
+	}
+}
+
+// TestExplainPlanLimitBeforeRender: LIMIT sits between mine (or prune)
+// and render, so it cuts typed rules and only the rows that leave are
+// rendered.
+func TestExplainPlanLimitBeforeRender(t *testing.T) {
+	db := fixtureDB(t)
+	ex := NewExecutor(db)
+	for stmt, order := range map[string][]string{
+		`MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7 LIMIT 3`:                      {"render", "limit", "mine:periods", "build-hold", "scan"},
+		`MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7 PRUNE LIFT 1.1 LIMIT 3`:         {"render", "limit", "prune", "mine:traditional", "scan"},
+		`MINE HISTORY FROM baskets RULE 'bread => milk' THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7 LIMIT 0`: {"render", "limit", "mine:history", "build-hold", "scan"},
+		`MINE CYCLES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7`:                               {"render", "mine:cycles", "build-hold", "scan"},
+	} {
+		lines := planLines(t, ex, stmt)
+		if len(lines) != len(order) {
+			t.Fatalf("%s: plan has %d operators, want %v:\n%s", stmt, len(lines), order, strings.Join(lines, "\n"))
+		}
+		for i, op := range order {
+			if !strings.Contains(lines[i], op) {
+				t.Errorf("%s: plan line %d %q, want operator %q", stmt, i, lines[i], op)
+			}
+		}
+	}
+}
+
+// TestLimitIsAPrefixOfTheAnswer: a LIMIT n answer is the first n rows of
+// the unlimited one, byte for byte in the text table — with and without
+// PRUNE, at LIMIT 0, past the end, and through a SUBSCRIBE snapshot.
+func TestLimitIsAPrefixOfTheAnswer(t *testing.T) {
+	db := fixtureDB(t)
+	ex := NewExecutor(db)
+	text := func(res *minisql.Result) string {
+		var b strings.Builder
+		minisql.Format(&b, res)
+		return b.String()
+	}
+	for _, base := range []string{
+		`MINE RULES FROM baskets THRESHOLD SUPPORT 0.3 CONFIDENCE 0.5`,
+		`MINE RULES FROM baskets THRESHOLD SUPPORT 0.2 CONFIDENCE 0.5 PRUNE LIFT 1.01`,
+		`MINE RULES FROM baskets DURING 'weekday in (sat, sun)' THRESHOLD SUPPORT 0.3 CONFIDENCE 0.5 PRUNE LIFT 1.01`,
+		`MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.3 CONFIDENCE 0.5 FREQUENCY 0.8`,
+		`MINE CALENDARS FROM baskets THRESHOLD SUPPORT 0.3 CONFIDENCE 0.5 FREQUENCY 0.9`,
+		`MINE HISTORY FROM baskets RULE 'bread => milk' THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7`,
+	} {
+		full, err := ex.Exec(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Rows) < 2 {
+			t.Fatalf("%s: %d rows; the fixture should give a prefix to cut", base, len(full.Rows))
+		}
+		for _, n := range []int{0, 1, len(full.Rows) - 1, len(full.Rows) + 5} {
+			stmt := fmt.Sprintf("%s LIMIT %d", base, n)
+			got, err := ex.Exec(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &minisql.Result{Cols: full.Cols, Rows: full.Rows[:min(n, len(full.Rows))]}
+			if text(got) != text(want) {
+				t.Errorf("%s:\n%s\nwant\n%s", stmt, text(got), text(want))
+			}
+		}
+	}
+
+	stmt, err := Parse(`SUBSCRIBE MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.3 CONFIDENCE 0.5 FREQUENCY 0.8 LIMIT 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStanding(ex, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := st.Step(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ex.Exec(`MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.3 CONFIDENCE 0.5 FREQUENCY 0.8`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fold RuleSet
+	if err := fold.Apply(upd.Deltas); err != nil {
+		t.Fatal(err)
+	}
+	want := (&RuleSet{Rows: KeyRows(full.Cols, DisplayCells(&minisql.Result{Cols: full.Cols, Rows: full.Rows[:2]}))}).Sorted()
+	if got := fold.Sorted(); !reflect.DeepEqual(got, want) {
+		t.Errorf("SUBSCRIBE … LIMIT 2 snapshot = %v, want %v", got, want)
 	}
 }

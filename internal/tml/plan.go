@@ -3,6 +3,7 @@ package tml
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/core"
@@ -63,8 +64,10 @@ func taskTitle(stmt *MineStmt) string {
 
 // buildPlan compiles a MINE statement into its operator chain:
 //
-//	scan → [cached-hold | build-hold] → mine:<task> → [prune] → render → [limit]
+//	scan → [cached-hold | build-hold] → mine:<task> → [prune] → [limit] → render
 //
+// LIMIT cuts the typed rules before render, so rows that never leave
+// are never rendered.
 // The same plan object serves ExecStmtContext (via plan.Execute) and
 // Explain (via plan.Explain), so the rendered tree is the execution by
 // construction. Building a plan runs nothing and is cheap: the only
@@ -111,12 +114,8 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 				return rules, err
 			}})
 		}
-		root = e.renderNode(root, "antecedent, consequent, support, confidence", func(in any) *minisql.Result {
-			res := &minisql.Result{Cols: []string{"antecedent", "consequent", "support", "confidence"}}
-			for _, r := range in.([]apriori.Rule) {
-				res.Rows = append(res.Rows, ruleCells(e, r))
-			}
-			return res
+		root = render(stmt, root, []string{"antecedent", "consequent", "support", "confidence"}, func(r apriori.Rule) []tdb.Value {
+			return ruleCells(e, r)
 		})
 
 	case obs.TaskDuring:
@@ -132,14 +131,8 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 				return pruneTemporal(in.([]core.TemporalRule), opt)
 			}})
 		}
-		root = e.renderNode(root, "antecedent, consequent, support, confidence, frequency, during", func(in any) *minisql.Result {
-			res := &minisql.Result{Cols: []string{"antecedent", "consequent", "support", "confidence", "frequency", "during"}}
-			for _, r := range in.([]core.TemporalRule) {
-				row := ruleCells(e, r.Rule)
-				row = append(row, tdb.Float(r.Freq), tdb.Str(stmt.DuringSrc))
-				res.Rows = append(res.Rows, row)
-			}
-			return res
+		root = render(stmt, root, []string{"antecedent", "consequent", "support", "confidence", "frequency", "during"}, func(r core.TemporalRule) []tdb.Value {
+			return ruleCells(e, r.Rule, tdb.Float(r.Freq), tdb.Str(stmt.DuringSrc))
 		})
 
 	case obs.TaskPeriods:
@@ -151,18 +144,12 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 			mine.With("min_length", fmt.Sprint(stmt.MinLength))
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
-		root = e.renderNode(mine, "antecedent, consequent, support, confidence, from, to, frequency", func(in any) *minisql.Result {
-			res := &minisql.Result{Cols: []string{"antecedent", "consequent", "support", "confidence", "from", "to", "frequency"}}
-			for _, r := range in.([]core.PeriodRule) {
-				row := ruleCells(e, r.Rule)
-				row = append(row,
-					tdb.Str(timegran.FormatGranule(r.Interval.Lo, r.Granularity)),
-					tdb.Str(timegran.FormatGranule(r.Interval.Hi, r.Granularity)),
-					tdb.Float(r.Freq),
-				)
-				res.Rows = append(res.Rows, row)
-			}
-			return res
+		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "from", "to", "frequency"}, func(r core.PeriodRule) []tdb.Value {
+			return ruleCells(e, r.Rule,
+				tdb.Str(timegran.FormatGranule(r.Interval.Lo, r.Granularity)),
+				tdb.Str(timegran.FormatGranule(r.Interval.Hi, r.Granularity)),
+				tdb.Float(r.Freq),
+			)
 		})
 
 	case obs.TaskCycles:
@@ -178,14 +165,8 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 			mine.With("min_reps", fmt.Sprint(stmt.MinReps))
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
-		root = e.renderNode(mine, "antecedent, consequent, support, confidence, cycle, frequency", func(in any) *minisql.Result {
-			res := &minisql.Result{Cols: []string{"antecedent", "consequent", "support", "confidence", "cycle", "frequency"}}
-			for _, r := range in.([]core.CyclicRule) {
-				row := ruleCells(e, r.Rule)
-				row = append(row, tdb.Str(r.Cycle.String()), tdb.Float(r.Freq))
-				res.Rows = append(res.Rows, row)
-			}
-			return res
+		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "cycle", "frequency"}, func(r core.CyclicRule) []tdb.Value {
+			return ruleCells(e, r.Rule, tdb.Str(r.Cycle.String()), tdb.Float(r.Freq))
 		})
 
 	case obs.TaskCalendars:
@@ -198,14 +179,8 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 			mine.With("min_reps", fmt.Sprint(stmt.MinReps))
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
-		root = e.renderNode(mine, "antecedent, consequent, support, confidence, calendar, frequency", func(in any) *minisql.Result {
-			res := &minisql.Result{Cols: []string{"antecedent", "consequent", "support", "confidence", "calendar", "frequency"}}
-			for _, r := range in.([]core.CalendarRule) {
-				row := ruleCells(e, r.Rule)
-				row = append(row, tdb.Str(r.Feature.String()), tdb.Float(r.Freq))
-				res.Rows = append(res.Rows, row)
-			}
-			return res
+		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "calendar", "frequency"}, func(r core.CalendarRule) []tdb.Value {
+			return ruleCells(e, r.Rule, tdb.Str(r.Feature.String()), tdb.Float(r.Freq))
 		})
 
 	case obs.TaskHistory:
@@ -221,28 +196,16 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 			return core.RuleHistoryFromTableContext(ctx, in.(*core.HoldTable), ante, cons)
 		}}
 		mine.With("rule", stmt.RuleSpec)
-		root = e.renderNode(mine, "granule, transactions, count, support, confidence, holds", func(in any) *minisql.Result {
-			res := &minisql.Result{Cols: []string{"granule", "transactions", "count", "support", "confidence", "holds"}}
-			for _, s := range in.([]core.GranuleStat) {
-				res.Rows = append(res.Rows, []tdb.Value{
-					tdb.Str(timegran.FormatGranule(s.Granule, stmt.Granularity)),
-					tdb.Int(int64(s.TxCount)),
-					tdb.Int(int64(s.Count)),
-					tdb.Float(s.Support),
-					tdb.Float(s.Confidence),
-					tdb.Bool(s.Holds),
-				})
+		root = render(stmt, mine, []string{"granule", "transactions", "count", "support", "confidence", "holds"}, func(s core.GranuleStat) []tdb.Value {
+			return []tdb.Value{
+				tdb.Str(timegran.FormatGranule(s.Granule, stmt.Granularity)),
+				tdb.Int(int64(s.TxCount)),
+				tdb.Int(int64(s.Count)),
+				tdb.Float(s.Support),
+				tdb.Float(s.Confidence),
+				tdb.Bool(s.Holds),
 			}
-			return res
 		})
-	}
-
-	if stmt.Limit != NoLimit {
-		limit := &plan.Node{Op: plan.OpLimit, Input: root, Run: func(ctx context.Context, in any) (any, error) {
-			return limitRows(in.(*minisql.Result), stmt.Limit), nil
-		}}
-		limit.With("n", fmt.Sprint(stmt.Limit))
-		root = limit
 	}
 	return root, nil
 }
@@ -275,12 +238,27 @@ func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node)
 	return n
 }
 
-// renderNode wraps a row-building function as the render operator.
-func (e *Executor) renderNode(input *plan.Node, cols string, build func(in any) *minisql.Result) *plan.Node {
+// render ends a plan over typed results R: a limit operator when the
+// statement has a LIMIT, then the render operator, which turns each
+// remaining R into one result row under cols.
+func render[R any](stmt *MineStmt, input *plan.Node, cols []string, row func(R) []tdb.Value) *plan.Node {
+	if stmt.Limit != NoLimit {
+		limit := &plan.Node{Op: plan.OpLimit, Input: input, Run: func(ctx context.Context, in any) (any, error) {
+			return limited(in.([]R), stmt.Limit), nil
+		}}
+		input = limit.With("n", fmt.Sprint(stmt.Limit))
+	}
 	n := &plan.Node{Op: plan.OpRender, Input: input, Run: func(ctx context.Context, in any) (any, error) {
-		return build(in), nil
+		res := &minisql.Result{Cols: cols}
+		if rs := in.([]R); len(rs) > 0 {
+			res.Rows = make([]tdb.Row, len(rs))
+			for i, r := range rs {
+				res.Rows[i] = row(r)
+			}
+		}
+		return res, nil
 	}}
-	return n.With("cols", cols)
+	return n.With("cols", strings.Join(cols, ", "))
 }
 
 // pruneDetails annotates a prune node with the statement's thresholds.

@@ -306,7 +306,7 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur := rowsByKey(res.Cols, displayCells(res))
+	cur := rowsByKey(res.Cols, DisplayCells(res))
 	upd := &SubUpdate{
 		Epoch:   epoch,
 		Initial: !s.started,
@@ -322,10 +322,10 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 	return upd, nil
 }
 
-// displayCells renders a result's rows exactly as the CLI and the
-// server's JSON rows render them, the canonical cell form deltas and
-// folds are defined over.
-func displayCells(res *minisql.Result) [][]string {
+// DisplayCells renders a result's rows exactly as the CLI's text table
+// spells its cells (tdb.Value.Display): the rows of the server's JSON
+// answer, and the canonical cell form deltas and folds are defined over.
+func DisplayCells(res *minisql.Result) [][]string {
 	rows := make([][]string, len(res.Rows))
 	for i, row := range res.Rows {
 		cells := make([]string, len(row))
@@ -336,11 +336,6 @@ func displayCells(res *minisql.Result) [][]string {
 	}
 	return rows
 }
-
-// DisplayCells is displayCells for external consumers (the server's
-// differential oracle renders its reference MINE through it so both
-// sides of the comparison share one rendering).
-func DisplayCells(res *minisql.Result) [][]string { return displayCells(res) }
 
 // KeyRows indexes display rows by identity key, the form RuleSet folds
 // compare against; exported for the oracle.

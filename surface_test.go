@@ -101,8 +101,6 @@ var testOnlyExportsAllowed = map[string]string{
 	"timegran.ClosedOf":     "dead; goes with TestClosedOfSpans",
 	"timegran.Convert":      "dead; goes with TestConvert",
 	"timegran.MakeInterval": "dead; goes with TestMakeInterval",
-	"itemset.FromSorted":    "dead; goes with TestFromSortedPanicsOnBadInput",
-	"itemset.Set.Hash":      "dead; goes with TestHashStability",
 	"itemset.ParseKey":      "dead; goes with TestKeyRoundTrip",
 	"gen.RuleAnteCons":      "dead; goes with TestRuleAnteCons",
 }
