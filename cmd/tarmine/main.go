@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tarmine -db ./data -e "MINE CYCLES FROM baskets THRESHOLD SUPPORT 0.1 CONFIDENCE 0.6"
-//	tarmine -db ./data -e "MINE ..." -stats stats.json   # dump mining telemetry
+//	tarmine -db ./data -e "MINE ..." -stats stats.json   # the statement's journal record
 //	tarmine -db ./data -e "MINE ..." -progress           # live per-pass progress on stderr
 //	tarmine -db ./data -e "MINE ..." -trace              # span tree of the run on stderr
 //	tarmine -experiment e1          # one experiment
@@ -14,8 +14,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +48,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.dbDir, "db", "", "database directory")
 	fs.StringVar(&o.stmt, "e", "", "statement to execute (TML or SQL)")
 	fs.StringVar(&o.experiment, "experiment", "", "experiment id (e1..e11, e13, e14) or 'all'")
-	fs.StringVar(&o.statsPath, "stats", "", "write mining telemetry JSON to this file ('-' = stdout; the result table then goes to stderr)")
+	fs.StringVar(&o.statsPath, "stats", "", "write the MINE statement's journal record (span tree included) as JSON to this file ('-' = stdout; the result table then goes to stderr)")
 	fs.BoolVar(&o.progress, "progress", false, "render per-pass mining progress to stderr")
 	fs.BoolVar(&o.trace, "trace", false, "render the statement's span tree to stderr after the run")
 	o.mf.RegisterMining(fs)
@@ -82,14 +84,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tarmine: -e needs -db")
 			os.Exit(2)
 		}
-		var tracers []obs.Tracer
-		var collect *obs.CollectTracer
-		if o.statsPath != "" {
-			collect = obs.NewCollectTracer()
-			tracers = append(tracers, collect)
-		}
+		var tracer obs.Tracer
 		if o.progress {
-			tracers = append(tracers, obs.NewProgressTracer(os.Stderr))
+			tracer = obs.NewProgressTracer(os.Stderr)
 		}
 		// With -stats - the JSON owns stdout; the result table moves to
 		// stderr so both streams stay machine-readable.
@@ -99,20 +96,24 @@ func main() {
 		}
 		ctx, cancel := mf.StatementContext(context.Background())
 		defer cancel()
-		var trace *obs.Trace
-		if o.trace {
-			trace = obs.NewTrace("")
-			ctx = obs.ContextWithTrace(ctx, trace)
+		// One trace records the statement: -trace renders it, and -stats
+		// writes the record a one-entry journal reads off it.
+		trace := obs.NewTrace("")
+		ctx = obs.ContextWithTrace(ctx, trace)
+		var journal *obs.Journal
+		if o.statsPath != "" {
+			journal = obs.NewJournal(obs.JournalConfig{Size: 1})
 		}
-		if err := execStatement(ctx, mf, o.dbDir, o.stmt, backend, out, obs.Multi(tracers...)); err != nil {
+		if err := execStatement(ctx, mf, o.dbDir, o.stmt, backend, out, tracer, journal); err != nil {
 			fmt.Fprintln(os.Stderr, "tarmine:", err)
 			os.Exit(1)
 		}
-		if trace != nil {
+		if o.trace {
 			trace.WriteText(os.Stderr)
 		}
-		if collect != nil {
-			if err := writeStats(o.statsPath, o.stmt, collect.Stats()); err != nil {
+		if journal != nil {
+			rec, _ := journal.Get(trace.ID())
+			if err := writeStats(o.statsPath, rec); err != nil {
 				fmt.Fprintln(os.Stderr, "tarmine:", err)
 				os.Exit(1)
 			}
@@ -124,11 +125,12 @@ func main() {
 }
 
 // execStatement opens the database and runs one TML or SQL statement
-// under ctx, feeding any mining telemetry to tracer. A mining statement
+// under ctx, feeding any mining telemetry to tracer and journalling a
+// MINE statement in journal (either may be nil). A mining statement
 // cancelled by -timeout returns context.DeadlineExceeded. The database
 // is checkpointed and closed before returning, so a batch INSERT
 // restarts from segments.
-func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt string, backend apriori.Backend, w io.Writer, tracer obs.Tracer) error {
+func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt string, backend apriori.Backend, w io.Writer, tracer obs.Tracer, journal *obs.Journal) error {
 	db, err := mf.OpenDB(dbDir, obs.Default)
 	if err != nil {
 		return err
@@ -137,6 +139,7 @@ func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt str
 	session.TML.Backend = backend
 	session.TML.Workers = mf.Workers
 	session.TML.Tracer = tracer
+	session.TML.Journal = journal
 	res, err := session.ExecContext(ctx, stmt)
 	if err != nil {
 		db.Kill() // keep the WAL: nothing acked is lost
@@ -146,23 +149,23 @@ func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt str
 	return db.Close()
 }
 
-// writeStats dumps the collected MineStats as indented JSON; "-" writes
-// to stdout. The summary block (p50/p95/p99 over pass and operator
-// durations) is computed here, at the edge, so the collector stays a
-// pure accumulator.
-func writeStats(path, stmt string, st *obs.MineStats) error {
-	st.Statement = stmt
-	st.Summarize()
-	buf, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
+// writeStats writes a statement's journal record, encoded as tarmd
+// serves GET /v1/queries/{id}; "-" writes to stdout.
+func writeStats(path string, rec *obs.QueryRecord) error {
+	if rec == nil {
+		return errors.New("-stats: the statement left no journal record (only MINE statements are journalled)")
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(rec); err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(buf)
+		_, err := os.Stdout.Write(buf.Bytes())
 		return err
 	}
-	return os.WriteFile(path, buf, 0o644)
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // runExperiments executes the selected experiments in run order,

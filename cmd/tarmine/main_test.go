@@ -46,7 +46,7 @@ func fixtureDir(t *testing.T) string {
 func TestExecStatement(t *testing.T) {
 	dir := fixtureDir(t)
 	var out strings.Builder
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2, FsyncName: "off"}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, apriori.BackendBitmap, &out, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2, FsyncName: "off"}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, apriori.BackendBitmap, &out, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "{bread}") {
@@ -54,58 +54,68 @@ func TestExecStatement(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `SELECT COUNT(*) AS n FROM baskets`, apriori.BackendAuto, &out, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `SELECT COUNT(*) AS n FROM baskets`, apriori.BackendAuto, &out, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "168") { // 14 days × 6 tx × 2 items
 		t.Errorf("SQL output: %q", out.String())
 	}
 
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `MINE garbage`, apriori.BackendAuto, &out, nil); err == nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `MINE garbage`, apriori.BackendAuto, &out, nil, nil); err == nil {
 		t.Error("bad statement accepted")
 	}
 }
 
 // TestStatsDump drives the -stats path end to end: a traced statement
-// followed by writeStats must produce JSON with per-level counts and
-// the chosen backend.
+// journalled by a one-record journal, then writeStats, must produce the
+// record tarmd serves for GET /v1/queries/{id} — the span tree with its
+// operators and passes, and the backend that counted.
 func TestStatsDump(t *testing.T) {
 	dir := fixtureDir(t)
-	collect := obs.NewCollectTracer()
 	var progress, out strings.Builder
-	tracer := obs.Multi(collect, obs.NewProgressTracer(&progress))
+	journal := obs.NewJournal(obs.JournalConfig{Size: 1})
+	trace := obs.NewTrace("stats-1")
+	ctx := obs.ContextWithTrace(context.Background(), trace)
 	stmt := `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 1, FsyncName: "off"}, dir, stmt, apriori.BackendBitmap, &out, tracer); err != nil {
+	if err := execStatement(ctx, &clihelp.MiningFlags{Workers: 1, FsyncName: "off"}, dir, stmt, apriori.BackendBitmap, &out, obs.NewProgressTracer(&progress), journal); err != nil {
 		t.Fatal(err)
 	}
+	rec, _ := journal.Get(trace.ID())
 	path := filepath.Join(t.TempDir(), "stats.json")
-	if err := writeStats(path, stmt, collect.Stats()); err != nil {
+	if err := writeStats(path, rec); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st obs.MineStats
-	if err := json.Unmarshal(buf, &st); err != nil {
+	var got obs.QueryRecord
+	if err := json.Unmarshal(buf, &got); err != nil {
 		t.Fatalf("stats JSON invalid: %v\n%s", err, buf)
 	}
-	if st.Statement != stmt {
-		t.Errorf("statement = %q", st.Statement)
+	if got.TraceID != "stats-1" || !strings.Contains(got.Statement, "MINE RULES") || got.Rows == 0 {
+		t.Errorf("record = %+v", got)
 	}
-	if len(st.Levels) == 0 {
-		t.Fatal("no levels in stats JSON")
+	if got.Backend != "bitmap" {
+		t.Errorf("backend = %q, want bitmap", got.Backend)
 	}
-	for _, l := range st.Levels {
+	if len(got.Spans) != 1 || got.Spans[0].Name != obs.SpanStatement || obs.Find(got.Spans, "op:mine:traditional") == nil {
+		t.Fatalf("spans = %+v, want a statement root over the operators", got.Spans)
+	}
+	sum := obs.Summarize(got.Spans)
+	if len(sum.Passes) == 0 {
+		t.Fatal("no passes in the stats span tree")
+	}
+	for _, l := range sum.Passes {
 		if l.Pruned+l.Counted != l.Generated {
 			t.Errorf("L%d pruned %d + counted %d != generated %d", l.Level, l.Pruned, l.Counted, l.Generated)
 		}
 	}
-	if st.Backend != "bitmap" {
-		t.Errorf("backend = %q, want bitmap", st.Backend)
-	}
 	if !strings.Contains(progress.String(), "frequent") {
 		t.Errorf("progress output: %q", progress.String())
+	}
+	if err := writeStats(path, nil); err == nil || !strings.Contains(err.Error(), "no journal record") {
+		t.Errorf("writeStats without a record: %v", err)
 	}
 }
 
@@ -153,7 +163,7 @@ func TestExecStatementDurable(t *testing.T) {
 		`SELECT city FROM stores WHERE id = 7`,
 	} {
 		out.Reset()
-		if err := execStatement(context.Background(), mf, dir, stmt, apriori.BackendAuto, &out, nil); err != nil {
+		if err := execStatement(context.Background(), mf, dir, stmt, apriori.BackendAuto, &out, nil, nil); err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 	}

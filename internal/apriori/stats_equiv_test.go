@@ -1,7 +1,7 @@
 package apriori_test
 
-// Cross-backend telemetry equivalence: the MineStats a CollectTracer
-// gathers must satisfy the pass invariants on every backend and worker
+// Cross-backend telemetry equivalence: the pass:Lk spans a run's trace
+// records must satisfy the pass invariants on every backend and worker
 // count, and the per-level numbers must be identical across backends —
 // the counting strategy may change how supports are computed, never
 // how many candidates exist or survive.
@@ -15,13 +15,13 @@ import (
 )
 
 // checkStatsInvariants asserts the structural invariants of one run's
-// collected stats against its mining result.
-func checkStatsInvariants(t *testing.T, label string, st *obs.MineStats, res *Frequent) {
+// traced passes against its mining result.
+func checkStatsInvariants(t *testing.T, label string, st obs.Summary, res *Frequent) {
 	t.Helper()
-	if len(st.Levels) == 0 {
-		t.Fatalf("%s: no passes collected", label)
+	if len(st.Passes) == 0 {
+		t.Fatalf("%s: no passes traced", label)
 	}
-	for _, l := range st.Levels {
+	for _, l := range st.Passes {
 		if l.Pruned+l.Counted != l.Generated {
 			t.Errorf("%s: L%d pruned %d + counted %d != generated %d",
 				label, l.Level, l.Pruned, l.Counted, l.Generated)
@@ -37,31 +37,31 @@ func checkStatsInvariants(t *testing.T, label string, st *obs.MineStats, res *Fr
 			t.Errorf("%s: L%d rows = %d, want %d", label, l.Level, l.Rows, res.N)
 		}
 	}
-	if st.Counters[obs.MetricItemsetsFrequent] != int64(res.TotalItemsets()) {
+	if st.Itemsets != int64(res.TotalItemsets()) {
 		t.Errorf("%s: itemsets_frequent counter = %d, result has %d",
-			label, st.Counters[obs.MetricItemsetsFrequent], res.TotalItemsets())
+			label, st.Itemsets, res.TotalItemsets())
 	}
 }
 
-func TestMineStatsInvariantsAcrossBackends(t *testing.T) {
+func TestPassInvariantsAcrossBackends(t *testing.T) {
 	src := questSource(t, 1500, 3)
 	type run struct {
 		label string
-		stats *obs.MineStats
+		stats obs.Summary
 	}
 	var runs []run
 	for _, backend := range []Backend{BackendHashTree, BackendBitmap, BackendRoaring} {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%v/workers=%d", backend, workers)
-			collect := obs.NewCollectTracer()
+			trace := obs.NewTrace("")
 			res, err := Mine(src, Config{
 				MinSupport: 0.01, MaxK: 3,
-				Backend: backend, Workers: workers, Tracer: collect,
+				Backend: backend, Workers: workers, Tracer: trace,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			st := collect.Stats()
+			st := obs.Summarize(trace.Tree())
 			checkStatsInvariants(t, label, st, res)
 			if st.Backend != backend.String() {
 				t.Errorf("%s: stats backend = %q", label, st.Backend)
@@ -72,11 +72,11 @@ func TestMineStatsInvariantsAcrossBackends(t *testing.T) {
 	// Candidate/prune/frequent counts are backend-independent.
 	want := runs[0].stats
 	for _, r := range runs[1:] {
-		if len(r.stats.Levels) != len(want.Levels) {
-			t.Fatalf("%s: %d passes, want %d", r.label, len(r.stats.Levels), len(want.Levels))
+		if len(r.stats.Passes) != len(want.Passes) {
+			t.Fatalf("%s: %d passes, want %d", r.label, len(r.stats.Passes), len(want.Passes))
 		}
-		for i, l := range r.stats.Levels {
-			w := want.Levels[i]
+		for i, l := range r.stats.Passes {
+			w := want.Passes[i]
 			if l.Level != w.Level || l.Generated != w.Generated ||
 				l.Pruned != w.Pruned || l.Counted != w.Counted || l.Frequent != w.Frequent {
 				t.Errorf("%s: L%d = {gen %d pruned %d counted %d freq %d}, want {gen %d pruned %d counted %d freq %d}",

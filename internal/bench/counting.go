@@ -45,12 +45,12 @@ func E14DensitySweep(seed int64) (Table, error) {
 		label := fmt.Sprintf("%s D%d", sh.label, sh.d)
 		var wantSets int
 		for bi, b := range backends {
-			collect := obs.NewCollectTracer()
+			trace := obs.NewTrace("")
 			var f *apriori.Frequent
 			d, err := timed(func() error {
 				var err error
 				f, err = apriori.Mine(src, apriori.Config{
-					MinSupport: sh.minsup, MaxK: 3, Backend: b, Tracer: collect,
+					MinSupport: sh.minsup, MaxK: 3, Backend: b, Tracer: trace,
 				})
 				return err
 			})
@@ -63,17 +63,13 @@ func E14DensitySweep(seed int64) (Table, error) {
 				return t, fmt.Errorf("%s backend=%v: %d itemsets, want %d (backends disagree)",
 					label, b, f.TotalItemsets(), wantSets)
 			}
-			st := collect.Stats()
-			counting := "-"
-			if v, ok := st.Gauges[obs.MetricCountingObservedNS]; ok {
-				counting = ms(v / 1e6)
-			}
+			st := obs.Summarize(trace.Tree())
 			resolved := "-"
 			if b == apriori.BackendAuto && st.Backend != "" {
 				resolved = st.Backend
 			}
 			t.AddRow(label, fmt.Sprintf("%g", sh.minsup), b.String(),
-				ms(d.Seconds()*1000), counting, resolved, fmt.Sprint(f.TotalItemsets()))
+				ms(d.Seconds()*1000), ms(float64(st.CountingNS)/1e6), resolved, fmt.Sprint(f.TotalItemsets()))
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -1,7 +1,7 @@
 package core
 
-// Telemetry equivalence for the hold-table build: the MineStats a
-// CollectTracer gathers must satisfy the pass invariants on every
+// Telemetry equivalence for the hold-table build: the pass:Lk spans a
+// build's trace records must satisfy the pass invariants on every
 // backend and worker count, and the per-level candidate/prune/frequent
 // numbers must be identical across backends — the counting strategy
 // never changes which candidates exist or survive.
@@ -19,13 +19,13 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 	tbl := backendTestTable(t, 42)
 	type run struct {
 		label string
-		stats *obs.MineStats
+		stats obs.Summary
 	}
 	var runs []run
 	for _, backend := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring} {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%v/workers=%d", backend, workers)
-			collect := obs.NewCollectTracer()
+			trace := obs.NewTrace("")
 			h, err := BuildHoldTableContext(bg, tbl, Config{
 				Granularity:   timegran.Day,
 				MinSupport:    0.05,
@@ -34,7 +34,7 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 				MaxK:          3,
 				Backend:       backend,
 				Workers:       workers,
-				Tracer:        collect,
+				Tracer:        trace,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -44,11 +44,12 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			st := collect.Stats()
-			if len(st.Levels) == 0 {
-				t.Fatalf("%s: no passes collected", label)
+			forest := trace.Tree()
+			st := obs.Summarize(forest)
+			if len(st.Passes) == 0 {
+				t.Fatalf("%s: no passes traced", label)
 			}
-			for _, l := range st.Levels {
+			for _, l := range st.Passes {
 				if l.Pruned+l.Counted != l.Generated {
 					t.Errorf("%s: L%d pruned %d + counted %d != generated %d",
 						label, l.Level, l.Pruned, l.Counted, l.Generated)
@@ -64,20 +65,21 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 			if st.Backend != backend.String() {
 				t.Errorf("%s: stats backend = %q", label, st.Backend)
 			}
-			if got := st.Counters[obs.MetricItemsetsFrequent]; got != int64(h.TotalItemsets()) {
-				t.Errorf("%s: itemsets_frequent counter = %d, table has %d", label, got, h.TotalItemsets())
+			if st.Itemsets != int64(h.TotalItemsets()) {
+				t.Errorf("%s: itemsets_frequent counter = %d, table has %d", label, st.Itemsets, h.TotalItemsets())
 			}
-			if got := st.Gauges[obs.MetricGranules]; got != float64(h.NGranules()) {
-				t.Errorf("%s: granules gauge = %v, want %d", label, got, h.NGranules())
+			build := obs.Find(forest, "core.BuildHoldTable")
+			if build == nil || obs.Find(forest, obs.TaskSpan(obs.TaskPeriods)) == nil {
+				t.Fatalf("%s: spans %+v, want build + periods", label, forest)
 			}
-			if got := st.Gauges[obs.MetricGranulesActive]; got != float64(h.NActive) {
-				t.Errorf("%s: granules_active gauge = %v, want %d", label, got, h.NActive)
+			if got := build.Attrs[obs.MetricGranules]; got != fmt.Sprint(h.NGranules()) {
+				t.Errorf("%s: granules gauge = %s, want %d", label, got, h.NGranules())
 			}
-			if got := st.Counters[obs.MetricRulesEmitted]; got != int64(len(rules)) {
-				t.Errorf("%s: rules_emitted counter = %d, task emitted %d", label, got, len(rules))
+			if got := build.Attrs[obs.MetricGranulesActive]; got != fmt.Sprint(h.NActive) {
+				t.Errorf("%s: granules_active gauge = %s, want %d", label, got, h.NActive)
 			}
-			if len(st.Tasks) < 2 {
-				t.Errorf("%s: %d task spans, want build + periods", label, len(st.Tasks))
+			if st.Rules != int64(len(rules)) {
+				t.Errorf("%s: rules_emitted counter = %d, task emitted %d", label, st.Rules, len(rules))
 			}
 			runs = append(runs, run{label: label, stats: st})
 		}
@@ -85,11 +87,11 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 	// Candidate/prune/frequent counts are backend-independent.
 	want := runs[0].stats
 	for _, r := range runs[1:] {
-		if len(r.stats.Levels) != len(want.Levels) {
-			t.Fatalf("%s: %d passes, want %d", r.label, len(r.stats.Levels), len(want.Levels))
+		if len(r.stats.Passes) != len(want.Passes) {
+			t.Fatalf("%s: %d passes, want %d", r.label, len(r.stats.Passes), len(want.Passes))
 		}
-		for i, l := range r.stats.Levels {
-			w := want.Levels[i]
+		for i, l := range r.stats.Passes {
+			w := want.Passes[i]
 			if l.Level != w.Level || l.Generated != w.Generated ||
 				l.Pruned != w.Pruned || l.Counted != w.Counted || l.Frequent != w.Frequent {
 				t.Errorf("%s: L%d = {gen %d pruned %d counted %d freq %d}, want {gen %d pruned %d counted %d freq %d}",

@@ -167,13 +167,6 @@ func TestGenerateTemporalPlantsStructure(t *testing.T) {
 	}
 }
 
-func TestRuleAnteCons(t *testing.T) {
-	a, c := RuleAnteCons(itemset.New(3, 1, 2))
-	if !a.Equal(itemset.New(1, 2)) || !c.Equal(itemset.New(3)) {
-		t.Errorf("RuleAnteCons = %v, %v", a, c)
-	}
-}
-
 func TestGenerateTemporalDeterministic(t *testing.T) {
 	cal, _ := timegran.NewCalendar(timegran.FieldWeekday, timegran.FieldRange{Lo: 6, Hi: 7})
 	cfg := TemporalConfig{

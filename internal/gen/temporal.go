@@ -118,10 +118,3 @@ func GenerateTemporal(cfg TemporalConfig, seed int64) (*tdb.TxTable, error) {
 	}
 	return tbl, nil
 }
-
-// RuleAnteCons splits a planted itemset into the conventional
-// antecedent/consequent pair (all but the last item ⇒ last item).
-func RuleAnteCons(items itemset.Set) (ante, cons itemset.Set) {
-	last := items[items.Len()-1]
-	return items.WithoutItem(last), itemset.Set{last}
-}

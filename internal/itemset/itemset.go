@@ -259,23 +259,6 @@ func (s Set) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// ParseKey inverts Key. It returns an error if the bytes are not a
-// valid encoding of a sorted set.
-func ParseKey(key string) (Set, error) {
-	if len(key)%4 != 0 {
-		return nil, fmt.Errorf("itemset: key length %d not a multiple of 4", len(key))
-	}
-	s := make(Set, len(key)/4)
-	for i := range s {
-		b := key[4*i : 4*i+4]
-		s[i] = Item(b[0]) | Item(b[1])<<8 | Item(b[2])<<16 | Item(b[3])<<24
-	}
-	if !s.Valid() {
-		return nil, fmt.Errorf("itemset: key decodes to non-canonical set %v", s)
-	}
-	return s, nil
-}
-
 // String renders the set as "{1, 5, 9}".
 func (s Set) String() string {
 	var b strings.Builder

@@ -139,31 +139,6 @@ func TestEachSubsetK1(t *testing.T) {
 	}
 }
 
-func TestKeyRoundTrip(t *testing.T) {
-	sets := []Set{nil, New(0), New(1, 2, 3), New(0, 1<<31-1)}
-	for _, s := range sets {
-		got, err := ParseKey(s.Key())
-		if err != nil {
-			t.Fatalf("ParseKey(Key(%v)): %v", s, err)
-		}
-		if !got.Equal(s) {
-			t.Errorf("round trip of %v = %v", s, got)
-		}
-	}
-	if _, err := ParseKey("abc"); err == nil {
-		t.Error("ParseKey accepted a length not divisible by 4")
-	}
-	// {2, 1} encoded directly is non-canonical and must be rejected.
-	bad := Set{2, 1}
-	raw := make([]byte, 8)
-	raw[0] = 2
-	raw[4] = 1
-	_ = bad
-	if _, err := ParseKey(string(raw)); err == nil {
-		t.Error("ParseKey accepted a non-canonical encoding")
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := New(3, 1).String(); got != "{1, 3}" {
 		t.Errorf("String = %q, want %q", got, "{1, 3}")

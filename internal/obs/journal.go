@@ -101,17 +101,11 @@ func (r *QueryRecord) stripSpans() *QueryRecord {
 	return &c
 }
 
-// QueryOutcome is what the executor knows once a statement finishes;
-// End folds it into the ring record.
+// QueryOutcome is what only the caller knows once a statement
+// finishes; End reads everything else off the trace (Summarize).
 type QueryOutcome struct {
-	Cache      string
-	Backend    string
-	CountingMS float64
-	Ops        []OpWall
-	Rules      int64
-	Itemsets   int64
-	Rows       int
-	Err        error
+	Rows int
+	Err  error
 }
 
 // InflightQuery is the live handle for one executing statement: the
@@ -125,15 +119,30 @@ type InflightQuery struct {
 	start time.Time
 }
 
-// InflightInfo is the JSON shape of one in-flight statement.
+// InflightInfo is the JSON shape of one in-flight statement. Spans, the
+// partial tree with open spans marked, is filled only by Get.
 type InflightInfo struct {
-	Seq       int64     `json:"seq"`
-	TraceID   string    `json:"trace_id,omitempty"`
-	Statement string    `json:"statement"`
-	Task      string    `json:"task,omitempty"`
-	Start     time.Time `json:"start"`
-	ElapsedMS float64   `json:"elapsed_ms"`
-	Current   string    `json:"current,omitempty"` // innermost open span
+	Seq       int64       `json:"seq"`
+	TraceID   string      `json:"trace_id,omitempty"`
+	Statement string      `json:"statement"`
+	Task      string      `json:"task,omitempty"`
+	Start     time.Time   `json:"start"`
+	ElapsedMS float64     `json:"elapsed_ms"`
+	Current   string      `json:"current,omitempty"` // innermost open span
+	Spans     []*SpanNode `json:"spans,omitempty"`
+}
+
+// info snapshots the in-flight row.
+func (q *InflightQuery) info() InflightInfo {
+	return InflightInfo{
+		Seq:       q.seq,
+		TraceID:   q.trace.ID(),
+		Statement: q.stmt,
+		Task:      q.task,
+		Start:     q.start,
+		ElapsedMS: float64(time.Since(q.start)) / 1e6,
+		Current:   q.trace.Current(),
+	}
 }
 
 // Begin registers a statement as in-flight and returns its handle.
@@ -158,13 +167,16 @@ func (j *Journal) Begin(trace *Trace, statement, task string) *InflightQuery {
 }
 
 // End completes the statement: removes it from the in-flight table,
-// snapshots the trace's span tree into a ring record, emits the JSONL
-// sink line and the slow-statement log line, and returns the record.
+// snapshots the trace's span tree into a ring record (with the fields
+// Summarize reads off it), emits the JSONL sink line and the
+// slow-statement log line, and returns the record.
 func (q *InflightQuery) End(out QueryOutcome) *QueryRecord {
 	if q == nil {
 		return nil
 	}
 	wall := time.Since(q.start)
+	spans := q.trace.Tree()
+	sum := Summarize(spans)
 	rec := &QueryRecord{
 		Seq:        q.seq,
 		TraceID:    q.trace.ID(),
@@ -172,14 +184,14 @@ func (q *InflightQuery) End(out QueryOutcome) *QueryRecord {
 		Task:       q.task,
 		Start:      q.start,
 		WallMS:     float64(wall) / 1e6,
-		Cache:      out.Cache,
-		Backend:    out.Backend,
-		CountingMS: out.CountingMS,
-		Ops:        out.Ops,
-		Rules:      out.Rules,
-		Itemsets:   out.Itemsets,
+		Cache:      sum.Cache,
+		Backend:    sum.Backend,
+		CountingMS: float64(sum.CountingNS) / 1e6,
+		Ops:        sum.Ops,
+		Rules:      sum.Rules,
+		Itemsets:   sum.Itemsets,
 		Rows:       out.Rows,
-		Spans:      q.trace.Tree(),
+		Spans:      spans,
 	}
 	if out.Err != nil {
 		rec.Error = out.Err.Error()
@@ -259,15 +271,7 @@ func (j *Journal) InFlight() []InflightInfo {
 	j.mu.Unlock()
 	out := make([]InflightInfo, 0, len(qs))
 	for _, q := range qs {
-		out = append(out, InflightInfo{
-			Seq:       q.seq,
-			TraceID:   q.trace.ID(),
-			Statement: q.stmt,
-			Task:      q.task,
-			Start:     q.start,
-			ElapsedMS: float64(time.Since(q.start)) / 1e6,
-			Current:   q.trace.Current(),
-		})
+		out = append(out, q.info())
 	}
 	// Oldest first: stable for dashboards and tests.
 	for i := 1; i < len(out); i++ {
@@ -280,7 +284,9 @@ func (j *Journal) InFlight() []InflightInfo {
 
 // Get resolves id — a trace ID or a decimal sequence number — to a
 // completed record (with spans) or a live snapshot of an in-flight
-// statement. Exactly one return is non-nil on a hit. Safe on nil.
+// statement with its partial span tree, both taken under one lock so a
+// statement completing meanwhile is one or the other, never half.
+// Exactly one return is non-nil on a hit. Safe on nil.
 func (j *Journal) Get(id string) (*QueryRecord, *InflightInfo) {
 	if j == nil {
 		return nil, nil
@@ -290,15 +296,8 @@ func (j *Journal) Get(id string) (*QueryRecord, *InflightInfo) {
 	defer j.mu.Unlock()
 	for _, q := range j.inflight {
 		if q.trace.ID() == id || (seqErr == nil && q.seq == seq) {
-			info := InflightInfo{
-				Seq:       q.seq,
-				TraceID:   q.trace.ID(),
-				Statement: q.stmt,
-				Task:      q.task,
-				Start:     q.start,
-				ElapsedMS: float64(time.Since(q.start)) / 1e6,
-				Current:   q.trace.Current(),
-			}
+			info := q.info()
+			info.Spans = q.trace.Tree()
 			return nil, &info
 		}
 	}
@@ -309,23 +308,6 @@ func (j *Journal) Get(id string) (*QueryRecord, *InflightInfo) {
 		}
 	}
 	return nil, nil
-}
-
-// InFlightTrace returns the live trace of an in-flight statement by
-// trace ID or sequence number, for rendering a partial span tree.
-func (j *Journal) InFlightTrace(id string) *Trace {
-	if j == nil {
-		return nil
-	}
-	seq, seqErr := strconv.ParseInt(id, 10, 64)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, q := range j.inflight {
-		if q.trace.ID() == id || (seqErr == nil && q.seq == seq) {
-			return q.trace
-		}
-	}
-	return nil
 }
 
 // Total reports how many statements have completed since startup.

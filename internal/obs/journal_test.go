@@ -16,7 +16,7 @@ import (
 
 // endSimple completes a Begin'd query with a minimal outcome.
 func endSimple(q *InflightQuery, rows int) *QueryRecord {
-	return q.End(QueryOutcome{Cache: "cold", Backend: "bitmap", Rows: rows})
+	return q.End(QueryOutcome{Rows: rows})
 }
 
 // TestJournalRing: the ring retains the newest Size records, newest
@@ -88,17 +88,23 @@ func TestJournalInflightAndGet(t *testing.T) {
 	if rec, live := j.Get(strconv.FormatInt(inf[0].Seq, 10)); rec != nil || live == nil {
 		t.Fatal("Get(seq) while running: want live info, no record")
 	}
-	if got := j.InFlightTrace("trace-live"); got != tr {
-		t.Fatal("InFlightTrace did not return the live trace")
+	// One Get carries the live row and its partial tree, open spans
+	// marked.
+	_, live := j.Get("trace-live")
+	if len(live.Spans) != 1 || !live.Spans[0].Open || Find(live.Spans, "op:build-hold") == nil {
+		t.Fatalf("live spans = %+v, want an open statement root over op:build-hold", live.Spans)
+	}
+	if inf := j.InFlight(); inf[0].Spans != nil {
+		t.Error("the in-flight list carries span trees; only Get fills them")
 	}
 
+	tr.Counter(MetricCacheMisses, 1)
+	tr.StartPass(2)
+	tr.EndPass(PassStats{Level: 2, Backend: "bitmap"})
+	tr.Counter(MetricRulesEmitted, 7)
 	tr.EndTask()
 	tr.EndTask()
-	rec := q.End(QueryOutcome{
-		Cache: "cold", Backend: "bitmap",
-		Ops:   []OpWall{{Op: "op:build-hold", WallMS: 1.5}},
-		Rules: 7, Rows: 7,
-	})
+	rec := q.End(QueryOutcome{Rows: 7})
 	if len(j.InFlight()) != 0 {
 		t.Fatal("statement still in flight after End")
 	}
@@ -200,9 +206,6 @@ func TestJournalNil(t *testing.T) {
 	if r, l := j.Get("x"); r != nil || l != nil {
 		t.Fatal("nil journal Get hit")
 	}
-	if j.InFlightTrace("x") != nil {
-		t.Fatal("nil journal InFlightTrace hit")
-	}
 }
 
 // TestJournalConcurrentSessions hammers the ring and the in-flight
@@ -228,7 +231,6 @@ func TestJournalConcurrentSessions(t *testing.T) {
 				j.Recent(0)
 				for _, inf := range j.InFlight() {
 					j.Get(inf.TraceID)
-					j.InFlightTrace(inf.TraceID)
 				}
 				j.Total()
 			}

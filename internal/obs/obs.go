@@ -14,9 +14,10 @@
 //
 //   - NopTracer: discards everything; Enabled() is false so callers can
 //     skip even the cheap stat assembly.
-//   - CollectTracer: accumulates a structured MineStats (per-level
-//     candidate/prune/frequent counts, backend, wall time; per-task
-//     spans and counters), the payload behind `tarmine -stats`.
+//   - Trace: one statement's span tree (tasks, operators and passes as
+//     spans; pass statistics, counters and gauges as attributes), the
+//     one per-statement recorder; the journal record, EXPLAIN's
+//     observed rows and `tarmine -stats` are read off it (Summarize).
 //   - ProgressTracer: human-readable per-pass lines, the payload behind
 //     `tarmine -progress`.
 //   - RegistryTracer: folds events into a metrics Registry, the payload
@@ -103,7 +104,7 @@ func TaskSpan(task string) string { return "task:" + task }
 // OpSpan("mine:periods") == "op:mine:periods".
 func OpSpan(op string) string { return "op:" + op }
 
-// Metric names shared by the miners, the collectors and the registry.
+// Metric names shared by the miners, the trace reader and the registry.
 const (
 	MetricRulesEmitted     = "rules_emitted"     // rules a task driver returned (counter)
 	MetricGranules         = "granules"          // span length of a hold-table build (gauge)

@@ -55,33 +55,3 @@ func TestWritePromQuantiles(t *testing.T) {
 		t.Error("empty histogram exposed a quantile line")
 	}
 }
-
-// TestMineStatsSummarize: the -stats summary derives pass and operator
-// quantiles from the collected samples.
-func TestMineStatsSummarize(t *testing.T) {
-	st := &MineStats{
-		Levels: []LevelStats{{WallNS: 1e6}, {WallNS: 2e6}, {WallNS: 3e6}},
-		Tasks: []TaskStats{
-			{Name: "op:scan", WallNS: 4e6},
-			{Name: "op:mine:cycles", WallNS: 8e6},
-			{Name: "core.BuildHoldTable", WallNS: 99e6}, // not an op: excluded
-		},
-	}
-	st.Summarize()
-	pass, ok := st.Summary["pass"]
-	if !ok || pass.Count != 3 {
-		t.Fatalf("pass summary = %+v", st.Summary)
-	}
-	if pass.P50MS != 2 || pass.P99MS != 3 {
-		t.Errorf("pass p50/p99 = %v/%v, want 2/3", pass.P50MS, pass.P99MS)
-	}
-	op := st.Summary["op"]
-	if op.Count != 2 || op.P99MS != 8 {
-		t.Errorf("op summary = %+v, want count 2 p99 8", op)
-	}
-	empty := &MineStats{}
-	empty.Summarize()
-	if len(empty.Summary) != 0 {
-		t.Errorf("empty summary = %+v", empty.Summary)
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -29,8 +30,10 @@ import (
 //     "pass:Lk" spans carrying the pass statistics as attributes —
 //     without any new plumbing through the miners.
 //
-// Statements without a Trace in their context pay nothing: the miners
-// emit to whatever tracer they already had, and a nil *Trace is a
+// It is a statement's only recorder: the TML executor makes one when
+// the context carries none, and the journal record, EXPLAIN's observed
+// rows and `tarmine -stats` are all read off its tree (Summarize). The
+// zero Trace is ready to use (with an empty ID). A nil *Trace is a
 // disabled Tracer (Enabled reports false), so obs.Multi drops it.
 //
 // All methods are safe for concurrent use and safe on a nil receiver.
@@ -368,6 +371,110 @@ func Find(forest []*SpanNode, name string) *SpanNode {
 		}
 	}
 	return nil
+}
+
+// Summary is what a statement's span forest says about its run: the
+// derived fields of its journal record, EXPLAIN's observed rows and
+// E14's counting columns, all read from the spans production emits.
+type Summary struct {
+	// Cache is how the hold table was served, from the holdcache_*
+	// counters under the op:build-hold or op:cached-hold span: "delta",
+	// "cold", "dedup", "rethreshold" or "hit" in that precedence; "cold"
+	// when the hold span carries none (the cache-disabled build) and ""
+	// when the statement has no hold operator (the traditional task).
+	Cache string
+	// Backend is the backend of the last pass:Lk span naming one other
+	// than "scan" — the backend the auto rule resolved to.
+	Backend string
+	// CountingNS is the last counting_observed_ns gauge; 0 when nothing
+	// was counted (a cache-served hold table).
+	CountingNS int64
+	// Rules and Itemsets sum rules_emitted and itemsets_frequent over the
+	// forest.
+	Rules    int64
+	Itemsets int64
+	// Ops holds the op:* span walls and Passes the pass:Lk span
+	// statistics, both in start order.
+	Ops    []OpWall
+	Passes []PassStats
+}
+
+// Summarize reads a Summary off a span forest (Trace.Tree).
+func Summarize(forest []*SpanNode) Summary {
+	s := Summary{
+		Rules:    sumAttr(forest, MetricRulesEmitted),
+		Itemsets: sumAttr(forest, MetricItemsetsFrequent),
+	}
+	var walk func([]*SpanNode)
+	walk = func(ns []*SpanNode) {
+		for _, n := range ns {
+			if v, ok := n.Attrs[MetricCountingObservedNS]; ok {
+				f, _ := strconv.ParseFloat(v, 64)
+				s.CountingNS = int64(f)
+			}
+			switch {
+			case strings.HasPrefix(n.Name, "op:"):
+				s.Ops = append(s.Ops, OpWall{Op: n.Name, WallMS: n.WallMS})
+				// The plan's two hold operators (plan.OpBuildHold,
+				// plan.OpCachedHold).
+				if n.Name == "op:build-hold" || n.Name == "op:cached-hold" {
+					s.Cache = holdServedBy(n)
+				}
+			case strings.HasPrefix(n.Name, "pass:L"):
+				p := passStats(n)
+				s.Passes = append(s.Passes, p)
+				if p.Backend != "" && p.Backend != "scan" {
+					s.Backend = p.Backend
+				}
+			}
+			walk(n.Children)
+		}
+	}
+	walk(forest)
+	return s
+}
+
+// holdServedBy names how a hold span's table was served.
+func holdServedBy(hold *SpanNode) string {
+	forest := []*SpanNode{hold}
+	for _, c := range []struct{ metric, outcome string }{
+		{MetricCacheDeltas, "delta"},
+		{MetricCacheMisses, "cold"},
+		{MetricCacheDedups, "dedup"},
+		{MetricCacheRethresholds, "rethreshold"},
+		{MetricCacheHits, "hit"},
+	} {
+		if sumAttr(forest, c.metric) > 0 {
+			return c.outcome
+		}
+	}
+	return "cold"
+}
+
+// passStats parses a pass:Lk span back into the statistics EndPass
+// recorded on it.
+func passStats(n *SpanNode) PassStats {
+	atoi := func(k string) int { v, _ := strconv.Atoi(n.Attrs[k]); return v }
+	level, _ := strconv.Atoi(strings.TrimPrefix(n.Name, "pass:L"))
+	return PassStats{
+		Level:     level,
+		Generated: atoi("generated"),
+		Pruned:    atoi("pruned"),
+		Counted:   atoi("counted"),
+		Frequent:  atoi("frequent"),
+		Rows:      int64(atoi("rows")),
+		Backend:   n.Attrs["backend"],
+	}
+}
+
+// sumAttr sums an integer counter attribute over a forest.
+func sumAttr(forest []*SpanNode, key string) int64 {
+	var total int64
+	for _, n := range forest {
+		v, _ := strconv.ParseInt(n.Attrs[key], 10, 64)
+		total += v + sumAttr(n.Children, key)
+	}
+	return total
 }
 
 // WriteText renders the trace as an indented tree with durations and

@@ -138,12 +138,12 @@ func TestTraceNil(t *testing.T) {
 		t.Fatalf("nil WriteText = %q", buf.String())
 	}
 	// Multi must treat the typed-nil tracer as disabled.
-	collect := NewCollectTracer()
-	m := Multi(collect, tr)
+	live := NewTrace("")
+	m := Multi(live, tr)
 	m.StartTask("t")
 	m.EndTask()
-	if n := len(collect.Stats().Tasks); n != 1 {
-		t.Fatalf("collector saw %d tasks through Multi, want 1", n)
+	if n := len(live.Tree()); n != 1 {
+		t.Fatalf("live trace saw %d spans through Multi, want 1", n)
 	}
 }
 
@@ -259,4 +259,94 @@ func TestTraceConcurrent(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// holdTrace records a statement whose hold operator (op) emitted the
+// given cache counters, the span shape the executor produces.
+func holdTrace(op string, counters ...string) []*SpanNode {
+	tr := NewTrace("")
+	tr.StartTask(SpanStatement)
+	tr.StartTask(op)
+	for _, c := range counters {
+		tr.Counter(c, 1)
+	}
+	tr.EndTask()
+	tr.EndTask()
+	return tr.Tree()
+}
+
+// TestSummarize: the reader derives what the journal, EXPLAIN and
+// -stats report from one statement's span tree — op walls and passes in
+// start order, the backend of the last non-scan pass, the counting
+// gauge, counters summed over the tree, and the cache outcome of the
+// hold span.
+func TestSummarize(t *testing.T) {
+	tr := NewTrace("")
+	tr.StartTask(SpanStatement)
+	tr.StartTask("op:scan")
+	tr.EndTask()
+	tr.StartTask("op:build-hold")
+	tr.Counter(MetricCacheMisses, 1)
+	tr.StartTask("core.BuildHoldTable")
+	tr.StartPass(1)
+	tr.EndPass(PassStats{Level: 1, Generated: 10, Counted: 10, Frequent: 4, Rows: 100, Backend: "scan"})
+	tr.StartPass(2)
+	tr.EndPass(PassStats{Level: 2, Generated: 6, Pruned: 2, Counted: 4, Frequent: 3, Rows: 100, Backend: "bitmap"})
+	tr.Counter(MetricItemsetsFrequent, 7)
+	tr.Gauge(MetricCountingObservedNS, 1.5e6)
+	tr.EndTask()
+	tr.EndTask()
+	tr.ObserveSpan("op:build-hold", 3*time.Millisecond)
+	tr.StartTask("op:mine:periods")
+	tr.StartTask("task:periods")
+	tr.Counter(MetricRulesEmitted, 5)
+	tr.EndTask()
+	tr.Counter(MetricRulesEmitted, 2)
+	tr.EndTask()
+	tr.EndTask()
+
+	s := Summarize(tr.Tree())
+	if s.Cache != "cold" || s.Backend != "bitmap" || s.CountingNS != 1.5e6 {
+		t.Errorf("cache/backend/counting = %q/%q/%d, want cold/bitmap/1500000", s.Cache, s.Backend, s.CountingNS)
+	}
+	if s.Rules != 7 || s.Itemsets != 7 {
+		t.Errorf("rules/itemsets = %d/%d, want 7/7 summed over the tree", s.Rules, s.Itemsets)
+	}
+	var ops []string
+	for _, o := range s.Ops {
+		ops = append(ops, o.Op)
+	}
+	if fmt.Sprint(ops) != "[op:scan op:build-hold op:mine:periods]" {
+		t.Errorf("ops = %v, want start order", ops)
+	}
+	if s.Ops[1].WallMS != 3 {
+		t.Errorf("op:build-hold wall = %v ms, want the observed 3", s.Ops[1].WallMS)
+	}
+	want := []PassStats{
+		{Level: 1, Generated: 10, Counted: 10, Frequent: 4, Rows: 100, Backend: "scan"},
+		{Level: 2, Generated: 6, Pruned: 2, Counted: 4, Frequent: 3, Rows: 100, Backend: "bitmap"},
+	}
+	if fmt.Sprint(s.Passes) != fmt.Sprint(want) {
+		t.Errorf("passes = %+v, want %+v", s.Passes, want)
+	}
+
+	for _, c := range []struct {
+		forest []*SpanNode
+		want   string
+	}{
+		{holdTrace("op:mine:traditional"), ""},
+		{holdTrace("op:build-hold"), "cold"},
+		{holdTrace("op:cached-hold", MetricCacheHits), "hit"},
+		{holdTrace("op:cached-hold", MetricCacheRethresholds), "rethreshold"},
+		{holdTrace("op:build-hold", MetricCacheMisses, MetricCacheDedups), "cold"},
+		{holdTrace("op:build-hold", MetricCacheDedups), "dedup"},
+		{holdTrace("op:cached-hold", MetricCacheMisses, MetricCacheDeltas), "delta"},
+	} {
+		if got := Summarize(c.forest); got.Cache != c.want || got.CountingNS != 0 {
+			t.Errorf("%s: cache %q counting %d, want %q and 0", Find(c.forest, SpanStatement).Children[0].Attrs, got.Cache, got.CountingNS, c.want)
+		}
+	}
+	if s := Summarize(nil); s.Cache != "" || s.Ops != nil || s.Passes != nil {
+		t.Errorf("empty forest summary = %+v", s)
+	}
 }

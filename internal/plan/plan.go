@@ -1,7 +1,7 @@
 // Package plan is the logical-plan / physical-operator layer between
 // the TML executor and the mining kernel. A MINE statement compiles to
 // a chain of operators (scan → hold acquisition → task mining → prune
-// → render → limit); the same plan object drives both execution and
+// → limit → render); the same plan object drives both execution and
 // EXPLAIN, so what EXPLAIN prints is — by construction — what runs.
 //
 // Each operator is a Node: an operator name from the shared vocabulary
@@ -10,8 +10,9 @@
 // first, threading a context.Context (checked before every operator;
 // the operators themselves push it into the counting loops) and
 // wrapping every operator in an "op:<name>" tracer span plus a
-// caller-timed duration, so per-operator wall time reaches -stats and
-// /metrics through the ordinary tracer plumbing.
+// caller-timed duration: the statement's trace records that duration
+// on the span (where the journal, EXPLAIN and -stats read it) and the
+// metrics registry folds it into a per-operator histogram.
 package plan
 
 import (
@@ -80,13 +81,6 @@ func (n *Node) describe() string {
 	return b.String()
 }
 
-// OpStat is the measured wall time of one executed operator, in
-// execution order.
-type OpStat struct {
-	Op       string
-	Duration time.Duration
-}
-
 // Chain returns the operators of the plan rooted at root in execution
 // order: leaf (scan) first, root (the result-shaping tail) last.
 func Chain(root *Node) []*Node {
@@ -107,35 +101,30 @@ func Chain(root *Node) []*Node {
 // next operator boundary even when an operator ignores ctx; operators
 // that loop (builds, task mining) observe ctx themselves and return
 // promptly. Every operator is wrapped in an "op:<name>" tracer span
-// and its duration is reported through obs.ObserveSpan, so collectors
-// list per-operator wall time and the metrics registry grows one
-// duration histogram per operator.
-//
-// The returned OpStats cover the operators that ran (including a
-// failed final one); on error the output is nil.
-func Execute(ctx context.Context, root *Node, tr obs.Tracer) (any, []OpStat, error) {
+// and its duration is reported through obs.ObserveSpan, so the trace's
+// op spans carry the caller-timed wall time (a failed final operator
+// included) and the metrics registry grows one duration histogram per
+// operator. On error the output is nil.
+func Execute(ctx context.Context, root *Node, tr obs.Tracer) (any, error) {
 	if root == nil {
-		return nil, nil, fmt.Errorf("plan: empty plan")
+		return nil, fmt.Errorf("plan: empty plan")
 	}
 	tr = obs.OrNop(tr)
 	trace := tr.Enabled()
-	chain := Chain(root)
-	stats := make([]OpStat, 0, len(chain))
 	var in any
-	for _, n := range chain {
+	for _, n := range Chain(root) {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		if n.Run == nil {
-			return nil, stats, fmt.Errorf("plan: operator %q has no implementation", n.Op)
+			return nil, fmt.Errorf("plan: operator %q has no implementation", n.Op)
 		}
 		span := obs.OpSpan(n.Op)
 		if trace {
 			tr.StartTask(span)
-			// A request-scoped trace gets each operator's EXPLAIN
+			// The statement's trace gets each operator's EXPLAIN
 			// details as span attributes, so the span tree carries the
-			// same backend/threshold annotations EXPLAIN
-			// prints.
+			// same backend/threshold annotations EXPLAIN prints.
 			if t := obs.TraceFromContext(ctx); t != nil {
 				for _, kv := range n.Detail {
 					t.SetAttr(kv.Key, kv.Val)
@@ -149,13 +138,12 @@ func Execute(ctx context.Context, root *Node, tr obs.Tracer) (any, []OpStat, err
 			tr.EndTask()
 			obs.ObserveSpan(tr, span, d)
 		}
-		stats = append(stats, OpStat{Op: n.Op, Duration: d})
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 		in = out
 	}
-	return in, stats, nil
+	return in, nil
 }
 
 // Explain renders the plan as an indented tree, root first — the

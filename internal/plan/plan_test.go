@@ -9,6 +9,19 @@ import (
 	"github.com/tarm-project/tarm/internal/obs"
 )
 
+// opSpans runs the plan under a trace and returns the op spans it
+// recorded, in start order.
+func opSpans(t *testing.T, ctx context.Context, root *Node) (any, []string, error) {
+	t.Helper()
+	tr := obs.NewTrace("")
+	out, err := Execute(obs.ContextWithTrace(ctx, tr), root, tr)
+	var ops []string
+	for _, o := range obs.Summarize(tr.Tree()).Ops {
+		ops = append(ops, o.Op)
+	}
+	return out, ops, err
+}
+
 // chain3 builds scan → mine:periods → render with Run closures that
 // record execution order and thread values through.
 func chain3(order *[]string) *Node {
@@ -54,7 +67,7 @@ func TestChainOrder(t *testing.T) {
 func TestExecuteThreadsOutputs(t *testing.T) {
 	var order []string
 	root := chain3(&order)
-	out, stats, err := Execute(context.Background(), root, nil)
+	out, err := Execute(context.Background(), root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +77,6 @@ func TestExecuteThreadsOutputs(t *testing.T) {
 	if got := strings.Join(order, ","); got != "scan,mine,render" {
 		t.Fatalf("execution order = %s", got)
 	}
-	if len(stats) != 3 || stats[0].Op != OpScan || stats[2].Op != OpRender {
-		t.Fatalf("stats = %+v", stats)
-	}
 }
 
 func TestExecuteCancelled(t *testing.T) {
@@ -74,7 +84,7 @@ func TestExecuteCancelled(t *testing.T) {
 	root := chain3(&order)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Execute(ctx, root, nil)
+	_, err := Execute(ctx, root, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -94,21 +104,21 @@ func TestExecuteCancelBetweenOperators(t *testing.T) {
 		t.Fatal("render ran after cancellation")
 		return nil, nil
 	}}
-	_, stats, err := Execute(ctx, render, nil)
+	_, ops, err := opSpans(t, ctx, render)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(stats) != 1 || stats[0].Op != OpScan {
-		t.Fatalf("stats = %+v, want just the scan", stats)
+	if len(ops) != 1 || ops[0] != "op:scan" {
+		t.Fatalf("op spans = %v, want just the scan", ops)
 	}
 }
 
 func TestExecuteEmptyAndUnimplemented(t *testing.T) {
-	if _, _, err := Execute(context.Background(), nil, nil); err == nil {
+	if _, err := Execute(context.Background(), nil, nil); err == nil {
 		t.Fatal("nil root: want error")
 	}
 	n := &Node{Op: OpLimit}
-	if _, _, err := Execute(context.Background(), n, nil); err == nil || !strings.Contains(err.Error(), "no implementation") {
+	if _, err := Execute(context.Background(), n, nil); err == nil || !strings.Contains(err.Error(), "no implementation") {
 		t.Fatalf("nil Run: err = %v", err)
 	}
 }
@@ -118,38 +128,36 @@ func TestExecuteOperatorError(t *testing.T) {
 	scan := &Node{Op: OpScan, Run: func(context.Context, any) (any, error) {
 		return nil, boom
 	}}
-	out, stats, err := Execute(context.Background(), scan, nil)
+	out, ops, err := opSpans(t, context.Background(), scan)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if out != nil {
 		t.Fatalf("out = %v, want nil on error", out)
 	}
-	if len(stats) != 1 {
-		t.Fatalf("stats = %+v, want the failed operator measured", stats)
+	if len(ops) != 1 {
+		t.Fatalf("op spans = %v, want the failed operator measured", ops)
 	}
 }
 
 func TestExecuteEmitsOpSpans(t *testing.T) {
 	var order []string
 	root := chain3(&order)
-	collect := obs.NewCollectTracer()
-	if _, _, err := Execute(context.Background(), root, collect); err != nil {
+	root.With("cols", "3")
+	tr := obs.NewTrace("")
+	if _, err := Execute(obs.ContextWithTrace(context.Background(), tr), root, tr); err != nil {
 		t.Fatal(err)
 	}
-	st := collect.Stats()
-	want := map[string]bool{
-		"op:scan": false, "op:mine:periods": false, "op:render": false,
+	forest := tr.Tree()
+	var ops []string
+	for _, n := range forest {
+		ops = append(ops, n.Name)
 	}
-	for _, task := range st.Tasks {
-		if _, ok := want[task.Name]; ok {
-			want[task.Name] = true
-		}
+	if got := strings.Join(ops, ","); got != "op:scan,op:mine:periods,op:render" {
+		t.Fatalf("op spans = %s, want one per operator in execution order", got)
 	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("span %q missing from collected tasks %v", name, st.Tasks)
-		}
+	if forest[0].Attrs["table"] != "baskets" || forest[2].Attrs["cols"] != "3" {
+		t.Errorf("op span attrs = %v / %v, want the plan details", forest[0].Attrs, forest[2].Attrs)
 	}
 }
 

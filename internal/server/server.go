@@ -552,13 +552,9 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// inflightView is GET /v1/queries/{id} for a statement still running:
-// the live in-flight row plus a snapshot of its partial span tree.
-type inflightView struct {
-	obs.InflightInfo
-	Spans []*obs.SpanNode `json:"spans,omitempty"`
-}
-
+// handleQueryByID serves one journal entry: the completed record, or
+// for a statement still running the live row with its partial span
+// tree (open spans marked).
 func (s *Server) handleQueryByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, live := s.journal.Get(id)
@@ -566,10 +562,7 @@ func (s *Server) handleQueryByID(w http.ResponseWriter, r *http.Request) {
 	case rec != nil:
 		writeJSON(w, http.StatusOK, rec)
 	case live != nil:
-		writeJSON(w, http.StatusOK, inflightView{
-			InflightInfo: *live,
-			Spans:        s.journal.InFlightTrace(id).Tree(),
-		})
+		writeJSON(w, http.StatusOK, live)
 	default:
 		s.reject(w, http.StatusNotFound, fmt.Sprintf("tarmd: no query %q in the journal", id))
 	}

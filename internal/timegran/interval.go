@@ -7,17 +7,9 @@ import (
 )
 
 // Interval is an inclusive range [Lo, Hi] of granule indices. The zero
-// value is the single granule 0; use MakeInterval for validation.
+// value is the single granule 0; callers keep Lo ≤ Hi.
 type Interval struct {
 	Lo, Hi Granule
-}
-
-// MakeInterval returns [lo, hi], or an error when lo > hi.
-func MakeInterval(lo, hi Granule) (Interval, error) {
-	if lo > hi {
-		return Interval{}, fmt.Errorf("timegran: interval [%d,%d] has lo > hi", lo, hi)
-	}
-	return Interval{Lo: lo, Hi: hi}, nil
 }
 
 // Len returns the number of granules covered.

@@ -9,16 +9,6 @@ import (
 
 func iv(lo, hi Granule) Interval { return Interval{Lo: lo, Hi: hi} }
 
-func TestMakeInterval(t *testing.T) {
-	if _, err := MakeInterval(3, 2); err == nil {
-		t.Error("reversed interval accepted")
-	}
-	got, err := MakeInterval(2, 2)
-	if err != nil || got.Len() != 1 {
-		t.Errorf("MakeInterval(2,2) = %v, %v", got, err)
-	}
-}
-
 func TestIntervalBasics(t *testing.T) {
 	a := iv(2, 5)
 	if a.Len() != 4 {

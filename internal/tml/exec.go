@@ -34,9 +34,9 @@ type Executor struct {
 	Backend apriori.Backend
 	Workers int
 	// Tracer, when set, receives the telemetry of every statement in
-	// addition to the executor's own per-statement collector (whose
-	// stats EXPLAIN and Last surface). The CLI front ends install a
-	// RegistryTracer or ProgressTracer here.
+	// addition to the statement's trace (which EXPLAIN, Last and the
+	// journal read). The CLI front ends install a RegistryTracer or
+	// ProgressTracer here.
 	Tracer obs.Tracer
 	// Cache holds the HoldTables of recent statements; the four
 	// temporal task drivers (periods, cycles, calendars, during) and
@@ -52,8 +52,8 @@ type Executor struct {
 	// tarmd server installs one; nil disables journalling.
 	Journal *obs.Journal
 
-	mu        sync.Mutex
-	lastStats map[string]*obs.MineStats // per table, most recent run
+	mu   sync.Mutex
+	last map[string]*obs.Trace // per table, most recent run
 }
 
 // NewExecutor wraps a database. The hold-table cache starts at the
@@ -83,22 +83,23 @@ func (e *Executor) ExecContext(ctx context.Context, input string) (*minisql.Resu
 // boundaries, so a cancelled statement returns ctx.Err() promptly
 // without per-transaction overhead.
 func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisql.Result, error) {
-	tbl, ok := e.db.TxTable(stmt.Table)
-	if !ok {
-		if _, isRel := e.db.Table(stmt.Table); isRel {
-			return nil, fmt.Errorf("tml: %q is a relational table; MINE needs a transaction table", stmt.Table)
-		}
-		return nil, fmt.Errorf("tml: no transaction table named %q", stmt.Table)
+	tbl, err := e.txTable(stmt.Table)
+	if err != nil {
+		return nil, err
 	}
-	// Every statement is collected so EXPLAIN can show observed stats;
-	// the request-scoped trace (when the context carries one) and the
-	// configured Tracer (metrics, progress) ride along on the same
-	// event stream, so the span tree is built with zero extra plumbing
-	// through the miners.
+	// The statement's one recorder is its trace: the request's when the
+	// context carries one, else a fresh one put into the context so
+	// plan.Execute still copies operator details onto its spans. The
+	// journal record, Last (EXPLAIN's observed rows) and -stats all read
+	// it; the configured Tracer (metrics, progress) rides along on the
+	// same event stream, with zero extra plumbing through the miners.
 	trace := obs.TraceFromContext(ctx)
+	if trace == nil {
+		trace = obs.NewTrace("")
+		ctx = obs.ContextWithTrace(ctx, trace)
+	}
 	fl := e.Journal.Begin(trace, stmt.String(), taskKey(stmt))
-	collect := obs.NewCollectTracer()
-	tr := obs.Multi(collect, trace, e.Tracer)
+	tr := obs.Multi(trace, e.Tracer)
 	tr.StartTask(obs.SpanStatement)
 	trace.SetAttr("statement", stmt.String())
 	trace.SetAttr("task", taskKey(stmt))
@@ -115,99 +116,58 @@ func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisq
 		Tracer:        tr,
 	}
 	root, err := e.buildPlan(tbl, stmt, cfg)
+	var out any
+	if err == nil {
+		out, err = plan.Execute(ctx, root, tr)
+	}
+	tr.EndTask()
 	if err != nil {
-		tr.EndTask()
 		fl.End(obs.QueryOutcome{Err: err})
 		return nil, err
 	}
-	out, ops, err := plan.Execute(ctx, root, tr)
-	tr.EndTask()
-	if err != nil {
-		fl.End(queryOutcome(root, collect.Stats(), ops, nil, err))
-		return nil, err
-	}
 	res := out.(*minisql.Result)
-	st := collect.Stats()
-	st.Statement = stmt.String()
-	if _, ok := st.Gauges[obs.MetricCountingObservedNS]; !ok {
-		// A cache-served hold table runs no counting; report that
-		// explicitly so EXPLAIN always carries the observed-cost line.
-		if st.Gauges == nil {
-			st.Gauges = make(map[string]float64)
-		}
-		st.Gauges[obs.MetricCountingObservedNS] = 0
-	}
 	e.mu.Lock()
-	if e.lastStats == nil {
-		e.lastStats = make(map[string]*obs.MineStats)
+	if e.last == nil {
+		e.last = make(map[string]*obs.Trace)
 	}
-	e.lastStats[stmt.Table] = st
+	e.last[stmt.Table] = trace
 	e.mu.Unlock()
-	fl.End(queryOutcome(root, st, ops, res, nil))
+	fl.End(obs.QueryOutcome{Rows: len(res.Rows)})
 	return res, nil
 }
 
-// queryOutcome folds a finished statement's telemetry into the shape
-// the journal records: the executor is the one place that holds the
-// plan, the collected stats and the per-operator timings together.
-func queryOutcome(root *plan.Node, st *obs.MineStats, ops []plan.OpStat, res *minisql.Result, err error) obs.QueryOutcome {
-	out := obs.QueryOutcome{Err: err}
-	if st != nil {
-		out.Backend = st.Backend
-		out.Rules = st.Counters[obs.MetricRulesEmitted]
-		out.Itemsets = st.Counters[obs.MetricItemsetsFrequent]
-		if v, ok := st.Gauges[obs.MetricCountingObservedNS]; ok {
-			out.CountingMS = v / 1e6
-		}
-		out.Cache = cacheOutcome(st, root)
+// txTable resolves the transaction table a MINE statement names; EXPLAIN
+// and execution share it, so both refuse a relational table alike.
+func (e *Executor) txTable(name string) (*tdb.TxTable, error) {
+	if tbl, ok := e.db.TxTable(name); ok {
+		return tbl, nil
 	}
-	for _, s := range ops {
-		out.Ops = append(out.Ops, obs.OpWall{Op: obs.OpSpan(s.Op), WallMS: float64(s.Duration) / 1e6})
+	if _, isRel := e.db.Table(name); isRel {
+		return nil, fmt.Errorf("tml: %q is a relational table; MINE needs a transaction table", name)
 	}
-	if res != nil {
-		out.Rows = len(res.Rows)
-	}
-	return out
+	return nil, fmt.Errorf("tml: no transaction table named %q", name)
 }
 
-// cacheOutcome derives how the statement's hold table was served from
-// the per-statement cache counters: "cold" (a build ran — also the
-// cache-disabled path), "delta" (a stale entry was refreshed by delta
-// maintenance instead of a rebuild), "dedup" (waited on a concurrent
-// identical build), "rethreshold" or "hit". Statements without a hold
-// operator (the traditional task) report "".
-func cacheOutcome(st *obs.MineStats, root *plan.Node) string {
-	hasHold := false
-	for _, n := range plan.Chain(root) {
-		if n.Op == plan.OpBuildHold || n.Op == plan.OpCachedHold {
-			hasHold = true
-		}
-	}
-	if !hasHold {
-		return ""
-	}
-	switch c := st.Counters; {
-	case c[obs.MetricCacheDeltas] > 0:
-		return "delta"
-	case c[obs.MetricCacheMisses] > 0:
-		return "cold"
-	case c[obs.MetricCacheDedups] > 0:
-		return "dedup"
-	case c[obs.MetricCacheRethresholds] > 0:
-		return "rethreshold"
-	case c[obs.MetricCacheHits] > 0:
-		return "hit"
-	default:
-		return "cold"
-	}
-}
-
-// Last returns the stats collected for the most recent successful
-// statement over table, or nil if none has run.
-func (e *Executor) Last(table string) *obs.MineStats {
+// Last returns the trace of the most recent successful statement over
+// table, or nil if none has run.
+func (e *Executor) Last(table string) *obs.Trace {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lastStats[table]
+	return e.last[table]
+}
+
+// lastRun returns the span of the most recent successful statement over
+// table. A front end's trace may hold several statement roots (iqms
+// steps its standing statements under the statement that advanced the
+// clock), so it takes the last one over table.
+func (e *Executor) lastRun(table string) *obs.SpanNode {
+	forest := e.Last(table).Tree()
+	for i := len(forest) - 1; i >= 0; i-- {
+		if n := forest[i]; n.Name == obs.SpanStatement && n.Attrs["table"] == table {
+			return n
+		}
+	}
+	return nil
 }
 
 // parseRuleSpec resolves "a, b => c" against the dictionary.
@@ -292,9 +252,9 @@ func pruneOptions(stmt *MineStmt, n int) (prune.Options, bool) {
 // from cache ("cached-hold", hit or rethreshold) or a cold build
 // ("build-hold"). The IQMS session surfaces it as EXPLAIN MINE.
 func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
-	tbl, ok := e.db.TxTable(stmt.Table)
-	if !ok {
-		return nil, fmt.Errorf("tml: no transaction table named %q", stmt.Table)
+	tbl, err := e.txTable(stmt.Table)
+	if err != nil {
+		return nil, err
 	}
 	res := &minisql.Result{Cols: []string{"property", "value"}}
 	add := func(k, v string) {
@@ -345,29 +305,25 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 		}
 	}
 	// When a statement has already run over this table, append what that
-	// run actually did: per-pass counts, resolved backend, rules, time.
-	if st := e.Last(stmt.Table); st != nil {
-		add("observed: statement", st.Statement)
-		if st.Backend != "" {
-			add("observed: backend", st.Backend)
+	// run actually did, read off its span tree: per-pass counts, resolved
+	// backend, operator walls, counting time, rules, wall time.
+	if run := e.lastRun(stmt.Table); run != nil {
+		sum := obs.Summarize([]*obs.SpanNode{run})
+		add("observed: statement", run.Attrs["statement"])
+		if sum.Backend != "" {
+			add("observed: backend", sum.Backend)
 		}
-		for _, l := range st.Levels {
-			add(fmt.Sprintf("observed: pass L%d", l.Level),
+		for _, p := range sum.Passes {
+			add(fmt.Sprintf("observed: pass L%d", p.Level),
 				fmt.Sprintf("%d candidates (%d pruned, %d counted) → %d frequent",
-					l.Generated, l.Pruned, l.Counted, l.Frequent))
+					p.Generated, p.Pruned, p.Counted, p.Frequent))
 		}
-		for _, t := range st.Tasks {
-			if strings.HasPrefix(t.Name, "op:") {
-				add("observed: "+t.Name, fmt.Sprintf("%.1fms", float64(t.WallNS)/1e6))
-			}
+		for _, o := range sum.Ops {
+			add("observed: "+o.Op, fmt.Sprintf("%.1fms", o.WallMS))
 		}
-		if v, ok := st.Gauges[obs.MetricCountingObservedNS]; ok {
-			add("observed: counting cost (observed)", fmt.Sprintf("%.1fms", v/1e6))
-		}
-		if n, ok := st.Counters[obs.MetricRulesEmitted]; ok {
-			add("observed: rules emitted", fmt.Sprint(n))
-		}
-		add("observed: wall time", fmt.Sprintf("%.1fms", float64(st.WallNS)/1e6))
+		add("observed: counting cost (observed)", fmt.Sprintf("%.1fms", float64(sum.CountingNS)/1e6))
+		add("observed: rules emitted", fmt.Sprint(sum.Rules))
+		add("observed: wall time", fmt.Sprintf("%.1fms", run.WallMS))
 	}
 	return res, nil
 }

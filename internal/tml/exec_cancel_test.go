@@ -258,15 +258,13 @@ func TestExecMatchesExplainPlan(t *testing.T) {
 	if _, err := ex.Exec(stmt); err != nil {
 		t.Fatal(err)
 	}
-	st := ex.Last("baskets")
-	if st == nil {
-		t.Fatal("no stats collected")
+	tr := ex.Last("baskets")
+	if tr == nil {
+		t.Fatal("no trace recorded")
 	}
 	var ops []string
-	for _, task := range st.Tasks {
-		if name, ok := strings.CutPrefix(task.Name, "op:"); ok {
-			ops = append(ops, name)
-		}
+	for _, o := range obs.Summarize(tr.Tree()).Ops {
+		ops = append(ops, strings.TrimPrefix(o.Op, "op:"))
 	}
 	if len(ops) != len(lines) {
 		t.Fatalf("executed %d operators %v but the plan has %d lines:\n%s",

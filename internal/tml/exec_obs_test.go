@@ -8,49 +8,52 @@ import (
 )
 
 // TestExecutorStats pins the executor's statement telemetry: every MINE
-// run is collected, Last exposes it, a configured Tracer sees it too,
-// and EXPLAIN appends an observed section once a run exists.
+// run is recorded on a trace, Last exposes it, a configured Tracer sees
+// the same event stream, and EXPLAIN appends an observed section once a
+// run exists.
 func TestExecutorStats(t *testing.T) {
 	db := fixtureDB(t)
 	s := NewSession(db)
-	external := obs.NewCollectTracer()
+	external := obs.NewTrace("external")
 	s.TML.Tracer = external
 
-	if st := s.TML.Last("baskets"); st != nil {
-		t.Fatalf("stats before any run: %+v", st)
+	if tr := s.TML.Last("baskets"); tr != nil {
+		t.Fatalf("trace before any run: %+v", tr.Tree())
 	}
 
 	stmt := `MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7 MIN LENGTH 2`
 	if _, err := s.Exec(stmt); err != nil {
 		t.Fatal(err)
 	}
-	st := s.TML.Last("baskets")
-	if st == nil {
-		t.Fatal("no stats after a MINE run")
+	tr := s.TML.Last("baskets")
+	if tr == nil {
+		t.Fatal("no trace after a MINE run")
 	}
-	if !strings.Contains(st.Statement, "MINE PERIODS") {
-		t.Errorf("statement = %q", st.Statement)
+	root := tr.Tree()[0]
+	if !strings.Contains(root.Attrs["statement"], "MINE PERIODS") {
+		t.Errorf("statement = %q", root.Attrs["statement"])
 	}
-	if len(st.Levels) == 0 {
-		t.Error("no passes collected")
+	sum := obs.Summarize(tr.Tree())
+	if len(sum.Passes) == 0 {
+		t.Error("no passes recorded")
 	}
-	for _, l := range st.Levels {
-		if l.Pruned+l.Counted != l.Generated {
-			t.Errorf("L%d pruned %d + counted %d != generated %d", l.Level, l.Pruned, l.Counted, l.Generated)
+	for _, p := range sum.Passes {
+		if p.Pruned+p.Counted != p.Generated {
+			t.Errorf("L%d pruned %d + counted %d != generated %d", p.Level, p.Pruned, p.Counted, p.Generated)
 		}
 	}
-	if st.Counters[obs.MetricStatements] != 1 {
-		t.Errorf("statements counter = %d", st.Counters[obs.MetricStatements])
+	if root.Attrs[obs.MetricStatements] != "1" {
+		t.Errorf("statements counter = %q", root.Attrs[obs.MetricStatements])
 	}
-	if _, ok := st.Counters[obs.MetricRulesEmitted]; !ok {
+	if obs.Find(tr.Tree(), "task:periods").Attrs[obs.MetricRulesEmitted] == "" {
 		t.Error("rules_emitted counter missing")
 	}
 
 	// The external tracer saw the same run.
-	ext := external.Stats()
-	if ext.Counters[obs.MetricStatements] != 1 || len(ext.Levels) != len(st.Levels) {
-		t.Errorf("external tracer: statements=%d levels=%d, want 1/%d",
-			ext.Counters[obs.MetricStatements], len(ext.Levels), len(st.Levels))
+	ext := obs.Summarize(external.Tree())
+	if len(external.Tree()) != 1 || len(ext.Passes) != len(sum.Passes) {
+		t.Errorf("external tracer: statements=%d passes=%d, want 1/%d",
+			len(external.Tree()), len(ext.Passes), len(sum.Passes))
 	}
 
 	// EXPLAIN now carries the observed section.
@@ -76,15 +79,15 @@ func TestExecutorStats(t *testing.T) {
 	if _, err := s.Exec(`MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7`); err != nil {
 		t.Fatal(err)
 	}
-	st = s.TML.Last("baskets")
-	if !strings.Contains(st.Statement, "MINE RULES") {
-		t.Errorf("statement not replaced: %q", st.Statement)
+	tr = s.TML.Last("baskets")
+	if !strings.Contains(tr.Tree()[0].Attrs["statement"], "MINE RULES") {
+		t.Errorf("statement not replaced: %q", tr.Tree()[0].Attrs["statement"])
 	}
-	if st.Backend == "" {
+	if obs.Summarize(tr.Tree()).Backend == "" {
 		t.Error("traditional run reported no backend")
 	}
 	// External tracer accumulated both statements.
-	if got := external.Stats().Counters[obs.MetricStatements]; got != 2 {
-		t.Errorf("external statements counter = %d, want 2", got)
+	if got := len(external.Tree()); got != 2 {
+		t.Errorf("external statement roots = %d, want 2", got)
 	}
 }

@@ -3,6 +3,8 @@ package tml
 import (
 	"strings"
 	"testing"
+
+	"github.com/tarm-project/tarm/internal/tdb"
 )
 
 func TestMineStmtStringRoundTrip(t *testing.T) {
@@ -101,6 +103,32 @@ func TestExplain(t *testing.T) {
 	// EXPLAIN SELECT is not TML; it routes to SQL and fails there.
 	if _, err := s.Exec(`EXPLAIN SELECT 1 FROM baskets`); err == nil {
 		t.Error("EXPLAIN SELECT accepted")
+	}
+}
+
+// TestExplainRefusesLikeExec: EXPLAIN and execution resolve the table
+// through one lookup, so a relational or missing table gets the same
+// error from both.
+func TestExplainRefusesLikeExec(t *testing.T) {
+	db := fixtureDB(t)
+	schema, _ := tdb.NewSchema(tdb.Column{Name: "x", Kind: tdb.KindInt})
+	if _, err := db.CreateTable("rel", schema); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(db)
+	for table, want := range map[string]string{
+		"rel":    `"rel" is a relational table; MINE needs a transaction table`,
+		"nosuch": `no transaction table named "nosuch"`,
+	} {
+		stmt := `MINE RULES FROM ` + table + ` THRESHOLD SUPPORT 0.1 CONFIDENCE 0.5`
+		_, execErr := s.Exec(stmt)
+		_, explainErr := s.Exec(`EXPLAIN ` + stmt)
+		if execErr == nil || explainErr == nil {
+			t.Fatalf("%s: exec err %v, explain err %v; want both to fail", table, execErr, explainErr)
+		}
+		if !strings.Contains(execErr.Error(), want) || explainErr.Error() != execErr.Error() {
+			t.Errorf("%s: exec %q, EXPLAIN %q; want both %q", table, execErr, explainErr, want)
+		}
 	}
 }
 

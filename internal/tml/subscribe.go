@@ -234,9 +234,9 @@ func NewStanding(e *Executor, stmt *MineStmt) (*Standing, error) {
 	if stmt.Target == TargetHistory {
 		return nil, fmt.Errorf("tml: SUBSCRIBE applies to the discovery targets, not MINE HISTORY")
 	}
-	tbl, ok := e.db.TxTable(stmt.Table)
-	if !ok {
-		return nil, fmt.Errorf("tml: no transaction table named %q", stmt.Table)
+	tbl, err := e.txTable(stmt.Table)
+	if err != nil {
+		return nil, err
 	}
 	return &Standing{
 		exec:    e,

@@ -253,9 +253,8 @@ func TestExecutorJournal(t *testing.T) {
 }
 
 // TestUntracedStatementUnchanged: without a trace in the context and
-// without a journal, execution takes the legacy path — no statement
-// root in the collector beyond the statement span, no journal records,
-// results identical.
+// without a journal, the executor records the statement under a trace
+// of its own — one statement root, counted once — and Last serves it.
 func TestUntracedStatementUnchanged(t *testing.T) {
 	db := fixtureDB(t)
 	ex := NewExecutor(db)
@@ -270,7 +269,9 @@ func TestUntracedStatementUnchanged(t *testing.T) {
 	if len(res.Rows) == 0 {
 		t.Fatal("no rules")
 	}
-	if st := ex.Last("baskets"); st == nil || st.Counters[obs.MetricStatements] != 1 {
-		t.Fatalf("Last stats = %+v", st)
+	tr := ex.Last("baskets")
+	if forest := tr.Tree(); len(forest) != 1 || forest[0].Name != obs.SpanStatement ||
+		forest[0].Attrs[obs.MetricStatements] != "1" || tr.ID() == "" {
+		t.Fatalf("Last trace %q = %+v, want one statement root counted once", tr.ID(), forest)
 	}
 }

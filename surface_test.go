@@ -97,12 +97,10 @@ var testOnlyExportsAllowed = map[string]string{
 	"tdb.DB.SyncWAL":          "test seam: TestDurableKillRecover places its crash point just after a flush",
 	"tml.RuleSet.Sorted":      "canonical form both sides of the streaming oracles compare (tml and server tests)",
 	"apriori.RoaringAcc.Card": "read by the roaring-scalar reference arm of BenchmarkCountingCore",
+	"itemset.Set.WithoutItem": "splits an itemset into the brute-force rules of internal/core's oracle tests",
 
-	"timegran.ClosedOf":     "dead; goes with TestClosedOfSpans",
-	"timegran.Convert":      "dead; goes with TestConvert",
-	"timegran.MakeInterval": "dead; goes with TestMakeInterval",
-	"itemset.ParseKey":      "dead; goes with TestKeyRoundTrip",
-	"gen.RuleAnteCons":      "dead; goes with TestRuleAnteCons",
+	"timegran.ClosedOf": "dead; goes with TestClosedOfSpans",
+	"timegran.Convert":  "dead; goes with TestConvert",
 }
 
 // TestNoTestOnlyExports is the sweep guard: an exported function or

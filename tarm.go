@@ -349,11 +349,13 @@ type (
 	Tracer = obs.Tracer
 	// PassStats describes one completed counting pass.
 	PassStats = obs.PassStats
-	// MineStats is the structured telemetry of a run, as collected by a
-	// CollectTracer and dumped by `tarmine -stats`.
-	MineStats = obs.MineStats
-	// CollectTracer accumulates MineStats.
-	CollectTracer = obs.CollectTracer
+	// Trace records a run as a span tree (tasks, operators and passes as
+	// spans; pass statistics and counters as attributes), the recorder
+	// behind EXPLAIN's observed rows, the query journal and `tarmine
+	// -stats`. The zero Trace is ready to use; read it with Tree.
+	Trace = obs.Trace
+	// SpanNode is one span of a Trace's tree.
+	SpanNode = obs.SpanNode
 	// MetricsRegistry holds process-wide atomic counters, gauges and
 	// histograms, exposed via expvar and a Prometheus text endpoint.
 	MetricsRegistry = obs.Registry
@@ -361,9 +363,6 @@ type (
 
 // NopTracer discards all telemetry; nil tracers behave identically.
 var NopTracer = obs.Nop
-
-// NewCollectTracer returns an empty stats collector.
-func NewCollectTracer() *CollectTracer { return obs.NewCollectTracer() }
 
 // MultiTracer fans telemetry out to several tracers.
 func MultiTracer(ts ...Tracer) Tracer { return obs.Multi(ts...) }
