@@ -3,6 +3,7 @@ package itemset
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -10,8 +11,9 @@ import (
 // page URLs, …) and the dense Item identifiers used by the miners.
 // Identifiers are assigned in first-seen order starting at 0.
 //
-// Dict is safe for concurrent use; lookups take a read lock, interning
-// takes a write lock only when the name is new.
+// Dict is safe for concurrent use; lookups take a read lock, Intern
+// takes a write lock only when the name is new, and InternBatch takes
+// one write lock for the whole batch.
 type Dict struct {
 	mu    sync.RWMutex
 	byID  []string
@@ -46,10 +48,28 @@ func (d *Dict) Intern(name string) Item {
 // InternAll interns every name and returns the resulting Set.
 func (d *Dict) InternAll(names ...string) Set {
 	items := make([]Item, len(names))
-	for i, n := range names {
-		items[i] = d.Intern(n)
+	d.InternBatch(names, items)
+	return Canonical(items)
+}
+
+// InternBatch interns names[i] into dst[i] for every i under one write
+// lock. Fresh identifiers go to new names in slice order, so the ids and
+// the order the dictionary grows in are those of calling Intern on each
+// name in turn. A new name is copied before it is stored: names may be
+// views into a larger buffer, such as a request body, without pinning it.
+func (d *Dict) InternBatch(names []string, dst []Item) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, name := range names {
+		id, ok := d.byKey[name]
+		if !ok {
+			id = Item(len(d.byID))
+			name = strings.Clone(name)
+			d.byID = append(d.byID, name)
+			d.byKey[name] = id
+		}
+		dst[i] = id
 	}
-	return New(items...)
 }
 
 // Lookup returns the identifier for name without interning.

@@ -10,6 +10,7 @@ package itemset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -32,16 +33,25 @@ func New(items ...Item) Set {
 	}
 	s := make(Set, len(items))
 	copy(s, items)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Compact duplicates in place.
+	return Canonical(s)
+}
+
+// Canonical is New without the copy: it sorts items in place, compacts
+// duplicates to the front and returns that prefix, which aliases items.
+// It returns nil for no items, as New does.
+func Canonical(items []Item) Set {
+	if len(items) == 0 {
+		return nil
+	}
+	slices.Sort(items)
 	w := 1
-	for r := 1; r < len(s); r++ {
-		if s[r] != s[w-1] {
-			s[w] = s[r]
+	for r := 1; r < len(items); r++ {
+		if items[r] != items[w-1] {
+			items[w] = items[r]
 			w++
 		}
 	}
-	return s[:w]
+	return Set(items[:w])
 }
 
 // Valid reports whether s satisfies the sorted, duplicate-free

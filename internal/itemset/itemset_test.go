@@ -307,6 +307,39 @@ func TestDict(t *testing.T) {
 	}
 }
 
+// TestInternBatchMatchesIntern checks InternBatch against interning the
+// names one at a time: the same ids, the dictionary grown in the same
+// order, and Canonical over the ids equal to New.
+func TestInternBatchMatchesIntern(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	batch, one := NewDict(), NewDict()
+	for _, d := range []*Dict{batch, one} {
+		d.Intern("n3")
+		d.Intern("n0")
+	}
+	for round := 0; round < 20; round++ {
+		names := make([]string, rng.Intn(12))
+		for i := range names {
+			names[i] = string(rune('a'+rng.Intn(3))) + string(rune('0'+rng.Intn(10)))
+		}
+		got := make([]Item, len(names))
+		batch.InternBatch(names, got)
+		want := make([]Item, len(names))
+		for i, n := range names {
+			want[i] = one.Intern(n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("InternBatch(%q) = %v, Intern gives %v", names, got, want)
+		}
+		if c, n := Canonical(got), New(want...); !c.Equal(n) || !c.Valid() {
+			t.Fatalf("Canonical(%v) = %v, New gives %v", want, c, n)
+		}
+	}
+	if got, want := batch.SortedNames(false), one.SortedNames(false); !reflect.DeepEqual(got, want) {
+		t.Errorf("dictionary grew as %q, want %q", got, want)
+	}
+}
+
 func TestDictConcurrent(t *testing.T) {
 	d := NewDict()
 	done := make(chan Item)

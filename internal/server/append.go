@@ -8,14 +8,11 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/obs"
-	"github.com/tarm-project/tarm/internal/tdb"
 )
 
 // Append metric names, next to the tarmd_* statement metrics.
@@ -30,19 +27,6 @@ const (
 // statements, but an ingest endpoint is not a bulk loader.
 const maxAppendBody = 8 << 20
 
-// appendRequest is the POST /v1/append JSON body.
-type appendRequest struct {
-	Table        string     `json:"table"`
-	Transactions []appendTx `json:"transactions"`
-}
-
-// appendTx is one transaction of an append batch. Items are names,
-// interned into the database dictionary on arrival.
-type appendTx struct {
-	At    time.Time `json:"at"`
-	Items []string  `json:"items"`
-}
-
 // appendResponse reports what landed: the count, the table's write
 // epoch after the batch (which the next MINE's delta maintenance will
 // catch up to) and timing.
@@ -55,18 +39,23 @@ type appendResponse struct {
 	WallMS    float64 `json:"wall_ms"`
 }
 
-// handleAppend admits and applies one append batch.
+// handleAppend admits and applies one append batch: decode (no
+// interning), table lookup, admission, then intern and commit.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	req, err := readAppend(r)
+	body, err := readBody(w, r, maxAppendBody)
+	var req appendBatch
+	if err == nil {
+		req, err = decodeAppend(body)
+	}
 	if err != nil {
 		s.reg.Counter(MetricAppendErrors).Add(1)
-		s.reject(w, http.StatusBadRequest, err.Error())
+		s.reject(w, bodyErrorCode(err), err.Error())
 		return
 	}
-	tbl, ok := s.db.TxTable(req.Table)
+	tbl, ok := s.db.TxTable(req.table)
 	if !ok {
 		s.reg.Counter(MetricAppendErrors).Add(1)
-		s.reject(w, http.StatusNotFound, fmt.Sprintf("tarmd: no transaction table %q", req.Table))
+		s.reject(w, http.StatusNotFound, fmt.Sprintf("tarmd: no transaction table %q", req.table))
 		return
 	}
 
@@ -81,14 +70,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 	// Journal the batch like a statement, under the request's trace ID,
 	// so the query history interleaves reads and writes.
-	stmtText := fmt.Sprintf("APPEND %d tx INTO %s", len(req.Transactions), req.Table)
+	stmtText := fmt.Sprintf("APPEND %d tx INTO %s", len(req.txs), req.table)
 	inflight := s.journal.Begin(obs.TraceFromContext(r.Context()), stmtText, "append")
 
 	start := time.Now()
-	batch := make([]tdb.Tx, len(req.Transactions))
-	for i, tx := range req.Transactions {
-		batch[i] = tdb.Tx{At: tx.At, Items: s.db.Dict().InternAll(tx.Items...)}
-	}
+	batch := req.intern(s.db.Dict())
 	// On a durable database the 200 is the durability contract: the
 	// batch's WAL record is committed under the configured fsync policy
 	// before this returns, and a commit failure is a 500, never an ack.
@@ -108,44 +94,14 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// Wake the standing statements on this table: each decides for
 	// itself whether the batch closed a granule (or dirtied a closed
 	// one) and warrants a refresh. Coalesced, never blocking.
-	s.subs.observe(req.Table)
+	s.subs.observe(req.table)
 
 	writeJSON(w, http.StatusOK, appendResponse{
-		Table:     req.Table,
+		Table:     req.table,
 		RequestID: w.Header().Get("X-Request-ID"),
 		Appended:  len(batch),
 		Epoch:     epoch,
 		Durable:   s.db.Durable(),
 		WallMS:    float64(wall) / float64(time.Millisecond),
 	})
-}
-
-// readAppend decodes and validates the append body.
-func readAppend(r *http.Request) (appendRequest, error) {
-	var req appendRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxAppendBody))
-	if err != nil {
-		return req, fmt.Errorf("tarmd: reading body: %w", err)
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return req, fmt.Errorf("tarmd: bad JSON body: %w", err)
-	}
-	if req.Table == "" {
-		return req, fmt.Errorf("tarmd: append without a table")
-	}
-	if len(req.Transactions) == 0 {
-		return req, fmt.Errorf("tarmd: append with no transactions")
-	}
-	for i, tx := range req.Transactions {
-		if tx.At.IsZero() {
-			return req, fmt.Errorf("tarmd: transaction %d has no timestamp", i)
-		}
-		if err := tdb.CheckTime(tx.At); err != nil {
-			return req, fmt.Errorf("tarmd: transaction %d: %w", i, err)
-		}
-		if len(tx.Items) == 0 {
-			return req, fmt.Errorf("tarmd: transaction %d has no items", i)
-		}
-	}
-	return req, nil
 }

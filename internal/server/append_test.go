@@ -11,7 +11,48 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tarm-project/tarm/internal/tdb"
 )
+
+// appendRequest and appendTx are the POST /v1/append body as
+// encoding/json decodes it: the reference decodeAppend must agree with.
+type appendRequest struct {
+	Table        string     `json:"table"`
+	Transactions []appendTx `json:"transactions"`
+}
+
+type appendTx struct {
+	At    time.Time `json:"at"`
+	Items []string  `json:"items"`
+}
+
+// referenceAppend is the reference append decoder: json.Unmarshal into
+// appendRequest, then the handler's validation.
+func referenceAppend(body []byte) (appendRequest, error) {
+	var req appendRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, err
+	}
+	if req.Table == "" {
+		return req, fmt.Errorf("no table")
+	}
+	if len(req.Transactions) == 0 {
+		return req, fmt.Errorf("no transactions")
+	}
+	for i, tx := range req.Transactions {
+		if tx.At.IsZero() {
+			return req, fmt.Errorf("transaction %d: no timestamp", i)
+		}
+		if err := tdb.CheckTime(tx.At); err != nil {
+			return req, fmt.Errorf("transaction %d: %w", i, err)
+		}
+		if len(tx.Items) == 0 {
+			return req, fmt.Errorf("transaction %d: no items", i)
+		}
+	}
+	return req, nil
+}
 
 // postAppend sends one append batch and returns the status code and
 // decoded response (nil unless 200).
@@ -126,9 +167,11 @@ func TestAppendThenWarmMineDelta(t *testing.T) {
 	}
 }
 
-// TestAppendBadRequests checks the 4xx family for the ingest endpoint.
+// TestAppendBadRequests checks the 4xx family for the ingest endpoint,
+// and that a rejected batch interns none of its names.
 func TestAppendBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
+	dictLen := s.db.Dict().Len()
 	for _, tc := range []struct {
 		name, body string
 		code       int
@@ -140,6 +183,9 @@ func TestAppendBadRequests(t *testing.T) {
 		{"no timestamp", `{"table": "baskets", "transactions": [{"items": ["a"]}]}`, http.StatusBadRequest},
 		{"no items", `{"table": "baskets", "transactions": [{"at": "2024-01-29T12:00:00Z"}]}`, http.StatusBadRequest},
 		{"timestamp beyond UnixNano", `{"table": "baskets", "transactions": [{"at": "1500-06-01T00:00:00Z", "items": ["a"]}]}`, http.StatusBadRequest},
+		// Valid once whole, but over the limit: refused, not truncated.
+		{"body over 8 MiB", `{"table": "baskets",` + strings.Repeat(" ", maxAppendBody) +
+			`"transactions": [{"at": "2024-01-29T12:00:00Z", "items": ["a"]}]}`, http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/append", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -150,12 +196,15 @@ func TestAppendBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
 	}
-	if got := s.Registry().Counter(MetricAppendErrors).Value(); got != 7 {
-		t.Errorf("append error counter = %d, want 7", got)
+	if got := s.Registry().Counter(MetricAppendErrors).Value(); got != 8 {
+		t.Errorf("append error counter = %d, want 8", got)
 	}
 	tbl, _ := s.db.TxTable("baskets")
 	if tbl.Len() != 280 {
 		t.Errorf("table rows = %d after rejected appends, want 280", tbl.Len())
+	}
+	if got := s.db.Dict().Len(); got != dictLen {
+		t.Errorf("dictionary grew from %d to %d names on rejected appends", dictLen, got)
 	}
 }
 
@@ -175,14 +224,18 @@ func TestAppendDraining503(t *testing.T) {
 	go func() { drained <- s.Drain(context.Background()) }()
 	waitHealthz(t, ts.URL, func(h map[string]any) bool { return h["status"] == "draining" })
 
+	dictLen := s.db.Dict().Len()
 	resp, err := http.Post(ts.URL+"/v1/append", "application/json",
-		strings.NewReader(appendBody(1, "bread")))
+		strings.NewReader(appendBody(1, "bread", "drained")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("append during drain: status %d, want 503", resp.StatusCode)
+	}
+	if got := s.db.Dict().Len(); got != dictLen {
+		t.Errorf("dictionary grew from %d to %d names on a refused append", dictLen, got)
 	}
 	if retry := resp.Header.Get("Retry-After"); retry != "3" {
 		t.Errorf("Retry-After = %q, want \"3\"", retry)

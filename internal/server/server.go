@@ -51,6 +51,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -336,9 +337,10 @@ const maxBody = 1 << 20
 
 // handleStatement admits, executes and renders one statement.
 func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
-	req, err := readStatement(r)
+	req, err := readStatement(w, r)
 	if err != nil {
-		s.reject(w, http.StatusBadRequest, err.Error())
+		s.reg.Counter(MetricErrors).Add(1)
+		s.reject(w, bodyErrorCode(err), err.Error())
 		return
 	}
 
@@ -478,11 +480,11 @@ func (s *Server) statementError(w http.ResponseWriter, stmt string, err error) {
 
 // readStatement decodes the request body: JSON when declared, raw text
 // otherwise.
-func readStatement(r *http.Request) (statementRequest, error) {
+func readStatement(w http.ResponseWriter, r *http.Request) (statementRequest, error) {
 	var req statementRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	body, err := readBody(w, r, maxBody)
 	if err != nil {
-		return req, fmt.Errorf("tarmd: reading body: %w", err)
+		return req, err
 	}
 	ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if ct == "application/json" {
@@ -496,6 +498,27 @@ func readStatement(r *http.Request) (statementRequest, error) {
 		return req, fmt.Errorf("tarmd: empty statement")
 	}
 	return req, nil
+}
+
+// readBody reads a request body of at most limit bytes in one
+// allocation when the client declares its length. A longer body is
+// refused whole, never truncated: bodyErrorCode maps the error to 413.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return nil, fmt.Errorf("tarmd: reading body: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// bodyErrorCode is 413 for a body over its endpoint's limit and 400 for
+// any other unreadable or malformed body.
+func bodyErrorCode(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // tableInfo is one GET /v1/tables row.

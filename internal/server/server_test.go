@@ -423,24 +423,32 @@ func TestDrainDeadline(t *testing.T) {
 // TestBadStatements checks the 400 family: SQL (not served here),
 // parse errors, empty bodies, bad JSON.
 func TestBadStatements(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
 		name, body, ctype string
+		code              int
 	}{
-		{"sql", "SELECT item FROM baskets;", "text/plain"},
-		{"parse error", "MINE RULES FROM baskets;", "text/plain"}, // missing THRESHOLD
-		{"unknown table", "MINE RULES FROM nope THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5;", "text/plain"},
-		{"empty", "", "text/plain"},
-		{"bad json", "{", "application/json"},
-		{"empty json", "{}", "application/json"},
+		{"sql", "SELECT item FROM baskets;", "text/plain", http.StatusBadRequest},
+		{"parse error", "MINE RULES FROM baskets;", "text/plain", http.StatusBadRequest}, // missing THRESHOLD
+		{"unknown table", "MINE RULES FROM nope THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5;", "text/plain", http.StatusBadRequest},
+		{"empty", "", "text/plain", http.StatusBadRequest},
+		{"bad json", "{", "application/json", http.StatusBadRequest},
+		{"empty json", "{}", "application/json", http.StatusBadRequest},
+		// Cut at 1 MiB this would run without its LIMIT: refused whole.
+		{"body over 1 MiB", strings.TrimSuffix(testStatements[0], ";") + strings.Repeat(" ", maxBody) + " LIMIT 1;",
+			"text/plain", http.StatusRequestEntityTooLarge},
 	} {
+		errs := s.Registry().Counter(MetricErrors).Value()
 		resp, err := http.Post(ts.URL+"/v1/statements", tc.ctype, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+		if got := s.Registry().Counter(MetricErrors).Value(); got != errs+1 {
+			t.Errorf("%s: statement error counter went %d → %d, want one more", tc.name, errs, got)
 		}
 	}
 }

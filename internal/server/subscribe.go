@@ -386,9 +386,9 @@ func (s *Server) subView(sub *subscription, rid string) subView {
 // a well-formed SUBSCRIBE MINE, 404 for an unknown table, 429 at the
 // subscription limit, 503 while draining.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	req, err := readStatement(r)
+	req, err := readStatement(w, r)
 	if err != nil {
-		s.reject(w, http.StatusBadRequest, err.Error())
+		s.reject(w, bodyErrorCode(err), err.Error())
 		return
 	}
 	if s.draining.Load() {

@@ -1,6 +1,9 @@
 package tdb
 
 import (
+	"bytes"
+	"encoding/csv"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -168,4 +171,63 @@ func TestImportTableBool(t *testing.T) {
 	if _, err := ImportTable(strings.NewReader("flag\nmaybe\n"), tbl2); err == nil {
 		t.Error("bad bool accepted")
 	}
+}
+
+// FuzzImportCSV checks ImportBaskets on arbitrary bytes: it never
+// panics, it stores exactly the rows it counts, and every row it
+// accepted has a storable timestamp (stored without wrapping) and at
+// least one item. The accepted rows are re-read with encoding/csv to
+// know what each one said.
+func FuzzImportCSV(f *testing.F) {
+	for _, s := range []string{
+		"timestamp,items\n2024-01-01 09:30:00,bread;milk\n",
+		"2024-01-01 09:30,bread\n2024-01-01,milk; butter ;bread\n",
+		"2024-01-02T10:00:00Z,bread\n2024-01-02T10:00:00+02:00,jam\n",
+		"TIMESTAMP , items\n\"2024-01-01 09:30\",\"bread;\"\"milk\"\"\"\n",
+		"2024-01-01, ; ;\n",
+		"2024-01-01,\n",
+		"1500-06-01,bread\n",
+		"2262-04-12T00:00:00Z,bread\n",
+		"2024-01-01,bread,extra\n",
+		"\"2024-01-01,bread\n",
+		"",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, _ := NewTxTable("fuzz")
+		n, _ := ImportBaskets(bytes.NewReader(data), tbl, itemset.NewDict())
+		if tbl.Len() != n {
+			t.Fatalf("ImportBaskets counted %d rows, table holds %d", n, tbl.Len())
+		}
+		rows := make([]Tx, 0, n)
+		tbl.Each(func(tx Tx) bool {
+			rows = append(rows, tx)
+			return true
+		})
+		sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
+		cr := csv.NewReader(bytes.NewReader(data))
+		cr.FieldsPerRecord = 2
+		cr.TrimLeadingSpace = true
+		for line, k := 1, 0; k < n; line++ {
+			rec, err := cr.Read()
+			if err != nil {
+				t.Fatalf("row %d was stored, but record %d does not read: %v", k, line, err)
+			}
+			if line == 1 && strings.EqualFold(strings.TrimSpace(rec[0]), "timestamp") {
+				continue
+			}
+			at, err := parseCSVTime(rec[0])
+			if err != nil {
+				t.Fatalf("row %d was stored from an unparsable timestamp %q", k, rec[0])
+			}
+			if err := CheckTime(at); err != nil || !rows[k].At.Equal(at) {
+				t.Fatalf("row %d: stored %v for %q (CheckTime: %v)", k, rows[k].At, rec[0], err)
+			}
+			if len(rows[k].Items) == 0 {
+				t.Fatalf("row %d was stored with no items", k)
+			}
+			k++
+		}
+	})
 }

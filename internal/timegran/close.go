@@ -27,21 +27,3 @@ import "time"
 func ClosedThrough(clock time.Time, g Granularity) Granule {
 	return GranuleOf(clock, g) - 1
 }
-
-// ClosedOf splits the granule span of a dataset by the stream clock:
-// it returns the closed prefix of span under clock. The returned
-// interval is empty (ok=false) when not even span.Lo is closed. span.Hi
-// is typically GranuleOf(clock, g) — the open granule the newest
-// transaction landed in — so the closed prefix usually ends at
-// span.Hi-1; a span whose data stops short of the clock is closed in
-// its entirety.
-func ClosedOf(span Interval, g Granularity, clock time.Time) (Interval, bool) {
-	ct := ClosedThrough(clock, g)
-	if ct < span.Lo {
-		return Interval{}, false
-	}
-	if ct > span.Hi {
-		ct = span.Hi
-	}
-	return Interval{Lo: span.Lo, Hi: ct}, true
-}

@@ -97,76 +97,3 @@ func TestClosedThroughConsistency(t *testing.T) {
 		}
 	}
 }
-
-// TestClosedOfSpans covers the span-splitting helper: the final granule
-// of a span, spans entirely closed, and zero-width (single-granule)
-// spans.
-func TestClosedOfSpans(t *testing.T) {
-	day := func(s string) Granule { return GranuleOf(ts(s), Day) }
-	cases := []struct {
-		name   string
-		span   Interval
-		clock  time.Time
-		want   Interval
-		wantOK bool
-	}{
-		// Typical streaming shape: newest data lives in the open
-		// granule span.Hi, so the closed prefix stops one short.
-		{
-			"final-granule-open",
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-10T00:00:00Z")},
-			ts("2024-01-10T09:00:00Z"),
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-09T00:00:00Z")},
-			true,
-		},
-		// Clock exactly at the end of the final granule: the whole span
-		// is closed, including its final granule.
-		{
-			"final-granule-closes-on-tick",
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-10T00:00:00Z")},
-			ts("2024-01-11T00:00:00Z"),
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-10T00:00:00Z")},
-			true,
-		},
-		// Clock far past the span: clamped to the span's end.
-		{
-			"clock-past-span",
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-10T00:00:00Z")},
-			ts("2025-06-01T00:00:00Z"),
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-10T00:00:00Z")},
-			true,
-		},
-		// Zero-width span (a single granule), still open.
-		{
-			"zero-width-open",
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-01T00:00:00Z")},
-			ts("2024-01-01T23:59:59Z"),
-			Interval{},
-			false,
-		},
-		// Zero-width span whose lone granule has closed.
-		{
-			"zero-width-closed",
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-01T00:00:00Z")},
-			ts("2024-01-02T00:00:00Z"),
-			Interval{Lo: day("2024-01-01T00:00:00Z"), Hi: day("2024-01-01T00:00:00Z")},
-			true,
-		},
-		// Clock before the span entirely: nothing closed.
-		{
-			"clock-before-span",
-			Interval{Lo: day("2024-01-05T00:00:00Z"), Hi: day("2024-01-10T00:00:00Z")},
-			ts("2024-01-03T00:00:00Z"),
-			Interval{},
-			false,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, ok := ClosedOf(tc.span, Day, tc.clock)
-			if ok != tc.wantOK || got != tc.want {
-				t.Fatalf("ClosedOf(%v, Day, %v) = %v, %v; want %v, %v", tc.span, tc.clock, got, ok, tc.want, tc.wantOK)
-			}
-		})
-	}
-}

@@ -99,8 +99,7 @@ var testOnlyExportsAllowed = map[string]string{
 	"apriori.RoaringAcc.Card": "read by the roaring-scalar reference arm of BenchmarkCountingCore",
 	"itemset.Set.WithoutItem": "splits an itemset into the brute-force rules of internal/core's oracle tests",
 
-	"timegran.ClosedOf": "dead; goes with TestClosedOfSpans",
-	"timegran.Convert":  "dead; goes with TestConvert",
+	"timegran.Convert": "dead; goes with TestConvert",
 }
 
 // TestNoTestOnlyExports is the sweep guard: an exported function or
