@@ -285,13 +285,18 @@ func GenerateCandidatesCounted(level []ItemsetCount) (out []itemset.Set, generat
 	if len(level) < 2 {
 		return nil, 0, 0
 	}
-	freq := make(map[string]bool, len(level))
-	for _, ic := range level {
-		freq[ic.Set.Key()] = true
+	// Both subsets of a pair are its join parents, so a level of single
+	// items has nothing to probe and needs no key set.
+	var freq map[string]bool
+	if len(level[0].Set) > 1 {
+		freq = make(map[string]bool, len(level))
+		for _, ic := range level {
+			freq[ic.Set.Key()] = true
+		}
 	}
 	// One key buffer for every subset probe of the pass: the prune
 	// loop's map lookups must not allocate a key string per subset.
-	keyBuf := make([]byte, 0, 4*(len(level[0].Set)+1))
+	keyBuf := make([]byte, 0, 4*len(level[0].Set))
 	for i := 0; i < len(level); i++ {
 		for j := i + 1; j < len(level); j++ {
 			cand, ok := level[i].Set.JoinPrefix(level[j].Set)
@@ -312,17 +317,14 @@ func GenerateCandidatesCounted(level []ItemsetCount) (out []itemset.Set, generat
 }
 
 // aprioriPruned reports whether cand has a (k-1)-subset that is not
-// frequent. The two subsets obtained by dropping one of the last two
-// items are the join parents and are frequent by construction, but
-// checking them costs little and keeps the function self-contained.
+// frequent. Dropping one of the last two items gives the join parents,
+// which are frequent by construction, so only the k-2 subsets dropping
+// an earlier item are probed — none for a pair.
 func aprioriPruned(cand itemset.Set, freq map[string]bool, keyBuf []byte) bool {
-	pruned := false
-	cand.EachSubsetK1(func(sub itemset.Set) bool {
-		if !freq[string(sub.AppendKey(keyBuf[:0]))] {
-			pruned = true
-			return false
+	for drop := 0; drop < len(cand)-2; drop++ {
+		if !freq[string(cand[drop+1:].AppendKey(cand[:drop].AppendKey(keyBuf[:0])))] {
+			return true
 		}
-		return true
-	})
-	return pruned
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"math/bits"
 	"sync"
 
@@ -23,7 +24,7 @@ type BitmapIndex struct {
 	n     int
 	words int
 	ranks *itemset.Ranks // item → row of bits
-	bits  [][]uint64     // nil for a kept item that never occurred
+	bits  [][]uint64     // one row per ranked item, all-zero if it never occurred
 	zero  []uint64       // shared all-zero bitmap for items absent from the index
 }
 
@@ -53,13 +54,30 @@ func (ix *BitmapIndex) getScratch(levels int) *bitmapScratch {
 	return sc
 }
 
-// NewBitmapIndex ingests src once, assigning transaction IDs in scan
-// order. keep == nil indexes every item; otherwise only the items keep
-// ranks get a bitmap — the level-wise miner passes its frequent
-// 1-itemsets, since an infrequent item can never appear in a candidate.
-// keep is retained and must not be added to afterwards.
-func NewBitmapIndex(src Source, keep *itemset.Ranks) *BitmapIndex {
-	n := src.Len()
+// NewBitmapIndex ingests slices once, in order, assigning transaction
+// IDs in scan order: slice s owns the consecutive IDs
+// sliceBounds(slices)[s] up to [s+1]. keep == nil indexes every item;
+// otherwise only the items keep ranks get a bitmap — the level-wise
+// miner passes its frequent 1-itemsets, since an infrequent item can
+// never appear in a candidate. keep is retained and must not be added
+// to afterwards.
+//
+// workers > 1 shards the ingest over the contiguous slice blocks of
+// Blocks — the blocks of a hold-table build's level-1 scan and pair
+// prefilter — each block setting the bits of its own ID range into rows
+// allocated before the fan-out, one per kept item. Blocks own disjoint
+// ID ranges, so only a block's first and last word can also hold a
+// neighbour's bits: the block sets those two words in private rows,
+// ORed in after the join, and the index is bit-identical at any worker
+// count. Without keep the items, and so the rows, are unknown until
+// scanned: the ingest is then one block, as it is over a single slice
+// or with workers ≤ 1.
+//
+// Cancellation is sampled at slice boundaries; a cancelled ingest
+// returns nil, never a half-built index.
+func NewBitmapIndex(ctx context.Context, slices []Source, keep *itemset.Ranks, workers int) *BitmapIndex {
+	bounds := sliceBounds(slices)
+	n := bounds[len(slices)]
 	words := (n + 63) / 64
 	ix := &BitmapIndex{
 		n:     n,
@@ -69,41 +87,111 @@ func NewBitmapIndex(src Source, keep *itemset.Ranks) *BitmapIndex {
 	}
 	if keep == nil {
 		ix.ranks = new(itemset.Ranks)
+		workers = 1
+	} else {
+		slab := make([]uint64, keep.Len()*words)
+		ix.bits = make([][]uint64, keep.Len())
+		for r := range ix.bits {
+			ix.bits[r] = slab[r*words : (r+1)*words : (r+1)*words]
+		}
 	}
-	ix.bits = make([][]uint64, ix.ranks.Len())
-	row := 0
-	src.ForEach(func(tx itemset.Set) {
-		if row >= n {
-			return // defensive: source delivered more rows than Len()
+	blocks := Blocks(len(slices), workers)
+	edges := make([]blockEdges, len(blocks))
+	fanOut(blocks, func(b, lo, hi int) {
+		edges[b] = ix.ingestBlock(ctx, slices, bounds, lo, hi, keep == nil)
+	})
+	if ctx.Err() != nil {
+		return nil
+	}
+	for _, e := range edges {
+		for r, v := range e.first {
+			ix.bits[r][e.firstW] |= v
+		}
+		for r, v := range e.last {
+			ix.bits[r][e.lastW] |= v
+		}
+	}
+	return ix
+}
+
+// blockEdges is what one ingest block set in the words it may share
+// with a neighbour: first[r] is item rank r's word firstW, last[r] its
+// word lastW. On a side with no neighbour block the row is nil and the
+// block sets that word in place.
+type blockEdges struct {
+	firstW, lastW int
+	first, last   []uint64
+}
+
+// ingestBlock sets the bits of slices [lo, hi) into ix.bits, except
+// those of the block's shared edge words, which it returns. grow adds a
+// row for every item met unranked; it is only passed to a one-block
+// ingest, which has no edge words.
+func (ix *BitmapIndex) ingestBlock(ctx context.Context, slices []Source, bounds []int, lo, hi int, grow bool) blockEdges {
+	e := blockEdges{firstW: -1, lastW: -1}
+	if bounds[lo] == bounds[hi] {
+		return e
+	}
+	if lo > 0 {
+		e.firstW, e.first = bounds[lo]>>6, make([]uint64, len(ix.bits))
+	}
+	if hi < len(slices) {
+		e.lastW, e.last = (bounds[hi]-1)>>6, make([]uint64, len(ix.bits))
+	}
+	var row, end int
+	each := func(tx itemset.Set) {
+		if row >= end {
+			return // defensive: the slice delivered more rows than its Len()
+		}
+		w, bit := row>>6, uint64(1)<<uint(row&63)
+		row++
+		var edge []uint64
+		switch w {
+		case e.firstW:
+			edge = e.first
+		case e.lastW:
+			edge = e.last
 		}
 		for _, x := range tx {
 			r := ix.ranks.Rank(x)
 			if r < 0 {
-				if keep != nil {
+				if !grow {
 					continue
 				}
 				r = ix.ranks.Add(x)
-				ix.bits = append(ix.bits, nil)
+				ix.bits = append(ix.bits, make([]uint64, ix.words))
 			}
-			b := ix.bits[r]
-			if b == nil {
-				b = make([]uint64, words)
-				ix.bits[r] = b
+			if edge != nil {
+				edge[r] |= bit
+			} else {
+				ix.bits[r][w] |= bit
 			}
-			b[row>>6] |= 1 << uint(row&63)
 		}
-		row++
-	})
-	return ix
+	}
+	for s := lo; s < hi && ctx.Err() == nil; s++ {
+		row, end = bounds[s], bounds[s+1]
+		slices[s].ForEach(each)
+	}
+	return e
+}
+
+// sliceBounds returns the row offsets of slices laid end to end: slice s
+// is rows [bounds[s], bounds[s+1]).
+func sliceBounds(slices []Source) []int {
+	bounds := make([]int, len(slices)+1)
+	for s, sl := range slices {
+		bounds[s+1] = bounds[s] + sl.Len()
+	}
+	return bounds
 }
 
 // N returns the number of transactions indexed.
 func (ix *BitmapIndex) N() int { return ix.n }
 
-// itemBits returns x's bitmap, or the shared zero bitmap when x never
-// occurred (or was filtered at ingest).
+// itemBits returns x's bitmap, or the shared zero bitmap when x is not
+// ranked (it never occurred, or was filtered at ingest).
 func (ix *BitmapIndex) itemBits(x itemset.Item) []uint64 {
-	if r := ix.ranks.Rank(x); r >= 0 && ix.bits[r] != nil {
+	if r := ix.ranks.Rank(x); r >= 0 {
 		return ix.bits[r]
 	}
 	return ix.zero

@@ -44,8 +44,9 @@ type SliceCounter struct {
 // keep, when non-nil, names the only items candidates can contain — the
 // ingest filter of the vertical indexes — and must not be added to
 // afterwards. workers > 1 fans a Count out: over contiguous blocks of
-// slices on the horizontal driver, over prefix-aligned candidate chunks
-// on the vertical one. Counts are identical at any worker count.
+// slices on the horizontal driver and in the flat index's ingest, over
+// prefix-aligned candidate chunks on the vertical driver's
+// intersections. Counts are identical at any worker count.
 //
 // BackendAuto is resolved here, the one place that sees both inputs of
 // the rule, and nowhere else: Backend reports what it became.
@@ -353,29 +354,28 @@ func (c *SliceCounter) countVertical(ctx context.Context, cands []itemset.Set, m
 }
 
 // ingest builds the index over the slices in order, so that each owns a
-// contiguous row range. A cancelled ingest is dropped, not kept half
-// built.
+// contiguous row range; the flat index shards it over c.workers. A
+// cancelled ingest is dropped, not kept half built.
 func (c *SliceCounter) ingest(ctx context.Context) {
-	bounds := make([]int, len(c.slices)+1)
-	for s, sl := range c.slices {
-		bounds[s+1] = bounds[s] + sl.Len()
-	}
-	src := FuncSource{N: c.rows, Scan: func(fn func(tx itemset.Set)) {
-		for _, sl := range c.slices {
-			if ctx.Err() != nil {
-				return
-			}
-			sl.ForEach(fn)
-		}
-	}}
 	var ix verticalIndex
 	if c.backend == BackendBitmap {
-		ix = NewBitmapIndex(src, c.keep)
+		bix := NewBitmapIndex(ctx, c.slices, c.keep, c.workers)
+		if bix == nil {
+			return
+		}
+		ix = bix
 	} else {
-		ix = NewRoaringIndex(src, c.keep)
+		ix = NewRoaringIndex(FuncSource{N: c.rows, Scan: func(fn func(tx itemset.Set)) {
+			for _, sl := range c.slices {
+				if ctx.Err() != nil {
+					return
+				}
+				sl.ForEach(fn)
+			}
+		}}, c.keep)
 	}
 	if ctx.Err() == nil {
-		c.index, c.bounds = ix, bounds
+		c.index, c.bounds = ix, sliceBounds(c.slices)
 	}
 }
 

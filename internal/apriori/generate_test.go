@@ -1,0 +1,83 @@
+package apriori
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/tarm-project/tarm/internal/itemset"
+)
+
+// generateWithMapPrune is the join+prune as it was before the prune
+// learnt to skip the join parents: a string-keyed map of the level,
+// probed with every (k-1)-subset of every joined candidate. It is the
+// oracle of TestGenerateCandidatesMatchesMapPrune.
+func generateWithMapPrune(level []ItemsetCount) (out []itemset.Set, generated, pruned int) {
+	if len(level) < 2 {
+		return nil, 0, 0
+	}
+	freq := make(map[string]bool, len(level))
+	for _, ic := range level {
+		freq[ic.Set.Key()] = true
+	}
+	keyBuf := make([]byte, 0, 4*(len(level[0].Set)+1))
+	for i := 0; i < len(level); i++ {
+		for j := i + 1; j < len(level); j++ {
+			cand, ok := level[i].Set.JoinPrefix(level[j].Set)
+			if !ok {
+				break
+			}
+			generated++
+			isPruned := false
+			cand.EachSubsetK1(func(sub itemset.Set) bool {
+				if !freq[string(sub.AppendKey(keyBuf[:0]))] {
+					isPruned = true
+					return false
+				}
+				return true
+			})
+			if isPruned {
+				pruned++
+				continue
+			}
+			out = append(out, cand)
+		}
+	}
+	return out, generated, pruned
+}
+
+// TestGenerateCandidatesMatchesMapPrune holds the join+prune to the
+// map-probing oracle on random sorted levels of k = 1..5 over small
+// universes, dense enough that joins are common and that at k ≥ 2 some
+// joined candidates lose a subset and some keep all of them. Generated,
+// pruned and emitted candidates must be identical.
+func TestGenerateCandidatesMatchesMapPrune(t *testing.T) {
+	var kept, pruned [6]int
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + rng.Intn(5)
+		universe := k + 1 + rng.Intn(9)
+		sets := randomCandidates(rng, 1+rng.Intn(120), k, universe)
+		level := make([]ItemsetCount, len(sets))
+		for i, s := range sets {
+			level[i] = ItemsetCount{Set: s, Count: 1 + rng.Intn(9)}
+		}
+		got, gGen, gPruned := GenerateCandidatesCounted(level)
+		want, wGen, wPruned := generateWithMapPrune(level)
+		label := fmt.Sprintf("seed=%d k=%d |level|=%d", seed, k, len(level))
+		if gGen != wGen || gPruned != wPruned || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %d generated, %d pruned, %v; oracle %d, %d, %v", label, gGen, gPruned, got, wGen, wPruned, want)
+		}
+		kept[k] += len(got)
+		pruned[k] += gPruned
+	}
+	for k := 2; k <= 5; k++ {
+		if kept[k] == 0 || pruned[k] == 0 {
+			t.Errorf("k=%d levels kept %d and pruned %d candidates: the prune went untested", k, kept[k], pruned[k])
+		}
+	}
+	if pruned[1] != 0 {
+		t.Errorf("pair candidates pruned %d times: both subsets of a pair are its join parents", pruned[1])
+	}
+}

@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -295,7 +296,7 @@ func randomSource(seed int64, n, items int) Transactions {
 func TestRoaringIndexMatchesBitmap(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		src := randomSource(seed, 2000, 24)
-		bix := NewBitmapIndex(src, nil)
+		bix := NewBitmapIndex(context.Background(), []Source{src}, nil, 1)
 		rix := NewRoaringIndex(src, nil)
 		if bix.N() != rix.N() {
 			t.Fatalf("N mismatch: %d vs %d", bix.N(), rix.N())
@@ -340,7 +341,7 @@ func TestRoaringIndexLargeUniverse(t *testing.T) {
 		txs[i] = itemset.New(s...)
 	}
 	src := Transactions(txs)
-	bix := NewBitmapIndex(src, nil)
+	bix := NewBitmapIndex(context.Background(), []Source{src}, nil, 1)
 	rix := NewRoaringIndex(src, nil)
 	// Slices that end inside, on and across the container boundary.
 	pairs := octaveLevels(6)[1]
@@ -416,7 +417,7 @@ func TestBitmapEachIntersectionZeroAlloc(t *testing.T) {
 		t.Skip("alloc counts are nondeterministic under the race detector")
 	}
 	src := randomSource(1, 1000, 12)
-	ix := NewBitmapIndex(src, nil)
+	ix := NewBitmapIndex(context.Background(), []Source{src}, nil, 1)
 	var cands []itemset.Set
 	for a := 0; a < 12; a++ {
 		for b := a + 1; b < 12; b++ {
@@ -492,7 +493,7 @@ func TestIndexNotPinnedByScratch(t *testing.T) {
 	pairs := []itemset.Set{itemset.New(1, 2), itemset.New(1, 3), itemset.New(2, 3)}
 	t.Run("bitmap", func(t *testing.T) {
 		collectedByOneGC(t, func(freed chan struct{}) {
-			ix := NewBitmapIndex(src, nil)
+			ix := NewBitmapIndex(context.Background(), []Source{src}, nil, 1)
 			ix.EachIntersection(pairs, func(int, []uint64) {})
 			runtime.SetFinalizer(ix, func(*BitmapIndex) { close(freed) })
 		})

@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -27,7 +28,7 @@ import (
 // the flag.
 const (
 	backendUsage    = "counting backend: auto, naive, hashtree, bitmap or roaring"
-	workersUsage    = "parallel counting workers (0 = sequential)"
+	workersUsage    = "parallel counting workers: one per CPU by default (GOMAXPROCS); 0 or 1 counts sequentially"
 	timeoutUsage    = "abort any single statement after this long, e.g. 30s (0 = no limit)"
 	cacheUsage      = "hold-table cache budget in MB (0 = disable caching)"
 	journalUsage    = "query-journal ring size in statements (0 = default 128, -1 = disable)"
@@ -44,7 +45,7 @@ const (
 type MiningFlags struct {
 	// BackendName is the raw -backend value; resolve it with Backend().
 	BackendName string
-	// Workers is the -workers value.
+	// Workers is the -workers value: runtime.GOMAXPROCS(0) when unset.
 	Workers int
 	// Timeout is the -timeout value (per statement).
 	Timeout time.Duration
@@ -65,10 +66,13 @@ type MiningFlags struct {
 }
 
 // RegisterMining adds -backend and -workers, the knobs of the counting
-// pass itself, which every binary supports.
+// pass itself, which every binary supports. -workers defaults to the
+// CPUs the process may use: a cold build's granule blocks and candidate
+// chunks are independent, and its counts are identical at any worker
+// count, so an unset flag should not leave cores idle.
 func (f *MiningFlags) RegisterMining(fs *flag.FlagSet) {
 	fs.StringVar(&f.BackendName, "backend", "auto", backendUsage)
-	fs.IntVar(&f.Workers, "workers", 0, workersUsage)
+	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), workersUsage)
 }
 
 // RegisterTimeout adds -timeout, the per-statement deadline.

@@ -5,12 +5,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/core"
+	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/tdb"
 )
 
@@ -80,7 +82,7 @@ func TestDefaults(t *testing.T) {
 	if err := newFlagSet("x", &mf).Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if mf.BackendName != "auto" || mf.Workers != 0 || mf.Timeout != 0 {
+	if mf.BackendName != "auto" || mf.Workers != runtime.GOMAXPROCS(0) || mf.Timeout != 0 {
 		t.Errorf("defaults: %+v", mf)
 	}
 	if b, err := mf.Backend(); err != nil || b != apriori.BackendAuto {
@@ -88,6 +90,43 @@ func TestDefaults(t *testing.T) {
 	}
 	if got, want := mf.CacheBytes(), core.DefaultCacheBytes; got != want {
 		t.Errorf("CacheBytes() = %d, want %d", got, want)
+	}
+}
+
+// TestWorkersDefault pins what -workers means: unset, one worker per
+// CPU the process may use, read when the flag is registered; 1 and 0
+// both count sequentially — every fan-out of a build (granule blocks,
+// candidate chunks) is then a single range.
+func TestWorkersDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	var mf MiningFlags
+	if err := newFlagSet("x", &mf).Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if mf.Workers != 3 {
+		t.Errorf("unset -workers under GOMAXPROCS 3 = %d, want 3", mf.Workers)
+	}
+	cands := make([]itemset.Set, 10)
+	for i := range cands {
+		cands[i] = itemset.New(itemset.Item(i), itemset.Item(i+100))
+	}
+	fanOut := func(workers int) (blocks, chunks int) {
+		return len(apriori.Blocks(365, workers)), len(apriori.PrefixRunChunks(cands, workers))
+	}
+	if b, c := fanOut(mf.Workers); b != 3 || c != 3 {
+		t.Errorf("default workers fan out over %d granule blocks and %d candidate chunks, want 3 and 3", b, c)
+	}
+	for _, arg := range []string{"1", "0"} {
+		var mf MiningFlags
+		if err := newFlagSet("x", &mf).Parse([]string{"-workers", arg}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mf.Backend(); err != nil {
+			t.Errorf("-workers %s: %v", arg, err)
+		}
+		if b, c := fanOut(mf.Workers); b != 1 || c != 1 {
+			t.Errorf("-workers %s fans out over %d granule blocks and %d candidate chunks, want sequential", arg, b, c)
+		}
 	}
 }
 

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +108,74 @@ func TestBuildHoldTableCancelParallel(t *testing.T) {
 	_, err := BuildHoldTableContext(ctx, tbl, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// checkpointCtx is cancelled by its n-th Err call. A build samples
+// cancellation through Err at its checkpoints — pass boundaries, ingest
+// slices, candidate blocks — so sweeping n over every call a build
+// makes cancels it at each of them in turn, the ingest's included.
+type checkpointCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func newCheckpointCtx(n int64) *checkpointCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &checkpointCtx{Context: ctx, cancel: cancel}
+	c.left.Store(n)
+	return c
+}
+
+func (c *checkpointCtx) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestBuildHoldTableCancelAtEveryCheckpoint cancels a flat-bitmap build
+// at each of its cancellation checkpoints, at every worker count, and a
+// roaring one (serial ingest) likewise: the build must return
+// context.Canceled, or — when no check ran after the cancel — exactly
+// the uncancelled table. An ingest cut short must never be installed
+// and counted as if whole.
+func TestBuildHoldTableCancelAtEveryCheckpoint(t *testing.T) {
+	tbl := ingestEdgeTable(t, 1)
+	cases := []struct {
+		backend apriori.Backend
+		workers int
+	}{
+		{apriori.BackendBitmap, 1}, {apriori.BackendBitmap, 2}, {apriori.BackendBitmap, 3},
+		{apriori.BackendBitmap, 8}, {apriori.BackendRoaring, 3},
+	}
+	for _, tc := range cases {
+		cfg := Config{Granularity: timegran.Day, MinSupport: 0.3, MinConfidence: 0.5, MinFreq: 0.5,
+			Backend: tc.backend, Workers: tc.workers}
+		label := fmt.Sprintf("%v/workers=%d", tc.backend, tc.workers)
+		probe := newCheckpointCtx(math.MaxInt64)
+		want, err := BuildHoldTableContext(probe, tbl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := math.MaxInt64 - probe.left.Load()
+		if calls < int64(tbl.Len()/64) {
+			t.Fatalf("%s: the build made only %d cancellation checks", label, calls)
+		}
+		for n := int64(1); n <= calls; n++ {
+			h, err := BuildHoldTableContext(newCheckpointCtx(n), tbl, cfg)
+			switch {
+			case errors.Is(err, context.Canceled):
+				if h != nil {
+					t.Fatalf("%s: cancelled at check %d/%d, still returned a table", label, n, calls)
+				}
+			case err != nil:
+				t.Fatalf("%s: cancelled at check %d/%d: %v", label, n, calls, err)
+			case !holdTablesEqual(want, h):
+				t.Fatalf("%s: cancelled at check %d/%d, returned a table that differs from the uncancelled build", label, n, calls)
+			}
+		}
 	}
 }
 

@@ -57,9 +57,11 @@ type Config struct {
 	MinGranuleTx int
 	// Workers parallelises the per-granule counting pass — across
 	// contiguous granule blocks on the level-1 scan, the level-2 pair
-	// prefilter and the hash-tree and naive backends, across candidate
-	// chunks on the bitmap and roaring backends. Either way granule counts are
-	// identical to a sequential pass. 0 or 1 counts sequentially.
+	// prefilter, the flat-bitmap ingest and the hash-tree and naive
+	// backends, across candidate chunks on the bitmap and roaring
+	// backends. Either way granule counts are identical to a sequential
+	// pass. 0 or 1 counts sequentially; the CLIs' -workers defaults to
+	// one worker per CPU.
 	Workers int
 	// Backend selects the support-counting backend of the per-granule
 	// pass (auto, naive, hashtree, bitmap, roaring); see the apriori

@@ -3,10 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -463,6 +466,28 @@ func TestExplain(t *testing.T) {
 	}
 	if !strings.Contains(body, "mine:cycles") || !strings.Contains(body, "scan") {
 		t.Errorf("plan output missing operators:\n%s", body)
+	}
+}
+
+// TestExplainShowsResolvedWorkers runs tarmd's flag path — the shared
+// -workers flag left unset, its value handed to Config.Workers as
+// cmd/tarmd does — and checks that EXPLAIN's build-hold node reports
+// the resolved count, one per CPU, rather than the flag's absence.
+func TestExplainShowsResolvedWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	var mf clihelp.MiningFlags
+	fs := flag.NewFlagSet("tarmd", flag.ContinueOnError)
+	mf.RegisterMining(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: mf.Workers})
+	code, body, _ := postStatement(t, ts.URL, "EXPLAIN "+testStatements[2], "text")
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if !regexp.MustCompile(`build-hold \([^)]*workers=3[,)]`).MatchString(body) {
+		t.Errorf("EXPLAIN under GOMAXPROCS 3 with -workers unset does not show workers=3 on build-hold:\n%s", body)
 	}
 }
 
