@@ -268,7 +268,7 @@ func BenchmarkHashTreeVsNaive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands, _, _ := apriori.GenerateCandidatesCounted(f.ByK[1])
+	cands, _, _, _ := apriori.GenerateCandidatesCounted(context.Background(), f.ByK[1])
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
 	}
@@ -417,13 +417,26 @@ func BenchmarkHoldTableBuild(b *testing.B) {
 	}
 	b.Run("standard", func(b *testing.B) { run(b, dataset(b), bench.Cfg()) })
 	var year *tdb.TxTable
-	for _, support := range []float64{0.03, 0.05, 0.08} {
-		b.Run(fmt.Sprintf("year300/support=%g", support), func(b *testing.B) {
+	// Day granularity at the supports of cold_mine (0.04, 0.06) and
+	// around them, then week and month, whose granules have many more
+	// locally frequent items: both sides of the level-2 route crossover.
+	arms := []struct {
+		name string
+		gran timegran.Granularity
+		supp float64
+	}{
+		{"year300", timegran.Day, 0.03}, {"year300", timegran.Day, 0.04}, {"year300", timegran.Day, 0.05},
+		{"year300", timegran.Day, 0.06}, {"year300", timegran.Day, 0.08},
+		{"year300/week", timegran.Week, 0.03}, {"year300/week", timegran.Week, 0.05},
+		{"year300/month", timegran.Month, 0.03}, {"year300/month", timegran.Month, 0.05},
+	}
+	for _, arm := range arms {
+		b.Run(fmt.Sprintf("%s/support=%g", arm.name, arm.supp), func(b *testing.B) {
 			if year == nil {
 				year = yearTable(b)
 			}
 			cfg := bench.Cfg()
-			cfg.MinSupport, cfg.MinFreq, cfg.MaxK = support, 0.9, 0
+			cfg.Granularity, cfg.MinSupport, cfg.MinFreq, cfg.MaxK = arm.gran, arm.supp, 0.9, 0
 			b.ResetTimer()
 			run(b, year, cfg)
 		})
@@ -631,7 +644,7 @@ func BenchmarkHashTreeParams(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands, _, _ := apriori.GenerateCandidatesCounted(f.ByK[1])
+	cands, _, _, _ := apriori.GenerateCandidatesCounted(context.Background(), f.ByK[1])
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
 	}

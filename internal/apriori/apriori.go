@@ -231,7 +231,10 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 			tr.StartPass(k)
 			t0 = time.Now()
 		}
-		cands, nGen, nPruned := GenerateCandidatesCounted(prev)
+		cands, nGen, nPruned, err := GenerateCandidatesCounted(ctx, prev)
+		if err != nil {
+			return nil, err
+		}
 		if len(cands) == 0 {
 			if trace {
 				tr.EndPass(obs.PassStats{
@@ -275,15 +278,25 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 	return res, nil
 }
 
+// joinCheckEvery is the number of joined candidates between two
+// cancellation checks of GenerateCandidatesCounted: a candidate costs an
+// allocation and k-2 subset probes, so a check costs nothing against a
+// block of them, and a block is well under a millisecond of work.
+const joinCheckEvery = 1024
+
 // GenerateCandidatesCounted produces the (k+1)-candidates from the
 // sorted frequent k-level: prefix join followed by the Apriori prune
 // (every k-subset of a candidate must itself be frequent). The input
 // must be in canonical order, as produced by Mine. It also reports how
 // many candidates the join produced (generated) and how many the subset
 // prune removed (pruned); len(out) == generated-pruned.
-func GenerateCandidatesCounted(level []ItemsetCount) (out []itemset.Set, generated, pruned int) {
+//
+// A join can run to millions of candidates, so ctx is sampled every
+// joinCheckEvery of them; once it is done the partial join is dropped
+// and ctx.Err() returned.
+func GenerateCandidatesCounted(ctx context.Context, level []ItemsetCount) (out []itemset.Set, generated, pruned int, err error) {
 	if len(level) < 2 {
-		return nil, 0, 0
+		return nil, 0, 0, nil
 	}
 	// Both subsets of a pair are its join parents, so a level of single
 	// items has nothing to probe and needs no key set.
@@ -305,6 +318,11 @@ func GenerateCandidatesCounted(level []ItemsetCount) (out []itemset.Set, generat
 				// later j can share it either.
 				break
 			}
+			if generated%joinCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, 0, 0, err
+				}
+			}
 			generated++
 			if aprioriPruned(cand, freq, keyBuf) {
 				pruned++
@@ -313,7 +331,7 @@ func GenerateCandidatesCounted(level []ItemsetCount) (out []itemset.Set, generat
 			out = append(out, cand)
 		}
 	}
-	return out, generated, pruned
+	return out, generated, pruned, nil
 }
 
 // aprioriPruned reports whether cand has a (k-1)-subset that is not

@@ -251,14 +251,14 @@ func TestGenerateCandidatesPrune(t *testing.T) {
 		{Set: itemset.New(1, 2)},
 		{Set: itemset.New(1, 3)},
 	}
-	got, generated, pruned := GenerateCandidatesCounted(level)
+	got, generated, pruned, _ := GenerateCandidatesCounted(context.Background(), level)
 	if len(got) != 1 || !got[0].Equal(itemset.New(0, 1, 2)) {
 		t.Errorf("GenerateCandidatesCounted = %v, want [{0,1,2}]", got)
 	}
 	if generated != 2 || pruned != 1 {
 		t.Errorf("generated %d, pruned %d; want 2, 1", generated, pruned)
 	}
-	if got, _, _ := GenerateCandidatesCounted(level[:1]); got != nil {
+	if got, _, _, _ := GenerateCandidatesCounted(context.Background(), level[:1]); got != nil {
 		t.Error("single itemset produced candidates")
 	}
 }

@@ -63,8 +63,7 @@ func (ix *BitmapIndex) getScratch(levels int) *bitmapScratch {
 // to afterwards.
 //
 // workers > 1 shards the ingest over the contiguous slice blocks of
-// Blocks — the blocks of a hold-table build's level-1 scan and pair
-// prefilter — each block setting the bits of its own ID range into rows
+// Blocks — the blocks of a hold-table build's level-1 scan — each block setting the bits of its own ID range into rows
 // allocated before the fan-out, one per kept item. Blocks own disjoint
 // ID ranges, so only a block's first and last word can also hold a
 // neighbour's bits: the block sets those two words in private rows,
@@ -195,6 +194,18 @@ func (ix *BitmapIndex) itemBits(x itemset.Item) []uint64 {
 		return ix.bits[r]
 	}
 	return ix.zero
+}
+
+// RangeWords copies the words of rank r's row that hold rows [lo, hi)
+// — words lo>>6 through (hi-1)>>6, which dst must hold exactly — and
+// clears the bits outside [lo, hi), so AndCount over two such copies is
+// the pair's count in that row range. r ranks an item of the keep set
+// the index was built with.
+func (ix *BitmapIndex) RangeWords(dst []uint64, r, lo, hi int) {
+	first, last := lo>>6, (hi-1)>>6
+	copy(dst, ix.bits[r][first:last+1])
+	dst[0] &= ^uint64(0) << uint(lo&63)
+	dst[last-first] &= ^uint64(0) >> uint(63-(hi-1)&63)
 }
 
 // The word kernels below are shared by the flat and roaring backends

@@ -88,6 +88,25 @@ func resolveAuto(rows, items int) Backend {
 // Backend reports the backend the counter counts on; never BackendAuto.
 func (c *SliceCounter) Backend() Backend { return c.backend }
 
+// FlatIndex returns the flat bitmap index Count intersects, and the row
+// bounds of the slices in it, ingesting the index now if no Count has
+// yet: a caller that decides over the index before counting shares the
+// one ingest. It returns nil unless the counter counts on BackendBitmap
+// over some rows, and when the ingest was cancelled.
+func (c *SliceCounter) FlatIndex(ctx context.Context) (*BitmapIndex, []int) {
+	if c.backend != BackendBitmap || c.rows == 0 {
+		return nil, nil
+	}
+	if c.index == nil {
+		c.ingest(ctx)
+	}
+	ix, _ := c.index.(*BitmapIndex)
+	if ix == nil {
+		return nil, nil
+	}
+	return ix, c.bounds
+}
+
 // Count returns count[cand][slice] for one level of candidates, which
 // must share one length k ≥ 1 and arrive in canonical sorted order.
 //

@@ -1,6 +1,8 @@
 package apriori
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -63,7 +65,10 @@ func TestGenerateCandidatesMatchesMapPrune(t *testing.T) {
 		for i, s := range sets {
 			level[i] = ItemsetCount{Set: s, Count: 1 + rng.Intn(9)}
 		}
-		got, gGen, gPruned := GenerateCandidatesCounted(level)
+		got, gGen, gPruned, err := GenerateCandidatesCounted(context.Background(), level)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, wGen, wPruned := generateWithMapPrune(level)
 		label := fmt.Sprintf("seed=%d k=%d |level|=%d", seed, k, len(level))
 		if gGen != wGen || gPruned != wPruned || !reflect.DeepEqual(got, want) {
@@ -79,5 +84,62 @@ func TestGenerateCandidatesMatchesMapPrune(t *testing.T) {
 	}
 	if pruned[1] != 0 {
 		t.Errorf("pair candidates pruned %d times: both subsets of a pair are its join parents", pruned[1])
+	}
+}
+
+// errCountCtx counts its Err calls and, when cancelAt is positive,
+// cancels itself on that call — a deterministic cancellation point.
+type errCountCtx struct {
+	context.Context
+	cancel   context.CancelFunc
+	calls    int
+	cancelAt int
+}
+
+func newErrCountCtx(cancelAt int) *errCountCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &errCountCtx{Context: ctx, cancel: cancel, cancelAt: cancelAt}
+}
+
+func (c *errCountCtx) Err() error {
+	c.calls++
+	if c.calls == c.cancelAt {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestGenerateCandidatesChecksContext pins the join's cancellation
+// bound: at most joinCheckEvery candidates are joined between two
+// context checks, at k = 1 and past it, and a cancelled join returns
+// the error and no candidates.
+func TestGenerateCandidatesChecksContext(t *testing.T) {
+	var singles, pairs []ItemsetCount
+	for a := itemset.Item(0); a < 300; a++ {
+		singles = append(singles, ItemsetCount{Set: itemset.New(a)})
+	}
+	for a := itemset.Item(0); a < 40; a++ {
+		for b := a + 1; b < 40; b++ {
+			pairs = append(pairs, ItemsetCount{Set: itemset.New(a, b)})
+		}
+	}
+	for _, level := range [][]ItemsetCount{singles, pairs} {
+		ctx := newErrCountCtx(0)
+		_, generated, _, err := GenerateCandidatesCounted(ctx, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if generated < 4*joinCheckEvery {
+			t.Fatalf("k=%d: %d candidates joined; the case needs several blocks", len(level[0].Set), generated)
+		}
+		if bound := ctx.calls * joinCheckEvery; generated > bound {
+			t.Errorf("k=%d: %d candidates joined with %d context checks, want ≤ %d per check",
+				len(level[0].Set), generated, ctx.calls, joinCheckEvery)
+		}
+		out, _, _, err := GenerateCandidatesCounted(newErrCountCtx(2), level)
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Errorf("k=%d: cancelled join returned %d candidates, err = %v; want none and context.Canceled",
+				len(level[0].Set), len(out), err)
+		}
 	}
 }

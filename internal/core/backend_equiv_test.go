@@ -98,8 +98,8 @@ func tableOfDays(t *testing.T, days ...[]itemset.Set) *tdb.TxTable {
 // builds of the HoldTable must agree bit for bit — same levels, a
 // trailing empty level included, same vectors — with the parallel
 // worker pool of each backend exercised as well. Naive is the
-// unfiltered reference; the rest go through the level-2 pair prefilter,
-// so the grid walks the shapes that prefilter has to get right.
+// unfiltered reference; the rest go through the level-2 pair decision,
+// so the grid walks the shapes that decision has to get right.
 func TestHoldTableBackendEquivalence(t *testing.T) {
 	planted := backendTestTable(t, 42)
 	base := Config{
@@ -179,7 +179,7 @@ func TestHoldTableBackendEquivalence(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Backend = v.backend
 			cfg.Workers = v.workers
-			got, err := buildHoldTable(context.Background(), tc.tbl, cfg, tc.pairCells)
+			got, err := buildHoldTable(context.Background(), tc.tbl, cfg, tc.pairCells, maxVerticalItems)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

@@ -643,7 +643,8 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK) && k < len(h.ByK); k++ {
 		level := filter(k)
 		if len(level) == 0 {
-			if cands, _, _ := generateFromSets(prev); len(cands) == 0 {
+			// A join under a context that is never done returns no error.
+			if cands, _, _, _ := generateFromSets(context.TODO(), prev); len(cands) == 0 {
 				break
 			}
 		}

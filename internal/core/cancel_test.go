@@ -78,8 +78,8 @@ func (t *startPassCancelTracer) StartPass(k int) {
 }
 
 // TestBuildHoldTableCancelDuringPairPrefilter cancels between the top
-// of level 2 and its prefilter scan. The scan stops at its first granule
-// boundary with no pair marked; taken at face value that is a level with
+// of level 2 and its pair decision. The decision stops at its first
+// granule boundary with no pair marked; taken at face value that is a level with
 // zero survivors, and the build would return a table that ends at L1.
 func TestBuildHoldTableCancelDuringPairPrefilter(t *testing.T) {
 	tbl := buildFixture(t)

@@ -56,8 +56,8 @@ type Config struct {
 	// rule. Zero defaults to 1 (empty granules are inactive).
 	MinGranuleTx int
 	// Workers parallelises the per-granule counting pass — across
-	// contiguous granule blocks on the level-1 scan, the level-2 pair
-	// prefilter, the flat-bitmap ingest and the hash-tree and naive
+	// contiguous granule blocks on the level-1 scan, both routes of the
+	// level-2 pair decision, the flat-bitmap ingest and the hash-tree and naive
 	// backends, across candidate chunks on the bitmap and roaring
 	// backends. Either way granule counts are identical to a sequential
 	// pass. 0 or 1 counts sequentially; the CLIs' -workers defaults to

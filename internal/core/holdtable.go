@@ -163,21 +163,24 @@ func ceilCount(frac float64, n int) int {
 // roaring bitmaps, or the naive reference). The data is time-ordered, so
 // each granule is a contiguous run of rows in every scan. Level 2 is
 // where nearly all candidates are and nearly none survive, so the
-// production backends count it in two steps — see frequentPairs.
+// production backends decide it granule by granule before counting any
+// vector — see frequentPairs — and from level 3 on they count only the
+// candidates whose subsets are frequent together in some granule.
 //
-// The build observes cancellation at granule-block and pass boundaries
-// — never per transaction, so the check stays off the counting hot path
-// — and returns ctx.Err() promptly once the context is done. Every
-// counting backend (sequential and parallel hash tree, naive, bitmap,
-// roaring) and the level-2 pair prefilter are covered.
+// The build observes cancellation at granule-block and pass boundaries,
+// and every few thousand candidates of a join or a keep loop — never per
+// transaction, so the check stays off the counting hot path — and
+// returns ctx.Err() promptly once the context is done. Every counting
+// backend (sequential and parallel hash tree, naive, bitmap, roaring)
+// and both routes of the level-2 decision are covered.
 func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
-	return buildHoldTable(ctx, tbl, cfg, maxPairCells)
+	return buildHoldTable(ctx, tbl, cfg, maxPairCells, maxVerticalItems)
 }
 
-// buildHoldTable is BuildHoldTableContext with the pair prefilter's
-// scratch budget as a parameter, so tests can force its row-blocked
-// path on small tables.
-func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells int) (*HoldTable, error) {
+// buildHoldTable is BuildHoldTableContext with the level-2 decision's
+// two limits as parameters, so tests can force the triangle's row-blocked
+// path on small tables and route every granule to either kernel.
+func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells, verticalItems int) (*HoldTable, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
 		return nil, err
@@ -241,8 +244,10 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	}
 
 	var countingNS int64
+	var vectors int64 // candidates of levels ≥ 2 handed to the counter
+	var routes pairRoutes
 	// l1ranks ranks the L1 items in item order: the row numbering of the
-	// pair prefilter and the ingest filter of the vertical indexes.
+	// pair decision and the ingest filter of the vertical indexes.
 	l1ranks := new(itemset.Ranks)
 	for _, s := range l1 {
 		l1ranks.Add(s[0])
@@ -259,61 +264,106 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 			tr.StartPass(k)
 			t0 = time.Now()
 		}
-		cands, nGen, nPruned := generateFromSets(prev)
-		if len(cands) == 0 {
-			if trace {
-				tr.EndPass(obs.PassStats{
-					Level: k, Generated: nGen, Pruned: nPruned,
-					Backend: backend.String(), Duration: time.Since(t0),
-				})
-			}
-			break
-		}
-		tc0 := time.Now()
-		// The stopping rule above saw the whole join, and the pass stats
-		// below report all of it as counted: the prefilter does count
-		// every pair, it just keeps no vector for the ones it drops. The
-		// naive backend stays the unfiltered reference.
-		counted := cands
+		// The stopping rule sees the whole join, and the pass stats report
+		// all of it as counted — generated less the subset prune — however
+		// little of it gets a count vector. The naive backend stays the
+		// unfiltered reference: it counts the join as it stands.
+		var counted []itemset.Set
+		var nGen, nPruned int
+		var tc0 time.Time
 		if k == 2 && backend != apriori.BackendNaive {
-			counted = h.frequentPairs(ctx, slices, l1ranks, cands, cfg.Workers, pairCells)
+			tc0 = time.Now()
+			// The join of L1 is every pair of it, pruning none; only the
+			// pairs frequent in some granule are materialised.
+			nGen = len(l1) * (len(l1) - 1) / 2
+			counted, routes = h.frequentPairs(ctx, slices, counter, l1ranks, cfg.Workers, pairCells, verticalItems)
+		} else {
+			var cands []itemset.Set
+			cands, nGen, nPruned, err = generateFromSets(ctx, prev)
+			if err != nil {
+				return nil, err
+			}
+			if len(cands) == 0 {
+				if trace {
+					tr.EndPass(obs.PassStats{
+						Level: k, Generated: nGen, Pruned: nPruned,
+						Backend: backend.String(), Duration: time.Since(t0),
+					})
+				}
+				break
+			}
+			tc0 = time.Now()
+			counted = cands
+			if backend != apriori.BackendNaive {
+				counted = h.jointlyFrequent(ctx, cands)
+			}
 		}
+		vectors += int64(len(counted))
 		perGranule, err := counter.Count(ctx, counted)
 		countingNS += time.Since(tc0).Nanoseconds()
 		if err != nil {
 			return nil, err
 		}
-		// A cancelled scan leaves partial counts — or partial prefilter
-		// marks, which read as fewer survivors; discard them rather than
-		// admitting an undercounted level.
+		// A cancelled scan leaves partial counts — or partial pair marks
+		// and prune words, which read as fewer survivors; discard them
+		// rather than admitting an undercounted level.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var level []itemset.Set
-		words = words[:0]
-		for i, c := range counted {
-			if v := perGranule.Row(i); frequentGranules(fw, v, thr) {
-				level = append(level, c)
-				words = append(words, fw...)
-				h.counts[c.Key()] = v
-			}
+		level, words, err = h.keepFrequent(ctx, counted, perGranule, thr, fw, words[:0])
+		if err != nil {
+			return nil, err
 		}
 		h.appendLevel(level, words)
 		prev = level
 		if trace {
 			tr.EndPass(obs.PassStats{
-				Level: k, Generated: nGen, Pruned: nPruned, Counted: len(cands),
+				Level: k, Generated: nGen, Pruned: nPruned, Counted: nGen - nPruned,
 				Frequent: len(level), Rows: int64(nActiveTx),
 				Backend: backend.String(), Duration: time.Since(t0),
 			})
 		}
 	}
 	if trace {
+		tr.Counter(obs.MetricPairGranulesVertical, int64(routes.vertical))
+		tr.Counter(obs.MetricPairGranulesHorizontal, int64(routes.horizontal))
+		tr.Counter(obs.MetricCountVectors, vectors)
 		tr.Counter(obs.MetricItemsetsFrequent, int64(h.TotalItemsets()))
 		tr.Gauge(obs.MetricHoldCells, float64(h.TotalItemsets())*float64(h.NGranules()))
 		tr.Gauge(obs.MetricCountingObservedNS, float64(countingNS))
 	}
 	return h, nil
+}
+
+// keepCheckEvery is the number of candidates between two cancellation
+// checks of a level's keep loop and of its frequency-word prune: each
+// candidate costs a pass over its count vector or its subsets' words
+// (one compare per granule), so a block of them is well under a
+// millisecond even over thousands of granules.
+const keepCheckEvery = 1024
+
+// keepFrequent is a level's keep loop: it returns the candidates of
+// counted that clear a threshold of thr (h.thresholds()) in some granule,
+// in order, with their frequency words appended to words, and records
+// their count vectors in h. fw is one itemset's scratch words. ctx is
+// sampled every keepCheckEvery candidates; a cancelled loop returns
+// ctx.Err(), and h must then be discarded.
+func (h *HoldTable) keepFrequent(ctx context.Context, counted []itemset.Set, perGranule *apriori.Counts, thr []int32, fw, words []uint64) ([]itemset.Set, []uint64, error) {
+	var level []itemset.Set
+	for i, c := range counted {
+		if i > 0 && i%keepCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
+		if v := perGranule.Row(i); frequentGranules(fw, v, thr) {
+			level = append(level, c)
+			words = append(words, fw...)
+			h.counts[c.Key()] = v
+		}
+	}
+	return level, words, nil
 }
 
 // newHoldTable builds the header of a table over span — per-granule
@@ -387,8 +437,7 @@ func anySet(words []uint64) bool {
 
 // eachActiveTxRange scans granule offsets [lo, hi) of the span once,
 // handing each transaction of each active granule to fn with the
-// granule offset: the shard primitive of the level-1 scan and the pair
-// prefilter. slices is h.slices(tbl) — the counting seam's own view, an
+// granule offset: the shard primitive of the level-1 scan. slices is h.slices(tbl) — the counting seam's own view, an
 // inactive granule empty — so a transaction arrives as its itemset, with
 // no timestamp to materialise or map back to a granule, and a shard
 // costs proportionally to its own data.
@@ -469,134 +518,15 @@ func countLevel1Range(ctx context.Context, slices []apriori.Source, lo, hi int) 
 	return ranks.Items(), vecs
 }
 
-// maxPairCells caps the pair prefilter's counter scratch, summed over
-// workers: 64 MiB of int32 cells, a whole triangle for up to 5 793 L1
-// items on one worker. Past it frequentPairs scans once per block of
-// rows instead of allocating m(m-1)/2 cells.
-const maxPairCells = 1 << 24
-
-// frequentPairs returns, in order, the level-2 candidates that are
-// frequent in at least one active granule, decided by horizontal scans
-// rather than by producing every candidate's count vector: each
-// transaction's L1 items are mapped to their ranks and every pair of
-// them bumps a cell of a triangular counter array, which is held
-// against MinCounts[gi] and zeroed at each granule boundary. The
-// counting backend then builds vectors for the survivors only —
-// typically a few percent of the join.
-//
-// ranks must rank the L1 items in item order, so a transaction's ranks
-// ascend like its items. workers > 1 shards the span into granule
-// blocks as countLevel1 does; each worker marks into its own array and
-// the marks are ORed, so any worker count selects the same pairs. When
-// the triangle exceeds pairCells the rows are split into blocks that
-// fit and the span is scanned once per block. A cancelled scan leaves
-// partial marks: the caller checks ctx.Err() before using the result.
-func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, cands []itemset.Set, workers, pairCells int) []itemset.Set {
-	m := ranks.Len()
-	// Row i of the triangle holds the pairs (i, j), i < j < m, at cells
-	// rowStart[i] + (j-i-1).
-	rowStart := make([]int, m+1)
-	for i := 0; i < m; i++ {
-		rowStart[i+1] = rowStart[i] + m - 1 - i
-	}
-	marks := make([]bool, rowStart[m])
-	blocks := apriori.Blocks(h.NGranules(), workers)
-	perWorker := pairCells / len(blocks)
-	for r0 := 0; r0 < m-1 && ctx.Err() == nil; {
-		r1 := r0 + 1
-		for r1 < m-1 && rowStart[r1+1]-rowStart[r0] <= perWorker {
-			r1++
-		}
-		rowMarks := marks[rowStart[r0]:rowStart[r1]]
-		parts := make([][]bool, len(blocks))
-		var wg sync.WaitGroup
-		for w, blk := range blocks {
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				parts[w] = h.markPairRows(ctx, slices, ranks, rowStart, r0, r1, lo, hi)
-			}(w, blk[0], blk[1])
-		}
-		wg.Wait()
-		for _, part := range parts {
-			for c, marked := range part {
-				if marked {
-					rowMarks[c] = true
-				}
-			}
-		}
-		r0 = r1
-	}
-	var out []itemset.Set
-	for _, c := range cands {
-		i, j := ranks.Rank(c[0]), ranks.Rank(c[1])
-		if marks[rowStart[i]+j-i-1] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// markPairRows is one scan of frequentPairs: it counts the pairs whose
-// lower rank lies in rows [r0, r1) over granule offsets [lo, hi) and
-// returns marks, true at cell - rowStart[r0] for each pair that reaches
-// a granule's threshold. The flush sweeps the whole array: at these
-// sizes that beats keeping a list of touched cells, whose bookkeeping
-// sits on the increment path.
-func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, rowStart []int, r0, r1, lo, hi int) (marks []bool) {
-	base := rowStart[r0]
-	marks = make([]bool, rowStart[r1]-base)
-	cells := make([]int32, len(marks))
-	var txRanks []int
-	current := -1
-	flush := func() {
-		if current < 0 {
-			return
-		}
-		min := int32(h.MinCounts[current])
-		for c, v := range cells {
-			if v >= min {
-				marks[c] = true
-			}
-		}
-		clear(cells)
-	}
-	eachActiveTxRange(ctx, slices, lo, hi, func(gi int, tx itemset.Set) {
-		if gi != current {
-			flush()
-			current = gi
-		}
-		txRanks = txRanks[:0]
-		for _, x := range tx {
-			if r := ranks.Rank(x); r >= 0 {
-				txRanks = append(txRanks, r)
-			}
-		}
-		for a, i := range txRanks {
-			if i < r0 {
-				continue
-			}
-			if i >= r1 {
-				break
-			}
-			row := cells[rowStart[i]-base : rowStart[i+1]-base]
-			for _, j := range txRanks[a+1:] {
-				row[j-i-1]++
-			}
-		}
-	})
-	flush()
-	return marks
-}
-
 // generateFromSets is the Apriori join+prune over a sorted level of
-// plain sets, reporting the join/prune counts for pass telemetry.
-func generateFromSets(level []itemset.Set) (cands []itemset.Set, generated, pruned int) {
+// plain sets, reporting the join/prune counts for pass telemetry. A
+// cancelled join returns ctx.Err() and no candidates.
+func generateFromSets(ctx context.Context, level []itemset.Set) (cands []itemset.Set, generated, pruned int, err error) {
 	ics := make([]apriori.ItemsetCount, len(level))
 	for i, s := range level {
 		ics[i] = apriori.ItemsetCount{Set: s}
 	}
-	return apriori.GenerateCandidatesCounted(ics)
+	return apriori.GenerateCandidatesCounted(ctx, ics)
 }
 
 // RuleCandidate is one potential temporal rule considered by the

@@ -73,7 +73,7 @@ func MineItemsetCyclesSequential(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig)
 	// The sequential miner counts every level's candidates in every
 	// active granule; reconstruct that work measure for levels k ≥ 2.
 	for k := 2; k < len(h.ByK); k++ {
-		cands, _, _ := generateFromSets(h.ByK[k-1])
+		cands, _, _, _ := generateFromSets(context.TODO(), h.ByK[k-1]) // never done: no error
 		nCands := int64(len(cands))
 		stats.Candidates += nCands
 		stats.CandidateGranulePairs += nCands * int64(h.NActive)

@@ -263,7 +263,10 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cands, _, _ := generateFromSets(prev)
+		cands, _, _, err := generateFromSets(ctx, prev)
+		if err != nil {
+			return nil, err
+		}
 		if len(cands) == 0 {
 			break
 		}

@@ -693,13 +693,13 @@ func TestDifferentialOracle(t *testing.T) {
 			checkHoldTable(t, fmt.Sprintf("case %d %v/w%d", c, m.backend, m.workers), ht, b)
 			h = ht
 		}
-		// The same again with the pair prefilter short of scratch (the
+		// The same again with the pair triangle short of scratch (the
 		// triangle of 4–6 items is 6–15 cells), rotating through the
 		// production configurations.
 		m := backendMatrix[2+c%(len(backendMatrix)-2)]
 		cfg := d.cfg
 		cfg.Backend, cfg.Workers = m.backend, m.workers
-		ht, err := buildHoldTable(context.Background(), d.tbl, cfg, c%6)
+		ht, err := buildHoldTable(context.Background(), d.tbl, cfg, c%6, maxVerticalItems)
 		if err != nil {
 			t.Fatalf("case %d %v/w%d row-blocked: %v", c, m.backend, m.workers, err)
 		}

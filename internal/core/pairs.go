@@ -1,0 +1,333 @@
+package core
+
+import (
+	"context"
+	"math/bits"
+	"sync"
+
+	"github.com/tarm-project/tarm/internal/apriori"
+	"github.com/tarm-project/tarm/internal/itemset"
+)
+
+// The level-2 decision: which pairs of L1 items are frequent in at least
+// one active granule. It is the build's largest pass — the join is every
+// pair of L1, a few percent of which survive — so no pair gets a count
+// vector until it is decided, and each granule is decided on the kernel
+// that is cheap for it. See DESIGN §"The level-2 pair decision".
+
+// maxPairCells caps the triangle's counter scratch, summed over workers:
+// 64 MiB of int32 cells, a whole triangle for up to 5 793 L1 items on one
+// worker. Past it the horizontal route scans once per block of rows
+// instead of allocating m(m-1)/2 cells.
+const maxPairCells = 1 << 24
+
+// maxVerticalItems is the route crossover. A granule in which f of the
+// L1 items are frequent costs the vertical kernel f(f-1)/2 intersections
+// of its rows/64 words, and the triangle a dispatch per basket plus the
+// basket's local pairs and a sweep of its cells. The second grows with
+// f more slowly, so past the crossover a granule goes to the triangle.
+// Calibrated on the year × 300 tx/day Quest table at day, week and
+// month granularity, supports 0.03–0.08 (EXPERIMENTS E11h): a day at
+// 0.04 has f ≈ 84 and takes the vertical kernel; month and week at 0.03
+// have f ≈ 150–180 and stay on the triangle, where an all-vertical
+// build ran 33 % slower.
+const maxVerticalItems = 112
+
+// pairRoutes counts the granules each route decided. Granules where
+// fewer than two L1 items are frequent hold no frequent pair and take
+// neither.
+type pairRoutes struct{ vertical, horizontal int }
+
+// frequentPairs returns, in canonical order, the level-2 candidates
+// that are frequent in at least one active granule, and how many
+// granules each route decided.
+//
+// A pair can be frequent in granule g only if both its items are, so g
+// is decided over its local items: the L1 items whose frequency words
+// have g set. When the counter counts on the flat bitmap index and g
+// has at most verticalItems local items, the vertical route decides g
+// from that index — the one ingest the counter makes — by AND + popcount
+// of each local pair's words over g's row range. Every other granule
+// goes to the horizontal route, a triangular counter scan (markPairRows).
+// Both mark one triangle of cells, rowStart[i] + (j-i-1) for the ranks
+// i < j, and the survivors are read off it in rank order.
+//
+// ranks must rank the L1 items in item order — h.ByK[1]'s order, so a
+// rank indexes h.freq[1] too. workers > 1 shards each route over blocks
+// of its granules; each worker marks its own triangle and the marks are
+// ORed, so any worker count selects the same pairs. A cancelled decision
+// leaves partial marks: the caller checks ctx.Err() before using the
+// result.
+func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, counter *apriori.SliceCounter, ranks *itemset.Ranks, workers, pairCells, verticalItems int) ([]itemset.Set, pairRoutes) {
+	m := ranks.Len()
+	rowStart := make([]int, m+1)
+	for i := 0; i < m; i++ {
+		rowStart[i+1] = rowStart[i] + m - 1 - i
+	}
+	marks := make([]bool, rowStart[m])
+	local := h.itemsByGranule()
+	flat := counter.Backend() == apriori.BackendBitmap
+	var vertical, horizontal []int // granule offsets, in span order
+	for gi := range h.NGranules() {
+		switch f := local.off[gi+1] - local.off[gi]; {
+		case f < 2: // no pair can be frequent here
+		case flat && f <= verticalItems:
+			vertical = append(vertical, gi)
+		default:
+			horizontal = append(horizontal, gi)
+		}
+	}
+	routes := pairRoutes{vertical: len(vertical), horizontal: len(horizontal)}
+	if len(vertical) > 0 {
+		ix, bounds := counter.FlatIndex(ctx)
+		if ix == nil {
+			return nil, routes // the ingest was cancelled
+		}
+		h.markVertical(ctx, ix, bounds, local, vertical, rowStart, marks, workers)
+	}
+	if len(horizontal) > 0 {
+		h.markHorizontal(ctx, slices, ranks, horizontal, rowStart, marks, workers, pairCells)
+	}
+
+	n := 0
+	for _, marked := range marks {
+		if marked {
+			n++
+		}
+	}
+	items := ranks.Items()
+	slab := make([]itemset.Item, 0, 2*n) // one allocation for every survivor
+	out := make([]itemset.Set, 0, n)
+	for i := 0; i < m-1; i++ {
+		for d, marked := range marks[rowStart[i]:rowStart[i+1]] {
+			if marked {
+				slab = append(slab, items[i], items[i+1+d])
+				out = append(out, itemset.Set(slab[len(slab)-2:len(slab):len(slab)]))
+			}
+		}
+	}
+	return out, routes
+}
+
+// localItems lists, per granule, the ranks of the L1 items frequent in
+// it, ascending: granule gi's are rank[off[gi]:off[gi+1]].
+type localItems struct {
+	off  []int
+	rank []int32
+}
+
+// itemsByGranule transposes the L1 frequency words into per-granule
+// lists.
+func (h *HoldTable) itemsByGranule() localItems {
+	n, w := h.NGranules(), len(h.Active)
+	l1 := h.freq[1]
+	m := len(h.ByK[1])
+	off := make([]int, n+1)
+	for r := range m {
+		for wi, x := range l1[r*w : (r+1)*w] {
+			for ; x != 0; x &= x - 1 {
+				off[wi<<6+bits.TrailingZeros64(x)+1]++
+			}
+		}
+	}
+	for gi := range n {
+		off[gi+1] += off[gi]
+	}
+	rank := make([]int32, off[n])
+	next := make([]int, n)
+	copy(next, off)
+	for r := range m {
+		for wi, x := range l1[r*w : (r+1)*w] {
+			for ; x != 0; x &= x - 1 {
+				gi := wi<<6 + bits.TrailingZeros64(x)
+				rank[next[gi]] = int32(r)
+				next[gi]++
+			}
+		}
+	}
+	return localItems{off: off, rank: rank}
+}
+
+// shardMarks runs mark over contiguous blocks of granules — granules[lo:hi]
+// for each block of apriori.Blocks — each block into its own triangle,
+// and ORs the triangles into marks. One block marks marks in place.
+func shardMarks(granules []int, workers int, marks []bool, mark func(granules []int, marks []bool)) {
+	blocks := apriori.Blocks(len(granules), workers)
+	if len(blocks) == 1 {
+		mark(granules, marks)
+		return
+	}
+	parts := make([][]bool, len(blocks))
+	var wg sync.WaitGroup
+	for b, blk := range blocks {
+		wg.Add(1)
+		go func(b, lo, hi int) {
+			defer wg.Done()
+			parts[b] = make([]bool, len(marks))
+			mark(granules[lo:hi], parts[b])
+		}(b, blk[0], blk[1])
+	}
+	wg.Wait()
+	for _, part := range parts {
+		for c, marked := range part {
+			if marked {
+				marks[c] = true
+			}
+		}
+	}
+}
+
+// markVertical is the vertical route. For each of its granules it
+// copies the local items' words over the granule's rows into a dense
+// f × W scratch, masked to the row range, then marks every local pair
+// whose AND popcounts to the granule's threshold. Cancellation is
+// sampled at each granule.
+func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, bounds []int, local localItems, granules []int, rowStart []int, marks []bool, workers int) {
+	shardMarks(granules, workers, marks, func(granules []int, marks []bool) {
+		var scratch []uint64
+		for _, gi := range granules {
+			if ctx.Err() != nil {
+				return
+			}
+			rs := local.rank[local.off[gi]:local.off[gi+1]]
+			lo, hi := bounds[gi], bounds[gi+1]
+			nw := (hi-1)>>6 - lo>>6 + 1
+			if need := len(rs) * nw; cap(scratch) < need {
+				scratch = make([]uint64, need)
+			}
+			for a, r := range rs {
+				ix.RangeWords(scratch[a*nw:(a+1)*nw], int(r), lo, hi)
+			}
+			thr := h.MinCounts[gi]
+			for a, i := range rs[:len(rs)-1] {
+				row := scratch[a*nw : (a+1)*nw]
+				cell0 := rowStart[i] - int(i) - 1 // + j is the cell of (i, j)
+				for b, j := range rs[a+1:] {
+					other := scratch[(a+1+b)*nw : (a+2+b)*nw]
+					n := 0
+					for w := range row {
+						n += bits.OnesCount64(row[w] & other[w])
+					}
+					if n >= thr {
+						marks[cell0+int(j)] = true
+					}
+				}
+			}
+		}
+	})
+}
+
+// markHorizontal is the horizontal route: the triangle scan over its
+// granules. When the triangle exceeds pairCells its rows are split into
+// blocks that fit and the granules are scanned once per block.
+func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, granules []int, rowStart []int, marks []bool, workers, pairCells int) {
+	m := ranks.Len()
+	perWorker := pairCells / len(apriori.Blocks(len(granules), workers))
+	for r0 := 0; r0 < m-1 && ctx.Err() == nil; {
+		r1 := r0 + 1
+		for r1 < m-1 && rowStart[r1+1]-rowStart[r0] <= perWorker {
+			r1++
+		}
+		rowMarks := marks[rowStart[r0]:rowStart[r1]]
+		shardMarks(granules, workers, rowMarks, func(granules []int, marks []bool) {
+			h.markPairRows(ctx, slices, ranks, rowStart, r0, r1, granules, marks)
+		})
+		r0 = r1
+	}
+}
+
+// markPairRows is one scan of the horizontal route: it counts the pairs
+// whose lower rank lies in rows [r0, r1) over the given granules and
+// sets marks[cell - rowStart[r0]] for each pair that reaches a granule's
+// threshold. The flush sweeps the whole array: at these sizes that
+// beats keeping a list of touched cells, whose bookkeeping sits on the
+// increment path. Filtering a basket down to its granule's local items
+// was measured too, and cost as much as the increments it saved.
+// Cancellation is sampled at each granule.
+func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, rowStart []int, r0, r1 int, granules []int, marks []bool) {
+	base := rowStart[r0]
+	cells := make([]int32, rowStart[r1]-base)
+	var txRanks []int
+	each := func(tx itemset.Set) {
+		txRanks = txRanks[:0]
+		for _, x := range tx {
+			if r := ranks.Rank(x); r >= 0 {
+				txRanks = append(txRanks, r)
+			}
+		}
+		for a, i := range txRanks {
+			if i < r0 {
+				continue
+			}
+			if i >= r1 {
+				break
+			}
+			row := cells[rowStart[i]-base : rowStart[i+1]-base]
+			for _, j := range txRanks[a+1:] {
+				row[j-i-1]++
+			}
+		}
+	}
+	for _, gi := range granules {
+		if ctx.Err() != nil {
+			return
+		}
+		slices[gi].ForEach(each)
+		thr := int32(h.MinCounts[gi])
+		for c, v := range cells {
+			if v >= thr {
+				marks[c] = true
+			}
+		}
+		clear(cells)
+	}
+}
+
+// jointlyFrequent filters a level's candidates, k ≥ 3, to those whose
+// (k-1)-subsets are frequent together in some granule: the AND of their
+// stored frequency words (h's top level) is non-zero. A candidate is
+// frequent only where all its subsets are, so the rest would count to
+// vectors that clear no threshold. It filters cands in place.
+// Cancellation is sampled every keepCheckEvery candidates; a cancelled
+// filter returns what it kept so far, and the caller checks ctx.Err().
+func (h *HoldTable) jointlyFrequent(ctx context.Context, cands []itemset.Set) []itemset.Set {
+	w := len(h.Active)
+	and := make([]uint64, w)
+	var sub itemset.Set
+	out := cands[:0]
+	for ci, c := range cands {
+		if ci > 0 && ci%keepCheckEvery == 0 && ctx.Err() != nil {
+			return out
+		}
+		live := true
+		for drop := range c {
+			sub = append(append(sub[:0], c[:drop]...), c[drop+1:]...)
+			f := h.freqOf(sub)
+			if f == nil {
+				live = false // defensive: the join's prune keeps only frequent subsets
+				break
+			}
+			if drop == 0 {
+				copy(and, f)
+				continue
+			}
+			if live = andInPlace(and, f); !live {
+				break
+			}
+		}
+		if live {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// andInPlace sets a &= b and reports whether any bit is left.
+func andInPlace(a, b []uint64) bool {
+	var left uint64
+	for i := range a {
+		a[i] &= b[i]
+		left |= a[i]
+	}
+	return left != 0
+}

@@ -78,12 +78,12 @@ func TestQuickParallelBuildEquivalent(t *testing.T) {
 			return false
 		}
 		// Any production backend, any worker count, and a pair
-		// prefilter with room for the whole triangle of the eight-item
+		// triangle with room for the whole of the eight-item
 		// universe (28 cells), for part of it, or for a row at a time.
 		mcfg.Backend = []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring}[r.Intn(3)]
 		mcfg.Workers = 1 + r.Intn(7)
 		pairCells := []int{maxPairCells, 10, 0}[r.Intn(3)]
-		par, err := buildHoldTable(context.Background(), tbl, mcfg, pairCells)
+		par, err := buildHoldTable(context.Background(), tbl, mcfg, pairCells, maxVerticalItems)
 		if err != nil {
 			return false
 		}

@@ -114,6 +114,12 @@ const (
 	MetricItemsetsFrequent = "itemsets_frequent" // frequent (or granule-frequent) itemsets (counter)
 	MetricStatements       = "statements"        // TML statements executed (counter)
 
+	// What a hold-table build's level-2 decision routed where, and how
+	// many candidates of levels ≥ 2 it counted a vector for.
+	MetricPairGranulesVertical   = "pair_granules_vertical"   // granules decided on the bitmap index (counter)
+	MetricPairGranulesHorizontal = "pair_granules_horizontal" // granules decided by the triangle scan (counter)
+	MetricCountVectors           = "count_vectors"            // candidates given a count vector (counter)
+
 	MetricCountingObservedNS = "counting_observed_ns" // observed wall time of the counting passes in ns (gauge)
 
 	// Hold-table cache (core.HoldCache) events.

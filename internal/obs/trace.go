@@ -393,6 +393,11 @@ type Summary struct {
 	// forest.
 	Rules    int64
 	Itemsets int64
+	// PairVertical and PairHorizontal sum the granules a hold-table
+	// build's level-2 decision routed to each kernel, and CountVectors the
+	// candidates it counted a vector for; all zero when nothing was built.
+	PairVertical, PairHorizontal int64
+	CountVectors                 int64
 	// Ops holds the op:* span walls and Passes the pass:Lk span
 	// statistics, both in start order.
 	Ops    []OpWall
@@ -402,8 +407,11 @@ type Summary struct {
 // Summarize reads a Summary off a span forest (Trace.Tree).
 func Summarize(forest []*SpanNode) Summary {
 	s := Summary{
-		Rules:    sumAttr(forest, MetricRulesEmitted),
-		Itemsets: sumAttr(forest, MetricItemsetsFrequent),
+		Rules:          sumAttr(forest, MetricRulesEmitted),
+		Itemsets:       sumAttr(forest, MetricItemsetsFrequent),
+		PairVertical:   sumAttr(forest, MetricPairGranulesVertical),
+		PairHorizontal: sumAttr(forest, MetricPairGranulesHorizontal),
+		CountVectors:   sumAttr(forest, MetricCountVectors),
 	}
 	var walk func([]*SpanNode)
 	walk = func(ns []*SpanNode) {

@@ -322,6 +322,8 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 			add("observed: "+o.Op, fmt.Sprintf("%.1fms", o.WallMS))
 		}
 		add("observed: counting cost (observed)", fmt.Sprintf("%.1fms", float64(sum.CountingNS)/1e6))
+		add("observed: level-2 granules", fmt.Sprintf("%d vertical, %d horizontal", sum.PairVertical, sum.PairHorizontal))
+		add("observed: count vectors", fmt.Sprint(sum.CountVectors))
 		add("observed: rules emitted", fmt.Sprint(sum.Rules))
 		add("observed: wall time", fmt.Sprintf("%.1fms", run.WallMS))
 	}

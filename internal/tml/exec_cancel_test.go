@@ -301,8 +301,9 @@ func explainRows(t *testing.T, ex *Executor, stmtSrc string) map[string][]string
 // TestExplainCountingCost: a MINE plan names the configured backend and
 // predicts nothing — auto is a rule resolved where counting starts, so
 // there is no second opinion to print — and once the statement has run
-// EXPLAIN reports the backend that counted and the observed counting
-// cost, including the explicit zero of a cache-served run.
+// EXPLAIN reports the backend that counted, the observed counting cost,
+// and how the level-2 decision routed and how many vectors it counted,
+// including the explicit zeros of a cache-served run.
 func TestExplainCountingCost(t *testing.T) {
 	db := fixtureDB(t)
 	ex := NewExecutor(db)
@@ -331,6 +332,14 @@ func TestExplainCountingCost(t *testing.T) {
 	if v := rows["observed: counting cost (observed)"]; len(v) != 1 || !strings.HasSuffix(v[0], "ms") {
 		t.Errorf("observed counting cost line = %q", v)
 	}
+	// The fixture's days have a handful of locally frequent items each,
+	// so the flat bitmap decides every day's pairs on the index.
+	if v := rows["observed: level-2 granules"]; len(v) != 1 || !strings.HasSuffix(v[0], " vertical, 0 horizontal") || strings.HasPrefix(v[0], "0 ") {
+		t.Errorf("observed level-2 granules line = %q, want every active day vertical", v)
+	}
+	if v := rows["observed: count vectors"]; len(v) != 1 || v[0] == "0" {
+		t.Errorf("observed count vectors line = %q, want the survivors' vectors", v)
+	}
 
 	// A second run is served from the hold-table cache and does no
 	// counting; the observed line must still appear, reporting 0.
@@ -340,6 +349,9 @@ func TestExplainCountingCost(t *testing.T) {
 	rows = explainRows(t, ex, stmt)
 	if v := rows["observed: counting cost (observed)"]; len(v) != 1 || v[0] != "0.0ms" {
 		t.Errorf("cache-served observed counting cost = %q, want 0.0ms", v)
+	}
+	if v := rows["observed: count vectors"]; len(v) != 1 || v[0] != "0" {
+		t.Errorf("cache-served observed count vectors = %q, want 0", v)
 	}
 }
 
