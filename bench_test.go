@@ -441,6 +441,22 @@ func BenchmarkHoldTableBuild(b *testing.B) {
 			run(b, year, cfg)
 		})
 	}
+	// Two weeks at 300 tx/day by the hour: ≈ 12 transactions a granule,
+	// so every granule's threshold at 0.05 is one transaction and every
+	// subset of a basket is frequent where it occurs. Only the build
+	// scoped to a periods statement (floor 2) finishes; an unscoped arm
+	// ran past a minute, and CI's one-iteration smoke runs every arm.
+	b.Run("hour/periods", func(b *testing.B) {
+		tbl, _, err := bench.StandardDataset(bench.StandardConfig{TxPerDay: 300, Days: 14, Seed: 1998})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := bench.Cfg()
+		cfg.Granularity, cfg.MinSupport, cfg.MinFreq, cfg.MaxK = timegran.Hour, 0.05, 0.9, 0
+		cfg.Scope = core.PeriodsScope(core.PeriodConfig{})
+		b.ResetTimer()
+		run(b, tbl, cfg)
+	})
 }
 
 // yearTable is the shape the end-to-end benchmark mines: a year at 300

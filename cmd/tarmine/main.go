@@ -136,6 +136,9 @@ func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt str
 		return err
 	}
 	session := tml.NewSession(db)
+	// One statement per process never reuses a hold table: without a
+	// cache the build is scoped to the statement it serves.
+	session.TML.Cache = nil
 	session.TML.Backend = backend
 	session.TML.Workers = mf.Workers
 	session.TML.Tracer = tracer

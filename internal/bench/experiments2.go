@@ -281,6 +281,7 @@ func E8CalendarSelectivity(sc StandardConfig) (Table, error) {
 			return t, err
 		}
 		covered := timegran.Granules(p, timegran.Day, span).Count()
+		cfg.Scope = core.DuringScope(p) // count only what the feature covers
 		var rules []core.TemporalRule
 		d, err := timed(func() error {
 			var err error

@@ -196,7 +196,9 @@ func maxKCovers(have, want int) bool {
 // resident build covers the statement, building (and caching) otherwise.
 // The returned table carries cfg verbatim — confidence, frequency and
 // tracer are the caller's — and must be treated as read-only, like
-// every shared HoldTable. A nil cache builds directly.
+// every shared HoldTable. A nil cache builds directly, under cfg's
+// Scope; a cache drops the scope, because what it builds it shares
+// (ScopeOf reports which applies).
 //
 // Cancellation reaches every path: a cold build runs
 // BuildHoldTableContext, and a singleflight waiter selects on ctx
@@ -215,6 +217,7 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 	if err != nil {
 		return nil, err
 	}
+	cfg.Scope = Scope{}
 	key := cacheKey{table: tbl.Name(), granularity: cfg.Granularity, minGranuleTx: cfg.MinGranuleTx}
 	tr := cfg.tracer()
 
@@ -256,7 +259,7 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 				c.stats.Rethresholds++
 				c.mu.Unlock()
 				tr.Counter(obs.MetricCacheRethresholds, 1)
-				return h.Rethreshold(cfg)
+				return h.rethreshold(ctx, cfg)
 			}
 		}
 		// Miss. Join an identical in-flight build, or start one.
@@ -329,7 +332,7 @@ func (c *HoldCache) deltaLocked(ctx context.Context, tbl *tdb.TxTable, cfg Confi
 		if cfg.MinSupport == ent.buildSupport && cfg.MaxK == ent.maxK {
 			return nh.withCfg(cfg), nil
 		}
-		return nh.Rethreshold(cfg)
+		return nh.rethreshold(ctx, cfg)
 	}
 	fk := flightKey{cacheKey: key, epoch: epoch, support: ent.buildSupport, maxK: ent.maxK}
 	if f := c.flights[fk]; f != nil {
@@ -557,10 +560,22 @@ func (h *HoldTable) MemBytes() int64 {
 // one. Conversely the filter applies exactly the cold build's
 // per-granule bounds, so it cannot keep an extra one.
 //
+// A scoped table keeps its scope: the filter also requires an itemset's
+// new words to hold the table's floor, so the result equals a cold
+// build under the same scope; cfg's own Scope is not read.
+//
 // It errors when cfg is not covered: different granularity or
 // MinGranuleTx (different granule grid), support below the build
 // support, or MaxK deeper than built.
 func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
+	return h.rethreshold(context.Background(), cfg)
+}
+
+// rethreshold is Rethreshold under a context, the spelling the cache's
+// hit and delta paths use: ctx is sampled every keepCheckEvery stored
+// itemsets and reaches the replayed joins, and a cancelled re-threshold
+// returns ctx.Err().
+func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
 		return nil, err
@@ -578,6 +593,7 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 		return nil, fmt.Errorf("core: Rethreshold MaxK %d deeper than built %d; rebuild instead", cfg.MaxK, h.Cfg.MaxK)
 	}
 	n := h.NGranules()
+	cfg.Scope = h.Cfg.Scope
 	nh := &HoldTable{
 		Cfg:       cfg,
 		Span:      h.Span,
@@ -588,6 +604,7 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 		ByK:       [][]itemset.Set{nil},
 		freq:      [][]uint64{nil},
 		counts:    make(map[string][]int32),
+		floor:     h.floor,
 	}
 	for gi, txc := range nh.TxCounts {
 		if bitAt(nh.Active, gi) {
@@ -597,16 +614,22 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 	// filter passes stored level k through the new thresholds, visiting
 	// only the granules where the itemset was frequent at the build
 	// support: the thresholds only rose, so those are a superset of
-	// where it is frequent now. The filtered slice of a sorted level
+	// where it is frequent now. It keeps an itemset frequent in the
+	// table's floor of granules. The filtered slice of a sorted level
 	// stays sorted.
 	thr := nh.thresholds()
 	fw := make([]uint64, len(h.Active))
 	var words []uint64
-	filter := func(k int) (level []itemset.Set) {
+	filter := func(k int) (level []itemset.Set, err error) {
 		words = words[:0]
 		for i, s := range h.ByK[k] {
+			if i > 0 && i%keepCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			v := h.countsOf(s)
-			var found uint64
+			found := 0
 			for wi, w := range h.levelFreq(k, i) {
 				var nw uint64
 				for ; w != 0; w &= w - 1 {
@@ -617,34 +640,43 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 					nw |= uint64(int64(thr[gi])-1-int64(v[gi])) >> 63 << b
 				}
 				fw[wi] = nw
-				found |= nw
+				found += bits.OnesCount64(nw)
 			}
-			if found != 0 {
+			if found >= nh.floor {
 				level = append(level, s)
 				words = append(words, fw...)
 				nh.counts[s.Key()] = v
 			}
 		}
-		return level
+		return level, nil
 	}
-	l1 := filter(1)
+	l1, err := filter(1)
+	if err != nil {
+		return nil, err
+	}
 	nh.appendLevel(l1, words)
 	// Higher levels replay the cold build's loop: stop where it would
 	// stop (thin level, empty join, MaxK), append an empty level where
 	// it would count candidates and find none. A stored k-level can
 	// never lack an itemset the cold build retains: that itemset is
 	// granule-frequent at the lower build support too. And a stored
-	// k-itemset that survives the filter is frequent in some granule,
+	// k-itemset that survives the filter is frequent in floor granules,
 	// where by downward closure all its (k-1)-subsets are frequent too:
 	// they are in prev and the join of prev produces it. So a non-empty
 	// filtered level proves the join non-empty, and the join itself is
 	// run only to tell "counted, none frequent" from "nothing to count".
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK) && k < len(h.ByK); k++ {
-		level := filter(k)
+		level, err := filter(k)
+		if err != nil {
+			return nil, err
+		}
 		if len(level) == 0 {
-			// A join under a context that is never done returns no error.
-			if cands, _, _, _ := generateFromSets(context.TODO(), prev); len(cands) == 0 {
+			cands, _, _, err := generateFromSets(ctx, prev)
+			if err != nil {
+				return nil, err
+			}
+			if len(cands) == 0 {
 				break
 			}
 		}

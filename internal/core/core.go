@@ -67,6 +67,14 @@ type Config struct {
 	// pass (auto, naive, hashtree, bitmap, roaring); see the apriori
 	// package. Auto picks from the data shape after the level-1 scan.
 	Backend apriori.Backend
+	// Scope, when set, scopes the build to the one statement it serves:
+	// the build keeps only the itemsets that statement can report (and,
+	// for DURING, counts only the feature's granules). The task
+	// operators emit the same rules over a scoped table as over an
+	// unscoped one; the table itself can be neither maintained nor
+	// shared, so HoldCache.GetContext drops the scope of a build it
+	// caches. See Scope.
+	Scope Scope
 	// Tracer receives per-pass telemetry from the hold-table build and
 	// per-task counters from the mining task drivers. Nil disables
 	// tracing at no measurable cost; see internal/obs.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -128,7 +129,7 @@ func cycleClasses(active []uint64, n int, spanLo int64, maxLen, minReps int, min
 			})
 		}
 	}
-	sort.SliceStable(classes, func(i, j int) bool { return classes[i].need < classes[j].need })
+	slices.SortStableFunc(classes, func(a, b cycleClass) int { return cmp.Compare(a.need, b.need) })
 	return classes
 }
 
@@ -214,6 +215,45 @@ func calendarFieldsFor(g timegran.Granularity) []timegran.CalField {
 	}
 }
 
+// valueClass is one observed value of a calendar field: the mask of
+// the active granules carrying it and the hits a hold sequence needs
+// there — unreachable (math.MaxInt) under minReps occurrences.
+type valueClass struct {
+	value int
+	mask  []uint64
+	need  int
+}
+
+// calendarClasses builds, per field, one class per value observed in an
+// active granule of h, values ascending within a field.
+func (h *HoldTable) calendarClasses(fields []timegran.CalField, minReps int) [][]valueClass {
+	n, words := h.NGranules(), len(h.Active)
+	classes := make([][]valueClass, len(fields))
+	for fi, f := range fields {
+		lo, hi := timegran.FieldDomain(f)
+		masks := make([]uint64, (hi-lo+1)*words)
+		for gi := 0; gi < n; gi++ {
+			if bitAt(h.Active, gi) {
+				v := timegran.FieldValueAt(f, h.Cfg.Granularity, h.Span.Lo+int64(gi)) - lo
+				setBit(masks[v*words:(v+1)*words], gi)
+			}
+		}
+		for v := 0; v <= hi-lo; v++ {
+			mask := masks[v*words : (v+1)*words]
+			occ := popcount(mask)
+			if occ == 0 {
+				continue
+			}
+			need := math.MaxInt
+			if occ >= minReps {
+				need = minHits(h.Cfg.MinFreq, occ)
+			}
+			classes[fi] = append(classes[fi], valueClass{value: v + lo, mask: mask, need: need})
+		}
+	}
+	return classes
+}
+
 // MineCalendarPeriodicitiesFromTableContext runs the calendar half of
 // Task II over a built hold table: for each rule and each applicable
 // calendar field, find the field values whose active granules hold the
@@ -234,40 +274,8 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 		return nil, fmt.Errorf("core: no calendar folding defined for granularity %v", h.Cfg.Granularity)
 	}
 
-	// One class per observed field value: the mask of the active granules
-	// carrying it and the hits it needs — unreachable under minReps
-	// occurrences. Values ascend within a field.
-	type valueClass struct {
-		value int
-		mask  []uint64
-		need  int
-	}
-	n, words := h.NGranules(), len(h.Active)
-	classes := make([][]valueClass, len(fields))
-	for fi, f := range fields {
-		lo, hi := timegran.FieldDomain(f)
-		masks := make([]uint64, (hi-lo+1)*words)
-		for gi := 0; gi < n; gi++ {
-			if bitAt(h.Active, gi) {
-				v := timegran.FieldValueAt(f, h.Cfg.Granularity, h.Span.Lo+int64(gi)) - lo
-				setBit(masks[v*words:(v+1)*words], gi)
-			}
-		}
-		for v := 0; v <= hi-lo; v++ {
-			mask := masks[v*words : (v+1)*words]
-			occ := popcount(mask)
-			if occ == 0 {
-				continue
-			}
-			need := math.MaxInt
-			if occ >= ccfg.MinReps {
-				need = minHits(h.Cfg.MinFreq, occ)
-			}
-			classes[fi] = append(classes[fi], valueClass{value: v + lo, mask: mask, need: need})
-		}
-	}
-
-	inClass := make([]uint64, words) // the qualifying values' granules, per candidate and field
+	classes := h.calendarClasses(fields, ccfg.MinReps)
+	inClass := make([]uint64, len(h.Active)) // the qualifying values' granules, per candidate and field
 	return emitRules(ctx, h, obs.TaskCalendars, calendarCmp, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
 		nHold := popcount(hold)
 		for fi, f := range fields {

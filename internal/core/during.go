@@ -80,11 +80,12 @@ func emitRules[R any](ctx context.Context, h *HoldTable, task string, cmp func(a
 // granules. The returned rules carry aggregate support/confidence over
 // the feature's sub-database.
 //
-// The restriction applies to scoring only: h counts every granule of
-// the table's span, so the task's cost does not fall with the feature's
-// coverage (EXPERIMENTS E8; ROADMAP "Make Task III cost proportional to
-// what it covers"). Cancellation is sampled every few hundred rule
-// candidates.
+// The operator reads only the feature's active granules, so h may be
+// unscoped (a shared table counts every granule of the span) or scoped
+// to this statement by DuringScope, which counts only the covered
+// granules and makes the build's cost follow the feature's coverage
+// (EXPERIMENTS E8). Both emit the same rules. Cancellation is sampled
+// every few hundred rule candidates.
 func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timegran.Pattern) ([]TemporalRule, error) {
 	if feature == nil {
 		return nil, fmt.Errorf("core: MineDuring needs a temporal feature")

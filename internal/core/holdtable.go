@@ -18,7 +18,8 @@ import (
 
 // HoldTable is the shared counting substrate of the temporal miners:
 // for every *granule-frequent* itemset (frequent in at least one active
-// granule) it stores the support count in every granule of the span.
+// granule — at least floor of them in a table scoped to one statement,
+// see Scope) it stores the support count in every granule of the span.
 // From those vectors every task derives its per-granule "the rule
 // holds here" sequences without rescanning the data.
 type HoldTable struct {
@@ -48,6 +49,10 @@ type HoldTable struct {
 	freq [][]uint64
 
 	counts map[string][]int32
+
+	// floor is the least number of granules a kept itemset is frequent
+	// in: 1 unless Cfg.Scope raised it (Scope.resolve).
+	floor int
 }
 
 // NGranules returns the number of granules in the span.
@@ -167,6 +172,13 @@ func ceilCount(frac float64, n int) int {
 // vector — see frequentPairs — and from level 3 on they count only the
 // candidates whose subsets are frequent together in some granule.
 //
+// cfg.Scope narrows the build to the one statement it serves: every
+// level keeps only the itemsets frequent in the scope's floor of
+// granules (the level-2 decision and the level-3 prune ask the same of
+// their pairs and subsets), DURING's scans skip the granules outside
+// its feature, and a floor no itemset can reach returns an empty table
+// without scanning. See Scope.
+//
 // The build observes cancellation at granule-block and pass boundaries,
 // and every few thousand candidates of a join or a keep loop — never per
 // transaction, so the check stays off the counting hot path — and
@@ -193,6 +205,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	if err != nil {
 		return nil, err
 	}
+	cfg.Scope.resolve(h)
 	n := h.NGranules()
 	thr := h.thresholds()
 	nActiveTx := 0
@@ -208,6 +221,13 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		defer tr.EndTask()
 		tr.Gauge(obs.MetricGranules, float64(n))
 		tr.Gauge(obs.MetricGranulesActive, float64(h.NActive))
+	}
+	if h.floor > h.NActive {
+		// No itemset can be frequent in more granules than are active:
+		// the scope's statement can report nothing, and nothing is
+		// scanned. A full build would keep no item either.
+		h.appendLevel(nil, nil)
+		return h, nil
 	}
 
 	// Level 1: plain per-item counters, sharded over granule blocks
@@ -227,7 +247,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	var l1 []itemset.Set
 	var words []uint64
 	for r, v := range c1 {
-		if frequentGranules(fw, v, thr) {
+		if frequentGranules(fw, v, thr) >= h.floor {
 			s := itemset.Set{items[r]}
 			l1 = append(l1, s)
 			words = append(words, fw...)
@@ -344,7 +364,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 const keepCheckEvery = 1024
 
 // keepFrequent is a level's keep loop: it returns the candidates of
-// counted that clear a threshold of thr (h.thresholds()) in some granule,
+// counted that clear a threshold of thr (h.thresholds()) in h.floor granules,
 // in order, with their frequency words appended to words, and records
 // their count vectors in h. fw is one itemset's scratch words. ctx is
 // sampled every keepCheckEvery candidates; a cancelled loop returns
@@ -357,7 +377,7 @@ func (h *HoldTable) keepFrequent(ctx context.Context, counted []itemset.Set, per
 				return nil, nil, err
 			}
 		}
-		if v := perGranule.Row(i); frequentGranules(fw, v, thr) {
+		if v := perGranule.Row(i); frequentGranules(fw, v, thr) >= h.floor {
 			level = append(level, c)
 			words = append(words, fw...)
 			h.counts[c.Key()] = v
@@ -380,6 +400,7 @@ func newHoldTable(tbl *tdb.TxTable, cfg Config, span timegran.Interval, sizeHint
 		ByK:       [][]itemset.Set{nil},
 		freq:      [][]uint64{nil},
 		counts:    make(map[string][]int32, sizeHint),
+		floor:     1,
 	}
 	for i, txc := range h.TxCounts {
 		if txc >= cfg.MinGranuleTx {
@@ -410,16 +431,16 @@ func (h *HoldTable) slices(tbl *tdb.TxTable) []apriori.Source {
 
 // frequentGranules fills words — len(h.Active) of them — with the
 // frequency words of count vector v: the granules where v clears thr
-// (h.thresholds(), so inactive granules never). It reports whether any
-// granule is set, i.e. whether the itemset is granule-frequent. A nil
-// vector is frequent nowhere.
-func frequentGranules(words []uint64, v, thr []int32) bool {
+// (h.thresholds(), so inactive granules never). It returns how many
+// granules are set; the itemset is granule-frequent when that reaches
+// the table's floor. A nil vector is frequent nowhere.
+func frequentGranules(words []uint64, v, thr []int32) int {
 	clear(words)
-	found := false
+	found := 0
 	for gi, c := range v {
 		if c >= thr[gi] {
 			setBit(words, gi)
-			found = true
+			found++
 		}
 	}
 	return found

@@ -49,7 +49,10 @@ import (
 //
 // MaintainContext returns an error (and the caller should fall back to
 // a cold rebuild) when the dirty list provably misses a changed granule,
-// when the table shrank, or when no granule is active. Cancellation is
+// when the table shrank, when no granule is active, or when the table is
+// scoped to one statement (Config.Scope): it lacks the itemsets below
+// its floor that the appends may lift, and the HoldCache never holds
+// one. Cancellation is
 // observed between levels and between granule scans, never per
 // transaction.
 func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty []timegran.Granule) (*HoldTable, error) {
@@ -58,6 +61,9 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	}
 	if len(h.ByK) < 2 {
 		return nil, fmt.Errorf("core: Maintain on an unbuilt hold table")
+	}
+	if err := h.scopeErr("Maintain"); err != nil {
+		return nil, err
 	}
 	span, ok := tbl.Span(h.Cfg.Granularity)
 	if !ok {

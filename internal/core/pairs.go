@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -10,10 +11,11 @@ import (
 )
 
 // The level-2 decision: which pairs of L1 items are frequent in at least
-// one active granule. It is the build's largest pass — the join is every
-// pair of L1, a few percent of which survive — so no pair gets a count
-// vector until it is decided, and each granule is decided on the kernel
-// that is cheap for it. See DESIGN §"The level-2 pair decision".
+// h.floor active granules (one, unless the build is scoped). It is the
+// build's largest pass — the join is every pair of L1, a few percent of
+// which survive — so no pair gets a count vector until it is decided,
+// and each granule is decided on the kernel that is cheap for it. See
+// DESIGN §"The level-2 pair decision".
 
 // maxPairCells caps the triangle's counter scratch, summed over workers:
 // 64 MiB of int32 cells, a whole triangle for up to 5 793 L1 items on one
@@ -39,7 +41,7 @@ const maxVerticalItems = 112
 type pairRoutes struct{ vertical, horizontal int }
 
 // frequentPairs returns, in canonical order, the level-2 candidates
-// that are frequent in at least one active granule, and how many
+// that are frequent in at least h.floor active granules, and how many
 // granules each route decided.
 //
 // A pair can be frequent in granule g only if both its items are, so g
@@ -50,21 +52,25 @@ type pairRoutes struct{ vertical, horizontal int }
 // of each local pair's words over g's row range. Every other granule
 // goes to the horizontal route, a triangular counter scan (markPairRows).
 // Both mark one triangle of cells, rowStart[i] + (j-i-1) for the ranks
-// i < j, and the survivors are read off it in rank order.
+// i < j, and the survivors are read off it in rank order. A mark counts
+// the granules the pair is frequent in, saturating at the floor.
 //
 // ranks must rank the L1 items in item order — h.ByK[1]'s order, so a
 // rank indexes h.freq[1] too. workers > 1 shards each route over blocks
-// of its granules; each worker marks its own triangle and the marks are
-// ORed, so any worker count selects the same pairs. A cancelled decision
-// leaves partial marks: the caller checks ctx.Err() before using the
-// result.
+// of its granules; each worker marks its own triangle and the triangles
+// are summed, saturating, so any worker count selects the same pairs. A
+// cancelled decision leaves partial marks: the caller checks ctx.Err()
+// before using the result.
 func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, counter *apriori.SliceCounter, ranks *itemset.Ranks, workers, pairCells, verticalItems int) ([]itemset.Set, pairRoutes) {
 	m := ranks.Len()
 	rowStart := make([]int, m+1)
 	for i := 0; i < m; i++ {
 		rowStart[i+1] = rowStart[i] + m - 1 - i
 	}
-	marks := make([]bool, rowStart[m])
+	// A mark saturates at the floor, capped at what a uint16 holds: a
+	// floor above the cap is still applied exactly, by the keep loop.
+	sat := uint16(min(h.floor, math.MaxUint16))
+	marks := make([]uint16, rowStart[m])
 	local := h.itemsByGranule()
 	flat := counter.Backend() == apriori.BackendBitmap
 	var vertical, horizontal []int // granule offsets, in span order
@@ -83,15 +89,15 @@ func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, 
 		if ix == nil {
 			return nil, routes // the ingest was cancelled
 		}
-		h.markVertical(ctx, ix, bounds, local, vertical, rowStart, marks, workers)
+		h.markVertical(ctx, ix, bounds, local, vertical, rowStart, marks, sat, workers)
 	}
 	if len(horizontal) > 0 {
-		h.markHorizontal(ctx, slices, ranks, horizontal, rowStart, marks, workers, pairCells)
+		h.markHorizontal(ctx, slices, ranks, horizontal, rowStart, marks, sat, workers, pairCells)
 	}
 
 	n := 0
 	for _, marked := range marks {
-		if marked {
+		if marked >= sat {
 			n++
 		}
 	}
@@ -100,7 +106,7 @@ func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, 
 	out := make([]itemset.Set, 0, n)
 	for i := 0; i < m-1; i++ {
 		for d, marked := range marks[rowStart[i]:rowStart[i+1]] {
-			if marked {
+			if marked >= sat {
 				slab = append(slab, items[i], items[i+1+d])
 				out = append(out, itemset.Set(slab[len(slab)-2:len(slab):len(slab)]))
 			}
@@ -150,29 +156,28 @@ func (h *HoldTable) itemsByGranule() localItems {
 
 // shardMarks runs mark over contiguous blocks of granules — granules[lo:hi]
 // for each block of apriori.Blocks — each block into its own triangle,
-// and ORs the triangles into marks. One block marks marks in place.
-func shardMarks(granules []int, workers int, marks []bool, mark func(granules []int, marks []bool)) {
+// and sums the triangles into marks, saturating at sat. One block marks
+// marks in place.
+func shardMarks(granules []int, workers int, marks []uint16, sat uint16, mark func(granules []int, marks []uint16)) {
 	blocks := apriori.Blocks(len(granules), workers)
 	if len(blocks) == 1 {
 		mark(granules, marks)
 		return
 	}
-	parts := make([][]bool, len(blocks))
+	parts := make([][]uint16, len(blocks))
 	var wg sync.WaitGroup
 	for b, blk := range blocks {
 		wg.Add(1)
 		go func(b, lo, hi int) {
 			defer wg.Done()
-			parts[b] = make([]bool, len(marks))
+			parts[b] = make([]uint16, len(marks))
 			mark(granules[lo:hi], parts[b])
 		}(b, blk[0], blk[1])
 	}
 	wg.Wait()
 	for _, part := range parts {
 		for c, marked := range part {
-			if marked {
-				marks[c] = true
-			}
+			marks[c] = uint16(min(int(marks[c])+int(marked), int(sat)))
 		}
 	}
 }
@@ -182,8 +187,8 @@ func shardMarks(granules []int, workers int, marks []bool, mark func(granules []
 // f × W scratch, masked to the row range, then marks every local pair
 // whose AND popcounts to the granule's threshold. Cancellation is
 // sampled at each granule.
-func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, bounds []int, local localItems, granules []int, rowStart []int, marks []bool, workers int) {
-	shardMarks(granules, workers, marks, func(granules []int, marks []bool) {
+func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, bounds []int, local localItems, granules []int, rowStart []int, marks []uint16, sat uint16, workers int) {
+	shardMarks(granules, workers, marks, sat, func(granules []int, marks []uint16) {
 		var scratch []uint64
 		for _, gi := range granules {
 			if ctx.Err() != nil {
@@ -208,8 +213,8 @@ func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, b
 					for w := range row {
 						n += bits.OnesCount64(row[w] & other[w])
 					}
-					if n >= thr {
-						marks[cell0+int(j)] = true
+					if cell := cell0 + int(j); n >= thr && marks[cell] < sat {
+						marks[cell]++
 					}
 				}
 			}
@@ -220,7 +225,7 @@ func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, b
 // markHorizontal is the horizontal route: the triangle scan over its
 // granules. When the triangle exceeds pairCells its rows are split into
 // blocks that fit and the granules are scanned once per block.
-func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, granules []int, rowStart []int, marks []bool, workers, pairCells int) {
+func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, granules []int, rowStart []int, marks []uint16, sat uint16, workers, pairCells int) {
 	m := ranks.Len()
 	perWorker := pairCells / len(apriori.Blocks(len(granules), workers))
 	for r0 := 0; r0 < m-1 && ctx.Err() == nil; {
@@ -229,8 +234,8 @@ func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source,
 			r1++
 		}
 		rowMarks := marks[rowStart[r0]:rowStart[r1]]
-		shardMarks(granules, workers, rowMarks, func(granules []int, marks []bool) {
-			h.markPairRows(ctx, slices, ranks, rowStart, r0, r1, granules, marks)
+		shardMarks(granules, workers, rowMarks, sat, func(granules []int, marks []uint16) {
+			h.markPairRows(ctx, slices, ranks, rowStart, r0, r1, granules, marks, sat)
 		})
 		r0 = r1
 	}
@@ -238,13 +243,13 @@ func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source,
 
 // markPairRows is one scan of the horizontal route: it counts the pairs
 // whose lower rank lies in rows [r0, r1) over the given granules and
-// sets marks[cell - rowStart[r0]] for each pair that reaches a granule's
-// threshold. The flush sweeps the whole array: at these sizes that
+// adds one to marks[cell - rowStart[r0]], saturating at sat, for each
+// pair that reaches a granule's threshold. The flush sweeps the whole array: at these sizes that
 // beats keeping a list of touched cells, whose bookkeeping sits on the
 // increment path. Filtering a basket down to its granule's local items
 // was measured too, and cost as much as the increments it saved.
 // Cancellation is sampled at each granule.
-func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, rowStart []int, r0, r1 int, granules []int, marks []bool) {
+func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, rowStart []int, r0, r1 int, granules []int, marks []uint16, sat uint16) {
 	base := rowStart[r0]
 	cells := make([]int32, rowStart[r1]-base)
 	var txRanks []int
@@ -275,8 +280,8 @@ func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, r
 		slices[gi].ForEach(each)
 		thr := int32(h.MinCounts[gi])
 		for c, v := range cells {
-			if v >= thr {
-				marks[c] = true
+			if v >= thr && marks[c] < sat {
+				marks[c]++
 			}
 		}
 		clear(cells)
@@ -284,10 +289,10 @@ func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, r
 }
 
 // jointlyFrequent filters a level's candidates, k ≥ 3, to those whose
-// (k-1)-subsets are frequent together in some granule: the AND of their
-// stored frequency words (h's top level) is non-zero. A candidate is
-// frequent only where all its subsets are, so the rest would count to
-// vectors that clear no threshold. It filters cands in place.
+// (k-1)-subsets are frequent together in at least h.floor granules: the
+// AND of their stored frequency words (h's top level) has that many
+// bits. A candidate is frequent only where all its subsets are, so the
+// rest would count to vectors the keep loop drops. It filters cands in place.
 // Cancellation is sampled every keepCheckEvery candidates; a cancelled
 // filter returns what it kept so far, and the caller checks ctx.Err().
 func (h *HoldTable) jointlyFrequent(ctx context.Context, cands []itemset.Set) []itemset.Set {
@@ -311,7 +316,7 @@ func (h *HoldTable) jointlyFrequent(ctx context.Context, cands []itemset.Set) []
 				copy(and, f)
 				continue
 			}
-			if live = andInPlace(and, f); !live {
+			if live = andInPlace(and, f) >= h.floor; !live {
 				break
 			}
 		}
@@ -322,12 +327,12 @@ func (h *HoldTable) jointlyFrequent(ctx context.Context, cands []itemset.Set) []
 	return out
 }
 
-// andInPlace sets a &= b and reports whether any bit is left.
-func andInPlace(a, b []uint64) bool {
-	var left uint64
+// andInPlace sets a &= b and returns the number of bits left.
+func andInPlace(a, b []uint64) int {
+	left := 0
 	for i := range a {
 		a[i] &= b[i]
-		left |= a[i]
+		left += bits.OnesCount64(a[i])
 	}
-	return left != 0
+	return left
 }

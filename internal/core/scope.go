@@ -1,0 +1,162 @@
+package core
+
+import (
+	"fmt"
+
+	"github.com/tarm-project/tarm/internal/obs"
+	"github.com/tarm-project/tarm/internal/tdb"
+	"github.com/tarm-project/tarm/internal/timegran"
+)
+
+// Scope names the one statement a private build serves, so the build
+// counts only what that statement can report. The zero Scope is no
+// scope: the table keeps every itemset frequent in one active granule
+// and serves any task, which is what a shared (cached) table must do.
+//
+// A scoped build applies two things, both derived in resolve from the
+// bounds the task's own detector compares against, so the two cannot
+// drift:
+//
+//   - A floor m: an itemset is kept only if it is frequent in at least
+//     m active granules. A rule holds only where its itemset is
+//     frequent, and every detector needs some number of holding
+//     granules, so an itemset below the least of them emits nothing.
+//     "Frequent in ≥ m granules" is anti-monotone — a subset is
+//     frequent wherever its superset is — so the floor is a sound
+//     Apriori prune at every level, and a rule's antecedent and
+//     consequent pass wherever its itemset does.
+//   - A cover (DURING only): the granules outside the feature become
+//     inactive, so the scans count only the rows the feature covers.
+//     The task reads nothing else: it scores a rule over the feature's
+//     active granules alone.
+//
+// A scoped table answers its own statement exactly as an unscoped one
+// would; it cannot be maintained or shared. See DESIGN §"A statement's
+// scope".
+type Scope struct {
+	task    string // obs task key; "" is no scope
+	periods PeriodConfig
+	cycles  CycleConfig      // cycles and calendars
+	feature timegran.Pattern // during
+}
+
+// PeriodsScope scopes a build to one Task I statement.
+func PeriodsScope(p PeriodConfig) Scope { return Scope{task: obs.TaskPeriods, periods: p} }
+
+// CyclesScope scopes a build to one Task II cycles statement.
+func CyclesScope(c CycleConfig) Scope { return Scope{task: obs.TaskCycles, cycles: c} }
+
+// CalendarsScope scopes a build to one Task II calendars statement.
+func CalendarsScope(c CycleConfig) Scope { return Scope{task: obs.TaskCalendars, cycles: c} }
+
+// DuringScope scopes a build to one Task III statement over feature.
+func DuringScope(feature timegran.Pattern) Scope {
+	return Scope{task: obs.TaskDuring, feature: feature}
+}
+
+// String names the scope's statement: its task, and DURING's feature.
+func (s Scope) String() string {
+	if s.feature != nil {
+		return fmt.Sprintf("%s %q", s.task, s.feature.String())
+	}
+	return s.task
+}
+
+// resolve applies s to the header of a table being built — h's
+// activity, span and MinFreq, no itemsets yet: it sets h.floor, and for
+// DURING clears the granules outside the feature from h.Active. A task
+// configuration its operator would reject leaves h unscoped, so the
+// operator reports the error as it would over any table. A floor above
+// h.NActive means the task can report nothing here: the build keeps no
+// itemset and scans nothing.
+func (s Scope) resolve(h *HoldTable) {
+	switch s.task {
+	case obs.TaskPeriods:
+		// An interval spans ≥ MinLen active granules with both endpoints
+		// holding — two distinct ones once MinLen ≥ 2 — and holds in
+		// minHits of them; minHits grows with the span.
+		p, err := s.periods.normalise()
+		if err != nil {
+			return
+		}
+		h.floor = max(minHits(h.Cfg.MinFreq, p.MinLen), min(p.MinLen, 2))
+	case obs.TaskCycles:
+		c, err := s.cycles.normalise()
+		if err != nil {
+			return
+		}
+		least := h.NActive + 1
+		if classes := cycleClasses(h.Active, h.NGranules(), h.Span.Lo, c.MaxLen, c.MinReps, h.Cfg.MinFreq); len(classes) > 0 {
+			least = classes[0].need // classes ascend in need
+		}
+		h.floor = max(1, least)
+	case obs.TaskCalendars:
+		c, err := s.cycles.normalise()
+		fields := calendarFieldsFor(h.Cfg.Granularity)
+		if err != nil || len(fields) == 0 {
+			return
+		}
+		least := h.NActive + 1 // a class under MinReps needs math.MaxInt
+		for _, classes := range h.calendarClasses(fields, c.MinReps) {
+			for _, vc := range classes {
+				least = min(least, vc.need)
+			}
+		}
+		h.floor = max(1, least)
+	case obs.TaskDuring:
+		if s.feature == nil {
+			return
+		}
+		for gi := range h.NGranules() {
+			if bitAt(h.Active, gi) && !s.feature.Matches(h.Cfg.Granularity, h.Span.Lo+int64(gi)) {
+				h.Active[gi>>6] &^= 1 << uint(gi&63)
+				h.MinCounts[gi] = 0
+				h.NActive--
+			}
+		}
+		h.floor = ceilCount(h.Cfg.MinFreq, h.NActive)
+	}
+}
+
+// ScopeInfo is a resolved scope, for EXPLAIN: the floor, DURING's
+// feature (nil for the other tasks) and the active granules the build
+// counts.
+type ScopeInfo struct {
+	Floor   int
+	Cover   timegran.Pattern
+	Counted int
+}
+
+// ScopeOf reports the scope GetContext would apply to a build of
+// (tbl, cfg) now: ok is false when cfg carries none, when the table
+// cannot be built, or when c is non-nil — a cache builds tables to
+// share, unscoped. Read-only, like Probe.
+func (c *HoldCache) ScopeOf(tbl *tdb.TxTable, cfg Config) (info ScopeInfo, ok bool) {
+	if c != nil || cfg.Scope.task == "" {
+		return ScopeInfo{}, false
+	}
+	cfg, err := cfg.normalise()
+	if err != nil {
+		return ScopeInfo{}, false
+	}
+	span, ok := tbl.Span(cfg.Granularity)
+	if !ok {
+		return ScopeInfo{}, false
+	}
+	h, err := newHoldTable(tbl, cfg, span, 0)
+	if err != nil {
+		return ScopeInfo{}, false
+	}
+	cfg.Scope.resolve(h)
+	return ScopeInfo{Floor: h.floor, Cover: cfg.Scope.feature, Counted: h.NActive}, true
+}
+
+// scopeErr is the refusal of a refresh on a scoped table: it lacks the
+// itemsets below its floor (and DURING's uncovered granules) that a
+// refresh would need, so the caller rebuilds.
+func (h *HoldTable) scopeErr(op string) error {
+	if h.Cfg.Scope.task == "" {
+		return nil
+	}
+	return fmt.Errorf("core: %s on a table scoped to one %s statement (floor %d); rebuild instead", op, h.Cfg.Scope, h.floor)
+}

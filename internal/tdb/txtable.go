@@ -379,11 +379,16 @@ func (t *TxTable) GranuleCounts(g timegran.Granularity, span timegran.Interval) 
 	i, j := t.rowRange(g, span)
 	for i < j {
 		// Rows are in time order: row i's granule runs to the first row
-		// at or past the granule's end, found by binary search — one
-		// timestamp conversion per probe instead of one per row.
+		// at or past the granule's end, found by binary search over the
+		// stored nanoseconds — two timestamp conversions per granule, not
+		// one per row or per probe. A granule ending past the storable
+		// range holds every row left.
 		n := timegran.GranuleOf(t.timeAt(i), g)
-		end := timegran.Start(n+1, g)
-		run := sort.Search(j-i, func(k int) bool { return !t.timeAt(i + k).Before(end) })
+		run := j - i
+		if end := timegran.Start(n+1, g); CheckTime(end) == nil {
+			endNS := end.UnixNano()
+			run = sort.Search(j-i, func(k int) bool { return t.rows[i+k].at >= endNS })
+		}
 		counts[n-span.Lo] += run
 		i += run
 	}

@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -102,6 +103,26 @@ func TestTxTableMonthGranularity(t *testing.T) {
 	}
 	if n := tbl.GranuleSource(timegran.Month, feb).Len(); n != 1 {
 		t.Errorf("February month source has %d", n)
+	}
+}
+
+// TestTxTableGranuleCountsAtRangeEnd: the last granule of the storable
+// range ends past it, so its rows are counted without converting its
+// end to nanoseconds — the last storable instant included.
+func TestTxTableGranuleCountsAtRangeEnd(t *testing.T) {
+	tbl, err := NewTxTable("end")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.Append(time.Date(2262, time.March, 15, 0, 0, 0, 0, time.UTC), itemset.New(1))
+	tbl.Append(time.Date(2262, time.April, 10, 0, 0, 0, 0, time.UTC), itemset.New(1))
+	tbl.Append(time.Unix(0, math.MaxInt64).UTC(), itemset.New(2))
+	span, ok := tbl.Span(timegran.Month)
+	if !ok {
+		t.Fatal("empty span")
+	}
+	if got := tbl.GranuleCounts(timegran.Month, span); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("GranuleCounts over March..April 2262 = %v, want [1 2]", got)
 	}
 }
 

@@ -106,6 +106,62 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainScopeRows: without a cache the build is scoped to the
+// statement, and EXPLAIN's build-hold node shows the floor — and for
+// DURING the feature and the granules counted — as does the journal's
+// op:build-hold span after a run. A cached executor builds unscoped
+// tables to share, and shows none of it.
+func TestExplainScopeRows(t *testing.T) {
+	holdRow := func(s *Session, stmt string) string {
+		t.Helper()
+		res, err := s.Exec("EXPLAIN " + stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			if v := row[1].AsString(); row[0].AsString() == "plan" && strings.Contains(v, "-hold (") {
+				return v
+			}
+		}
+		t.Fatalf("%s: no hold node in EXPLAIN", stmt)
+		return ""
+	}
+	const periods = `MINE PERIODS FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7 MIN LENGTH 2`
+	const during = `MINE RULES FROM baskets DURING 'weekday in (sat, sun)' THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7`
+	cold := NewSession(fixtureDB(t))
+	cold.TML.Cache = nil
+	// Frequency 0.9 over MIN LENGTH 2: two holding granules. Over the
+	// eight weekend days of four weeks: ⌈0.9 · 8⌉ = 8.
+	for _, c := range []struct{ stmt, row, floor string }{
+		{periods, "floor=2)", "2"},
+		{during, "floor=8, cover=weekday in (6, 7), counted_granules=8)", "8"},
+	} {
+		if row := holdRow(cold, c.stmt); !strings.Contains(row, "build-hold (") || !strings.HasSuffix(row, c.row) {
+			t.Errorf("nil cache: hold node %q, want it to end %q", row, c.row)
+		}
+		if _, err := cold.Exec(c.stmt); err != nil {
+			t.Fatal(err)
+		}
+		var floor string
+		for _, root := range cold.TML.Last("baskets").Tree() {
+			for _, op := range root.Children {
+				if op.Name == "op:build-hold" {
+					floor = op.Attrs["floor"]
+				}
+			}
+		}
+		if floor != c.floor {
+			t.Errorf("%s: the journal's op:build-hold span has floor %q, want %q", c.stmt, floor, c.floor)
+		}
+	}
+	cached := NewSession(fixtureDB(t))
+	for _, stmt := range []string{periods, during} {
+		if row := holdRow(cached, stmt); strings.Contains(row, "floor=") || strings.Contains(row, "cover=") {
+			t.Errorf("cached executor: hold node %q shows a scope it does not apply", row)
+		}
+	}
+}
+
 // TestExplainRefusesLikeExec: EXPLAIN and execution resolve the table
 // through one lookup, so a relational or missing table gets the same
 // error from both.

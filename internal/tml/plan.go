@@ -119,6 +119,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 		})
 
 	case obs.TaskDuring:
+		cfg.Scope = core.DuringScope(stmt.During)
 		hold := e.holdNode(tbl, cfg, scan)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.MineDuringFromTableContext(ctx, in.(*core.HoldTable), stmt.During)
@@ -136,9 +137,11 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 		})
 
 	case obs.TaskPeriods:
+		pcfg := core.PeriodConfig{MinLen: stmt.MinLength}
+		cfg.Scope = core.PeriodsScope(pcfg)
 		hold := e.holdNode(tbl, cfg, scan)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
-			return core.MineValidPeriodsFromTableContext(ctx, in.(*core.HoldTable), core.PeriodConfig{MinLen: stmt.MinLength})
+			return core.MineValidPeriodsFromTableContext(ctx, in.(*core.HoldTable), pcfg)
 		}}
 		if stmt.MinLength > 0 {
 			mine.With("min_length", fmt.Sprint(stmt.MinLength))
@@ -153,8 +156,9 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 		})
 
 	case obs.TaskCycles:
-		hold := e.holdNode(tbl, cfg, scan)
 		ccfg := core.CycleConfig{MaxLen: stmt.MaxLength, MinReps: stmt.MinReps}
+		cfg.Scope = core.CyclesScope(ccfg)
+		hold := e.holdNode(tbl, cfg, scan)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.MineCyclesFromTableContext(ctx, in.(*core.HoldTable), ccfg)
 		}}
@@ -170,8 +174,9 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 		})
 
 	case obs.TaskCalendars:
-		hold := e.holdNode(tbl, cfg, scan)
 		ccfg := core.CycleConfig{MinReps: stmt.MinReps}
+		cfg.Scope = core.CalendarsScope(ccfg)
+		hold := e.holdNode(tbl, cfg, scan)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.MineCalendarPeriodicitiesFromTableContext(ctx, in.(*core.HoldTable), ccfg)
 		}}
@@ -216,7 +221,9 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 // "build-hold" (cold build — also the nil-cache path), and the Run
 // closure goes through HoldCache.GetContext either way, so the
 // annotation is advisory while the execution is always coherent with
-// concurrent statements.
+// concurrent statements. cfg carries the task's scope; when the build
+// applies it (no cache), the node shows its floor and, for DURING, the
+// feature and the granules counted.
 func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node) *plan.Node {
 	mode := e.Cache.Probe(tbl, cfg)
 	op := plan.OpCachedHold
@@ -231,6 +238,13 @@ func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node)
 		With("workers", fmt.Sprint(cfg.Workers))
 	if cfg.MaxK > 0 {
 		n.With("max_size", fmt.Sprint(cfg.MaxK))
+	}
+	if sc, ok := e.Cache.ScopeOf(tbl, cfg); ok {
+		n.With("floor", fmt.Sprint(sc.Floor))
+		if sc.Cover != nil {
+			n.With("cover", sc.Cover.String()).
+				With("counted_granules", fmt.Sprint(sc.Counted))
+		}
 	}
 	n.Run = func(ctx context.Context, in any) (any, error) {
 		return e.Cache.GetContext(ctx, in.(*tdb.TxTable), cfg)

@@ -240,9 +240,11 @@ func RuleHistoryFromTableContext(ctx context.Context, h *HoldTable, ante, cons I
 }
 
 // oneCall is the one-call sugar: a cold build of tbl's hold table under
-// context.Background() followed by one operator over it.
-func oneCall[P, R any](tbl *TxTable, cfg Config, op func(context.Context, *HoldTable, P) (R, error), param P) (R, error) {
+// context.Background(), scoped to the one operator that then runs over
+// it (core.Scope: the build keeps only what that task can report).
+func oneCall[P, R any](tbl *TxTable, cfg Config, scope core.Scope, op func(context.Context, *HoldTable, P) (R, error), param P) (R, error) {
 	ctx := context.Background()
+	cfg.Scope = scope
 	h, err := core.BuildHoldTableContext(ctx, tbl, cfg)
 	if err != nil {
 		var zero R
@@ -254,26 +256,26 @@ func oneCall[P, R any](tbl *TxTable, cfg Config, op func(context.Context, *HoldT
 // MineValidPeriods is the one-call Task I: build, then
 // MineValidPeriodsFromTableContext.
 func MineValidPeriods(tbl *TxTable, cfg Config, pcfg PeriodConfig) ([]PeriodRule, error) {
-	return oneCall(tbl, cfg, core.MineValidPeriodsFromTableContext, pcfg)
+	return oneCall(tbl, cfg, core.PeriodsScope(pcfg), core.MineValidPeriodsFromTableContext, pcfg)
 }
 
 // MineCycles is the one-call Task II (cycles): build, then
 // MineCyclesFromTableContext.
 func MineCycles(tbl *TxTable, cfg Config, ccfg CycleConfig) ([]CyclicRule, error) {
-	return oneCall(tbl, cfg, core.MineCyclesFromTableContext, ccfg)
+	return oneCall(tbl, cfg, core.CyclesScope(ccfg), core.MineCyclesFromTableContext, ccfg)
 }
 
 // MineCalendarPeriodicities is the one-call Task II (calendars): build,
 // then MineCalendarPeriodicitiesFromTableContext.
 func MineCalendarPeriodicities(tbl *TxTable, cfg Config, ccfg CycleConfig) ([]CalendarRule, error) {
-	return oneCall(tbl, cfg, core.MineCalendarPeriodicitiesFromTableContext, ccfg)
+	return oneCall(tbl, cfg, core.CalendarsScope(ccfg), core.MineCalendarPeriodicitiesFromTableContext, ccfg)
 }
 
 // MineDuring is the one-call Task III: build, then
-// MineDuringFromTableContext. The hold table is counted over the whole
-// table; the feature restricts scoring, not counting.
+// MineDuringFromTableContext. The build counts only the granules the
+// feature covers, so its cost follows the feature's coverage.
 func MineDuring(tbl *TxTable, cfg Config, feature Pattern) ([]TemporalRule, error) {
-	return oneCall(tbl, cfg, core.MineDuringFromTableContext, feature)
+	return oneCall(tbl, cfg, core.DuringScope(feature), core.MineDuringFromTableContext, feature)
 }
 
 // MineDuringExpr is MineDuring with the feature in the textual
