@@ -144,9 +144,27 @@ func Mine(src Source, cfg Config) (*Frequent, error) {
 }
 
 // MineContext is Mine under a context. Cancellation is observed at
-// pass boundaries and, on the vertical backends, between candidate
-// blocks of a pass — never per transaction.
+// pass boundaries, between the blocks of a Slices source and, on the
+// vertical backends, between candidate blocks of a pass — never per
+// transaction.
+//
+// A Slices source is counted block by block on cfg.Workers; any other
+// source is one block. Level 2 takes the route a hold-table build's
+// granule would: on the flat bitmap index with at most MaxVerticalItems
+// frequent items the join of L1 is counted by intersection, as every
+// level is; on any other backend but the naive reference, or past the
+// crossover, one triangular pair count over the frequent items (see
+// PairTriangle), exact over the whole table, decides it, so the join is
+// neither materialised nor counted pair by pair. Levels 3 and up count
+// on the configured backend.
 func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error) {
+	return mineContext(ctx, src, cfg, MaxPairCells, MaxVerticalItems)
+}
+
+// mineContext is MineContext with the triangle's cell cap and the route
+// crossover as parameters, so tests can force the triangle's row-blocked
+// path on small tables and either route on any backend that has both.
+func mineContext(ctx context.Context, src Source, cfg Config, pairCells, verticalItems int) (*Frequent, error) {
 	if !cfg.Backend.Valid() {
 		return nil, fmt.Errorf("apriori: invalid counting backend %d", int(cfg.Backend))
 	}
@@ -160,6 +178,10 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 	minCount, err := cfg.minCount(n)
 	if err != nil {
 		return nil, err
+	}
+	slices, ok := src.(Slices)
+	if !ok {
+		slices = Slices{src}
 	}
 	res := &Frequent{
 		N:        n,
@@ -183,22 +205,14 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 		tr.StartPass(1)
 		t0 = time.Now()
 	}
-	var ranks itemset.Ranks
-	var c1 []int
-	src.ForEach(func(tx itemset.Set) {
-		for _, x := range tx {
-			r := ranks.Rank(x)
-			if r < 0 {
-				r = ranks.Add(x)
-				c1 = append(c1, 0)
-			}
-			c1[r]++
-		}
-	})
+	items, c1 := CountLevel1(ctx, slices, cfg.Workers)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	var l1 []ItemsetCount
-	for r, cnt := range c1 {
-		if cnt >= minCount {
-			l1 = append(l1, ItemsetCount{Set: itemset.Set{ranks.Items()[r]}, Count: cnt})
+	for r, v := range c1 {
+		if cnt := sumRow(v); cnt >= minCount {
+			l1 = append(l1, ItemsetCount{Set: itemset.Set{items[r]}, Count: cnt})
 		}
 	}
 	sort.Slice(l1, func(i, j int) bool { return l1[i].Set.Compare(l1[j].Set) < 0 })
@@ -217,10 +231,13 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 		res.counts[ic.Set.Key()] = ic.Count
 	}
 
-	// The whole table is the one-slice case of the counting seam, which
-	// also resolves BackendAuto.
-	counter := NewSliceCounter(cfg.Backend, []Source{src}, keepItems(l1), cfg.Workers)
+	// The counting seam resolves BackendAuto. keep ranks L1 in item
+	// order: the triangle's rows and the vertical indexes' filter.
+	keep := keepItems(l1)
+	counter := NewSliceCounter(cfg.Backend, slices, keep, cfg.Workers)
 	backend := counter.Backend()
+	onTriangle := backend != BackendNaive && len(l1) > 1 &&
+		(backend != BackendBitmap || len(l1) > verticalItems)
 	var countingNS int64
 	prev := l1
 	for k := 2; len(prev) > 0 && (cfg.MaxK == 0 || k <= cfg.MaxK); k++ {
@@ -231,41 +248,64 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 			tr.StartPass(k)
 			t0 = time.Now()
 		}
-		cands, nGen, nPruned, err := GenerateCandidatesCounted(ctx, prev)
-		if err != nil {
-			return nil, err
-		}
-		if len(cands) == 0 {
-			if trace {
-				tr.EndPass(obs.PassStats{
-					Level: k, Generated: nGen, Pruned: nPruned,
-					Backend: backend.String(), Duration: time.Since(t0),
-				})
-			}
-			break
-		}
-		tc0 := time.Now()
-		counts, err := counter.Count(ctx, cands)
-		if err != nil {
-			return nil, err
-		}
-		countingNS += time.Since(tc0).Nanoseconds()
-		// A cancelled count is partial: discard it.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		var level []ItemsetCount
-		for i, c := range cands {
-			if v := counts.Row(i); v != nil && int(v[0]) >= minCount {
-				level = append(level, ItemsetCount{Set: c, Count: int(v[0])})
-				res.counts[c.Key()] = int(v[0])
+		var nGen, nPruned int
+		if k == 2 && onTriangle {
+			// The join of L1 is every pair of it, pruning none, and the
+			// pass reports all of it as counted. The pass span says which
+			// route decided it, as a hold-table build's does.
+			nGen = len(l1) * (len(l1) - 1) / 2
+			tc0 := time.Now()
+			level = frequentPairs(ctx, slices, keep, minCount, cfg.Workers, pairCells)
+			countingNS += time.Since(tc0).Nanoseconds()
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
+			if trace {
+				tr.Counter(obs.MetricPairGranulesHorizontal, 1)
+			}
+		} else {
+			var cands []itemset.Set
+			cands, nGen, nPruned, err = GenerateCandidatesCounted(ctx, prev)
+			if err != nil {
+				return nil, err
+			}
+			if len(cands) == 0 {
+				if trace {
+					tr.EndPass(obs.PassStats{
+						Level: k, Generated: nGen, Pruned: nPruned,
+						Backend: backend.String(), Duration: time.Since(t0),
+					})
+				}
+				break
+			}
+			tc0 := time.Now()
+			counts, err := counter.Count(ctx, cands)
+			if err != nil {
+				return nil, err
+			}
+			countingNS += time.Since(tc0).Nanoseconds()
+			// A cancelled count is partial: discard it.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for i, c := range cands {
+				if total := sumRow(counts.Row(i)); total >= minCount {
+					level = append(level, ItemsetCount{Set: c, Count: total})
+				}
+			}
+			if k == 2 && backend == BackendBitmap && trace {
+				tr.Counter(obs.MetricPairGranulesVertical, 1)
+			}
+		}
+		for _, ic := range level {
+			res.counts[ic.Set.Key()] = ic.Count
 		}
 		res.ByK = append(res.ByK, level)
 		prev = level
 		if trace {
 			tr.EndPass(obs.PassStats{
-				Level: k, Generated: nGen, Pruned: nPruned, Counted: len(cands),
+				Level: k, Generated: nGen, Pruned: nPruned, Counted: nGen - nPruned,
 				Frequent: len(level), Rows: int64(n),
 				Backend: backend.String(), Duration: time.Since(t0),
 			})
@@ -276,6 +316,80 @@ func MineContext(ctx context.Context, src Source, cfg Config) (*Frequent, error)
 		tr.Gauge(obs.MetricCountingObservedNS, float64(countingNS))
 	}
 	return res, nil
+}
+
+// sumRow totals a candidate's counts over the slices.
+func sumRow(v []int32) int {
+	n := 0
+	for _, c := range v {
+		n += int(c)
+	}
+	return n
+}
+
+// CountLevel1 is the level-1 scan: the distinct items of slices,
+// ranked as met, and by the same index each one's count vector, one
+// count per slice. The slice blocks of Blocks are scanned concurrently,
+// each ranking its own items, and merged in block order; blocks own
+// disjoint slices, so the items and vectors are those of one sequential
+// scan at any worker count.
+//
+// Cancellation is sampled between slices: a cancelled scan stops, and
+// the caller checks ctx.Err() before using the (partial) counts.
+func CountLevel1(ctx context.Context, slices []Source, workers int) ([]itemset.Item, [][]int32) {
+	n := len(slices)
+	blocks := Blocks(n, workers)
+	if len(blocks) == 1 {
+		return countLevel1Range(ctx, slices, 0, n)
+	}
+	partItems := make([][]itemset.Item, len(blocks))
+	partVecs := make([][][]int32, len(blocks))
+	fanOut(blocks, func(b, lo, hi int) {
+		partItems[b], partVecs[b] = countLevel1Range(ctx, slices, lo, hi)
+	})
+	var ranks itemset.Ranks
+	var vecs [][]int32
+	for b, blk := range blocks {
+		for i, x := range partItems[b] {
+			r := ranks.Add(x)
+			if r == len(vecs) {
+				vecs = append(vecs, make([]int32, n))
+			}
+			copy(vecs[r][blk[0]:blk[1]], partVecs[b][i])
+		}
+	}
+	return ranks.Items(), vecs
+}
+
+// countLevel1Range is the level-1 scan of slices [lo, hi), with vectors
+// hi-lo wide. Items are ranked as they are met, so an occurrence costs
+// one table load and one increment, not a map access.
+func countLevel1Range(ctx context.Context, slices []Source, lo, hi int) ([]itemset.Item, [][]int32) {
+	var ranks itemset.Ranks
+	var vecs [][]int32
+	s := lo
+	count := func(tx itemset.Set) { // one closure for the scan, not one per slice
+		for _, x := range tx {
+			r := ranks.Rank(x)
+			if r < 0 {
+				r = ranks.Add(x)
+				vecs = append(vecs, make([]int32, hi-lo))
+			}
+			vecs[r][s-lo]++
+		}
+	}
+	done := ctx.Done()
+	for ; s < hi; s++ {
+		if done != nil {
+			select {
+			case <-done:
+				return ranks.Items(), vecs
+			default:
+			}
+		}
+		slices[s].ForEach(count)
+	}
+	return ranks.Items(), vecs
 }
 
 // joinCheckEvery is the number of joined candidates between two

@@ -62,19 +62,31 @@ func (ix *BitmapIndex) getScratch(levels int) *bitmapScratch {
 // never appear in a candidate. keep is retained and must not be added
 // to afterwards.
 //
+// The rows live in one slab, and the ingest's item loop has no branch
+// on whether an item is kept: an item outside keep sets its bit in a
+// discard entry that is never stored (ingestBlock). Without keep, which
+// only tests and benchmarks pass, every item is ranked as met by a
+// level-1 scan first, so there is one ingest.
+//
 // workers > 1 shards the ingest over the contiguous slice blocks of
-// Blocks — the blocks of a hold-table build's level-1 scan — each block setting the bits of its own ID range into rows
-// allocated before the fan-out, one per kept item. Blocks own disjoint
-// ID ranges, so only a block's first and last word can also hold a
-// neighbour's bits: the block sets those two words in private rows,
-// ORed in after the join, and the index is bit-identical at any worker
-// count. Without keep the items, and so the rows, are unknown until
-// scanned: the ingest is then one block, as it is over a single slice
-// or with workers ≤ 1.
+// Blocks — the blocks of a hold-table build's level-1 scan, or the row
+// blocks of a whole-table mine — each block setting the bits of its own
+// ID range into the slab allocated before the fan-out. Blocks own
+// disjoint ID ranges, so only a block's first word can also hold the
+// bits of the block before it: the block sets that word in a private
+// row, ORed in after the join, and the index is bit-identical at any
+// worker count. A single slice, or workers ≤ 1, is one block.
 //
 // Cancellation is sampled at slice boundaries; a cancelled ingest
 // returns nil, never a half-built index.
 func NewBitmapIndex(ctx context.Context, slices []Source, keep *itemset.Ranks, workers int) *BitmapIndex {
+	if keep == nil {
+		items, _ := CountLevel1(ctx, slices, workers)
+		keep = new(itemset.Ranks)
+		for _, x := range items {
+			keep.Add(x)
+		}
+	}
 	bounds := sliceBounds(slices)
 	n := bounds[len(slices)]
 	words := (n + 63) / 64
@@ -84,94 +96,101 @@ func NewBitmapIndex(ctx context.Context, slices []Source, keep *itemset.Ranks, w
 		ranks: keep,
 		zero:  make([]uint64, words),
 	}
-	if keep == nil {
-		ix.ranks = new(itemset.Ranks)
-		workers = 1
-	} else {
-		slab := make([]uint64, keep.Len()*words)
-		ix.bits = make([][]uint64, keep.Len())
-		for r := range ix.bits {
-			ix.bits[r] = slab[r*words : (r+1)*words : (r+1)*words]
-		}
+	slab := make([]uint64, keep.Len()*words)
+	ix.bits = make([][]uint64, keep.Len())
+	for r := range ix.bits {
+		ix.bits[r] = slab[r*words : (r+1)*words : (r+1)*words]
 	}
 	blocks := Blocks(len(slices), workers)
-	edges := make([]blockEdges, len(blocks))
+	edges := make([]blockEdge, len(blocks))
 	fanOut(blocks, func(b, lo, hi int) {
-		edges[b] = ix.ingestBlock(ctx, slices, bounds, lo, hi, keep == nil)
+		edges[b] = ix.ingestBlock(ctx, slab, slices, bounds, lo, hi)
 	})
 	if ctx.Err() != nil {
 		return nil
 	}
 	for _, e := range edges {
-		for r, v := range e.first {
-			ix.bits[r][e.firstW] |= v
-		}
-		for r, v := range e.last {
-			ix.bits[r][e.lastW] |= v
+		for r, v := range e.bits {
+			slab[r*words+e.w] |= v
 		}
 	}
 	return ix
 }
 
-// blockEdges is what one ingest block set in the words it may share
-// with a neighbour: first[r] is item rank r's word firstW, last[r] its
-// word lastW. On a side with no neighbour block the row is nil and the
-// block sets that word in place.
-type blockEdges struct {
-	firstW, lastW int
-	first, last   []uint64
+// blockEdge is the one word an ingest block may share with the block
+// before it: bits[r] is item rank r's word w. The first block, and a
+// block without rows, has none (nil bits).
+type blockEdge struct {
+	w    int
+	bits []uint64
 }
 
-// ingestBlock sets the bits of slices [lo, hi) into ix.bits, except
-// those of the block's shared edge words, which it returns. grow adds a
-// row for every item met unranked; it is only passed to a one-block
-// ingest, which has no edge words.
-func (ix *BitmapIndex) ingestBlock(ctx context.Context, slices []Source, bounds []int, lo, hi int, grow bool) blockEdges {
-	e := blockEdges{firstW: -1, lastW: -1}
+// ingestBlock sets the bits of slices [lo, hi) into the slab. It
+// collects one word of rows at a time in a column, one entry per kept
+// item plus a discard entry: an item sets its bit at col[rank+1], so an
+// item outside keep (rank -1) sets the discard entry, and the item loop
+// has no branch. Each item's write lands in that small column, not in
+// its own row of the slab, a page or more from the next. When the rows
+// move on to the next word the column's set entries, less the discard
+// entry, are stored into the slab: the column is read in order, but
+// the slab, whose rows are a page or more apart, is written only where
+// the word has a bit, so a wide keep set costs its sequential read, not
+// a scattered write per kept item. The block's first word is the
+// exception: a block after the first returns it as its edge, since the
+// block before may store that word too. Every other word of the block's
+// rows, its last included, is the block's alone, so no word is stored
+// in place by two blocks.
+func (ix *BitmapIndex) ingestBlock(ctx context.Context, slab []uint64, slices []Source, bounds []int, lo, hi int) blockEdge {
+	var e blockEdge
 	if bounds[lo] == bounds[hi] {
 		return e
 	}
-	if lo > 0 {
-		e.firstW, e.first = bounds[lo]>>6, make([]uint64, len(ix.bits))
+	ranks, words := ix.ranks, ix.words
+	col := make([]uint64, ranks.Len()+1)
+	w := bounds[lo] >> 6
+	shared := lo > 0 // w, the first word, may hold the previous block's rows
+	store := func() {
+		if shared {
+			e.w, e.bits = w, append([]uint64(nil), col[1:]...)
+			shared = false
+		} else {
+			for r, v := range col[1:] {
+				if v != 0 {
+					slab[r*words+w] = v
+				}
+			}
+		}
+		clear(col)
 	}
-	if hi < len(slices) {
-		e.lastW, e.last = (bounds[hi]-1)>>6, make([]uint64, len(ix.bits))
-	}
+	eachRow(ctx, slices, bounds, lo, hi, func(row int, tx itemset.Set) {
+		if row>>6 != w {
+			store()
+			w = row >> 6
+		}
+		bit := uint64(1) << uint(row&63)
+		for _, x := range tx {
+			col[ranks.Rank(x)+1] |= bit
+		}
+	})
+	store()
+	return e
+}
+
+// eachRow hands fn every transaction of slices [lo, hi) with its row
+// number, sampling ctx between slices.
+func eachRow(ctx context.Context, slices []Source, bounds []int, lo, hi int, fn func(row int, tx itemset.Set)) {
 	var row, end int
 	each := func(tx itemset.Set) {
 		if row >= end {
 			return // defensive: the slice delivered more rows than its Len()
 		}
-		w, bit := row>>6, uint64(1)<<uint(row&63)
+		fn(row, tx)
 		row++
-		var edge []uint64
-		switch w {
-		case e.firstW:
-			edge = e.first
-		case e.lastW:
-			edge = e.last
-		}
-		for _, x := range tx {
-			r := ix.ranks.Rank(x)
-			if r < 0 {
-				if !grow {
-					continue
-				}
-				r = ix.ranks.Add(x)
-				ix.bits = append(ix.bits, make([]uint64, ix.words))
-			}
-			if edge != nil {
-				edge[r] |= bit
-			} else {
-				ix.bits[r][w] |= bit
-			}
-		}
 	}
 	for s := lo; s < hi && ctx.Err() == nil; s++ {
 		row, end = bounds[s], bounds[s+1]
 		slices[s].ForEach(each)
 	}
-	return e
 }
 
 // sliceBounds returns the row offsets of slices laid end to end: slice s
@@ -286,16 +305,41 @@ func PopcountRange(words []uint64, lo, hi int) int {
 // arrive sorted in canonical order: sorting maximises prefix reuse —
 // the (k-1)-prefix intersection computed for one candidate is kept and
 // reused for every following candidate that shares the prefix, so a run
-// of same-prefix candidates costs a single AND + popcount each. The
-// slice passed to fn is scratch, valid only during the call.
+// of same-prefix candidates costs a single AND each. The slice passed to
+// fn is scratch, valid only during the call.
 func (ix *BitmapIndex) EachIntersection(cands []itemset.Set, fn func(i int, words []uint64)) {
 	if len(cands) == 0 {
 		return
 	}
-	k := len(cands[0])
-	if k == 1 {
+	if len(cands[0]) == 1 {
 		for i, c := range cands {
 			fn(i, ix.itemBits(c[0]))
+		}
+		return
+	}
+	sc := ix.getScratch(1)
+	defer bitmapScratchPool.Put(sc)
+	out := sc.acc[0]
+	ix.eachPrefix(cands, func(i int, prefix, last []uint64) {
+		AndInto(out, prefix, last)
+		fn(i, out)
+	})
+}
+
+// eachPrefix visits every candidate of a sorted same-length list with
+// the intersection of its first k-1 items and its last item's bitmap,
+// reusing a prefix intersection for as long as the following candidates
+// share it. For k == 1 the prefix is the item's own bitmap, so
+// prefix & last is the item's bitmap at any k. Both slices are valid
+// only during fn.
+func (ix *BitmapIndex) eachPrefix(cands []itemset.Set, fn func(i int, prefix, last []uint64)) {
+	if len(cands) == 0 {
+		return
+	}
+	k := len(cands[0])
+	if k <= 2 {
+		for i, c := range cands {
+			fn(i, ix.itemBits(c[0]), ix.itemBits(c[k-1]))
 		}
 		return
 	}
@@ -303,7 +347,7 @@ func (ix *BitmapIndex) EachIntersection(cands []itemset.Set, fn func(i int, word
 	// [0..j]; it stays valid while the next candidate shares those
 	// first j+1 items. The rows come from a pool, so steady-state calls
 	// allocate nothing.
-	sc := ix.getScratch(k - 1)
+	sc := ix.getScratch(k - 2)
 	defer bitmapScratchPool.Put(sc)
 	acc := sc.acc
 	var prev itemset.Set
@@ -313,32 +357,50 @@ func (ix *BitmapIndex) EachIntersection(cands []itemset.Set, fn func(i int, word
 			shared++
 		}
 		// acc[j-1] involves items [0..j]: valid while j+1 ≤ shared.
-		j := shared
-		if j < 1 {
-			j = 1
-		}
-		for ; j < k; j++ {
+		for j := max(shared, 1); j < k-1; j++ {
 			left := ix.itemBits(c[0])
 			if j > 1 {
 				left = acc[j-2]
 			}
 			AndInto(acc[j-1], left, ix.itemBits(c[j]))
 		}
-		fn(i, acc[k-2])
+		fn(i, acc[k-3], ix.itemBits(c[k-1]))
 		prev = c
 	}
 }
 
-// fill implements verticalIndex: one AND chain per candidate, one range
-// popcount per slice.
+// fill implements verticalIndex: one AND chain per candidate over its
+// first k-1 items, then the last item ANDed straight into each slice's
+// range popcount, so the full intersection is never written out and
+// read back.
 func (ix *BitmapIndex) fill(m *Counts, base int, cands []itemset.Set, bounds []int) {
-	ix.EachIntersection(cands, func(i int, words []uint64) {
+	ix.eachPrefix(cands, func(i int, prefix, last []uint64) {
 		for s := 0; s+1 < len(bounds); s++ {
-			if n := PopcountRange(words, bounds[s], bounds[s+1]); n != 0 {
+			if n := andPopcountRange(prefix, last, bounds[s], bounds[s+1]); n != 0 {
 				m.set(base+i, s, n)
 			}
 		}
 	})
+}
+
+// andPopcountRange is PopcountRange over a & b, without materialising
+// the intersection.
+func andPopcountRange(a, b []uint64, lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	loW, hiW := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-((hi-1)&63))
+	if loW == hiW {
+		return bits.OnesCount64(a[loW] & b[loW] & loMask & hiMask)
+	}
+	n := bits.OnesCount64(a[loW] & b[loW] & loMask)
+	mid := b[loW+1 : hiW]
+	for w, x := range a[loW+1 : hiW] { // one bounds check each, not one per word
+		n += bits.OnesCount64(x & mid[w])
+	}
+	return n + bits.OnesCount64(a[hiW]&b[hiW]&hiMask)
 }
 
 // samePrefixK1 reports whether a and b share their first len(a)-1

@@ -83,21 +83,65 @@ func referenceBits(txs Transactions, keep *itemset.Ranks) map[itemset.Item][]uin
 	return bits
 }
 
+// bigKept and bigMissed are item ids past any dense rank table, so
+// Ranks holds them in its map: the ingest's keep filter ranks the first
+// and drops the second there.
+const (
+	bigKept   = itemset.Item(1 << 30)
+	bigMissed = itemset.Item(1<<30 + 1)
+)
+
+// missKeep rewrites a sliced table for the keep filter's edge cases.
+// Every transaction in an even word of rows, and the first and last of
+// each slice, keeps only odd items — none of which the test's keep
+// ranks — so whole words, and the words at any block's edges, hold
+// transactions that all miss keep. Some transactions gain bigMissed and
+// some of the others bigKept.
+func missKeep(txs Transactions, lens []int) {
+	edge := map[int]bool{}
+	row := 0
+	for _, l := range lens {
+		if l > 0 {
+			edge[row], edge[row+l-1] = true, true
+		}
+		row += l
+	}
+	for row, tx := range txs {
+		items := append([]itemset.Item(nil), tx...)
+		if row>>6%2 == 0 || edge[row] {
+			for i := range items {
+				items[i] |= 1
+			}
+		}
+		switch {
+		case row%5 == 0:
+			items = append(items, bigMissed)
+		case row%3 == 0:
+			items = append(items, bigKept)
+		}
+		txs[row] = itemset.New(items...)
+	}
+}
+
 // TestIngestShardedMatchesSequential holds the sharded flat-bitmap
 // ingest to a row-by-row reference and to itself: at workers 1, 2, 3
 // and 8 the index — ranks, every row, its length — is bit-identical,
 // with and without a keep filter, and the count vectors a SliceCounter
-// cuts from it are identical too.
+// cuts from it are identical too. The table has items outside keep,
+// ids past the dense rank table, and transactions that all miss keep
+// in whole words and at every slice's first and last row (missKeep).
 func TestIngestShardedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	const universe = 12
 	for _, shape := range ingestShapes(rng) {
 		txs, slices := sliceTable(rng, shape.lens, universe)
+		missKeep(txs, shape.lens)
 		keeps := map[string]*itemset.Ranks{"all items": nil, "kept": new(itemset.Ranks)}
 		for x := 0; x < universe; x += 2 {
 			keeps["kept"].Add(itemset.Item(x))
 		}
 		keeps["kept"].Add(itemset.Item(universe + 3)) // never occurs
+		keeps["kept"].Add(bigKept)
 		for keepName, keep := range keeps {
 			label := fmt.Sprintf("%s/%s", shape.name, keepName)
 			want := referenceBits(txs, keep)
@@ -109,8 +153,8 @@ func TestIngestShardedMatchesSequential(t *testing.T) {
 				if ix.N() != len(txs) {
 					t.Fatalf("%s/workers=%d: N = %d, want %d", label, workers, ix.N(), len(txs))
 				}
-				for x := 0; x < universe+4; x++ {
-					got, w := ix.itemBits(itemset.Item(x)), want[itemset.Item(x)]
+				for _, x := range append(itemsUpTo(universe+4), bigKept, bigMissed) {
+					got, w := ix.itemBits(x), want[x]
 					if w == nil {
 						w = make([]uint64, (len(txs)+63)/64)
 					}
@@ -137,6 +181,15 @@ func TestIngestShardedMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// itemsUpTo lists the items 0, 1, …, n-1.
+func itemsUpTo(n int) []itemset.Item {
+	items := make([]itemset.Item, n)
+	for i := range items {
+		items[i] = itemset.Item(i)
+	}
+	return items
 }
 
 // cancelOnScan is a slice that cancels the ingest's context as soon as

@@ -36,6 +36,29 @@ func (t Transactions) ForEach(fn func(tx itemset.Set)) {
 	}
 }
 
+// Slices is a Source already cut into consecutive blocks of rows: its
+// transactions are slice 0's, then slice 1's, and so on. MineContext
+// counts such a source block by block on its Workers — the level-1
+// scan, the level-2 triangle and the flat index's ingest — and sums the
+// counts over the blocks; any other Source is one block.
+type Slices []Source
+
+// Len implements Source.
+func (s Slices) Len() int {
+	n := 0
+	for _, sl := range s {
+		n += sl.Len()
+	}
+	return n
+}
+
+// ForEach implements Source.
+func (s Slices) ForEach(fn func(tx itemset.Set)) {
+	for _, sl := range s {
+		sl.ForEach(fn)
+	}
+}
+
 // FuncSource adapts a scan function into a Source; used by the
 // temporal database to expose granule-restricted views without copying.
 type FuncSource struct {

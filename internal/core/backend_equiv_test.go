@@ -123,33 +123,33 @@ func TestHoldTableBackendEquivalence(t *testing.T) {
 		pairCells int
 		levels    int // expected len(ByK)-1, 0 = unchecked
 	}{
-		{"planted/0.1", planted, base, maxPairCells, 0},
-		{"planted/0.05", planted, with(func(c *Config) { c.MinSupport = 0.05 }), maxPairCells, 0},
-		{"planted/unbounded-k", planted, with(func(c *Config) { c.MaxK = 0 }), maxPairCells, 0},
-		{"planted/MaxK=2", planted, with(func(c *Config) { c.MaxK = 2 }), maxPairCells, 2},
+		{"planted/0.1", planted, base, apriori.MaxPairCells, 0},
+		{"planted/0.05", planted, with(func(c *Config) { c.MinSupport = 0.05 }), apriori.MaxPairCells, 0},
+		{"planted/unbounded-k", planted, with(func(c *Config) { c.MaxK = 0 }), apriori.MaxPairCells, 0},
+		{"planted/MaxK=2", planted, with(func(c *Config) { c.MaxK = 2 }), apriori.MaxPairCells, 2},
 		// Days draw Poisson(25) transactions: a floor of 25 leaves about
 		// half the granules inactive, and their pairs must not be marked.
-		{"planted/inactive-granules", planted, with(func(c *Config) { c.MinGranuleTx = 25 }), maxPairCells, 0},
+		{"planted/inactive-granules", planted, with(func(c *Config) { c.MinGranuleTx = 25 }), apriori.MaxPairCells, 0},
 		// The triangle does not fit the budget: one scan per row block,
 		// down to one row a block, and split across workers.
 		{"planted/row-blocked", planted, with(func(c *Config) { c.MinSupport = 0.05 }), 200, 0},
 		{"planted/row-per-scan", planted, base, 0, 0},
 		{"one-granule", tableOfDays(t, []itemset.Set{s(1, 2, 3), s(1, 2), s(2, 3), s(1, 2, 3)}),
-			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 3},
+			with(func(c *Config) { c.MinSupport = 0.5 }), apriori.MaxPairCells, 3},
 		{"L1=0", tableOfDays(t, []itemset.Set{s(1), s(2), s(3), s(4)}),
-			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 1},
+			with(func(c *Config) { c.MinSupport = 0.5 }), apriori.MaxPairCells, 1},
 		{"L1=1", tableOfDays(t, []itemset.Set{s(1), s(1), s(2), s(3)}, nil, []itemset.Set{s(1), s(1)}),
-			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 1},
+			with(func(c *Config) { c.MinSupport = 0.5 }), apriori.MaxPairCells, 1},
 		{"L1=2", tableOfDays(t, []itemset.Set{s(1, 2), s(1, 2), s(1), s(3)}),
-			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 2},
+			with(func(c *Config) { c.MinSupport = 0.5 }), apriori.MaxPairCells, 2},
 		// The join {1,2} is non-empty and nothing survives it: the level
 		// is still appended, as Rethreshold and Maintain replay it.
 		{"zero-survivors", tableOfDays(t, []itemset.Set{s(1), s(1), s(2), s(2)}, []itemset.Set{s(1), s(2)}),
-			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 2},
+			with(func(c *Config) { c.MinSupport = 0.5 }), apriori.MaxPairCells, 2},
 		{"sparse-ids", tableOfDays(t,
 			[]itemset.Set{s(7, big-1, big), s(7, big), s(big-1, big), s(7, big-1, big)},
 			[]itemset.Set{s(7, 70_000), s(7, 70_000, big)}),
-			with(func(c *Config) { c.MinSupport = 0.5 }), maxPairCells, 3},
+			with(func(c *Config) { c.MinSupport = 0.5 }), apriori.MaxPairCells, 3},
 	}
 	type variant struct {
 		backend apriori.Backend
@@ -179,7 +179,7 @@ func TestHoldTableBackendEquivalence(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Backend = v.backend
 			cfg.Workers = v.workers
-			got, err := buildHoldTable(context.Background(), tc.tbl, cfg, tc.pairCells, maxVerticalItems)
+			got, err := buildHoldTable(context.Background(), tc.tbl, cfg, tc.pairCells, apriori.MaxVerticalItems)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

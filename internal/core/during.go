@@ -128,10 +128,12 @@ func temporalRuleCmp(a, b TemporalRule) int {
 // backend, worker count and tracer. Experiment E1 compares its output
 // against the temporal miners to count the rules a traditional approach
 // misses. The level-wise passes observe cancellation between passes.
+// The table goes to apriori as one contiguous row block per worker
+// (tdb.TxTable.AllBlocks), so every worker counts.
 func MineTraditionalContext(ctx context.Context, tbl *tdb.TxTable, minSupport, minConfidence float64, maxK int, backend apriori.Backend, workers int, tracer obs.Tracer) ([]apriori.Rule, error) {
 	_, rules, err := apriori.MineRulesContext(
 		ctx,
-		tbl.All(),
+		tbl.AllBlocks(workers),
 		apriori.Config{MinSupport: minSupport, MaxK: maxK, Backend: backend, Workers: workers, Tracer: tracer},
 		apriori.RuleConfig{MinConfidence: minConfidence},
 	)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/apriori"
@@ -186,7 +185,7 @@ func ceilCount(frac float64, n int) int {
 // backend (sequential and parallel hash tree, naive, bitmap, roaring)
 // and both routes of the level-2 decision are covered.
 func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
-	return buildHoldTable(ctx, tbl, cfg, maxPairCells, maxVerticalItems)
+	return buildHoldTable(ctx, tbl, cfg, apriori.MaxPairCells, apriori.MaxVerticalItems)
 }
 
 // buildHoldTable is BuildHoldTableContext with the level-2 decision's
@@ -238,7 +237,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		t0 = time.Now()
 	}
 	slices := h.slices(tbl)
-	items, c1 := countLevel1(ctx, slices, cfg.Workers)
+	items, c1 := apriori.CountLevel1(ctx, slices, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -454,89 +453,6 @@ func anySet(words []uint64) bool {
 		}
 	}
 	return false
-}
-
-// eachActiveTxRange scans granule offsets [lo, hi) of the span once,
-// handing each transaction of each active granule to fn with the
-// granule offset: the shard primitive of the level-1 scan. slices is h.slices(tbl) — the counting seam's own view, an
-// inactive granule empty — so a transaction arrives as its itemset, with
-// no timestamp to materialise or map back to a granule, and a shard
-// costs proportionally to its own data.
-//
-// Cancellation is sampled at granule boundaries only — a granule is
-// the natural block unit of every counting loop, and a per-transaction
-// check would cost on the hot path. A cancelled scan simply stops; the
-// caller is responsible for checking ctx.Err() before using the
-// (partial) counts.
-func eachActiveTxRange(ctx context.Context, slices []apriori.Source, lo, hi int, fn func(gi int, tx itemset.Set)) {
-	done := ctx.Done()
-	gi := lo
-	each := func(tx itemset.Set) { fn(gi, tx) } // one closure for the scan, not one per granule
-	for ; gi < hi; gi++ {
-		if done != nil {
-			select {
-			case <-done:
-				return
-			default:
-			}
-		}
-		slices[gi].ForEach(each)
-	}
-}
-
-// countLevel1 runs the level-1 item scan, producing the distinct items
-// and, by the same index, each one's per-granule count vector. With
-// workers > 1 the span is sharded into contiguous granule blocks counted
-// concurrently; blocks own disjoint granule columns, so the merged
-// vectors are identical to a sequential scan.
-func countLevel1(ctx context.Context, slices []apriori.Source, workers int) ([]itemset.Item, [][]int32) {
-	n := len(slices)
-	blocks := apriori.Blocks(n, workers)
-	if len(blocks) == 1 {
-		return countLevel1Range(ctx, slices, 0, n)
-	}
-	partItems := make([][]itemset.Item, len(blocks))
-	partVecs := make([][][]int32, len(blocks))
-	var wg sync.WaitGroup
-	for w, blk := range blocks {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			partItems[w], partVecs[w] = countLevel1Range(ctx, slices, lo, hi)
-		}(w, blk[0], blk[1])
-	}
-	wg.Wait()
-	var ranks itemset.Ranks
-	var vecs [][]int32
-	for w, blk := range blocks {
-		for i, x := range partItems[w] {
-			r := ranks.Add(x)
-			if r == len(vecs) {
-				vecs = append(vecs, make([]int32, n))
-			}
-			copy(vecs[r][blk[0]:blk[1]], partVecs[w][i])
-		}
-	}
-	return ranks.Items(), vecs
-}
-
-// countLevel1Range is the level-1 scan of granule offsets [lo, hi), with
-// vectors hi-lo wide. Items are ranked as they are met, so an occurrence
-// costs one table load and one increment, not a map access.
-func countLevel1Range(ctx context.Context, slices []apriori.Source, lo, hi int) ([]itemset.Item, [][]int32) {
-	var ranks itemset.Ranks
-	var vecs [][]int32
-	eachActiveTxRange(ctx, slices, lo, hi, func(gi int, tx itemset.Set) {
-		for _, x := range tx {
-			r := ranks.Rank(x)
-			if r < 0 {
-				r = ranks.Add(x)
-				vecs = append(vecs, make([]int32, hi-lo))
-			}
-			vecs[r][gi-lo]++
-		}
-	})
-	return ranks.Items(), vecs
 }
 
 // generateFromSets is the Apriori join+prune over a sorted level of

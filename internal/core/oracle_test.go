@@ -699,7 +699,7 @@ func TestDifferentialOracle(t *testing.T) {
 		m := backendMatrix[2+c%(len(backendMatrix)-2)]
 		cfg := d.cfg
 		cfg.Backend, cfg.Workers = m.backend, m.workers
-		ht, err := buildHoldTable(context.Background(), d.tbl, cfg, c%6, maxVerticalItems)
+		ht, err := buildHoldTable(context.Background(), d.tbl, cfg, c%6, apriori.MaxVerticalItems)
 		if err != nil {
 			t.Fatalf("case %d %v/w%d row-blocked: %v", c, m.backend, m.workers, err)
 		}

@@ -17,24 +17,6 @@ import (
 // and each granule is decided on the kernel that is cheap for it. See
 // DESIGN §"The level-2 pair decision".
 
-// maxPairCells caps the triangle's counter scratch, summed over workers:
-// 64 MiB of int32 cells, a whole triangle for up to 5 793 L1 items on one
-// worker. Past it the horizontal route scans once per block of rows
-// instead of allocating m(m-1)/2 cells.
-const maxPairCells = 1 << 24
-
-// maxVerticalItems is the route crossover. A granule in which f of the
-// L1 items are frequent costs the vertical kernel f(f-1)/2 intersections
-// of its rows/64 words, and the triangle a dispatch per basket plus the
-// basket's local pairs and a sweep of its cells. The second grows with
-// f more slowly, so past the crossover a granule goes to the triangle.
-// Calibrated on the year × 300 tx/day Quest table at day, week and
-// month granularity, supports 0.03–0.08 (EXPERIMENTS E11h): a day at
-// 0.04 has f ≈ 84 and takes the vertical kernel; month and week at 0.03
-// have f ≈ 150–180 and stay on the triangle, where an all-vertical
-// build ran 33 % slower.
-const maxVerticalItems = 112
-
 // pairRoutes counts the granules each route decided. Granules where
 // fewer than two L1 items are frequent hold no frequent pair and take
 // neither.
@@ -63,10 +45,8 @@ type pairRoutes struct{ vertical, horizontal int }
 // before using the result.
 func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, counter *apriori.SliceCounter, ranks *itemset.Ranks, workers, pairCells, verticalItems int) ([]itemset.Set, pairRoutes) {
 	m := ranks.Len()
-	rowStart := make([]int, m+1)
-	for i := 0; i < m; i++ {
-		rowStart[i+1] = rowStart[i] + m - 1 - i
-	}
+	tri := apriori.NewPairTriangle(ranks)
+	rowStart := tri.RowStart
 	// A mark saturates at the floor, capped at what a uint16 holds: a
 	// floor above the cap is still applied exactly, by the keep loop.
 	sat := uint16(min(h.floor, math.MaxUint16))
@@ -92,7 +72,7 @@ func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, 
 		h.markVertical(ctx, ix, bounds, local, vertical, rowStart, marks, sat, workers)
 	}
 	if len(horizontal) > 0 {
-		h.markHorizontal(ctx, slices, ranks, horizontal, rowStart, marks, sat, workers, pairCells)
+		h.markHorizontal(ctx, slices, tri, horizontal, marks, sat, workers, pairCells)
 	}
 
 	n := 0
@@ -224,60 +204,39 @@ func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, b
 
 // markHorizontal is the horizontal route: the triangle scan over its
 // granules. When the triangle exceeds pairCells its rows are split into
-// blocks that fit and the granules are scanned once per block.
-func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, granules []int, rowStart []int, marks []uint16, sat uint16, workers, pairCells int) {
-	m := ranks.Len()
+// blocks that fit (apriori.PairTriangle.RowBlocks) and the granules are
+// scanned once per block.
+func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source, tri *apriori.PairTriangle, granules []int, marks []uint16, sat uint16, workers, pairCells int) {
 	perWorker := pairCells / len(apriori.Blocks(len(granules), workers))
-	for r0 := 0; r0 < m-1 && ctx.Err() == nil; {
-		r1 := r0 + 1
-		for r1 < m-1 && rowStart[r1+1]-rowStart[r0] <= perWorker {
-			r1++
+	for _, rows := range tri.RowBlocks(perWorker) {
+		if ctx.Err() != nil {
+			return
 		}
-		rowMarks := marks[rowStart[r0]:rowStart[r1]]
+		r0, r1 := rows[0], rows[1]
+		rowMarks := marks[tri.RowStart[r0]:tri.RowStart[r1]]
 		shardMarks(granules, workers, rowMarks, sat, func(granules []int, marks []uint16) {
-			h.markPairRows(ctx, slices, ranks, rowStart, r0, r1, granules, marks, sat)
+			h.markPairRows(ctx, slices, tri, r0, r1, granules, marks, sat)
 		})
-		r0 = r1
 	}
 }
 
 // markPairRows is one scan of the horizontal route: it counts the pairs
-// whose lower rank lies in rows [r0, r1) over the given granules and
-// adds one to marks[cell - rowStart[r0]], saturating at sat, for each
-// pair that reaches a granule's threshold. The flush sweeps the whole array: at these sizes that
-// beats keeping a list of touched cells, whose bookkeeping sits on the
-// increment path. Filtering a basket down to its granule's local items
-// was measured too, and cost as much as the increments it saved.
-// Cancellation is sampled at each granule.
-func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, ranks *itemset.Ranks, rowStart []int, r0, r1 int, granules []int, marks []uint16, sat uint16) {
-	base := rowStart[r0]
-	cells := make([]int32, rowStart[r1]-base)
-	var txRanks []int
-	each := func(tx itemset.Set) {
-		txRanks = txRanks[:0]
-		for _, x := range tx {
-			if r := ranks.Rank(x); r >= 0 {
-				txRanks = append(txRanks, r)
-			}
-		}
-		for a, i := range txRanks {
-			if i < r0 {
-				continue
-			}
-			if i >= r1 {
-				break
-			}
-			row := cells[rowStart[i]-base : rowStart[i+1]-base]
-			for _, j := range txRanks[a+1:] {
-				row[j-i-1]++
-			}
-		}
-	}
+// whose lower rank lies in rows [r0, r1) over the given granules, with
+// the triangle kernel the whole-table miner uses, and adds one to
+// marks[cell - RowStart[r0]], saturating at sat, for each pair that
+// reaches a granule's threshold. The flush sweeps the whole array: at
+// these sizes that beats keeping a list of touched cells, whose
+// bookkeeping sits on the increment path. Filtering a basket down to
+// its granule's local items was measured too, and cost as much as the
+// increments it saved. Cancellation is sampled at each granule.
+func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, tri *apriori.PairTriangle, r0, r1 int, granules []int, marks []uint16, sat uint16) {
+	cells := make([]int32, tri.RowStart[r1]-tri.RowStart[r0])
+	add := tri.Adder(r0, r1, cells)
 	for _, gi := range granules {
 		if ctx.Err() != nil {
 			return
 		}
-		slices[gi].ForEach(each)
+		slices[gi].ForEach(add)
 		thr := int32(h.MinCounts[gi])
 		for c, v := range cells {
 			if v >= thr && marks[c] < sat {

@@ -95,8 +95,8 @@ func TestPairRoutesAgree(t *testing.T) {
 		if err != nil {
 			continue // every granule inactive: no build to compare
 		}
-		pairCells := []int{maxPairCells, 10, 0}[r.Intn(3)]
-		for _, threshold := range []int{0, maxVerticalItems, math.MaxInt} {
+		pairCells := []int{apriori.MaxPairCells, 10, 0}[r.Intn(3)]
+		for _, threshold := range []int{0, apriori.MaxVerticalItems, math.MaxInt} {
 			for _, workers := range []int{1, 2, 3, 8} {
 				label := fmt.Sprintf("seed %d threshold %d workers %d pairCells %d", seed, threshold, workers, pairCells)
 				got := cfg
@@ -137,7 +137,7 @@ func TestPairRoutesOnlyOnTheFlatIndex(t *testing.T) {
 		trace := obs.NewTrace("")
 		cfg := Config{Granularity: timegran.Day, MinSupport: 0.1, MinConfidence: 0.5, MinFreq: 0.8,
 			Backend: backend, Workers: 2, Tracer: trace}
-		if _, err := buildHoldTable(bg, tbl, cfg, maxPairCells, math.MaxInt); err != nil {
+		if _, err := buildHoldTable(bg, tbl, cfg, apriori.MaxPairCells, math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
 		if sum := obs.Summarize(trace.Tree()); sum.PairVertical != 0 || sum.PairHorizontal == 0 {

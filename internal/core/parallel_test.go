@@ -82,8 +82,8 @@ func TestQuickParallelBuildEquivalent(t *testing.T) {
 		// universe (28 cells), for part of it, or for a row at a time.
 		mcfg.Backend = []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring}[r.Intn(3)]
 		mcfg.Workers = 1 + r.Intn(7)
-		pairCells := []int{maxPairCells, 10, 0}[r.Intn(3)]
-		par, err := buildHoldTable(context.Background(), tbl, mcfg, pairCells, maxVerticalItems)
+		pairCells := []int{apriori.MaxPairCells, 10, 0}[r.Intn(3)]
+		par, err := buildHoldTable(context.Background(), tbl, mcfg, pairCells, apriori.MaxVerticalItems)
 		if err != nil {
 			return false
 		}

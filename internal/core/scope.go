@@ -151,6 +151,15 @@ func (c *HoldCache) ScopeOf(tbl *tdb.TxTable, cfg Config) (info ScopeInfo, ok bo
 	return ScopeInfo{Floor: h.floor, Cover: cfg.Scope.feature, Counted: h.NActive}, true
 }
 
+// ResolvedScope reports the scope h's build applied — what ScopeOf
+// predicts, read off the table: ok is false for an unscoped table.
+func (h *HoldTable) ResolvedScope() (info ScopeInfo, ok bool) {
+	if h.Cfg.Scope.task == "" {
+		return ScopeInfo{}, false
+	}
+	return ScopeInfo{Floor: h.floor, Cover: h.Cfg.Scope.feature, Counted: h.NActive}, true
+}
+
 // scopeErr is the refusal of a refresh on a scoped table: it lacks the
 // itemsets below its floor (and DURING's uncovered granules) that a
 // refresh would need, so the caller rebuilds.

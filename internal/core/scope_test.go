@@ -193,7 +193,7 @@ func TestScopedBuildEmitsSameRules(t *testing.T) {
 	backends := []apriori.Backend{apriori.BackendNaive, apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring, apriori.BackendAuto}
 	workers := []int{1, 2, 4}
 	routes := []struct{ pairCells, verticalItems int }{
-		{maxPairCells, maxVerticalItems}, {maxPairCells, 0}, {10, math.MaxInt}, {1, 0},
+		{apriori.MaxPairCells, apriori.MaxVerticalItems}, {apriori.MaxPairCells, 0}, {10, math.MaxInt}, {1, 0},
 	}
 	cell, raised, emitted := 0, 0, 0
 	for _, g := range grid {
@@ -377,7 +377,7 @@ func TestScopeMarksSaturate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, route := range []struct{ pairCells, verticalItems int }{{maxPairCells, maxVerticalItems}, {maxPairCells, 0}} {
+	for _, route := range []struct{ pairCells, verticalItems int }{{apriori.MaxPairCells, apriori.MaxVerticalItems}, {apriori.MaxPairCells, 0}} {
 		for _, workers := range []int{1, 4} {
 			cfg := Config{Granularity: timegran.Hour, MinSupport: 0.5, MinConfidence: 0.5, MinFreq: 1,
 				Backend: apriori.BackendBitmap, Workers: workers, Scope: DuringScope(always)}

@@ -401,16 +401,7 @@ func (t *TxTable) RangeSource(g timegran.Granularity, iv timegran.Interval) apri
 	t.rlockSorted()
 	i, j := t.rowRange(g, iv)
 	t.mu.RUnlock()
-	return apriori.FuncSource{
-		N: j - i,
-		Scan: func(fn func(tx itemset.Set)) {
-			t.mu.RLock()
-			defer t.mu.RUnlock()
-			for _, r := range t.rows[i:j] {
-				fn(t.items(r))
-			}
-		},
-	}
+	return t.rowSource(i, j)
 }
 
 // GranuleSource exposes a single granule's transactions.
@@ -419,14 +410,38 @@ func (t *TxTable) GranuleSource(g timegran.Granularity, n timegran.Granule) apri
 }
 
 // All exposes the entire table as a mining source (the traditional,
-// time-agnostic view).
+// time-agnostic view). Like RangeSource it fixes its row range when it
+// is created: every scan delivers the rows its Len reports, however
+// many are appended meanwhile. A late append that re-sorts the table
+// shifts rows across that range, as it does across a RangeSource's.
 func (t *TxTable) All() apriori.Source {
+	return t.AllBlocks(1)[0]
+}
+
+// AllBlocks is All cut into at most n contiguous row blocks of even
+// length (apriori.Blocks), from one reading of the row count: laid end
+// to end they are All's rows, in its order, so a miner can count them
+// block by block on n workers.
+func (t *TxTable) AllBlocks(n int) apriori.Slices {
+	t.rlockSorted()
+	rows := len(t.rows)
+	t.mu.RUnlock()
+	blocks := apriori.Blocks(rows, n)
+	out := make(apriori.Slices, len(blocks))
+	for b, blk := range blocks {
+		out[b] = t.rowSource(blk[0], blk[1])
+	}
+	return out
+}
+
+// rowSource exposes rows [i, j) of the sorted table as a mining source.
+func (t *TxTable) rowSource(i, j int) apriori.Source {
 	return apriori.FuncSource{
-		N: t.Len(),
+		N: j - i,
 		Scan: func(fn func(tx itemset.Set)) {
 			t.rlockSorted()
 			defer t.mu.RUnlock()
-			for _, r := range t.rows {
+			for _, r := range t.rows[i:j] {
 				fn(t.items(r))
 			}
 		},

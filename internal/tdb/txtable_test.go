@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -91,6 +92,68 @@ func TestTxTableGranuleSources(t *testing.T) {
 	all := tbl.All()
 	if all.Len() != 5 {
 		t.Errorf("All has %d", all.Len())
+	}
+}
+
+// TestTxTableAllFixesItsRows: All() scans the rows it counted when it
+// was created, as RangeSource does, so an append between two scans of
+// one All() changes neither its Len nor what either scan delivers.
+func TestTxTableAllFixesItsRows(t *testing.T) {
+	tbl := buildTxTable(t)
+	all := tbl.All()
+	scan := func() []string {
+		var txs []string
+		all.ForEach(func(tx itemset.Set) { txs = append(txs, tx.String()) })
+		return txs
+	}
+	first := scan()
+	dayTx(t, tbl, 2024, time.March, 1, 5, 6)
+	second := scan()
+	if all.Len() != 5 || len(first) != 5 || len(second) != 5 {
+		t.Fatalf("All() over 5 rows, one appended after the first scan: Len %d, scans %d and %d rows, want 5 each", all.Len(), len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("scan 2 row %d = %s, scan 1 had %s", i, second[i], first[i])
+		}
+	}
+	if n := tbl.All().Len(); n != 6 {
+		t.Errorf("a new All() has %d rows, want 6", n)
+	}
+}
+
+// TestTxTableAllBlocks: AllBlocks(n) cuts All()'s rows into at most n
+// contiguous blocks from one reading of the row count — laid end to end
+// they are All()'s rows in order, at any n, and a later append moves
+// none of them.
+func TestTxTableAllBlocks(t *testing.T) {
+	tbl := buildTxTable(t)
+	rows := func(src apriori.Source) []string {
+		var txs []string
+		src.ForEach(func(tx itemset.Set) { txs = append(txs, tx.String()) })
+		return txs
+	}
+	want := rows(tbl.All())
+	cuts := map[int]apriori.Slices{}
+	for _, n := range []int{0, 1, 2, 3, 5, 8} {
+		cuts[n] = tbl.AllBlocks(n)
+	}
+	dayTx(t, tbl, 2024, time.March, 1, 5, 6)
+	for n, blocks := range cuts {
+		if len(blocks) > max(n, 1) || blocks.Len() != len(want) {
+			t.Fatalf("AllBlocks(%d): %d blocks over %d rows, want at most %d over %d", n, len(blocks), blocks.Len(), max(n, 1), len(want))
+		}
+		var got []string
+		for b, blk := range blocks {
+			part := rows(blk)
+			if len(part) != blk.Len() || len(part) == 0 && len(blocks) > 1 {
+				t.Fatalf("AllBlocks(%d) block %d: Len %d, scan %d rows", n, b, blk.Len(), len(part))
+			}
+			got = append(got, part...)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("AllBlocks(%d) rows %v, want %v", n, got, want)
+		}
 	}
 }
 

@@ -115,7 +115,7 @@ func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisq
 		Workers:       e.Workers,
 		Tracer:        tr,
 	}
-	root, err := e.buildPlan(tbl, stmt, cfg)
+	root, err := e.buildPlan(tbl, stmt, cfg, false)
 	var out any
 	if err == nil {
 		out, err = plan.Execute(ctx, root, tr)
@@ -297,7 +297,7 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 		Backend:       e.Backend,
 		Workers:       e.Workers,
 	}
-	if root, err := e.buildPlan(tbl, stmt, cfg); err != nil {
+	if root, err := e.buildPlan(tbl, stmt, cfg, true); err != nil {
 		add("plan", "(unavailable: "+err.Error()+")")
 	} else {
 		for _, line := range plan.Explain(root) {

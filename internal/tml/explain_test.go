@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tarm-project/tarm/internal/apriori"
+	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
 )
 
@@ -158,6 +160,74 @@ func TestExplainScopeRows(t *testing.T) {
 	for _, stmt := range []string{periods, during} {
 		if row := holdRow(cached, stmt); strings.Contains(row, "floor=") || strings.Contains(row, "cover=") {
 			t.Errorf("cached executor: hold node %q shows a scope it does not apply", row)
+		}
+	}
+}
+
+// TestExplainRulesLevel2Route: a whole-table MINE RULES decides level 2
+// on the route a hold-table build's granule would take, and its pass:L2
+// span says which — pair_granules_vertical or _horizontal 1, the whole
+// table as the one granule — as a build's span does; EXPLAIN's observed
+// rows read it back. The fixture's few frequent items keep the flat
+// bitmap backend under the crossover, so it intersects; the hash tree
+// counts the triangle; the naive reference counts the join and takes
+// neither. The pass still reports the whole join as counted, and names
+// the backend that counts the levels above it.
+func TestExplainRulesLevel2Route(t *testing.T) {
+	const stmt = `MINE RULES FROM baskets THRESHOLD SUPPORT 0.1 CONFIDENCE 0.5`
+	var find func(ns []*obs.SpanNode, name string) *obs.SpanNode
+	find = func(ns []*obs.SpanNode, name string) *obs.SpanNode {
+		for _, n := range ns {
+			if n.Name == name {
+				return n
+			}
+			if m := find(n.Children, name); m != nil {
+				return m
+			}
+		}
+		return nil
+	}
+	for _, c := range []struct {
+		backend              apriori.Backend
+		workers              int
+		vertical, horizontal string
+		level2Line           string
+	}{
+		{apriori.BackendBitmap, 2, "1", "", "1 vertical, 0 horizontal"},
+		{apriori.BackendHashTree, 1, "", "1", "0 vertical, 1 horizontal"},
+		{apriori.BackendRoaring, 2, "", "1", "0 vertical, 1 horizontal"},
+		{apriori.BackendNaive, 2, "", "", "0 vertical, 0 horizontal"},
+	} {
+		s := NewSession(fixtureDB(t))
+		s.TML.Backend, s.TML.Workers = c.backend, c.workers
+		if _, err := s.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+		l2 := find(s.TML.Last("baskets").Tree(), "pass:L2")
+		if l2 == nil {
+			t.Fatalf("%v: no pass:L2 span", c.backend)
+		}
+		if got := l2.Attrs[obs.MetricPairGranulesVertical]; got != c.vertical {
+			t.Errorf("%v: pass:L2 %s = %q, want %q", c.backend, obs.MetricPairGranulesVertical, got, c.vertical)
+		}
+		if got := l2.Attrs[obs.MetricPairGranulesHorizontal]; got != c.horizontal {
+			t.Errorf("%v: pass:L2 %s = %q, want %q", c.backend, obs.MetricPairGranulesHorizontal, got, c.horizontal)
+		}
+		if l2.Attrs["backend"] != c.backend.String() || l2.Attrs["counted"] != l2.Attrs["generated"] {
+			t.Errorf("%v: pass:L2 attrs %v, want backend %v and the whole join counted", c.backend, l2.Attrs, c.backend)
+		}
+		res, err := s.Exec("EXPLAIN " + stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var line string
+		for _, row := range res.Rows {
+			if row[0].AsString() == "observed: level-2 granules" {
+				line = row[1].AsString()
+			}
+		}
+		if line != c.level2Line {
+			t.Errorf("%v: observed level-2 granules %q, want %q", c.backend, line, c.level2Line)
 		}
 	}
 }

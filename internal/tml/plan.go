@@ -74,8 +74,9 @@ func taskTitle(stmt *MineStmt) string {
 // work is a read-only cache probe and the table's span lookup. The
 // traditional task has no hold acquisition (Apriori mines the flat
 // transaction set); HISTORY resolves its rule spec here, so a bad rule
-// fails at plan time.
-func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) (*plan.Node, error) {
+// fails at plan time. explain is set for a plan that is only printed
+// (see holdNode).
+func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, explain bool) (*plan.Node, error) {
 	key := taskKey(stmt)
 	if key == "" {
 		return nil, fmt.Errorf("tml: unknown target %v", stmt.Target)
@@ -120,7 +121,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 
 	case obs.TaskDuring:
 		cfg.Scope = core.DuringScope(stmt.During)
-		hold := e.holdNode(tbl, cfg, scan)
+		hold := e.holdNode(tbl, cfg, scan, explain)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.MineDuringFromTableContext(ctx, in.(*core.HoldTable), stmt.During)
 		}}
@@ -139,7 +140,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 	case obs.TaskPeriods:
 		pcfg := core.PeriodConfig{MinLen: stmt.MinLength}
 		cfg.Scope = core.PeriodsScope(pcfg)
-		hold := e.holdNode(tbl, cfg, scan)
+		hold := e.holdNode(tbl, cfg, scan, explain)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.MineValidPeriodsFromTableContext(ctx, in.(*core.HoldTable), pcfg)
 		}}
@@ -158,7 +159,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 	case obs.TaskCycles:
 		ccfg := core.CycleConfig{MaxLen: stmt.MaxLength, MinReps: stmt.MinReps}
 		cfg.Scope = core.CyclesScope(ccfg)
-		hold := e.holdNode(tbl, cfg, scan)
+		hold := e.holdNode(tbl, cfg, scan, explain)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.MineCyclesFromTableContext(ctx, in.(*core.HoldTable), ccfg)
 		}}
@@ -176,7 +177,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 	case obs.TaskCalendars:
 		ccfg := core.CycleConfig{MinReps: stmt.MinReps}
 		cfg.Scope = core.CalendarsScope(ccfg)
-		hold := e.holdNode(tbl, cfg, scan)
+		hold := e.holdNode(tbl, cfg, scan, explain)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.MineCalendarPeriodicitiesFromTableContext(ctx, in.(*core.HoldTable), ccfg)
 		}}
@@ -196,7 +197,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 		// Count exactly as deep as the rule needs; a cached table built
 		// deeper (or unbounded) still serves this via the coverage check.
 		cfg.MaxK = ante.Union(cons).Len()
-		hold := e.holdNode(tbl, cfg, scan)
+		hold := e.holdNode(tbl, cfg, scan, explain)
 		mine := &plan.Node{Op: plan.MineOp(key), Input: hold, Run: func(ctx context.Context, in any) (any, error) {
 			return core.RuleHistoryFromTableContext(ctx, in.(*core.HoldTable), ante, cons)
 		}}
@@ -223,8 +224,10 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config) 
 // annotation is advisory while the execution is always coherent with
 // concurrent statements. cfg carries the task's scope; when the build
 // applies it (no cache), the node shows its floor and, for DURING, the
-// feature and the granules counted.
-func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node) *plan.Node {
+// feature and the granules counted. A plan that is only explained
+// resolves the scope with HoldCache.ScopeOf; one that runs reports the
+// build's own resolution on its span, so the table header is made once.
+func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node, explain bool) *plan.Node {
 	mode := e.Cache.Probe(tbl, cfg)
 	op := plan.OpCachedHold
 	if mode == "build" {
@@ -239,17 +242,38 @@ func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node)
 	if cfg.MaxK > 0 {
 		n.With("max_size", fmt.Sprint(cfg.MaxK))
 	}
-	if sc, ok := e.Cache.ScopeOf(tbl, cfg); ok {
-		n.With("floor", fmt.Sprint(sc.Floor))
-		if sc.Cover != nil {
-			n.With("cover", sc.Cover.String()).
-				With("counted_granules", fmt.Sprint(sc.Counted))
+	if explain {
+		if sc, ok := e.Cache.ScopeOf(tbl, cfg); ok {
+			for _, kv := range scopeDetails(sc) {
+				n.With(kv.Key, kv.Val)
+			}
 		}
 	}
 	n.Run = func(ctx context.Context, in any) (any, error) {
-		return e.Cache.GetContext(ctx, in.(*tdb.TxTable), cfg)
+		h, err := e.Cache.GetContext(ctx, in.(*tdb.TxTable), cfg)
+		if err == nil {
+			if sc, ok := h.ResolvedScope(); ok {
+				t := obs.TraceFromContext(ctx)
+				for _, kv := range scopeDetails(sc) {
+					t.SetAttr(kv.Key, kv.Val)
+				}
+			}
+		}
+		return h, err
 	}
 	return n
+}
+
+// scopeDetails is a resolved scope's EXPLAIN details, in order: the
+// floor and, for DURING, the feature and the granules counted.
+func scopeDetails(sc core.ScopeInfo) []plan.KV {
+	kvs := []plan.KV{{Key: "floor", Val: fmt.Sprint(sc.Floor)}}
+	if sc.Cover != nil {
+		kvs = append(kvs,
+			plan.KV{Key: "cover", Val: sc.Cover.String()},
+			plan.KV{Key: "counted_granules", Val: fmt.Sprint(sc.Counted)})
+	}
+	return kvs
 }
 
 // render ends a plan over typed results R: a limit operator when the
