@@ -531,7 +531,7 @@ func BenchmarkTaskMiners(b *testing.B) {
 		b.Fatal(err)
 	}
 	candidates := 0
-	h.EachRuleCandidate(func(core.RuleCandidate) bool { candidates++; return true })
+	h.EachRuleCandidate(1, nil, func(core.RuleCandidate) bool { candidates++; return true })
 	periods03, err := core.MineValidPeriodsFromTableContext(ctx, h03, core.PeriodConfig{})
 	if err != nil {
 		b.Fatal(err)

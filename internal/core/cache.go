@@ -527,12 +527,12 @@ func (h *HoldTable) withCfg(cfg Config) *HoldTable {
 
 // MemBytes estimates the resident heap size of the hold table: the
 // per-granule count vectors dominate (4 bytes × itemsets × granules),
-// plus the frequency words (one bit per granule), per-itemset
-// key/slice/map overhead and the per-granule scaffolding. It is the
-// sizing unit of the HoldCache budget.
+// plus the frequency words (one bit per granule), the itemset itself,
+// its slots in the level slices and the per-granule scaffolding. It is
+// the sizing unit of the HoldCache budget.
 func (h *HoldTable) MemBytes() int64 {
-	// Map entry, key string header+bytes, count-slice header, ByK slot.
-	const perItemset = 96
+	// The ByK slot and the count-vector slot, one slice header each.
+	const perItemset = 48
 	n := int64(h.NGranules())
 	freqBytes := 8 * int64(len(h.Active))
 	var itemBytes int64
@@ -547,10 +547,10 @@ func (h *HoldTable) MemBytes() int64 {
 // produce, without rescanning any data: per-granule thresholds are
 // recomputed, every stored level is filtered through them, and the
 // level-wise stopping rule is replayed so the ByK structure matches a
-// cold build level for level. Count vectors are shared with h, never
-// copied. An itemset's filter visits only the granules its stored
-// frequency words name, so a re-threshold costs the frequent cells, not
-// the span.
+// cold build level for level. Count vectors are shared with h by
+// position, never copied. An itemset's filter visits only the granules
+// its stored frequency words name, so a re-threshold costs the frequent
+// cells, not the span.
 //
 // The monotonicity argument: per-granule counts do not depend on the
 // thresholds, and an itemset frequent in granule g at the higher
@@ -603,7 +603,7 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 		NActive:   h.NActive,
 		ByK:       [][]itemset.Set{nil},
 		freq:      [][]uint64{nil},
-		counts:    make(map[string][]int32),
+		vecs:      [][][]int32{nil},
 		floor:     h.floor,
 	}
 	for gi, txc := range nh.TxCounts {
@@ -620,15 +620,15 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 	thr := nh.thresholds()
 	fw := make([]uint64, len(h.Active))
 	var words []uint64
-	filter := func(k int) (level []itemset.Set, err error) {
+	filter := func(k int) (level []itemset.Set, vecs [][]int32, err error) {
 		words = words[:0]
 		for i, s := range h.ByK[k] {
 			if i > 0 && i%keepCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
-			v := h.countsOf(s)
+			v := h.vecs[k][i]
 			found := 0
 			for wi, w := range h.levelFreq(k, i) {
 				var nw uint64
@@ -645,16 +645,16 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 			if found >= nh.floor {
 				level = append(level, s)
 				words = append(words, fw...)
-				nh.counts[s.Key()] = v
+				vecs = append(vecs, v)
 			}
 		}
-		return level, nil
+		return level, vecs, nil
 	}
-	l1, err := filter(1)
+	l1, vecs, err := filter(1)
 	if err != nil {
 		return nil, err
 	}
-	nh.appendLevel(l1, words)
+	nh.appendLevel(l1, words, vecs)
 	// Higher levels replay the cold build's loop: stop where it would
 	// stop (thin level, empty join, MaxK), append an empty level where
 	// it would count candidates and find none. A stored k-level can
@@ -667,7 +667,7 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 	// run only to tell "counted, none frequent" from "nothing to count".
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK) && k < len(h.ByK); k++ {
-		level, err := filter(k)
+		level, vecs, err := filter(k)
 		if err != nil {
 			return nil, err
 		}
@@ -680,7 +680,7 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 				break
 			}
 		}
-		nh.appendLevel(level, words)
+		nh.appendLevel(level, words, vecs)
 		prev = level
 	}
 	if tr := cfg.tracer(); tr.Enabled() {

@@ -63,7 +63,7 @@ func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleCon
 	for _, c := range classes {
 		maskOf[c.cycle] = c.mask
 	}
-	return emitRules(ctx, h, obs.TaskCycles, cyclicCmp, func(out []CyclicRule, rc RuleCandidate, hold []uint64) []CyclicRule {
+	return emitRules(ctx, h, obs.TaskCycles, cyclesFloor(classes, h.NActive), nil, cyclicCmp, func(out []CyclicRule, rc RuleCandidate, hold []uint64) []CyclicRule {
 		for _, cyc := range FilterRedundantCycles(detectCycles(hold, classes)) {
 			if tr, ok := h.featureRule(rc, hold, cyc, maskOf[cyc]); ok {
 				out = append(out, CyclicRule{TemporalRule: tr, Cycle: cyc})
@@ -276,7 +276,7 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 
 	classes := h.calendarClasses(fields, ccfg.MinReps)
 	inClass := make([]uint64, len(h.Active)) // the qualifying values' granules, per candidate and field
-	return emitRules(ctx, h, obs.TaskCalendars, calendarCmp, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
+	return emitRules(ctx, h, obs.TaskCalendars, calendarsFloor(classes, h.NActive), nil, calendarCmp, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
 		nHold := popcount(hold)
 		for fi, f := range fields {
 			var ranges []timegran.FieldRange

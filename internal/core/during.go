@@ -17,17 +17,44 @@ import (
 // fine enough to stop a large enumeration promptly.
 const cancelStride = 256
 
-// ruleCandidateLoop runs fn for every rule candidate of h, sampling
-// ctx every cancelStride candidates, and returns ctx.Err() when the
-// enumeration stopped on cancellation.
-func ruleCandidateLoop(ctx context.Context, h *HoldTable, fn func(rc RuleCandidate)) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// floorless, set only by tests, makes every operator enumerate at
+// floor 1: the reference its enumeration floor is held to.
+var floorless bool
+
+// emitRules is the scaffold shared by the rule-emitting task operators.
+// Under a task:<task> span it hands every rule candidate whose full
+// itemset is frequent in at least floor granules of mask (of the span
+// when mask is nil) — with its hold sequence — to detect, the only
+// per-task part: which features the sequence yields, each turned into a
+// rule by featureRule and appended to out. floor is the least number of
+// holding granules any of the task's detectors accepts there, from the
+// function Scope.resolve applies to a scoped build, so an itemset below
+// it is skipped before any of its rules is formed (EachRuleCandidate).
+// hold is one scratch vector refilled per candidate, valid only during
+// the detect call, as are the candidate's antecedent and consequent.
+// ctx is sampled every cancelStride candidates. The collected rules are
+// sorted by cmp and counted as rules_emitted, beside the candidates
+// formed, the itemsets skipped and the floor.
+func emitRules[R any](ctx context.Context, h *HoldTable, task string, floor int, mask []uint64, cmp func(a, b R) int,
+	detect func(out []R, rc RuleCandidate, hold []uint64) []R) ([]R, error) {
+	tr := h.Cfg.tracer()
+	if tr.Enabled() {
+		tr.StartTask(obs.TaskSpan(task))
+		defer tr.EndTask()
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if floorless {
+		floor = 1
+	}
+	var out []R
+	hold := make([]uint64, len(h.Active))
+	conf := h.confTest()
 	done := ctx.Done()
 	seen := 0
 	cancelled := false
-	h.EachRuleCandidate(func(rc RuleCandidate) bool {
+	formed, skipped := h.EachRuleCandidate(floor, mask, func(rc RuleCandidate) bool {
 		if seen++; done != nil && seen%cancelStride == 0 {
 			select {
 			case <-done:
@@ -36,40 +63,18 @@ func ruleCandidateLoop(ctx context.Context, h *HoldTable, fn func(rc RuleCandida
 			default:
 			}
 		}
-		fn(rc)
+		h.holds(rc, hold, conf)
+		out = detect(out, rc, hold)
 		return true
 	})
 	if cancelled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// emitRules is the scaffold shared by the rule-emitting task operators.
-// Under a task:<task> span it hands every rule candidate that is
-// granule-frequent somewhere, with its hold sequence, to detect — the
-// only per-task part: which features the sequence yields, each turned
-// into a rule by featureRule and appended to out. hold is one scratch
-// vector refilled per candidate, valid only during the detect call, as
-// are the candidate's antecedent and consequent. The collected rules are
-// sorted by cmp and counted as rules_emitted.
-func emitRules[R any](ctx context.Context, h *HoldTable, task string, cmp func(a, b R) int,
-	detect func(out []R, rc RuleCandidate, hold []uint64) []R) ([]R, error) {
-	if tr := h.Cfg.tracer(); tr.Enabled() {
-		tr.StartTask(obs.TaskSpan(task))
-		defer tr.EndTask()
-	}
-	var out []R
-	hold := make([]uint64, len(h.Active))
-	err := ruleCandidateLoop(ctx, h, func(rc RuleCandidate) {
-		h.Holds(rc, hold)
-		out = detect(out, rc, hold)
-	})
-	if err != nil {
-		return nil, err
+		return nil, ctx.Err()
 	}
 	slices.SortFunc(out, cmp)
-	h.Cfg.tracer().Counter(obs.MetricRulesEmitted, int64(len(out)))
+	tr.Counter(obs.MetricRulesEmitted, int64(len(out)))
+	tr.Counter(obs.MetricRuleCandidates, int64(formed))
+	tr.Counter(obs.MetricItemsetsBelowFloor, int64(skipped))
+	tr.Gauge(obs.MetricTaskFloor, float64(floor))
 	return out, nil
 }
 
@@ -103,7 +108,7 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 	}
 	minHold := ceilCount(h.Cfg.MinFreq, nFeature)
 
-	return emitRules(ctx, h, obs.TaskDuring, temporalRuleCmp, func(out []TemporalRule, rc RuleCandidate, hold []uint64) []TemporalRule {
+	return emitRules(ctx, h, obs.TaskDuring, minHold, inFeature, temporalRuleCmp, func(out []TemporalRule, rc RuleCandidate, hold []uint64) []TemporalRule {
 		if apriori.AndCount(inFeature, hold) < minHold {
 			return out
 		}

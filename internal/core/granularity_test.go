@@ -129,7 +129,7 @@ func TestQuickFeatureRuleMatchesBruteForce(t *testing.T) {
 		apriori.AndInto(keep, keep, h.Active)
 		hold := make([]uint64, len(h.Active))
 		okAll := true
-		h.EachRuleCandidate(func(rc RuleCandidate) bool {
+		h.EachRuleCandidate(1, nil, func(rc RuleCandidate) bool {
 			h.Holds(rc, hold)
 			got, ok := h.featureRule(rc, hold, timegran.Always{}, keep)
 			// Brute force over the raw transactions, granule by granule.

@@ -25,12 +25,13 @@ type GranuleStat struct {
 // only in summer?"). ok is false when the rule's itemset is not
 // granule-frequent anywhere — then no counts were retained.
 func (h *HoldTable) History(rc RuleCandidate) ([]GranuleStat, bool) {
-	if rc.Freq = h.freqOf(rc.Full); rc.Freq == nil {
+	rc, ok := h.candidate(rc.Ante, rc.Cons)
+	if !ok {
 		return nil, false
 	}
 	hold := make([]uint64, len(h.Active))
 	h.Holds(rc, hold)
-	fullCounts, anteCounts := h.countsOf(rc.Full), h.countsOf(rc.Ante)
+	fullCounts, anteCounts := rc.full, rc.ante
 	out := make([]GranuleStat, h.NGranules())
 	for gi := range out {
 		s := GranuleStat{

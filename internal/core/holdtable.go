@@ -47,7 +47,10 @@ type HoldTable struct {
 	// Maintain, Rethreshold) and never again per rule candidate.
 	freq [][]uint64
 
-	counts map[string][]int32
+	// vecs[k] holds the per-granule count vectors of ByK[k], in ByK
+	// order: an itemset's vector is found by the same search as its
+	// frequency words, and a level's producer appends both.
+	vecs [][][]int32
 
 	// floor is the least number of granules a kept itemset is frequent
 	// in: 1 unless Cfg.Scope raised it (Scope.resolve).
@@ -90,14 +93,31 @@ func (h *HoldTable) thresholds() []int32 {
 // not granule-frequent. The slice is shared: callers must not modify.
 func (h *HoldTable) Counts(s itemset.Set) []int32 { return h.countsOf(s) }
 
-// countsOf looks up s's count vector without allocating the key
-// string: the encoded key lives in a stack buffer and the map access
-// compiles to an allocation-free probe. The rule-enumeration loops
-// perform several lookups per candidate rule, which made Key() the
-// top allocator of the post-counting phase.
+// countsOf is Counts: s's count vector, by one search in its level.
 func (h *HoldTable) countsOf(s itemset.Set) []int32 {
-	var a [64]byte
-	return h.counts[string(s.AppendKey(a[:0]))]
+	if i, ok := h.find(s); ok {
+		return h.vecs[len(s)][i]
+	}
+	return nil
+}
+
+// freqOf returns s's frequency words, or nil when s is not
+// granule-frequent, by the same search as countsOf.
+func (h *HoldTable) freqOf(s itemset.Set) []uint64 {
+	if i, ok := h.find(s); ok {
+		return h.levelFreq(len(s), i)
+	}
+	return nil
+}
+
+// find is s's position in its level ByK[len(s)], by binary search; ok
+// is false when s is not granule-frequent.
+func (h *HoldTable) find(s itemset.Set) (i int, ok bool) {
+	k := len(s)
+	if k == 0 || k >= len(h.ByK) {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(h.ByK[k], s, itemset.Set.Compare)
 }
 
 // levelFreq is the frequency-word view of ByK[k][i].
@@ -106,31 +126,19 @@ func (h *HoldTable) levelFreq(k, i int) []uint64 {
 	return h.freq[k][i*w : (i+1)*w : (i+1)*w]
 }
 
-// freqOf returns s's frequency words, or nil when s is not
-// granule-frequent, by binary search in its level.
-func (h *HoldTable) freqOf(s itemset.Set) []uint64 {
-	k := len(s)
-	if k == 0 || k >= len(h.ByK) {
-		return nil
-	}
-	i, found := slices.BinarySearchFunc(h.ByK[k], s, itemset.Set.Compare)
-	if !found {
-		return nil
-	}
-	return h.levelFreq(k, i)
-}
-
-// appendLevel stores the next level: its itemsets in canonical order
-// and their frequency words in the same order. words is the producer's
-// scratch; it is copied to size, so a resident table carries no slack.
-func (h *HoldTable) appendLevel(level []itemset.Set, words []uint64) {
+// appendLevel stores the next level: its itemsets in canonical order,
+// their frequency words and their count vectors in the same order.
+// words is the producer's scratch; it is copied to size, so a resident
+// table carries no slack. vecs is kept as given.
+func (h *HoldTable) appendLevel(level []itemset.Set, words []uint64, vecs [][]int32) {
 	h.ByK = append(h.ByK, level)
 	h.freq = append(h.freq, slices.Clone(words))
+	h.vecs = append(h.vecs, vecs)
 }
 
 // sortLevel orders a level collected out of order canonically, carrying
-// each itemset's w frequency words along.
-func sortLevel(level []itemset.Set, words []uint64, w int) ([]itemset.Set, []uint64) {
+// each itemset's w frequency words and its count vector along.
+func sortLevel(level []itemset.Set, words []uint64, vecs [][]int32, w int) ([]itemset.Set, []uint64, [][]int32) {
 	order := make([]int, len(level))
 	for i := range order {
 		order[i] = i
@@ -138,11 +146,12 @@ func sortLevel(level []itemset.Set, words []uint64, w int) ([]itemset.Set, []uin
 	slices.SortFunc(order, func(a, b int) int { return level[a].Compare(level[b]) })
 	sets := make([]itemset.Set, len(level))
 	sorted := make([]uint64, 0, len(words))
+	sortedVecs := make([][]int32, len(level))
 	for i, j := range order {
-		sets[i] = level[j]
+		sets[i], sortedVecs[i] = level[j], vecs[j]
 		sorted = append(sorted, words[j*w:(j+1)*w]...)
 	}
-	return sets, sorted
+	return sets, sorted, sortedVecs
 }
 
 // TotalItemsets returns the number of granule-frequent itemsets.
@@ -196,11 +205,11 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	if err != nil {
 		return nil, err
 	}
-	span, ok := tbl.Span(cfg.Granularity)
+	view, ok := tbl.Granules(cfg.Granularity)
 	if !ok {
 		return nil, fmt.Errorf("core: transaction table %q is empty", tbl.Name())
 	}
-	h, err := newHoldTable(tbl, cfg, span, 0)
+	h, err := newHoldTable(view, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +234,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		// No itemset can be frequent in more granules than are active:
 		// the scope's statement can report nothing, and nothing is
 		// scanned. A full build would keep no item either.
-		h.appendLevel(nil, nil)
+		h.appendLevel(nil, nil, nil)
 		return h, nil
 	}
 
@@ -236,7 +245,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		tr.StartPass(1)
 		t0 = time.Now()
 	}
-	slices := h.slices(tbl)
+	slices := h.slices(view)
 	items, c1 := apriori.CountLevel1(ctx, slices, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -245,16 +254,16 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	fw := make([]uint64, w) // one itemset's frequency words
 	var l1 []itemset.Set
 	var words []uint64
+	var vecs [][]int32
 	for r, v := range c1 {
 		if frequentGranules(fw, v, thr) >= h.floor {
-			s := itemset.Set{items[r]}
-			l1 = append(l1, s)
+			l1 = append(l1, itemset.Set{items[r]})
 			words = append(words, fw...)
-			h.counts[s.Key()] = v
+			vecs = append(vecs, v)
 		}
 	}
-	l1, words = sortLevel(l1, words, w)
-	h.appendLevel(l1, words)
+	l1, words, vecs = sortLevel(l1, words, vecs, w)
+	h.appendLevel(l1, words, vecs)
 	if trace {
 		tr.EndPass(obs.PassStats{
 			Level: 1, Generated: len(c1), Counted: len(c1), Frequent: len(l1),
@@ -330,11 +339,11 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 			return nil, err
 		}
 		var level []itemset.Set
-		level, words, err = h.keepFrequent(ctx, counted, perGranule, thr, fw, words[:0])
+		level, words, vecs, err = h.keepFrequent(ctx, counted, perGranule, thr, fw, words[:0])
 		if err != nil {
 			return nil, err
 		}
-		h.appendLevel(level, words)
+		h.appendLevel(level, words, vecs)
 		prev = level
 		if trace {
 			tr.EndPass(obs.PassStats{
@@ -363,42 +372,43 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 const keepCheckEvery = 1024
 
 // keepFrequent is a level's keep loop: it returns the candidates of
-// counted that clear a threshold of thr (h.thresholds()) in h.floor granules,
-// in order, with their frequency words appended to words, and records
-// their count vectors in h. fw is one itemset's scratch words. ctx is
-// sampled every keepCheckEvery candidates; a cancelled loop returns
-// ctx.Err(), and h must then be discarded.
-func (h *HoldTable) keepFrequent(ctx context.Context, counted []itemset.Set, perGranule *apriori.Counts, thr []int32, fw, words []uint64) ([]itemset.Set, []uint64, error) {
+// counted that clear a threshold of thr (h.thresholds()) in h.floor
+// granules, in order, with their frequency words appended to words and
+// their count vectors in the same order. fw is one itemset's scratch
+// words. ctx is sampled every keepCheckEvery candidates; a cancelled
+// loop returns ctx.Err().
+func (h *HoldTable) keepFrequent(ctx context.Context, counted []itemset.Set, perGranule *apriori.Counts, thr []int32, fw, words []uint64) ([]itemset.Set, []uint64, [][]int32, error) {
 	var level []itemset.Set
+	var vecs [][]int32
 	for i, c := range counted {
 		if i > 0 && i%keepCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 		if v := perGranule.Row(i); frequentGranules(fw, v, thr) >= h.floor {
 			level = append(level, c)
 			words = append(words, fw...)
-			h.counts[c.Key()] = v
+			vecs = append(vecs, v)
 		}
 	}
-	return level, words, nil
+	return level, words, vecs, nil
 }
 
-// newHoldTable builds the header of a table over span — per-granule
-// transaction counts, activity and thresholds — holding no itemsets
-// yet. sizeHint pre-sizes the count map.
-func newHoldTable(tbl *tdb.TxTable, cfg Config, span timegran.Interval, sizeHint int) (*HoldTable, error) {
-	n := int(span.Len())
+// newHoldTable builds the header of a table over one reading of the
+// data — per-granule transaction counts, activity and thresholds —
+// holding no itemsets yet.
+func newHoldTable(view tdb.Granules, cfg Config) (*HoldTable, error) {
+	n := int(view.Span.Len())
 	h := &HoldTable{
 		Cfg:       cfg,
-		Span:      span,
-		TxCounts:  tbl.GranuleCounts(cfg.Granularity, span),
+		Span:      view.Span,
+		TxCounts:  view.Counts,
 		MinCounts: make([]int, n),
 		Active:    make([]uint64, granuleWords(n)),
 		ByK:       [][]itemset.Set{nil},
 		freq:      [][]uint64{nil},
-		counts:    make(map[string][]int32, sizeHint),
+		vecs:      [][][]int32{nil},
 		floor:     1,
 	}
 	for i, txc := range h.TxCounts {
@@ -415,14 +425,14 @@ func newHoldTable(tbl *tdb.TxTable, cfg Config, span timegran.Interval, sizeHint
 }
 
 // slices cuts the span into the counting seam's slices, one per
-// granule, so a slice's index is its granule's offset; an inactive
-// granule is an empty slice.
-func (h *HoldTable) slices(tbl *tdb.TxTable) []apriori.Source {
+// granule of the reading h's header came from, so a slice's index is
+// its granule's offset; an inactive granule is an empty slice.
+func (h *HoldTable) slices(view tdb.Granules) []apriori.Source {
 	out := make([]apriori.Source, h.NGranules())
 	for gi := range out {
 		out[gi] = apriori.Transactions(nil)
 		if bitAt(h.Active, gi) {
-			out[gi] = tbl.GranuleSource(h.Cfg.Granularity, h.Span.Lo+timegran.Granule(gi))
+			out[gi] = view.Source(gi)
 		}
 	}
 	return out
@@ -468,10 +478,77 @@ func generateFromSets(ctx context.Context, level []itemset.Set) (cands []itemset
 
 // RuleCandidate is one potential temporal rule considered by the
 // miners: antecedent ⇒ consequent with the full itemset cached, and
-// Freq, the full itemset's stored frequency words.
+// Freq, the full itemset's stored frequency words. The enumeration also
+// hands over the three itemsets' count vectors, found by position, so
+// Holds and featureRule look nothing up; candidate fills a candidate
+// named by its sets.
 type RuleCandidate struct {
 	Ante, Cons, Full itemset.Set
 	Freq             []uint64
+
+	full, ante, cons []int32 // count vectors of Full, Ante and Cons
+}
+
+// candidate resolves a rule named by its sets into a candidate of h:
+// Freq and the count vectors by search. ok is false when the full
+// itemset is not granule-frequent (there are no words to hold on).
+func (h *HoldTable) candidate(ante, cons itemset.Set) (rc RuleCandidate, ok bool) {
+	rc = RuleCandidate{Ante: ante, Cons: cons, Full: ante.Union(cons)}
+	i, ok := h.find(rc.Full)
+	if !ok {
+		return rc, false
+	}
+	rc.Freq, rc.full = h.levelFreq(len(rc.Full), i), h.vecs[len(rc.Full)][i]
+	rc.ante, rc.cons = h.countsOf(ante), h.countsOf(cons)
+	return rc, true
+}
+
+// confTest is a statement's confidence test on integer counts:
+// minFull[a] is the least full-itemset count f that passes
+// float64(f)/float64(a)+1e-12 ≥ MinConfidence over an antecedent count
+// a — found with that very expression, so the integer compare decides
+// exactly as the division would. It covers antecedent counts up to the
+// table's largest granule; a count past that (a hand-built table can
+// hold one) takes the float test itself.
+type confTest struct {
+	minFull []int32
+	minConf float64
+}
+
+// confTest builds h's confidence test for its configured MinConfidence,
+// once per operator call. minFull is non-decreasing in a (a count that
+// passes over a+1 passes over a), so the search resumes where the last
+// antecedent count's ended: O(largest granule) tests in all. A
+// confidence outside [0, 1], which only a hand-built table carries,
+// gets no table: every count takes the float test.
+func (h *HoldTable) confTest() confTest {
+	c := confTest{minConf: h.Cfg.MinConfidence}
+	if !(c.minConf >= 0 && c.minConf <= 1) {
+		return c
+	}
+	maxTx := 0
+	for _, txc := range h.TxCounts {
+		maxTx = max(maxTx, txc)
+	}
+	c.minFull = make([]int32, maxTx+1) // minFull[0] is unused: holds refuses a = 0
+	f := int32(0)
+	for a := 1; a <= maxTx; a++ {
+		for float64(f)/float64(a)+1e-12 < c.minConf { // f = a always passes
+			f++
+		}
+		c.minFull[a] = f
+	}
+	return c
+}
+
+// holds reports whether a granule with full-itemset count full and
+// antecedent count a passes the confidence test; a zero antecedent
+// count never does.
+func (c confTest) holds(full, a int32) bool {
+	if int(a) < len(c.minFull) {
+		return a != 0 && full >= c.minFull[a]
+	}
+	return float64(full)/float64(a)+1e-12 >= c.minConf
 }
 
 // Holds fills hold — a caller-owned packed vector of ⌈n/64⌉ words,
@@ -480,20 +557,25 @@ type RuleCandidate struct {
 // supp(full)/supp(ante) ≥ MinConfidence. The support half is rc.Freq,
 // so only its set bits are visited and take the confidence test.
 // Inactive granules are clear; use the Active mask to tell "fails" from
-// "no data".
-func (h *HoldTable) Holds(rc RuleCandidate, hold []uint64) {
-	fullCounts, anteCounts := h.countsOf(rc.Full), h.countsOf(rc.Ante)
+// "no data". rc comes from the enumeration or from candidate. Holds
+// builds the confidence test per call; the task operators build it
+// once and run holds.
+func (h *HoldTable) Holds(rc RuleCandidate, hold []uint64) { h.holds(rc, hold, h.confTest()) }
+
+// holds is Holds under a prebuilt confidence test: a frequent bit costs
+// one table load and one integer compare.
+func (h *HoldTable) holds(rc RuleCandidate, hold []uint64, conf confTest) {
+	fullCounts, anteCounts := rc.full, rc.ante
 	if anteCounts == nil {
 		clear(hold)
 		return // defensive; ante ⊆ full is frequent wherever full is
 	}
-	minConf := h.Cfg.MinConfidence
 	for wi, w := range rc.Freq {
 		var hw uint64
 		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			gi := wi<<6 + b
-			if a := anteCounts[gi]; a != 0 && float64(fullCounts[gi])/float64(a)+1e-12 >= minConf {
+			if conf.holds(fullCounts[gi], anteCounts[gi]) {
 				hw |= 1 << uint(b)
 			}
 		}
@@ -512,25 +594,49 @@ func minHits(minFreq float64, occ int) int {
 // EachRuleCandidate enumerates every rule X ⇒ {y} derivable from the
 // granule-frequent itemsets (single-item consequents, following the
 // companion papers' presentation convention), in canonical order, each
-// with its full itemset's stored frequency words. Ante and Cons are
-// scratch sets the loop refills: they are valid only during fn, and a
-// caller that keeps a rule copies them (featureRule does, on emit).
-func (h *HoldTable) EachRuleCandidate(fn func(rc RuleCandidate) bool) {
+// with its full itemset's stored frequency words and the three count
+// vectors. Ante and Cons are scratch sets the loop refills: they are
+// valid only during fn, and a caller that keeps a rule copies them
+// (featureRule does, on emit).
+//
+// floor is a task's (see emitRules): a full itemset whose frequency
+// words hold fewer than floor granules of mask (of the span when mask
+// is nil) is skipped before any of its rules is formed. A rule's hold
+// sequence is a subset of its itemset's frequency words, so no detector
+// that needs floor holding granules there can accept a skipped rule;
+// floor 1 skips nothing. It returns the rules formed and the itemsets
+// skipped.
+func (h *HoldTable) EachRuleCandidate(floor int, mask []uint64, fn func(rc RuleCandidate) bool) (formed, skipped int) {
 	var ante itemset.Set
 	cons := make(itemset.Set, 1)
 	for k := 2; k < len(h.ByK); k++ {
 		for i, full := range h.ByK[k] {
-			rc := RuleCandidate{Cons: cons, Full: full, Freq: h.levelFreq(k, i)}
+			freq := h.levelFreq(k, i)
+			if floor > 1 {
+				n := 0
+				if mask == nil {
+					n = popcount(freq)
+				} else {
+					n = apriori.AndCount(freq, mask)
+				}
+				if n < floor {
+					skipped++
+					continue
+				}
+			}
+			rc := RuleCandidate{Cons: cons, Full: full, Freq: freq, full: h.vecs[k][i]}
 			for j, y := range full {
 				ante = append(append(ante[:0], full[:j]...), full[j+1:]...)
 				cons[0] = y
-				rc.Ante = ante
+				rc.Ante, rc.ante, rc.cons = ante, h.countsOf(ante), h.countsOf(cons)
+				formed++
 				if !fn(rc) {
-					return
+					return formed, skipped
 				}
 			}
 		}
 	}
+	return formed, skipped
 }
 
 // featureRule is the one place a hold sequence becomes a temporal rule,
@@ -543,9 +649,7 @@ func (h *HoldTable) EachRuleCandidate(fn func(rc RuleCandidate) bool) {
 // carries no transaction of the antecedent. The emitted rule owns
 // copies of the candidate's antecedent and consequent.
 func (h *HoldTable) featureRule(rc RuleCandidate, hold []uint64, feature timegran.Pattern, mask []uint64) (tr TemporalRule, ok bool) {
-	fullCounts := h.countsOf(rc.Full)
-	anteCounts := h.countsOf(rc.Ante)
-	consCounts := h.countsOf(rc.Cons)
+	fullCounts, anteCounts, consCounts := rc.full, rc.ante, rc.cons
 	if fullCounts == nil {
 		return TemporalRule{}, false
 	}

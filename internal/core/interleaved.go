@@ -117,11 +117,12 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 	if err != nil {
 		return nil, CycleMinerStats{}, err
 	}
-	span, ok := tbl.Span(cfg.Granularity)
+	view, ok := tbl.Granules(cfg.Granularity)
 	if !ok {
 		return nil, CycleMinerStats{}, fmt.Errorf("core: transaction table %q is empty", tbl.Name())
 	}
-	head, err := newHoldTable(tbl, cfg, span, 0)
+	span := view.Span
+	head, err := newHoldTable(view, cfg)
 	if err != nil {
 		return nil, CycleMinerStats{}, err
 	}

@@ -65,10 +65,11 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	if err := h.scopeErr("Maintain"); err != nil {
 		return nil, err
 	}
-	span, ok := tbl.Span(h.Cfg.Granularity)
+	view, ok := tbl.Granules(h.Cfg.Granularity)
 	if !ok {
 		return nil, fmt.Errorf("core: Maintain on an empty table")
 	}
+	span := view.Span
 	if span.Lo > h.Span.Lo || span.Hi < h.Span.Hi {
 		return nil, fmt.Errorf("core: Maintain: span shrank from %v to %v; rebuild instead", h.Span, span)
 	}
@@ -84,7 +85,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		tr.Gauge(obs.MetricGranulesDirty, float64(len(dirty)))
 	}
 
-	nh, err := newHoldTable(tbl, h.Cfg, span, len(h.counts))
+	nh, err := newHoldTable(view, h.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +130,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	slices := func(cols []int) []apriori.Source {
 		out := make([]apriori.Source, len(cols))
 		for j, gi := range cols {
-			out[j] = tbl.GranuleSource(nh.Cfg.Granularity, span.Lo+timegran.Granule(gi))
+			out[j] = view.Source(gi)
 		}
 		return out
 	}
@@ -213,12 +214,13 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		})
 	}
 	var l1 []itemset.Set
+	var vecs [][]int32
 	for i, s := range h.ByK[1] {
-		v := splice(rebase(h.countsOf(s)), c1[s[0]])
+		v := splice(rebase(h.vecs[1][i]), c1[s[0]])
 		if carry(h.levelFreq(1, i), v) {
 			l1 = append(l1, s)
 			words = append(words, fw...)
-			nh.counts[s.Key()] = v
+			vecs = append(vecs, v)
 		}
 	}
 	// Items not tracked before that cross a threshold in the dirty
@@ -230,9 +232,9 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		if s := (itemset.Set{x}); h.countsOf(s) == nil && rise(dc) {
 			v := splice(make([]int32, n), dc)
 			newcomers[x] = v
-			nh.counts[s.Key()] = v
 			l1 = append(l1, s)
 			words = append(words, fw...)
+			vecs = append(vecs, v)
 		}
 	}
 	if len(newcomers) > 0 {
@@ -252,8 +254,8 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 			})
 		}
 	}
-	l1, words = sortLevel(l1, words, w)
-	nh.appendLevel(l1, words)
+	l1, words, vecs = sortLevel(l1, words, vecs, w)
+	nh.appendLevel(l1, words, vecs)
 
 	// Higher levels replay the cold build's level-wise loop — same
 	// generation, same stopping rule — but each candidate batch is
@@ -305,7 +307,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 			dirtyCounts[i] = counted.Row(j)
 		}
 		var level, risers []itemset.Set
-		var riserVecs [][]int32
+		var vecs, riserVecs [][]int32
 		words = words[:0]
 		// Candidates and the old level are both in canonical order: one
 		// merge walk finds each tracked candidate's stored words.
@@ -319,11 +321,11 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 				t++
 			}
 			if t < len(tracked) && tracked[t].Equal(c) {
-				v := splice(rebase(h.countsOf(c)), dirtyCounts[i])
+				v := splice(rebase(h.vecs[k][t]), dirtyCounts[i])
 				if carry(h.levelFreq(k, t), v) {
 					level = append(level, c)
 					words = append(words, fw...)
-					nh.counts[c.Key()] = v
+					vecs = append(vecs, v)
 				}
 				continue
 			}
@@ -334,7 +336,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 				v := splice(make([]int32, n), dirtyCounts[i])
 				level = append(level, c)
 				words = append(words, fw...)
-				nh.counts[c.Key()] = v
+				vecs = append(vecs, v)
 				risers = append(risers, c)
 				riserVecs = append(riserVecs, v)
 			}
@@ -360,7 +362,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 				}
 			}
 		}
-		nh.appendLevel(level, words)
+		nh.appendLevel(level, words, vecs)
 		prev = level
 	}
 	if tr.Enabled() {

@@ -192,20 +192,21 @@ func TestKeepLoopChecksContext(t *testing.T) {
 			cands = append(cands, itemset.New(a, b))
 		}
 	}
-	counts, err := apriori.NewSliceCounter(apriori.BackendHashTree, h.slices(tbl), nil, 0).Count(bg, cands)
+	view, _ := tbl.Granules(h.Cfg.Granularity)
+	counts, err := apriori.NewSliceCounter(apriori.BackendHashTree, h.slices(view), nil, 0).Count(bg, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fw := make([]uint64, len(h.Active))
 	ctx := newCheckpointCtx(math.MaxInt64)
-	if _, _, err := h.keepFrequent(ctx, cands, counts, h.thresholds(), fw, nil); err != nil {
+	if _, _, _, err := h.keepFrequent(ctx, cands, counts, h.thresholds(), fw, nil); err != nil {
 		t.Fatal(err)
 	}
 	calls := math.MaxInt64 - ctx.left.Load()
 	if min := int64(len(cands)-1) / keepCheckEvery; calls < min {
 		t.Errorf("%d candidates kept with %d context checks, want ≥ %d", len(cands), calls, min)
 	}
-	if _, _, err := h.keepFrequent(newCheckpointCtx(2), cands, counts, h.thresholds(), fw, nil); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := h.keepFrequent(newCheckpointCtx(2), cands, counts, h.thresholds(), fw, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled keep loop: err = %v, want context.Canceled", err)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
+	"sort"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/obs"
@@ -48,10 +50,13 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 		return nil, err
 	}
 	var pos []holdPos // scratch, refilled per candidate
+	var ivs []ivOff   // scratch, refilled per candidate
+	scan := newDenseScan(h.Cfg.MinFreq, pcfg.MinLen, h.NActive)
 	inPeriod := make([]uint64, len(h.Active))
-	return emitRules(ctx, h, obs.TaskPeriods, periodCmp, func(out []PeriodRule, rc RuleCandidate, hold []uint64) []PeriodRule {
+	return emitRules(ctx, h, obs.TaskPeriods, periodsFloor(h.Cfg.MinFreq, pcfg), nil, periodCmp, func(out []PeriodRule, rc RuleCandidate, hold []uint64) []PeriodRule {
 		pos = holdPositions(pos[:0], hold, h.Active)
-		for _, iv := range maximalDenseIntervals(pos, h.Cfg.MinFreq, pcfg.MinLen) {
+		ivs = scan.intervals(ivs[:0], pos)
+		for _, iv := range ivs {
 			abs := timegran.Interval{Lo: h.Span.Lo + int64(iv.Lo), Hi: h.Span.Lo + int64(iv.Hi)}
 			window, werr := timegran.NewWindow(
 				timegran.Start(abs.Lo, h.Cfg.Granularity),
@@ -104,7 +109,35 @@ func holdPositions(pos []holdPos, hold, active []uint64) []holdPos {
 	return pos
 }
 
-// maximalDenseIntervals returns the intervals [a,b] (offsets) such that
+// denseScan is Task I's period detector for one operator call over a
+// table of nActive active granules: need[x] is minHits(minFreq, x), the
+// least number of holding granules among x active ones, so the
+// frequency test of an interval is one integer compare — exact, the
+// float test it replaces being float64(hits) ≥ minFreq·x − 1e-12 for an
+// integer hit count. smax is scratch reused from candidate to
+// candidate.
+type denseScan struct {
+	minFreq float64
+	minLen  int
+	need    []int
+	smax    []float64
+}
+
+func newDenseScan(minFreq float64, minLen, nActive int) *denseScan {
+	d := &denseScan{minFreq: minFreq, minLen: minLen, need: make([]int, nActive+1)}
+	for x := range d.need {
+		d.need[x] = minHits(minFreq, x)
+	}
+	return d
+}
+
+// denseSlack bounds the rounding of the search keys below: far above
+// the float error of a key over any span a table holds, far below the
+// distance of 1 between two hit counts.
+const denseSlack = 1e-6
+
+// intervals appends to out, for the holding granules pos of one hold
+// sequence (holdPositions), the intervals [a,b] (offsets) such that
 //   - a and b hold (so endpoints are active),
 //   - among the active granules of [a,b], the fraction holding is at
 //     least minFreq,
@@ -112,18 +145,50 @@ func holdPositions(pos []holdPos, hold, active []uint64) []holdPos {
 //   - no other qualifying interval strictly contains [a,b].
 //
 // Inactive granules are neutral: they neither extend nor break a
-// period. Both endpoints hold, so the search runs over pairs of holding
-// granules — O(m²) in their number m, whatever the span — taking each
-// start's furthest qualifying end. Starts ascend, so an interval is
-// contained in an earlier one exactly when it ends no later than the
-// furthest end reported so far; only ends beyond that are tried.
-func maximalDenseIntervals(pos []holdPos, minFreq float64, minLen int) []ivOff {
-	var out []ivOff
+// period. Both endpoints hold, so an interval is a pair i ≤ j of
+// holding granules: it spans nAct = rank_j − rank_i + 1 active granules
+// and holds in j − i + 1 of them. Each start, in order, takes its
+// furthest qualifying end; starts ascend, so an interval is contained
+// in an earlier one exactly when it ends no later than the furthest end
+// reported so far, and only ends beyond that are tried.
+//
+// The furthest end is searched for, not rescanned: j − i + 1 ≥
+// minFreq·nAct is key_j ≥ t_i with key_j = j − minFreq·rank_j and
+// t_i = i − 1 − minFreq·(rank_i − 1), so over the suffix maxima of the
+// keys — non-increasing — a binary search finds the last end whose key
+// reaches t_i less denseSlack. Every qualifying end is among those, and
+// each is verified by the exact integer test, walking down from the
+// last. O(m log m) in the m holding granules, where the rescan was
+// O(m²).
+func (d *denseScan) intervals(out []ivOff, pos []holdPos) []ivOff {
+	m := len(pos)
+	f := d.minFreq
+	if cap(d.smax) < m {
+		d.smax = make([]float64, m)
+	}
+	smax := d.smax[:m]
+	best := math.Inf(-1)
+	for j := m - 1; j >= 0; j-- {
+		best = max(best, float64(j)-f*float64(pos[j].rank))
+		smax[j] = best
+	}
 	last := -1 // index of the furthest end reported
+	jmin := 0  // first end spanning minLen active granules from start i
 	for i, a := range pos {
-		for j := len(pos) - 1; j > last && j >= i; j-- {
-			nAct, nHold := pos[j].rank-a.rank+1, j-i+1
-			if nAct >= minLen && float64(nHold) >= minFreq*float64(nAct)-1e-12 {
+		for jmin < m && pos[jmin].rank-a.rank+1 < d.minLen {
+			jmin++
+		}
+		lo := max(i, last+1, jmin)
+		if lo >= m {
+			break // no later start reaches past last, or spans minLen
+		}
+		t := float64(i-1) - f*float64(a.rank-1) - denseSlack
+		if smax[lo] < t {
+			continue
+		}
+		hi := lo + sort.Search(m-lo, func(k int) bool { return smax[lo+k] < t }) - 1
+		for j := hi; j >= lo; j-- {
+			if float64(j)-f*float64(pos[j].rank) >= t && j-i+1 >= d.need[pos[j].rank-a.rank+1] {
 				out = append(out, ivOff{Lo: a.gi, Hi: pos[j].gi})
 				last = j
 				break

@@ -72,37 +72,24 @@ func (s Scope) String() string {
 func (s Scope) resolve(h *HoldTable) {
 	switch s.task {
 	case obs.TaskPeriods:
-		// An interval spans ≥ MinLen active granules with both endpoints
-		// holding — two distinct ones once MinLen ≥ 2 — and holds in
-		// minHits of them; minHits grows with the span.
 		p, err := s.periods.normalise()
 		if err != nil {
 			return
 		}
-		h.floor = max(minHits(h.Cfg.MinFreq, p.MinLen), min(p.MinLen, 2))
+		h.floor = periodsFloor(h.Cfg.MinFreq, p)
 	case obs.TaskCycles:
 		c, err := s.cycles.normalise()
 		if err != nil {
 			return
 		}
-		least := h.NActive + 1
-		if classes := cycleClasses(h.Active, h.NGranules(), h.Span.Lo, c.MaxLen, c.MinReps, h.Cfg.MinFreq); len(classes) > 0 {
-			least = classes[0].need // classes ascend in need
-		}
-		h.floor = max(1, least)
+		h.floor = cyclesFloor(cycleClasses(h.Active, h.NGranules(), h.Span.Lo, c.MaxLen, c.MinReps, h.Cfg.MinFreq), h.NActive)
 	case obs.TaskCalendars:
 		c, err := s.cycles.normalise()
 		fields := calendarFieldsFor(h.Cfg.Granularity)
 		if err != nil || len(fields) == 0 {
 			return
 		}
-		least := h.NActive + 1 // a class under MinReps needs math.MaxInt
-		for _, classes := range h.calendarClasses(fields, c.MinReps) {
-			for _, vc := range classes {
-				least = min(least, vc.need)
-			}
-		}
-		h.floor = max(1, least)
+		h.floor = calendarsFloor(h.calendarClasses(fields, c.MinReps), h.NActive)
 	case obs.TaskDuring:
 		if s.feature == nil {
 			return
@@ -116,6 +103,44 @@ func (s Scope) resolve(h *HoldTable) {
 		}
 		h.floor = ceilCount(h.Cfg.MinFreq, h.NActive)
 	}
+}
+
+// The task floors: the least number of holding granules any detector
+// of the task accepts, so an itemset frequent in fewer emits nothing.
+// Scope.resolve raises a scoped build's floor to them, and the task's
+// operator skips the itemsets below them at enumeration over any table;
+// both call these, so the build's prune and the skip cannot drift.
+// DURING's is ceilCount(MinFreq, ·) over the feature's active granules.
+
+// periodsFloor is Task I's floor: an interval spans ≥ MinLen active
+// granules with both endpoints holding — two distinct ones once
+// MinLen ≥ 2 — and holds in minHits of them; minHits grows with the
+// span.
+func periodsFloor(minFreq float64, p PeriodConfig) int {
+	return max(minHits(minFreq, p.MinLen), min(p.MinLen, 2))
+}
+
+// cyclesFloor is the cycle detector's floor: the least need of its
+// classes (they ascend in need), or nActive+1 — nothing — without one.
+func cyclesFloor(classes []cycleClass, nActive int) int {
+	least := nActive + 1
+	if len(classes) > 0 {
+		least = classes[0].need
+	}
+	return max(1, least)
+}
+
+// calendarsFloor is the calendar detector's floor: the least need of
+// any field's classes (a class under MinReps needs math.MaxInt), or
+// nActive+1 without one.
+func calendarsFloor(classes [][]valueClass, nActive int) int {
+	least := nActive + 1
+	for _, field := range classes {
+		for _, vc := range field {
+			least = min(least, vc.need)
+		}
+	}
+	return max(1, least)
 }
 
 // ScopeInfo is a resolved scope, for EXPLAIN: the floor, DURING's
@@ -132,18 +157,30 @@ type ScopeInfo struct {
 // cannot be built, or when c is non-nil — a cache builds tables to
 // share, unscoped. Read-only, like Probe.
 func (c *HoldCache) ScopeOf(tbl *tdb.TxTable, cfg Config) (info ScopeInfo, ok bool) {
-	if c != nil || cfg.Scope.task == "" {
+	if c != nil {
+		return ScopeInfo{}, false
+	}
+	return ResolveScope(tbl, cfg)
+}
+
+// ResolveScope reports what cfg's Scope resolves to over tbl now,
+// whoever builds the table: its Floor is also the floor the task's
+// operator enumerates at over a table of tbl, scoped or shared. ok is
+// false when cfg carries no scope or the table cannot be built.
+// Read-only.
+func ResolveScope(tbl *tdb.TxTable, cfg Config) (info ScopeInfo, ok bool) {
+	if cfg.Scope.task == "" {
 		return ScopeInfo{}, false
 	}
 	cfg, err := cfg.normalise()
 	if err != nil {
 		return ScopeInfo{}, false
 	}
-	span, ok := tbl.Span(cfg.Granularity)
+	view, ok := tbl.Granules(cfg.Granularity)
 	if !ok {
 		return ScopeInfo{}, false
 	}
-	h, err := newHoldTable(tbl, cfg, span, 0)
+	h, err := newHoldTable(view, cfg)
 	if err != nil {
 		return ScopeInfo{}, false
 	}

@@ -43,7 +43,8 @@ func unpackBits(words []uint64, n int) []bool {
 // a candidate named by its sets: false when its full itemset is not
 // granule-frequent (there are no words to hold on).
 func holdSequence(h *HoldTable, rc RuleCandidate) ([]bool, bool) {
-	if rc.Freq = h.freqOf(rc.Full); rc.Freq == nil {
+	rc, ok := h.candidate(rc.Ante, rc.Cons)
+	if !ok {
 		return nil, false
 	}
 	hold := make([]uint64, len(h.Active))
@@ -58,7 +59,7 @@ func detectCyclesOver(hold, active []bool, spanLo int64, maxLen, minReps int, mi
 
 // denseIntervalsOver runs the word period scan on bool vectors.
 func denseIntervalsOver(hold, active []bool, minFreq float64, minLen int) []ivOff {
-	return maximalDenseIntervals(holdPositions(nil, packBits(hold), packBits(active)), minFreq, minLen)
+	return newDenseScan(minFreq, minLen, len(active)).intervals(nil, holdPositions(nil, packBits(hold), packBits(active)))
 }
 
 // ---------------------------------------------------------------------
@@ -374,8 +375,6 @@ func vectorTable(c wordCase) *HoldTable {
 		TxCounts:  make([]int, c.n),
 		MinCounts: make([]int, c.n),
 		Active:    packBits(c.active),
-		ByK:       [][]itemset.Set{nil, {itemset.New(1), itemset.New(2)}, {itemset.New(1, 2)}},
-		counts:    map[string][]int32{},
 	}
 	one, two, both := make([]int32, c.n), make([]int32, c.n), make([]int32, c.n)
 	for gi, on := range c.active {
@@ -393,25 +392,24 @@ func vectorTable(c wordCase) *HoldTable {
 			two[gi] = 1
 		}
 	}
-	h.counts[itemset.New(1).Key()] = one
-	h.counts[itemset.New(2).Key()] = two
-	h.counts[itemset.New(1, 2).Key()] = both
-	return withFreq(h)
+	return withLevels(h, [][]itemset.Set{{itemset.New(1), itemset.New(2)}, {itemset.New(1, 2)}},
+		[][][]int32{{one, two}, {both}})
 }
 
-// withFreq gives a hand-built table the frequency words a build would
-// store beside its count vectors.
-func withFreq(h *HoldTable) *HoldTable {
+// withLevels gives a hand-built table its levels 1, 2, … the way a
+// build stores them: each level's itemsets, in canonical order, appended
+// with the frequency words of its count vectors and the vectors.
+func withLevels(h *HoldTable, levels [][]itemset.Set, vecs [][][]int32) *HoldTable {
 	thr := h.thresholds()
 	fw := make([]uint64, len(h.Active))
-	h.freq = [][]uint64{nil}
-	for k := 1; k < len(h.ByK); k++ {
+	h.ByK, h.freq, h.vecs = [][]itemset.Set{nil}, [][]uint64{nil}, [][][]int32{nil}
+	for k, level := range levels {
 		var words []uint64
-		for _, s := range h.ByK[k] {
-			frequentGranules(fw, h.countsOf(s), thr)
+		for _, v := range vecs[k] {
+			frequentGranules(fw, v, thr)
 			words = append(words, fw...)
 		}
-		h.freq = append(h.freq, words)
+		h.appendLevel(level, words, vecs[k])
 	}
 	return h
 }
@@ -533,12 +531,11 @@ func randomCountTable(r *rand.Rand) *HoldTable {
 		TxCounts:  make([]int, n),
 		MinCounts: make([]int, n),
 		Active:    make([]uint64, granuleWords(n)),
-		ByK: [][]itemset.Set{nil,
-			{itemset.New(1), itemset.New(2), itemset.New(3)},
-			{itemset.New(1, 2), itemset.New(1, 3), itemset.New(2, 3)},
-			{itemset.New(1, 2, 3)}},
-		counts: map[string][]int32{},
 	}
+	levels := [][]itemset.Set{
+		{itemset.New(1), itemset.New(2), itemset.New(3)},
+		{itemset.New(1, 2), itemset.New(1, 3), itemset.New(2, 3)},
+		{itemset.New(1, 2, 3)}}
 	h.Span.Hi = h.Span.Lo + int64(n) - 1
 	pActive := []float64{1, 0.7, 0.2}[r.Intn(3)]
 	for gi := range h.TxCounts {
@@ -552,8 +549,9 @@ func randomCountTable(r *rand.Rand) *HoldTable {
 			}
 		}
 	}
-	for _, level := range h.ByK[1:] {
-		for _, s := range level {
+	vecs := make([][][]int32, len(levels))
+	for k, level := range levels {
+		for range level {
 			v := make([]int32, n)
 			for gi := range v {
 				switch {
@@ -563,10 +561,10 @@ func randomCountTable(r *rand.Rand) *HoldTable {
 					v[gi] = int32(r.Intn(6))
 				}
 			}
-			h.counts[s.Key()] = v
+			vecs[k] = append(vecs[k], v)
 		}
 	}
-	return withFreq(h)
+	return withLevels(h, levels, vecs)
 }
 
 // TestQuickHoldsMatchesBool: the word form of Holds — the confidence
@@ -578,7 +576,7 @@ func TestQuickHoldsMatchesBool(t *testing.T) {
 		h := randomCountTable(rand.New(rand.NewSource(seed)))
 		hold := make([]uint64, len(h.Active))
 		ok := true
-		h.EachRuleCandidate(func(rc RuleCandidate) bool {
+		h.EachRuleCandidate(1, nil, func(rc RuleCandidate) bool {
 			want := holdsBool(h, rc)
 			h.Holds(rc, hold)
 			if got := unpackBits(hold, h.NGranules()); !reflect.DeepEqual(got, want) {

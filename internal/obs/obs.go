@@ -120,6 +120,14 @@ const (
 	MetricPairGranulesHorizontal = "pair_granules_horizontal" // granules decided by the triangle scan (counter)
 	MetricCountVectors           = "count_vectors"            // candidates given a count vector (counter)
 
+	// What a task operator's enumeration formed and skipped: the rule
+	// candidates it handed to the task's detector, the full itemsets it
+	// skipped below the task's floor, and that floor — the least number
+	// of holding granules any of the task's detectors accepts.
+	MetricRuleCandidates     = "rule_candidates"      // rule candidates formed (counter)
+	MetricItemsetsBelowFloor = "itemsets_below_floor" // itemsets skipped below the floor (counter)
+	MetricTaskFloor          = "task_floor"           // the operator's floor (gauge)
+
 	MetricCountingObservedNS = "counting_observed_ns" // observed wall time of the counting passes in ns (gauge)
 
 	// Hold-table cache (core.HoldCache) events.

@@ -398,6 +398,11 @@ type Summary struct {
 	// candidates it counted a vector for; all zero when nothing was built.
 	PairVertical, PairHorizontal int64
 	CountVectors                 int64
+	// RuleCandidates sums the rule candidates the task operators formed
+	// and BelowFloor the itemsets they skipped below their floor; Floor
+	// is the last task_floor gauge, 0 when no operator enumerated.
+	RuleCandidates, BelowFloor int64
+	Floor                      int
 	// Ops holds the op:* span walls and Passes the pass:Lk span
 	// statistics, both in start order.
 	Ops    []OpWall
@@ -412,6 +417,8 @@ func Summarize(forest []*SpanNode) Summary {
 		PairVertical:   sumAttr(forest, MetricPairGranulesVertical),
 		PairHorizontal: sumAttr(forest, MetricPairGranulesHorizontal),
 		CountVectors:   sumAttr(forest, MetricCountVectors),
+		RuleCandidates: sumAttr(forest, MetricRuleCandidates),
+		BelowFloor:     sumAttr(forest, MetricItemsetsBelowFloor),
 	}
 	var walk func([]*SpanNode)
 	walk = func(ns []*SpanNode) {
@@ -419,6 +426,10 @@ func Summarize(forest []*SpanNode) Summary {
 			if v, ok := n.Attrs[MetricCountingObservedNS]; ok {
 				f, _ := strconv.ParseFloat(v, 64)
 				s.CountingNS = int64(f)
+			}
+			if v, ok := n.Attrs[MetricTaskFloor]; ok {
+				f, _ := strconv.ParseFloat(v, 64)
+				s.Floor = int(f)
 			}
 			switch {
 			case strings.HasPrefix(n.Name, "op:"):

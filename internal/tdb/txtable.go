@@ -370,29 +370,75 @@ func (t *TxTable) CountRange(g timegran.Granularity, iv timegran.Interval) int {
 }
 
 // GranuleCounts returns the transaction count of every granule in
-// span, indexed by g - span.Lo. The temporal miners use it to size
-// per-granule thresholds.
+// span, indexed by g - span.Lo.
 func (t *TxTable) GranuleCounts(g timegran.Granularity, span timegran.Interval) []int {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
 	counts := make([]int, span.Len())
 	i, j := t.rowRange(g, span)
+	t.eachGranuleRun(g, i, j, func(n timegran.Granule, _, run int) { counts[n-span.Lo] += run })
+	return counts
+}
+
+// eachGranuleRun calls fn once per granule holding rows of the sorted
+// rows [i, j), in order, with the granule, its first row and its row
+// count. Rows are in time order: a granule's run ends at the first row
+// at or past the granule's end, found by binary search over the stored
+// nanoseconds — two timestamp conversions per granule, not one per row
+// or per probe. A granule ending past the storable range holds every
+// row left. Requires the table sorted.
+func (t *TxTable) eachGranuleRun(g timegran.Granularity, i, j int, fn func(n timegran.Granule, first, run int)) {
 	for i < j {
-		// Rows are in time order: row i's granule runs to the first row
-		// at or past the granule's end, found by binary search over the
-		// stored nanoseconds — two timestamp conversions per granule, not
-		// one per row or per probe. A granule ending past the storable
-		// range holds every row left.
 		n := timegran.GranuleOf(t.timeAt(i), g)
 		run := j - i
 		if end := timegran.Start(n+1, g); CheckTime(end) == nil {
 			endNS := end.UnixNano()
 			run = sort.Search(j-i, func(k int) bool { return t.rows[i+k].at >= endNS })
 		}
-		counts[n-span.Lo] += run
+		fn(n, i, run)
 		i += run
 	}
-	return counts
+}
+
+// Granules is one reading of a table at one granularity: its span, the
+// transaction count of every granule of it, and where each granule's
+// rows start. A hold-table build takes its header and its scans from
+// one reading: a source cut from it (Source) delivers exactly the rows
+// its count names, however many are appended in between, so no count
+// vector can exceed its granule's transaction count.
+type Granules struct {
+	Span   timegran.Interval
+	Counts []int // transactions per granule, indexed by granule - Span.Lo
+
+	t      *TxTable
+	starts []int // each granule's first row
+}
+
+// Granules reads the table at granularity g under one lock: its span,
+// every granule's transaction count and row range. ok is false when the
+// table is empty.
+func (t *TxTable) Granules(g timegran.Granularity) (v Granules, ok bool) {
+	t.rlockSorted()
+	defer t.mu.RUnlock()
+	if len(t.rows) == 0 {
+		return Granules{}, false
+	}
+	lo := timegran.GranuleOf(t.timeAt(0), g)
+	hi := timegran.GranuleOf(t.timeAt(len(t.rows)-1), g)
+	v = Granules{Span: timegran.Interval{Lo: lo, Hi: hi}, t: t}
+	v.Counts = make([]int, v.Span.Len())
+	v.starts = make([]int, v.Span.Len())
+	t.eachGranuleRun(g, 0, len(t.rows), func(n timegran.Granule, first, run int) {
+		v.starts[n-lo], v.Counts[n-lo] = first, run
+	})
+	return v, true
+}
+
+// Source exposes the rows of granule gi (an offset in Span) that the
+// reading counted. Like RangeSource it is cheap and repeatable, and a
+// late append that re-sorts the table shifts rows across its range.
+func (v Granules) Source(gi int) apriori.Source {
+	return v.t.rowSource(v.starts[gi], v.starts[gi]+v.Counts[gi])
 }
 
 // RangeSource exposes the transactions of the granule interval iv as a

@@ -122,6 +122,52 @@ func TestTxTableAllFixesItsRows(t *testing.T) {
 	}
 }
 
+// TestGranulesSnapshotAcrossEpochs: one Granules reading fixes the
+// span, every granule's count and its rows together. Appends after the
+// reading — into its last granule and past its span — leave each source
+// delivering exactly the rows its count names, in the reading's order,
+// while a new reading sees them.
+func TestGranulesSnapshotAcrossEpochs(t *testing.T) {
+	tbl := buildTxTable(t)
+	view, ok := tbl.Granules(timegran.Day)
+	if !ok {
+		t.Fatal("no reading of a non-empty table")
+	}
+	jan1 := timegran.GranuleOf(time.Date(2024, time.January, 1, 0, 0, 0, 0, time.UTC), timegran.Day)
+	feb10 := timegran.GranuleOf(time.Date(2024, time.February, 10, 0, 0, 0, 0, time.UTC), timegran.Day)
+	if view.Span != (timegran.Interval{Lo: jan1, Hi: feb10}) {
+		t.Fatalf("span %v, want %d..%d", view.Span, jan1, feb10)
+	}
+	scan := func() [][]string {
+		out := make([][]string, len(view.Counts))
+		for gi := range view.Counts {
+			view.Source(gi).ForEach(func(tx itemset.Set) { out[gi] = append(out[gi], tx.String()) })
+		}
+		return out
+	}
+	before := scan()
+	// Later in the last granule, then past the span.
+	tbl.Append(time.Date(2024, time.February, 10, 18, 0, 0, 0, time.UTC), itemset.New(7))
+	dayTx(t, tbl, 2024, time.March, 1, 5, 6)
+	after := scan()
+	want := map[int][]string{0: {"{1, 2, 3}", "{1, 3}"}, 1: {"{2, 3}"}, 2: {"{1, 2}"}, int(feb10 - jan1): {"{4}"}}
+	for gi, n := range view.Counts {
+		if n != len(want[gi]) || view.Source(gi).Len() != n || len(before[gi]) != n || len(after[gi]) != n {
+			t.Fatalf("granule %d: count %d, source Len %d, scans %d and %d rows, want %d each",
+				gi, n, view.Source(gi).Len(), len(before[gi]), len(after[gi]), len(want[gi]))
+		}
+		for i := range n {
+			if before[gi][i] != want[gi][i] || after[gi][i] != want[gi][i] {
+				t.Fatalf("granule %d row %d: scans %s and %s, want %s", gi, i, before[gi][i], after[gi][i], want[gi][i])
+			}
+		}
+	}
+	again, _ := tbl.Granules(timegran.Day)
+	if n := again.Counts[feb10-jan1]; n != 2 || again.Span.Hi <= feb10 {
+		t.Errorf("a new reading: %d rows on 10 Feb, span %v; want 2 and past 10 Feb", n, again.Span)
+	}
+}
+
 // TestTxTableAllBlocks: AllBlocks(n) cuts All()'s rows into at most n
 // contiguous blocks from one reading of the row count — laid end to end
 // they are All()'s rows in order, at any n, and a later append moves

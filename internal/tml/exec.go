@@ -324,6 +324,10 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 		add("observed: counting cost (observed)", fmt.Sprintf("%.1fms", float64(sum.CountingNS)/1e6))
 		add("observed: level-2 granules", fmt.Sprintf("%d vertical, %d horizontal", sum.PairVertical, sum.PairHorizontal))
 		add("observed: count vectors", fmt.Sprint(sum.CountVectors))
+		if sum.Floor > 0 {
+			add("observed: rule candidates", fmt.Sprintf("%d formed, %d itemsets skipped below floor %d",
+				sum.RuleCandidates, sum.BelowFloor, sum.Floor))
+		}
 		add("observed: rules emitted", fmt.Sprint(sum.Rules))
 		add("observed: wall time", fmt.Sprintf("%.1fms", run.WallMS))
 	}

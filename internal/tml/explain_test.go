@@ -164,6 +164,62 @@ func TestExplainScopeRows(t *testing.T) {
 	}
 }
 
+// TestExplainEnumerationFloor: a printed plan's mine:<task> node shows
+// the floor its operator enumerates at, with a cache or without, and
+// after a run EXPLAIN's observed rows report the rule candidates formed
+// and the itemsets skipped below that floor. Over the build scoped to
+// the statement (no cache) nothing is below it; over the shared table
+// (cache) the itemsets frequent on fewer than eight of the eight
+// weekend days — the seasonal ones — are skipped, and the same rules
+// are formed.
+func TestExplainEnumerationFloor(t *testing.T) {
+	const stmt = `MINE RULES FROM baskets DURING 'weekday in (sat, sun)' THRESHOLD SUPPORT 0.5 CONFIDENCE 0.7`
+	for _, c := range []struct {
+		name     string
+		cache    bool
+		observed string
+	}{
+		{"no cache", false, "28 formed, 0 itemsets skipped below floor 8"},
+		{"cache", true, "28 formed, 46 itemsets skipped below floor 8"},
+	} {
+		s := NewSession(fixtureDB(t))
+		if !c.cache {
+			s.TML.Cache = nil
+		}
+		explain := func() map[string]string {
+			t.Helper()
+			res, err := s.Exec("EXPLAIN " + stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			props := map[string]string{}
+			for _, row := range res.Rows {
+				if k, v := row[0].AsString(), row[1].AsString(); k != "plan" {
+					props[k] = v
+				} else if strings.Contains(v, "mine:during (") {
+					props["mine"] = v
+				}
+			}
+			return props
+		}
+		if props := explain(); !strings.HasSuffix(props["mine"], "frequency=0.9, floor=8)") {
+			t.Errorf("%s: mine node %q, want it to end with floor=8", c.name, props["mine"])
+		} else if _, ok := props["observed: rule candidates"]; ok {
+			t.Errorf("%s: rule candidates observed before any run", c.name)
+		}
+		if _, err := s.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+		if got := explain()["observed: rule candidates"]; got != c.observed {
+			t.Errorf("%s: observed rule candidates %q, want %q", c.name, got, c.observed)
+		}
+		sum := obs.Summarize(s.TML.Last("baskets").Tree())
+		if sum.Floor != 8 || sum.RuleCandidates != 28 {
+			t.Errorf("%s: journal summary floor %d, %d candidates; want 8 and 28", c.name, sum.Floor, sum.RuleCandidates)
+		}
+	}
+}
+
 // TestExplainRulesLevel2Route: a whole-table MINE RULES decides level 2
 // on the route a hold-table build's granule would take, and its pass:L2
 // span says which — pair_granules_vertical or _horizontal 1, the whole

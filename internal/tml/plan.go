@@ -127,6 +127,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 		}}
 		mine.With("during", stmt.DuringSrc).
 			With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
+		floorDetail(mine, tbl, cfg, explain)
 		root = mine
 		if opt, ok := pruneOptions(stmt, 0); ok {
 			root = pruneDetails(stmt, &plan.Node{Op: plan.OpPrune, Input: root, Run: func(ctx context.Context, in any) (any, error) {
@@ -148,6 +149,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 			mine.With("min_length", fmt.Sprint(stmt.MinLength))
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
+		floorDetail(mine, tbl, cfg, explain)
 		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "from", "to", "frequency"}, func(r core.PeriodRule) []tdb.Value {
 			return ruleCells(e, r.Rule,
 				tdb.Str(timegran.FormatGranule(r.Interval.Lo, r.Granularity)),
@@ -170,6 +172,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 			mine.With("min_reps", fmt.Sprint(stmt.MinReps))
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
+		floorDetail(mine, tbl, cfg, explain)
 		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "cycle", "frequency"}, func(r core.CyclicRule) []tdb.Value {
 			return ruleCells(e, r.Rule, tdb.Str(r.Cycle.String()), tdb.Float(r.Freq))
 		})
@@ -185,6 +188,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 			mine.With("min_reps", fmt.Sprint(stmt.MinReps))
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
+		floorDetail(mine, tbl, cfg, explain)
 		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "calendar", "frequency"}, func(r core.CalendarRule) []tdb.Value {
 			return ruleCells(e, r.Rule, tdb.Str(r.Feature.String()), tdb.Float(r.Freq))
 		})
@@ -262,6 +266,20 @@ func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node,
 		return h, err
 	}
 	return n
+}
+
+// floorDetail shows, on a printed plan's mine:<task> node, the floor
+// the task's operator enumerates at: the least number of granules an
+// itemset must be frequent in for any of its rules to be reported. It
+// is the floor a scoped build applies, and holds over a shared table
+// too (core.ResolveScope), so a cached executor shows it as well.
+func floorDetail(mine *plan.Node, tbl *tdb.TxTable, cfg core.Config, explain bool) {
+	if !explain {
+		return
+	}
+	if sc, ok := core.ResolveScope(tbl, cfg); ok {
+		mine.With("floor", fmt.Sprint(sc.Floor))
+	}
 }
 
 // scopeDetails is a resolved scope's EXPLAIN details, in order: the
