@@ -508,21 +508,30 @@ func TestTxTableBytesPerTx(t *testing.T) {
 // BenchmarkTaskMiners times what a warm statement does after its cache
 // probe: the year table's hold table is built once at support 0.03 and
 // re-thresholded to 0.04 (the rethreshold sub-benchmark), then each
-// task operator runs over the 0.04 table. allocs/op against the table's
-// rule candidates shows what a candidate costs: nothing unless it emits.
-// periods@0.03 is Task I over the 0.03 build itself, the largest answer
-// a warm session asks for, and format renders that answer through
-// minisql.Format as the seven PERIODS columns.
+// task operator runs over the 0.04 table. The @view arms run each
+// operator over what a cache holding the 0.03 table serves a 0.04
+// statement: a threshold view of it, read in place with no
+// re-threshold. allocs/op against the table's rule candidates shows
+// what a candidate costs: nothing unless it emits. periods@0.03 is Task
+// I over the 0.03 build itself, the largest answer a warm session asks
+// for, and format renders that answer through minisql.Format as the
+// seven PERIODS columns.
 func BenchmarkTaskMiners(b *testing.B) {
 	ctx := context.Background()
+	tbl := yearTable(b)
 	cfg := bench.Cfg()
 	cfg.MinSupport, cfg.MinFreq, cfg.MaxK = 0.03, 0.9, 0
-	h03, err := core.BuildHoldTableContext(ctx, yearTable(b), cfg)
+	cache := core.NewHoldCache(core.DefaultCacheBytes)
+	h03, err := cache.GetContext(ctx, tbl, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg.MinSupport = 0.04
 	h, err := h03.Rethreshold(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, err := cache.GetContext(ctx, tbl, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -577,6 +586,22 @@ func BenchmarkTaskMiners(b *testing.B) {
 		}},
 		{"rethreshold", func() error {
 			_, err := h03.Rethreshold(cfg)
+			return err
+		}},
+		{"periods@view", func() error {
+			_, err := core.MineValidPeriodsFromTableContext(ctx, view, core.PeriodConfig{})
+			return err
+		}},
+		{"cycles@view", func() error {
+			_, err := core.MineCyclesFromTableContext(ctx, view, core.CycleConfig{})
+			return err
+		}},
+		{"calendars@view", func() error {
+			_, err := core.MineCalendarPeriodicitiesFromTableContext(ctx, view, core.CycleConfig{})
+			return err
+		}},
+		{"during@view", func() error {
+			_, err := core.MineDuringFromTableContext(ctx, view, summer)
 			return err
 		}},
 	} {

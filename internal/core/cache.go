@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"github.com/tarm-project/tarm/internal/itemset"
@@ -25,8 +24,11 @@ import (
 // counts are monotone, so an itemset clearing ceil(s·|g|) clears
 // ceil(s₀·|g|) too), and re-thresholding the stored per-granule count
 // vectors reproduces the cold build bit for bit — see
-// (*HoldTable).Rethreshold. Statements below the cached support, or
-// deeper than the cached MaxK, miss and rebuild.
+// (*HoldTable).Rethreshold. A statement at s > s₀ (or a shallower MaxK)
+// is served a threshold view of the entry, which applies s as it reads
+// the stored vectors instead of materialising a table for it (see
+// thresholdView). Statements below the cached support, or deeper than
+// the cached MaxK, miss and rebuild.
 //
 // Entries are keyed by (table name, table epoch, granularity,
 // MinGranuleTx); the epoch comes from tdb.(*TxTable).Epoch and is
@@ -198,7 +200,12 @@ func maxKCovers(have, want int) bool {
 // tracer are the caller's — and must be treated as read-only, like
 // every shared HoldTable. A nil cache builds directly, under cfg's
 // Scope; a cache drops the scope, because what it builds it shares
-// (ScopeOf reports which applies).
+// (ScopeOf reports which applies). A statement above a resident entry's
+// support, or shallower than its MaxK, is served a threshold view of
+// the entry: its ByK are the entry's levels, a superset of the
+// statement's, so read it through the task operators, Counts and
+// History, which answer at the statement's thresholds, or materialise
+// it with Rethreshold(h.Cfg).
 //
 // Cancellation reaches every path: a cold build runs
 // BuildHoldTableContext, and a singleflight waiter selects on ctx
@@ -259,7 +266,7 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 				c.stats.Rethresholds++
 				c.mu.Unlock()
 				tr.Counter(obs.MetricCacheRethresholds, 1)
-				return h.rethreshold(ctx, cfg)
+				return h.thresholdView(cfg), nil
 			}
 		}
 		// Miss. Join an identical in-flight build, or start one.
@@ -514,6 +521,40 @@ func (c *HoldCache) gaugeLocked(tr obs.Tracer) {
 	tr.Gauge(obs.MetricCacheResidentCells, float64(c.stats.ResidentCells))
 }
 
+// thresholdView serves a statement at cfg's support (≥ h's) and MaxK
+// (within h's) from h in place: it shares h's levels, frequency words
+// and count vectors — cut to cfg.MaxK, never copied or filtered — and
+// carries cfg and the per-granule thresholds of cfg's support. Every
+// reader derives an itemset's words at those thresholds from the stored
+// ones (thresholdWords) — the thresholds only rose, so the stored words
+// are a superset — and so answers as h.Rethreshold(cfg) would; see
+// EachRuleCandidate and lookup. The cache's re-threshold outcome is a
+// view. A view is never cached, and MaintainContext and ExtendContext
+// refuse one; Rethreshold materialises it. h keeps its scope, as under
+// Rethreshold. The caller has checked that h covers cfg.
+func (h *HoldTable) thresholdView(cfg Config) *HoldTable {
+	cfg.Scope = h.Cfg.Scope
+	nh := h.withCfg(cfg)
+	nh.MinCounts = h.minCountsAt(cfg.MinSupport)
+	if k := cfg.MaxK + 1; cfg.MaxK > 0 && k < len(h.ByK) {
+		nh.ByK, nh.freq, nh.vecs = h.ByK[:k:k], h.freq[:k:k], h.vecs[:k:k]
+	}
+	nh.view = true
+	return nh
+}
+
+// minCountsAt is MinCounts at another support: ceil(support · TxCounts)
+// in every active granule of h, 0 elsewhere.
+func (h *HoldTable) minCountsAt(support float64) []int {
+	minCounts := make([]int, len(h.TxCounts))
+	for gi, txc := range h.TxCounts {
+		if bitAt(h.Active, gi) {
+			minCounts[gi] = ceilCount(support, txc)
+		}
+	}
+	return minCounts
+}
+
 // withCfg returns a shallow view of h carrying the caller's config:
 // the count vectors, levels and thresholds are shared with h (the
 // caller's support and MaxK equal the build's), while confidence,
@@ -572,9 +613,10 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 }
 
 // rethreshold is Rethreshold under a context, the spelling the cache's
-// hit and delta paths use: ctx is sampled every keepCheckEvery stored
-// itemsets and reaches the replayed joins, and a cancelled re-threshold
-// returns ctx.Err().
+// delta path uses to serve a statement above the refreshed entry's
+// support: ctx is sampled every keepCheckEvery stored itemsets and
+// reaches the replayed joins, and a cancelled re-threshold returns
+// ctx.Err().
 func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
@@ -598,7 +640,7 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 		Cfg:       cfg,
 		Span:      h.Span,
 		TxCounts:  h.TxCounts,
-		MinCounts: make([]int, n),
+		MinCounts: h.minCountsAt(cfg.MinSupport),
 		Active:    h.Active,
 		NActive:   h.NActive,
 		ByK:       [][]itemset.Set{nil},
@@ -606,17 +648,13 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 		vecs:      [][][]int32{nil},
 		floor:     h.floor,
 	}
-	for gi, txc := range nh.TxCounts {
-		if bitAt(nh.Active, gi) {
-			nh.MinCounts[gi] = ceilCount(cfg.MinSupport, txc)
-		}
-	}
 	// filter passes stored level k through the new thresholds, visiting
 	// only the granules where the itemset was frequent at the build
 	// support: the thresholds only rose, so those are a superset of
 	// where it is frequent now. It keeps an itemset frequent in the
 	// table's floor of granules. The filtered slice of a sorted level
-	// stays sorted.
+	// stays sorted. h may itself be a view: its stored words are then
+	// those of its base, a superset still.
 	thr := nh.thresholds()
 	fw := make([]uint64, len(h.Active))
 	var words []uint64
@@ -629,20 +667,7 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 				}
 			}
 			v := h.vecs[k][i]
-			found := 0
-			for wi, w := range h.levelFreq(k, i) {
-				var nw uint64
-				for ; w != 0; w &= w - 1 {
-					b := bits.TrailingZeros64(w)
-					gi := wi<<6 + b
-					// v[gi] ≥ thr[gi] as the sign of thr-1-v: no branch to
-					// mispredict on a coin-flip test.
-					nw |= uint64(int64(thr[gi])-1-int64(v[gi])) >> 63 << b
-				}
-				fw[wi] = nw
-				found += bits.OnesCount64(nw)
-			}
-			if found >= nh.floor {
+			if thresholdWords(fw, h.levelFreq(k, i), v, thr) >= nh.floor {
 				level = append(level, s)
 				words = append(words, fw...)
 				vecs = append(vecs, v)

@@ -149,7 +149,8 @@ func TestHoldCacheHitMissRethreshold(t *testing.T) {
 	}
 	sameHoldTable(t, "exact hit", h1, h2)
 
-	// Higher support: served by re-thresholding, equal to a cold build.
+	// Higher support: served as a threshold view of the entry, whose
+	// materialised form equals a cold build.
 	qcfg := cacheTestCfg(0.1, 3)
 	warm, err := c.GetContext(bg, tbl, qcfg)
 	if err != nil {
@@ -159,7 +160,11 @@ func TestHoldCacheHitMissRethreshold(t *testing.T) {
 		t.Fatalf("after rethreshold Get: %+v", st)
 	}
 	cold := mustBuild(t, tbl, qcfg)
-	sameHoldTable(t, "rethreshold", cold, warm)
+	materialised, err := warm.Rethreshold(warm.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameHoldTable(t, "rethreshold", cold, materialised)
 
 	// Lower support: not covered, rebuilds and replaces the entry.
 	lcfg := cacheTestCfg(0.02, 3)

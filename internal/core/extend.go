@@ -20,14 +20,14 @@ import (
 // no longer starts where it used to, or if nothing new arrived; appends
 // that landed strictly inside the old span are caught by
 // MaintainContext's dirty-list soundness check and also surface as an
-// error telling the caller to rebuild, as does a table scoped to one
-// statement. Cancellation is observed between levels and between
-// granule scans, never per transaction.
+// error telling the caller to rebuild, as do a table scoped to one
+// statement and a threshold view. Cancellation is observed between
+// levels and between granule scans, never per transaction.
 func (h *HoldTable) ExtendContext(ctx context.Context, tbl *tdb.TxTable) (*HoldTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := h.scopeErr("Extend"); err != nil {
+	if err := h.refreshErr("Extend"); err != nil {
 		return nil, err
 	}
 	span, ok := tbl.Span(h.Cfg.Granularity)

@@ -37,7 +37,9 @@ type HoldTable struct {
 	Active  []uint64
 	NActive int
 
-	// ByK[k] lists the granule-frequent k-itemsets in canonical order.
+	// ByK[k] lists the granule-frequent k-itemsets in canonical order;
+	// on a threshold view, those of the table it reads in place, a
+	// superset of the view's (see thresholdView).
 	ByK [][]itemset.Set
 
 	// freq[k] holds the frequency words of ByK[k], len(Active) words
@@ -55,6 +57,14 @@ type HoldTable struct {
 	// floor is the least number of granules a kept itemset is frequent
 	// in: 1 unless Cfg.Scope raised it (Scope.resolve).
 	floor int
+
+	// view marks a threshold view (thresholdView): ByK, freq and vecs
+	// are a resident table's, stored at a support no higher than Cfg's,
+	// so a reader derives an itemset's words at MinCounts from the
+	// stored ones (thresholdWords) and treats an itemset left below
+	// floor as absent, as the materialised table (Rethreshold) is
+	// without it.
+	view bool
 }
 
 // NGranules returns the number of granules in the span.
@@ -91,9 +101,18 @@ func (h *HoldTable) thresholds() []int32 {
 
 // Counts returns the per-granule count vector of s, or nil when s is
 // not granule-frequent. The slice is shared: callers must not modify.
-func (h *HoldTable) Counts(s itemset.Set) []int32 { return h.countsOf(s) }
+func (h *HoldTable) Counts(s itemset.Set) []int32 {
+	if i, _, ok := h.lookup(s); ok {
+		return h.vecs[len(s)][i]
+	}
+	return nil
+}
 
-// countsOf is Counts: s's count vector, by one search in its level.
+// countsOf is s's stored count vector, by one search in its level, or
+// nil when s is not stored. Unlike Counts it does not ask a view
+// whether s is frequent at the view's support: the enumeration reads
+// the subsets of an itemset it already knows to be, and Maintain reads
+// a built table.
 func (h *HoldTable) countsOf(s itemset.Set) []int32 {
 	if i, ok := h.find(s); ok {
 		return h.vecs[len(s)][i]
@@ -102,12 +121,30 @@ func (h *HoldTable) countsOf(s itemset.Set) []int32 {
 }
 
 // freqOf returns s's frequency words, or nil when s is not
-// granule-frequent, by the same search as countsOf.
+// granule-frequent, by the same lookup as Counts.
 func (h *HoldTable) freqOf(s itemset.Set) []uint64 {
-	if i, ok := h.find(s); ok {
-		return h.levelFreq(len(s), i)
+	_, words, _ := h.lookup(s)
+	return words
+}
+
+// lookup finds s as every reader but the enumeration sees it: its
+// position in its level and its frequency words, ok false when s is not
+// granule-frequent. On a threshold view the words are derived at the
+// view's thresholds (a fresh slice), and an itemset they leave below
+// the table's floor is not granule-frequent.
+func (h *HoldTable) lookup(s itemset.Set) (i int, words []uint64, ok bool) {
+	if i, ok = h.find(s); !ok {
+		return 0, nil, false
 	}
-	return nil
+	words = h.levelFreq(len(s), i)
+	if h.view {
+		stored := words
+		words = make([]uint64, len(stored))
+		if thresholdWords(words, stored, h.vecs[len(s)][i], h.thresholds()) < h.floor {
+			return 0, nil, false
+		}
+	}
+	return i, words, true
 }
 
 // find is s's position in its level ByK[len(s)], by binary search; ok
@@ -365,10 +402,10 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 }
 
 // keepCheckEvery is the number of candidates between two cancellation
-// checks of a level's keep loop and of its frequency-word prune: each
-// candidate costs a pass over its count vector or its subsets' words
-// (one compare per granule), so a block of them is well under a
-// millisecond even over thousands of granules.
+// checks of a level's keep loop, of its frequency-word prune and of
+// Maintain's carry loops: each candidate costs a pass over its count
+// vector or its subsets' words (one compare per granule), so a block
+// of them is well under a millisecond even over thousands of granules.
 const keepCheckEvery = 1024
 
 // keepFrequent is a level's keep loop: it returns the candidates of
@@ -455,6 +492,30 @@ func frequentGranules(words []uint64, v, thr []int32) int {
 	return found
 }
 
+// thresholdWords fills dst with the frequency words of count vector v
+// under thr (h.thresholds()), visiting only the granules set in stored:
+// the words of v under thresholds no higher than thr's, so a superset
+// of dst. It returns how many granules are set. It is the one place a
+// table's words are re-read at a higher support: Rethreshold filters
+// the stored levels through it, and a threshold view derives each
+// itemset's words with it as the itemset is read.
+func thresholdWords(dst, stored []uint64, v, thr []int32) int {
+	found := 0
+	for wi, w := range stored {
+		var nw uint64
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			gi := wi<<6 + b
+			// v[gi] ≥ thr[gi] as the sign of thr-1-v: no branch to
+			// mispredict on a coin-flip test.
+			nw |= uint64(int64(thr[gi])-1-int64(v[gi])) >> 63 << b
+		}
+		dst[wi] = nw
+		found += bits.OnesCount64(nw)
+	}
+	return found
+}
+
 // anySet reports whether a packed vector has any granule set.
 func anySet(words []uint64) bool {
 	for _, x := range words {
@@ -490,15 +551,16 @@ type RuleCandidate struct {
 }
 
 // candidate resolves a rule named by its sets into a candidate of h:
-// Freq and the count vectors by search. ok is false when the full
-// itemset is not granule-frequent (there are no words to hold on).
+// Freq and the count vectors by search (lookup, so a view answers at
+// its own support). ok is false when the full itemset is not
+// granule-frequent (there are no words to hold on).
 func (h *HoldTable) candidate(ante, cons itemset.Set) (rc RuleCandidate, ok bool) {
 	rc = RuleCandidate{Ante: ante, Cons: cons, Full: ante.Union(cons)}
-	i, ok := h.find(rc.Full)
+	i, words, ok := h.lookup(rc.Full)
 	if !ok {
 		return rc, false
 	}
-	rc.Freq, rc.full = h.levelFreq(len(rc.Full), i), h.vecs[len(rc.Full)][i]
+	rc.Freq, rc.full = words, h.vecs[len(rc.Full)][i]
 	rc.ante, rc.cons = h.countsOf(ante), h.countsOf(cons)
 	return rc, true
 }
@@ -594,10 +656,10 @@ func minHits(minFreq float64, occ int) int {
 // EachRuleCandidate enumerates every rule X ⇒ {y} derivable from the
 // granule-frequent itemsets (single-item consequents, following the
 // companion papers' presentation convention), in canonical order, each
-// with its full itemset's stored frequency words and the three count
-// vectors. Ante and Cons are scratch sets the loop refills: they are
-// valid only during fn, and a caller that keeps a rule copies them
-// (featureRule does, on emit).
+// with its full itemset's frequency words and the three count vectors.
+// Ante and Cons are scratch sets the loop refills: they are valid only
+// during fn, and a caller that keeps a rule copies them (featureRule
+// does, on emit). So is Freq on a threshold view.
 //
 // floor is a task's (see emitRules): a full itemset whose frequency
 // words hold fewer than floor granules of mask (of the span when mask
@@ -606,23 +668,44 @@ func minHits(minFreq float64, occ int) int {
 // that needs floor holding granules there can accept a skipped rule;
 // floor 1 skips nothing. It returns the rules formed and the itemsets
 // skipped.
+//
+// On a threshold view the stored words are those of a lower support,
+// a superset of the view's: an itemset they already leave below floor
+// is skipped without deriving anything. Otherwise its words at the
+// view's thresholds are derived (thresholdWords), and it is skipped
+// when they are empty — the materialised table does not hold it — or
+// below floor; so a view forms exactly the rules its Rethreshold form
+// would, and skipped also counts the itemsets frequent nowhere at the
+// view's support.
 func (h *HoldTable) EachRuleCandidate(floor int, mask []uint64, fn func(rc RuleCandidate) bool) (formed, skipped int) {
+	count := func(words []uint64) int {
+		if mask == nil {
+			return popcount(words)
+		}
+		return apriori.AndCount(words, mask)
+	}
+	var thr []int32
+	var fw []uint64
+	if h.view {
+		thr, fw = h.thresholds(), make([]uint64, len(h.Active))
+	}
 	var ante itemset.Set
 	cons := make(itemset.Set, 1)
 	for k := 2; k < len(h.ByK); k++ {
 		for i, full := range h.ByK[k] {
 			freq := h.levelFreq(k, i)
-			if floor > 1 {
-				n := 0
-				if mask == nil {
-					n = popcount(freq)
-				} else {
-					n = apriori.AndCount(freq, mask)
-				}
-				if n < floor {
+			if floor > 1 && count(freq) < floor {
+				skipped++
+				continue
+			}
+			if h.view {
+				// Absent from the materialised table, or below floor there.
+				n := thresholdWords(fw, freq, h.vecs[k][i], thr)
+				if n < h.floor || n < floor || mask != nil && floor > 1 && count(fw) < floor {
 					skipped++
 					continue
 				}
+				freq = fw
 			}
 			rc := RuleCandidate{Cons: cons, Full: full, Freq: freq, full: h.vecs[k][i]}
 			for j, y := range full {

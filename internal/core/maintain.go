@@ -49,11 +49,12 @@ import (
 //
 // MaintainContext returns an error (and the caller should fall back to
 // a cold rebuild) when the dirty list provably misses a changed granule,
-// when the table shrank, when no granule is active, or when the table is
-// scoped to one statement (Config.Scope): it lacks the itemsets below
-// its floor that the appends may lift, and the HoldCache never holds
-// one. Cancellation is
-// observed between levels and between granule scans, never per
+// when the table shrank, when no granule is active, when the table is
+// scoped to one statement (Config.Scope: it lacks the itemsets below
+// its floor that the appends may lift), or when it is a threshold view
+// (its stored words are a lower support's); the HoldCache holds neither.
+// Cancellation is observed between levels, between granule scans and
+// every keepCheckEvery itemsets of a level's carry loop, never per
 // transaction.
 func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty []timegran.Granule) (*HoldTable, error) {
 	if err := ctx.Err(); err != nil {
@@ -62,7 +63,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	if len(h.ByK) < 2 {
 		return nil, fmt.Errorf("core: Maintain on an unbuilt hold table")
 	}
-	if err := h.scopeErr("Maintain"); err != nil {
+	if err := h.refreshErr("Maintain"); err != nil {
 		return nil, err
 	}
 	view, ok := tbl.Granules(h.Cfg.Granularity)
@@ -216,6 +217,11 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	var l1 []itemset.Set
 	var vecs [][]int32
 	for i, s := range h.ByK[1] {
+		if i > 0 && i%keepCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		v := splice(rebase(h.vecs[1][i]), c1[s[0]])
 		if carry(h.levelFreq(1, i), v) {
 			l1 = append(l1, s)
@@ -317,6 +323,11 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		}
 		t := 0
 		for i, c := range cands {
+			if i > 0 && i%keepCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			for t < len(tracked) && tracked[t].Compare(c) < 0 {
 				t++
 			}

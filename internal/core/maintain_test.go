@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -188,5 +191,64 @@ func TestQuickMaintainEquivalent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaintainCarryChecksContext pins the cancellation bound of
+// MaintainContext's carry loops: the level-1 loop over the stored items
+// and each level's loop over its joined candidates sample the context
+// at least once per keepCheckEvery entries, on top of the checks the
+// join itself makes, and a maintenance cancelled at any of its checks
+// returns context.Canceled or, when no check ran after the cancel,
+// exactly the uncancelled table. The cases are one wide level 1 (MaxK
+// 1) and a level 2 of a few thousand candidates.
+func TestMaintainCarryChecksContext(t *testing.T) {
+	for _, tc := range []struct {
+		items, maxK int
+	}{{6000, 1}, {160, 2}} {
+		all := make([]itemset.Item, tc.items)
+		for x := range all {
+			all[x] = itemset.Item(x)
+		}
+		day := []itemset.Set{itemset.New(all...), itemset.New(all...), itemset.New(all...), itemset.New(all...)}
+		tbl := tableOfDays(t, day, day, day)
+		cfg := Config{Granularity: timegran.Day, MinSupport: 0.5, MinConfidence: 0.5, MinFreq: 1, MaxK: tc.maxK}
+		h := mustBuild(t, tbl, cfg)
+		at := time.Date(2001, 3, 2, 18, 0, 0, 0, time.UTC)
+		tbl.Append(at, itemset.New(all[:10]...))
+		dirty := []timegran.Granule{timegran.GranuleOf(at, timegran.Day)}
+
+		want, err := h.MaintainContext(bg, tbl, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := newCheckpointCtx(math.MaxInt64)
+		if _, err := h.MaintainContext(ctx, tbl, dirty); err != nil {
+			t.Fatal(err)
+		}
+		calls := math.MaxInt64 - ctx.left.Load()
+		// The checks the carry loops must add to the join's own.
+		need := int64(len(want.ByK[1])-1) / keepCheckEvery
+		if tc.maxK >= 2 {
+			join := newCheckpointCtx(math.MaxInt64)
+			cands, _, _, err := generateFromSets(join, want.ByK[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			need += math.MaxInt64 - join.left.Load() + int64(len(cands)-1)/keepCheckEvery
+		}
+		if calls < need {
+			t.Errorf("%d items, MaxK %d: %d context checks, want ≥ %d", tc.items, tc.maxK, calls, need)
+		}
+		for n := int64(1); n <= calls; n++ {
+			got, err := h.MaintainContext(newCheckpointCtx(n), tbl, dirty)
+			switch {
+			case errors.Is(err, context.Canceled):
+			case err != nil:
+				t.Fatalf("%d items, cancelled at check %d: %v", tc.items, n, err)
+			case !holdTablesEqual(got, want):
+				t.Fatalf("%d items, cancelled at check %d: a table that differs from the uncancelled one", tc.items, n)
+			}
+		}
 	}
 }

@@ -197,12 +197,17 @@ func (h *HoldTable) ResolvedScope() (info ScopeInfo, ok bool) {
 	return ScopeInfo{Floor: h.floor, Cover: h.Cfg.Scope.feature, Counted: h.NActive}, true
 }
 
-// scopeErr is the refusal of a refresh on a scoped table: it lacks the
-// itemsets below its floor (and DURING's uncovered granules) that a
-// refresh would need, so the caller rebuilds.
-func (h *HoldTable) scopeErr(op string) error {
-	if h.Cfg.Scope.task == "" {
-		return nil
+// refreshErr is the refusal of a refresh on a table that cannot take
+// one. A scoped table lacks the itemsets below its floor (and DURING's
+// uncovered granules) that a refresh would need. A threshold view's
+// stored words are not those of its thresholds. Either way the caller
+// rebuilds.
+func (h *HoldTable) refreshErr(op string) error {
+	switch {
+	case h.view:
+		return fmt.Errorf("core: %s on a threshold view at support %g; refresh the table it was served from, or rebuild", op, h.Cfg.MinSupport)
+	case h.Cfg.Scope.task != "":
+		return fmt.Errorf("core: %s on a table scoped to one %s statement (floor %d); rebuild instead", op, h.Cfg.Scope, h.floor)
 	}
-	return fmt.Errorf("core: %s on a table scoped to one %s statement (floor %d); rebuild instead", op, h.Cfg.Scope, h.floor)
+	return nil
 }
