@@ -30,19 +30,21 @@ import (
 // thresholdView). Statements below the cached support, or deeper than
 // the cached MaxK, miss and rebuild.
 //
-// Entries are keyed by (table name, table epoch, granularity,
-// MinGranuleTx); the epoch comes from tdb.(*TxTable).Epoch and is
-// bumped by every Append. A write to the table no longer simply
-// invalidates its cached tables: when the table's change log still
-// covers the window since the entry was built and the dirty region is
-// a minority of the data, the entry is delta-maintained in place —
-// only the dirty granules are recounted and their count vectors
-// spliced into the carried entry (see HoldTable.MaintainContext) — and the
-// statement is served from the refreshed entry. Only when the log has
-// been trimmed past the entry, or most of the table changed, does the
-// entry fall back to invalidation and a cold rebuild. Concurrent
+// Entries are keyed by (table name, granularity, MinGranuleTx), one
+// per key, and each records the table epoch it was counted at; the
+// epoch comes from tdb.(*TxTable).Epoch and is bumped by every Append,
+// so a write leaves the entry stale. A stale entry is not simply
+// invalidated: when the table's change log still covers the window
+// since the entry was built and the dirty region is a minority of the
+// data, the entry is delta-maintained in place — only the dirty
+// granules are recounted and their count vectors spliced into the
+// carried entry (see HoldTable.MaintainContext) — and the statement is
+// served from the refreshed entry, as from a resident one. Only when
+// the log has been trimmed past the entry, or most of the table
+// changed, does the entry fall back to invalidation and a cold rebuild.
+// decideLocked is the one place these outcomes are chosen. Concurrent
 // identical statements are deduplicated: one build (or one delta
-// maintenance) runs, the rest wait for it (singleflight).
+// maintenance) runs, the rest wait for it (singleflight, flyLocked).
 //
 // The zero of *HoldCache is usable: a nil cache builds directly and
 // caches nothing, so callers thread an optional cache without
@@ -194,18 +196,29 @@ func maxKCovers(have, want int) bool {
 	return have == 0 || (want != 0 && want <= have)
 }
 
+// covers reports whether the entry can serve a statement at cfg: at or
+// above its build support, and within its depth.
+func (ent *cacheEntry) covers(cfg Config) bool {
+	return ent.buildSupport <= cfg.MinSupport && maxKCovers(ent.maxK, cfg.MaxK)
+}
+
+// exact reports whether cfg asks for the entry's own thresholds.
+func (ent *cacheEntry) exact(cfg Config) bool {
+	return cfg.MinSupport == ent.buildSupport && cfg.MaxK == ent.maxK
+}
+
 // GetContext returns a hold table for (tbl, cfg), from cache when a
 // resident build covers the statement, building (and caching) otherwise.
 // The returned table carries cfg verbatim — confidence, frequency and
 // tracer are the caller's — and must be treated as read-only, like
 // every shared HoldTable. A nil cache builds directly, under cfg's
 // Scope; a cache drops the scope, because what it builds it shares
-// (ScopeOf reports which applies). A statement above a resident entry's
+// (ScopeOf reports which applies). A statement above a covering entry's
 // support, or shallower than its MaxK, is served a threshold view of
-// the entry: its ByK are the entry's levels, a superset of the
-// statement's, so read it through the task operators, Counts and
-// History, which answer at the statement's thresholds, or materialise
-// it with Rethreshold(h.Cfg).
+// the entry — resident or just refreshed by delta maintenance: its ByK
+// are the entry's levels, a superset of the statement's, so read it
+// through the task operators, Counts and History, which answer at the
+// statement's thresholds, or materialise it with Rethreshold(h.Cfg).
 //
 // Cancellation reaches every path: a cold build runs
 // BuildHoldTableContext, and a singleflight waiter selects on ctx
@@ -235,164 +248,162 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 		// Re-read the epoch each attempt: a retry may straddle a write.
 		epoch := tbl.Epoch()
 		c.mu.Lock()
-		if ent := c.byKey[key]; ent != nil {
-			if ent.epoch != epoch {
-				// The table was written since this entry was built. Prefer
-				// refreshing the entry by delta maintenance over dropping
-				// it; only when that is impossible (log trimmed, majority
-				// of the data dirty, entry does not cover the statement)
-				// invalidate and fall through to a cold build.
-				if h, err, served := c.deltaLocked(ctx, tbl, cfg, key, ent, epoch, tr); served {
-					if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
-						// A delta flight we joined died with its winner's
-						// context error, not ours: retry.
-						continue
-					}
-					return h, err
+		out, ent, dirty := c.decideLocked(tbl, key, cfg, epoch)
+		var h *HoldTable
+		var retry bool
+		switch out {
+		case outcomeHit, outcomeRethreshold:
+			c.lru.MoveToFront(ent.elem)
+			metric := c.countLocked(out)
+			c.mu.Unlock()
+			tr.Counter(metric, 1)
+			h = ent.h
+		case outcomeDelta:
+			// Maintain under the caller's config at the entry's
+			// thresholds: the entry's stored config belongs to a finished
+			// statement and must not receive this one's tracer events.
+			buildCfg := cfg
+			buildCfg.MinSupport, buildCfg.MaxK = ent.buildSupport, ent.maxK
+			h, retry, err = c.flyLocked(ctx, tbl, key, epoch, out, buildCfg, tr, func() (*HoldTable, error) {
+				nh, err := ent.h.withCfg(buildCfg).MaintainContext(ctx, tbl, dirty)
+				if err != nil && ctx.Err() == nil {
+					// The dirty list raced a concurrent append, or the entry
+					// turned out unmaintainable: fall back to a cold build at
+					// the same coverage so waiters still receive a covering
+					// table.
+					nh, err = BuildHoldTableContext(ctx, tbl, buildCfg)
 				}
+				return nh, err
+			})
+		default:
+			if ent != nil {
 				c.removeLocked(ent)
 				c.stats.Invalidations++
 				tr.Counter(obs.MetricCacheInvalidations, 1)
 				c.gaugeLocked(tr)
-			} else if ent.buildSupport <= cfg.MinSupport && maxKCovers(ent.maxK, cfg.MaxK) {
-				c.lru.MoveToFront(ent.elem)
-				h := ent.h
-				if cfg.MinSupport == ent.buildSupport && cfg.MaxK == ent.maxK {
-					c.stats.Hits++
-					c.mu.Unlock()
-					tr.Counter(obs.MetricCacheHits, 1)
-					return h.withCfg(cfg), nil
-				}
-				c.stats.Rethresholds++
-				c.mu.Unlock()
-				tr.Counter(obs.MetricCacheRethresholds, 1)
-				return h.thresholdView(cfg), nil
 			}
+			h, retry, err = c.flyLocked(ctx, tbl, key, epoch, out, cfg, tr, func() (*HoldTable, error) {
+				return BuildHoldTableContext(ctx, tbl, cfg)
+			})
 		}
-		// Miss. Join an identical in-flight build, or start one.
-		fk := flightKey{cacheKey: key, epoch: epoch, support: cfg.MinSupport, maxK: cfg.MaxK}
-		if f := c.flights[fk]; f != nil {
-			c.stats.Dedups++
-			c.mu.Unlock()
-			tr.Counter(obs.MetricCacheDedups, 1)
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-f.done:
-			}
-			if f.err == nil {
-				return f.h.withCfg(cfg), nil
-			}
-			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-				// The winning builder's statement was cancelled, not
-				// ours (our ctx passed the select or is checked at the
-				// loop top). Its flight is gone from the map, so retry
-				// with a clean build instead of failing a live
-				// statement with a dead one's error.
-				continue
-			}
-			return nil, f.err
+		if retry {
+			continue
 		}
-		f := &flight{done: make(chan struct{})}
-		c.flights[fk] = f
-		c.stats.Misses++
-		c.mu.Unlock()
-		tr.Counter(obs.MetricCacheMisses, 1)
-
-		h, err := BuildHoldTableContext(ctx, tbl, cfg)
-		f.h, f.err = h, err
-		close(f.done)
-
-		c.mu.Lock()
-		delete(c.flights, fk)
-		if err == nil && tbl.Epoch() == epoch {
-			// Only cache builds not raced by a write: a scan overlapping an
-			// Append may contain the new rows, and caching it under the old
-			// epoch would serve them to readers of the old state.
-			c.insertLocked(key, epoch, cfg, h, tr)
+		if err != nil {
+			return nil, err
 		}
-		c.gaugeLocked(tr)
-		c.mu.Unlock()
-		return h, err
+		// h is at the thresholds it was built at, which cover cfg's.
+		if out == outcomeBuild || ent.exact(cfg) {
+			return h.withCfg(cfg), nil
+		}
+		return h.thresholdView(cfg), nil
 	}
 }
 
-// deltaLocked tries to serve a statement from a stale entry by
-// delta-maintaining it in place instead of invalidating it. Called
-// with c.mu held. When served is true the lock has been released and
-// (h, err) is the statement's outcome — except that a joined flight
-// failing with its *winner's* context error is returned for the caller
-// to retry, mirroring the cold dedup path. When served is false the
-// lock is still held and the caller falls through to invalidation.
-func (c *HoldCache) deltaLocked(ctx context.Context, tbl *tdb.TxTable, cfg Config, key cacheKey, ent *cacheEntry, epoch int64, tr obs.Tracer) (h *HoldTable, err error, served bool) {
-	if c.deltaOff || ent.buildSupport > cfg.MinSupport || !maxKCovers(ent.maxK, cfg.MaxK) {
-		return nil, nil, false
+// outcome is how the cache serves a statement; its text is Probe's
+// word, and countLocked bumps its one counter.
+type outcome string
+
+const (
+	outcomeHit         outcome = "hit"         // a fresh entry at the statement's thresholds
+	outcomeRethreshold outcome = "rethreshold" // a fresh entry at a lower support or deeper MaxK
+	outcomeDelta       outcome = "delta"       // a stale covering entry, refreshed from the dirty granules
+	outcomeBuild       outcome = "build"       // no usable entry: a cold build, or a wait on one
+)
+
+// decideLocked is the cache's one decision of how (tbl, cfg) is served
+// at epoch. A fresh covering entry is a hit at its own thresholds and a
+// rethreshold otherwise. A stale covering entry is refreshed by delta
+// maintenance when delta is on, the table's change log still names the
+// granules written since the entry's epoch (returned as dirty) and they
+// hold a minority of the rows. Anything else builds; a stale entry it
+// returns then is to be dropped. It changes nothing. Caller holds c.mu.
+func (c *HoldCache) decideLocked(tbl *tdb.TxTable, key cacheKey, cfg Config, epoch int64) (out outcome, ent *cacheEntry, dirty []timegran.Granule) {
+	ent = c.byKey[key]
+	switch {
+	case ent == nil:
+		return outcomeBuild, nil, nil
+	case ent.epoch == epoch && !ent.covers(cfg):
+		// The build replaces the narrower entry on insert.
+		return outcomeBuild, nil, nil
+	case ent.epoch == epoch && ent.exact(cfg):
+		return outcomeHit, ent, nil
+	case ent.epoch == epoch:
+		return outcomeRethreshold, ent, nil
+	case c.deltaOff || !ent.covers(cfg):
+		return outcomeBuild, ent, nil
 	}
 	dirty, cur, ok := tbl.DirtySince(key.granularity, ent.epoch)
 	if !ok || cur != epoch || !deltaWorthwhile(tbl, key.granularity, dirty) {
-		return nil, nil, false
+		return outcomeBuild, ent, nil
 	}
-	// The refreshed table is at the entry's build thresholds; the
-	// statement's own (equal or higher) thresholds are derived from it
-	// exactly, as on the resident hit path.
-	serve := func(nh *HoldTable) (*HoldTable, error) {
-		if cfg.MinSupport == ent.buildSupport && cfg.MaxK == ent.maxK {
-			return nh.withCfg(cfg), nil
-		}
-		return nh.rethreshold(ctx, cfg)
+	return outcomeDelta, ent, dirty
+}
+
+// countLocked bumps the counter of outcome out and returns the metric
+// that mirrors it. Caller holds c.mu.
+func (c *HoldCache) countLocked(out outcome) string {
+	switch out {
+	case outcomeHit:
+		c.stats.Hits++
+		return obs.MetricCacheHits
+	case outcomeRethreshold:
+		c.stats.Rethresholds++
+		return obs.MetricCacheRethresholds
+	case outcomeDelta:
+		c.stats.Deltas++
+		return obs.MetricCacheDeltas
 	}
-	fk := flightKey{cacheKey: key, epoch: epoch, support: ent.buildSupport, maxK: ent.maxK}
+	c.stats.Misses++
+	return obs.MetricCacheMisses
+}
+
+// flyLocked produces the table at buildCfg's thresholds once for every
+// concurrent statement that needs it: it joins the flight in the air
+// for them, or starts one that counts out, runs run, and caches the
+// result unless it failed or a write raced it — a scan overlapping an
+// Append may contain the new rows, and caching it under the old epoch
+// would serve them to readers of the old state. Called with c.mu held;
+// returns with it released. retry reports a joined flight that failed
+// with its winner's context error, not the caller's: the flight is gone
+// from the map, so the caller retries with a clean one instead of
+// failing a live statement with a dead one's error.
+func (c *HoldCache) flyLocked(ctx context.Context, tbl *tdb.TxTable, key cacheKey, epoch int64, out outcome, buildCfg Config, tr obs.Tracer, run func() (*HoldTable, error)) (h *HoldTable, retry bool, err error) {
+	fk := flightKey{cacheKey: key, epoch: epoch, support: buildCfg.MinSupport, maxK: buildCfg.MaxK}
 	if f := c.flights[fk]; f != nil {
 		c.stats.Dedups++
 		c.mu.Unlock()
 		tr.Counter(obs.MetricCacheDedups, 1)
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err(), true
+			return nil, false, ctx.Err()
 		case <-f.done:
 		}
-		if f.err != nil {
-			return nil, f.err, true
+		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+			return nil, true, nil
 		}
-		h, err = serve(f.h)
-		return h, err, true
+		return f.h, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[fk] = f
-	c.stats.Deltas++
+	metric := c.countLocked(out)
 	c.mu.Unlock()
-	tr.Counter(obs.MetricCacheDeltas, 1)
+	tr.Counter(metric, 1)
 
-	// Maintain under the caller's config (thresholds pinned to the
-	// build's): the entry's stored config belongs to a finished
-	// statement and must not receive this one's tracer events.
-	buildCfg := cfg
-	buildCfg.MinSupport = ent.buildSupport
-	buildCfg.MaxK = ent.maxK
-	nh, err := ent.h.withCfg(buildCfg).MaintainContext(ctx, tbl, dirty)
-	if err != nil && ctx.Err() == nil {
-		// The dirty list raced a concurrent append, or the entry turned
-		// out unmaintainable: fall back to a cold build at the same
-		// coverage so waiters still receive a covering table.
-		nh, err = BuildHoldTableContext(ctx, tbl, buildCfg)
-	}
-	f.h, f.err = nh, err
+	h, err = run()
+	f.h, f.err = h, err
 	close(f.done)
 
 	c.mu.Lock()
 	delete(c.flights, fk)
 	if err == nil && tbl.Epoch() == epoch {
-		// insertLocked replaces the stale entry (same key, older epoch)
-		// and re-evicts under the budget.
-		c.insertLocked(key, epoch, buildCfg, nh, tr)
+		// insertLocked replaces a stale entry of the key and re-evicts
+		// under the budget.
+		c.insertLocked(key, epoch, buildCfg, h, tr)
 	}
 	c.gaugeLocked(tr)
 	c.mu.Unlock()
-	if err != nil {
-		return nil, err, true
-	}
-	h, err = serve(nh)
-	return h, err, true
+	return h, false, err
 }
 
 // deltaWorthwhile caps delta maintenance at half the table's rows:
@@ -433,38 +444,20 @@ func (c *HoldCache) DisableDelta() {
 // lower support / deeper MaxK), "delta" (a covering entry is stale but
 // would be refreshed by delta maintenance rather than rebuilt) or
 // "build" (no covering entry; GetContext would build or join an
-// in-flight build). Read-only: no counter, LRU or invalidation side effects. A
-// nil cache always reports "build".
+// in-flight build). It takes GetContext's own decision, without its
+// counter, LRU or invalidation side effects. A nil cache always reports
+// "build".
 func (c *HoldCache) Probe(tbl *tdb.TxTable, cfg Config) string {
-	if c == nil {
-		return "build"
-	}
 	cfg, err := cfg.normalise()
-	if err != nil {
-		return "build"
+	if c == nil || err != nil {
+		return string(outcomeBuild)
 	}
 	key := cacheKey{table: tbl.Name(), granularity: cfg.Granularity, minGranuleTx: cfg.MinGranuleTx}
 	epoch := tbl.Epoch()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent := c.byKey[key]
-	if ent == nil || ent.buildSupport > cfg.MinSupport || !maxKCovers(ent.maxK, cfg.MaxK) {
-		return "build"
-	}
-	if ent.epoch != epoch {
-		if c.deltaOff {
-			return "build"
-		}
-		dirty, cur, ok := tbl.DirtySince(key.granularity, ent.epoch)
-		if !ok || cur != epoch || !deltaWorthwhile(tbl, key.granularity, dirty) {
-			return "build"
-		}
-		return "delta"
-	}
-	if cfg.MinSupport == ent.buildSupport && cfg.MaxK == ent.maxK {
-		return "hit"
-	}
-	return "rethreshold"
+	out, _, _ := c.decideLocked(tbl, key, cfg, epoch)
+	return string(out)
 }
 
 // insertLocked adds a freshly built table, replacing the key's
@@ -477,7 +470,7 @@ func (c *HoldCache) insertLocked(key cacheKey, epoch int64, cfg Config, h *HoldT
 		return
 	}
 	if old := c.byKey[key]; old != nil {
-		if old.epoch == epoch && old.buildSupport <= cfg.MinSupport && maxKCovers(old.maxK, cfg.MaxK) {
+		if old.epoch == epoch && old.covers(cfg) {
 			// A concurrent build with broader coverage landed first.
 			c.lru.MoveToFront(old.elem)
 			return
@@ -609,15 +602,6 @@ func (h *HoldTable) MemBytes() int64 {
 // MinGranuleTx (different granule grid), support below the build
 // support, or MaxK deeper than built.
 func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
-	return h.rethreshold(context.Background(), cfg)
-}
-
-// rethreshold is Rethreshold under a context, the spelling the cache's
-// delta path uses to serve a statement above the refreshed entry's
-// support: ctx is sampled every keepCheckEvery stored itemsets and
-// reaches the replayed joins, and a cancelled re-threshold returns
-// ctx.Err().
-func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, error) {
 	cfg, err := cfg.normalise()
 	if err != nil {
 		return nil, err
@@ -658,14 +642,9 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 	thr := nh.thresholds()
 	fw := make([]uint64, len(h.Active))
 	var words []uint64
-	filter := func(k int) (level []itemset.Set, vecs [][]int32, err error) {
+	filter := func(k int) (level []itemset.Set, vecs [][]int32) {
 		words = words[:0]
 		for i, s := range h.ByK[k] {
-			if i > 0 && i%keepCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, err
-				}
-			}
 			v := h.vecs[k][i]
 			if thresholdWords(fw, h.levelFreq(k, i), v, thr) >= nh.floor {
 				level = append(level, s)
@@ -673,12 +652,9 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 				vecs = append(vecs, v)
 			}
 		}
-		return level, vecs, nil
+		return level, vecs
 	}
-	l1, vecs, err := filter(1)
-	if err != nil {
-		return nil, err
-	}
+	l1, vecs := filter(1)
 	nh.appendLevel(l1, words, vecs)
 	// Higher levels replay the cold build's loop: stop where it would
 	// stop (thin level, empty join, MaxK), append an empty level where
@@ -692,12 +668,9 @@ func (h *HoldTable) rethreshold(ctx context.Context, cfg Config) (*HoldTable, er
 	// run only to tell "counted, none frequent" from "nothing to count".
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK) && k < len(h.ByK); k++ {
-		level, vecs, err := filter(k)
-		if err != nil {
-			return nil, err
-		}
+		level, vecs := filter(k)
 		if len(level) == 0 {
-			cands, _, _, err := generateFromSets(ctx, prev)
+			cands, _, _, err := generateFromSets(context.Background(), prev)
 			if err != nil {
 				return nil, err
 			}

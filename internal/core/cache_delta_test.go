@@ -10,8 +10,9 @@ import (
 
 // TestHoldCacheDeltaRethreshold: after an append, a statement at a
 // higher support than the stale entry's build support is served by
-// delta-maintaining the entry and re-thresholding the refreshed table;
-// the result matches a cold build at the statement's thresholds.
+// delta-maintaining the entry and handing out a threshold view of the
+// refreshed table; its materialised form matches a cold build at the
+// statement's thresholds.
 func TestHoldCacheDeltaRethreshold(t *testing.T) {
 	tbl := backendTestTable(t, 7)
 	c := NewHoldCache(DefaultCacheBytes)
@@ -31,6 +32,10 @@ func TestHoldCacheDeltaRethreshold(t *testing.T) {
 		t.Fatalf("stats after delta+rethreshold get: %+v", st)
 	}
 	want := mustBuild(t, tbl, cacheTestCfg(0.1, 3))
+	got, err = got.Rethreshold(got.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !holdTablesEqual(got, want) {
 		t.Fatal("delta + rethreshold differs from cold build")
 	}

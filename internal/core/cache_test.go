@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +181,101 @@ func TestHoldCacheHitMissRethreshold(t *testing.T) {
 	}
 	if st := c.Stats(); st.Rethresholds != 2 || st.Misses != 2 {
 		t.Fatalf("after re-query at 0.05: %+v", st)
+	}
+}
+
+// TestHoldCacheProbeMatchesServe: Probe names the outcome GetContext
+// then takes, over cache states × statements. The states are an empty
+// cache, a fresh entry, a stale covering entry after a small append,
+// one after an append of most of the rows, and a stale entry with delta
+// maintenance off; the statements are at the entry's thresholds, at a
+// higher support, at a shallower MaxK and at a lower support. In every
+// cell Probe's word is the one counter GetContext bumps (a stale entry
+// that is not refreshed is also invalidated), and the served table is
+// at the statement's thresholds: its MinCounts, its materialised form
+// and its valid periods are a cold build's.
+func TestHoldCacheProbeMatchesServe(t *testing.T) {
+	base := cacheTestCfg(0.05, 3)
+	stmts := []Config{base, cacheTestCfg(0.1, 3), cacheTestCfg(0.05, 2), cacheTestCfg(0.02, 3)}
+	at := time.Date(2001, 4, 10, 9, 0, 0, 0, time.UTC)
+	small := func(tbl *tdb.TxTable) { tbl.Append(at, itemset.New(500, 501)) }
+	majority := func(tbl *tdb.TxTable) {
+		for i, n := 0, tbl.Len()+1; i < n; i++ {
+			tbl.Append(at.Add(time.Duration(i)*time.Second), itemset.New(1, 2))
+		}
+	}
+	states := []struct {
+		name     string
+		primed   bool // an entry at base is resident before the write
+		deltaOff bool
+		write    func(*tdb.TxTable)
+		want     []string // Probe's word for each of stmts
+	}{
+		{"empty", false, false, nil, []string{"build", "build", "build", "build"}},
+		{"fresh", true, false, nil, []string{"hit", "rethreshold", "rethreshold", "build"}},
+		{"stale", true, false, small, []string{"delta", "delta", "delta", "build"}},
+		{"stale majority", true, false, majority, []string{"build", "build", "build", "build"}},
+		{"stale delta off", true, true, small, []string{"build", "build", "build", "build"}},
+	}
+	for _, st := range states {
+		for i, cfg := range stmts {
+			label := fmt.Sprintf("%s entry, statement (%g, k%d)", st.name, cfg.MinSupport, cfg.MaxK)
+			tbl := backendTestTable(t, 42)
+			c := NewHoldCache(DefaultCacheBytes)
+			if st.deltaOff {
+				c.DisableDelta()
+			}
+			if st.primed {
+				if _, err := c.GetContext(bg, tbl, base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st.write != nil {
+				st.write(tbl)
+			}
+			word := c.Probe(tbl, cfg)
+			if word != st.want[i] {
+				t.Fatalf("%s: Probe = %q, want %q", label, word, st.want[i])
+			}
+			before := c.Stats()
+			h, err := c.GetContext(bg, tbl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := c.Stats()
+			bumped := map[string]int64{
+				"hit":         after.Hits - before.Hits,
+				"rethreshold": after.Rethresholds - before.Rethresholds,
+				"delta":       after.Deltas - before.Deltas,
+				"build":       after.Misses - before.Misses,
+			}
+			for w, n := range bumped {
+				if (w == word && n != 1) || (w != word && n != 0) {
+					t.Fatalf("%s: Probe said %q, GetContext counted %+v", label, word, bumped)
+				}
+			}
+			wantInv := int64(0)
+			if st.write != nil && word == "build" {
+				wantInv = 1
+			}
+			if n := after.Invalidations - before.Invalidations; n != wantInv {
+				t.Fatalf("%s: %d invalidations, want %d", label, n, wantInv)
+			}
+			cold := mustBuild(t, tbl, cfg)
+			if !reflect.DeepEqual(h.MinCounts, cold.MinCounts) {
+				t.Fatalf("%s: served at other thresholds than a cold build's", label)
+			}
+			mat, err := h.Rethreshold(h.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameHoldTable(t, label, cold, mat)
+			got, gotErr := MineValidPeriodsFromTableContext(bg, h, PeriodConfig{})
+			want, wantErr := MineValidPeriodsFromTableContext(bg, cold, PeriodConfig{})
+			if !sameOutcome(got, want, gotErr, wantErr) {
+				t.Fatalf("%s: %d valid periods (err %v) served, %d (err %v) cold", label, len(got), gotErr, len(want), wantErr)
+			}
+		}
 	}
 }
 

@@ -1048,10 +1048,10 @@ func TestOracleSelfCheck(t *testing.T) {
 		}
 	}
 	d := oracleData{
-		tbl: tbl,
-		cfg: Config{Granularity: timegran.Day, MinSupport: 0.5, MinConfidence: 0.6, MinFreq: 1},
-		items: []itemset.Item{1, 2},
-		txs:   txs,
+		tbl:    tbl,
+		cfg:    Config{Granularity: timegran.Day, MinSupport: 0.5, MinConfidence: 0.6, MinFreq: 1},
+		items:  []itemset.Item{1, 2},
+		txs:    txs,
 		spanLo: 20000,
 	}
 	b := bruteBuild(d)

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -210,4 +211,30 @@ func collect(tbl *tdb.TxTable) []itemset.Set {
 		return true
 	})
 	return out
+}
+
+// TestPoissonLargeMean: above the exact method's range the draw still
+// has the asked mean and spread (Knuth's method against exp(-mean)
+// underflows there and returned ≈ 742 for any mean).
+func TestPoissonLargeMean(t *testing.T) {
+	q, err := NewQuest(QuestConfig{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mean, n = 1e4, 4000
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		x := float64(q.poisson(mean))
+		sum += x
+		sumSq += x * x
+	}
+	m := sum / n
+	sd := math.Sqrt(sumSq/n - m*m)
+	// The sample mean's standard error is sqrt(mean/n) ≈ 1.6.
+	if math.Abs(m-mean) > 8 {
+		t.Errorf("mean of %d draws at %g = %.1f", n, float64(mean), m)
+	}
+	if want := math.Sqrt(mean); math.Abs(sd-want) > 0.1*want {
+		t.Errorf("spread of %d draws at %g = %.1f, want ≈ %.0f", n, float64(mean), sd, want)
+	}
 }

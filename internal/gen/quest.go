@@ -146,11 +146,21 @@ func NewQuest(cfg QuestConfig, seed int64) (*Quest, error) {
 	return q, nil
 }
 
-// poisson draws from Poisson(mean) by Knuth's method; fine for the
-// small means used here.
+// poissonExactMax is the largest mean poisson draws by Knuth's method:
+// exp(-mean) is still a normal double there, and above it underflows
+// toward zero, which caps the draw near 745 whatever the mean.
+const poissonExactMax = 700
+
+// poisson draws from Poisson(mean): by Knuth's method up to
+// poissonExactMax, above it by the normal approximation N(mean, mean)
+// rounded and clamped at 0 (the Poisson's skew, 1/√mean, is under 0.04
+// there).
 func (q *Quest) poisson(mean float64) int {
 	if mean <= 0 {
 		return 0
+	}
+	if mean > poissonExactMax {
+		return max(0, int(math.Round(mean+math.Sqrt(mean)*q.r.NormFloat64())))
 	}
 	l := math.Exp(-mean)
 	k, p := 0, 1.0

@@ -361,7 +361,7 @@ func TestDictConcurrent(t *testing.T) {
 }
 
 func TestAppendKeyMatchesKey(t *testing.T) {
-	sets := []Set{nil, New(0), New(7), New(1, 2, 3), New(1<<24 + 5, 1<<30)}
+	sets := []Set{nil, New(0), New(7), New(1, 2, 3), New(1<<24+5, 1<<30)}
 	var buf [64]byte
 	for _, s := range sets {
 		if got := string(s.AppendKey(buf[:0])); got != s.Key() {

@@ -75,16 +75,16 @@ import (
 // Server metric names, published on the configured Registry next to
 // the engine's tarm_* mining metrics.
 const (
-	MetricRequests     = "tarmd_requests_total"          // statements admitted (counter)
-	MetricOK           = "tarmd_statements_ok_total"     // statements answered 200 (counter)
-	MetricErrors       = "tarmd_statements_err_total"    // statements failed (counter)
-	MetricTimeouts     = "tarmd_statement_timeouts_total" // deadline-exceeded statements (counter)
-	MetricQueueFull    = "tarmd_rejected_queue_full_total" // 429s (counter)
-	MetricDraining     = "tarmd_rejected_draining_total"   // 503s during drain (counter)
-	MetricQueueDepth   = "tarmd_queue_depth"             // statements waiting for a pool slot (gauge)
-	MetricInflight     = "tarmd_inflight"                // statements executing (gauge)
-	MetricLatency      = "tarmd_statement_seconds"       // end-to-end statement latency (histogram)
-	metricLatencyTask  = "tarmd_statement_seconds_task_" // + task key (histograms)
+	MetricRequests    = "tarmd_requests_total"            // statements admitted (counter)
+	MetricOK          = "tarmd_statements_ok_total"       // statements answered 200 (counter)
+	MetricErrors      = "tarmd_statements_err_total"      // statements failed (counter)
+	MetricTimeouts    = "tarmd_statement_timeouts_total"  // deadline-exceeded statements (counter)
+	MetricQueueFull   = "tarmd_rejected_queue_full_total" // 429s (counter)
+	MetricDraining    = "tarmd_rejected_draining_total"   // 503s during drain (counter)
+	MetricQueueDepth  = "tarmd_queue_depth"               // statements waiting for a pool slot (gauge)
+	MetricInflight    = "tarmd_inflight"                  // statements executing (gauge)
+	MetricLatency     = "tarmd_statement_seconds"         // end-to-end statement latency (histogram)
+	metricLatencyTask = "tarmd_statement_seconds_task_"   // + task key (histograms)
 )
 
 // Config shapes a Server. The zero value is usable: defaults are

@@ -279,9 +279,9 @@ func newBlockTracer() *blockTracer {
 	return &blockTracer{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (b *blockTracer) Enabled() bool        { return true }
-func (b *blockTracer) StartTask(string)     {}
-func (b *blockTracer) EndTask()             {}
+func (b *blockTracer) Enabled() bool         { return true }
+func (b *blockTracer) StartTask(string)      {}
+func (b *blockTracer) EndTask()              {}
 func (b *blockTracer) EndPass(obs.PassStats) {}
 func (b *blockTracer) Counter(string, int64) {}
 func (b *blockTracer) Gauge(string, float64) {}

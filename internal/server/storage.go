@@ -25,13 +25,13 @@ import (
 
 // Storage metric names.
 const (
-	MetricFlushes      = "tarmd_flushes_total"     // checkpoints served (counter)
-	MetricFlushErrors  = "tarmd_flush_err_total"   // failed checkpoints (counter)
-	MetricImports      = "tarmd_imports_total"     // imports served (counter)
-	MetricImportTx     = "tarmd_import_tx_total"   // transactions imported (counter)
-	MetricImportErrors = "tarmd_import_err_total"  // failed imports (counter)
-	MetricExports      = "tarmd_exports_total"     // exports served (counter)
-	MetricExportErrors = "tarmd_export_err_total"  // failed exports (counter)
+	MetricFlushes      = "tarmd_flushes_total"    // checkpoints served (counter)
+	MetricFlushErrors  = "tarmd_flush_err_total"  // failed checkpoints (counter)
+	MetricImports      = "tarmd_imports_total"    // imports served (counter)
+	MetricImportTx     = "tarmd_import_tx_total"  // transactions imported (counter)
+	MetricImportErrors = "tarmd_import_err_total" // failed imports (counter)
+	MetricExports      = "tarmd_exports_total"    // exports served (counter)
+	MetricExportErrors = "tarmd_export_err_total" // failed exports (counter)
 )
 
 // maxImportBody bounds import bodies; bigger loads should arrive as

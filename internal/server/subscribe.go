@@ -29,15 +29,15 @@ import (
 
 // Subscription metric names, next to the tarmd_* statement metrics.
 const (
-	MetricSubs           = "tarmd_subs_total"             // subscriptions registered (counter)
-	MetricSubsActive     = "tarmd_subs_active"            // subscriptions currently registered (gauge)
-	MetricSubRejected    = "tarmd_sub_rejected_total"     // registrations refused: limit reached (counter)
-	MetricSubRefreshes   = "tarmd_sub_refreshes_total"    // standing-statement re-runs (counter)
-	MetricSubRefreshErrs = "tarmd_sub_refresh_err_total"  // re-runs that failed (counter)
-	MetricSubEvents      = "tarmd_sub_events_total"       // delta events emitted (counter)
-	MetricSubDeltas      = "tarmd_sub_deltas_total"       // rule deltas across all events (counter)
-	MetricSubDropped     = "tarmd_sub_dropped_total"      // events a full ring evicted before any reader had them (counter)
-	MetricSubRefreshSecs = "tarmd_sub_refresh_seconds"    // re-run latency (histogram)
+	MetricSubs           = "tarmd_subs_total"            // subscriptions registered (counter)
+	MetricSubsActive     = "tarmd_subs_active"           // subscriptions currently registered (gauge)
+	MetricSubRejected    = "tarmd_sub_rejected_total"    // registrations refused: limit reached (counter)
+	MetricSubRefreshes   = "tarmd_sub_refreshes_total"   // standing-statement re-runs (counter)
+	MetricSubRefreshErrs = "tarmd_sub_refresh_err_total" // re-runs that failed (counter)
+	MetricSubEvents      = "tarmd_sub_events_total"      // delta events emitted (counter)
+	MetricSubDeltas      = "tarmd_sub_deltas_total"      // rule deltas across all events (counter)
+	MetricSubDropped     = "tarmd_sub_dropped_total"     // events a full ring evicted before any reader had them (counter)
+	MetricSubRefreshSecs = "tarmd_sub_refresh_seconds"   // re-run latency (histogram)
 )
 
 // subEvent is one emission: a sequence number over the subscription's

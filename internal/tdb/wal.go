@@ -109,20 +109,20 @@ func (p FsyncPolicy) String() string {
 // WAL metric names, published when the database was opened with a
 // Registry.
 const (
-	MetricWALAppends   = "tarm_wal_appends_total"      // append records written (counter)
-	MetricWALRecords   = "tarm_wal_records_total"      // records of any type written (counter)
-	MetricWALBytes     = "tarm_wal_bytes_total"        // record bytes written (counter)
-	MetricWALFsyncs    = "tarm_wal_fsyncs_total"       // fsync calls (counter)
-	MetricWALSyncSecs  = "tarm_wal_sync_seconds"       // fsync latency (histogram)
-	MetricWALSize      = "tarm_wal_size_bytes"         // current WAL file size (gauge)
-	MetricWALReplayRec = "tarm_wal_replayed_records"   // records replayed at open (counter)
-	MetricWALReplayTx  = "tarm_wal_replayed_tx"        // transactions replayed at open (counter)
-	MetricWALTornBytes = "tarm_wal_torn_bytes_total"   // invalid tail bytes discarded at open (counter)
-	MetricCheckpoints  = "tarm_checkpoint_total"       // checkpoints taken (counter)
-	MetricCheckpointS  = "tarm_checkpoint_seconds"     // checkpoint latency (histogram)
+	MetricWALAppends   = "tarm_wal_appends_total"           // append records written (counter)
+	MetricWALRecords   = "tarm_wal_records_total"           // records of any type written (counter)
+	MetricWALBytes     = "tarm_wal_bytes_total"             // record bytes written (counter)
+	MetricWALFsyncs    = "tarm_wal_fsyncs_total"            // fsync calls (counter)
+	MetricWALSyncSecs  = "tarm_wal_sync_seconds"            // fsync latency (histogram)
+	MetricWALSize      = "tarm_wal_size_bytes"              // current WAL file size (gauge)
+	MetricWALReplayRec = "tarm_wal_replayed_records"        // records replayed at open (counter)
+	MetricWALReplayTx  = "tarm_wal_replayed_tx"             // transactions replayed at open (counter)
+	MetricWALTornBytes = "tarm_wal_torn_bytes_total"        // invalid tail bytes discarded at open (counter)
+	MetricCheckpoints  = "tarm_checkpoint_total"            // checkpoints taken (counter)
+	MetricCheckpointS  = "tarm_checkpoint_seconds"          // checkpoint latency (histogram)
 	MetricCheckpointW  = "tarm_checkpoint_segments_written" // segment files rewritten (counter)
 	MetricCheckpointK  = "tarm_checkpoint_segments_skipped" // segment files skipped as unchanged (counter)
-	MetricRecoverSecs  = "tarm_recovery_seconds"       // open-time recovery wall (gauge)
+	MetricRecoverSecs  = "tarm_recovery_seconds"            // open-time recovery wall (gauge)
 )
 
 // wal is the append-side handle of the log. One wal serves a whole
@@ -138,8 +138,8 @@ type wal struct {
 	mu   sync.Mutex
 	f    *os.File
 	size int64
-	lsn  int64 // records written (monotonic, reset by checkpoint)
-	err  error // sticky write/sync error; surfaces on every later commit
+	lsn  int64  // records written (monotonic, reset by checkpoint)
+	err  error  // sticky write/sync error; surfaces on every later commit
 	buf  []byte // FsyncInterval only: framed records not yet written
 
 	// Group commit: syncMu serialises fsyncs, synced is the highest LSN
