@@ -475,9 +475,7 @@ func importCSV(db *tdb.DB, table, path string, w io.Writer) error {
 	}
 	t, ok := db.TxTable(table)
 	if !ok {
-		var err error
-		t, err = db.CreateTxTable(table)
-		if err != nil {
+		if t, err = db.CreateTxTable(table); err != nil {
 			return err
 		}
 	}

@@ -59,9 +59,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission control, identical to statements: drain refuses, the
-	// pool bounds concurrency, the queue bounds waiting.
-	release, ok := s.admitOp(w, r, MetricAppendErrors)
+	// Admission control, the statements' own: drain refuses, the pool
+	// bounds concurrency, the queue bounds waiting.
+	release, ok := s.admit(r.Context(), w, "", MetricAppendErrors)
 	if !ok {
 		return
 	}

@@ -343,53 +343,15 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, bodyErrorCode(err), err.Error())
 		return
 	}
-
-	// Admission control. Draining beats queueing: a draining server
-	// refuses everything so the pool empties monotonically.
-	if s.draining.Load() {
-		s.reg.Counter(MetricDraining).Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.reject(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if n := s.admitted.Add(1); n > int64(s.cfg.Pool+s.cfg.Queue) {
-		s.admitted.Add(-1)
-		s.reg.Counter(MetricQueueFull).Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.reject(w, http.StatusTooManyRequests,
-			fmt.Sprintf("statement queue full (%d executing + %d waiting)", s.cfg.Pool, s.cfg.Queue))
-		return
-	}
-	s.wg.Add(1)
-	defer s.wg.Done()
-	// Runs after the slot-release defer below (LIFO), so the last
-	// gauge publication of the request sees the decremented count.
-	defer func() {
-		s.admitted.Add(-1)
-		s.gauges()
-	}()
-	s.reg.Counter(MetricRequests).Add(1)
-	s.gauges()
-
 	// The statement's deadline covers the queue wait too: a statement
 	// that waited its deadline away is already late.
 	ctx, cancel := s.statementContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-
-	// Take a pool slot or give up (client gone / deadline passed).
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		s.statementError(w, req.Statement, ctx.Err())
+	release, ok := s.admit(ctx, w, MetricRequests, MetricErrors)
+	if !ok {
 		return
 	}
-	s.inflight.Add(1)
-	s.gauges()
-	defer func() {
-		<-s.sem
-		s.inflight.Add(-1)
-		s.gauges()
-	}()
+	defer release()
 
 	start := time.Now()
 	res, task, err := s.execute(ctx, req.Statement)
@@ -399,7 +361,7 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 		s.reg.Histogram(metricLatencyTask + task).Observe(wall.Seconds())
 	}
 	if err != nil {
-		s.statementError(w, req.Statement, err)
+		s.fail(w, MetricErrors, err)
 		return
 	}
 	s.reg.Counter(MetricOK).Add(1)
@@ -420,30 +382,78 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// execute routes one admitted statement: EXPLAIN MINE to the planner,
-// MINE to the executor. Anything else is not served here — tarmd is a
-// mining endpoint, and concurrent SQL writes would race the miners.
+// execute runs one admitted statement through tml's router and words
+// its refusals for this endpoint. tarmd is a mining endpoint: text that
+// is not TML is refused, not run as SQL, because concurrent SQL writes
+// would race the miners.
 func (s *Server) execute(ctx context.Context, input string) (*minisql.Result, string, error) {
-	if rest, ok := tml.SplitExplain(input); ok {
-		stmt, err := tml.Parse(rest)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := s.exec.Explain(stmt)
-		return res, tml.TaskKey(stmt), err
+	res, task, err := s.exec.Route(ctx, input)
+	switch {
+	case errors.Is(err, tml.ErrNotTML):
+		err = fmt.Errorf("tarmd: only MINE and EXPLAIN MINE statements are served (got %.40q)", input)
+	case errors.Is(err, tml.ErrStanding):
+		err = errors.New("tarmd: SUBSCRIBE registers a standing statement; POST it to /v1/subscriptions")
 	}
-	if !tml.IsMineStatement(input) {
-		return nil, "", fmt.Errorf("tarmd: only MINE and EXPLAIN MINE statements are served (got %.40q)", input)
+	return res, task, err
+}
+
+// admit is the one admission sequence of every request that takes a
+// pool slot: statements, appends, imports, flushes and exports. A
+// draining server refuses everything (503), so the pool empties
+// monotonically; the admitted count bounds the queue (429); and the
+// request then waits for a pool slot under ctx, so bulk work
+// backpressures instead of starving the miners. A statement passes its
+// deadline context, so the deadline covers the wait. The admitted
+// counter, when named, counts requests let into the queue; failed
+// counts one whose ctx ended while it waited. When ok is false admit
+// has answered the request; otherwise the caller must defer release.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, admitted, failed string) (release func(), ok bool) {
+	if s.draining.Load() {
+		s.refuseDraining(w)
+		return nil, false
 	}
-	stmt, err := tml.Parse(input)
-	if err != nil {
-		return nil, "", err
+	if n := s.admitted.Add(1); n > int64(s.cfg.Pool+s.cfg.Queue) {
+		s.admitted.Add(-1)
+		s.refuse(w, http.StatusTooManyRequests, MetricQueueFull,
+			fmt.Sprintf("statement queue full (%d executing + %d waiting)", s.cfg.Pool, s.cfg.Queue))
+		return nil, false
 	}
-	if stmt.Subscribe {
-		return nil, "", fmt.Errorf("tarmd: SUBSCRIBE registers a standing statement; POST it to /v1/subscriptions")
+	s.wg.Add(1)
+	if admitted != "" {
+		s.reg.Counter(admitted).Add(1)
 	}
-	res, err := s.exec.ExecStmtContext(ctx, stmt)
-	return res, tml.TaskKey(stmt), err
+	s.gauges()
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		s.admitted.Add(-1)
+		s.wg.Done()
+		s.gauges()
+		s.fail(w, failed, ctx.Err())
+		return nil, false
+	}
+	s.inflight.Add(1)
+	s.gauges()
+	return func() {
+		<-s.sem
+		s.inflight.Add(-1)
+		s.admitted.Add(-1)
+		s.wg.Done()
+		s.gauges()
+	}, true
+}
+
+// refuse answers a backpressure refusal: its counter, the Retry-After
+// hint and the error body.
+func (s *Server) refuse(w http.ResponseWriter, code int, counter, msg string) {
+	s.reg.Counter(counter).Add(1)
+	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+	s.reject(w, code, msg)
+}
+
+// refuseDraining is the 503 a draining server answers with.
+func (s *Server) refuseDraining(w http.ResponseWriter) {
+	s.refuse(w, http.StatusServiceUnavailable, MetricDraining, "server is draining")
 }
 
 // statementContext derives the statement's deadline: the server
@@ -461,19 +471,16 @@ func (s *Server) statementContext(parent context.Context, timeoutMS int64) (cont
 	return context.WithTimeout(parent, d)
 }
 
-// statementError maps an execution error onto a status code: deadline
-// exhaustion is the gateway-timeout contract (504), everything else —
-// parse errors, unknown tables, statements whose feature covers no
-// data — is the client's statement (400).
-func (s *Server) statementError(w http.ResponseWriter, stmt string, err error) {
-	s.reg.Counter(MetricErrors).Add(1)
+// fail counts a failed request and maps its error onto a status code:
+// deadline exhaustion is the gateway-timeout contract (504), everything
+// else — parse errors, unknown tables, statements whose feature covers
+// no data, a client that went away — is the client's (400).
+func (s *Server) fail(w http.ResponseWriter, counter string, err error) {
+	s.reg.Counter(counter).Add(1)
 	code := http.StatusBadRequest
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.reg.Counter(MetricTimeouts).Add(1)
 		code = http.StatusGatewayTimeout
-	} else if errors.Is(err, context.Canceled) {
-		// The client went away; the code is moot but keep the 4xx class.
-		code = http.StatusBadRequest
 	}
 	s.reject(w, code, err.Error())
 }

@@ -28,7 +28,12 @@ import (
 // 7..13) and a weekend treat (choc+wine), 10 transactions per day.
 func fixtureDB(t *testing.T) *tdb.DB {
 	t.Helper()
-	db := tdb.NewMemDB()
+	return fillFixture(t, tdb.NewMemDB())
+}
+
+// fillFixture writes the basket fixture into db's new "baskets" table.
+func fillFixture(t *testing.T, db *tdb.DB) *tdb.DB {
+	t.Helper()
 	tbl, err := db.CreateTxTable("baskets")
 	if err != nil {
 		t.Fatal(err)

@@ -6,10 +6,10 @@
 //	                          (T is created when absent)
 //	GET  /v1/export?table=T   T as basket CSV
 //
-// All three run through the same admission control as statements and
-// appends (drain refusal, pool slot, bounded queue) and land in the
-// query journal, so a bulk import shows up in /v1/queries next to the
-// MINE statements it races.
+// All three run through the one admission sequence statements and
+// appends use (Server.admit: drain refusal, bounded queue, pool slot)
+// and land in the query journal, so a bulk import shows up in
+// /v1/queries next to the MINE statements it races.
 
 package server
 
@@ -38,49 +38,6 @@ const (
 // multiple requests (each an atomic, WAL-committed batch).
 const maxImportBody = 64 << 20
 
-// admitOp is the shared admission sequence of the write/storage
-// endpoints (append, flush, import, export): a draining server refuses,
-// the admitted count bounds the queue, and the operation takes a pool
-// slot like a statement so bulk work backpressures instead of starving
-// the miners. On success the caller must defer release.
-func (s *Server) admitOp(w http.ResponseWriter, r *http.Request, errCounter string) (release func(), ok bool) {
-	if s.draining.Load() {
-		s.reg.Counter(MetricDraining).Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.reject(w, http.StatusServiceUnavailable, "server is draining")
-		return nil, false
-	}
-	if n := s.admitted.Add(1); n > int64(s.cfg.Pool+s.cfg.Queue) {
-		s.admitted.Add(-1)
-		s.reg.Counter(MetricQueueFull).Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.reject(w, http.StatusTooManyRequests,
-			fmt.Sprintf("statement queue full (%d executing + %d waiting)", s.cfg.Pool, s.cfg.Queue))
-		return nil, false
-	}
-	s.wg.Add(1)
-	s.gauges()
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
-		s.reg.Counter(errCounter).Add(1)
-		s.admitted.Add(-1)
-		s.wg.Done()
-		s.gauges()
-		s.reject(w, http.StatusBadRequest, r.Context().Err().Error())
-		return nil, false
-	}
-	s.inflight.Add(1)
-	s.gauges()
-	return func() {
-		<-s.sem
-		s.inflight.Add(-1)
-		s.admitted.Add(-1)
-		s.wg.Done()
-		s.gauges()
-	}, true
-}
-
 // flushResponse reports what the checkpoint wrote.
 type flushResponse struct {
 	RequestID       string  `json:"request_id,omitempty"`
@@ -101,7 +58,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "tarmd: flush on a memory-only database")
 		return
 	}
-	release, ok := s.admitOp(w, r, MetricFlushErrors)
+	release, ok := s.admit(r.Context(), w, "", MetricFlushErrors)
 	if !ok {
 		return
 	}
@@ -142,11 +99,11 @@ type importResponse struct {
 }
 
 // handleImport bulk-loads basket CSV (timestamp,item;item;...) into
-// ?table=, creating the table when absent. The rows are parsed into a
-// staging table first and appended as one batch, so the import is
-// atomic with respect to concurrent scans and costs one WAL commit
-// regardless of size; a parse error rejects the whole body with
-// nothing applied.
+// ?table=, creating the table when absent. The whole body is parsed
+// before anything is stored, then committed as one batch, so the
+// import is atomic with respect to concurrent scans and costs one WAL
+// commit regardless of size; a parse error rejects the whole body with
+// nothing applied and no table created.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("table")
 	if name == "" {
@@ -154,7 +111,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "tarmd: import without ?table=")
 		return
 	}
-	release, ok := s.admitOp(w, r, MetricImportErrors)
+	release, ok := s.admit(r.Context(), w, "", MetricImportErrors)
 	if !ok {
 		return
 	}
@@ -170,21 +127,15 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, code, err.Error())
 	}
 
-	// Parse into a staging table: names are interned through the shared
-	// dictionary (interning is additive, so this is safe even when the
-	// batch is later rejected), but no rows touch the target until the
-	// whole body has parsed.
-	staging, err := tdb.NewTxTable("import_staging")
-	if err != nil {
-		fail(http.StatusInternalServerError, err)
-		return
-	}
-	n, err := tdb.ImportBaskets(http.MaxBytesReader(w, r.Body, maxImportBody), staging, s.db.Dict())
+	// Item names are interned as the body parses (interning is additive,
+	// so this is safe even when the body is then rejected), but no row
+	// touches the table until the whole body has parsed.
+	batch, err := tdb.ParseBaskets(http.MaxBytesReader(w, r.Body, maxImportBody), s.db.Dict())
 	if err != nil {
 		fail(http.StatusBadRequest, fmt.Errorf("tarmd: import: %w", err))
 		return
 	}
-	if n == 0 {
+	if len(batch) == 0 {
 		fail(http.StatusBadRequest, fmt.Errorf("tarmd: import: empty CSV body"))
 		return
 	}
@@ -198,11 +149,6 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		}
 		created = true
 	}
-	batch := make([]tdb.Tx, 0, n)
-	staging.Each(func(tx tdb.Tx) bool {
-		batch = append(batch, tdb.Tx{At: tx.At, Items: tx.Items})
-		return true
-	})
 	_, epoch, err := tbl.AppendBatchDurable(batch)
 	wall := time.Since(start)
 	if err != nil {
@@ -210,6 +156,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	n := len(batch)
 	s.reg.Counter(MetricImports).Add(1)
 	s.reg.Counter(MetricImportTx).Add(int64(n))
 	inflight.End(obs.QueryOutcome{Rows: n})
@@ -240,7 +187,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusNotFound, fmt.Sprintf("tarmd: no transaction table %q", name))
 		return
 	}
-	release, admitted := s.admitOp(w, r, MetricExportErrors)
+	release, admitted := s.admit(r.Context(), w, "", MetricExportErrors)
 	if !admitted {
 		return
 	}

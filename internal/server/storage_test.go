@@ -1,12 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tarm-project/tarm/internal/tdb"
 )
@@ -208,5 +210,101 @@ func TestImportExportValidation(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestStorageAdmission: import, flush and export are admitted by the
+// sequence statements and appends use, so they refuse alike — 503 while
+// draining and 429 at a full queue, each with Retry-After and the
+// uniform error body — and a refused import stores nothing.
+func TestStorageAdmission(t *testing.T) {
+	endpoints := []struct{ name, method, path, body string }{
+		{"import", "POST", "/v1/import?table=loaded", importCSV},
+		{"flush", "POST", "/v1/flush", ""},
+		{"export", "GET", "/v1/export?table=baskets", ""},
+	}
+	for _, state := range []struct {
+		name string
+		code int
+		msg  string
+	}{
+		{"queue-full", http.StatusTooManyRequests, "queue full"},
+		{"draining", http.StatusServiceUnavailable, "draining"},
+	} {
+		t.Run(state.name, func(t *testing.T) {
+			db, err := tdb.OpenDurable(t.TempDir(), tdb.Durability{Fsync: tdb.FsyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Kill()
+			fillFixture(t, db)
+			bt := newBlockTracer()
+			s := New(db, Config{Pool: 1, Queue: 1, RetryAfter: 2 * time.Second, Tracer: bt})
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+
+			// Wedge one statement in its first pass; then either queue a
+			// second behind it (the server is exactly full) or drain.
+			results := make(chan int, 2)
+			post := func() {
+				code, _, _ := postStatement(t, ts.URL, testStatements[2], "")
+				results <- code
+			}
+			go post()
+			<-bt.entered
+			waiting := 1
+			drained := make(chan error, 1)
+			if state.code == http.StatusTooManyRequests {
+				go post()
+				waiting++
+				waitHealthz(t, ts.URL, func(h map[string]any) bool {
+					return h["inflight"].(float64) == 1 && h["queued"].(float64) == 1
+				})
+			} else {
+				go func() { drained <- s.Drain(context.Background()) }()
+				waitHealthz(t, ts.URL, func(h map[string]any) bool { return h["status"] == "draining" })
+			}
+
+			for _, ep := range endpoints {
+				rid := state.name + "-" + ep.name
+				req, err := http.NewRequest(ep.method, ts.URL+ep.path, strings.NewReader(ep.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("X-Request-ID", rid)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != state.code {
+					t.Errorf("%s: status %d, want %d: %s", ep.name, resp.StatusCode, state.code, raw)
+					continue
+				}
+				if retry := resp.Header.Get("Retry-After"); retry != "2" {
+					t.Errorf("%s: Retry-After = %q, want \"2\"", ep.name, retry)
+				}
+				e := decodeError(t, string(raw))
+				if !strings.Contains(e.Error, state.msg) || e.RequestID != rid || e.RetryAfterMS != 2000 {
+					t.Errorf("%s: body = %+v, want %q with request id %s and retry_after_ms 2000", ep.name, e, state.msg, rid)
+				}
+			}
+			if _, ok := db.TxTable("loaded"); ok {
+				t.Error("a refused import created its table")
+			}
+
+			close(bt.release)
+			for ; waiting > 0; waiting-- {
+				if code := <-results; code != http.StatusOK {
+					t.Errorf("blocked statement finished with %d, want 200", code)
+				}
+			}
+			if state.code == http.StatusServiceUnavailable {
+				if err := <-drained; err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+			}
+		})
 	}
 }

@@ -54,7 +54,6 @@ type subEvent struct {
 type subscription struct {
 	id       string
 	table    string
-	task     string
 	standing *tml.Standing
 	created  time.Time
 
@@ -167,7 +166,6 @@ func (m *subManager) register(stmt *tml.MineStmt) (*subscription, error) {
 	sub := &subscription{
 		id:       fmt.Sprintf("sub-%d", m.nextID),
 		table:    stmt.Table,
-		task:     tml.TaskKey(stmt),
 		standing: standing,
 		created:  time.Now(),
 		notify:   make(chan struct{}, 1),
@@ -362,7 +360,7 @@ func (s *Server) subView(sub *subscription, rid string) subView {
 		RequestID:  rid,
 		Statement:  sub.standing.Stmt().String(),
 		Table:      sub.table,
-		Task:       sub.task,
+		Task:       sub.standing.Task(),
 		Created:    sub.created,
 		Epoch:      sub.standing.Epoch(),
 		TableEpoch: sub.standing.Table().Epoch(),
@@ -392,9 +390,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		s.reg.Counter(MetricDraining).Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.reject(w, http.StatusServiceUnavailable, "server is draining")
+		s.refuseDraining(w)
 		return
 	}
 	if !tml.IsSubscribeStatement(req.Statement) {
@@ -413,15 +409,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	sub, err := s.subs.register(stmt)
 	switch {
 	case err == errSubsFull:
-		s.reg.Counter(MetricSubRejected).Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.reject(w, http.StatusTooManyRequests,
+		s.refuse(w, http.StatusTooManyRequests, MetricSubRejected,
 			fmt.Sprintf("tarmd: subscription limit reached (%d active)", s.cfg.MaxSubs))
 		return
 	case err == errDraining:
-		s.reg.Counter(MetricDraining).Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.reject(w, http.StatusServiceUnavailable, "server is draining")
+		s.refuseDraining(w)
 		return
 	case err != nil:
 		s.reject(w, http.StatusBadRequest, err.Error())

@@ -32,29 +32,28 @@ func parseCSVTime(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("tdb: cannot parse timestamp %q", s)
 }
 
-// ImportBaskets reads basket CSV into tbl, interning item names through
-// dict. It returns the number of transactions imported; on error,
-// rows already imported remain (the caller sees how many via n).
-func ImportBaskets(r io.Reader, tbl *TxTable, dict *itemset.Dict) (n int, err error) {
+// ParseBaskets reads basket CSV, interning item names through dict. It
+// returns the transactions up to the first bad record, with that
+// record's error; nothing is stored.
+func ParseBaskets(r io.Reader, dict *itemset.Dict) ([]Tx, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
 	cr.TrimLeadingSpace = true
-	line := 0
-	for {
+	var txs []Tx
+	for line := 1; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return n, nil
+			return txs, nil
 		}
 		if err != nil {
-			return n, fmt.Errorf("tdb: basket csv: %w", err)
+			return txs, fmt.Errorf("tdb: basket csv: %w", err)
 		}
-		line++
 		if line == 1 && strings.EqualFold(strings.TrimSpace(rec[0]), "timestamp") {
 			continue // header
 		}
 		at, err := parseCSVTime(rec[0])
 		if err != nil {
-			return n, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
+			return txs, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
 		}
 		var items []itemset.Item
 		for _, name := range strings.Split(rec[1], ";") {
@@ -65,14 +64,32 @@ func ImportBaskets(r io.Reader, tbl *TxTable, dict *itemset.Dict) (n int, err er
 			items = append(items, dict.Intern(name))
 		}
 		if len(items) == 0 {
-			return n, fmt.Errorf("tdb: basket csv record %d: empty basket", line)
+			return txs, fmt.Errorf("tdb: basket csv record %d: empty basket", line)
 		}
 		if err := CheckTime(at); err != nil {
-			return n, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
+			return txs, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
 		}
-		tbl.Append(at, itemset.New(items...))
-		n++
+		txs = append(txs, Tx{At: at, Items: itemset.New(items...)})
 	}
+}
+
+// ImportBaskets reads basket CSV into tbl, interning item names through
+// dict, and stores the rows before the first bad record as one batch:
+// on a durable table, one WAL commit. It returns the number of
+// transactions stored, and the commit's error ahead of the parse error.
+func ImportBaskets(r io.Reader, tbl *TxTable, dict *itemset.Dict) (n int, err error) {
+	txs, parseErr := ParseBaskets(r, dict)
+	if len(txs) == 0 {
+		return 0, parseErr
+	}
+	firstID, _, err := tbl.AppendBatchDurable(txs)
+	switch {
+	case firstID < 0: // refused whole: nothing stored
+		return 0, err
+	case err != nil:
+		return len(txs), err
+	}
+	return len(txs), parseErr
 }
 
 // ExportBaskets writes tbl in the basket CSV format, resolving item

@@ -3,12 +3,14 @@ package tdb
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/itemset"
+	"github.com/tarm-project/tarm/internal/obs"
 )
 
 func TestImportBaskets(t *testing.T) {
@@ -230,4 +232,45 @@ func FuzzImportCSV(f *testing.F) {
 			k++
 		}
 	})
+}
+
+// TestImportBasketsCommitsOnce: an import is one batch, so on a durable
+// table at FsyncAlways it costs one fsync whatever its size, and every
+// row it reports stored survives a kill with no checkpoint.
+func TestImportBasketsCommitsOnce(t *testing.T) {
+	const k = 240
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	db, err := OpenDurable(dir, Durability{Fsync: FsyncAlways, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTxTable("baskets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString("timestamp,items\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&sb, "%s,item%d;item%d\n", durAt(i/24, i%24).Format("2006-01-02 15:04:05"), i%7, 7+i%5)
+	}
+	fsyncs := reg.Counter(MetricWALFsyncs)
+	before := fsyncs.Value()
+	n, err := ImportBaskets(strings.NewReader(sb.String()), tbl, db.Dict())
+	if err != nil || n != k {
+		t.Fatalf("ImportBaskets = %d, %v; want %d, nil", n, err, k)
+	}
+	if got := fsyncs.Value() - before; got != 1 {
+		t.Errorf("importing %d rows cost %d fsyncs, want 1", k, got)
+	}
+	want := collectTxs(tbl)
+	db.Kill()
+
+	db2 := durOpen(t, dir, FsyncAlways)
+	defer db2.Kill()
+	tbl2, ok := db2.TxTable("baskets")
+	if !ok {
+		t.Fatal("table lost across kill")
+	}
+	sameTxs(t, "recovered import", collectTxs(tbl2), want)
 }

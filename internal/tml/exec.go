@@ -2,6 +2,7 @@ package tml
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -67,13 +68,11 @@ func (e *Executor) Exec(input string) (*minisql.Result, error) {
 	return e.ExecContext(context.Background(), input)
 }
 
-// ExecContext parses and runs one TML statement under a context.
+// ExecContext parses and runs one TML statement under a context, as
+// Route does.
 func (e *Executor) ExecContext(ctx context.Context, input string) (*minisql.Result, error) {
-	stmt, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecStmtContext(ctx, stmt)
+	res, _, err := e.Route(ctx, input)
+	return res, err
 }
 
 // ExecStmtContext runs a parsed MINE statement under a context. The
@@ -357,28 +356,52 @@ func (s *Session) Exec(input string) (*minisql.Result, error) {
 
 // ExecContext is Exec under a context. MINE statements observe
 // cancellation throughout; SQL statements and EXPLAIN are effectively
-// instantaneous and run to completion.
+// instantaneous and run to completion. Text that is not TML goes to
+// the SQL engine.
 func (s *Session) ExecContext(ctx context.Context, input string) (*minisql.Result, error) {
-	if rest, ok := stripExplain(input); ok {
-		stmt, err := Parse(rest)
-		if err != nil {
-			return nil, err
-		}
-		return s.TML.Explain(stmt)
+	res, _, err := s.TML.Route(ctx, input)
+	if errors.Is(err, ErrNotTML) {
+		return s.SQL.Exec(input)
 	}
-	if IsSubscribeStatement(input) {
-		return nil, fmt.Errorf("tml: SUBSCRIBE registers a standing statement; use \\subscribe in iqms or POST /v1/subscriptions on tarmd")
-	}
-	if IsMineStatement(input) {
-		return s.TML.ExecContext(ctx, input)
-	}
-	return s.SQL.Exec(input)
+	return res, err
 }
 
-// SplitExplain detects "EXPLAIN MINE ..." and returns the MINE part;
-// front ends that route EXPLAIN themselves (the tarmd server) share
-// the session's spelling through it.
-func SplitExplain(input string) (string, bool) { return stripExplain(input) }
+// ErrNotTML is Route's answer to text that is not TML. What else it may
+// be is the front end's call: the IQMS session hands it to SQL, tarmd
+// refuses it.
+var ErrNotTML = errors.New("tml: not a MINE statement")
+
+// ErrStanding is Route's refusal of SUBSCRIBE MINE: a standing
+// statement is registered with a front end, not run once.
+var ErrStanding = errors.New("tml: SUBSCRIBE registers a standing statement; use \\subscribe in iqms or POST /v1/subscriptions on tarmd")
+
+// Route is the one router of TML text: EXPLAIN [SUBSCRIBE] MINE is
+// planned and described, SUBSCRIBE MINE is refused (ErrStanding), MINE
+// runs under ctx, and anything else is ErrNotTML. It also returns the
+// statement's task key ("traditional", "during", "periods", "cycles",
+// "calendars", "history"), the label tarmd's per-task latency metrics
+// use; it is empty when the text did not parse.
+func (e *Executor) Route(ctx context.Context, input string) (res *minisql.Result, task string, err error) {
+	explain := false
+	if rest, ok := stripExplain(input); ok {
+		input, explain = rest, true
+	} else if !IsMineStatement(input) {
+		return nil, "", ErrNotTML
+	}
+	stmt, err := Parse(input)
+	if err != nil {
+		return nil, "", err
+	}
+	switch {
+	case explain:
+		res, err = e.Explain(stmt)
+	case stmt.Subscribe:
+		return nil, "", ErrStanding
+	default:
+		res, err = e.ExecStmtContext(ctx, stmt)
+	}
+	return res, taskKey(stmt), err
+}
 
 // stripExplain detects "EXPLAIN MINE ..." (and the continuous form
 // "EXPLAIN SUBSCRIBE MINE ...") and returns the statement part.

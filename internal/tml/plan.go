@@ -39,12 +39,6 @@ func taskKey(stmt *MineStmt) string {
 	}
 }
 
-// TaskKey returns the obs task-vocabulary key of a parsed statement
-// ("traditional", "during", "periods", "cycles", "calendars",
-// "history"), the label multi-session front ends (tarmd) use for
-// per-task latency metrics. Empty for an unknown target.
-func TaskKey(stmt *MineStmt) string { return taskKey(stmt) }
-
 // taskTitles spells the task keys out for EXPLAIN's "task" row.
 var taskTitles = map[string]string{
 	obs.TaskTraditional: "traditional association rules (baseline)",

@@ -249,6 +249,9 @@ func NewStanding(e *Executor, stmt *MineStmt) (*Standing, error) {
 // Stmt returns the standing statement.
 func (s *Standing) Stmt() *MineStmt { return s.stmt }
 
+// Task returns the statement's task key, as Route reports it.
+func (s *Standing) Task() string { return taskKey(s.stmt) }
+
 // Table returns the transaction table the statement mines.
 func (s *Standing) Table() *tdb.TxTable { return s.tbl }
 
