@@ -458,33 +458,36 @@ CSV:  transaction tables use "timestamp,item1;item2"; relational tables a header
 }
 
 // importCSV loads a CSV file into an existing table of either kind; a
-// missing transaction table is created (the common bootstrap case).
+// missing transaction table is created (the common bootstrap case). The
+// records before a bad one stay stored, so an error is preceded by how
+// many went in.
 func importCSV(db *tdb.DB, table, path string, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	var n int
+	unit := "row(s)"
 	if t, ok := db.Table(table); ok {
-		n, err := tdb.ImportTable(f, t)
-		if err != nil {
-			return err
+		n, err = tdb.ImportTable(f, t)
+	} else {
+		t, ok := db.TxTable(table)
+		if !ok {
+			if t, err = db.CreateTxTable(table); err != nil {
+				return err
+			}
 		}
-		fmt.Fprintf(w, "%d row(s) imported into %s\n", n, table)
-		return nil
+		n, err = tdb.ImportBaskets(f, t, db.Dict())
+		unit = "transaction(s)"
 	}
-	t, ok := db.TxTable(table)
-	if !ok {
-		if t, err = db.CreateTxTable(table); err != nil {
-			return err
-		}
+	switch {
+	case err == nil:
+		fmt.Fprintf(w, "%d %s imported into %s\n", n, unit, table)
+	case n > 0:
+		fmt.Fprintf(w, "%d %s imported into %s before the error\n", n, unit, table)
 	}
-	n, err := tdb.ImportBaskets(f, t, db.Dict())
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%d transaction(s) imported into %s\n", n, table)
-	return nil
+	return err
 }
 
 // exportCSV writes a transaction table as basket CSV.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +153,32 @@ func TestImportExportCSV(t *testing.T) {
 	}
 	if _, err := metaCommand(`\export nosuch `+dir+`/x.csv`, tml.NewSession(db), db, &out, &replState{}); err == nil {
 		t.Error("export of unknown table accepted")
+	}
+}
+
+// TestImportPartialCSV: a basket CSV whose third record is bad stores
+// the two before it, and the REPL says so before the error.
+func TestImportPartialCSV(t *testing.T) {
+	db := tdb.NewMemDB()
+	session := tml.NewSession(db)
+	path := t.TempDir() + "/partial.csv"
+	csv := "2024-01-01 09:00,bread;milk\n2024-01-02 09:00,bread\nbad,milk\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if _, err := metaCommand(`\import loaded `+path, session, db, &out, &replState{}); err == nil {
+		t.Fatal("a bad record imported without error")
+	}
+	if !strings.Contains(out.String(), "2 transaction(s) imported into loaded before the error") {
+		t.Errorf("output %q does not report the 2 stored transactions", out.String())
+	}
+	res, err := session.Exec("SELECT COUNT(DISTINCT tid) FROM loaded;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Display(); got != "2" {
+		t.Errorf("COUNT(DISTINCT tid) = %s, want 2", got)
 	}
 }
 

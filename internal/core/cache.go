@@ -75,17 +75,16 @@ type cacheKey struct {
 	minGranuleTx int
 }
 
-// cacheEntry is one resident hold table plus the coverage it can
-// serve: statements at support ≥ buildSupport and MaxK within maxK.
+// cacheEntry is one resident hold table. Its coverage is the table's
+// own config: it serves statements at support ≥ h.Cfg.MinSupport and
+// MaxK within h.Cfg.MaxK.
 type cacheEntry struct {
-	key          cacheKey
-	epoch        int64
-	buildSupport float64
-	maxK         int // 0 = unbounded
-	bytes        int64
-	cells        int64
-	h            *HoldTable
-	elem         *list.Element
+	key   cacheKey
+	epoch int64
+	bytes int64
+	cells int64
+	h     *HoldTable
+	elem  *list.Element
 }
 
 // flightKey identifies one in-flight build: the cache key plus the
@@ -179,8 +178,8 @@ func (c *HoldCache) Entries() []EntryInfo {
 			Granularity:  ent.key.granularity.String(),
 			MinGranuleTx: ent.key.minGranuleTx,
 			Epoch:        ent.epoch,
-			BuildSupport: ent.buildSupport,
-			MaxK:         ent.maxK,
+			BuildSupport: ent.h.Cfg.MinSupport,
+			MaxK:         ent.h.Cfg.MaxK,
 			Bytes:        ent.bytes,
 			Cells:        ent.cells,
 			Itemsets:     ent.h.TotalItemsets(),
@@ -199,12 +198,12 @@ func maxKCovers(have, want int) bool {
 // covers reports whether the entry can serve a statement at cfg: at or
 // above its build support, and within its depth.
 func (ent *cacheEntry) covers(cfg Config) bool {
-	return ent.buildSupport <= cfg.MinSupport && maxKCovers(ent.maxK, cfg.MaxK)
+	return ent.h.Cfg.MinSupport <= cfg.MinSupport && maxKCovers(ent.h.Cfg.MaxK, cfg.MaxK)
 }
 
 // exact reports whether cfg asks for the entry's own thresholds.
 func (ent *cacheEntry) exact(cfg Config) bool {
-	return cfg.MinSupport == ent.buildSupport && cfg.MaxK == ent.maxK
+	return cfg.MinSupport == ent.h.Cfg.MinSupport && cfg.MaxK == ent.h.Cfg.MaxK
 }
 
 // GetContext returns a hold table for (tbl, cfg), from cache when a
@@ -260,10 +259,10 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 			h = ent.h
 		case outcomeDelta:
 			// Maintain under the caller's config at the entry's
-			// thresholds: the entry's stored config belongs to a finished
-			// statement and must not receive this one's tracer events.
+			// thresholds, so the refresh reports to this statement's
+			// tracer; the entry's stored config carries none.
 			buildCfg := cfg
-			buildCfg.MinSupport, buildCfg.MaxK = ent.buildSupport, ent.maxK
+			buildCfg.MinSupport, buildCfg.MaxK = ent.h.Cfg.MinSupport, ent.h.Cfg.MaxK
 			h, retry, err = c.flyLocked(ctx, tbl, key, epoch, out, buildCfg, tr, func() (*HoldTable, error) {
 				nh, err := ent.h.withCfg(buildCfg).MaintainContext(ctx, tbl, dirty)
 				if err != nil && ctx.Err() == nil {
@@ -399,7 +398,7 @@ func (c *HoldCache) flyLocked(ctx context.Context, tbl *tdb.TxTable, key cacheKe
 	if err == nil && tbl.Epoch() == epoch {
 		// insertLocked replaces a stale entry of the key and re-evicts
 		// under the budget.
-		c.insertLocked(key, epoch, buildCfg, h, tr)
+		c.insertLocked(key, epoch, h, tr)
 	}
 	c.gaugeLocked(tr)
 	c.mu.Unlock()
@@ -462,29 +461,31 @@ func (c *HoldCache) Probe(tbl *tdb.TxTable, cfg Config) string {
 
 // insertLocked adds a freshly built table, replacing the key's
 // previous entry unless that entry already covers at least as much,
-// then evicts from the cold end until the budget holds. Oversized
-// tables are not cached. Caller holds c.mu.
-func (c *HoldCache) insertLocked(key cacheKey, epoch int64, cfg Config, h *HoldTable, tr obs.Tracer) {
+// then evicts from the cold end until the budget holds. The entry holds
+// h without its tracer, so a resident table does not keep the building
+// statement's trace alive. Oversized tables are not cached. Caller
+// holds c.mu.
+func (c *HoldCache) insertLocked(key cacheKey, epoch int64, h *HoldTable, tr obs.Tracer) {
 	bytes := h.MemBytes()
 	if bytes > c.maxBytes {
 		return
 	}
 	if old := c.byKey[key]; old != nil {
-		if old.epoch == epoch && old.covers(cfg) {
+		if old.epoch == epoch && old.covers(h.Cfg) {
 			// A concurrent build with broader coverage landed first.
 			c.lru.MoveToFront(old.elem)
 			return
 		}
 		c.removeLocked(old)
 	}
+	cfg := h.Cfg
+	cfg.Tracer = nil
 	ent := &cacheEntry{
-		key:          key,
-		epoch:        epoch,
-		buildSupport: cfg.MinSupport,
-		maxK:         cfg.MaxK,
-		bytes:        bytes,
-		cells:        int64(h.TotalItemsets()) * int64(h.NGranules()),
-		h:            h,
+		key:   key,
+		epoch: epoch,
+		bytes: bytes,
+		cells: int64(h.TotalItemsets()) * int64(h.NGranules()),
+		h:     h.withCfg(cfg),
 	}
 	ent.elem = c.lru.PushFront(ent)
 	c.byKey[key] = ent

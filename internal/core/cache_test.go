@@ -472,6 +472,12 @@ func TestHoldCacheSingleflight(t *testing.T) {
 	for i := 1; i < n; i++ {
 		sameHoldTable(t, fmt.Sprintf("waiter %d", i), results[0], results[i])
 	}
+	// The resident entry keeps no statement's tracer, and so no trace.
+	for _, ent := range c.byKey {
+		if ent.h.Cfg.Tracer != nil {
+			t.Fatal("resident entry keeps the building statement's tracer")
+		}
+	}
 }
 
 // TestHoldCacheNilSafe: a nil cache builds directly and keeps no state.

@@ -2,75 +2,16 @@ package core
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
-	"github.com/tarm-project/tarm/internal/timegran"
 )
 
-// Continuous-mining wiring: granule-close tracking over the append
-// stream's clock, and background pre-maintenance of cached hold tables
-// so a standing statement's re-run lands on a warm cache.
-//
-// The arithmetic lives in timegran (ClosedThrough: a granule is closed
-// once the stream clock passes its end instant); this file holds the
-// stateful side — remembering what was already closed so each close
-// fires exactly once — and the cache side: refreshing stale entries
+// Continuous-mining wiring on the cache side: refreshing stale entries
 // from the change log's dirty-granule sets via the same delta path that
-// serves statements, just ahead of any statement.
-
-// CloseTracker turns a monotonically advancing stream clock into
-// discrete granule-close events. The zero value is not ready; use
-// NewCloseTracker. Safe for concurrent use.
-type CloseTracker struct {
-	g timegran.Granularity
-
-	mu      sync.Mutex
-	closed  timegran.Granule // last granule reported closed
-	started bool
-}
-
-// NewCloseTracker tracks closes at granularity g.
-func NewCloseTracker(g timegran.Granularity) *CloseTracker {
-	return &CloseTracker{g: g}
-}
-
-// Granularity returns the tracked granularity.
-func (t *CloseTracker) Granularity() timegran.Granularity { return t.g }
-
-// Advance feeds the tracker a new stream-clock reading (the newest
-// transaction timestamp) and returns the interval of granules that
-// closed since the previous call, with ok=false when none did. The
-// first call establishes the baseline — everything already closed at
-// that point is history, not an event — and returns ok=false. A clock
-// that moves backwards (out-of-order appends) never un-closes a
-// granule.
-func (t *CloseTracker) Advance(clock time.Time) (newly timegran.Interval, ok bool) {
-	ct := timegran.ClosedThrough(clock, t.g)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.started {
-		t.started = true
-		t.closed = ct
-		return timegran.Interval{}, false
-	}
-	if ct <= t.closed {
-		return timegran.Interval{}, false
-	}
-	newly = timegran.Interval{Lo: t.closed + 1, Hi: ct}
-	t.closed = ct
-	return newly, true
-}
-
-// ClosedThrough returns the last granule the tracker has seen close,
-// with ok=false before the first Advance.
-func (t *CloseTracker) ClosedThrough() (timegran.Granule, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed, t.started
-}
+// serves statements, just ahead of any statement. Close detection —
+// when a granule closes under the append stream's clock — is the
+// standing statement's own (tml.Standing over timegran.ClosedThrough).
 
 // Premaintain refreshes every resident cache entry of tbl that has gone
 // stale, using the normal serving path (delta maintenance from the
@@ -93,12 +34,8 @@ func (c *HoldCache) Premaintain(ctx context.Context, tbl *tdb.TxTable, tr obs.Tr
 		if ent.key.table != tbl.Name() || ent.epoch == epoch {
 			continue
 		}
-		// Rebuild the entry's own coverage: the stored config carries the
-		// build's granularity/MinGranuleTx/backend, but the thresholds and
-		// tracer belong to whichever statement last touched it.
+		// The resident table's own config is the entry's coverage.
 		cfg := ent.h.Cfg
-		cfg.MinSupport = ent.buildSupport
-		cfg.MaxK = ent.maxK
 		cfg.Tracer = tr
 		cfgs = append(cfgs, cfg)
 	}

@@ -369,3 +369,28 @@ func TestMineTraditionalMissesTemporalRules(t *testing.T) {
 		t.Error("traditional mining should not see the weekend rule at 0.5 support")
 	}
 }
+
+// TestMinHitsExact holds the frequency bound of every detector to the
+// exact ceiling of a rational frequency p/q of n granules, at small n
+// and at the large n of hour granularity over years or minute
+// granularity over a month, where minFreq·n carries more float error
+// than an absolute epsilon absorbs: 0.55·40980 is 22539 exactly, and
+// one more hit must not be asked for.
+func TestMinHitsExact(t *testing.T) {
+	if got := minHits(0.55, 40980); got != 22539 {
+		t.Fatalf("minHits(0.55, 40980) = %d, want 22539", got)
+	}
+	fracs := [][2]int{{1, 10}, {1, 4}, {1, 3}, {1, 2}, {55, 100}, {3, 5}, {2, 3}, {7, 10}, {3, 4}, {9, 10}, {95, 100}, {1, 1}}
+	ranges := [][2]int{{0, 3000}, {40000, 42000}, {199000, 201000}, {999000, 1000000}}
+	for _, f := range fracs {
+		p, q := f[0], f[1]
+		minFreq := float64(p) / float64(q)
+		for _, r := range ranges {
+			for n := r[0]; n <= r[1]; n++ {
+				if want := (p*n + q - 1) / q; minHits(minFreq, n) != want {
+					t.Fatalf("minHits(%d/%d, %d) = %d, want %d", p, q, n, minHits(minFreq, n), want)
+				}
+			}
+		}
+	}
+}

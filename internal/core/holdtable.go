@@ -646,11 +646,16 @@ func (h *HoldTable) holds(rc RuleCandidate, hold []uint64, conf confTest) {
 }
 
 // minHits is the frequency test of every detector as an integer bound:
-// the least hit count with float64(hits) ≥ minFreq·occ − 1e-12, so a
+// the least hit count reaching minFreq of occ granules, ceil(minFreq·occ)
+// under the rounding every support threshold uses (ceilCount), so a
 // class of occ granules is decided by one integer compare — and skipped
-// without counting when the whole hold sequence has fewer bits.
+// without counting when the whole hold sequence has fewer bits. No
+// granule needs no hit.
 func minHits(minFreq float64, occ int) int {
-	return max(0, int(math.Ceil(minFreq*float64(occ)-1e-12)))
+	if occ == 0 {
+		return 0
+	}
+	return ceilCount(minFreq, occ)
 }
 
 // EachRuleCandidate enumerates every rule X ⇒ {y} derivable from the

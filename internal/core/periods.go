@@ -112,10 +112,8 @@ func holdPositions(pos []holdPos, hold, active []uint64) []holdPos {
 // denseScan is Task I's period detector for one operator call over a
 // table of nActive active granules: need[x] is minHits(minFreq, x), the
 // least number of holding granules among x active ones, so the
-// frequency test of an interval is one integer compare — exact, the
-// float test it replaces being float64(hits) ≥ minFreq·x − 1e-12 for an
-// integer hit count. smax is scratch reused from candidate to
-// candidate.
+// frequency test of an interval is one integer compare. smax is
+// scratch reused from candidate to candidate.
 type denseScan struct {
 	minFreq float64
 	minLen  int

@@ -61,7 +61,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/apriori"
@@ -171,11 +170,15 @@ type Server struct {
 	journal *obs.Journal
 	subs    *subManager
 
-	sem      chan struct{} // pool slots
-	admitted atomic.Int64  // statements admitted and not yet finished
-	inflight atomic.Int64  // statements holding a pool slot
-	draining atomic.Bool
-	wg       sync.WaitGroup // in-flight statement handlers, for Drain
+	sem chan struct{} // pool slots; len(sem) requests are executing
+
+	// mu orders admission against Drain: admit counts a request only
+	// while draining is false, so once Drain sets it the count can only
+	// fall, and the release that takes it to zero closes idle.
+	mu       sync.Mutex
+	admitted int // requests admitted and not yet finished
+	draining bool
+	idle     chan struct{}
 }
 
 // New builds a server over db. All sessions share one executor — and
@@ -185,10 +188,11 @@ type Server struct {
 func New(db *tdb.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg: cfg,
-		db:  db,
-		reg: cfg.Registry,
-		sem: make(chan struct{}, cfg.Pool),
+		cfg:  cfg,
+		db:   db,
+		reg:  cfg.Registry,
+		sem:  make(chan struct{}, cfg.Pool),
+		idle: make(chan struct{}),
 	}
 	s.exec = tml.NewExecutor(db)
 	s.exec.Backend = cfg.Backend
@@ -274,33 +278,41 @@ func sanitizeRequestID(id string) string {
 }
 
 // Drain stops admitting statements (they get 503 + Retry-After) and
-// waits for the ones in flight to finish, or for ctx to expire. It is
-// the statement-level half of a graceful shutdown; pair it with
-// http.Server.Shutdown for the connection-level half.
+// waits for the ones in flight to finish, or for ctx to expire. No
+// request starts after Drain returns nil. It is the statement-level
+// half of a graceful shutdown; pair it with http.Server.Shutdown for
+// the connection-level half.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
+	s.mu.Lock()
+	if !s.draining && s.admitted == 0 {
+		close(s.idle)
+	}
+	s.draining = true
+	s.mu.Unlock()
 	// Stop the standing statements first: their background refreshes
 	// would otherwise keep the executor busy while we wait for the
 	// interactive statements to finish.
 	s.subs.shutdown()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.idle:
 		return nil
 	case <-ctx.Done():
 		// An idle server is drained regardless of the context: only
 		// report interruption when statements are actually in flight.
-		if s.admitted.Load() == 0 {
-			<-done
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.admitted == 0 {
 			return nil
 		}
-		return fmt.Errorf("server: drain interrupted with %d statement(s) in flight: %w",
-			s.admitted.Load(), ctx.Err())
+		return fmt.Errorf("server: drain interrupted with %d statement(s) in flight: %w", s.admitted, ctx.Err())
 	}
+}
+
+// isDraining reports whether Drain has been called.
+func (s *Server) isDraining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
 }
 
 // statementRequest is the POST /v1/statements JSON body.
@@ -398,9 +410,9 @@ func (s *Server) execute(ctx context.Context, input string) (*minisql.Result, st
 }
 
 // admit is the one admission sequence of every request that takes a
-// pool slot: statements, appends, imports, flushes and exports. A
-// draining server refuses everything (503), so the pool empties
-// monotonically; the admitted count bounds the queue (429); and the
+// pool slot: statements, appends, imports, flushes and exports. Under
+// s.mu it refuses (503 draining, 429 at a full queue) or counts the
+// request, so a draining server's count only falls; and the
 // request then waits for a pool slot under ctx, so bulk work
 // backpressures instead of starving the miners. A statement passes its
 // deadline context, so the deadline covers the wait. The admitted
@@ -408,39 +420,48 @@ func (s *Server) execute(ctx context.Context, input string) (*minisql.Result, st
 // counts one whose ctx ended while it waited. When ok is false admit
 // has answered the request; otherwise the caller must defer release.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter, admitted, failed string) (release func(), ok bool) {
-	if s.draining.Load() {
+	s.mu.Lock()
+	switch {
+	case s.draining:
+		s.mu.Unlock()
 		s.refuseDraining(w)
 		return nil, false
-	}
-	if n := s.admitted.Add(1); n > int64(s.cfg.Pool+s.cfg.Queue) {
-		s.admitted.Add(-1)
+	case s.admitted >= s.cfg.Pool+s.cfg.Queue:
+		s.mu.Unlock()
 		s.refuse(w, http.StatusTooManyRequests, MetricQueueFull,
 			fmt.Sprintf("statement queue full (%d executing + %d waiting)", s.cfg.Pool, s.cfg.Queue))
 		return nil, false
 	}
-	s.wg.Add(1)
+	s.admitted++
+	s.gaugesLocked()
+	s.mu.Unlock()
 	if admitted != "" {
 		s.reg.Counter(admitted).Add(1)
 	}
-	s.gauges()
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.admitted.Add(-1)
-		s.wg.Done()
-		s.gauges()
+		s.settle(-1)
 		s.fail(w, failed, ctx.Err())
 		return nil, false
 	}
-	s.inflight.Add(1)
-	s.gauges()
+	s.settle(0)
 	return func() {
 		<-s.sem
-		s.inflight.Add(-1)
-		s.admitted.Add(-1)
-		s.wg.Done()
-		s.gauges()
+		s.settle(-1)
 	}, true
+}
+
+// settle adds delta to the admitted count and republishes the pool
+// occupancy. The release that empties a draining server wakes Drain.
+func (s *Server) settle(delta int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.admitted += delta
+	if delta < 0 && s.draining && s.admitted == 0 {
+		close(s.idle)
+	}
+	s.gaugesLocked()
 }
 
 // refuse answers a backpressure refusal: its counter, the Retry-After
@@ -623,26 +644,31 @@ type healthz struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := healthz{Status: "ok", Inflight: s.inflight.Load()}
-	h.Queued = s.admitted.Load() - h.Inflight
-	if h.Queued < 0 {
-		h.Queued = 0
-	}
-	if s.draining.Load() {
-		h.Status = "draining"
-	}
+	s.mu.Lock()
+	h := s.healthLocked()
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, h)
 }
 
-// gauges publishes the pool occupancy.
-func (s *Server) gauges() {
-	inflight := s.inflight.Load()
-	queued := s.admitted.Load() - inflight
-	if queued < 0 {
-		queued = 0
+// healthLocked reads the pool occupancy — the admitted requests holding
+// a slot and those still waiting for one (every slot holder is counted
+// in admitted) — and the drain state. Caller holds s.mu.
+func (s *Server) healthLocked() healthz {
+	inflight := len(s.sem)
+	h := healthz{Status: "ok", Inflight: int64(inflight), Queued: int64(s.admitted - inflight)}
+	if s.draining {
+		h.Status = "draining"
 	}
-	s.reg.Gauge(MetricInflight).Set(float64(inflight))
-	s.reg.Gauge(MetricQueueDepth).Set(float64(queued))
+	return h
+}
+
+// gaugesLocked publishes the pool occupancy. It runs under s.mu after
+// every change to the count or the pool, so the last value published
+// is the current one. Caller holds s.mu.
+func (s *Server) gaugesLocked() {
+	h := s.healthLocked()
+	s.reg.Gauge(MetricInflight).Set(float64(h.Inflight))
+	s.reg.Gauge(MetricQueueDepth).Set(float64(h.Queued))
 }
 
 // reject writes the uniform JSON error body. The request ID comes from

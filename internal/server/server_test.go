@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -426,6 +427,57 @@ func TestDrainDeadline(t *testing.T) {
 	}
 	close(bt.release)
 	<-done
+}
+
+// startTracer counts the spans opened: a statement that runs opens at
+// least its statement span.
+type startTracer struct {
+	obs.NopTracer
+	starts atomic.Int64
+}
+
+func (c *startTracer) Enabled() bool    { return true }
+func (c *startTracer) StartTask(string) { c.starts.Add(1) }
+
+// TestDrainStartsNothingAfter races clients posting statements against
+// Drain, round after round. Once Drain has returned nil no statement
+// may start — the tracer's span count is frozen — and every request
+// sent after that is refused with 503.
+func TestDrainStartsNothingAfter(t *testing.T) {
+	const rounds, clients = 25, 8
+	for round := 0; round < rounds; round++ {
+		st := &startTracer{}
+		s := New(fixtureDB(t), Config{Tracer: st})
+		var drained atomic.Bool
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					after := drained.Load()
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/statements", strings.NewReader(testStatements[0])))
+					if after {
+						if rec.Code != http.StatusServiceUnavailable {
+							t.Errorf("round %d: request after drain answered %d, want 503", round, rec.Code)
+						}
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%5) * 500 * time.Microsecond)
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatalf("round %d: drain: %v", round, err)
+		}
+		startsAtDrain := st.starts.Load()
+		drained.Store(true)
+		wg.Wait()
+		if got := st.starts.Load(); got != startsAtDrain {
+			t.Fatalf("round %d: %d span(s) started after Drain returned", round, got-startsAtDrain)
+		}
+	}
 }
 
 // TestBadStatements checks the 400 family: SQL (not served here),

@@ -389,7 +389,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, bodyErrorCode(err), err.Error())
 		return
 	}
-	if s.draining.Load() {
+	if s.isDraining() {
 		s.refuseDraining(w)
 		return
 	}

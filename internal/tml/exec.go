@@ -104,16 +104,8 @@ func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisq
 	trace.SetAttr("task", taskKey(stmt))
 	trace.SetAttr("table", stmt.Table)
 	tr.Counter(obs.MetricStatements, 1)
-	cfg := core.Config{
-		Granularity:   stmt.Granularity,
-		MinSupport:    stmt.Support,
-		MinConfidence: stmt.Confidence,
-		MinFreq:       stmt.defaultFrequency(),
-		MaxK:          stmt.MaxSize,
-		Backend:       e.Backend,
-		Workers:       e.Workers,
-		Tracer:        tr,
-	}
+	cfg := e.config(stmt)
+	cfg.Tracer = tr
 	root, err := e.buildPlan(tbl, stmt, cfg, false)
 	var out any
 	if err == nil {
@@ -133,6 +125,21 @@ func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisq
 	e.mu.Unlock()
 	fl.End(obs.QueryOutcome{Rows: len(res.Rows)})
 	return res, nil
+}
+
+// config is the mining config a statement runs under, tracer aside:
+// execution adds the statement's tracer, and EXPLAIN plans with it as
+// it stands, so the plan it shows is the one a run builds.
+func (e *Executor) config(stmt *MineStmt) core.Config {
+	return core.Config{
+		Granularity:   stmt.Granularity,
+		MinSupport:    stmt.Support,
+		MinConfidence: stmt.Confidence,
+		MinFreq:       stmt.defaultFrequency(),
+		MaxK:          stmt.MaxSize,
+		Backend:       e.Backend,
+		Workers:       e.Workers,
+	}
 }
 
 // txTable resolves the transaction table a MINE statement names; EXPLAIN
@@ -287,16 +294,7 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 	add("min support (per granule)", fmt.Sprintf("%g", stmt.Support))
 	add("min confidence", fmt.Sprintf("%g", stmt.Confidence))
 	add("min frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
-	cfg := core.Config{
-		Granularity:   stmt.Granularity,
-		MinSupport:    stmt.Support,
-		MinConfidence: stmt.Confidence,
-		MinFreq:       stmt.defaultFrequency(),
-		MaxK:          stmt.MaxSize,
-		Backend:       e.Backend,
-		Workers:       e.Workers,
-	}
-	if root, err := e.buildPlan(tbl, stmt, cfg, true); err != nil {
+	if root, err := e.buildPlan(tbl, stmt, e.config(stmt), true); err != nil {
 		add("plan", "(unavailable: "+err.Error()+")")
 	} else {
 		for _, line := range plan.Explain(root) {

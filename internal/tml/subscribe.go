@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/minisql"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
@@ -206,23 +205,28 @@ type SubUpdate struct {
 }
 
 // Standing is one registered SUBSCRIBE MINE statement. Step — called
-// whenever the table may have advanced — detects granule closes via a
-// core.CloseTracker over the append stream's clock, pre-maintains the
-// hold-table cache from the change log's dirty granules, re-runs the
-// statement through the shared executor (plan pipeline, journal and
-// metrics included) and returns the delta update, or nil when nothing
-// warranted a refresh. Safe for concurrent Step calls (they serialise).
+// whenever the table may have advanced — detects granule closes over
+// the append stream's clock (timegran.ClosedThrough of the newest
+// transaction), pre-maintains the hold-table cache from the change
+// log's dirty granules, re-runs the statement through the shared
+// executor (plan pipeline, journal and metrics included) and returns
+// the delta update, or nil when nothing warranted a refresh. Safe for
+// concurrent Step calls (they serialise).
 type Standing struct {
 	exec *Executor
 	stmt *MineStmt
 	tbl  *tdb.TxTable
 
-	mu      sync.Mutex
-	tracker *core.CloseTracker
-	cur     map[string][]string
-	cols    []string
-	epoch   int64 // table epoch the last refresh was current through
-	started bool
+	mu  sync.Mutex
+	cur map[string][]string
+	// closed is the last granule seen closed, valid once baselined: the
+	// first Step over a non-empty table takes it as the baseline, and
+	// later Steps only ever raise it, so a clock that moves backwards
+	// never un-closes a granule.
+	closed    timegran.Granule
+	baselined bool
+	epoch     int64 // table epoch the last refresh was current through
+	started   bool  // the registration snapshot has been emitted
 }
 
 // NewStanding validates and registers stmt (which must be a SUBSCRIBE
@@ -238,12 +242,7 @@ func NewStanding(e *Executor, stmt *MineStmt) (*Standing, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Standing{
-		exec:    e,
-		stmt:    stmt,
-		tbl:     tbl,
-		tracker: core.NewCloseTracker(stmt.Granularity),
-	}, nil
+	return &Standing{exec: e, stmt: stmt, tbl: tbl}, nil
 }
 
 // Stmt returns the standing statement.
@@ -276,10 +275,16 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 	if !ok {
 		return nil, nil // empty table: nothing to mine yet
 	}
-	_, closedAny := s.tracker.Advance(clock)
+	// Everything already closed at the baseline is history, not a close.
+	closedAny := false
+	switch ct := timegran.ClosedThrough(clock, s.stmt.Granularity); {
+	case !s.baselined:
+		s.closed, s.baselined = ct, true
+	case ct > s.closed:
+		s.closed, closedAny = ct, true
+	}
 	refresh := !s.started || closedAny
 	if !refresh {
-		ct, _ := s.tracker.ClosedThrough()
 		dirty, _, logOK := s.tbl.DirtySince(s.stmt.Granularity, s.epoch)
 		if !logOK {
 			// Change log trimmed past our window: we can no longer tell
@@ -287,7 +292,7 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 			refresh = true
 		} else {
 			for _, g := range dirty {
-				if g <= ct {
+				if g <= s.closed {
 					refresh = true
 					break
 				}
@@ -311,17 +316,15 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 	}
 	cur := rowsByKey(res.Cols, DisplayCells(res))
 	upd := &SubUpdate{
-		Epoch:   epoch,
-		Initial: !s.started,
-		Rules:   len(cur),
-		Cols:    res.Cols,
-		Deltas:  DiffRows(s.cur, cur),
+		ClosedThrough: s.closed,
+		ClosedLabel:   timegran.FormatGranule(s.closed, s.stmt.Granularity),
+		Epoch:         epoch,
+		Initial:       !s.started,
+		Rules:         len(cur),
+		Cols:          res.Cols,
+		Deltas:        DiffRows(s.cur, cur),
 	}
-	if ct, ok := s.tracker.ClosedThrough(); ok {
-		upd.ClosedThrough = ct
-		upd.ClosedLabel = timegran.FormatGranule(ct, s.stmt.Granularity)
-	}
-	s.cur, s.cols, s.epoch, s.started = cur, res.Cols, epoch, true
+	s.cur, s.epoch, s.started = cur, epoch, true
 	return upd, nil
 }
 

@@ -220,6 +220,69 @@ func TestStandingStep(t *testing.T) {
 	}
 }
 
+// TestStandingCloseState walks a standing statement's close detection
+// through Step: the first Step takes the baseline, appends inside the
+// open granule refresh nothing, a jump closes every skipped granule in
+// one update, a late append never moves the closed granule back, and a
+// clock exactly on a boundary closes the granule before it.
+func TestStandingCloseState(t *testing.T) {
+	db := tdb.NewMemDB()
+	tbl, err := db.CreateTxTable("baskets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := Parse(`SUBSCRIBE MINE RULES FROM baskets AT GRANULARITY day THRESHOLD SUPPORT 0.5 CONFIDENCE 0.6`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStanding(NewExecutor(db), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if upd, err := st.Step(ctx); upd != nil || err != nil {
+		t.Fatalf("Step over an empty table = %+v, %v", upd, err)
+	}
+	at := func(day, hh int) time.Time { return time.Date(2024, 1, day, hh, 0, 0, 0, time.UTC) }
+	step := func(clock time.Time) *SubUpdate {
+		t.Helper()
+		tbl.Append(clock, db.Dict().InternAll("bread", "milk"))
+		upd, err := st.Step(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return upd
+	}
+	closedThrough := func(upd *SubUpdate, want timegran.Granule) {
+		t.Helper()
+		if upd == nil {
+			t.Fatalf("no update, want one closed through %d", want)
+		}
+		if upd.ClosedThrough != want || upd.ClosedLabel != timegran.FormatGranule(want, timegran.Day) {
+			t.Fatalf("closed through %d (%s), want %d", upd.ClosedThrough, upd.ClosedLabel, want)
+		}
+	}
+	// Baseline: the first Step's update is closed through the day before
+	// the clock, whatever the clock.
+	base := timegran.GranuleOf(at(4, 0), timegran.Day)
+	upd := step(at(5, 10))
+	closedThrough(upd, base)
+	if !upd.Initial {
+		t.Fatal("the baseline update is not the registration snapshot")
+	}
+	// The clock moves within the open granule: no update.
+	if upd := step(at(5, 23)); upd != nil {
+		t.Fatalf("same-granule append emitted %+v", upd)
+	}
+	// The clock jumps three days: one update closes all three.
+	closedThrough(step(at(8, 1)), base+3)
+	// A late append lands in a closed granule: it refreshes, and the
+	// closed granule stays where it was.
+	closedThrough(step(at(2, 0)), base+3)
+	// A clock exactly on a boundary closes the granule before it.
+	closedThrough(step(at(9, 0)), base+4)
+}
+
 // TestStandingOracle is the in-process streaming differential oracle:
 // an appending workload closes granules round by round while concurrent
 // writers race the refreshes; at every close point the folded delta
