@@ -658,7 +658,7 @@ func BenchmarkMineTraditional(b *testing.B) {
 			b.Run(fmt.Sprintf("support=%g/workers=%d", support, w), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.MineTraditionalContext(context.Background(), tbl, support, 0.5, 0, apriori.BackendBitmap, w, nil); err != nil {
+					if _, err := core.MineTraditionalContext(context.Background(), tbl, core.Config{MinSupport: support, MinConfidence: 0.5, Backend: apriori.BackendBitmap, Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}

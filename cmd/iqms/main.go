@@ -43,20 +43,15 @@ func main() {
 	dbDir := flag.String("db", "", "database directory (empty: in-memory)")
 	script := flag.String("f", "", "execute statements from this file and exit")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060)")
-	mf.RegisterMining(flag.CommandLine)
+	mf.RegisterWorkers(flag.CommandLine)
 	mf.RegisterTimeout(flag.CommandLine)
 	mf.RegisterCache(flag.CommandLine)
 	mf.RegisterDurability(flag.CommandLine)
 	flag.Parse()
 
-	backend, err := mf.Backend()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iqms:", err)
-		os.Exit(2)
-	}
-
 	db := tdb.NewMemDB()
 	if *dbDir != "" {
+		var err error
 		if db, err = mf.OpenDB(*dbDir, obs.Default); err != nil {
 			fmt.Fprintln(os.Stderr, "iqms:", err)
 			os.Exit(1)
@@ -66,7 +61,6 @@ func main() {
 			db.FsyncPolicy(), rec.Records, rec.AppendedTx, rec.SkippedTx, rec.TornBytes, rec.Wall.Round(time.Millisecond))
 	}
 	session := tml.NewSession(db)
-	session.TML.Backend = backend
 	session.TML.Workers = mf.Workers
 	session.TML.Cache = core.NewHoldCache(mf.CacheBytes())
 

@@ -57,7 +57,7 @@ func run() error {
 	drain := fs.Duration("drain", 30*time.Second, "how long to wait for in-flight statements on shutdown")
 	subs := fs.Int("subs", 16, "standing SUBSCRIBE MINE statements allowed at once")
 	subQueue := fs.Int("sub-queue", 64, "per-subscription event ring capacity")
-	mf.RegisterMining(fs)
+	mf.RegisterWorkers(fs)
 	mf.RegisterTimeout(fs)
 	mf.RegisterCache(fs)
 	mf.RegisterJournal(fs)
@@ -66,10 +66,6 @@ func run() error {
 
 	if *dbDir == "" {
 		return errors.New("-db is required")
-	}
-	backend, err := mf.Backend()
-	if err != nil {
-		return err
 	}
 	sink, err := mf.JournalSink()
 	if err != nil {
@@ -93,7 +89,6 @@ func run() error {
 		Pool:        *pool,
 		Queue:       *queue,
 		Timeout:     mf.Timeout,
-		Backend:     backend,
 		Workers:     mf.Workers,
 		CacheBytes:  mf.CacheBytes(),
 		JournalSize: mf.JournalSize,

@@ -10,7 +10,7 @@
 //	tarmine -db ./data -e "MINE ..." -trace              # span tree of the run on stderr
 //	tarmine -experiment e1          # one experiment
 //	tarmine -experiment all         # the full suite (slow)
-//	tarmine -backend bitmap -workers 4 -experiment e2
+//	tarmine -workers 4 -experiment e2
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 
-	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/bench"
 	"github.com/tarm-project/tarm/internal/clihelp"
 	"github.com/tarm-project/tarm/internal/minisql"
@@ -51,7 +50,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.statsPath, "stats", "", "write the MINE statement's journal record (span tree included) as JSON to this file ('-' = stdout; the result table then goes to stderr)")
 	fs.BoolVar(&o.progress, "progress", false, "render per-pass mining progress to stderr")
 	fs.BoolVar(&o.trace, "trace", false, "render the statement's span tree to stderr after the run")
-	o.mf.RegisterMining(fs)
+	o.mf.RegisterWorkers(fs)
 	o.mf.RegisterTimeout(fs)
 	o.mf.RegisterDurability(fs)
 	return o
@@ -62,12 +61,6 @@ func main() {
 	flag.Parse()
 	mf := &o.mf
 
-	backend, err := mf.Backend()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tarmine:", err)
-		os.Exit(2)
-	}
-	bench.Backend = backend
 	bench.Workers = mf.Workers
 	if o.progress {
 		bench.Tracer = obs.NewProgressTracer(os.Stderr)
@@ -104,7 +97,7 @@ func main() {
 		if o.statsPath != "" {
 			journal = obs.NewJournal(obs.JournalConfig{Size: 1})
 		}
-		if err := execStatement(ctx, mf, o.dbDir, o.stmt, backend, out, tracer, journal); err != nil {
+		if err := execStatement(ctx, mf, o.dbDir, o.stmt, out, tracer, journal); err != nil {
 			fmt.Fprintln(os.Stderr, "tarmine:", err)
 			os.Exit(1)
 		}
@@ -130,7 +123,7 @@ func main() {
 // cancelled by -timeout returns context.DeadlineExceeded. The database
 // is checkpointed and closed before returning, so a batch INSERT
 // restarts from segments.
-func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt string, backend apriori.Backend, w io.Writer, tracer obs.Tracer, journal *obs.Journal) error {
+func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt string, w io.Writer, tracer obs.Tracer, journal *obs.Journal) error {
 	db, err := mf.OpenDB(dbDir, obs.Default)
 	if err != nil {
 		return err
@@ -139,7 +132,6 @@ func execStatement(ctx context.Context, mf *clihelp.MiningFlags, dbDir, stmt str
 	// One statement per process never reuses a hold table: without a
 	// cache the build is scoped to the statement it serves.
 	session.TML.Cache = nil
-	session.TML.Backend = backend
 	session.TML.Workers = mf.Workers
 	session.TML.Tracer = tracer
 	session.TML.Journal = journal

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/clihelp"
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/obs"
@@ -46,7 +45,7 @@ func fixtureDir(t *testing.T) string {
 func TestExecStatement(t *testing.T) {
 	dir := fixtureDir(t)
 	var out strings.Builder
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2, FsyncName: "off"}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, apriori.BackendBitmap, &out, nil, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2, FsyncName: "off"}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, &out, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "{bread}") {
@@ -54,14 +53,14 @@ func TestExecStatement(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `SELECT COUNT(*) AS n FROM baskets`, apriori.BackendAuto, &out, nil, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `SELECT COUNT(*) AS n FROM baskets`, &out, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "168") { // 14 days × 6 tx × 2 items
 		t.Errorf("SQL output: %q", out.String())
 	}
 
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `MINE garbage`, apriori.BackendAuto, &out, nil, nil); err == nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `MINE garbage`, &out, nil, nil); err == nil {
 		t.Error("bad statement accepted")
 	}
 }
@@ -77,7 +76,7 @@ func TestStatsDump(t *testing.T) {
 	trace := obs.NewTrace("stats-1")
 	ctx := obs.ContextWithTrace(context.Background(), trace)
 	stmt := `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`
-	if err := execStatement(ctx, &clihelp.MiningFlags{Workers: 1, FsyncName: "off"}, dir, stmt, apriori.BackendBitmap, &out, obs.NewProgressTracer(&progress), journal); err != nil {
+	if err := execStatement(ctx, &clihelp.MiningFlags{Workers: 1, FsyncName: "off"}, dir, stmt, &out, obs.NewProgressTracer(&progress), journal); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := journal.Get(trace.ID())
@@ -133,7 +132,8 @@ func TestRunExperimentsUnknown(t *testing.T) {
 }
 
 // TestFlagSurface pins the command line: -json went with the CI
-// artifacts it fed, so it must fail the parse like any unknown flag.
+// artifacts it fed, and -backend with the choice each build now makes
+// itself, so both must fail the parse like any unknown flag.
 func TestFlagSurface(t *testing.T) {
 	parse := func(args ...string) error {
 		fs := flag.NewFlagSet("tarmine", flag.ContinueOnError)
@@ -141,12 +141,14 @@ func TestFlagSurface(t *testing.T) {
 		registerFlags(fs)
 		return fs.Parse(args)
 	}
-	if err := parse("-experiment", "e14", "-backend", "bitmap", "-workers", "2"); err != nil {
+	if err := parse("-experiment", "e14", "-workers", "2"); err != nil {
 		t.Errorf("experiment flags rejected: %v", err)
 	}
-	err := parse("-experiment", "e14", "-json", "out.json")
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -json") {
-		t.Errorf("-json: %v, want an unknown-flag error", err)
+	for _, gone := range []string{"-json", "-backend"} {
+		err := parse("-experiment", "e14", gone, "x")
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+gone) {
+			t.Errorf("%s: %v, want an unknown-flag error", gone, err)
+		}
 	}
 }
 
@@ -163,7 +165,7 @@ func TestExecStatementDurable(t *testing.T) {
 		`SELECT city FROM stores WHERE id = 7`,
 	} {
 		out.Reset()
-		if err := execStatement(context.Background(), mf, dir, stmt, apriori.BackendAuto, &out, nil, nil); err != nil {
+		if err := execStatement(context.Background(), mf, dir, stmt, &out, nil, nil); err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
 	}

@@ -13,15 +13,12 @@ import (
 )
 
 // Config tunes a mining run. The zero value is not usable: MinSupport
-// (or MinCount) must be set.
+// must be set.
 type Config struct {
 	// MinSupport is the minimum support as a fraction of transactions
 	// in [0,1]. A candidate is frequent when its count is at least
-	// ceil(MinSupport * N). Ignored when MinCount > 0.
+	// ceil(MinSupport * N).
 	MinSupport float64
-	// MinCount is an absolute support threshold; when positive it
-	// overrides MinSupport.
-	MinCount int
 	// MaxK bounds the size of itemsets mined; 0 means unbounded.
 	MaxK int
 	// Backend selects the support-counting strategy; the zero value
@@ -40,11 +37,8 @@ type Config struct {
 
 // minCount resolves the absolute threshold for n transactions.
 func (c Config) minCount(n int) (int, error) {
-	if c.MinCount > 0 {
-		return c.MinCount, nil
-	}
 	if c.MinSupport <= 0 || c.MinSupport > 1 {
-		return 0, fmt.Errorf("apriori: MinSupport %v outside (0,1] and no MinCount given", c.MinSupport)
+		return 0, fmt.Errorf("apriori: MinSupport %v outside (0,1]", c.MinSupport)
 	}
 	return CeilCount(c.MinSupport, n), nil
 }

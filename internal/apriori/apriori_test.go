@@ -69,19 +69,6 @@ func TestMineGroceries(t *testing.T) {
 	}
 }
 
-func TestMineMinCountOverride(t *testing.T) {
-	f, err := Mine(groceries(), Config{MinSupport: 0.01, MinCount: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.MinCount != 7 {
-		t.Fatalf("MinCount = %d, want 7", f.MinCount)
-	}
-	if f.TotalItemsets() != 1 || !f.Contains(itemset.New(2)) {
-		t.Errorf("only {2} has count >= 7; got %v", f.All())
-	}
-}
-
 func TestMineMaxK(t *testing.T) {
 	f, err := Mine(groceries(), Config{MinSupport: 0.3, MaxK: 1})
 	if err != nil {

@@ -2,7 +2,6 @@ package apriori
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/tarm-project/tarm/internal/itemset"
 )
@@ -35,7 +34,7 @@ const (
 // Valid reports whether b names a known backend.
 func (b Backend) Valid() bool { return b >= BackendAuto && b <= BackendRoaring }
 
-// String returns the flag-friendly name.
+// String returns the backend's name, as EXPLAIN and the journal print it.
 func (b Backend) String() string {
 	switch b {
 	case BackendAuto:
@@ -50,24 +49,6 @@ func (b Backend) String() string {
 		return "roaring"
 	}
 	return fmt.Sprintf("Backend(%d)", int(b))
-}
-
-// ParseBackend parses a backend name as used by the -backend CLI flag.
-// The empty string means auto.
-func ParseBackend(s string) (Backend, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return BackendAuto, nil
-	case "naive":
-		return BackendNaive, nil
-	case "hashtree":
-		return BackendHashTree, nil
-	case "bitmap":
-		return BackendBitmap, nil
-	case "roaring":
-		return BackendRoaring, nil
-	}
-	return 0, fmt.Errorf("apriori: unknown counting backend %q (want auto, naive, hashtree, bitmap or roaring)", s)
 }
 
 // keepItems collects the frequent items of a level-1 result, the

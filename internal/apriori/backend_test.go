@@ -5,38 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseBackend(t *testing.T) {
-	cases := map[string]Backend{
-		"":         BackendAuto,
-		"auto":     BackendAuto,
-		"naive":    BackendNaive,
-		"hashtree": BackendHashTree,
-		"HashTree": BackendHashTree,
-		"bitmap":   BackendBitmap,
-		"roaring":  BackendRoaring,
-		"ROARING":  BackendRoaring,
-	}
-	for in, want := range cases {
-		got, err := ParseBackend(in)
-		if err != nil || got != want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	// Only the five names the usage string lists: the old aliases are
-	// unknown backends like any other.
-	for _, in := range []string{"quantum", "Tree", "ECLAT", "vertical", "compressed"} {
-		if _, err := ParseBackend(in); err == nil {
-			t.Errorf("ParseBackend accepted %q", in)
-		}
-	}
-	for b := BackendAuto; b <= BackendRoaring; b++ {
-		rt, err := ParseBackend(b.String())
-		if err != nil || rt != b {
-			t.Errorf("round trip of %v failed: %v, %v", b, rt, err)
-		}
-	}
-}
-
 // TestCeilCountBoundaries pins the float-ceiling fix: supports whose
 // product with n is integral must not round up one extra transaction.
 func TestCeilCountBoundaries(t *testing.T) {

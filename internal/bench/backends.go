@@ -9,12 +9,11 @@ import (
 	"github.com/tarm-project/tarm/internal/obs"
 )
 
-// Backend, Workers and Tracer are folded by Cfg into every experiment's
-// mining config; cmd/tarmine sets them from its -backend, -workers and
-// telemetry flags so the whole experiment suite can be re-run on any
-// counting backend, with or without tracing.
+// Workers and Tracer are folded by Cfg into every experiment's mining
+// config; cmd/tarmine sets them from its -workers and telemetry flags
+// so the whole experiment suite can be re-run at any worker count, with
+// or without tracing.
 var (
-	Backend apriori.Backend
 	Workers int
 	Tracer  obs.Tracer
 )

@@ -74,7 +74,6 @@ func E13ConcurrentSessions(sc StandardConfig) (Table, error) {
 		srv := server.New(session.DB, server.Config{
 			Pool:    clients,
 			Queue:   clients * len(stmts),
-			Backend: Backend,
 			Workers: Workers,
 		})
 		ts := httptest.NewServer(srv)

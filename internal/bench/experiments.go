@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
@@ -24,7 +23,6 @@ func Cfg() core.Config {
 		MinConfidence: 0.6,
 		MinFreq:       0.8,
 		MaxK:          3,
-		Backend:       Backend,
 		Workers:       Workers,
 		Tracer:        Tracer,
 	}
@@ -82,7 +80,7 @@ func E1MissedRules(sc StandardConfig) (Table, error) {
 	}
 
 	// Traditional Apriori over the whole year.
-	trad, err := core.MineTraditionalContext(context.Background(), tbl, cfg.MinSupport, cfg.MinConfidence, 0, apriori.BackendAuto, 0, nil)
+	trad, err := core.MineTraditionalContext(context.Background(), tbl, cfg)
 	if err != nil {
 		return t, err
 	}
@@ -225,7 +223,7 @@ func E2SupportSweep(sc StandardConfig, supports []float64) (Table, error) {
 			return t, err
 		}
 		d4, err := timed(func() error {
-			_, err := core.MineTraditionalContext(context.Background(), tbl, s, cfg.MinConfidence, 0, apriori.BackendAuto, 0, nil)
+			_, err := core.MineTraditionalContext(context.Background(), tbl, cfg)
 			return err
 		})
 		if err != nil {
@@ -264,7 +262,7 @@ func E3ScaleUp(days []int, seed int64) (Table, error) {
 			return t, err
 		}
 		d2, err := timed(func() error {
-			_, err := core.MineTraditionalContext(context.Background(), tbl, cfg.MinSupport, cfg.MinConfidence, 0, apriori.BackendAuto, 0, nil)
+			_, err := core.MineTraditionalContext(context.Background(), tbl, cfg)
 			return err
 		})
 		if err != nil {

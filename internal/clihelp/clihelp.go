@@ -1,9 +1,10 @@
 // Package clihelp holds the flag and metrics setup shared by the three
-// binaries (iqms, tarmine, tarmd), so -backend, -workers, -timeout and
-// -cache spell, default and behave identically everywhere. Each binary
-// registers the subset it supports on its own FlagSet; resolution (the
-// backend parse, the cache sizing, the per-statement context) lives
-// here so the binaries cannot drift apart.
+// binaries (iqms, tarmine, tarmd), so -workers, -timeout and -cache
+// spell, default and behave identically everywhere. Each binary
+// registers the subset it supports on its own FlagSet; validation and
+// resolution (the cache sizing, the durability config, the
+// per-statement context) live here so the binaries cannot drift apart.
+// No flag selects a counting backend: each build picks its own.
 package clihelp
 
 import (
@@ -18,7 +19,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
@@ -27,7 +27,6 @@ import (
 // Flag usage strings, shared verbatim by every binary that registers
 // the flag.
 const (
-	backendUsage    = "counting backend: auto, naive, hashtree, bitmap or roaring"
 	workersUsage    = "parallel counting workers: one per CPU by default (GOMAXPROCS); 0 or 1 counts sequentially"
 	timeoutUsage    = "abort any single statement after this long, e.g. 30s (0 = no limit)"
 	cacheUsage      = "hold-table cache budget in MB (0 = disable caching)"
@@ -43,8 +42,6 @@ const (
 // MiningFlags is the cross-binary flag bundle. Zero value + Register*
 // + fs.Parse yields the shared defaults.
 type MiningFlags struct {
-	// BackendName is the raw -backend value; resolve it with Backend().
-	BackendName string
 	// Workers is the -workers value: runtime.GOMAXPROCS(0) when unset.
 	Workers int
 	// Timeout is the -timeout value (per statement).
@@ -65,14 +62,25 @@ type MiningFlags struct {
 	CheckpointInterval time.Duration
 }
 
-// RegisterMining adds -backend and -workers, the knobs of the counting
-// pass itself, which every binary supports. -workers defaults to the
-// CPUs the process may use: a cold build's granule blocks and candidate
-// chunks are independent, and its counts are identical at any worker
-// count, so an unset flag should not leave cores idle.
-func (f *MiningFlags) RegisterMining(fs *flag.FlagSet) {
-	fs.StringVar(&f.BackendName, "backend", "auto", backendUsage)
-	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), workersUsage)
+// RegisterWorkers adds -workers, the parallelism of the counting pass,
+// which every binary supports. It defaults to the CPUs the process may
+// use: a cold build's granule blocks and candidate chunks are
+// independent, and its counts are identical at any worker count, so an
+// unset flag should not leave cores idle. A negative count fails the
+// parse.
+func (f *MiningFlags) RegisterWorkers(fs *flag.FlagSet) {
+	f.Workers = runtime.GOMAXPROCS(0)
+	fs.Func("workers", workersUsage, func(v string) error {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return err
+		}
+		if n < 0 {
+			return fmt.Errorf("must be >= 0 (got %d)", n)
+		}
+		f.Workers = n
+		return nil
+	})
 }
 
 // RegisterTimeout adds -timeout, the per-statement deadline.
@@ -152,15 +160,6 @@ func (f *MiningFlags) JournalSink() (*os.File, error) {
 		return nil, nil
 	}
 	return os.OpenFile(f.JournalLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// Backend resolves -backend (and checks -workers, registered by the
-// same RegisterMining call), with the same error text in every binary.
-func (f *MiningFlags) Backend() (apriori.Backend, error) {
-	if f.Workers < 0 {
-		return 0, fmt.Errorf("-workers must be >= 0 (got %d)", f.Workers)
-	}
-	return apriori.ParseBackend(f.BackendName)
 }
 
 // CacheBytes converts -cache to a byte budget for core.NewHoldCache or

@@ -21,7 +21,7 @@ import (
 func newFlagSet(name string, mf *MiningFlags) *flag.FlagSet {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	mf.RegisterMining(fs)
+	mf.RegisterWorkers(fs)
 	mf.RegisterTimeout(fs)
 	mf.RegisterCache(fs)
 	mf.RegisterDurability(fs)
@@ -31,15 +31,16 @@ func newFlagSet(name string, mf *MiningFlags) *flag.FlagSet {
 // TestFlagsIdenticalAcrossBinaries parses the same command lines
 // through three independent FlagSets — one per binary — and asserts
 // every resolved value matches, which is the clihelp contract:
-// -backend/-workers/-timeout/-cache cannot drift between iqms, tarmine
-// and tarmd. -wal parses everywhere and changes nothing; -wal=false is
-// an error everywhere.
+// -workers/-timeout/-cache cannot drift between iqms, tarmine and
+// tarmd. -wal parses everywhere and changes nothing; -wal=false, a
+// negative -workers and -backend (no flag selects a counting backend)
+// are errors everywhere.
 func TestFlagsIdenticalAcrossBinaries(t *testing.T) {
 	cases := [][]string{
 		{}, // defaults
-		{"-backend", "bitmap", "-workers", "4"},
-		{"-backend", "hashtree", "-timeout", "30s"},
-		{"-backend", "naive", "-workers", "2", "-timeout", "1500ms", "-cache", "64"},
+		{"-workers", "4"},
+		{"-timeout", "30s"},
+		{"-workers", "2", "-timeout", "1500ms", "-cache", "64"},
 		{"-cache", "0"},
 		{"-fsync", "interval", "-fsync-interval", "25ms", "-checkpoint-interval", "5m"},
 	}
@@ -74,6 +75,19 @@ func TestFlagsIdenticalAcrossBinaries(t *testing.T) {
 				t.Errorf("%s %s: err = %v, want a rejection pointing at -fsync off", bin, off, err)
 			}
 		}
+		for _, c := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{"-workers", "-3"}, "must be >= 0 (got -3)"},
+			{[]string{"-workers", "two"}, "invalid value"},
+			{[]string{"-backend", "naive"}, "flag provided but not defined: -backend"},
+		} {
+			err := newFlagSet(bin, new(MiningFlags)).Parse(c.args)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %v: err = %v, want %q", bin, c.args, err, c.want)
+			}
+		}
 	}
 }
 
@@ -82,11 +96,8 @@ func TestDefaults(t *testing.T) {
 	if err := newFlagSet("x", &mf).Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if mf.BackendName != "auto" || mf.Workers != runtime.GOMAXPROCS(0) || mf.Timeout != 0 {
+	if mf.Workers != runtime.GOMAXPROCS(0) || mf.Timeout != 0 {
 		t.Errorf("defaults: %+v", mf)
-	}
-	if b, err := mf.Backend(); err != nil || b != apriori.BackendAuto {
-		t.Errorf("Backend() = %v, %v", b, err)
 	}
 	if got, want := mf.CacheBytes(), core.DefaultCacheBytes; got != want {
 		t.Errorf("CacheBytes() = %d, want %d", got, want)
@@ -119,34 +130,11 @@ func TestWorkersDefault(t *testing.T) {
 	for _, arg := range []string{"1", "0"} {
 		var mf MiningFlags
 		if err := newFlagSet("x", &mf).Parse([]string{"-workers", arg}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mf.Backend(); err != nil {
-			t.Errorf("-workers %s: %v", arg, err)
+			t.Fatalf("-workers %s: %v", arg, err)
 		}
 		if b, c := fanOut(mf.Workers); b != 1 || c != 1 {
 			t.Errorf("-workers %s fans out over %d granule blocks and %d candidate chunks, want sequential", arg, b, c)
 		}
-	}
-}
-
-func TestBackendResolution(t *testing.T) {
-	for name, want := range map[string]apriori.Backend{
-		"auto":     apriori.BackendAuto,
-		"naive":    apriori.BackendNaive,
-		"hashtree": apriori.BackendHashTree,
-		"bitmap":   apriori.BackendBitmap,
-		"roaring":  apriori.BackendRoaring,
-	} {
-		mf := MiningFlags{BackendName: name}
-		got, err := mf.Backend()
-		if err != nil || got != want {
-			t.Errorf("Backend(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	mf := MiningFlags{BackendName: "quantum"}
-	if _, err := mf.Backend(); err == nil {
-		t.Error("unknown backend accepted")
 	}
 }
 

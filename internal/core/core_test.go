@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
@@ -344,7 +343,7 @@ func TestMineValidPeriodsAcrossInactiveGap(t *testing.T) {
 
 func TestMineTraditionalMissesTemporalRules(t *testing.T) {
 	tbl := buildFixture(t)
-	rules, err := MineTraditionalContext(bg, tbl, 0.5, 0.7, 0, apriori.BackendAuto, 0, nil)
+	rules, err := MineTraditionalContext(bg, tbl, Config{MinSupport: 0.5, MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}

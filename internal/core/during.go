@@ -129,21 +129,23 @@ func temporalRuleCmp(a, b TemporalRule) int {
 }
 
 // MineTraditionalContext is the time-agnostic baseline: plain Apriori
-// over the whole table, ignoring timestamps, on the given counting
-// backend, worker count and tracer. Experiment E1 compares its output
-// against the temporal miners to count the rules a traditional approach
-// misses. The level-wise passes observe cancellation between passes.
-// The table goes to apriori as one contiguous row block per worker
+// over the whole table, ignoring timestamps, at cfg's MinSupport,
+// MinConfidence and MaxK, on its Backend, Workers and Tracer; the
+// temporal fields (Granularity, MinFreq, MinGranuleTx, Scope) do not
+// apply. Experiment E1 compares its output against the temporal miners
+// to count the rules a traditional approach misses. The level-wise
+// passes observe cancellation between passes. The table goes to
+// apriori as one contiguous row block per worker
 // (tdb.TxTable.AllBlocks), so every worker counts.
-func MineTraditionalContext(ctx context.Context, tbl *tdb.TxTable, minSupport, minConfidence float64, maxK int, backend apriori.Backend, workers int, tracer obs.Tracer) ([]apriori.Rule, error) {
+func MineTraditionalContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) ([]apriori.Rule, error) {
 	_, rules, err := apriori.MineRulesContext(
 		ctx,
-		tbl.AllBlocks(workers),
-		apriori.Config{MinSupport: minSupport, MaxK: maxK, Backend: backend, Workers: workers, Tracer: tracer},
-		apriori.RuleConfig{MinConfidence: minConfidence},
+		tbl.AllBlocks(cfg.Workers),
+		apriori.Config{MinSupport: cfg.MinSupport, MaxK: cfg.MaxK, Backend: cfg.Backend, Workers: cfg.Workers, Tracer: cfg.Tracer},
+		apriori.RuleConfig{MinConfidence: cfg.MinConfidence},
 	)
 	if err == nil {
-		obs.OrNop(tracer).Counter(obs.MetricRulesEmitted, int64(len(rules)))
+		obs.OrNop(cfg.Tracer).Counter(obs.MetricRulesEmitted, int64(len(rules)))
 	}
 	return rules, err
 }

@@ -222,7 +222,7 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 			stats.GranulesScanned++
 			stats.CandidateGranulePairs += int64(len(sets))
 			// One granule, these candidates: the counting seam's smallest case.
-			granule := []apriori.Source{tbl.GranuleSource(cfg.Granularity, span.Lo+int64(gi))}
+			granule := []apriori.Source{view.Source(gi)}
 			counts, err := apriori.NewSliceCounter(apriori.BackendHashTree, granule, nil, 0).Count(context.Background(), sets)
 			if err != nil {
 				return nil, CycleMinerStats{}, err

@@ -132,14 +132,15 @@ func TestGenerateTemporalPlantsStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span, ok := tbl.Span(timegran.Day)
+	view, ok := tbl.Granules(timegran.Day)
+	span := view.Span
 	if !ok || span.Len() != 70 {
 		t.Fatalf("span = %v, %v", span, ok)
 	}
 	insideRate, outsideRate := 0.0, 0.0
 	nIn, nOut := 0, 0
 	for g := span.Lo; g <= span.Hi; g++ {
-		src := tbl.GranuleSource(timegran.Day, g)
+		src := view.Source(int(g - span.Lo))
 		if src.Len() == 0 {
 			continue
 		}

@@ -212,7 +212,7 @@ func TestAppendBadRequests(t *testing.T) {
 // same way it refuses statements.
 func TestAppendDraining503(t *testing.T) {
 	bt := newBlockTracer()
-	s, ts := newTestServer(t, Config{Pool: 2, RetryAfter: 3 * time.Second, Tracer: bt})
+	s, ts := newTestServer(t, Config{Pool: 2, Tracer: bt})
 
 	result := make(chan int, 1)
 	go func() {
@@ -237,8 +237,8 @@ func TestAppendDraining503(t *testing.T) {
 	if got := s.db.Dict().Len(); got != dictLen {
 		t.Errorf("dictionary grew from %d to %d names on a refused append", dictLen, got)
 	}
-	if retry := resp.Header.Get("Retry-After"); retry != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", retry)
+	if retry := resp.Header.Get("Retry-After"); retry != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", retry)
 	}
 
 	close(bt.release)

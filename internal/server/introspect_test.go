@@ -102,7 +102,7 @@ func TestErrorBodyBadStatement400(t *testing.T) {
 // header, plus the request ID.
 func TestErrorBodyQueueFull429(t *testing.T) {
 	bt := newBlockTracer()
-	_, ts := newTestServer(t, Config{Pool: 1, Queue: 1, RetryAfter: 2 * time.Second, Tracer: bt})
+	_, ts := newTestServer(t, Config{Pool: 1, Queue: 1, Tracer: bt})
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -120,8 +120,8 @@ func TestErrorBodyQueueFull429(t *testing.T) {
 		t.Fatalf("status %d, want 429: %s", code, body)
 	}
 	e := decodeError(t, body)
-	if e.RetryAfterMS != 2000 {
-		t.Errorf("retry_after_ms = %d, want 2000 (header %q)", e.RetryAfterMS, hdr.Get("Retry-After"))
+	if e.RetryAfterMS != 1000 || hdr.Get("Retry-After") != "1" {
+		t.Errorf("retry_after_ms = %d, want 1000 (header %q, want \"1\")", e.RetryAfterMS, hdr.Get("Retry-After"))
 	}
 	if e.RequestID != "err-429" {
 		t.Errorf("request_id = %q, want err-429", e.RequestID)
@@ -153,7 +153,7 @@ func TestErrorBodyDraining503(t *testing.T) {
 	if !strings.Contains(e.Error, "draining") || e.RequestID != "err-503" {
 		t.Errorf("body = %+v, want draining message with request id", e)
 	}
-	if e.RetryAfterMS != 1000 { // default RetryAfter is 1s
+	if e.RetryAfterMS != 1000 {
 		t.Errorf("retry_after_ms = %d, want 1000", e.RetryAfterMS)
 	}
 }

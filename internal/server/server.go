@@ -63,7 +63,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/minisql"
 	"github.com/tarm-project/tarm/internal/obs"
@@ -100,11 +99,9 @@ type Config struct {
 	// Timeout is the per-statement deadline (0 = none). A request's
 	// timeout_ms can tighten it, never extend it.
 	Timeout time.Duration
-	// RetryAfter is the hint on 429/503 responses (0 = 1s).
-	RetryAfter time.Duration
-	// Backend and Workers configure the counting pass of every
-	// statement, like the -backend/-workers flags of the CLIs.
-	Backend apriori.Backend
+	// Workers parallelises the counting pass of every statement, like
+	// the -workers flag of the CLIs. Each build picks its own counting
+	// backend; tests pin one through Executor().Backend.
 	Workers int
 	// CacheBytes is the shared hold-table cache budget (0 =
 	// core.DefaultCacheBytes, < 0 disables caching).
@@ -140,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Queue <= 0 {
 		c.Queue = 2 * c.Pool
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = core.DefaultCacheBytes
@@ -195,7 +189,6 @@ func New(db *tdb.DB, cfg Config) *Server {
 		idle: make(chan struct{}),
 	}
 	s.exec = tml.NewExecutor(db)
-	s.exec.Backend = cfg.Backend
 	s.exec.Workers = cfg.Workers
 	s.exec.Cache = core.NewHoldCache(cfg.CacheBytes)
 	s.exec.Tracer = obs.Multi(obs.NewRegistryTracer(s.reg, ""), cfg.Tracer)
@@ -464,12 +457,21 @@ func (s *Server) settle(delta int) {
 	s.gaugesLocked()
 }
 
+// retryAfter is the hint every backpressure refusal carries, in the
+// Retry-After header (whole seconds) and in the body's retry_after_ms,
+// so JSON clients need not parse headers.
+const retryAfter = time.Second
+
 // refuse answers a backpressure refusal: its counter, the Retry-After
 // hint and the error body.
 func (s *Server) refuse(w http.ResponseWriter, code int, counter, msg string) {
 	s.reg.Counter(counter).Add(1)
-	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-	s.reject(w, code, msg)
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	writeJSON(w, code, errorResponse{
+		Error:        msg,
+		RequestID:    w.Header().Get("X-Request-ID"),
+		RetryAfterMS: retryAfter.Milliseconds(),
+	})
 }
 
 // refuseDraining is the 503 a draining server answers with.
@@ -672,17 +674,9 @@ func (s *Server) gaugesLocked() {
 }
 
 // reject writes the uniform JSON error body. The request ID comes from
-// the response header the middleware set; a Retry-After header already
-// set by the caller (the 429/503 paths) is mirrored into the body in
-// milliseconds so JSON clients need not parse headers.
+// the response header the middleware set.
 func (s *Server) reject(w http.ResponseWriter, code int, msg string) {
-	resp := errorResponse{Error: msg, RequestID: w.Header().Get("X-Request-ID")}
-	if ra := w.Header().Get("Retry-After"); ra != "" {
-		if secs, err := strconv.ParseInt(ra, 10, 64); err == nil {
-			resp.RetryAfterMS = secs * 1000
-		}
-	}
-	writeJSON(w, code, resp)
+	writeJSON(w, code, errorResponse{Error: msg, RequestID: w.Header().Get("X-Request-ID")})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -691,14 +685,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-// retryAfterSeconds formats the Retry-After header (whole seconds,
-// minimum 1).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }

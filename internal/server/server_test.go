@@ -324,7 +324,7 @@ func waitHealthz(t *testing.T, url string, pred func(h map[string]any) bool) {
 // Retry-After hint, then that the blocked work still completes.
 func TestQueueFull429(t *testing.T) {
 	bt := newBlockTracer()
-	s, ts := newTestServer(t, Config{Pool: 1, Queue: 1, RetryAfter: 7 * time.Second, Tracer: bt})
+	s, ts := newTestServer(t, Config{Pool: 1, Queue: 1, Tracer: bt})
 
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
@@ -344,8 +344,8 @@ func TestQueueFull429(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", code, body)
 	}
-	if retry != "7" {
-		t.Errorf("Retry-After = %q, want \"7\"", retry)
+	if retry != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", retry)
 	}
 	if got := s.Registry().Counter(MetricQueueFull).Value(); got != 1 {
 		t.Errorf("queue-full counter = %d, want 1", got)
@@ -534,7 +534,7 @@ func TestExplainShowsResolvedWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	var mf clihelp.MiningFlags
 	fs := flag.NewFlagSet("tarmd", flag.ContinueOnError)
-	mf.RegisterMining(fs)
+	mf.RegisterWorkers(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}

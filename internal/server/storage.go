@@ -127,15 +127,15 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, code, err.Error())
 	}
 
-	// Item names are interned as the body parses (interning is additive,
-	// so this is safe even when the body is then rejected), but no row
-	// touches the table until the whole body has parsed.
-	batch, err := tdb.ParseBaskets(http.MaxBytesReader(w, r.Body, maxImportBody), s.db.Dict())
+	// Neither the dictionary nor the table is touched until the whole
+	// body has parsed: a refused body leaves no names behind for the
+	// next WAL dictionary frame or checkpoint to persist.
+	baskets, err := tdb.ParseBaskets(http.MaxBytesReader(w, r.Body, maxImportBody))
 	if err != nil {
-		fail(http.StatusBadRequest, fmt.Errorf("tarmd: import: %w", err))
+		fail(bodyErrorCode(err), fmt.Errorf("tarmd: import: %w", err))
 		return
 	}
-	if len(batch) == 0 {
+	if len(baskets) == 0 {
 		fail(http.StatusBadRequest, fmt.Errorf("tarmd: import: empty CSV body"))
 		return
 	}
@@ -149,14 +149,14 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		}
 		created = true
 	}
-	_, epoch, err := tbl.AppendBatchDurable(batch)
+	_, epoch, err := tbl.AppendBatchDurable(tdb.InternBaskets(baskets, s.db.Dict()))
 	wall := time.Since(start)
 	if err != nil {
 		fail(http.StatusInternalServerError, fmt.Errorf("tarmd: import not durable: %w", err))
 		return
 	}
 
-	n := len(batch)
+	n := len(baskets)
 	s.reg.Counter(MetricImports).Add(1)
 	s.reg.Counter(MetricImportTx).Add(int64(n))
 	inflight.End(obs.QueryOutcome{Rows: n})

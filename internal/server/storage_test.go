@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/tarm-project/tarm/internal/tdb"
 )
@@ -185,6 +184,36 @@ func TestImportAtomicOnParseError(t *testing.T) {
 	db.Kill()
 }
 
+// TestImportRefusedLeavesDictionary: a refused import interns nothing.
+// The body's last record names an item never seen before under a
+// timestamp outside the storable range; its 400 must leave the
+// dictionary as it was, or the next append would write those names to
+// the WAL and the next checkpoint to items.dict. A body over the limit
+// is a 413, as on the other write endpoints.
+func TestImportRefusedLeavesDictionary(t *testing.T) {
+	_, db, ts := newDurableTestServer(t, t.TempDir(), tdb.FsyncOff)
+	defer db.Kill()
+	dictLen := db.Dict().Len()
+	bad := "timestamp,items\n2024-01-01 12:00:00,bread;milk\n1500-06-01 00:00:00,never-seen-before\n"
+	resp, err := http.Post(ts.URL+"/v1/import?table=baskets", "text/csv", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad import status %d: %s", resp.StatusCode, raw)
+	}
+	if got := db.Dict().Len(); got != dictLen {
+		t.Errorf("dictionary grew from %d to %d names on a refused import", dictLen, got)
+	}
+
+	_, err = tdb.ParseBaskets(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(bad)), 16))
+	if code := bodyErrorCode(err); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("an import body over its limit maps to %d (%v), want 413", code, err)
+	}
+}
+
 func TestImportExportValidation(t *testing.T) {
 	_, _, ts := newDurableTestServer(t, t.TempDir(), tdb.FsyncOff)
 	for _, tc := range []struct {
@@ -239,7 +268,7 @@ func TestStorageAdmission(t *testing.T) {
 			defer db.Kill()
 			fillFixture(t, db)
 			bt := newBlockTracer()
-			s := New(db, Config{Pool: 1, Queue: 1, RetryAfter: 2 * time.Second, Tracer: bt})
+			s := New(db, Config{Pool: 1, Queue: 1, Tracer: bt})
 			ts := httptest.NewServer(s)
 			defer ts.Close()
 
@@ -282,12 +311,12 @@ func TestStorageAdmission(t *testing.T) {
 					t.Errorf("%s: status %d, want %d: %s", ep.name, resp.StatusCode, state.code, raw)
 					continue
 				}
-				if retry := resp.Header.Get("Retry-After"); retry != "2" {
-					t.Errorf("%s: Retry-After = %q, want \"2\"", ep.name, retry)
+				if retry := resp.Header.Get("Retry-After"); retry != "1" {
+					t.Errorf("%s: Retry-After = %q, want \"1\"", ep.name, retry)
 				}
 				e := decodeError(t, string(raw))
-				if !strings.Contains(e.Error, state.msg) || e.RequestID != rid || e.RetryAfterMS != 2000 {
-					t.Errorf("%s: body = %+v, want %q with request id %s and retry_after_ms 2000", ep.name, e, state.msg, rid)
+				if !strings.Contains(e.Error, state.msg) || e.RequestID != rid || e.RetryAfterMS != 1000 {
+					t.Errorf("%s: body = %+v, want %q with request id %s and retry_after_ms 1000", ep.name, e, state.msg, rid)
 				}
 			}
 			if _, ok := db.TxTable("loaded"); ok {

@@ -164,7 +164,8 @@ func TestStreamingOracleHTTP(t *testing.T) {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
 			t.Parallel()
-			_, ts, db := newStreamServer(t, Config{Backend: backend, SubQueue: 512})
+			s, ts, db := newStreamServer(t, Config{SubQueue: 512})
+			s.Executor().Backend = backend
 
 			code, sub, raw := postSubscribe(t, ts.URL, streamStmt)
 			if code != http.StatusCreated {
@@ -490,7 +491,7 @@ func TestSubErrorBody404(t *testing.T) {
 // TestSubErrorBody429: the subscription limit rejects with Retry-After
 // in header and body, like the statement queue.
 func TestSubErrorBody429(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxSubs: 1, RetryAfter: 2 * time.Second})
+	s, ts := newTestServer(t, Config{MaxSubs: 1})
 	t.Cleanup(s.subs.shutdown)
 	if code, _, raw := postSubscribe(t, ts.URL,
 		"SUBSCRIBE MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.6"); code != http.StatusCreated {
@@ -502,7 +503,7 @@ func TestSubErrorBody429(t *testing.T) {
 		t.Fatalf("second subscribe: status %d, want 429: %s", code, body)
 	}
 	e := decodeError(t, body)
-	if e.RetryAfterMS != 2000 || e.RequestID == "" || !strings.Contains(e.Error, "limit") {
+	if e.RetryAfterMS != 1000 || e.RequestID == "" || !strings.Contains(e.Error, "limit") {
 		t.Fatalf("429 body %+v breaks the contract", e)
 	}
 	if got := s.Registry().Counter(MetricSubRejected).Value(); got != 1 {

@@ -35,12 +35,12 @@ func TestTxTableConcurrentReadWrite(t *testing.T) {
 					return
 				default:
 				}
-				if span, ok := tbl.Span(timegran.Day); ok {
-					tbl.GranuleCounts(timegran.Day, span)
-					src := tbl.RangeSource(timegran.Day, span)
+				if view, ok := tbl.Granules(timegran.Day); ok {
 					n := 0
-					src.ForEach(func(itemset.Set) { n++ })
-					tbl.EachInRange(timegran.Day, span, func(Tx) bool { return true })
+					for gi := range view.Counts {
+						view.Source(gi).ForEach(func(itemset.Set) { n++ })
+					}
+					tbl.EachInRange(timegran.Day, view.Span, func(Tx) bool { return true })
 				}
 				tbl.Len()
 				tbl.Epoch()

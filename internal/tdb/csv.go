@@ -17,7 +17,9 @@ import (
 // with timestamps in "2006-01-02 15:04:05", "2006-01-02 15:04" or
 // "2006-01-02" (UTC). A header record whose first field is "timestamp"
 // (case-insensitive) is skipped. Item names are interned through the
-// dictionary, so imports compose with mining and name resolution.
+// dictionary, so imports compose with mining and name resolution — but
+// only the names of the records that are stored: a refused record, or a
+// refused body, leaves the dictionary as it was.
 
 // csvTimeLayouts accepted on import, tried in order.
 var csvTimeLayouts = []string{"2006-01-02 15:04:05", "2006-01-02 15:04", "2006-01-02", time.RFC3339}
@@ -32,56 +34,81 @@ func parseCSVTime(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("tdb: cannot parse timestamp %q", s)
 }
 
-// ParseBaskets reads basket CSV, interning item names through dict. It
-// returns the transactions up to the first bad record, with that
-// record's error; nothing is stored.
-func ParseBaskets(r io.Reader, dict *itemset.Dict) ([]Tx, error) {
+// Basket is one parsed basket record: its instant and its item names,
+// not yet interned.
+type Basket struct {
+	At    time.Time
+	Items []string
+}
+
+// ParseBaskets reads basket CSV. It returns the baskets up to the first
+// bad record, with that record's error; nothing is interned or stored.
+func ParseBaskets(r io.Reader) ([]Basket, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
 	cr.TrimLeadingSpace = true
-	var txs []Tx
+	var baskets []Basket
 	for line := 1; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return txs, nil
+			return baskets, nil
 		}
 		if err != nil {
-			return txs, fmt.Errorf("tdb: basket csv: %w", err)
+			return baskets, fmt.Errorf("tdb: basket csv: %w", err)
 		}
 		if line == 1 && strings.EqualFold(strings.TrimSpace(rec[0]), "timestamp") {
 			continue // header
 		}
 		at, err := parseCSVTime(rec[0])
 		if err != nil {
-			return txs, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
+			return baskets, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
 		}
-		var items []itemset.Item
+		var names []string
 		for _, name := range strings.Split(rec[1], ";") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
+			if name = strings.TrimSpace(name); name != "" {
+				names = append(names, name)
 			}
-			items = append(items, dict.Intern(name))
 		}
-		if len(items) == 0 {
-			return txs, fmt.Errorf("tdb: basket csv record %d: empty basket", line)
+		if len(names) == 0 {
+			return baskets, fmt.Errorf("tdb: basket csv record %d: empty basket", line)
 		}
 		if err := CheckTime(at); err != nil {
-			return txs, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
+			return baskets, fmt.Errorf("tdb: basket csv record %d: %w", line, err)
 		}
-		txs = append(txs, Tx{At: at, Items: itemset.New(items...)})
+		baskets = append(baskets, Basket{At: at, Items: names})
 	}
 }
 
-// ImportBaskets reads basket CSV into tbl, interning item names through
-// dict, and stores the rows before the first bad record as one batch:
-// on a durable table, one WAL commit. It returns the number of
-// transactions stored, and the commit's error ahead of the parse error.
+// InternBaskets interns the baskets' names under one dictionary lock
+// (itemset.Dict.InternBatch), in record order, and returns the baskets
+// as transactions. Call it only for baskets that will be stored.
+func InternBaskets(baskets []Basket, dict *itemset.Dict) []Tx {
+	var names []string
+	for _, b := range baskets {
+		names = append(names, b.Items...)
+	}
+	items := make([]itemset.Item, len(names))
+	dict.InternBatch(names, items)
+	txs := make([]Tx, len(baskets))
+	for i, b := range baskets {
+		n := len(b.Items)
+		txs[i] = Tx{At: b.At, Items: itemset.Canonical(items[:n:n])}
+		items = items[n:]
+	}
+	return txs
+}
+
+// ImportBaskets reads basket CSV into tbl and stores the rows before
+// the first bad record as one batch: on a durable table, one WAL
+// commit. It interns, through dict, the names of those rows only. It
+// returns the number of transactions stored, and the commit's error
+// ahead of the parse error.
 func ImportBaskets(r io.Reader, tbl *TxTable, dict *itemset.Dict) (n int, err error) {
-	txs, parseErr := ParseBaskets(r, dict)
-	if len(txs) == 0 {
+	baskets, parseErr := ParseBaskets(r)
+	if len(baskets) == 0 {
 		return 0, parseErr
 	}
+	txs := InternBaskets(baskets, dict)
 	firstID, _, err := tbl.AppendBatchDurable(txs)
 	switch {
 	case firstID < 0: // refused whole: nothing stored

@@ -176,10 +176,11 @@ func TestImportTableBool(t *testing.T) {
 }
 
 // FuzzImportCSV checks ImportBaskets on arbitrary bytes: it never
-// panics, it stores exactly the rows it counts, and every row it
-// accepted has a storable timestamp (stored without wrapping) and at
-// least one item. The accepted rows are re-read with encoding/csv to
-// know what each one said.
+// panics, it stores exactly the rows it counts, every row it accepted
+// has a storable timestamp (stored without wrapping) and at least one
+// item, and the dictionary grows by exactly the distinct new names of
+// the stored rows — a refused record interns nothing. The accepted
+// rows are re-read with encoding/csv to know what each one said.
 func FuzzImportCSV(f *testing.F) {
 	for _, s := range []string{
 		"timestamp,items\n2024-01-01 09:30:00,bread;milk\n",
@@ -198,7 +199,10 @@ func FuzzImportCSV(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, _ := NewTxTable("fuzz")
-		n, _ := ImportBaskets(bytes.NewReader(data), tbl, itemset.NewDict())
+		dict := itemset.NewDict()
+		dict.Intern("bread") // a name the dictionary already holds
+		before := dict.Len()
+		n, _ := ImportBaskets(bytes.NewReader(data), tbl, dict)
 		if tbl.Len() != n {
 			t.Fatalf("ImportBaskets counted %d rows, table holds %d", n, tbl.Len())
 		}
@@ -211,6 +215,7 @@ func FuzzImportCSV(f *testing.F) {
 		cr := csv.NewReader(bytes.NewReader(data))
 		cr.FieldsPerRecord = 2
 		cr.TrimLeadingSpace = true
+		fresh := map[string]bool{}
 		for line, k := 1, 0; k < n; line++ {
 			rec, err := cr.Read()
 			if err != nil {
@@ -229,7 +234,15 @@ func FuzzImportCSV(f *testing.F) {
 			if len(rows[k].Items) == 0 {
 				t.Fatalf("row %d was stored with no items", k)
 			}
+			for _, name := range strings.Split(rec[1], ";") {
+				if name = strings.TrimSpace(name); name != "" && name != "bread" {
+					fresh[name] = true
+				}
+			}
 			k++
+		}
+		if grew := dict.Len() - before; grew != len(fresh) {
+			t.Fatalf("dictionary grew by %d names, the stored rows name %d new ones", grew, len(fresh))
 		}
 	})
 }

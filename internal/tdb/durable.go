@@ -50,9 +50,6 @@ type Durability struct {
 	// cadence; zero leaves checkpoints to Close and explicit Checkpoint
 	// calls.
 	CheckpointInterval time.Duration
-	// Segment is the on-disk segment grid for checkpointed transaction
-	// tables. The zero value means 32-day segments.
-	Segment SegmentConfig
 	// Registry receives wal_*/checkpoint_* metrics when non-nil.
 	Registry *obs.Registry
 }
@@ -61,11 +58,14 @@ func (c Durability) withDefaults() Durability {
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = 50 * time.Millisecond
 	}
-	if c.Segment == (SegmentConfig{}) {
-		c.Segment = SegmentConfig{Granularity: timegran.Day, Width: 32}
-	}
 	return c
 }
+
+// segmentGrid is the on-disk segment grid a checkpoint writes every
+// transaction table on: 32-day segments. Each manifest records its
+// grid, and LoadTxTableSegmented reads a table on the grid its manifest
+// names.
+var segmentGrid = SegmentConfig{Granularity: timegran.Day, Width: 32}
 
 // durability is the engine's runtime state, shared by the DB and its
 // transaction tables.
@@ -235,9 +235,6 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 		return nil, fmt.Errorf("tdb: OpenDurable needs a directory")
 	}
 	cfg = cfg.withDefaults()
-	if err := cfg.Segment.validate(); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tdb: open %s: %w", dir, err)
 	}
@@ -464,7 +461,7 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 		}
 	}
 	for key, t := range txtables {
-		segStats, err := SaveTxTableSegmented(t, filepath.Join(db.dir, key+segDirSuffix), d.cfg.Segment)
+		segStats, err := SaveTxTableSegmented(t, filepath.Join(db.dir, key+segDirSuffix), segmentGrid)
 		if err != nil {
 			return st, err
 		}

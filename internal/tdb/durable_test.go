@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/tarm-project/tarm/internal/itemset"
-	"github.com/tarm-project/tarm/internal/timegran"
 )
 
 func durOpen(t *testing.T, dir string, pol FsyncPolicy) *DB {
@@ -256,11 +255,10 @@ func TestDurableInterruptedFirstCheckpoint(t *testing.T) {
 			src, _ := NewTxTable("baskets")
 			src.AppendBatch(want)
 			segd := filepath.Join(dir, "baskets"+segDirSuffix)
-			cfg := Durability{}.withDefaults().Segment
-			if _, err := SaveTxTableSegmented(src, segd, cfg); err != nil {
+			if _, err := SaveTxTableSegmented(src, segd, segmentGrid); err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range []string{manifestFile, segFileName(cfg.segIndex(want[len(want)-1].At))} {
+			for _, f := range []string{manifestFile, segFileName(segmentGrid.segIndex(want[len(want)-1].At))} {
 				if err := os.Remove(filepath.Join(segd, f)); err != nil {
 					t.Fatal(err)
 				}
@@ -594,21 +592,19 @@ func TestDurableConcurrentAppendCheckpointRecover(t *testing.T) {
 // table rewrites the touched tail segment, not the whole history.
 func TestDurableCheckpointIncremental(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenDurable(dir, Durability{
-		Fsync:   FsyncOff,
-		Segment: SegmentConfig{Granularity: timegran.Day, Width: 7},
-	})
+	db, err := OpenDurable(dir, Durability{Fsync: FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := db.CreateTxTable("baskets")
-	for day := 0; day < 28; day++ {
+	days := 4 * segmentGrid.Width // at least four segments
+	for day := 0; day < days; day++ {
 		tbl.Append(durAt(day, 9), itemset.New(itemset.Item(day%5)))
 	}
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Append(durAt(27, 15), itemset.New(7)) // touches only the last segment
+	tbl.Append(durAt(days-1, 15), itemset.New(7)) // touches only the last segment
 	st, err := db.Checkpoint()
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,8 @@ import (
 // TestQuickRowsMatchSortedReference appends a random interleaving of
 // in-order, late and duplicate-timestamp transactions — singly and in
 // batches, with itemsets from empty to larger than an arena block — to
-// a table with tiny blocks, and holds Each, EachInRange and RangeSource
-// to a reference []Tx kept in arrival order and stably sorted by time.
+// a table with tiny blocks, and holds Each, EachInRange and the
+// granule sources of Granules to a reference []Tx kept in arrival order and stably sorted by time.
 func TestQuickRowsMatchSortedReference(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 60,
@@ -103,7 +103,8 @@ func TestQuickRowsMatchSortedReference(t *testing.T) {
 		if !same("Each", collectTxs(tbl), ref) {
 			return false
 		}
-		span, _ := tbl.Span(timegran.Day)
+		view, _ := tbl.Granules(timegran.Day)
+		span := view.Span
 		for probe := 0; probe < 8; probe++ {
 			lo := span.Lo + int64(r.Intn(int(span.Len())))
 			iv := timegran.Interval{Lo: lo, Hi: lo + int64(r.Intn(3))}
@@ -118,15 +119,17 @@ func TestQuickRowsMatchSortedReference(t *testing.T) {
 			if !same("EachInRange", got, want) {
 				return false
 			}
-			src := tbl.RangeSource(timegran.Day, iv)
-			i := 0
-			ok := src.Len() == len(want)
-			src.ForEach(func(items itemset.Set) {
-				ok = ok && i < len(want) && items.Equal(want[i].Items)
-				i++
-			})
+			i, ok := 0, true
+			for g := iv.Lo; g <= iv.Hi && g <= span.Hi; g++ {
+				src := view.Source(int(g - span.Lo))
+				ok = ok && src.Len() == view.Counts[g-span.Lo]
+				src.ForEach(func(items itemset.Set) {
+					ok = ok && i < len(want) && items.Equal(want[i].Items)
+					i++
+				})
+			}
 			if !ok || i != len(want) {
-				t.Logf("RangeSource %v: %d sets, want %d (or contents differ)", iv, i, len(want))
+				t.Logf("granule sources %v: %d sets, want %d (or contents differ)", iv, i, len(want))
 				return false
 			}
 		}

@@ -369,17 +369,6 @@ func (t *TxTable) CountRange(g timegran.Granularity, iv timegran.Interval) int {
 	return j - i
 }
 
-// GranuleCounts returns the transaction count of every granule in
-// span, indexed by g - span.Lo.
-func (t *TxTable) GranuleCounts(g timegran.Granularity, span timegran.Interval) []int {
-	t.rlockSorted()
-	defer t.mu.RUnlock()
-	counts := make([]int, span.Len())
-	i, j := t.rowRange(g, span)
-	t.eachGranuleRun(g, i, j, func(n timegran.Granule, _, run int) { counts[n-span.Lo] += run })
-	return counts
-}
-
 // eachGranuleRun calls fn once per granule holding rows of the sorted
 // rows [i, j), in order, with the granule, its first row and its row
 // count. Rows are in time order: a granule's run ends at the first row
@@ -435,31 +424,18 @@ func (t *TxTable) Granules(g timegran.Granularity) (v Granules, ok bool) {
 }
 
 // Source exposes the rows of granule gi (an offset in Span) that the
-// reading counted. Like RangeSource it is cheap and repeatable, and a
-// late append that re-sorts the table shifts rows across its range.
+// reading counted, as a mining source. It is cheap (no copying) and
+// repeatable, and a late append that re-sorts the table shifts rows
+// across its range.
 func (v Granules) Source(gi int) apriori.Source {
 	return v.t.rowSource(v.starts[gi], v.starts[gi]+v.Counts[gi])
 }
 
-// RangeSource exposes the transactions of the granule interval iv as a
-// mining source. The view is cheap (no copying) and repeatable.
-func (t *TxTable) RangeSource(g timegran.Granularity, iv timegran.Interval) apriori.Source {
-	t.rlockSorted()
-	i, j := t.rowRange(g, iv)
-	t.mu.RUnlock()
-	return t.rowSource(i, j)
-}
-
-// GranuleSource exposes a single granule's transactions.
-func (t *TxTable) GranuleSource(g timegran.Granularity, n timegran.Granule) apriori.Source {
-	return t.RangeSource(g, timegran.Interval{Lo: n, Hi: n})
-}
-
 // All exposes the entire table as a mining source (the traditional,
-// time-agnostic view). Like RangeSource it fixes its row range when it
-// is created: every scan delivers the rows its Len reports, however
+// time-agnostic view). Like Granules.Source it fixes its row range when
+// it is created: every scan delivers the rows its Len reports, however
 // many are appended meanwhile. A late append that re-sorts the table
-// shifts rows across that range, as it does across a RangeSource's.
+// shifts rows across that range, as it does across a granule's.
 func (t *TxTable) All() apriori.Source {
 	return t.AllBlocks(1)[0]
 }

@@ -63,11 +63,15 @@ func TestTxTableGranuleSources(t *testing.T) {
 	tbl := buildTxTable(t)
 	jan1 := timegran.GranuleOf(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC), timegran.Day)
 
-	src := tbl.GranuleSource(timegran.Day, jan1)
+	view, ok := tbl.Granules(timegran.Day)
+	if !ok || view.Span.Lo != jan1 {
+		t.Fatalf("Granules span = %v, %v; want one starting Jan 1", view.Span, ok)
+	}
+	src := view.Source(0)
 	if src.Len() != 2 {
 		t.Fatalf("Jan 1 source has %d transactions", src.Len())
 	}
-	f, err := apriori.Mine(src, apriori.Config{MinCount: 2, MinSupport: 0.01})
+	f, err := apriori.Mine(src, apriori.Config{MinSupport: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +79,17 @@ func TestTxTableGranuleSources(t *testing.T) {
 		t.Errorf("support({1,3}) on Jan 1 = %d, want 2", f.Support(itemset.New(1, 3)))
 	}
 
-	r := tbl.RangeSource(timegran.Day, timegran.Interval{Lo: jan1, Hi: jan1 + 2})
-	if r.Len() != 4 {
-		t.Errorf("Jan 1-3 range has %d transactions, want 4", r.Len())
+	if counts := view.Counts; counts[0] != 2 || counts[1] != 1 || counts[2] != 1 || counts[3] != 0 {
+		t.Errorf("Granules counts = %v", counts)
+	}
+	for gi, c := range view.Counts {
+		if n := view.Source(gi).Len(); n != c {
+			t.Errorf("granule %d: source has %d transactions, count says %d", gi, n, c)
+		}
 	}
 
-	counts := tbl.GranuleCounts(timegran.Day, timegran.Interval{Lo: jan1, Hi: jan1 + 3})
-	if counts[0] != 2 || counts[1] != 1 || counts[2] != 1 || counts[3] != 0 {
-		t.Errorf("GranuleCounts = %v", counts)
+	if n := tbl.CountRange(timegran.Day, timegran.Interval{Lo: jan1, Hi: jan1 + 2}); n != 4 {
+		t.Errorf("Jan 1-3 range has %d transactions, want 4", n)
 	}
 
 	if n := tbl.CountRange(timegran.Day, timegran.Interval{Lo: jan1, Hi: jan1}); n != 2 {
@@ -96,7 +103,7 @@ func TestTxTableGranuleSources(t *testing.T) {
 }
 
 // TestTxTableAllFixesItsRows: All() scans the rows it counted when it
-// was created, as RangeSource does, so an append between two scans of
+// was created, as a granule's source does, so an append between two scans of
 // one All() changes neither its Len nor what either scan delivers.
 func TestTxTableAllFixesItsRows(t *testing.T) {
 	tbl := buildTxTable(t)
@@ -207,10 +214,14 @@ func TestTxTableMonthGranularity(t *testing.T) {
 	tbl := buildTxTable(t)
 	jan := timegran.GranuleOf(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC), timegran.Month)
 	feb := jan + 1
-	if n := tbl.GranuleSource(timegran.Month, jan).Len(); n != 4 {
+	view, ok := tbl.Granules(timegran.Month)
+	if !ok || view.Span != (timegran.Interval{Lo: jan, Hi: feb}) {
+		t.Fatalf("month span = %v, %v; want January..February", view.Span, ok)
+	}
+	if n := view.Source(0).Len(); n != 4 {
 		t.Errorf("January month source has %d", n)
 	}
-	if n := tbl.GranuleSource(timegran.Month, feb).Len(); n != 1 {
+	if n := view.Source(1).Len(); n != 1 {
 		t.Errorf("February month source has %d", n)
 	}
 }
@@ -226,12 +237,12 @@ func TestTxTableGranuleCountsAtRangeEnd(t *testing.T) {
 	tbl.Append(time.Date(2262, time.March, 15, 0, 0, 0, 0, time.UTC), itemset.New(1))
 	tbl.Append(time.Date(2262, time.April, 10, 0, 0, 0, 0, time.UTC), itemset.New(1))
 	tbl.Append(time.Unix(0, math.MaxInt64).UTC(), itemset.New(2))
-	span, ok := tbl.Span(timegran.Month)
+	view, ok := tbl.Granules(timegran.Month)
 	if !ok {
 		t.Fatal("empty span")
 	}
-	if got := tbl.GranuleCounts(timegran.Month, span); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("GranuleCounts over March..April 2262 = %v, want [1 2]", got)
+	if got := view.Counts; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("Granules counts over March..April 2262 = %v, want [1 2]", got)
 	}
 }
 

@@ -29,9 +29,10 @@ type Executor struct {
 	db *tdb.DB
 
 	// Backend and Workers are applied to the mining config of every
-	// statement; the CLI front ends set them from their -backend and
-	// -workers flags. Zero values mean auto selection and sequential
-	// counting.
+	// statement. The CLI front ends set Workers from their -workers
+	// flag and leave Backend at auto, so each build picks its own;
+	// tests and ablations pin one. Zero values mean auto selection and
+	// sequential counting.
 	Backend apriori.Backend
 	Workers int
 	// Tracer, when set, receives the telemetry of every statement in
@@ -272,17 +273,22 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 		add("continuous", "standing statement; re-runs at each granule close emitting rule deltas")
 	}
 	add("table", stmt.Table)
-	add("transactions", fmt.Sprint(tbl.Len()))
+	// One reading serves every table row below, so they agree with each
+	// other under concurrent appends.
+	view, ok := tbl.Granules(stmt.Granularity)
+	txs, active := 0, 0
+	for _, c := range view.Counts {
+		txs += c
+		if c >= 1 {
+			active++
+		}
+	}
+	add("transactions", fmt.Sprint(txs))
 	add("granularity", stmt.Granularity.String())
-	if span, ok := tbl.Span(stmt.Granularity); ok {
+	if ok {
+		span := view.Span
 		add("span", timegran.FormatGranule(span.Lo, stmt.Granularity)+".."+timegran.FormatGranule(span.Hi, stmt.Granularity))
 		add("granules", fmt.Sprint(span.Len()))
-		active := 0
-		for _, c := range tbl.GranuleCounts(stmt.Granularity, span) {
-			if c >= 1 {
-				active++
-			}
-		}
 		add("active granules", fmt.Sprint(active))
 		if stmt.During != nil {
 			covered := timegran.Granules(stmt.During, stmt.Granularity, span).Count()

@@ -92,8 +92,7 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 	switch key {
 	case obs.TaskTraditional:
 		mine := &plan.Node{Op: plan.MineOp(key), Input: scan, Run: func(ctx context.Context, in any) (any, error) {
-			return core.MineTraditionalContext(ctx, in.(*tdb.TxTable),
-				stmt.Support, stmt.Confidence, stmt.MaxSize, e.Backend, e.Workers, cfg.Tracer)
+			return core.MineTraditionalContext(ctx, in.(*tdb.TxTable), cfg)
 		}}
 		mine.With("support", fmt.Sprintf("%g", stmt.Support)).
 			With("confidence", fmt.Sprintf("%g", stmt.Confidence)).

@@ -145,9 +145,10 @@ func NewMemDB() *DB { return tdb.NewMemDB() }
 // (hash tree under 64 transactions, roaring past 512 MiB of index),
 // BackendBitmap is the vertical TID-bitmap backend, BackendRoaring its
 // compressed-container variant, BackendHashTree the classic Apriori
-// hash tree and BackendNaive the reference subset test. Set it on
-// Config.Backend (temporal tasks) or choose it via the -backend flag of
-// the CLI front ends.
+// hash tree and BackendNaive the reference subset test. Every backend
+// returns the same rules; set one on Config.Backend to pin it (tests
+// and ablations do), or leave BackendAuto to let each build choose. No
+// CLI flag selects one.
 type CountingBackend = apriori.Backend
 
 // Counting backends.
@@ -158,10 +159,6 @@ const (
 	BackendBitmap   = apriori.BackendBitmap
 	BackendRoaring  = apriori.BackendRoaring
 )
-
-// ParseBackend parses a backend name ("auto", "naive", "hashtree",
-// "bitmap", "roaring") as used by the -backend CLI flag.
-func ParseBackend(s string) (CountingBackend, error) { return apriori.ParseBackend(s) }
 
 // Mining configuration.
 type (
@@ -305,7 +302,7 @@ func RuleHistory(tbl *TxTable, cfg Config, ante, cons Itemset) ([]GranuleStat, e
 // MineTraditional is the time-agnostic Apriori baseline over the whole
 // table, on the default backend, worker and tracer settings.
 func MineTraditional(tbl *TxTable, minSupport, minConfidence float64, maxK int) ([]Rule, error) {
-	return core.MineTraditionalContext(context.Background(), tbl, minSupport, minConfidence, maxK, BackendAuto, 0, nil)
+	return core.MineTraditionalContext(context.Background(), tbl, Config{MinSupport: minSupport, MinConfidence: minConfidence, MaxK: maxK})
 }
 
 // GranuleStat is one granule of a rule's support history.
