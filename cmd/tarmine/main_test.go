@@ -45,7 +45,7 @@ func fixtureDir(t *testing.T) string {
 func TestExecStatement(t *testing.T) {
 	dir := fixtureDir(t)
 	var out strings.Builder
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2, FsyncName: "off"}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, &out, nil, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{Workers: 2, Fsync: tdb.FsyncOff}, dir, `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`, &out, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "{bread}") {
@@ -53,14 +53,14 @@ func TestExecStatement(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `SELECT COUNT(*) AS n FROM baskets`, &out, nil, nil); err != nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{Fsync: tdb.FsyncOff}, dir, `SELECT COUNT(*) AS n FROM baskets`, &out, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "168") { // 14 days × 6 tx × 2 items
 		t.Errorf("SQL output: %q", out.String())
 	}
 
-	if err := execStatement(context.Background(), &clihelp.MiningFlags{FsyncName: "off"}, dir, `MINE garbage`, &out, nil, nil); err == nil {
+	if err := execStatement(context.Background(), &clihelp.MiningFlags{Fsync: tdb.FsyncOff}, dir, `MINE garbage`, &out, nil, nil); err == nil {
 		t.Error("bad statement accepted")
 	}
 }
@@ -76,7 +76,7 @@ func TestStatsDump(t *testing.T) {
 	trace := obs.NewTrace("stats-1")
 	ctx := obs.ContextWithTrace(context.Background(), trace)
 	stmt := `MINE RULES FROM baskets THRESHOLD SUPPORT 0.5 CONFIDENCE 0.5`
-	if err := execStatement(ctx, &clihelp.MiningFlags{Workers: 1, FsyncName: "off"}, dir, stmt, &out, obs.NewProgressTracer(&progress), journal); err != nil {
+	if err := execStatement(ctx, &clihelp.MiningFlags{Workers: 1, Fsync: tdb.FsyncOff}, dir, stmt, &out, obs.NewProgressTracer(&progress), journal); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := journal.Get(trace.ID())
@@ -157,7 +157,7 @@ func TestFlagSurface(t *testing.T) {
 // run sees it and has nothing to replay.
 func TestExecStatementDurable(t *testing.T) {
 	dir := fixtureDir(t)
-	mf := &clihelp.MiningFlags{FsyncName: "always"}
+	mf := &clihelp.MiningFlags{Fsync: tdb.FsyncAlways}
 	var out strings.Builder
 	for _, stmt := range []string{
 		`CREATE TABLE stores (id int, city string)`,

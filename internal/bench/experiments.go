@@ -198,6 +198,11 @@ func E2SupportSweep(sc StandardConfig, supports []float64) (Table, error) {
 	if err != nil {
 		return t, err
 	}
+	// One untimed build first: the first row should time the sweep's
+	// work, not the process's first build (heap growth, cold caches).
+	if _, err := core.BuildHoldTableContext(context.Background(), tbl, Cfg()); err != nil {
+		return t, err
+	}
 	for _, s := range supports {
 		cfg := Cfg()
 		cfg.MinSupport = s

@@ -34,7 +34,7 @@ const (
 	slowQueryUsage  = "log a structured warning for statements slower than this, e.g. 2s (0 = off)"
 	journalLogUsage = "append every completed statement as a JSON line to this file"
 	walUsage        = "accepted and ignored: the WAL-backed engine is the only storage engine (the non-durable setting is -fsync off)"
-	fsyncUsage      = "WAL fsync policy: always (group commit per ack), interval or off"
+	fsyncUsage      = "WAL fsync policy: always (group commit per ack; the default), interval or off"
 	fsyncIntUsage   = "background fsync cadence under -fsync interval, e.g. 50ms"
 	checkpointUsage = "checkpoint cadence, e.g. 5m (0 = only on flush/exit); implies bounded recovery time"
 )
@@ -54,8 +54,8 @@ type MiningFlags struct {
 	SlowQuery time.Duration
 	// JournalLog is the -journal-log value (JSONL sink path).
 	JournalLog string
-	// FsyncName is the raw -fsync value; resolve with Durability().
-	FsyncName string
+	// Fsync is the -fsync policy.
+	Fsync tdb.FsyncPolicy
 	// FsyncInterval is the -fsync-interval value.
 	FsyncInterval time.Duration
 	// CheckpointInterval is the -checkpoint-interval value.
@@ -116,41 +116,50 @@ func (f *MiningFlags) RegisterDurability(fs *flag.FlagSet) {
 		}
 		return nil
 	})
-	fs.StringVar(&f.FsyncName, "fsync", "always", fsyncUsage)
-	fs.DurationVar(&f.FsyncInterval, "fsync-interval", 0, fsyncIntUsage)
-	fs.DurationVar(&f.CheckpointInterval, "checkpoint-interval", 0, checkpointUsage)
+	f.Fsync = tdb.FsyncAlways
+	fs.Func("fsync", fsyncUsage, func(v string) error {
+		pol, err := tdb.ParseFsyncPolicy(v)
+		if err != nil {
+			return err
+		}
+		f.Fsync = pol
+		return nil
+	})
+	fs.Func("fsync-interval", fsyncIntUsage, nonNegativeDuration(&f.FsyncInterval))
+	fs.Func("checkpoint-interval", checkpointUsage, nonNegativeDuration(&f.CheckpointInterval))
 }
 
-// Durability resolves the -fsync/-fsync-interval/-checkpoint-interval
-// flags into the tdb config, with the same error text in every binary.
-// reg may be nil (no metrics).
-func (f *MiningFlags) Durability(reg *obs.Registry) (tdb.Durability, error) {
-	pol, err := tdb.ParseFsyncPolicy(f.FsyncName)
-	if err != nil {
-		return tdb.Durability{}, fmt.Errorf("-fsync: %w", err)
+// nonNegativeDuration parses a duration flag into dst, failing the
+// parse on a negative one.
+func nonNegativeDuration(dst *time.Duration) func(string) error {
+	return func(v string) error {
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			return err
+		}
+		if d < 0 {
+			return fmt.Errorf("must be >= 0 (got %v)", d)
+		}
+		*dst = d
+		return nil
 	}
-	if f.FsyncInterval < 0 {
-		return tdb.Durability{}, fmt.Errorf("-fsync-interval must be >= 0 (got %v)", f.FsyncInterval)
-	}
-	if f.CheckpointInterval < 0 {
-		return tdb.Durability{}, fmt.Errorf("-checkpoint-interval must be >= 0 (got %v)", f.CheckpointInterval)
-	}
+}
+
+// Durability is the tdb config the durability flags name; reg may be
+// nil (no metrics).
+func (f *MiningFlags) Durability(reg *obs.Registry) tdb.Durability {
 	return tdb.Durability{
-		Fsync:              pol,
+		Fsync:              f.Fsync,
 		SyncInterval:       f.FsyncInterval,
 		CheckpointInterval: f.CheckpointInterval,
 		Registry:           reg,
-	}, nil
+	}
 }
 
 // OpenDB opens dir under the storage engine with the durability the
-// flags resolve to (metrics on reg when non-nil).
+// flags name (metrics on reg when non-nil).
 func (f *MiningFlags) OpenDB(dir string, reg *obs.Registry) (*tdb.DB, error) {
-	cfg, err := f.Durability(reg)
-	if err != nil {
-		return nil, err
-	}
-	return tdb.OpenDurable(dir, cfg)
+	return tdb.OpenDurable(dir, f.Durability(reg))
 }
 
 // JournalSink opens the -journal-log sink for appending, or returns

@@ -183,19 +183,18 @@ func TestCacheBytes(t *testing.T) {
 }
 
 // TestDurabilityFlags covers the -wal/-fsync flag family: defaults,
-// parsing, resolution into a tdb.Durability and the validation errors
-// every binary must report identically.
+// parsing, resolution into a tdb.Durability, and the bad values every
+// binary must refuse at parse time, as it refuses -workers -3.
 func TestDurabilityFlags(t *testing.T) {
 	var mf MiningFlags
 	if err := newFlagSet("x", &mf).Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if mf.FsyncName != "always" || mf.FsyncInterval != 0 || mf.CheckpointInterval != 0 {
+	if mf.Fsync != tdb.FsyncAlways || mf.FsyncInterval != 0 || mf.CheckpointInterval != 0 {
 		t.Errorf("durability defaults: %+v", mf)
 	}
-	cfg, err := mf.Durability(nil)
-	if err != nil || cfg.Fsync != tdb.FsyncAlways {
-		t.Errorf("Durability() = %+v, %v; want FsyncAlways", cfg, err)
+	if cfg := mf.Durability(nil); cfg.Fsync != tdb.FsyncAlways {
+		t.Errorf("Durability() = %+v; want FsyncAlways", cfg)
 	}
 
 	mf = MiningFlags{}
@@ -203,28 +202,27 @@ func TestDurabilityFlags(t *testing.T) {
 		"-wal", "-fsync", "interval", "-fsync-interval", "25ms", "-checkpoint-interval", "5m"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err = mf.Durability(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Fsync != tdb.FsyncInterval || cfg.SyncInterval != 25*time.Millisecond || cfg.CheckpointInterval != 5*time.Minute {
+	if cfg := mf.Durability(nil); cfg.Fsync != tdb.FsyncInterval || cfg.SyncInterval != 25*time.Millisecond || cfg.CheckpointInterval != 5*time.Minute {
 		t.Errorf("resolved %+v from %+v", cfg, mf)
 	}
 
-	for _, bad := range []MiningFlags{
-		{FsyncName: "sometimes"},
-		{FsyncName: "always", FsyncInterval: -time.Second},
-		{FsyncName: "always", CheckpointInterval: -time.Minute},
+	for _, bad := range [][]string{
+		{"-fsync", "sometimes"},
+		{"-fsync-interval", "-1s"},
+		{"-fsync-interval", "soon"},
+		{"-checkpoint-interval", "-1m"},
 	} {
-		if _, err := bad.Durability(nil); err == nil {
-			t.Errorf("Durability(%+v) accepted", bad)
+		var mf MiningFlags
+		if err := newFlagSet("x", &mf).Parse(bad); err == nil {
+			t.Errorf("%v parsed to %+v", bad, mf)
 		}
 	}
 }
 
 // TestOpenDB checks that -wal selects nothing: with or without it the
 // directory opens under the same engine, closes to a checkpoint and
-// opens again either way round. An invalid -fsync still fails the open.
+// opens again either way round. An invalid -fsync fails the parse,
+// before anything is opened.
 func TestOpenDB(t *testing.T) {
 	dir := t.TempDir() + "/db"
 	for i, args := range [][]string{{"-fsync", "off"}, {"-wal", "-fsync", "off"}, {"-fsync", "off"}} {
@@ -251,8 +249,8 @@ func TestOpenDB(t *testing.T) {
 		}
 	}
 
-	mf := MiningFlags{FsyncName: "sometimes"}
-	if _, err := mf.OpenDB(t.TempDir(), nil); err == nil {
-		t.Error("OpenDB accepted an invalid fsync policy")
+	var mf MiningFlags
+	if err := newFlagSet("x", &mf).Parse([]string{"-fsync", "sometimes"}); err == nil {
+		t.Error("an invalid fsync policy parsed")
 	}
 }

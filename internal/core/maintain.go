@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/itemset"
@@ -54,7 +55,7 @@ import (
 // its floor that the appends may lift), or when it is a threshold view
 // (its stored words are a lower support's); the HoldCache holds neither.
 // Cancellation is observed between levels, between granule scans and
-// every keepCheckEvery itemsets of a level's carry loop, never per
+// every keepCheckEvery candidates of a level's walk, never per
 // transaction.
 func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty []timegran.Granule) (*HoldTable, error) {
 	if err := ctx.Err(); err != nil {
@@ -95,232 +96,164 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	// granule whose transaction count changed (old count 0 outside the
 	// old span) must be in the dirty list, or the list is incomplete and
 	// splicing would silently serve stale counts.
-	dirtySet := make([]bool, n)
+	dirtyWords := make([]uint64, len(nh.Active))
 	for _, g := range dirty {
 		gi := int(g - span.Lo)
 		if gi < 0 || gi >= n {
 			return nil, fmt.Errorf("core: Maintain: dirty granule %d outside table span %v", g, span)
 		}
-		dirtySet[gi] = true
+		setBit(dirtyWords, gi)
 	}
 	for gi, txc := range nh.TxCounts {
 		old := 0
 		if gi >= off && gi-off < oldN {
 			old = h.TxCounts[gi-off]
 		}
-		if txc != old && !dirtySet[gi] {
+		if txc != old && !bitAt(dirtyWords, gi) {
 			return nil, fmt.Errorf("core: Maintain: granule %d changed (%d → %d tx) but is not in the dirty list; rebuild instead",
 				span.Lo+timegran.Granule(gi), old, txc)
 		}
 	}
-	// Active dirty granules drive all recounting; inactive ones hold no
-	// counts in a cold build either. Clean active granules serve the
-	// newcomer recovery scans. Each list is one sliced view of the table:
-	// counts over it are indexed by position in the list, and the cols
-	// give each position's offset in the span.
+	// Dirty granules drive all recounting; an inactive one is an empty
+	// slice, as in a cold build, so it counts nothing. Clean active
+	// granules serve the risers' history. Each list is one sliced view of
+	// the table: counts over it are indexed by position in the list, and
+	// the cols give each position's offset in the span.
 	var dirtyCols, cleanCols []int
 	for gi := 0; gi < n; gi++ {
 		switch {
-		case !bitAt(nh.Active, gi):
-		case dirtySet[gi]:
+		case bitAt(dirtyWords, gi):
 			dirtyCols = append(dirtyCols, gi)
-		default:
+		case bitAt(nh.Active, gi):
 			cleanCols = append(cleanCols, gi)
 		}
 	}
-	slices := func(cols []int) []apriori.Source {
+	sources := func(cols []int) []apriori.Source {
 		out := make([]apriori.Source, len(cols))
 		for j, gi := range cols {
-			out[j] = view.Source(gi)
+			out[j] = apriori.Transactions(nil)
+			if bitAt(nh.Active, gi) {
+				out[j] = view.Source(gi)
+			}
 		}
 		return out
 	}
-	dirtySlices := slices(dirtyCols)
+	dirtySlices := sources(dirtyCols)
 	thr := nh.thresholds()
 
-	// rebase widens an old count vector to the new span, leaving dirty
-	// columns zeroed for the splice.
-	rebase := func(old []int32) []int32 {
-		v := make([]int32, n)
-		copy(v[off:off+oldN], old)
-		for gi := range dirtySet {
-			if dirtySet[gi] {
-				v[gi] = 0
+	// vector is a candidate's count vector over the new span: its old
+	// vector rebased by off (nil for an untracked candidate, which has no
+	// history yet) with the dirty columns' counts (nil = none) spliced in.
+	// It is one scratch vector, rewritten per candidate: the caller clones
+	// what it keeps, so a dropped candidate allocates nothing.
+	scratch := make([]int32, n)
+	vector := func(old, dirtyCounts []int32) []int32 {
+		clear(scratch[:off])
+		clear(scratch[off+copy(scratch[off:], old):])
+		for j, gi := range dirtyCols {
+			scratch[gi] = 0
+			if dirtyCounts != nil {
+				scratch[gi] = dirtyCounts[j]
 			}
 		}
-		return v
+		return scratch
 	}
-	// splice writes a dirty-region vector (nil = all zero) into the dirty
-	// columns of a span-wide one.
-	splice := func(v, dirtyCounts []int32) []int32 {
-		if dirtyCounts != nil {
-			for j, gi := range dirtyCols {
-				v[gi] = dirtyCounts[j]
-			}
-		}
-		return v
-	}
-
-	// Frequency words, without a span scan. A clean granule kept its
-	// transaction count, so its threshold and every itemset's verdict
-	// there are unchanged: carry rebases a tracked itemset's old bits by
-	// off and tests only the dirty columns of its spliced vector v. An
-	// itemset untracked before is frequent in no clean granule (the
-	// splice invariant), so rise tests only its dirty-region counts. Each
-	// fills fw and reports whether the itemset is granule-frequent.
-	w := len(nh.Active)
-	fw := make([]uint64, w)
-	var words []uint64
-	carry := func(old []uint64, v []int32) bool {
+	// frequent fills fw with the frequency words of v, without a span
+	// scan. A clean granule kept its transaction count, so its threshold
+	// and every verdict there are unchanged: the words to test are the
+	// old ones rebased by off, and the dirty granules. An untracked
+	// itemset is frequent in no clean granule (the splice invariant), so
+	// only its dirty granules are tested.
+	fw := make([]uint64, len(nh.Active))
+	frequent := func(old []uint64, v []int32) bool {
 		clear(fw)
 		for wi, x := range old {
 			for ; x != 0; x &= x - 1 {
-				if gi := wi<<6 + bits.TrailingZeros64(x) + off; !dirtySet[gi] {
-					setBit(fw, gi)
-				}
+				setBit(fw, wi<<6+bits.TrailingZeros64(x)+off)
 			}
 		}
-		for _, gi := range dirtyCols {
-			if v[gi] >= thr[gi] {
-				setBit(fw, gi)
-			}
+		for wi, x := range dirtyWords {
+			fw[wi] |= x
 		}
-		return anySet(fw)
-	}
-	rise := func(dirtyCounts []int32) bool {
-		clear(fw)
-		for j, c := range dirtyCounts {
-			if gi := dirtyCols[j]; c >= thr[gi] {
-				setBit(fw, gi)
-			}
-		}
-		return anySet(fw)
+		return thresholdWords(fw, fw, v, thr) >= nh.floor
 	}
 
-	// Level 1: per-item counts over the active dirty granules only.
-	c1 := make(map[itemset.Item][]int32)
-	for j, src := range dirtySlices {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		src.ForEach(func(tx itemset.Set) {
-			for _, x := range tx {
-				v := c1[x]
-				if v == nil {
-					v = make([]int32, len(dirtyCols))
-					c1[x] = v
-				}
-				v[j]++
-			}
-		})
+	// The cold build's level-wise loop — same candidates, same stopping
+	// rule — with each level counted over the dirty region only and
+	// spliced into the tracked vectors. Level 1's candidates are the
+	// tracked items and those of the dirty region; a higher level's are
+	// the join of the level below, and one with an item absent from the
+	// dirty region keeps a nil (all-zero) dirty vector uncounted. Both
+	// regions are a few small slices of history, whatever the configured
+	// backend: the horizontal driver picks its subset counter from their
+	// row totals.
+	items, itemCounts := apriori.CountLevel1(ctx, dirtySlices, 0)
+	var present itemset.Ranks
+	for _, x := range items {
+		present.Add(x)
 	}
-	var l1 []itemset.Set
-	var vecs [][]int32
-	for i, s := range h.ByK[1] {
-		if i > 0 && i%keepCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v := splice(rebase(h.vecs[1][i]), c1[s[0]])
-		if carry(h.levelFreq(1, i), v) {
-			l1 = append(l1, s)
-			words = append(words, fw...)
-			vecs = append(vecs, v)
-		}
-	}
-	// Items not tracked before that cross a threshold in the dirty
-	// region. A higher-level candidate whose items are not all present
-	// in the dirty region (c1's keys) cannot have a nonzero dirty count,
-	// so the per-level recounts below skip it outright.
-	newcomers := make(map[itemset.Item][]int32)
-	for x, dc := range c1 {
-		if s := (itemset.Set{x}); h.countsOf(s) == nil && rise(dc) {
-			v := splice(make([]int32, n), dc)
-			newcomers[x] = v
-			l1 = append(l1, s)
-			words = append(words, fw...)
-			vecs = append(vecs, v)
-		}
-	}
-	if len(newcomers) > 0 {
-		// The only history-proportional part: recover the clean-region
-		// counts of items that just became granule-frequent.
-		for j, src := range slices(cleanCols) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gi := cleanCols[j]
-			src.ForEach(func(tx itemset.Set) {
-				for _, x := range tx {
-					if v, ok := newcomers[x]; ok {
-						v[gi]++
-					}
-				}
-			})
-		}
-	}
-	l1, words, vecs = sortLevel(l1, words, vecs, w)
-	nh.appendLevel(l1, words, vecs)
-
-	// Higher levels replay the cold build's level-wise loop — same
-	// generation, same stopping rule — but each candidate batch is
-	// counted over the dirty region only, spliced into carried vectors,
-	// and untracked candidates that cross a threshold there get one
-	// clean-region recovery pass. Both regions are a few small slices of
-	// history, whatever the configured backend: the horizontal driver
-	// picks its subset counter from their row totals.
 	dirtyCounter := apriori.NewSliceCounter(apriori.BackendHashTree, dirtySlices, nil, 0)
 	var cleanCounter *apriori.SliceCounter
-	prev := l1
-	for k := 2; len(prev) > 1 && (nh.Cfg.MaxK == 0 || k <= nh.Cfg.MaxK); k++ {
+	var prev []itemset.Set
+	var words []uint64
+	for k := 1; k == 1 || len(prev) > 1 && (nh.Cfg.MaxK == 0 || k <= nh.Cfg.MaxK); k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cands, _, _, err := generateFromSets(ctx, prev)
-		if err != nil {
-			return nil, err
-		}
-		if len(cands) == 0 {
-			break
-		}
-		// Count only the candidates that can occur in the dirty region;
-		// the rest keep a nil (all-zero) dirty vector.
-		var countable []itemset.Set
-		var countIdx []int
-		for i, c := range cands {
-			all := true
-			for _, x := range c {
-				if c1[x] == nil {
-					all = false
-					break
+		var cands []itemset.Set
+		var dirtyCounts [][]int32
+		if k == 1 {
+			cands = slices.Clone(h.ByK[1])
+			for _, x := range items {
+				if s := (itemset.Set{x}); h.countsOf(s) == nil {
+					cands = append(cands, s)
 				}
 			}
-			if all {
-				countable = append(countable, c)
-				countIdx = append(countIdx, i)
+			slices.SortFunc(cands, itemset.Set.Compare)
+			dirtyCounts = make([][]int32, len(cands))
+			for i, c := range cands {
+				if r := present.Rank(c[0]); r >= 0 {
+					dirtyCounts[i] = itemCounts[r]
+				}
+			}
+		} else {
+			var err error
+			if cands, _, _, err = generateFromSets(ctx, prev); err != nil {
+				return nil, err
+			}
+			if len(cands) == 0 {
+				break
+			}
+			var countable []itemset.Set
+			var countIdx []int
+			for i, c := range cands {
+				if !slices.ContainsFunc(c, func(x itemset.Item) bool { return present.Rank(x) < 0 }) {
+					countable = append(countable, c)
+					countIdx = append(countIdx, i)
+				}
+			}
+			counted, err := dirtyCounter.Count(ctx, countable)
+			if err != nil {
+				return nil, err
+			}
+			dirtyCounts = make([][]int32, len(cands))
+			for j, i := range countIdx {
+				dirtyCounts[i] = counted.Row(j)
 			}
 		}
-		counted, err := dirtyCounter.Count(ctx, countable)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dirtyCounts := make([][]int32, len(cands))
-		for j, i := range countIdx {
-			dirtyCounts[i] = counted.Row(j)
-		}
-		var level, risers []itemset.Set
-		var vecs, riserVecs [][]int32
-		words = words[:0]
 		// Candidates and the old level are both in canonical order: one
-		// merge walk finds each tracked candidate's stored words.
+		// merge walk finds each tracked candidate's stored vector and
+		// words. An untracked candidate that clears a threshold in the
+		// dirty region is a riser: a tracked itemset with no history, which
+		// one clean-region count recovers below. Its verdict is already
+		// final, as the history is frequent nowhere.
 		var tracked []itemset.Set
 		if k < len(h.ByK) {
 			tracked = h.ByK[k]
 		}
+		var level, risers []itemset.Set
+		var vecs, riserVecs [][]int32
+		words = words[:0]
 		t := 0
 		for i, c := range cands {
 			if i > 0 && i%keepCheckEvery == 0 {
@@ -331,50 +264,50 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 			for t < len(tracked) && tracked[t].Compare(c) < 0 {
 				t++
 			}
+			var old []int32
+			var oldWords []uint64
 			if t < len(tracked) && tracked[t].Equal(c) {
-				v := splice(rebase(h.vecs[k][t]), dirtyCounts[i])
-				if carry(h.levelFreq(k, t), v) {
-					level = append(level, c)
-					words = append(words, fw...)
-					vecs = append(vecs, v)
-				}
+				old, oldWords = h.vecs[k][t], h.levelFreq(k, t)
+			} else if dirtyCounts[i] == nil {
+				continue // absent from the dirty region and untracked: frequent nowhere
+			}
+			v := vector(old, dirtyCounts[i])
+			if !frequent(oldWords, v) {
 				continue
 			}
-			// Untracked: by the splice invariant it cannot be frequent in
-			// a clean granule, so dirty-region frequency decides — and the
-			// clean history recovered below never changes the verdict.
-			if rise(dirtyCounts[i]) {
-				v := splice(make([]int32, n), dirtyCounts[i])
-				level = append(level, c)
-				words = append(words, fw...)
-				vecs = append(vecs, v)
+			v = slices.Clone(v)
+			level = append(level, c)
+			words = append(words, fw...)
+			vecs = append(vecs, v)
+			if old == nil {
 				risers = append(risers, c)
 				riserVecs = append(riserVecs, v)
 			}
 		}
 		if len(risers) > 0 {
+			// The only history-proportional part.
 			if cleanCounter == nil {
-				cleanCounter = apriori.NewSliceCounter(apriori.BackendHashTree, slices(cleanCols), nil, 0)
+				cleanCounter = apriori.NewSliceCounter(apriori.BackendHashTree, sources(cleanCols), nil, 0)
 			}
 			hist, err := cleanCounter.Count(ctx, risers)
 			if err != nil {
 				return nil, err
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			for r, v := range riserVecs {
-				hv := hist.Row(r)
-				if hv == nil {
-					continue // no clean-region occurrences: zeros are right
-				}
-				for j, gi := range cleanCols {
-					v[gi] = hv[j]
+				if hv := hist.Row(r); hv != nil { // nil: no clean-region occurrences
+					for j, gi := range cleanCols {
+						v[gi] = hv[j]
+					}
 				}
 			}
 		}
 		nh.appendLevel(level, words, vecs)
 		prev = level
+	}
+	// A cancelled count leaves partial counts behind it: the check at the
+	// next level's start, or this one after the last, drops the table.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if tr.Enabled() {
 		tr.Counter(obs.MetricItemsetsFrequent, int64(nh.TotalItemsets()))

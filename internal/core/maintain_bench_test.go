@@ -2,16 +2,21 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"github.com/tarm-project/tarm/internal/gen"
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
-	"time"
 )
 
 // BenchmarkMaintainOneGranule: warm hold table, one dirty day of 20
-// appended tx, against the full rebuild baseline.
+// appended tx, against the full rebuild baseline (maintain, rebuild);
+// then a year at 300 tx/day at support 0.05, maintained across the
+// first transaction of a new day (open), its first 25 (sparse) and the
+// whole day (day). A granule of fewer than 1/support transactions has
+// threshold 1, so open and sparse make every subset of their baskets
+// rise and be recounted over all of history.
 func BenchmarkMaintainOneGranule(b *testing.B) {
 	cfg := gen.TemporalConfig{
 		Quest:        gen.QuestConfig{NItems: 1000, NPatterns: 200, AvgTxLen: 10, AvgPatLen: 4},
@@ -31,17 +36,20 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 	for i := 0; i < 20; i++ {
 		tbl.Append(at.Add(time.Duration(i)*time.Second), itemset.New(1, 2, itemset.Item(3+i)))
 	}
-	dirty, _, ok := tbl.DirtySince(timegran.Day, epoch)
-	if !ok {
-		b.Fatal("no dirty info")
-	}
-	b.Run("maintain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := h.MaintainContext(bg, tbl, dirty); err != nil {
-				b.Fatal(err)
-			}
+	maintain := func(name string, h *HoldTable, tbl *tdb.TxTable, epoch int64) {
+		dirty, _, ok := tbl.DirtySince(timegran.Day, epoch)
+		if !ok {
+			b.Fatal("no dirty info")
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := h.MaintainContext(bg, tbl, dirty); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	maintain("maintain", h, tbl, epoch)
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := BuildHoldTableContext(bg, tbl, hcfg); err != nil {
@@ -49,5 +57,38 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 			}
 		}
 	})
-	_ = tdb.Tx{}
+
+	// One draw of 366 days split at day 365: the table holds the first
+	// 365, and the last day arrives in three growing prefixes.
+	cfg.NGranules, cfg.TxPerGranule = 366, 300
+	year, err := gen.GenerateTemporal(cfg, 1998)
+	if err != nil {
+		b.Fatal(err)
+	}
+	split := cfg.Start.AddDate(0, 0, 365)
+	tbl, err = tdb.NewTxTable("baskets")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var base, last []tdb.Tx
+	year.Each(func(tx tdb.Tx) bool {
+		if tx.At.Before(split) {
+			base = append(base, tx)
+		} else {
+			last = append(last, tx)
+		}
+		return true
+	})
+	tbl.AppendBatch(base)
+	h = mustBuild(b, tbl, Config{Granularity: timegran.Day, MinSupport: 0.05, MinConfidence: 0.6, MinFreq: 0.9, Workers: 2})
+	epoch = tbl.Epoch()
+	appended := 0
+	for _, arm := range []struct {
+		name string
+		txs  int
+	}{{"open", 1}, {"sparse", 25}, {"day", len(last)}} {
+		tbl.AppendBatch(last[appended:arm.txs])
+		appended = arm.txs
+		maintain(arm.name, h, tbl, epoch)
+	}
 }
