@@ -198,43 +198,48 @@ func E2SupportSweep(sc StandardConfig, supports []float64) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	// One untimed build first: the first row should time the sweep's
-	// work, not the process's first build (heap growth, cold caches).
-	if _, err := core.BuildHoldTableContext(context.Background(), tbl, Cfg()); err != nil {
+	// cell times the four miners at one support, each a cold build plus
+	// its operator.
+	cell := func(cfg core.Config) (d [4]time.Duration, err error) {
+		runs := [4]func() error{
+			func() error {
+				_, err := mine(tbl, cfg, core.MineValidPeriodsFromTableContext, core.PeriodConfig{MinLen: 7})
+				return err
+			},
+			func() error {
+				_, err := mine(tbl, cfg, core.MineCyclesFromTableContext, core.CycleConfig{MaxLen: 10, MinReps: 4})
+				return err
+			},
+			func() error {
+				_, err := mine(tbl, cfg, core.MineDuringFromTableContext, weekend)
+				return err
+			},
+			func() error {
+				_, err := core.MineTraditionalContext(context.Background(), tbl, cfg)
+				return err
+			},
+		}
+		for i, run := range runs {
+			if d[i], err = timed(run); err != nil {
+				return d, err
+			}
+		}
+		return d, nil
+	}
+	// One untimed cell first, every miner once: the first row should
+	// time the sweep's work, not the process's first run of each miner
+	// (heap growth, cold caches, first-use code paths).
+	if _, err := cell(Cfg()); err != nil {
 		return t, err
 	}
 	for _, s := range supports {
 		cfg := Cfg()
 		cfg.MinSupport = s
-		d1, err := timed(func() error {
-			_, err := mine(tbl, cfg, core.MineValidPeriodsFromTableContext, core.PeriodConfig{MinLen: 7})
-			return err
-		})
+		d, err := cell(cfg)
 		if err != nil {
 			return t, err
 		}
-		d2, err := timed(func() error {
-			_, err := mine(tbl, cfg, core.MineCyclesFromTableContext, core.CycleConfig{MaxLen: 10, MinReps: 4})
-			return err
-		})
-		if err != nil {
-			return t, err
-		}
-		d3, err := timed(func() error {
-			_, err := mine(tbl, cfg, core.MineDuringFromTableContext, weekend)
-			return err
-		})
-		if err != nil {
-			return t, err
-		}
-		d4, err := timed(func() error {
-			_, err := core.MineTraditionalContext(context.Background(), tbl, cfg)
-			return err
-		})
-		if err != nil {
-			return t, err
-		}
-		t.AddRow(f(s), ms(d1.Seconds()*1000), ms(d2.Seconds()*1000), ms(d3.Seconds()*1000), ms(d4.Seconds()*1000))
+		t.AddRow(f(s), ms(d[0].Seconds()*1000), ms(d[1].Seconds()*1000), ms(d[2].Seconds()*1000), ms(d[3].Seconds()*1000))
 	}
 	return t, nil
 }

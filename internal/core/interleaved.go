@@ -129,23 +129,24 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 	n, active, minCounts := head.NGranules(), head.Active, head.MinCounts
 	stats := CycleMinerStats{}
 
-	// Level 1: count every item per granule in one scan.
+	// Level 1: count every item per active granule, one scan of each
+	// granule's source from the reading the header came from.
 	c1 := make(map[itemset.Item][]int32)
-	tbl.Each(func(tx tdb.Tx) bool {
-		gi := int(timegran.GranuleOf(tx.At, cfg.Granularity) - span.Lo)
-		if gi < 0 || gi >= n || !bitAt(active, gi) {
-			return true
+	for gi := 0; gi < n; gi++ {
+		if !bitAt(active, gi) {
+			continue
 		}
-		for _, x := range tx.Items {
-			v := c1[x]
-			if v == nil {
-				v = make([]int32, n)
-				c1[x] = v
+		view.Source(gi).ForEach(func(items itemset.Set) {
+			for _, x := range items {
+				v := c1[x]
+				if v == nil {
+					v = make([]int32, n)
+					c1[x] = v
+				}
+				v[gi]++
 			}
-			v[gi]++
-		}
-		return true
-	})
+		})
+	}
 	thr := head.thresholds()
 	hold := make([]uint64, len(active))
 	classes := cycleClasses(active, n, span.Lo, ccfg.MaxLen, ccfg.MinReps, 1)

@@ -106,6 +106,24 @@ func TestDirtySinceLogTrim(t *testing.T) {
 	}
 }
 
+// TestChangeLogBoundedAnyTimestamps: what the change log holds does not
+// depend on the timestamps appended. Appends alternating between 1900
+// and 2026 leave it at most changeLogCap records, in a slice no larger
+// than the log's growth gives.
+func TestChangeLogBoundedAnyTimestamps(t *testing.T) {
+	tbl, err := NewTxTable("baskets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := [2]time.Time{time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+	for i := 0; i < 2*changeLogCap; i++ {
+		tbl.Append(far[i%2], itemset.New(1))
+	}
+	if len(tbl.log) > changeLogCap || cap(tbl.log) > 2*changeLogCap {
+		t.Fatalf("change log holds %d records in a slice of %d, want at most %d in at most %d", len(tbl.log), cap(tbl.log), changeLogCap, 2*changeLogCap)
+	}
+}
+
 func TestAppendBatch(t *testing.T) {
 	tbl, err := NewTxTable("baskets")
 	if err != nil {

@@ -99,8 +99,8 @@ type durability struct {
 }
 
 // logAppend writes the pending dictionary delta (if the dictionary
-// grew) plus the append records of a batch — the rows of t just stored,
-// IDs consecutive from firstID — returning the LSN to commit.
+// grew) plus the append records of a batch — rows [lo, hi) of t, just
+// stored, IDs consecutive from firstID — returning the LSN to commit.
 // Callers hold the table lock, so per-table WAL order matches ID order
 // — the replay skip-watermark depends on that. Write errors are sticky
 // on the wal and surface from the commit.
@@ -111,7 +111,7 @@ type durability struct {
 // reader would reject as corrupt must never be written, because it
 // would end the valid prefix at recovery and silently drop everything
 // acked after it.
-func (d *durability) logAppend(t *TxTable, firstID int64, rows []row) int64 {
+func (d *durability) logAppend(t *TxTable, firstID int64, lo, hi int) int64 {
 	d.logMu.Lock()
 	defer d.logMu.Unlock()
 	var frames [][]byte
@@ -122,16 +122,16 @@ func (d *durability) logAppend(t *TxTable, firstID int64, rows []row) int64 {
 	}
 	nframes := len(frames)
 	base := 1 + 4 + len(t.name) + 8 + 4
-	start, size := 0, base
-	for i, r := range rows {
-		txSize := 8 + 4 + 4*int(r.n)
+	start, size := lo, base
+	for i := lo; i < hi; i++ {
+		txSize := 8 + 4 + 4*t.itemCount(t.row(i))
 		if i > start && size+txSize > maxWALRecord {
-			frames = append(frames, encodeAppendFrame(t, firstID+int64(start), rows[start:i]))
+			frames = append(frames, encodeAppendFrame(t, firstID+int64(start-lo), start, i))
 			start, size = i, base
 		}
 		size += txSize
 	}
-	frames = append(frames, encodeAppendFrame(t, firstID+int64(start), rows[start:]))
+	frames = append(frames, encodeAppendFrame(t, firstID+int64(start-lo), start, hi))
 	lsn, _ := d.wal.writeFrames(frames...)
 	if d.cfg.Registry != nil {
 		d.cfg.Registry.Counter(MetricWALAppends).Add(int64(len(frames) - nframes))

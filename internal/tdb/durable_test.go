@@ -672,7 +672,7 @@ func TestEncodeAppendFrameEquivalence(t *testing.T) {
 		tbl.nextID = 41
 		tbl.AppendBatch(txs)
 		want := frameRecord(encodeAppendRecord("baskets", 41, txs))
-		got := encodeAppendFrame(tbl, 41, tbl.rows)
+		got := encodeAppendFrame(tbl, 41, 0, tbl.Len())
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encodeAppendFrame diverges for %d txs:\n got %x\nwant %x", len(txs), got, want)
 		}

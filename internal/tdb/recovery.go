@@ -226,9 +226,12 @@ func (db *DB) replayWAL(recs []walRecord) (stats RecoveryStats, err error) {
 				}
 				return stats, fmt.Errorf("tdb: wal replay: append into unknown table %q", rec.table)
 			}
-			added, skipped := t.restoreBatch(rec.txs)
+			added, skipped, err := t.restoreBatch(rec.txs)
 			stats.AppendedTx += added
 			stats.SkippedTx += skipped
+			if err != nil {
+				return stats, fmt.Errorf("tdb: wal replay: %w", err)
+			}
 		}
 		stats.Records++
 	}
@@ -239,8 +242,8 @@ func (db *DB) replayWAL(recs []walRecord) (stats RecoveryStats, err error) {
 // original IDs. Transactions whose ID precedes the table's next-ID
 // watermark are already present (checkpointed, or an earlier copy of a
 // duplicated record) and are skipped, which is what makes replay
-// idempotent.
-func (t *TxTable) restoreBatch(txs []Tx) (added, skipped int) {
+// idempotent. An ID the table cannot hold ends the batch with an error.
+func (t *TxTable) restoreBatch(txs []Tx) (added, skipped int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, tx := range txs {
@@ -249,8 +252,10 @@ func (t *TxTable) restoreBatch(txs []Tx) (added, skipped int) {
 			continue
 		}
 		t.nextID = tx.ID
-		t.appendLocked(tx.At.UnixNano(), tx.Items)
+		if err := t.appendLocked(tx.At.UnixNano(), tx.Items); err != nil {
+			return added, skipped, err
+		}
 		added++
 	}
-	return added, skipped
+	return added, skipped, nil
 }

@@ -1,9 +1,11 @@
 package tdb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -227,4 +229,282 @@ func TestCheckTimeRange(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Errorf("table holds %d transactions after the refused record, want 1", tbl.Len())
 	}
+}
+
+// sortedRef is the reference reading of appended transactions kept in
+// arrival order: stably sorted by time.
+func sortedRef(arrived []Tx) []Tx {
+	ref := slices.Clone(arrived)
+	sort.SliceStable(ref, func(i, j int) bool { return ref[i].At.Before(ref[j].At) })
+	return ref
+}
+
+// sameGranuleSources holds the day granule sources of one Granules
+// reading, laid end to end, to the item sets of want.
+func sameGranuleSources(t *testing.T, tag string, tbl *TxTable, want []Tx) {
+	t.Helper()
+	view, ok := tbl.Granules(timegran.Day)
+	if !ok {
+		t.Fatalf("%s: empty table", tag)
+	}
+	i := 0
+	for gi := range view.Counts {
+		view.Source(gi).ForEach(func(items itemset.Set) {
+			if i >= len(want) || !items.Equal(want[i].Items) {
+				t.Fatalf("%s: granule source set %d = %v, want %v", tag, i, items, want[min(i, len(want)-1)].Items)
+			}
+			i++
+		})
+	}
+	if i != len(want) {
+		t.Fatalf("%s: granule sources hold %d sets, want %d", tag, i, len(want))
+	}
+}
+
+// TestLateBatchSuffixResort: a late batch re-sorts only the rows from
+// the first one later than its earliest timestamp. Late batches that
+// span several two-row blocks and repeat stored timestamps leave the
+// table equal to the stable sort of everything appended, and the sort
+// starts where a binary search of the stored rows says.
+func TestLateBatchSuffixResort(t *testing.T) {
+	tbl, err := newTxTable("late", 3) // 8-slot arena blocks, 2-row row blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived []Tx
+	add := func(batch []Tx) {
+		t.Helper()
+		first, _ := tbl.AppendBatch(batch)
+		for i, tx := range batch {
+			arrived = append(arrived, Tx{ID: first + int64(i), At: tx.At, Items: tx.Items})
+		}
+	}
+	at := func(h int) time.Time {
+		return time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(h) * time.Hour)
+	}
+	var batch []Tx
+	for h := 0; h < 40; h++ {
+		batch = append(batch, Tx{At: at(h / 2 * 2), Items: itemset.New(itemset.Item(h), itemset.Item(h+1))})
+	}
+	add(batch)
+	sameTxs(t, "in order", collectTxs(tbl), sortedRef(arrived))
+
+	prev := -1 // the watermark a batch left unread, or -1
+	for _, late := range [][]int{
+		{30, 31, 30, 38, 39},     // equal to stored timestamps, across blocks
+		{10, 50, 12, 10, 51, 52}, // reaches further back, then ahead
+		{11, 11},                 // late again, and left unread
+		{20, 60, 21},             // not as late: the watermark stays
+		{2, 60, 1, 60},
+	} {
+		tbl.mu.Lock()
+		n := tbl.nrows
+		tbl.mu.Unlock()
+		stored := sortedRef(arrived)
+		batch = batch[:0]
+		earliest := late[0]
+		for _, h := range late {
+			batch = append(batch, Tx{At: at(h), Items: itemset.New(itemset.Item(100 + h))})
+			earliest = min(earliest, h)
+		}
+		add(batch)
+		// The watermark is the first stored row later than the earliest
+		// late timestamp, or lower if an unread batch left it lower.
+		want := sort.Search(n, func(k int) bool { return stored[k].At.After(at(earliest)) })
+		if prev >= 0 {
+			want = min(want, prev)
+		}
+		tbl.mu.Lock()
+		got, sorted := tbl.sortFrom, tbl.sorted
+		tbl.mu.Unlock()
+		if sorted || got != want {
+			t.Fatalf("late batch %v: sorted=%v sortFrom=%d, want false, %d", late, sorted, got, want)
+		}
+		if prev = -1; late[0] == 11 {
+			prev = want
+			continue
+		}
+		ref := sortedRef(arrived)
+		sameTxs(t, fmt.Sprintf("after late batch %v", late), collectTxs(tbl), ref)
+		sameGranuleSources(t, fmt.Sprintf("after late batch %v", late), tbl, ref)
+	}
+}
+
+// TestWideItemsDurable: a dictionary that crosses 1<<16 mid-stream. The
+// table takes narrow, then wide, then narrow transactions again, with
+// one larger than a block at both widths and one of 0xFFFF items (the
+// narrow count's escape), into blocks of 8 slots; in memory, after a
+// checkpoint and a WAL replay, and after a clean reopen, Each and the
+// granule sources return exactly the appended sets.
+func TestWideItemsDurable(t *testing.T) {
+	dir := t.TempDir()
+	db := durOpen(t, dir, FsyncAlways)
+	tbl, err := db.CreateTxTable("baskets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.mu.Lock()
+	tbl.blockShift, tbl.rowShift = 3, 1
+	tbl.mu.Unlock()
+
+	span := func(lo, n int) itemset.Set {
+		s := make(itemset.Set, n)
+		for i := range s {
+			s[i] = itemset.Item(lo + i)
+		}
+		return s
+	}
+	const wide = 1 << 16
+	var arrived []Tx
+	add := func(txs ...Tx) {
+		t.Helper()
+		first, _, err := tbl.AppendBatchDurable(txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tx := range txs {
+			arrived = append(arrived, Tx{ID: first + int64(i), At: tx.At, Items: tx.Items})
+		}
+	}
+	check := func(tag string, tbl *TxTable) {
+		t.Helper()
+		ref := sortedRef(arrived)
+		sameTxs(t, tag, collectTxs(tbl), ref)
+		sameGranuleSources(t, tag, tbl, ref)
+	}
+	// Narrow: small sets, an empty one, the largest narrow item, one
+	// larger than a block and one whose count needs the escape.
+	add(Tx{At: durAt(0, 1), Items: itemset.New(1, 2, 3)},
+		Tx{At: durAt(0, 2), Items: itemset.Set{}},
+		Tx{At: durAt(0, 3), Items: itemset.New(7, wide-1)},
+		Tx{At: durAt(0, 4), Items: span(100, 20)})
+	add(Tx{At: durAt(0, 5), Items: span(0, 0xFFFF)})
+	// Wide: items past 1<<16, one larger than a block, narrow sets in
+	// between that go into the wide block, a late one.
+	add(Tx{At: durAt(1, 1), Items: itemset.New(5, wide)},
+		Tx{At: durAt(1, 2), Items: itemset.New(4)},
+		Tx{At: durAt(1, 3), Items: span(wide+10, 20)},
+		Tx{At: durAt(1, 4), Items: itemset.New(9, 10)},
+		Tx{At: durAt(0, 3), Items: itemset.New(2, wide+1, wide+2)},
+		Tx{At: durAt(1, 5), Items: itemset.New(11, 12, 13)})
+	check("in memory, narrow and wide", tbl)
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Narrow again, into narrow blocks once the wide one is full.
+	for h := 0; h < 6; h++ {
+		add(Tx{At: durAt(2, h), Items: itemset.New(itemset.Item(h), itemset.Item(h+200))})
+	}
+	add(Tx{At: durAt(2, 7), Items: span(300, 20)},
+		Tx{At: durAt(1, 0), Items: itemset.New(wide + 5)},
+		Tx{At: durAt(2, 8), Items: itemset.New(1)})
+	check("in memory, narrow again", tbl)
+	db.Kill()
+
+	db = durOpen(t, dir, FsyncAlways)
+	tbl2, ok := db.TxTable("baskets")
+	if !ok {
+		t.Fatal("table lost across kill")
+	}
+	check("checkpoint plus WAL replay", tbl2)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = durOpen(t, dir, FsyncAlways)
+	defer db.Kill()
+	tbl3, _ := db.TxTable("baskets")
+	check("reopened", tbl3)
+}
+
+// TestScannedItemsStayValid: the Items of a Tx from Each and EachInRange
+// may be kept. A later scan of every kind and a later append, late and
+// into both block widths, leave them as they were handed out.
+func TestScannedItemsStayValid(t *testing.T) {
+	tbl, err := newTxTable("kept", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 30; h++ {
+		items := itemset.New(itemset.Item(h), itemset.Item(h+1), itemset.Item(h+2))
+		if h%7 == 3 {
+			items = itemset.New(itemset.Item(h), 1<<16+itemset.Item(h))
+		}
+		tbl.Append(durAt(h/10, h%10), items)
+	}
+	var kept []Tx
+	tbl.Each(func(tx Tx) bool { kept = append(kept, tx); return true })
+	tbl.EachInRange(timegran.Day, timegran.Interval{Lo: timegran.GranuleOf(durAt(1, 0), timegran.Day), Hi: timegran.GranuleOf(durAt(1, 0), timegran.Day)},
+		func(tx Tx) bool { kept = append(kept, tx); return true })
+	want := make([]itemset.Set, len(kept))
+	for i, tx := range kept {
+		want[i] = tx.Items.Clone()
+	}
+	collectTxs(tbl)
+	sameGranuleSources(t, "before appends", tbl, sortedRef(collectTxs(tbl)))
+	tbl.AppendBatch([]Tx{
+		{At: durAt(0, 0), Items: itemset.New(90, 91)},
+		{At: durAt(3, 0), Items: itemset.New(92, 1<<17)},
+		{At: durAt(1, 5), Items: itemset.New(93)},
+	})
+	collectTxs(tbl)
+	tbl.All().ForEach(func(itemset.Set) {})
+	for i, tx := range kept {
+		if !tx.Items.Equal(want[i]) {
+			t.Fatalf("kept tx %d items = %v, want %v as handed out", tx.ID, tx.Items, want[i])
+		}
+	}
+}
+
+// TestAppendRefusedWhenFull: a batch that would take the table past 2³²
+// IDs or past 2³² arena slots is refused whole, before anything is
+// stored or allocated.
+func TestAppendRefusedWhenFull(t *testing.T) {
+	tbl, err := newTxTable("full", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.nextID = 1<<32 - 1
+	batch := []Tx{{At: durAt(0, 1), Items: itemset.New(1)}, {At: durAt(0, 2), Items: itemset.New(2)}}
+	if id, _, err := tbl.AppendBatchDurable(batch); id != -1 || err == nil || !strings.Contains(err.Error(), "is full") {
+		t.Fatalf("batch past 2^32 IDs: id %d, err %v", id, err)
+	}
+	if id, _, err := tbl.AppendBatchDurable(batch[:1]); id != 1<<32-1 || err != nil {
+		t.Fatalf("last ID: id %d, err %v", id, err)
+	}
+
+	tbl, _ = newTxTable("full", 3)
+	// One slot short of the end: a small transaction opens the last
+	// block, and one larger than a block needs two slots past it.
+	tbl.end = arenaEnd{slots: 1<<(32-3) - 1}
+	batch[1].Items = itemset.New(1, 2, 3, 4, 5, 6, 7, 8)
+	if id, _, err := tbl.AppendBatchDurable(batch); id != -1 || err == nil {
+		t.Fatalf("batch past 2^32 slots: id %d, err %v", id, err)
+	}
+	if tbl.Len() != 0 || len(tbl.blocks) != 0 || tbl.Epoch() != 0 {
+		t.Fatalf("refused batch left %d rows, %d blocks, epoch %d", tbl.Len(), len(tbl.blocks), tbl.Epoch())
+	}
+}
+
+// TestGranuleSourceWidening: a granule source delivers its sets in time
+// order whether they lie in narrow blocks (widened), in a wide block
+// (read in place) or both, and with a late row stored far from the rest
+// of its granule.
+func TestGranuleSourceWidening(t *testing.T) {
+	tbl, err := NewTxTable("spans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived []Tx
+	add := func(at time.Time, items itemset.Set) {
+		arrived = append(arrived, Tx{ID: tbl.Append(at, items), At: at, Items: items})
+	}
+	add(durAt(0, 5), itemset.New(1, 2))
+	for k := 0; k < 100; k++ {
+		add(durAt(1, 23-k%24), itemset.New(itemset.Item(k), itemset.Item(k+1), itemset.Item(k+2)))
+	}
+	add(durAt(0, 1), itemset.New(7)) // late, 400 slots past its granule's other row
+	for k := 0; k < 6; k++ {         // a wide block, with narrow sets in it
+		add(durAt(2, 5-k), itemset.New(3, itemset.Item(4+(k+1)%2*(1<<16))))
+	}
+	sameGranuleSources(t, "spans", tbl, sortedRef(arrived))
 }

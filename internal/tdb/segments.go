@@ -103,14 +103,14 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 	// Walk the segments (table order is time order), writing the ones
 	// whose count changed straight from the table's rows.
 	newCounts := map[int64]int64{}
-	err := t.eachSegment(cfg, func(idx int64, rows []row) error {
-		newCounts[idx] = int64(len(rows))
-		if oldCounts[idx] == int64(len(rows)) {
+	err := t.eachSegment(cfg, func(idx int64, lo, hi int) error {
+		newCounts[idx] = int64(hi - lo)
+		if oldCounts[idx] == int64(hi-lo) {
 			stats.Skipped++
 			return nil
 		}
 		stats.Written++
-		return writeSegment(filepath.Join(dir, segFileName(idx)), idx, t, rows)
+		return writeSegment(filepath.Join(dir, segFileName(idx)), idx, t, lo, hi)
 	})
 	if err != nil {
 		return stats, err
@@ -129,19 +129,19 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 	return stats, nil
 }
 
-// eachSegment calls fn, in time order, with the rows of every segment
-// of cfg's grid that holds transactions. The table's read lock is held
-// throughout.
-func (t *TxTable) eachSegment(cfg SegmentConfig, fn func(idx int64, rows []row) error) error {
+// eachSegment calls fn, in time order, with the row range [lo, hi) of
+// every segment of cfg's grid that holds transactions. The table's read
+// lock is held throughout.
+func (t *TxTable) eachSegment(cfg SegmentConfig, fn func(idx int64, lo, hi int) error) error {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
-	for lo := 0; lo < len(t.rows); {
+	for lo := 0; lo < t.nrows; {
 		idx := cfg.segIndex(t.timeAt(lo))
 		hi := lo + 1
-		for hi < len(t.rows) && cfg.segIndex(t.timeAt(hi)) == idx {
+		for hi < t.nrows && cfg.segIndex(t.timeAt(hi)) == idx {
 			hi++
 		}
-		if err := fn(idx, t.rows[lo:hi]); err != nil {
+		if err := fn(idx, lo, hi); err != nil {
 			return err
 		}
 		lo = hi
@@ -183,7 +183,7 @@ func LoadTxTableSegmented(dir string) (*TxTable, SegmentConfig, error) {
 		}
 	}
 	tbl.nextID = m.nextID
-	tbl.epoch = int64(len(tbl.rows))
+	tbl.epoch = int64(tbl.nrows)
 	return tbl, m.cfg, nil
 }
 
@@ -239,21 +239,19 @@ func loadManifest(path string) (*manifest, error) {
 	return m, nil
 }
 
-// writeSegment writes rows of t — the transactions of segment idx — as
-// one segment file.
-func writeSegment(path string, idx int64, t *TxTable, rows []row) error {
+// writeSegment writes rows [lo, hi) of t — the transactions of segment
+// idx — as one segment file, items widened to 4 bytes.
+func writeSegment(path string, idx int64, t *TxTable, lo, hi int) error {
 	e := &encoder{}
 	e.buf.WriteString(magicSegment)
 	e.u32(fmtVersion)
 	e.i64(idx)
-	e.u64(uint64(len(rows)))
-	for _, r := range rows {
-		e.i64(r.id)
+	e.u64(uint64(hi - lo))
+	for i := lo; i < hi; i++ {
+		r := t.row(i)
+		e.i64(int64(r.id))
 		e.i64(r.at)
-		e.u32(r.n)
-		for _, it := range t.items(r) {
-			e.u32(uint32(it))
-		}
+		e.buf.Write(t.appendItemsLE(e.buf.AvailableBuffer(), r))
 	}
 	return writeAtomic(path, e.buf.Bytes())
 }
@@ -288,7 +286,9 @@ func (t *TxTable) loadSegment(path string, wantIdx int64) (int, error) {
 		if !items.Valid() {
 			return 0, fmt.Errorf("tdb: %s: non-canonical itemset in transaction %d", path, id)
 		}
-		t.storeRow(id, at, items)
+		if err := t.storeRow(id, at, items); err != nil {
+			return 0, fmt.Errorf("tdb: %s: %w", path, err)
+		}
 	}
 	if d.err != nil {
 		return 0, d.err

@@ -2,6 +2,7 @@ package tdb
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -27,15 +28,19 @@ type Tx struct {
 // arrive out of order; the table keeps itself sorted (stably, so equal
 // timestamps preserve arrival order).
 //
-// A stored transaction is a 24-byte row plus its items in an arena — the
-// same {UnixNano, id, items} the WAL and the segment files hold, so what
-// is logged is byte for byte what is in memory, and a Tx exists only at
-// the scan callbacks. A timestamp is therefore kept as nanoseconds since
-// the Unix epoch: one outside that range (CheckTime) is the instant its
-// wrapped UnixNano names — in memory at once, as it always was after a
-// restart — so whatever takes timestamps from outside the program
-// (tarmd's append body, the CSV import) refuses it with CheckTime's
-// error before it reaches a table. See DESIGN §tdb for the layout.
+// A stored transaction is a 16-byte row in fixed row blocks plus its
+// item count and items in an arena, 2 bytes an item in a block whose
+// items all fit 16 bits and 4 otherwise: ≈ 37 B for a basket of ten.
+// The WAL and the segment files hold the same {UnixNano, id, items}
+// with 4-byte items; what is logged is converted from the rows at
+// encode time, and what is read back is narrowed as it is stored. A
+// Tx exists only at the scan callbacks. A timestamp is therefore kept
+// as nanoseconds since the Unix epoch: one outside that range
+// (CheckTime) is the instant its wrapped UnixNano names — in memory at
+// once, as it always was after a restart — so whatever takes
+// timestamps from outside the program (tarmd's append body, the CSV
+// import) refuses it with CheckTime's error before it reaches a table.
+// See DESIGN §tdb for the layout.
 type TxTable struct {
 	name string
 
@@ -45,20 +50,30 @@ type TxTable struct {
 	// critical section so per-table log order matches ID order.
 	dur *durability
 
-	mu     sync.RWMutex
-	rows   []row
-	sorted bool
-	nextID int64
-	epoch  int64
+	mu sync.RWMutex
+	// Rows in fixed blocks of 1<<rowShift, filled in order and never
+	// reallocated: growing the table never copies it.
+	rows     [][]row
+	nrows    int
+	rowShift uint
+	// sorted is false after a late append; then rows [0, sortFrom) are
+	// in order and no later than any row after them, and the next
+	// reader stable-sorts rows [sortFrom, nrows) alone.
+	sorted   bool
+	sortFrom int
+	nextID   int64
+	epoch    int64
 
-	// Item arena: fixed-size blocks of 1<<blockShift items, filled in
+	// Item arena: fixed-size blocks of 1<<blockShift slots, filled in
 	// append order and never reallocated, so there is no doubling slack
-	// and a row's items stay put. A transaction never straddles a block:
-	// one that does not fit the current block's tail opens the next, and
-	// one larger than a block gets a block of exactly its size that
-	// takes as many consecutive slots (the rest nil) as it spans, which
-	// keeps "slot = off >> blockShift" true for every row.
-	blocks     [][]itemset.Item
+	// and a row's items stay put. A transaction is its item count then
+	// its items (arenaBlock), and never straddles a block: one that does
+	// not fit the current block's tail opens the next, and one larger
+	// than a block gets a block of exactly its size that takes as many
+	// consecutive slots (the rest empty) as it spans, which keeps
+	// "slot = off >> blockShift" true for every row.
+	blocks     []arenaBlock
+	end        arenaEnd
 	blockShift uint
 
 	// Append change log: the UnixNano timestamp of every append, oldest
@@ -70,16 +85,69 @@ type TxTable struct {
 }
 
 // row is one stored transaction: its timestamp as UnixNano, its ID and
-// the place of its items in the arena (n items from global item index
-// off). An out-of-order append re-sorts rows; items never move.
+// the arena index of its item count. An out-of-order append re-sorts
+// rows; items never move.
 type row struct {
 	at  int64
-	id  int64
+	id  uint32
 	off uint32
-	n   uint32
 }
 
-// arenaBlockShift sizes the item arena's blocks: 16 Ki items, 64 KiB.
+// arenaBlock is one block of the item arena. A block opened for a
+// transaction whose items all lie below 1<<16 stores uint16 slots
+// (narrow), any other uint32 (wide); a narrow transaction goes into
+// a wide block as it is, a wide one never into a narrow block. A
+// transaction is stored as its item count followed by its items; in a
+// narrow block a count of 0xFFFF or more is the escape 0xFFFF and then
+// the count's low and high halves.
+type arenaBlock struct {
+	narrow []uint16
+	wide   []itemset.Item
+}
+
+// arenaEnd is where the arena's next transaction goes: slots is how
+// many slots the arena spans (a new block opens at that one), next the
+// arena index of the last block's first free slot, free the slots left
+// behind it and wide the last block's width.
+type arenaEnd struct {
+	slots int
+	next  uint64
+	free  int
+	wide  bool
+}
+
+// countSlots is how many slots the item count of n items takes in a
+// block of the given width.
+func countSlots(n int, wide bool) int {
+	if wide || n < 0xFFFF {
+		return 1
+	}
+	return 3
+}
+
+// place returns the arena index at which a transaction of n items goes
+// after e (wide when an item is 1<<16 or more), the arena end after it
+// and, when it opens a block, that block's size (0 when it does not).
+func (e arenaEnd) place(n int, wide bool, shift uint) (off uint64, after arenaEnd, open int) {
+	if !wide || e.wide {
+		if need := countSlots(n, e.wide) + n; need <= e.free {
+			off = e.next
+			e.next += uint64(need)
+			e.free -= need
+			return off, e, 0
+		}
+	}
+	need := countSlots(n, wide) + n
+	size := max(need, 1<<shift)
+	off = uint64(e.slots) << shift
+	e.slots += (size + 1<<shift - 1) >> shift
+	e.next, e.free, e.wide = off+uint64(need), size-need, wide
+	return off, e, size
+}
+
+// arenaBlockShift sizes the item arena's blocks, 16 Ki slots (32 KiB
+// narrow, 64 KiB wide), and with it the row blocks, a quarter as many
+// rows (4 Ki rows, 64 KiB).
 const arenaBlockShift = 14
 
 // changeLogCap bounds the append change log. When the log fills, the
@@ -94,13 +162,13 @@ func NewTxTable(name string) (*TxTable, error) {
 	return newTxTable(name, arenaBlockShift)
 }
 
-// newTxTable is NewTxTable with the arena block size as a parameter, so
-// tests can put block boundaries inside small tables.
+// newTxTable is NewTxTable with the block size as a parameter, so tests
+// can put arena and row block boundaries inside small tables.
 func newTxTable(name string, blockShift uint) (*TxTable, error) {
 	if name == "" {
 		return nil, fmt.Errorf("tdb: empty transaction table name")
 	}
-	return &TxTable{name: name, sorted: true, blockShift: blockShift}, nil
+	return &TxTable{name: name, sorted: true, blockShift: blockShift, rowShift: blockShift - min(blockShift, 2)}, nil
 }
 
 // Name returns the table name.
@@ -110,7 +178,7 @@ func (t *TxTable) Name() string { return t.name }
 func (t *TxTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return t.nrows
 }
 
 // CheckTime reports whether at can be stored faithfully: a transaction
@@ -154,18 +222,25 @@ func (t *TxTable) AppendBatch(txs []Tx) (firstID, epoch int64) {
 // it returns only after the batch's WAL record is committed under the
 // configured fsync policy, and the error reflects any WAL write/sync
 // failure — callers acknowledging writes (tarmd) must not ack when it is
-// non-nil. A batch that could overflow the table's 2³²-item arena is
-// refused whole: nothing is stored or logged and firstID is -1. The
-// items of every transaction are copied, so the caller may reuse its
-// slices.
+// non-nil. A batch that would take the table past 2³² transaction IDs
+// or past its 2³²-slot item arena is refused whole: nothing is stored
+// or logged and firstID is -1. The items of every transaction are
+// copied, so the caller may reuse its slices.
 func (t *TxTable) AppendBatchDurable(txs []Tx) (firstID, epoch int64, err error) {
 	return t.appendBatch(txs)
 }
 
 func (t *TxTable) appendBatch(txs []Tx) (firstID, epoch int64, err error) {
-	nItems := 0
+	// Canonicalise outside the lock, on a copy of the batch once a set
+	// needs it: the caller's slice stays as it was.
+	cloned := false
 	for i := range txs {
-		nItems += len(txs[i].Items)
+		if !txs[i].Items.Valid() {
+			if !cloned {
+				txs, cloned = slices.Clone(txs), true
+			}
+			txs[i].Items = itemset.New(txs[i].Items...)
+		}
 	}
 	d := t.dur
 	if d != nil {
@@ -173,30 +248,29 @@ func (t *TxTable) appendBatch(txs []Tx) (firstID, epoch int64, err error) {
 		defer d.gate.RUnlock()
 	}
 	t.mu.Lock()
-	// Room in the arena, by the worst case: every transaction can waste
-	// less than its own length at a block switch, and the batch can end
-	// one block further on.
-	if uint64(len(t.blocks)+1)<<t.blockShift+2*uint64(nItems) > 1<<32 {
+	// Room for the batch: IDs below 2³², and an arena whose blocks stay
+	// within 2³² slots where the batch's transactions would be placed.
+	e := t.end
+	for i := range txs {
+		_, e, _ = e.place(len(txs[i].Items), isWide(txs[i].Items), t.blockShift)
+	}
+	if t.nextID+int64(len(txs)) > 1<<32 || uint64(e.slots)<<t.blockShift > 1<<32 {
 		epoch = t.epoch
 		t.mu.Unlock()
-		return -1, epoch, fmt.Errorf("tdb: table %q is full: its item arena addresses 2^32 items and a batch of %d more may not fit", t.name, nItems)
+		return -1, epoch, fmt.Errorf("tdb: table %q is full: it holds 2^32 transactions and 2^32 item slots, and a batch of %d more does not fit", t.name, len(txs))
 	}
 	firstID = t.nextID
-	start := len(t.rows)
+	start := t.nrows
 	for i := range txs {
-		items := txs[i].Items
-		if !items.Valid() {
-			items = itemset.New(items...)
-		}
-		t.appendLocked(txs[i].At.UnixNano(), items)
+		_ = t.appendLocked(txs[i].At.UnixNano(), txs[i].Items) // room checked above
 	}
 	epoch = t.epoch
 	var lsn int64
-	if d != nil && len(t.rows) > start {
+	if d != nil && t.nrows > start {
 		// Log straight from the table's own rows (stable under t.mu, and
 		// exactly the {ID, UnixNano, canonical items} replay needs)
 		// rather than from the caller's batch.
-		lsn = d.logAppend(t, firstID, t.rows[start:])
+		lsn = d.logAppend(t, firstID, start, t.nrows)
 	}
 	t.mu.Unlock()
 	if d != nil {
@@ -205,10 +279,18 @@ func (t *TxTable) appendBatch(txs []Tx) (firstID, epoch int64, err error) {
 	return firstID, epoch, err
 }
 
+// isWide reports whether the canonical set s holds an item of 1<<16 or
+// more, which a narrow arena block cannot store.
+func isWide(s itemset.Set) bool {
+	return len(s) > 0 && s[len(s)-1] > math.MaxUint16
+}
+
 // appendLocked does the actual insert under the next ID; callers hold
 // the write lock and have canonicalised items, which are copied.
-func (t *TxTable) appendLocked(at int64, items itemset.Set) {
-	t.storeRow(t.nextID, at, items)
+func (t *TxTable) appendLocked(at int64, items itemset.Set) error {
+	if err := t.storeRow(t.nextID, at, items); err != nil {
+		return err
+	}
 	t.nextID++
 	t.epoch++
 	if len(t.log) >= changeLogCap {
@@ -219,39 +301,134 @@ func (t *TxTable) appendLocked(at int64, items itemset.Set) {
 		t.log = t.log[:keep]
 	}
 	t.log = append(t.log, at)
+	return nil
 }
 
 // storeRow appends one row, copying items into the arena. It is the
 // part of an append that loading a checkpoint shares: no ID assignment,
-// no epoch, no change log.
-func (t *TxTable) storeRow(id, at int64, items itemset.Set) {
-	if n := len(t.rows); n > 0 && t.rows[n-1].at > at {
+// no epoch, no change log. Appends check their batch for room first;
+// storeRow refuses an ID or a placement a table cannot address, which
+// only a damaged checkpoint or log can ask for.
+func (t *TxTable) storeRow(id, at int64, items itemset.Set) error {
+	wide := isWide(items)
+	off, e, open := t.end.place(len(items), wide, t.blockShift)
+	if id < 0 || id > math.MaxUint32 || uint64(e.slots)<<t.blockShift > 1<<32 {
+		return fmt.Errorf("tdb: table %q is full: transaction %d does not fit", t.name, id)
+	}
+	if n := t.nrows; n > 0 && t.row(n-1).at > at {
+		// Late: the rows after the last one no later than at must be
+		// re-sorted, and with them everything stored after them.
+		bound := n
+		if !t.sorted {
+			bound = t.sortFrom
+		}
+		t.sortFrom = sort.Search(bound, func(k int) bool { return t.row(k).at > at })
 		t.sorted = false
 	}
-	slot := len(t.blocks) - 1
-	if slot < 0 || cap(t.blocks[slot])-len(t.blocks[slot]) < len(items) {
-		size, slots := 1<<t.blockShift, 1
-		if len(items) > size {
-			size, slots = len(items), (len(items)+size-1)>>t.blockShift
-		}
-		slot = len(t.blocks)
-		t.blocks = append(t.blocks, make([]itemset.Item, 0, size))
-		t.blocks = append(t.blocks, make([][]itemset.Item, slots-1)...)
+	if t.nrows>>t.rowShift == len(t.rows) {
+		t.rows = append(t.rows, make([]row, 1<<t.rowShift))
 	}
-	b := t.blocks[slot]
-	t.rows = append(t.rows, row{at: at, id: id, off: uint32(slot<<t.blockShift + len(b)), n: uint32(len(items))})
-	t.blocks[slot] = append(b, items...)
+	t.rows[t.nrows>>t.rowShift][t.nrows&(1<<t.rowShift-1)] = row{at: at, id: uint32(id), off: uint32(off)}
+	t.nrows++
+
+	if open > 0 {
+		var b arenaBlock
+		if wide {
+			b.wide = make([]itemset.Item, open)
+		} else {
+			b.narrow = make([]uint16, open)
+		}
+		t.blocks = append(t.blocks, b)
+		t.blocks = append(t.blocks, make([]arenaBlock, e.slots-len(t.blocks))...)
+	}
+	t.end = e
+	b := &t.blocks[off>>t.blockShift]
+	pos := int(off & (1<<t.blockShift - 1))
+	if b.wide != nil {
+		b.wide[pos] = itemset.Item(len(items))
+		copy(b.wide[pos+1:], items)
+		return nil
+	}
+	dst := b.narrow[pos:]
+	if n := len(items); n < 0xFFFF {
+		dst[0], dst = uint16(n), dst[1:]
+	} else {
+		dst[0], dst[1], dst[2], dst = 0xFFFF, uint16(n), uint16(n>>16), dst[3:]
+	}
+	for i, x := range items {
+		dst[i] = uint16(x)
+	}
+	return nil
 }
 
-// items returns r's itemset: a view into the arena, capped so that an
-// append by the receiver cannot reach the next transaction.
-func (t *TxTable) items(r row) itemset.Set {
-	if r.n == 0 {
-		return itemset.Set{} // its off may sit one past a full block
+// row returns row i.
+func (t *TxTable) row(i int) row {
+	return t.rows[i>>t.rowShift][i&(1<<t.rowShift-1)]
+}
+
+// rowRun returns rows [k, j) up to the end of k's row block: a loop
+// over a range takes it block by block.
+func (t *TxTable) rowRun(k, j int) []row {
+	rs := t.rows[k>>t.rowShift][k&(1<<t.rowShift-1):]
+	return rs[:min(len(rs), j-k)]
+}
+
+// locate returns the arena block of r and where in it r's items lie:
+// positions [lo, lo+n).
+func (t *TxTable) locate(r row) (b *arenaBlock, lo, n int) {
+	b = &t.blocks[r.off>>t.blockShift]
+	pos := int(r.off & (1<<t.blockShift - 1))
+	if b.wide != nil {
+		return b, pos + 1, int(b.wide[pos])
 	}
-	b := t.blocks[r.off>>t.blockShift]
-	lo := r.off & (1<<t.blockShift - 1)
-	return itemset.Set(b[lo : lo+r.n : lo+r.n])
+	if n = int(b.narrow[pos]); n == 0xFFFF {
+		return b, pos + 3, int(b.narrow[pos+1]) | int(b.narrow[pos+2])<<16
+	}
+	return b, pos + 1, n
+}
+
+// itemCount is the number of r's items.
+func (t *TxTable) itemCount(r row) int {
+	_, _, n := t.locate(r)
+	return n
+}
+
+// appendItems appends r's items to dst, widened to itemset.Item.
+func (t *TxTable) appendItems(dst itemset.Set, r row) itemset.Set {
+	b, lo, n := t.locate(r)
+	if b.wide != nil {
+		return append(dst, b.wide[lo:lo+n]...)
+	}
+	return widen(dst, b.narrow[lo:lo+n])
+}
+
+// widen appends the narrow slots src to dst as items, in one pass.
+func widen(dst itemset.Set, src []uint16) itemset.Set {
+	k := len(dst)
+	dst = slices.Grow(dst, len(src))[:k+len(src)]
+	out := dst[k:]
+	out = out[:len(src)] // lets the loop drop its bounds check
+	for i, x := range src {
+		out[i] = itemset.Item(x)
+	}
+	return dst
+}
+
+// appendItemsLE appends r's item count and items as little-endian
+// uint32s — their form in the WAL and in segment files.
+func (t *TxTable) appendItemsLE(p []byte, r row) []byte {
+	b, lo, n := t.locate(r)
+	p = binary.LittleEndian.AppendUint32(p, uint32(n))
+	if b.wide != nil {
+		for _, x := range b.wide[lo : lo+n] {
+			p = binary.LittleEndian.AppendUint32(p, uint32(x))
+		}
+		return p
+	}
+	for _, x := range b.narrow[lo : lo+n] {
+		p = binary.LittleEndian.AppendUint32(p, uint32(x))
+	}
+	return p
 }
 
 // DirtySince reports which granules at granularity g were touched by
@@ -301,6 +478,10 @@ func (t *TxTable) Epoch() int64 {
 // they are in the arena) and retries, so no append can slip in between
 // the sort and the read lock — a reader that binary-searches rows which
 // are not sorted reads granules outside the range it asked for.
+//
+// Only rows [sortFrom, nrows) are sorted: the rows before them are no
+// later than any of them and arrived before every one of them that has
+// the same timestamp, so they keep their places.
 func (t *TxTable) rlockSorted() {
 	for {
 		t.mu.RLock()
@@ -310,7 +491,14 @@ func (t *TxTable) rlockSorted() {
 		t.mu.RUnlock()
 		t.mu.Lock()
 		if !t.sorted {
-			slices.SortStableFunc(t.rows, func(a, b row) int { return cmp.Compare(a.at, b.at) })
+			suffix := make([]row, 0, t.nrows-t.sortFrom)
+			for k := t.sortFrom; k < t.nrows; k++ {
+				suffix = append(suffix, t.row(k))
+			}
+			slices.SortStableFunc(suffix, func(a, b row) int { return cmp.Compare(a.at, b.at) })
+			for k, r := range suffix {
+				t.rows[(t.sortFrom+k)>>t.rowShift][(t.sortFrom+k)&(1<<t.rowShift-1)] = r
+			}
 			t.sorted = true
 		}
 		t.mu.Unlock()
@@ -322,11 +510,11 @@ func (t *TxTable) rlockSorted() {
 func (t *TxTable) Span(g timegran.Granularity) (timegran.Interval, bool) {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
-	if len(t.rows) == 0 {
+	if t.nrows == 0 {
 		return timegran.Interval{}, false
 	}
 	lo := timegran.GranuleOf(t.timeAt(0), g)
-	hi := timegran.GranuleOf(t.timeAt(len(t.rows)-1), g)
+	hi := timegran.GranuleOf(t.timeAt(t.nrows-1), g)
 	return timegran.Interval{Lo: lo, Hi: hi}, true
 }
 
@@ -337,10 +525,10 @@ func (t *TxTable) Span(g timegran.Granularity) (timegran.Interval, bool) {
 func (t *TxTable) MaxAt() (time.Time, bool) {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
-	if len(t.rows) == 0 {
+	if t.nrows == 0 {
 		return time.Time{}, false
 	}
-	return t.timeAt(len(t.rows) - 1), true
+	return t.timeAt(t.nrows - 1), true
 }
 
 // nanoTime is the instant a stored UnixNano names, as every Tx carries
@@ -348,16 +536,25 @@ func (t *TxTable) MaxAt() (time.Time, bool) {
 func nanoTime(at int64) time.Time { return time.Unix(0, at).UTC() }
 
 // timeAt is row i's timestamp.
-func (t *TxTable) timeAt(i int) time.Time { return nanoTime(t.rows[i].at) }
+func (t *TxTable) timeAt(i int) time.Time { return nanoTime(t.row(i).at) }
 
 // rowRange returns the half-open index range [i, j) of transactions
 // whose granule at g lies in iv. Requires the table sorted.
 func (t *TxTable) rowRange(g timegran.Granularity, iv timegran.Interval) (int, int) {
-	startT := timegran.Start(iv.Lo, g)
-	endT := timegran.Start(iv.Hi+1, g)
-	i := sort.Search(len(t.rows), func(i int) bool { return !t.timeAt(i).Before(startT) })
-	j := sort.Search(len(t.rows), func(i int) bool { return !t.timeAt(i).Before(endT) })
-	return i, j
+	return t.searchTime(timegran.Start(iv.Lo, g)), t.searchTime(timegran.Start(iv.Hi+1, g))
+}
+
+// searchTime returns the first row at or after instant at, which may
+// lie outside the storable range: before it every row qualifies, after
+// it none does. Requires the table sorted.
+func (t *TxTable) searchTime(at time.Time) int {
+	if CheckTime(at) != nil {
+		if at.Before(time.Unix(0, 0)) {
+			return 0
+		}
+		return t.nrows
+	}
+	return t.searchAt(0, t.nrows, at.UnixNano())
 }
 
 // CountRange returns the number of transactions whose granule lies in
@@ -372,7 +569,7 @@ func (t *TxTable) CountRange(g timegran.Granularity, iv timegran.Interval) int {
 // eachGranuleRun calls fn once per granule holding rows of the sorted
 // rows [i, j), in order, with the granule, its first row and its row
 // count. Rows are in time order: a granule's run ends at the first row
-// at or past the granule's end, found by binary search over the stored
+// at or past the granule's end, found by searchAt over the stored
 // nanoseconds — two timestamp conversions per granule, not one per row
 // or per probe. A granule ending past the storable range holds every
 // row left. Requires the table sorted.
@@ -381,12 +578,25 @@ func (t *TxTable) eachGranuleRun(g timegran.Granularity, i, j int, fn func(n tim
 		n := timegran.GranuleOf(t.timeAt(i), g)
 		run := j - i
 		if end := timegran.Start(n+1, g); CheckTime(end) == nil {
-			endNS := end.UnixNano()
-			run = sort.Search(j-i, func(k int) bool { return t.rows[i+k].at >= endNS })
+			run = t.searchAt(i, j, end.UnixNano()) - i
 		}
 		fn(n, i, run)
 		i += run
 	}
+}
+
+// searchAt returns the first of the sorted rows [i, j) at or after
+// UnixNano ns, or j: it skips whole row blocks that end before ns and
+// bisects the first that does not, so that a probe is one load.
+func (t *TxTable) searchAt(i, j int, ns int64) int {
+	for i < j {
+		rs := t.rowRun(i, j)
+		if rs[len(rs)-1].at >= ns {
+			return i + sort.Search(len(rs), func(k int) bool { return rs[k].at >= ns })
+		}
+		i += len(rs)
+	}
+	return j
 }
 
 // Granules is one reading of a table at one granularity: its span, the
@@ -409,15 +619,15 @@ type Granules struct {
 func (t *TxTable) Granules(g timegran.Granularity) (v Granules, ok bool) {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
-	if len(t.rows) == 0 {
+	if t.nrows == 0 {
 		return Granules{}, false
 	}
 	lo := timegran.GranuleOf(t.timeAt(0), g)
-	hi := timegran.GranuleOf(t.timeAt(len(t.rows)-1), g)
+	hi := timegran.GranuleOf(t.timeAt(t.nrows-1), g)
 	v = Granules{Span: timegran.Interval{Lo: lo, Hi: hi}, t: t}
 	v.Counts = make([]int, v.Span.Len())
 	v.starts = make([]int, v.Span.Len())
-	t.eachGranuleRun(g, 0, len(t.rows), func(n timegran.Granule, first, run int) {
+	t.eachGranuleRun(g, 0, t.nrows, func(n timegran.Granule, first, run int) {
 		v.starts[n-lo], v.Counts[n-lo] = first, run
 	})
 	return v, true
@@ -446,7 +656,7 @@ func (t *TxTable) All() apriori.Source {
 // block by block on n workers.
 func (t *TxTable) AllBlocks(n int) apriori.Slices {
 	t.rlockSorted()
-	rows := len(t.rows)
+	rows := t.nrows
 	t.mu.RUnlock()
 	blocks := apriori.Blocks(rows, n)
 	out := make(apriori.Slices, len(blocks))
@@ -457,14 +667,28 @@ func (t *TxTable) AllBlocks(n int) apriori.Slices {
 }
 
 // rowSource exposes rows [i, j) of the sorted table as a mining source.
+// A scan reads a wide block's items in place and widens a narrow
+// block's, row by row, into a scratch, which the Source contract lets
+// it reuse.
 func (t *TxTable) rowSource(i, j int) apriori.Source {
 	return apriori.FuncSource{
 		N: j - i,
 		Scan: func(fn func(tx itemset.Set)) {
 			t.rlockSorted()
 			defer t.mu.RUnlock()
-			for _, r := range t.rows[i:j] {
-				fn(t.items(r))
+			var buf itemset.Set
+			for k := i; k < j; {
+				rs := t.rowRun(k, j)
+				k += len(rs)
+				for _, r := range rs {
+					b, lo, n := t.locate(r)
+					if b.wide != nil {
+						fn(b.wide[lo : lo+n : lo+n])
+						continue
+					}
+					buf = widen(buf[:0], b.narrow[lo:lo+n])
+					fn(buf)
+				}
 			}
 		},
 	}
@@ -483,11 +707,13 @@ type TableStats struct {
 func (t *TxTable) CountStats() TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := TableStats{N: len(t.rows)}
+	s := TableStats{N: t.nrows}
 	seen := make(map[itemset.Item]struct{})
-	for _, r := range t.rows {
-		s.Occurrences += int64(r.n)
-		for _, x := range t.items(r) {
+	var buf itemset.Set
+	for k := 0; k < t.nrows; k++ {
+		buf = t.appendItems(buf[:0], t.row(k))
+		s.Occurrences += int64(len(buf))
+		for _, x := range buf {
 			seen[x] = struct{}{}
 		}
 	}
@@ -498,28 +724,55 @@ func (t *TxTable) CountStats() TableStats {
 // EachInRange iterates, in time order, only the transactions whose
 // granule at g lies in iv; fn returning false stops. It narrows the
 // scan to the interval's row range by binary search, so iterating a
-// sub-span costs proportionally to the sub-span, not the table.
+// sub-span costs proportionally to the sub-span, not the table. Like
+// Each, it hands out items that stay valid after fn returns.
 func (t *TxTable) EachInRange(g timegran.Granularity, iv timegran.Interval, fn func(tx Tx) bool) {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
 	i, j := t.rowRange(g, iv)
-	t.scan(t.rows[i:j], fn)
+	t.scan(i, j, fn)
 }
 
 // Each iterates transactions in time order; fn returning false stops.
+// A Tx's Items stay valid, and unchanged, after fn returns: fn may keep
+// them. Appending to them never reaches another transaction's items.
 func (t *TxTable) Each(fn func(tx Tx) bool) {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
-	t.scan(t.rows, fn)
+	t.scan(0, t.nrows, fn)
 }
 
-// scan materialises each of rows as a Tx for fn, until fn returns false.
-// The Tx is built in the call, not by a helper: a 56-byte struct returned
-// and then passed on is copied twice, which doubles the cost of a scan.
-func (t *TxTable) scan(rows []row, fn func(tx Tx) bool) {
-	for _, r := range rows {
-		if !fn(Tx{ID: r.id, At: nanoTime(r.at), Items: t.items(r)}) {
-			return
+// scanChunk is how many items scan widens into one allocation.
+const scanChunk = 4096
+
+// scan materialises each of rows [i, j) as a Tx for fn, until fn
+// returns false. Items of a wide block are a capped view of the arena,
+// which never changes; those of a narrow block are widened into chunks
+// of scanChunk items that are never reused, so either stays valid
+// after fn. The Tx is built in the call, not by a helper: a 56-byte
+// struct returned and then passed on is copied twice, which doubles
+// the cost of a scan.
+func (t *TxTable) scan(i, j int, fn func(tx Tx) bool) {
+	var chunk itemset.Set
+	for k := i; k < j; {
+		rs := t.rowRun(k, j)
+		k += len(rs)
+		for _, r := range rs {
+			b, lo, n := t.locate(r)
+			var items itemset.Set
+			if b.wide != nil {
+				items = b.wide[lo : lo+n : lo+n]
+			} else {
+				if cap(chunk)-len(chunk) < n {
+					chunk = make(itemset.Set, 0, max(n, scanChunk))
+				}
+				at := len(chunk)
+				chunk = widen(chunk, b.narrow[lo:lo+n])
+				items = chunk[at : at+n : at+n]
+			}
+			if !fn(Tx{ID: int64(r.id), At: nanoTime(r.at), Items: items}) {
+				return
+			}
 		}
 	}
 }

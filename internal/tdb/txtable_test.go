@@ -244,6 +244,12 @@ func TestTxTableGranuleCountsAtRangeEnd(t *testing.T) {
 	if got := view.Counts; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("Granules counts over March..April 2262 = %v, want [1 2]", got)
 	}
+	// CountRange's bounds may lie outside the storable range too.
+	april := timegran.Interval{Lo: view.Span.Hi, Hi: view.Span.Hi}
+	years := timegran.Interval{Lo: 1600 - 1970, Hi: 2262 - 1970}
+	if a, y := tbl.CountRange(timegran.Month, april), tbl.CountRange(timegran.Year, years); a != 2 || y != 3 {
+		t.Errorf("CountRange: April 2262 = %d, 1600..2262 = %d, want 2 and 3", a, y)
+	}
 }
 
 func TestTxTableAppendCanonicalises(t *testing.T) {

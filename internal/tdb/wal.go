@@ -444,15 +444,16 @@ func (w *wal) stickyErr() error {
 // ---------------------------------------------------------------------
 // Record encoding. Payloads reuse the encoder of store.go.
 
-// encodeAppendFrame encodes rows of t as one framed append record —
-// type, table, first ID, then {UnixNano, item count, items} per row —
+// encodeAppendFrame encodes rows [lo, hi) of t as one framed append
+// record — type, table, first ID, then {UnixNano, item count, items}
+// per row, items widened to 4 bytes —
 // in a single exactly-sized allocation: the payload is built behind an
 // 8-byte hole that then receives the length+CRC frame header. One alloc
 // and no copy — this is the append hot path. The caller holds t.mu.
-func encodeAppendFrame(t *TxTable, firstID int64, rows []row) []byte {
+func encodeAppendFrame(t *TxTable, firstID int64, lo, hi int) []byte {
 	size := 1 + 4 + len(t.name) + 8 + 4
-	for _, r := range rows {
-		size += 8 + 4 + 4*int(r.n)
+	for i := lo; i < hi; i++ {
+		size += 8 + 4 + 4*t.itemCount(t.row(i))
 	}
 	out := make([]byte, 8+size)
 	p := out[8:8]
@@ -460,13 +461,11 @@ func encodeAppendFrame(t *TxTable, firstID int64, rows []row) []byte {
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(t.name)))
 	p = append(p, t.name...)
 	p = binary.LittleEndian.AppendUint64(p, uint64(firstID))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(rows)))
-	for _, r := range rows {
+	p = binary.LittleEndian.AppendUint32(p, uint32(hi-lo))
+	for i := lo; i < hi; i++ {
+		r := t.row(i)
 		p = binary.LittleEndian.AppendUint64(p, uint64(r.at))
-		p = binary.LittleEndian.AppendUint32(p, r.n)
-		for _, it := range t.items(r) {
-			p = binary.LittleEndian.AppendUint32(p, uint32(it))
-		}
+		p = t.appendItemsLE(p, r)
 	}
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(p))
