@@ -484,14 +484,14 @@ func txTableBytesPerTx(tb testing.TB, sc bench.StandardConfig) float64 {
 		tb.Fatal(err)
 	}
 	dir := tb.TempDir()
-	if _, err := tdb.SaveTxTableSegmented(tbl, dir, tdb.SegmentConfig{Granularity: timegran.Month, Width: 1}); err != nil {
+	if _, err := tdb.SaveTxTableSegmented(tbl, dir); err != nil {
 		tb.Fatal(err)
 	}
 	tbl = nil
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	tbl, _, err = tdb.LoadTxTableSegmented(dir)
+	tbl, err = tdb.LoadTxTableSegmented(dir)
 	if err != nil {
 		tb.Fatal(err)
 	}

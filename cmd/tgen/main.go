@@ -129,6 +129,7 @@ func generate(out, table string, days int, granName string, txPer, items, patter
 		for g := iv.Lo; g <= iv.Hi; g++ {
 			batch = batch[:0]
 			src.EachInRange(gran, timegran.Interval{Lo: g, Hi: g}, func(tx tdb.Tx) bool {
+				tx.Items = tx.Items.Clone()
 				batch = append(batch, tx)
 				return true
 			})

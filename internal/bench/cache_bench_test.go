@@ -72,7 +72,7 @@ func BenchmarkHoldCache(b *testing.B) {
 	b.Run("stale-epoch-rebuild", func(b *testing.B) {
 		c := core.NewHoldCache(core.DefaultCacheBytes)
 		var last tdb.Tx
-		txt.Each(func(tx tdb.Tx) bool { last = tx; return true })
+		txt.Each(func(tx tdb.Tx) bool { last = tx; last.Items = tx.Items.Clone(); return true })
 		for i := 0; i < b.N; i++ {
 			txt.Append(last.At, last.Items)
 			h, err := c.GetContext(ctx, txt, cfg)

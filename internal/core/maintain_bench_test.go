@@ -72,6 +72,7 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 	}
 	var base, last []tdb.Tx
 	year.Each(func(tx tdb.Tx) bool {
+		tx.Items = tx.Items.Clone()
 		if tx.At.Before(split) {
 			base = append(base, tx)
 		} else {

@@ -208,7 +208,7 @@ func TestGenerateTemporalDeterministic(t *testing.T) {
 func collect(tbl *tdb.TxTable) []itemset.Set {
 	var out []itemset.Set
 	tbl.Each(func(tx tdb.Tx) bool {
-		out = append(out, tx.Items)
+		out = append(out, tx.Items.Clone())
 		return true
 	})
 	return out

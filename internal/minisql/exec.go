@@ -450,120 +450,50 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 		return nil, scanErr
 	}
 
-	res := &Result{Cols: cols}
+	// One output row per filtered row, or, grouped, per group that passes
+	// HAVING: its environment, against which the projection and the ORDER
+	// BY keys evaluate.
+	var envs []*env
 	if !grouped {
-		for _, row := range rows {
-			ev := &env{schema: schema, row: row}
-			out := make(tdb.Row, len(outExprs))
-			for i, ex := range outExprs {
-				v, err := eval(ev, ex)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			res.Rows = append(res.Rows, out)
+		envs = make([]*env, len(rows))
+		for i, row := range rows {
+			envs[i] = &env{schema: schema, row: row}
 		}
-		if err := orderAndLimitPlain(res, s, schema, rows); err != nil {
+	} else {
+		var err error
+		if envs, err = groupEnvs(s, schema, rows, outExprs); err != nil {
 			return nil, err
 		}
-		return res, nil
 	}
 
-	// Grouped path. Key rows by the GROUP BY expressions (empty GROUP
-	// BY means one global group). Non-aggregate expressions in the
-	// projection evaluate against the group's first row.
-	type group struct {
-		first tdb.Row
-		aggs  []*aggSpec
-		key   string
-	}
-	allExprs := make([]Expr, 0, len(outExprs)+len(s.OrderBy)+1)
-	allExprs = append(allExprs, outExprs...)
-	for _, k := range s.OrderBy {
-		allExprs = append(allExprs, k.Expr)
-	}
-	if s.Having != nil {
-		allExprs = append(allExprs, s.Having)
-	}
-
-	groups := make(map[string]*group)
-	var orderKeys []string
-	for _, row := range rows {
-		ev := &env{schema: schema, row: row}
-		var keyParts []string
-		for _, ge := range s.GroupBy {
-			v, err := eval(ev, ge)
-			if err != nil {
-				return nil, err
-			}
-			keyParts = append(keyParts, fmt.Sprintf("%d|%v", v.K, v.Display()))
-		}
-		key := strings.Join(keyParts, "\x00")
-		g, ok := groups[key]
-		if !ok {
-			g = &group{first: row, key: key, aggs: collectAggs(allExprs)}
-			groups[key] = g
-			orderKeys = append(orderKeys, key)
-		}
-		for _, a := range g.aggs {
-			if err := a.add(ev); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// An aggregate query with no GROUP BY over zero rows still yields
-	// one row (COUNT(*) = 0).
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		g := &group{first: make(tdb.Row, len(schema.Cols)), key: "", aggs: collectAggs(allExprs)}
-		groups[""] = g
-		orderKeys = append(orderKeys, "")
-	}
-
+	// All cells first, then the ORDER BY keys; one stable sort orders
+	// both shapes.
 	type outRow struct {
 		cells tdb.Row
 		keys  tdb.Row
 	}
-	var out []outRow
-	for _, key := range orderKeys {
-		g := groups[key]
-		aggVals := make(map[*Agg]tdb.Value, len(g.aggs))
-		for _, a := range g.aggs {
-			aggVals[a.node] = a.value()
-		}
-		ev := &env{schema: schema, row: g.first, aggs: aggVals}
-		if s.Having != nil {
-			hv, err := eval(ev, s.Having)
-			if err != nil {
-				return nil, err
-			}
-			keep, err := truthy(hv)
-			if err != nil {
-				return nil, fmt.Errorf("minisql: HAVING: %w", err)
-			}
-			if !keep {
-				continue
-			}
-		}
-		cells := make(tdb.Row, len(outExprs))
-		for i, ex := range outExprs {
+	out := make([]outRow, len(envs))
+	for i, ev := range envs {
+		out[i].cells = make(tdb.Row, len(outExprs))
+		for j, ex := range outExprs {
 			v, err := eval(ev, ex)
 			if err != nil {
 				return nil, err
 			}
-			cells[i] = v
+			out[i].cells[j] = v
 		}
-		keys := make(tdb.Row, len(s.OrderBy))
-		for i, k := range s.OrderBy {
-			v, err := eval(ev, k.Expr)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
-		}
-		out = append(out, outRow{cells: cells, keys: keys})
 	}
 	if len(s.OrderBy) > 0 {
+		for i, ev := range envs {
+			out[i].keys = make(tdb.Row, len(s.OrderBy))
+			for j, k := range s.OrderBy {
+				v, err := eval(ev, k.Expr)
+				if err != nil {
+					return nil, err
+				}
+				out[i].keys[j] = v
+			}
+		}
 		var sortErr error
 		sort.SliceStable(out, func(i, j int) bool {
 			for k := range s.OrderBy {
@@ -585,63 +515,86 @@ func (e *Engine) execSelect(s *SelectStmt) (*Result, error) {
 			return nil, sortErr
 		}
 	}
-	for _, r := range out {
-		res.Rows = append(res.Rows, r.cells)
+	res := &Result{Cols: cols, Rows: make([]tdb.Row, len(out))}
+	for i, r := range out {
+		res.Rows[i] = r.cells
 	}
 	applyLimit(res, s.Limit)
 	return res, nil
 }
 
-// orderAndLimitPlain sorts a non-grouped result. ORDER BY keys are
-// evaluated against the source rows, which line up 1:1 with result
-// rows.
-func orderAndLimitPlain(res *Result, s *SelectStmt, schema tdb.Schema, rows []tdb.Row) error {
-	if len(s.OrderBy) > 0 {
-		keys := make([]tdb.Row, len(rows))
-		for i, row := range rows {
-			ev := &env{schema: schema, row: row}
-			kr := make(tdb.Row, len(s.OrderBy))
-			for k, ok := range s.OrderBy {
-				v, err := eval(ev, ok.Expr)
-				if err != nil {
-					return err
-				}
-				kr[k] = v
-			}
-			keys[i] = kr
-		}
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		var sortErr error
-		sort.SliceStable(idx, func(a, b int) bool {
-			for k := range s.OrderBy {
-				c, err := keys[idx[a]][k].Compare(keys[idx[b]][k])
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c != 0 {
-					if s.OrderBy[k].Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return sortErr
-		}
-		sorted := make([]tdb.Row, len(res.Rows))
-		for i, j := range idx {
-			sorted[i] = res.Rows[j]
-		}
-		res.Rows = sorted
+// groupEnvs keys rows by the GROUP BY expressions (empty GROUP BY means
+// one global group) and returns one environment per group, in order of
+// first appearance, that passes HAVING: the group's first row, against
+// which non-aggregate expressions evaluate, and its aggregate values.
+func groupEnvs(s *SelectStmt, schema tdb.Schema, rows []tdb.Row, outExprs []Expr) ([]*env, error) {
+	type group struct {
+		first tdb.Row
+		aggs  []*aggSpec
 	}
-	applyLimit(res, s.Limit)
-	return nil
+	allExprs := make([]Expr, 0, len(outExprs)+len(s.OrderBy)+1)
+	allExprs = append(allExprs, outExprs...)
+	for _, k := range s.OrderBy {
+		allExprs = append(allExprs, k.Expr)
+	}
+	if s.Having != nil {
+		allExprs = append(allExprs, s.Having)
+	}
+
+	groups := make(map[string]*group)
+	var order []*group
+	for _, row := range rows {
+		ev := &env{schema: schema, row: row}
+		var keyParts []string
+		for _, ge := range s.GroupBy {
+			v, err := eval(ev, ge)
+			if err != nil {
+				return nil, err
+			}
+			keyParts = append(keyParts, fmt.Sprintf("%d|%v", v.K, v.Display()))
+		}
+		key := strings.Join(keyParts, "\x00")
+		g, ok := groups[key]
+		if !ok {
+			g = &group{first: row, aggs: collectAggs(allExprs)}
+			groups[key] = g
+			order = append(order, g)
+		}
+		for _, a := range g.aggs {
+			if err := a.add(ev); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// An aggregate query with no GROUP BY over zero rows still yields
+	// one row (COUNT(*) = 0).
+	if len(order) == 0 && len(s.GroupBy) == 0 {
+		order = append(order, &group{first: make(tdb.Row, len(schema.Cols)), aggs: collectAggs(allExprs)})
+	}
+
+	envs := make([]*env, 0, len(order))
+	for _, g := range order {
+		aggVals := make(map[*Agg]tdb.Value, len(g.aggs))
+		for _, a := range g.aggs {
+			aggVals[a.node] = a.value()
+		}
+		ev := &env{schema: schema, row: g.first, aggs: aggVals}
+		if s.Having != nil {
+			hv, err := eval(ev, s.Having)
+			if err != nil {
+				return nil, err
+			}
+			keep, err := truthy(hv)
+			if err != nil {
+				return nil, fmt.Errorf("minisql: HAVING: %w", err)
+			}
+			if !keep {
+				continue
+			}
+		}
+		envs = append(envs, ev)
+	}
+	return envs, nil
 }
 
 func applyLimit(res *Result, limit int) {

@@ -14,12 +14,15 @@ import (
 //
 //	timestamp,item1;item2;item3
 //
-// with timestamps in "2006-01-02 15:04:05", "2006-01-02 15:04" or
-// "2006-01-02" (UTC). A header record whose first field is "timestamp"
-// (case-insensitive) is skipped. Item names are interned through the
-// dictionary, so imports compose with mining and name resolution — but
-// only the names of the records that are stored: a refused record, or a
-// refused body, leaves the dictionary as it was.
+// with timestamps in "2006-01-02 15:04:05", "2006-01-02 15:04",
+// "2006-01-02" (UTC) or RFC 3339; seconds may carry a fraction. Export
+// writes "2006-01-02 15:04:05", with the fraction when there is one,
+// so an export imports back to the same instants. A header record
+// whose first field is "timestamp" (case-insensitive) is skipped. Item
+// names are interned through the dictionary, so imports compose with
+// mining and name resolution — but only the names of the records that
+// are stored: a refused record, or a refused body, leaves the
+// dictionary as it was.
 
 // csvTimeLayouts accepted on import, tried in order.
 var csvTimeLayouts = []string{"2006-01-02 15:04:05", "2006-01-02 15:04", "2006-01-02", time.RFC3339}
@@ -138,7 +141,7 @@ func ExportBaskets(w io.Writer, tbl *TxTable, dict *itemset.Dict) error {
 			}
 			names[i] = name
 		}
-		if err := cw.Write([]string{tx.At.UTC().Format("2006-01-02 15:04:05"), strings.Join(names, ";")}); err != nil {
+		if err := cw.Write([]string{tx.At.UTC().Format("2006-01-02 15:04:05.999999999"), strings.Join(names, ";")}); err != nil {
 			exportErr = err
 			return false
 		}

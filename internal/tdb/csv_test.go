@@ -32,7 +32,7 @@ func TestImportBaskets(t *testing.T) {
 		t.Errorf("dict has %d names", dict.Len())
 	}
 	var last Tx
-	tbl.Each(func(tx Tx) bool { last = tx; return true })
+	tbl.Each(func(tx Tx) bool { last = tx; last.Items = tx.Items.Clone(); return true })
 	if last.Items.Len() != 3 {
 		t.Errorf("last basket = %v", dict.Names(last.Items))
 	}
@@ -85,8 +85,8 @@ func TestBasketsRoundTrip(t *testing.T) {
 		t.Fatalf("round trip imported %d of %d", n, tbl.Len())
 	}
 	var orig, copied []Tx
-	tbl.Each(func(tx Tx) bool { orig = append(orig, tx); return true })
-	tbl2.Each(func(tx Tx) bool { copied = append(copied, tx); return true })
+	tbl.Each(func(tx Tx) bool { tx.Items = tx.Items.Clone(); orig = append(orig, tx); return true })
+	tbl2.Each(func(tx Tx) bool { tx.Items = tx.Items.Clone(); copied = append(copied, tx); return true })
 	for i := range orig {
 		if !orig[i].Items.Equal(copied[i].Items) {
 			t.Errorf("tx %d items %v vs %v", i, orig[i].Items, copied[i].Items)
@@ -94,6 +94,44 @@ func TestBasketsRoundTrip(t *testing.T) {
 		// Seconds precision survives; the fixture uses whole minutes.
 		if !orig[i].At.Truncate(time.Second).Equal(copied[i].At) {
 			t.Errorf("tx %d time %v vs %v", i, orig[i].At, copied[i].At)
+		}
+	}
+}
+
+// TestExportSubSecondRoundTrip: an instant with a fraction of a second
+// (as /v1/append and an RFC 3339 import store it) exports with its
+// fraction and imports back to the same instant; a whole second still
+// exports without one.
+func TestExportSubSecondRoundTrip(t *testing.T) {
+	tbl, _ := NewTxTable("b")
+	dict := itemset.NewDict()
+	ats := []time.Time{
+		time.Date(2024, 1, 2, 10, 0, 0, 250_000_000, time.UTC),
+		time.Date(2024, 1, 2, 10, 0, 1, 0, time.UTC),
+		time.Date(2024, 1, 2, 10, 0, 2, 123_456_789, time.UTC),
+	}
+	for _, at := range ats {
+		tbl.Append(at, itemset.New(dict.Intern("a")))
+	}
+	var sb strings.Builder
+	if err := ExportBaskets(&sb, tbl, dict); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "2024-01-02 10:00:01,a\n") {
+		t.Errorf("whole second not exported as before: %q", sb.String())
+	}
+	tbl2, _ := NewTxTable("copy")
+	if _, err := ImportBaskets(strings.NewReader(sb.String()), tbl2, itemset.NewDict()); err != nil {
+		t.Fatal(err)
+	}
+	var got []time.Time
+	tbl2.Each(func(tx Tx) bool { got = append(got, tx.At); return true })
+	if len(got) != len(ats) {
+		t.Fatalf("imported %d transactions, want %d", len(got), len(ats))
+	}
+	for i, at := range ats {
+		if !got[i].Equal(at) {
+			t.Errorf("tx %d: exported %v imports as %v", i, at, got[i])
 		}
 	}
 }
@@ -208,6 +246,7 @@ func FuzzImportCSV(f *testing.F) {
 		}
 		rows := make([]Tx, 0, n)
 		tbl.Each(func(tx Tx) bool {
+			tx.Items = tx.Items.Clone()
 			rows = append(rows, tx)
 			return true
 		})

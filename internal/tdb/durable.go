@@ -12,7 +12,6 @@ import (
 
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/obs"
-	"github.com/tarm-project/tarm/internal/timegran"
 )
 
 // The durable storage engine. A database opened with OpenDurable keeps
@@ -60,12 +59,6 @@ func (c Durability) withDefaults() Durability {
 	}
 	return c
 }
-
-// segmentGrid is the on-disk segment grid a checkpoint writes every
-// transaction table on: 32-day segments. Each manifest records its
-// grid, and LoadTxTableSegmented reads a table on the grid its manifest
-// names.
-var segmentGrid = SegmentConfig{Granularity: timegran.Day, Width: 32}
 
 // durability is the engine's runtime state, shared by the DB and its
 // transaction tables.
@@ -273,7 +266,7 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 			if _, err := os.Stat(filepath.Join(segDir, manifestFile)); errors.Is(err, fs.ErrNotExist) {
 				continue
 			}
-			t, _, err := LoadTxTableSegmented(segDir)
+			t, err := LoadTxTableSegmented(segDir)
 			if err != nil {
 				return nil, err
 			}
@@ -461,7 +454,7 @@ func (db *DB) Checkpoint() (CheckpointStats, error) {
 		}
 	}
 	for key, t := range txtables {
-		segStats, err := SaveTxTableSegmented(t, filepath.Join(db.dir, key+segDirSuffix), segmentGrid)
+		segStats, err := SaveTxTableSegmented(t, filepath.Join(db.dir, key+segDirSuffix))
 		if err != nil {
 			return st, err
 		}

@@ -29,6 +29,7 @@ func durAt(day, hour int) time.Time {
 func collectTxs(t *TxTable) []Tx {
 	var out []Tx
 	t.Each(func(tx Tx) bool {
+		tx.Items = tx.Items.Clone()
 		out = append(out, tx)
 		return true
 	})
@@ -255,10 +256,10 @@ func TestDurableInterruptedFirstCheckpoint(t *testing.T) {
 			src, _ := NewTxTable("baskets")
 			src.AppendBatch(want)
 			segd := filepath.Join(dir, "baskets"+segDirSuffix)
-			if _, err := SaveTxTableSegmented(src, segd, segmentGrid); err != nil {
+			if _, err := SaveTxTableSegmented(src, segd); err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range []string{manifestFile, segFileName(segmentGrid.segIndex(want[len(want)-1].At))} {
+			for _, f := range []string{manifestFile, segFileName(segIndex(want[len(want)-1].At))} {
 				if err := os.Remove(filepath.Join(segd, f)); err != nil {
 					t.Fatal(err)
 				}
@@ -597,7 +598,7 @@ func TestDurableCheckpointIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := db.CreateTxTable("baskets")
-	days := 4 * segmentGrid.Width // at least four segments
+	days := 4 * segmentWidth // at least four segments
 	for day := 0; day < days; day++ {
 		tbl.Append(durAt(day, 9), itemset.New(itemset.Item(day%5)))
 	}

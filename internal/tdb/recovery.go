@@ -55,27 +55,20 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 			return rec, fmt.Errorf("tdb: wal append record: implausible tx count %d", n)
 		}
 		rec.txs = make([]Tx, 0, n)
-		for i := 0; i < n; i++ {
+		// One backing slice for the record's items: it cannot hold more
+		// than a quarter of the bytes left, so it is never regrown.
+		items := make(itemset.Set, 0, (len(d.b)-d.off)/4)
+		for i := 0; i < n && d.err == nil; i++ {
 			at := d.i64()
-			ni := int(d.u32())
-			if d.err != nil {
-				return rec, d.err
-			}
-			if ni < 0 || d.off+4*ni > len(d.b) {
-				return rec, fmt.Errorf("tdb: wal append record: implausible item count %d", ni)
-			}
-			items := make([]itemset.Item, ni)
-			for j := range items {
-				items[j] = itemset.Item(d.u32())
-			}
-			set := itemset.Set(items)
-			if !set.Valid() {
-				return rec, fmt.Errorf("tdb: wal append record: non-canonical itemset")
+			k := len(items)
+			var err error
+			if items, err = d.items(items); err != nil {
+				return rec, fmt.Errorf("tdb: wal append record: %w", err)
 			}
 			rec.txs = append(rec.txs, Tx{
 				ID:    rec.firstID + int64(i),
 				At:    nanoTime(at),
-				Items: set,
+				Items: items[k:len(items):len(items)],
 			})
 		}
 	case walRecDict:

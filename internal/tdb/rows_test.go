@@ -117,7 +117,7 @@ func TestQuickRowsMatchSortedReference(t *testing.T) {
 				}
 			}
 			var got []Tx
-			tbl.EachInRange(timegran.Day, iv, func(tx Tx) bool { got = append(got, tx); return true })
+			tbl.EachInRange(timegran.Day, iv, func(tx Tx) bool { tx.Items = tx.Items.Clone(); got = append(got, tx); return true })
 			if !same("EachInRange", got, want) {
 				return false
 			}
@@ -416,45 +416,6 @@ func TestWideItemsDurable(t *testing.T) {
 	check("reopened", tbl3)
 }
 
-// TestScannedItemsStayValid: the Items of a Tx from Each and EachInRange
-// may be kept. A later scan of every kind and a later append, late and
-// into both block widths, leave them as they were handed out.
-func TestScannedItemsStayValid(t *testing.T) {
-	tbl, err := newTxTable("kept", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := 0; h < 30; h++ {
-		items := itemset.New(itemset.Item(h), itemset.Item(h+1), itemset.Item(h+2))
-		if h%7 == 3 {
-			items = itemset.New(itemset.Item(h), 1<<16+itemset.Item(h))
-		}
-		tbl.Append(durAt(h/10, h%10), items)
-	}
-	var kept []Tx
-	tbl.Each(func(tx Tx) bool { kept = append(kept, tx); return true })
-	tbl.EachInRange(timegran.Day, timegran.Interval{Lo: timegran.GranuleOf(durAt(1, 0), timegran.Day), Hi: timegran.GranuleOf(durAt(1, 0), timegran.Day)},
-		func(tx Tx) bool { kept = append(kept, tx); return true })
-	want := make([]itemset.Set, len(kept))
-	for i, tx := range kept {
-		want[i] = tx.Items.Clone()
-	}
-	collectTxs(tbl)
-	sameGranuleSources(t, "before appends", tbl, sortedRef(collectTxs(tbl)))
-	tbl.AppendBatch([]Tx{
-		{At: durAt(0, 0), Items: itemset.New(90, 91)},
-		{At: durAt(3, 0), Items: itemset.New(92, 1<<17)},
-		{At: durAt(1, 5), Items: itemset.New(93)},
-	})
-	collectTxs(tbl)
-	tbl.All().ForEach(func(itemset.Set) {})
-	for i, tx := range kept {
-		if !tx.Items.Equal(want[i]) {
-			t.Fatalf("kept tx %d items = %v, want %v as handed out", tx.ID, tx.Items, want[i])
-		}
-	}
-}
-
 // TestAppendRefusedWhenFull: a batch that would take the table past 2³²
 // IDs or past 2³² arena slots is refused whole, before anything is
 // stored or allocated.
@@ -507,4 +468,50 @@ func TestGranuleSourceWidening(t *testing.T) {
 		add(durAt(2, 5-k), itemset.New(3, itemset.Item(4+(k+1)%2*(1<<16))))
 	}
 	sameGranuleSources(t, "spans", tbl, sortedRef(arrived))
+}
+
+// TestScanAllocsConstant: a scan widens a narrow table's items into one
+// scratch it reuses, so Each, EachInRange and a granule source allocate
+// a few times per scan (as the scratch grows to the largest basket), not
+// once per some number of rows.
+func TestScanAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not the program's own under -race")
+	}
+	tbl, err := NewTxTable("narrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(44))
+	const rows = 20_000
+	batch := make([]Tx, rows)
+	for k := range batch {
+		items := make(itemset.Set, 1+r.Intn(12))
+		for i := range items {
+			items[i] = itemset.Item(r.Intn(1000))
+		}
+		batch[k] = Tx{At: durAt(k/10_000, 0).Add(time.Duration(k%10_000) * time.Second), Items: items}
+	}
+	tbl.AppendBatch(batch)
+	view, ok := tbl.Granules(timegran.Day)
+	if !ok || len(view.Counts) != 2 {
+		t.Fatalf("granules: %v %v", view.Counts, ok)
+	}
+	src := view.Source(1)
+	const bound = 8
+	var n int
+	for _, tc := range []struct {
+		name string
+		scan func()
+	}{
+		{"Each", func() { tbl.Each(func(tx Tx) bool { n += len(tx.Items); return true }) }},
+		{"EachInRange", func() {
+			tbl.EachInRange(timegran.Day, view.Span, func(tx Tx) bool { n += len(tx.Items); return true })
+		}},
+		{"Granules.Source", func() { src.ForEach(func(items itemset.Set) { n += len(items) }) }},
+	} {
+		if got := testing.AllocsPerRun(5, tc.scan); got > bound {
+			t.Errorf("%s: %.0f allocations a scan of %d rows, want at most %d", tc.name, got, rows, bound)
+		}
+	}
 }

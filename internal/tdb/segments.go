@@ -34,32 +34,22 @@ const (
 	manifestFile  = "manifest"
 )
 
-// SegmentConfig fixes how a table is partitioned on disk.
-type SegmentConfig struct {
-	// Granularity of the segment grid (often coarser than the mining
-	// granularity, e.g. Month segments for Day mining).
-	Granularity timegran.Granularity
-	// Width is the number of granules per segment (e.g. 1 Month).
-	Width int
-}
-
-func (c SegmentConfig) validate() error {
-	if !c.Granularity.Valid() {
-		return fmt.Errorf("tdb: segment granularity %d invalid", int(c.Granularity))
-	}
-	if c.Width < 1 {
-		return fmt.Errorf("tdb: segment width %d must be ≥ 1", c.Width)
-	}
-	return nil
-}
+// The segment grid every table is saved on: 32-day segments. A
+// manifest records the grid it was written on; a save refuses a
+// directory on another grid, because skipping a segment by its count is
+// sound only when both saves cut the table the same way.
+const (
+	segmentGran  = timegran.Day
+	segmentWidth = 32
+)
 
 // segIndex maps an instant to its segment.
-func (c SegmentConfig) segIndex(at time.Time) int64 {
-	g := timegran.GranuleOf(at, c.Granularity)
+func segIndex(at time.Time) int64 {
+	g := timegran.GranuleOf(at, segmentGran)
 	if g >= 0 {
-		return g / int64(c.Width)
+		return g / segmentWidth
 	}
-	return (g - int64(c.Width) + 1) / int64(c.Width)
+	return (g - segmentWidth + 1) / segmentWidth
 }
 
 func segFileName(idx int64) string {
@@ -71,16 +61,13 @@ type SegmentSaveStats struct {
 	Written, Skipped int
 }
 
-// SaveTxTableSegmented writes t into dir under cfg. Segments whose
-// transaction count matches the manifest are skipped (old segments of
-// an append-only table never change, so count equality identifies
-// them); changed or new segments are rewritten atomically, and the
-// manifest is updated last.
-func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSaveStats, error) {
+// SaveTxTableSegmented writes t into dir on the segment grid. Segments
+// whose transaction count matches the manifest are skipped (old
+// segments of an append-only table never change, so count equality
+// identifies them); changed or new segments are rewritten atomically,
+// and the manifest is updated last.
+func SaveTxTableSegmented(t *TxTable, dir string) (SegmentSaveStats, error) {
 	var stats SegmentSaveStats
-	if err := cfg.validate(); err != nil {
-		return stats, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return stats, fmt.Errorf("tdb: segment dir %s: %w", dir, err)
 	}
@@ -93,9 +80,9 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 		if err != nil {
 			return stats, err
 		}
-		if m.cfg != cfg {
+		if m.gran != segmentGran || m.width != segmentWidth {
 			return stats, fmt.Errorf("tdb: segment dir %s uses %v×%d, save requested %v×%d",
-				dir, m.cfg.Granularity, m.cfg.Width, cfg.Granularity, cfg.Width)
+				dir, m.gran, m.width, segmentGran, segmentWidth)
 		}
 		oldCounts = m.counts
 	}
@@ -103,7 +90,7 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 	// Walk the segments (table order is time order), writing the ones
 	// whose count changed straight from the table's rows.
 	newCounts := map[int64]int64{}
-	err := t.eachSegment(cfg, func(idx int64, lo, hi int) error {
+	err := t.eachSegment(func(idx int64, lo, hi int) error {
 		newCounts[idx] = int64(hi - lo)
 		if oldCounts[idx] == int64(hi-lo) {
 			stats.Skipped++
@@ -123,22 +110,22 @@ func SaveTxTableSegmented(t *TxTable, dir string, cfg SegmentConfig) (SegmentSav
 			}
 		}
 	}
-	if err := writeManifest(manifestPath, t.Name(), t.nextIDSnapshot(), cfg, newCounts); err != nil {
+	if err := writeManifest(manifestPath, t.Name(), t.nextIDSnapshot(), segmentGran, segmentWidth, newCounts); err != nil {
 		return stats, err
 	}
 	return stats, nil
 }
 
 // eachSegment calls fn, in time order, with the row range [lo, hi) of
-// every segment of cfg's grid that holds transactions. The table's read
-// lock is held throughout.
-func (t *TxTable) eachSegment(cfg SegmentConfig, fn func(idx int64, lo, hi int) error) error {
+// every segment that holds transactions. The table's read lock is held
+// throughout.
+func (t *TxTable) eachSegment(fn func(idx int64, lo, hi int) error) error {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
 	for lo := 0; lo < t.nrows; {
-		idx := cfg.segIndex(t.timeAt(lo))
+		idx := segIndex(t.timeAt(lo))
 		hi := lo + 1
-		for hi < t.nrows && cfg.segIndex(t.timeAt(hi)) == idx {
+		for hi < t.nrows && segIndex(t.timeAt(hi)) == idx {
 			hi++
 		}
 		if err := fn(idx, lo, hi); err != nil {
@@ -158,14 +145,14 @@ func (t *TxTable) nextIDSnapshot() int64 {
 
 // LoadTxTableSegmented reads a segment directory back into a table.
 // Every referenced segment must be present and pass its checksum.
-func LoadTxTableSegmented(dir string) (*TxTable, SegmentConfig, error) {
+func LoadTxTableSegmented(dir string) (*TxTable, error) {
 	m, err := loadManifest(filepath.Join(dir, manifestFile))
 	if err != nil {
-		return nil, SegmentConfig{}, err
+		return nil, err
 	}
 	tbl, err := NewTxTable(m.table)
 	if err != nil {
-		return nil, SegmentConfig{}, err
+		return nil, err
 	}
 	idxs := make([]int64, 0, len(m.counts))
 	for idx := range m.counts {
@@ -175,33 +162,34 @@ func LoadTxTableSegmented(dir string) (*TxTable, SegmentConfig, error) {
 	for _, idx := range idxs {
 		n, err := tbl.loadSegment(filepath.Join(dir, segFileName(idx)), idx)
 		if err != nil {
-			return nil, SegmentConfig{}, err
+			return nil, err
 		}
 		if int64(n) != m.counts[idx] {
-			return nil, SegmentConfig{}, fmt.Errorf("tdb: segment %d has %d transactions, manifest says %d",
+			return nil, fmt.Errorf("tdb: segment %d has %d transactions, manifest says %d",
 				idx, n, m.counts[idx])
 		}
 	}
 	tbl.nextID = m.nextID
 	tbl.epoch = int64(tbl.nrows)
-	return tbl, m.cfg, nil
+	return tbl, nil
 }
 
 type manifest struct {
 	table  string
 	nextID int64
-	cfg    SegmentConfig
+	gran   timegran.Granularity // the grid it was written on
+	width  int
 	counts map[int64]int64
 }
 
-func writeManifest(path, table string, nextID int64, cfg SegmentConfig, counts map[int64]int64) error {
+func writeManifest(path, table string, nextID int64, gran timegran.Granularity, width int, counts map[int64]int64) error {
 	e := &encoder{}
 	e.buf.WriteString(magicManifest)
 	e.u32(fmtVersion)
 	e.str(table)
 	e.i64(nextID)
-	e.u8(uint8(cfg.Granularity))
-	e.u32(uint32(cfg.Width))
+	e.u8(uint8(gran))
+	e.u32(uint32(width))
 	idxs := make([]int64, 0, len(counts))
 	for idx := range counts {
 		idxs = append(idxs, idx)
@@ -223,8 +211,8 @@ func loadManifest(path string) (*manifest, error) {
 	m := &manifest{counts: map[int64]int64{}}
 	m.table = d.str()
 	m.nextID = d.i64()
-	m.cfg.Granularity = timegran.Granularity(d.u8())
-	m.cfg.Width = int(d.u32())
+	m.gran = timegran.Granularity(d.u8())
+	m.width = int(d.u32())
 	n := int(d.u32())
 	for i := 0; i < n && d.err == nil; i++ {
 		idx := d.i64()
@@ -233,8 +221,11 @@ func loadManifest(path string) (*manifest, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if err := m.cfg.validate(); err != nil {
-		return nil, fmt.Errorf("tdb: %s: %w", path, err)
+	if !m.gran.Valid() {
+		return nil, fmt.Errorf("tdb: %s: segment granularity %d invalid", path, int(m.gran))
+	}
+	if m.width < 1 {
+		return nil, fmt.Errorf("tdb: %s: segment width %d must be ≥ 1", path, m.width)
 	}
 	return m, nil
 }
@@ -247,11 +238,14 @@ func writeSegment(path string, idx int64, t *TxTable, lo, hi int) error {
 	e.u32(fmtVersion)
 	e.i64(idx)
 	e.u64(uint64(hi - lo))
+	var p []byte
+	var buf itemset.Set
 	for i := lo; i < hi; i++ {
 		r := t.row(i)
 		e.i64(int64(r.id))
 		e.i64(r.at)
-		e.buf.Write(t.appendItemsLE(e.buf.AvailableBuffer(), r))
+		p, buf = t.appendItemsLE(e.buf.AvailableBuffer(), r, buf)
+		e.buf.Write(p)
 	}
 	return writeAtomic(path, e.buf.Bytes())
 }
@@ -272,19 +266,11 @@ func (t *TxTable) loadSegment(path string, wantIdx int64) (int, error) {
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		id := d.i64()
 		at := d.i64()
-		ni := int(d.u32())
+		if items, err = d.items(items[:0]); err != nil {
+			return 0, fmt.Errorf("tdb: %s: transaction %d: %w", path, id, err)
+		}
 		if d.err != nil {
 			break
-		}
-		if ni < 0 || d.off+4*ni > len(d.b) {
-			return 0, fmt.Errorf("tdb: %s: implausible item count %d", path, ni)
-		}
-		items = items[:0]
-		for j := 0; j < ni; j++ {
-			items = append(items, itemset.Item(d.u32()))
-		}
-		if !items.Valid() {
-			return 0, fmt.Errorf("tdb: %s: non-canonical itemset in transaction %d", path, id)
 		}
 		if err := t.storeRow(id, at, items); err != nil {
 			return 0, fmt.Errorf("tdb: %s: %w", path, err)

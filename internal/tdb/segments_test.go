@@ -10,10 +10,6 @@ import (
 	"github.com/tarm-project/tarm/internal/timegran"
 )
 
-func monthCfg() SegmentConfig {
-	return SegmentConfig{Granularity: timegran.Month, Width: 1}
-}
-
 // buildSeasonTable spans three months of daily transactions.
 func buildSeasonTable(t *testing.T, days int) *TxTable {
 	t.Helper()
@@ -37,8 +33,8 @@ func sameTxTables(t *testing.T, a, b *TxTable) {
 		t.Fatalf("lengths %d vs %d", a.Len(), b.Len())
 	}
 	var at, bt []Tx
-	a.Each(func(tx Tx) bool { at = append(at, tx); return true })
-	b.Each(func(tx Tx) bool { bt = append(bt, tx); return true })
+	a.Each(func(tx Tx) bool { tx.Items = tx.Items.Clone(); at = append(at, tx); return true })
+	b.Each(func(tx Tx) bool { tx.Items = tx.Items.Clone(); bt = append(bt, tx); return true })
 	for i := range at {
 		if at[i].ID != bt[i].ID || !at[i].At.Equal(bt[i].At) || !at[i].Items.Equal(bt[i].Items) {
 			t.Fatalf("tx %d: %+v vs %+v", i, at[i], bt[i])
@@ -49,19 +45,16 @@ func sameTxTables(t *testing.T, a, b *TxTable) {
 func TestSegmentedRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segs")
 	tbl := buildSeasonTable(t, 90) // Jan, Feb, Mar (and a bit of Mar 31)
-	stats, err := SaveTxTableSegmented(tbl, dir, monthCfg())
+	stats, err := SaveTxTableSegmented(tbl, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Written == 0 || stats.Skipped != 0 {
 		t.Fatalf("first save stats = %+v", stats)
 	}
-	loaded, cfg, err := LoadTxTableSegmented(dir)
+	loaded, err := LoadTxTableSegmented(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg != monthCfg() {
-		t.Errorf("config round trip = %+v", cfg)
 	}
 	if loaded.Name() != "season" {
 		t.Errorf("name = %q", loaded.Name())
@@ -75,38 +68,39 @@ func TestSegmentedRoundTrip(t *testing.T) {
 
 func TestSegmentedIncrementalSave(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segs")
-	tbl := buildSeasonTable(t, 60) // Jan + Feb
-	if _, err := SaveTxTableSegmented(tbl, dir, monthCfg()); err != nil {
+	tbl := buildSeasonTable(t, 60) // Jan + Feb: 32-day segments from Dec 21, Jan 22 and Feb 23
+	if _, err := SaveTxTableSegmented(tbl, dir); err != nil {
 		t.Fatal(err)
 	}
-	// Append March: only the new month is written, Jan/Feb skipped.
+	// Append March, which lands in the last segment: only it is
+	// written, the two before it skipped.
 	start := time.Date(2024, 3, 1, 8, 0, 0, 0, time.UTC)
 	for d := 0; d < 20; d++ {
 		tbl.Append(start.AddDate(0, 0, d), itemset.New(1, 2))
 	}
-	stats, err := SaveTxTableSegmented(tbl, dir, monthCfg())
+	stats, err := SaveTxTableSegmented(tbl, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Written != 1 || stats.Skipped != 2 {
 		t.Fatalf("incremental save stats = %+v, want 1 written, 2 skipped", stats)
 	}
-	loaded, _, err := LoadTxTableSegmented(dir)
+	loaded, err := LoadTxTableSegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameTxTables(t, tbl, loaded)
 
-	// Appending into an existing month rewrites that month.
+	// Appending into an earlier segment rewrites that segment.
 	tbl.Append(time.Date(2024, 2, 15, 0, 0, 0, 0, time.UTC), itemset.New(3))
-	stats, err = SaveTxTableSegmented(tbl, dir, monthCfg())
+	stats, err = SaveTxTableSegmented(tbl, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Written != 1 || stats.Skipped != 2 {
 		t.Fatalf("mid-history save stats = %+v", stats)
 	}
-	loaded, _, err = LoadTxTableSegmented(dir)
+	loaded, err = LoadTxTableSegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,23 +110,26 @@ func TestSegmentedIncrementalSave(t *testing.T) {
 func TestSegmentedConfigMismatch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segs")
 	tbl := buildSeasonTable(t, 40)
-	if _, err := SaveTxTableSegmented(tbl, dir, monthCfg()); err != nil {
+	if _, err := SaveTxTableSegmented(tbl, dir); err != nil {
 		t.Fatal(err)
 	}
-	other := SegmentConfig{Granularity: timegran.Week, Width: 2}
-	if _, err := SaveTxTableSegmented(tbl, dir, other); err == nil {
-		t.Error("config mismatch accepted")
+	// A directory whose manifest records another grid is refused.
+	m, err := loadManifest(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := SegmentConfig{Granularity: timegran.Month, Width: 0}
-	if _, err := SaveTxTableSegmented(tbl, dir, bad); err == nil {
-		t.Error("zero width accepted")
+	if err := writeManifest(filepath.Join(dir, manifestFile), m.table, m.nextID, timegran.Week, 2, m.counts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveTxTableSegmented(tbl, dir); err == nil {
+		t.Error("config mismatch accepted")
 	}
 }
 
 func TestSegmentedDetectsCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "segs")
 	tbl := buildSeasonTable(t, 60)
-	if _, err := SaveTxTableSegmented(tbl, dir, monthCfg()); err != nil {
+	if _, err := SaveTxTableSegmented(tbl, dir); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -147,18 +144,18 @@ func TestSegmentedDetectsCorruption(t *testing.T) {
 		}
 	}
 	corrupt(t, segPath)
-	if _, _, err := LoadTxTableSegmented(dir); err == nil {
+	if _, err := LoadTxTableSegmented(dir); err == nil {
 		t.Error("corrupt segment loaded")
 	}
 	// Missing segment referenced by the manifest.
 	if err := os.Remove(segPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadTxTableSegmented(dir); err == nil {
+	if _, err := LoadTxTableSegmented(dir); err == nil {
 		t.Error("missing segment tolerated")
 	}
 	// Missing manifest.
-	if _, _, err := LoadTxTableSegmented(t.TempDir()); err == nil {
+	if _, err := LoadTxTableSegmented(t.TempDir()); err == nil {
 		t.Error("missing manifest tolerated")
 	}
 }
@@ -168,10 +165,10 @@ func TestSegmentedPreEpochData(t *testing.T) {
 	tbl, _ := NewTxTable("old")
 	tbl.Append(time.Date(1969, 6, 1, 0, 0, 0, 0, time.UTC), itemset.New(1))
 	tbl.Append(time.Date(1970, 2, 1, 0, 0, 0, 0, time.UTC), itemset.New(2))
-	if _, err := SaveTxTableSegmented(tbl, dir, monthCfg()); err != nil {
+	if _, err := SaveTxTableSegmented(tbl, dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadTxTableSegmented(dir)
+	loaded, err := LoadTxTableSegmented(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

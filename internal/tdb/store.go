@@ -101,6 +101,29 @@ func (d *decoder) str() string {
 	return s
 }
 
+// items appends an item list, {count u32, items u32…}, to dst: how the
+// WAL and segment files hold a transaction's items. A count the bytes
+// left cannot hold, or items that are not canonical, is an error, which
+// the caller prefixes with what it is reading; a short read sets d.err.
+func (d *decoder) items(dst itemset.Set) (itemset.Set, error) {
+	n := int(d.u32())
+	if d.err != nil {
+		return dst, nil
+	}
+	if d.off+4*n > len(d.b) {
+		return dst, fmt.Errorf("implausible item count %d", n)
+	}
+	k := len(dst)
+	for range n {
+		dst = append(dst, itemset.Item(binary.LittleEndian.Uint32(d.b[d.off:])))
+		d.off += 4
+	}
+	if !dst[k:].Valid() {
+		return dst, fmt.Errorf("non-canonical itemset")
+	}
+	return dst, nil
+}
+
 // writeAtomic writes body+CRC to path via a temp file and rename.
 func writeAtomic(path string, body []byte) error {
 	sum := crc32.ChecksumIEEE(body)

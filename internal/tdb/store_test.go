@@ -211,7 +211,7 @@ func TestDBCreateConflictsAndDrop(t *testing.T) {
 // A checkpoint file that fails its checksum aborts the open instead of
 // silently dropping the table it held.
 func TestDBOpenRejectsCorruptFiles(t *testing.T) {
-	segFile := segFileName(segmentGrid.segIndex(durAt(0, 9)))
+	segFile := segFileName(segIndex(durAt(0, 9)))
 	for _, file := range []string{"sales.rel", dictFile, filepath.Join("baskets"+segDirSuffix, segFile)} {
 		t.Run(filepath.Base(file), func(t *testing.T) {
 			dir := t.TempDir()

@@ -16,7 +16,9 @@ import (
 )
 
 // Tx is one timestamped transaction: a basket of items observed at an
-// instant. The temporal miners never look below this abstraction.
+// instant. The temporal miners never look below this abstraction. A Tx
+// handed out by a scan (Each, EachInRange) holds Items that are valid
+// only until the scan's callback returns.
 type Tx struct {
 	ID    int64
 	At    time.Time
@@ -393,42 +395,34 @@ func (t *TxTable) itemCount(r row) int {
 	return n
 }
 
-// appendItems appends r's items to dst, widened to itemset.Item.
-func (t *TxTable) appendItems(dst itemset.Set, r row) itemset.Set {
+// rowItems returns r's items, and the scratch to pass for the next row.
+// A wide block's items are a capped view of the arena, so appending to
+// them never reaches it; a narrow block's are widened into buf, which
+// the next call reuses. With locate, it is the one reader of a block's
+// width, as storeRow is the one writer.
+func (t *TxTable) rowItems(r row, buf itemset.Set) (items, scratch itemset.Set) {
 	b, lo, n := t.locate(r)
 	if b.wide != nil {
-		return append(dst, b.wide[lo:lo+n]...)
+		return b.wide[lo : lo+n : lo+n], buf
 	}
-	return widen(dst, b.narrow[lo:lo+n])
-}
-
-// widen appends the narrow slots src to dst as items, in one pass.
-func widen(dst itemset.Set, src []uint16) itemset.Set {
-	k := len(dst)
-	dst = slices.Grow(dst, len(src))[:k+len(src)]
-	out := dst[k:]
-	out = out[:len(src)] // lets the loop drop its bounds check
+	src := b.narrow[lo : lo+n]
+	buf = slices.Grow(buf[:0], len(src))[:len(src)]
 	for i, x := range src {
-		out[i] = itemset.Item(x)
+		buf[i] = itemset.Item(x)
 	}
-	return dst
+	return buf, buf
 }
 
 // appendItemsLE appends r's item count and items as little-endian
-// uint32s — their form in the WAL and in segment files.
-func (t *TxTable) appendItemsLE(p []byte, r row) []byte {
-	b, lo, n := t.locate(r)
-	p = binary.LittleEndian.AppendUint32(p, uint32(n))
-	if b.wide != nil {
-		for _, x := range b.wide[lo : lo+n] {
-			p = binary.LittleEndian.AppendUint32(p, uint32(x))
-		}
-		return p
-	}
-	for _, x := range b.narrow[lo : lo+n] {
+// uint32s — their form in the WAL and in segment files — widening
+// through buf as rowItems does, and returns buf for the next row.
+func (t *TxTable) appendItemsLE(p []byte, r row, buf itemset.Set) ([]byte, itemset.Set) {
+	items, buf := t.rowItems(r, buf)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(items)))
+	for _, x := range items {
 		p = binary.LittleEndian.AppendUint32(p, uint32(x))
 	}
-	return p
+	return p, buf
 }
 
 // DirtySince reports which granules at granularity g were touched by
@@ -666,28 +660,21 @@ func (t *TxTable) AllBlocks(n int) apriori.Slices {
 	return out
 }
 
-// rowSource exposes rows [i, j) of the sorted table as a mining source.
-// A scan reads a wide block's items in place and widens a narrow
-// block's, row by row, into a scratch, which the Source contract lets
-// it reuse.
+// rowSource exposes rows [i, j) of the sorted table as a mining source,
+// whose items rowItems reads into one scratch per scan.
 func (t *TxTable) rowSource(i, j int) apriori.Source {
 	return apriori.FuncSource{
 		N: j - i,
 		Scan: func(fn func(tx itemset.Set)) {
 			t.rlockSorted()
 			defer t.mu.RUnlock()
-			var buf itemset.Set
+			var buf, items itemset.Set
 			for k := i; k < j; {
 				rs := t.rowRun(k, j)
 				k += len(rs)
 				for _, r := range rs {
-					b, lo, n := t.locate(r)
-					if b.wide != nil {
-						fn(b.wide[lo : lo+n : lo+n])
-						continue
-					}
-					buf = widen(buf[:0], b.narrow[lo:lo+n])
-					fn(buf)
+					items, buf = t.rowItems(r, buf)
+					fn(items)
 				}
 			}
 		},
@@ -709,11 +696,11 @@ func (t *TxTable) CountStats() TableStats {
 	defer t.mu.RUnlock()
 	s := TableStats{N: t.nrows}
 	seen := make(map[itemset.Item]struct{})
-	var buf itemset.Set
+	var buf, items itemset.Set
 	for k := 0; k < t.nrows; k++ {
-		buf = t.appendItems(buf[:0], t.row(k))
-		s.Occurrences += int64(len(buf))
-		for _, x := range buf {
+		items, buf = t.rowItems(t.row(k), buf)
+		s.Occurrences += int64(len(items))
+		for _, x := range items {
 			seen[x] = struct{}{}
 		}
 	}
@@ -724,8 +711,8 @@ func (t *TxTable) CountStats() TableStats {
 // EachInRange iterates, in time order, only the transactions whose
 // granule at g lies in iv; fn returning false stops. It narrows the
 // scan to the interval's row range by binary search, so iterating a
-// sub-span costs proportionally to the sub-span, not the table. Like
-// Each, it hands out items that stay valid after fn returns.
+// sub-span costs proportionally to the sub-span, not the table. Items
+// are handed out as by Each: valid only until fn returns.
 func (t *TxTable) EachInRange(g timegran.Granularity, iv timegran.Interval, fn func(tx Tx) bool) {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
@@ -734,42 +721,27 @@ func (t *TxTable) EachInRange(g timegran.Granularity, iv timegran.Interval, fn f
 }
 
 // Each iterates transactions in time order; fn returning false stops.
-// A Tx's Items stay valid, and unchanged, after fn returns: fn may keep
-// them. Appending to them never reaches another transaction's items.
+// A Tx's Items are valid only until fn returns, as a mining source's
+// are (apriori.Source): the scan reuses one scratch for them. A caller
+// that keeps them copies them (Items.Clone()). Appending to them never
+// reaches the table.
 func (t *TxTable) Each(fn func(tx Tx) bool) {
 	t.rlockSorted()
 	defer t.mu.RUnlock()
 	t.scan(0, t.nrows, fn)
 }
 
-// scanChunk is how many items scan widens into one allocation.
-const scanChunk = 4096
-
-// scan materialises each of rows [i, j) as a Tx for fn, until fn
-// returns false. Items of a wide block are a capped view of the arena,
-// which never changes; those of a narrow block are widened into chunks
-// of scanChunk items that are never reused, so either stays valid
-// after fn. The Tx is built in the call, not by a helper: a 56-byte
-// struct returned and then passed on is copied twice, which doubles
-// the cost of a scan.
+// scan hands each of rows [i, j) to fn as a Tx, items read by rowItems,
+// until fn returns false. The Tx is built in the call, not by a helper:
+// a 56-byte struct returned and then passed on is copied twice, which
+// doubles the cost of a scan.
 func (t *TxTable) scan(i, j int, fn func(tx Tx) bool) {
-	var chunk itemset.Set
+	var buf, items itemset.Set
 	for k := i; k < j; {
 		rs := t.rowRun(k, j)
 		k += len(rs)
 		for _, r := range rs {
-			b, lo, n := t.locate(r)
-			var items itemset.Set
-			if b.wide != nil {
-				items = b.wide[lo : lo+n : lo+n]
-			} else {
-				if cap(chunk)-len(chunk) < n {
-					chunk = make(itemset.Set, 0, max(n, scanChunk))
-				}
-				at := len(chunk)
-				chunk = widen(chunk, b.narrow[lo:lo+n])
-				items = chunk[at : at+n : at+n]
-			}
+			items, buf = t.rowItems(r, buf)
 			if !fn(Tx{ID: int64(r.id), At: nanoTime(r.at), Items: items}) {
 				return
 			}

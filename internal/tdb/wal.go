@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/obs"
 )
 
@@ -462,10 +463,12 @@ func encodeAppendFrame(t *TxTable, firstID int64, lo, hi int) []byte {
 	p = append(p, t.name...)
 	p = binary.LittleEndian.AppendUint64(p, uint64(firstID))
 	p = binary.LittleEndian.AppendUint32(p, uint32(hi-lo))
+	var scratch [64]itemset.Item // narrow rows widen here: no allocation past out
+	buf := scratch[:0]
 	for i := lo; i < hi; i++ {
 		r := t.row(i)
 		p = binary.LittleEndian.AppendUint64(p, uint64(r.at))
-		p = t.appendItemsLE(p, r)
+		p, buf = t.appendItemsLE(p, r, buf)
 	}
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(p))

@@ -29,7 +29,7 @@ func TestTaskIIIRefindsTasksIandII(t *testing.T) {
 		t.Fatal(err)
 	}
 	var txs []tdb.Tx
-	src.Each(func(tx tdb.Tx) bool { txs = append(txs, tx); return true })
+	src.Each(func(tx tdb.Tx) bool { tx.Items = tx.Items.Clone(); txs = append(txs, tx); return true })
 	tbl.AppendBatch(txs)
 	session := tml.NewSession(db)
 	session.TML.Cache = nil // every statement counts for itself

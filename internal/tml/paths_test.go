@@ -43,6 +43,7 @@ func TestServedPathsAgree(t *testing.T) {
 	chunks := make([][]tdb.Tx, (days-loaded+chunkDays-1)/chunkDays)
 	lateSeen := 0
 	src.Each(func(tx tdb.Tx) bool {
+		tx.Items = tx.Items.Clone()
 		switch d := dayOf(tx); {
 		case d < loaded:
 			first = append(first, tx)

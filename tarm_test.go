@@ -46,6 +46,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// One batch: Open's default durability fsyncs per append call.
 	var batch []Tx
 	generated.Each(func(tx Tx) bool {
+		tx.Items = tx.Items.Clone()
 		batch = append(batch, tx)
 		return true
 	})
