@@ -405,9 +405,10 @@ func (c *HoldCache) flyLocked(ctx context.Context, tbl *tdb.TxTable, key cacheKe
 	return h, false, err
 }
 
-// deltaWorthwhile caps delta maintenance at half the table's rows:
-// recounting a majority of the data costs about as much as a cold
-// build, without the cold build's backend selection and parallelism.
+// deltaWorthwhile caps delta maintenance at half the table's rows.
+// Maintain counts on the cold build's backend and workers, so once the
+// dirty region holds most of the data its recount, with a riser
+// recovery over the rest, is no cheaper than the build.
 func deltaWorthwhile(tbl *tdb.TxTable, g timegran.Granularity, dirty []timegran.Granule) bool {
 	total := tbl.Len()
 	if total == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"time"
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/itemset"
@@ -34,8 +35,8 @@ import (
 //     there before and would have been tracked — Apriori monotonicity
 //     extends this across levels, see below). Untracked candidates are
 //     therefore counted over the dirty region only, and the few that
-//     cross a threshold there get one candidate-restricted recovery
-//     scan of the clean region to fill in their historical counts.
+//     cross a threshold there (risers) get their historical counts from
+//     one count of the clean region, over an index of their items.
 //  3. Dirty-granule thresholds can only rise (transaction counts only
 //     grow), so every carried vector is re-filtered through the new
 //     thresholds; itemsets frequent only in a dirty granule can drop
@@ -80,7 +81,8 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	oldN := h.NGranules()
 
 	tr := h.Cfg.tracer()
-	if tr.Enabled() {
+	trace := tr.Enabled()
+	if trace {
 		tr.StartTask("core.MaintainHoldTable")
 		defer tr.EndTask()
 		tr.Gauge(obs.MetricGranules, float64(n))
@@ -184,22 +186,36 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	// tracked items and those of the dirty region; a higher level's are
 	// the join of the level below, and one with an item absent from the
 	// dirty region keeps a nil (all-zero) dirty vector uncounted. Both
-	// regions are a few small slices of history, whatever the configured
-	// backend: the horizontal driver picks its subset counter from their
-	// row totals.
-	items, itemCounts := apriori.CountLevel1(ctx, dirtySlices, 0)
-	var present itemset.Ranks
+	// regions count on the table's own backend and workers, resolved as
+	// for a cold build: an appended day counts every level on one flat
+	// index over its rows, the first baskets of a granule on the key map.
+	workers := nh.Cfg.Workers
+	items, itemCounts := apriori.CountLevel1(ctx, dirtySlices, workers)
+	present := new(itemset.Ranks)
 	for _, x := range items {
 		present.Add(x)
 	}
-	dirtyCounter := apriori.NewSliceCounter(apriori.BackendHashTree, dirtySlices, nil, 0)
+	dirtyCounter := apriori.NewSliceCounter(nh.Cfg.Backend, dirtySlices, present, workers)
 	var cleanCounter *apriori.SliceCounter
+	var dirtyRows, cleanRows int64
+	for _, s := range dirtySlices {
+		dirtyRows += int64(s.Len())
+	}
+	risersTotal := 0
 	var prev []itemset.Set
 	var words []uint64
+	var t0 time.Time
 	for k := 1; k == 1 || len(prev) > 1 && (nh.Cfg.MaxK == 0 || k <= nh.Cfg.MaxK); k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if trace {
+			tr.StartPass(k)
+			t0 = time.Now()
+		}
+		// The level's pass over the dirty region, reported as the build
+		// reports its own: level 1 is the item scan.
+		pass := obs.PassStats{Level: k, Rows: dirtyRows, Backend: "scan"}
 		var cands []itemset.Set
 		var dirtyCounts [][]int32
 		if k == 1 {
@@ -216,12 +232,18 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 					dirtyCounts[i] = itemCounts[r]
 				}
 			}
+			pass.Generated, pass.Counted = len(cands), len(items)
 		} else {
 			var err error
-			if cands, _, _, err = generateFromSets(ctx, prev); err != nil {
+			if cands, pass.Generated, pass.Pruned, err = generateFromSets(ctx, prev); err != nil {
 				return nil, err
 			}
+			pass.Backend = dirtyCounter.Backend().String()
 			if len(cands) == 0 {
+				if trace {
+					pass.Rows, pass.Duration = 0, time.Since(t0)
+					tr.EndPass(pass)
+				}
 				break
 			}
 			var countable []itemset.Set
@@ -240,6 +262,7 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 			for j, i := range countIdx {
 				dirtyCounts[i] = counted.Row(j)
 			}
+			pass.Counted = len(countable)
 		}
 		// Candidates and the old level are both in canonical order: one
 		// merge walk finds each tracked candidate's stored vector and
@@ -284,32 +307,66 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 				riserVecs = append(riserVecs, v)
 			}
 		}
-		if len(risers) > 0 {
-			// The only history-proportional part.
-			if cleanCounter == nil {
-				cleanCounter = apriori.NewSliceCounter(apriori.BackendHashTree, sources(cleanCols), nil, 0)
+		// The risers' vectors are the level's own: the history fill below
+		// writes into the stored level.
+		nh.appendLevel(level, words, vecs)
+		prev = level
+		if trace {
+			pass.Frequent, pass.Duration = len(level), time.Since(t0)
+			tr.EndPass(pass)
+		}
+		if len(risers) == 0 {
+			continue
+		}
+		// The only history-proportional part: its own pass, over the
+		// clean region, on the clean counter's backend.
+		if trace {
+			tr.StartPass(k)
+			t0 = time.Now()
+		}
+		if cleanCounter == nil {
+			// A riser is frequent only in dirty granules, so each of its
+			// items is frequent in one of them, and was kept by level 1:
+			// one index over those items serves every later level's
+			// risers. It lives only for this call.
+			keep := new(itemset.Ranks)
+			for i, s := range nh.ByK[1] {
+				if apriori.AndCount(nh.levelFreq(1, i), dirtyWords) > 0 {
+					keep.Add(s[0])
+				}
 			}
-			hist, err := cleanCounter.Count(ctx, risers)
-			if err != nil {
-				return nil, err
+			cleanSlices := sources(cleanCols)
+			for _, s := range cleanSlices {
+				cleanRows += int64(s.Len())
 			}
-			for r, v := range riserVecs {
-				if hv := hist.Row(r); hv != nil { // nil: no clean-region occurrences
-					for j, gi := range cleanCols {
-						v[gi] = hv[j]
-					}
+			cleanCounter = apriori.NewSliceCounter(nh.Cfg.Backend, cleanSlices, keep, workers)
+		}
+		hist, err := cleanCounter.Count(ctx, risers)
+		if err != nil {
+			return nil, err
+		}
+		for r, v := range riserVecs {
+			if hv := hist.Row(r); hv != nil { // nil: no clean-region occurrences
+				for j, gi := range cleanCols {
+					v[gi] = hv[j]
 				}
 			}
 		}
-		nh.appendLevel(level, words, vecs)
-		prev = level
+		risersTotal += len(risers)
+		if trace {
+			tr.EndPass(obs.PassStats{
+				Level: k, Generated: len(risers), Counted: len(risers), Frequent: len(risers),
+				Rows: cleanRows, Backend: cleanCounter.Backend().String(), Duration: time.Since(t0),
+			})
+		}
 	}
 	// A cancelled count leaves partial counts behind it: the check at the
 	// next level's start, or this one after the last, drops the table.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if tr.Enabled() {
+	if trace {
+		tr.Counter(obs.MetricMaintainRisers, int64(risersTotal))
 		tr.Counter(obs.MetricItemsetsFrequent, int64(nh.TotalItemsets()))
 	}
 	return nh, nil

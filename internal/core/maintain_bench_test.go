@@ -14,7 +14,8 @@ import (
 // appended tx, against the full rebuild baseline (maintain, rebuild);
 // then a year at 300 tx/day at support 0.05, maintained across the
 // first transaction of a new day (open), its first 25 (sparse) and the
-// whole day (day). A granule of fewer than 1/support transactions has
+// whole day (day), against a cold build of the whole year (year-rebuild)
+// in the same run. A granule of fewer than 1/support transactions has
 // threshold 1, so open and sparse make every subset of their baskets
 // rise and be recounted over all of history.
 func BenchmarkMaintainOneGranule(b *testing.B) {
@@ -42,6 +43,7 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 			b.Fatal("no dirty info")
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := h.MaintainContext(bg, tbl, dirty); err != nil {
 					b.Fatal(err)
@@ -50,13 +52,17 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 		})
 	}
 	maintain("maintain", h, tbl, epoch)
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := BuildHoldTableContext(bg, tbl, hcfg); err != nil {
-				b.Fatal(err)
+	rebuild := func(name string, tbl *tdb.TxTable, cfg Config) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildHoldTableContext(bg, tbl, cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
+	rebuild("rebuild", tbl, hcfg)
 
 	// One draw of 366 days split at day 365: the table holds the first
 	// 365, and the last day arrives in three growing prefixes.
@@ -81,7 +87,8 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 		return true
 	})
 	tbl.AppendBatch(base)
-	h = mustBuild(b, tbl, Config{Granularity: timegran.Day, MinSupport: 0.05, MinConfidence: 0.6, MinFreq: 0.9, Workers: 2})
+	hcfg = Config{Granularity: timegran.Day, MinSupport: 0.05, MinConfidence: 0.6, MinFreq: 0.9, Workers: 2}
+	h = mustBuild(b, tbl, hcfg)
 	epoch = tbl.Epoch()
 	appended := 0
 	for _, arm := range []struct {
@@ -92,4 +99,5 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 		appended = arm.txs
 		maintain(arm.name, h, tbl, epoch)
 	}
+	rebuild("year-rebuild", tbl, hcfg)
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/itemset"
+	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
@@ -71,6 +73,68 @@ func TestMaintainNewcomerRecovery(t *testing.T) {
 	}
 	if m.Counts(itemset.New(7, 8)) == nil {
 		t.Fatal("newcomer pair not tracked after Maintain")
+	}
+}
+
+// TestMaintainReportsCounting: a maintenance's trace names the backend
+// each of its counters resolved to, as a build's passes do — the dirty
+// region's on every level's pass, the clean region's on the risers' own
+// passes — and counts the risers it recovered: exactly the itemsets the
+// maintained table tracks and its receiver did not. A first basket
+// counts on the key map's backend, a day-sized region on the flat
+// index.
+func TestMaintainReportsCounting(t *testing.T) {
+	for _, tc := range []struct {
+		baskets int
+		dirty   string
+	}{{1, "hashtree"}, {70, "bitmap"}} {
+		tbl := buildFixture(t)
+		for d := 0; d < 28; d += 4 {
+			appendDay(tbl, d, 2, 7, 8) // history for the risers to recover
+		}
+		h := mustBuild(t, tbl, fixtureConfig())
+		cleanRows := int64(tbl.Len())
+		g := appendDay(tbl, 30, tc.baskets, 7, 8)
+		trace := obs.NewTrace("")
+		cfg := h.Cfg
+		cfg.Tracer = trace
+		m, err := h.withCfg(cfg).MaintainContext(bg, tbl, []timegran.Granule{g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !holdTablesEqual(m, mustBuild(t, tbl, fixtureConfig())) {
+			t.Fatalf("%d baskets: Maintain differs from full rebuild", tc.baskets)
+		}
+		var risen int64
+		for k := 1; k < len(m.ByK); k++ {
+			for _, s := range m.ByK[k] {
+				if h.Counts(s) == nil {
+					risen++
+				}
+			}
+		}
+		forest := trace.Tree()
+		if got := forest[0].Attrs[obs.MetricMaintainRisers]; risen == 0 || got != strconv.FormatInt(risen, 10) {
+			t.Errorf("%d baskets: %s = %q, want the %d itemsets new to the table", tc.baskets, obs.MetricMaintainRisers, got, risen)
+		}
+		var dirtyPass, cleanPass bool
+		for _, p := range obs.Summarize(forest).Passes {
+			switch {
+			case p.Level >= 2 && p.Rows == int64(tc.baskets):
+				dirtyPass = true
+				if p.Backend != tc.dirty {
+					t.Errorf("%d baskets: dirty pass L%d counted on %q, want %q", tc.baskets, p.Level, p.Backend, tc.dirty)
+				}
+			case p.Rows == cleanRows:
+				cleanPass = true
+				if p.Backend != "bitmap" {
+					t.Errorf("%d baskets: riser pass L%d counted on %q, want bitmap", tc.baskets, p.Level, p.Backend)
+				}
+			}
+		}
+		if !dirtyPass || !cleanPass {
+			t.Errorf("%d baskets: passes %+v lack a dirty pass past level 1 or a riser pass", tc.baskets, obs.Summarize(forest).Passes)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"github.com/tarm-project/tarm/internal/apriori"
@@ -914,16 +915,29 @@ func checkIdenticalTables(t *testing.T, tag string, got, want *HoldTable) {
 }
 
 // TestAppendInterleavedOracle interleaves random append batches with
-// maintenance rounds: each round appends 1-3 batches (inside the span,
-// extending it on either side, reviving inactive granules), derives the
-// dirty set through DirtySince, delta-maintains one hold-table chain
-// per backend configuration, and requires every maintained table to be
-// bit-identical to a cold rebuild of the same data AND to agree with
-// the brute-force reference. Task I is re-mined from the maintained and
-// rebuilt tables each round as the interleaved "statement".
+// maintenance rounds: each round appends batches, derives the dirty set
+// through DirtySince, delta-maintains one hold-table chain per backend
+// configuration (the oracle's matrix and auto, which every binary
+// counts on), and requires every maintained table to be bit-identical
+// to a cold rebuild of the same data AND to agree with the brute-force
+// reference. Task I is re-mined from the maintained and rebuilt tables
+// each round as the interleaved "statement".
+//
+// The rounds are the stream's shapes:
+//   - random rounds of 1-3 batches of 1-4 baskets (inside the span,
+//     extending it on either side, reviving inactive granules);
+//   - a day-sized round of ≥ 64 baskets into one granule, which auto
+//     counts on the flat index over the dirty region's rows;
+//   - a riser storm: at a support that leaves a granule of 25 baskets
+//     threshold 1, the first basket of a new granule and then its first
+//     25, so every subset of them rises and its history is recounted.
 func TestAppendInterleavedOracle(t *testing.T) {
 	const cases = 25
 	const rounds = 4
+	matrix := append(slices.Clone(backendMatrix), []struct {
+		backend apriori.Backend
+		workers int
+	}{{apriori.BackendAuto, 0}, {apriori.BackendAuto, 3}}...)
 	checked := 0
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(7000 + c)))
@@ -941,55 +955,55 @@ func TestAppendInterleavedOracle(t *testing.T) {
 				byG[d.spanLo+timegran.Granule(gi)] = append([]itemset.Set(nil), g...)
 			}
 		}
+		// appendTo appends n baskets to granule g, each item of items in
+		// a basket with probability p.
+		items := d.items
+		appendTo := func(g timegran.Granule, n int, p float64) {
+			for ; n > 0; n-- {
+				var s []itemset.Item
+				for _, it := range items {
+					if rng.Float64() < p {
+						s = append(s, it)
+					}
+				}
+				if len(s) == 0 {
+					s = append(s, items[rng.Intn(len(items))])
+				}
+				set := itemset.New(s...)
+				d.tbl.Append(timegran.Start(g, timegran.Day), set)
+				byG[g] = append(byG[g], set)
+			}
+		}
 
 		// One maintained chain per backend configuration, all rooted at
-		// the same epoch.
-		maint := make([]*HoldTable, len(backendMatrix))
-		cfgs := make([]Config, len(backendMatrix))
-		for i, m := range backendMatrix {
-			cfg := d.cfg
-			cfg.Backend = m.backend
-			cfg.Workers = m.workers
-			cfgs[i] = cfg
-			h, err := BuildHoldTableContext(bg, d.tbl, cfg)
-			if err != nil {
-				t.Fatalf("case %d %v/w%d: %v", c, m.backend, m.workers, err)
-			}
-			maint[i] = h
-		}
-		since := d.tbl.Epoch()
-
-		for round := 0; round < rounds; round++ {
-			span, _ := d.tbl.Span(timegran.Day)
-			for j := 1 + rng.Intn(3); j > 0; j-- {
-				// Granules drawn from a window two days wider than the
-				// span on each side, so rounds extend it in both
-				// directions and land in inactive granules too.
-				g := span.Lo - 2 + timegran.Granule(rng.Intn(int(span.Len())+4))
-				for x := 1 + rng.Intn(4); x > 0; x-- {
-					var s []itemset.Item
-					for _, it := range d.items {
-						if rng.Float64() < 0.5 {
-							s = append(s, it)
-						}
-					}
-					if len(s) == 0 {
-						s = append(s, d.items[rng.Intn(len(d.items))])
-					}
-					set := itemset.New(s...)
-					d.tbl.Append(timegran.Start(g, timegran.Day), set)
-					byG[g] = append(byG[g], set)
+		// the same epoch; root re-roots them at another support.
+		maint := make([]*HoldTable, len(matrix))
+		cfgs := make([]Config, len(matrix))
+		var since int64
+		root := func(base Config) {
+			for i, m := range matrix {
+				cfg := base
+				cfg.Backend = m.backend
+				cfg.Workers = m.workers
+				cfgs[i] = cfg
+				h, err := BuildHoldTableContext(bg, d.tbl, cfg)
+				if err != nil {
+					t.Fatalf("case %d %v/w%d: %v", c, m.backend, m.workers, err)
 				}
+				maint[i] = h
 			}
+			since = d.tbl.Epoch()
+		}
+		check := func(round string) {
 			dirty, epoch, ok := d.tbl.DirtySince(timegran.Day, since)
 			if !ok {
-				t.Fatalf("case %d round %d: DirtySince lost the change log", c, round)
+				t.Fatalf("case %d round %s: DirtySince lost the change log", c, round)
 			}
 			since = epoch
-			b := bruteRebuild(d.cfg, d.items, byG)
+			b := bruteRebuild(cfgs[0], items, byG)
 
 			for i := range maint {
-				tag := fmt.Sprintf("case %d round %d %v/w%d", c, round, cfgs[i].Backend, cfgs[i].Workers)
+				tag := fmt.Sprintf("case %d round %s %v/w%d", c, round, cfgs[i].Backend, cfgs[i].Workers)
 				nh, err := maint[i].MaintainContext(bg, d.tbl, dirty)
 				if err != nil {
 					t.Fatalf("%s: Maintain: %v", tag, err)
@@ -1018,12 +1032,44 @@ func TestAppendInterleavedOracle(t *testing.T) {
 				}
 			}
 		}
+
+		root(d.cfg)
+		for round := 0; round < rounds; round++ {
+			span, _ := d.tbl.Span(timegran.Day)
+			for j := 1 + rng.Intn(3); j > 0; j-- {
+				// Granules drawn from a window two days wider than the
+				// span on each side, so rounds extend it in both
+				// directions and land in inactive granules too.
+				appendTo(span.Lo-2+timegran.Granule(rng.Intn(int(span.Len())+4)), 1+rng.Intn(4), 0.5)
+			}
+			check(strconv.Itoa(round))
+		}
+		span, _ := d.tbl.Span(timegran.Day)
+		appendTo(span.Lo+timegran.Granule(rng.Intn(int(span.Len()))), 64+rng.Intn(17), 0.5)
+		check("day")
+
+		// The storm needs a history in which the storm baskets' subsets
+		// occur yet are frequent nowhere. Four more items, which only two
+		// day-sized granules past the span carry, give it one: at support
+		// 0.03 a granule of 64-80 baskets has threshold 2 or 3, while the
+		// new granule's has threshold 1 up to its 33rd basket.
+		items = append(slices.Clone(d.items), 101, 102, 103, 104)
+		span, _ = d.tbl.Span(timegran.Day)
+		appendTo(span.Hi+1, 64+rng.Intn(17), 0.5)
+		appendTo(span.Hi+2, 64+rng.Intn(17), 0.5)
+		storm := d.cfg
+		storm.MinSupport = 0.03
+		root(storm)
+		appendTo(span.Hi+3, 1, 0.8)
+		check("storm-1")
+		appendTo(span.Hi+3, 24, 0.8)
+		check("storm-25")
 	}
 	if checked < 20 {
 		t.Fatalf("only %d datasets exercised, need ≥ 20", checked)
 	}
 	t.Logf("append-interleaved oracle: %d datasets × %d rounds agreed across %d backend configurations",
-		checked, rounds, len(backendMatrix))
+		checked, rounds+3, len(matrix))
 }
 
 // TestOracleSelfCheck pins the brute-force reference on a hand-built

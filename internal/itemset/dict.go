@@ -3,6 +3,7 @@ package itemset
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -89,6 +90,20 @@ func (d *Dict) Name(id Item) (string, error) {
 		return "", fmt.Errorf("itemset: unknown item id %d (dict has %d items)", id, len(d.byID))
 	}
 	return d.byID[id], nil
+}
+
+// Label returns the external name for id, or "#<id>" — the rendering
+// Names gives an unknown identifier — when id was never assigned or d
+// is nil.
+func (d *Dict) Label(id Item) string {
+	if d != nil {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		if int(id) < len(d.byID) {
+			return d.byID[id]
+		}
+	}
+	return "#" + strconv.FormatUint(uint64(id), 10)
 }
 
 // MustName is Name for ids known to be valid; it panics otherwise.

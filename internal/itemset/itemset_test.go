@@ -294,6 +294,16 @@ func TestDict(t *testing.T) {
 	if _, err := d.Name(Item(99)); err == nil {
 		t.Error("Name accepted an unknown id")
 	}
+	var none *Dict
+	for _, c := range []struct {
+		d    *Dict
+		id   Item
+		want string
+	}{{d, bread, "bread"}, {d, 99, "#99"}, {none, 7, "#7"}} {
+		if got := c.d.Label(c.id); got != c.want {
+			t.Errorf("Label(%d) = %q, want %q", c.id, got, c.want)
+		}
+	}
 	s := d.InternAll("milk", "butter", "bread")
 	if s.Len() != 3 {
 		t.Errorf("InternAll produced %v", s)

@@ -103,11 +103,7 @@ func (e *Engine) scanTarget(name string) (tdb.Schema, func(fn func(row tdb.Row) 
 		scan := func(fn func(row tdb.Row) bool) {
 			t.Each(func(tx tdb.Tx) bool {
 				for _, it := range tx.Items {
-					name := fmt.Sprintf("#%d", it)
-					if n, err := dict.Name(it); err == nil {
-						name = n
-					}
-					if !fn(tdb.Row{tdb.Int(tx.ID), tdb.Time(tx.At), tdb.Str(name)}) {
+					if !fn(tdb.Row{tdb.Int(tx.ID), tdb.Time(tx.At), tdb.Str(dict.Label(it))}) {
 						return false
 					}
 				}

@@ -110,6 +110,7 @@ const (
 	MetricGranules         = "granules"          // span length of a hold-table build (gauge)
 	MetricGranulesActive   = "granules_active"   // active granules of a hold-table build (gauge)
 	MetricGranulesDirty    = "granules_dirty"    // dirty granules recounted by a delta maintenance (gauge)
+	MetricMaintainRisers   = "maintain_risers"   // untracked itemsets a delta maintenance recovered history for (counter)
 	MetricHoldCells        = "hold_cells"        // itemsets × granules retained by a hold table (gauge)
 	MetricItemsetsFrequent = "itemsets_frequent" // frequent (or granule-frequent) itemsets (counter)
 	MetricStatements       = "statements"        // TML statements executed (counter)

@@ -130,16 +130,11 @@ func ExportBaskets(w io.Writer, tbl *TxTable, dict *itemset.Dict) error {
 		return err
 	}
 	var exportErr error
+	var names []string // one transaction's item names, reused
 	tbl.Each(func(tx Tx) bool {
-		names := make([]string, len(tx.Items))
-		for i, it := range tx.Items {
-			name := fmt.Sprintf("#%d", it)
-			if dict != nil {
-				if resolved, err := dict.Name(it); err == nil {
-					name = resolved
-				}
-			}
-			names[i] = name
+		names = names[:0]
+		for _, it := range tx.Items {
+			names = append(names, dict.Label(it))
 		}
 		if err := cw.Write([]string{tx.At.UTC().Format("2006-01-02 15:04:05.999999999"), strings.Join(names, ";")}); err != nil {
 			exportErr = err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -145,6 +146,32 @@ func TestExportBasketsUnknownID(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "#42") {
 		t.Errorf("unknown id not rendered: %q", sb.String())
+	}
+}
+
+// TestExportBasketsAllocs: an export builds the "#<id>" fallback only
+// for an identifier the dictionary misses, so a transaction whose names
+// all resolve costs its timestamp, its joined item list and its share of
+// the writer, not one string an item.
+func TestExportBasketsAllocs(t *testing.T) {
+	tbl, _ := NewTxTable("b")
+	dict := itemset.NewDict()
+	ids := dict.InternAll("bread", "milk", "eggs", "beer", "chips")
+	const txs = 10_000
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	batch := make([]Tx, txs)
+	for i := range batch {
+		batch[i] = Tx{At: start.Add(time.Duration(i) * time.Minute), Items: itemset.New(ids[i%5], ids[(i+1)%5], ids[(i+3)%5])}
+	}
+	tbl.AppendBatch(batch)
+	const perTx = 3
+	allocs := testing.AllocsPerRun(2, func() {
+		if err := ExportBaskets(io.Discard, tbl, dict); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > perTx*txs {
+		t.Errorf("exporting %d three-item transactions: %.0f allocations, want at most %d a transaction", txs, allocs, perTx)
 	}
 }
 
