@@ -99,7 +99,8 @@ type durability struct {
 // on the wal and surface from the commit.
 //
 // Batches and dictionary deltas whose encoding would exceed the
-// reader's maxWALRecord cap are split across records (replay composes
+// reader's maxWALRecord cap — for a batch, by the bound maxWALRowLen
+// puts on each row — are split across records (replay composes
 // them back from each record's firstID / dictStart); a record the
 // reader would reject as corrupt must never be written, because it
 // would end the valid prefix at recovery and silently drop everything
@@ -117,7 +118,7 @@ func (d *durability) logAppend(t *TxTable, firstID int64, lo, hi int) int64 {
 	base := 1 + 4 + len(t.name) + 8 + 4
 	start, size := lo, base
 	for i := lo; i < hi; i++ {
-		txSize := 8 + 4 + 4*t.itemCount(t.row(i))
+		txSize := maxWALRowLen(t.itemCount(t.row(i)))
 		if i > start && size+txSize > maxWALRecord {
 			frames = append(frames, encodeAppendFrame(t, firstID+int64(start-lo), start, i))
 			start, size = i, base
@@ -304,12 +305,13 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 	// The WAL: replay a surviving log, discard a stale one, create a
 	// fresh one if absent.
 	walPath := filepath.Join(dir, walFile)
+	upgrade := false
 	if _, statErr := os.Stat(walPath); statErr == nil {
-		wEpoch, recs, validSize, torn, err := readWALFile(walPath)
+		hdr, recs, validSize, torn, err := readWALFile(walPath)
 		if err != nil {
 			return nil, err
 		}
-		if wEpoch < epoch {
+		if hdr.epoch < epoch {
 			// The crash hit between manifest write and WAL reset; the
 			// checkpoint already contains everything this log holds.
 			w, err := createWAL(walPath, epoch, cfg.Fsync, cfg.Registry)
@@ -338,7 +340,8 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 					return nil, err
 				}
 				d.wal = w
-				d.epoch = wEpoch // heals a manifest lost after the WAL reset
+				d.epoch = hdr.epoch // heals a manifest lost after the WAL reset
+				upgrade = hdr.version != gapRows
 			}
 		}
 	} else {
@@ -349,6 +352,14 @@ func OpenDurable(dir string, cfg Durability) (*DB, error) {
 		d.wal = w
 	}
 	d.loggedDict = db.dict.Len()
+	if upgrade {
+		// A fixed-width log is replayed, never appended to: the
+		// checkpoint writes what it held at gapRows and resets it.
+		if _, err := db.Checkpoint(); err != nil {
+			d.wal.close(false)
+			return nil, err
+		}
+	}
 	d.recovery.Wall = time.Since(t0)
 	if reg := cfg.Registry; reg != nil {
 		reg.Counter(MetricWALReplayRec).Add(int64(d.recovery.Records))
@@ -532,7 +543,7 @@ func writeCheckpointFile(path string, epoch uint64) error {
 }
 
 func readCheckpointFile(path string) (uint64, error) {
-	d, err := readChecked(path, magicCheckpoint)
+	d, _, err := readChecked(path, magicCheckpoint, fmtVersion)
 	if err != nil {
 		return 0, err
 	}

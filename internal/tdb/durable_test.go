@@ -2,7 +2,9 @@ package tdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -631,10 +633,11 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
-// encodeAppendRecord is the reference append-record encoder — the
-// payload field by field through the store encoder, from a batch as the
-// caller holds it. encodeAppendFrame, which encodes from the table's own
-// rows, is pinned to it below.
+// encodeAppendRecord is the reference encoder of an append record in
+// the fixedRows coding, which logs written before gapRows hold — the
+// payload field by field through the store encoder, from a batch as
+// the caller holds it. Nothing writes that coding any more; replay
+// still reads it.
 func encodeAppendRecord(table string, firstID int64, txs []Tx) []byte {
 	e := &encoder{}
 	e.u8(walRecAppend)
@@ -651,11 +654,40 @@ func encodeAppendRecord(table string, firstID int64, txs []Tx) []byte {
 	return e.buf.Bytes()
 }
 
+// encodeAppendRecordV2 is the reference encoder of an append record in
+// the gapRows coding, field by field from the batch: each timestamp as
+// a zig-zag varint delta from the one before (from zero for the first),
+// then the item count and the items as gaps less one, each a uvarint.
+func encodeAppendRecordV2(table string, firstID int64, txs []Tx) []byte {
+	e := &encoder{}
+	e.u8(walRecAppend)
+	e.str(table)
+	e.i64(firstID)
+	e.u32(uint32(len(txs)))
+	var prevAt int64
+	for _, tx := range txs {
+		at := tx.At.UnixNano()
+		e.buf.Write(binary.AppendVarint(nil, at-prevAt))
+		prevAt = at
+		e.buf.Write(binary.AppendUvarint(nil, uint64(len(tx.Items))))
+		for i, it := range tx.Items {
+			gap := uint64(it)
+			if i > 0 {
+				gap -= uint64(tx.Items[i-1]) + 1
+			}
+			e.buf.Write(binary.AppendUvarint(nil, gap))
+		}
+	}
+	return e.buf.Bytes()
+}
+
 // TestEncodeAppendFrameEquivalence pins the single-alloc hot-path
 // framing, which reads the rows a batch became in the table, to the
 // reference encode-then-frame pair over the batch itself, byte for
 // byte: what is logged is what was appended, across an arena block
-// boundary too.
+// boundary, with wide items, late rows and multi-byte gaps too. The
+// frame is exactly as long as its bytes, and the split bound is never
+// below a row's length.
 func TestEncodeAppendFrameEquivalence(t *testing.T) {
 	for _, txs := range [][]Tx{
 		nil,
@@ -665,6 +697,13 @@ func TestEncodeAppendFrameEquivalence(t *testing.T) {
 			{At: durAt(2, 23), Items: itemset.New(1, 2, 3, 4, 5, 6)},
 			{At: durAt(3, 0), Items: itemset.Set{}},
 		},
+		{
+			{At: durAt(5, 1), Items: itemset.New(0, 127, 128, 16_511, 1<<16-1)},
+			{At: durAt(4, 2), Items: itemset.New(3, 1<<16, 1<<21, 1<<32-1)},
+			{At: time.Unix(0, math.MinInt64), Items: itemset.New(1<<32 - 1)},
+			{At: time.Unix(0, math.MaxInt64), Items: itemset.New(9, 10, 11)},
+			{At: durAt(4, 2), Items: itemset.New(2)},
+		},
 	} {
 		tbl, err := newTxTable("baskets", 2)
 		if err != nil {
@@ -672,17 +711,29 @@ func TestEncodeAppendFrameEquivalence(t *testing.T) {
 		}
 		tbl.nextID = 41
 		tbl.AppendBatch(txs)
-		want := frameRecord(encodeAppendRecord("baskets", 41, txs))
+		want := frameRecord(encodeAppendRecordV2("baskets", 41, txs))
 		got := encodeAppendFrame(tbl, 41, 0, tbl.Len())
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encodeAppendFrame diverges for %d txs:\n got %x\nwant %x", len(txs), got, want)
 		}
+		if len(got) != cap(got) {
+			t.Fatalf("frame of %d bytes allocated %d", len(got), cap(got))
+		}
+		var prev row
+		for i := range tbl.Len() {
+			r := tbl.row(i)
+			n := tbl.rowLen(r, prev, false)
+			if bound := maxWALRowLen(tbl.itemCount(r)); n > bound {
+				t.Fatalf("row %d codes in %d bytes, past its bound %d", i, n, bound)
+			}
+			prev = r
+		}
 	}
 }
 
-// FuzzWALDecode: arbitrary bytes must never panic the record scanner,
-// the valid prefix must stay in bounds, and re-decoding exactly that
-// prefix must be a fixed point.
+// FuzzWALDecode: arbitrary bytes must never panic the record scanner at
+// either coding, the valid prefix must stay in bounds, and re-decoding
+// exactly that prefix must be a fixed point.
 func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -694,6 +745,12 @@ func FuzzWALDecode(f *testing.F) {
 		return out
 	}
 	f.Add(seed(encodeAppendRecord("baskets", 0, []Tx{{At: durAt(0, 9), Items: itemset.New(1, 2)}})))
+	f.Add(seed(encodeAppendRecordV2("baskets", 0, []Tx{{At: durAt(0, 9), Items: itemset.New(1, 2)}})))
+	f.Add(seed(encodeAppendRecordV2("baskets", 7, []Tx{
+		{At: durAt(2, 9), Items: itemset.New(3, 300, 70_000)},
+		{At: durAt(1, 0), Items: itemset.Set{}},
+		{At: durAt(1, 0), Items: itemset.New(1<<32 - 1)},
+	})))
 	f.Add(seed(
 		encodeDictRecord(0, []string{"ale", "bread"}),
 		encodeCreateRecord("scratch"),
@@ -702,16 +759,21 @@ func FuzzWALDecode(f *testing.F) {
 	corrupt := seed(encodeAppendRecord("x", 3, []Tx{{At: durAt(1, 1), Items: itemset.New(4)}}))
 	corrupt[len(corrupt)-1] ^= 0xFF
 	f.Add(corrupt)
+	corrupt = seed(encodeAppendRecordV2("x", 3, []Tx{{At: durAt(1, 1), Items: itemset.New(4, 5)}}))
+	corrupt[len(corrupt)-1] ^= 0xFF
+	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid := decodeWALRecords(data)
-		if valid < 0 || valid > len(data) {
-			t.Fatalf("valid offset %d out of range [0, %d]", valid, len(data))
-		}
-		recs2, valid2 := decodeWALRecords(data[:valid])
-		if valid2 != valid || len(recs2) != len(recs) {
-			t.Fatalf("re-decoding the valid prefix gave %d records / offset %d, want %d / %d",
-				len(recs2), valid2, len(recs), valid)
+		for _, version := range []uint32{fixedRows, gapRows} {
+			recs, valid := decodeWALRecords(data, version)
+			if valid < 0 || valid > len(data) {
+				t.Fatalf("v%d: valid offset %d out of range [0, %d]", version, valid, len(data))
+			}
+			recs2, valid2 := decodeWALRecords(data[:valid], version)
+			if valid2 != valid || len(recs2) != len(recs) {
+				t.Fatalf("v%d: re-decoding the valid prefix gave %d records / offset %d, want %d / %d",
+					version, len(recs2), valid2, len(recs), valid)
+			}
 		}
 	})
 }

@@ -36,10 +36,10 @@ type walRecord struct {
 // cause a gigabyte allocation).
 const maxWALRecord = 64 << 20
 
-// decodeWALPayload decodes one framed payload. It returns an error for
-// any malformed payload; the caller treats that as the end of the valid
-// prefix.
-func decodeWALPayload(p []byte) (walRecord, error) {
+// decodeWALPayload decodes one framed payload of a log at version. It
+// returns an error for any malformed payload; the caller treats that as
+// the end of the valid prefix.
+func decodeWALPayload(p []byte, version uint32) (walRecord, error) {
 	d := &decoder{b: p}
 	var rec walRecord
 	rec.typ = d.u8()
@@ -56,13 +56,25 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 		}
 		rec.txs = make([]Tx, 0, n)
 		// One backing slice for the record's items: it cannot hold more
-		// than a quarter of the bytes left, so it is never regrown.
-		items := make(itemset.Set, 0, (len(d.b)-d.off)/4)
+		// than one a byte left (a quarter of them at fixedRows), so it is
+		// never regrown.
+		left := len(d.b) - d.off
+		if version == fixedRows {
+			left /= 4
+		}
+		items := make(itemset.Set, 0, left)
+		var at int64
 		for i := 0; i < n && d.err == nil; i++ {
-			at := d.i64()
 			k := len(items)
 			var err error
-			if items, err = d.items(items); err != nil {
+			if version == fixedRows {
+				at = d.i64()
+				items, err = d.items(items)
+			} else {
+				at += d.varint()
+				items, err = d.gaps(items)
+			}
+			if err != nil {
 				return rec, fmt.Errorf("tdb: wal append record: %w", err)
 			}
 			rec.txs = append(rec.txs, Tx{
@@ -99,11 +111,11 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 }
 
 // decodeWALRecords scans the record region (everything after the
-// header) and returns the records of the longest valid prefix plus the
-// byte offset, relative to data, at which that prefix ends. Anything
-// beyond — a torn frame, a CRC mismatch, a payload that does not decode
-// — is a crash artifact, not an error.
-func decodeWALRecords(data []byte) (recs []walRecord, valid int) {
+// header) of a log at version and returns the records of the longest
+// valid prefix plus the byte offset, relative to data, at which that
+// prefix ends. Anything beyond — a torn frame, a CRC mismatch, a
+// payload that does not decode — is a crash artifact, not an error.
+func decodeWALRecords(data []byte, version uint32) (recs []walRecord, valid int) {
 	off := 0
 	for {
 		if off+8 > len(data) {
@@ -117,7 +129,7 @@ func decodeWALRecords(data []byte) (recs []walRecord, valid int) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
 			return recs, off
 		}
-		rec, err := decodeWALPayload(payload)
+		rec, err := decodeWALPayload(payload, version)
 		if err != nil {
 			return recs, off
 		}
@@ -126,24 +138,35 @@ func decodeWALRecords(data []byte) (recs []walRecord, valid int) {
 	}
 }
 
-// readWALFile reads path and returns the header epoch, the valid-prefix
+// walHeader is what a log's header holds past its magic.
+type walHeader struct {
+	version uint32
+	epoch   uint64
+}
+
+// readWALFile reads path and returns its header, the valid-prefix
 // records, the file size of that valid prefix and how many tail bytes
-// were discarded. A file too short to hold a header recovers as empty
-// at epoch 0 with everything counted as torn.
-func readWALFile(path string) (epoch uint64, recs []walRecord, validSize int64, torn int, err error) {
+// were discarded. A file too short to hold a header, or whose magic is
+// not the log's, recovers as empty at epoch 0 with everything counted
+// as torn. A whole header at a version this reader does not know is an
+// error, and the file is left as it is: its records may be
+// acknowledged appends that another coding holds.
+func readWALFile(path string) (hdr walHeader, recs []walRecord, validSize int64, torn int, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("tdb: read wal %s: %w", path, err)
+		return hdr, nil, 0, 0, fmt.Errorf("tdb: read wal %s: %w", path, err)
 	}
-	if len(raw) < walHdrSize || string(raw[:4]) != magicWAL ||
-		binary.LittleEndian.Uint32(raw[4:8]) != fmtVersion {
+	if len(raw) < walHdrSize || string(raw[:4]) != magicWAL {
 		// A torn header: nothing recoverable, treat as an empty log.
-		return 0, nil, 0, len(raw), nil
+		return hdr, nil, 0, len(raw), nil
 	}
-	epoch = binary.LittleEndian.Uint64(raw[8:16])
-	recs, valid := decodeWALRecords(raw[walHdrSize:])
+	hdr = walHeader{version: binary.LittleEndian.Uint32(raw[4:8]), epoch: binary.LittleEndian.Uint64(raw[8:16])}
+	if hdr.version != fixedRows && hdr.version != gapRows {
+		return hdr, nil, 0, 0, fmt.Errorf("tdb: wal %s: unsupported format version %d", path, hdr.version)
+	}
+	recs, valid := decodeWALRecords(raw[walHdrSize:], hdr.version)
 	validSize = int64(walHdrSize + valid)
-	return epoch, recs, validSize, len(raw) - int(validSize), nil
+	return hdr, recs, validSize, len(raw) - int(validSize), nil
 }
 
 // RecoveryStats reports what opening a durable database replayed.

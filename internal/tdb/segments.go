@@ -72,7 +72,9 @@ func SaveTxTableSegmented(t *TxTable, dir string) (SegmentSaveStats, error) {
 		return stats, fmt.Errorf("tdb: segment dir %s: %w", dir, err)
 	}
 
-	// Previous manifest (absent on first save).
+	// Previous manifest (absent on first save). The counts of one
+	// written before gapRows are not used: every segment it lists is
+	// fixed-width, so every one is rewritten.
 	oldCounts := map[int64]int64{}
 	manifestPath := filepath.Join(dir, manifestFile)
 	if _, err := os.Stat(manifestPath); err == nil {
@@ -84,7 +86,9 @@ func SaveTxTableSegmented(t *TxTable, dir string) (SegmentSaveStats, error) {
 			return stats, fmt.Errorf("tdb: segment dir %s uses %v×%d, save requested %v×%d",
 				dir, m.gran, m.width, segmentGran, segmentWidth)
 		}
-		oldCounts = m.counts
+		if m.version == gapRows {
+			oldCounts = m.counts
+		}
 	}
 
 	// Walk the segments (table order is time order), writing the ones
@@ -175,17 +179,18 @@ func LoadTxTableSegmented(dir string) (*TxTable, error) {
 }
 
 type manifest struct {
-	table  string
-	nextID int64
-	gran   timegran.Granularity // the grid it was written on
-	width  int
-	counts map[int64]int64
+	version uint32 // gapRows, or fixedRows for segments written before it
+	table   string
+	nextID  int64
+	gran    timegran.Granularity // the grid it was written on
+	width   int
+	counts  map[int64]int64
 }
 
 func writeManifest(path, table string, nextID int64, gran timegran.Granularity, width int, counts map[int64]int64) error {
 	e := &encoder{}
 	e.buf.WriteString(magicManifest)
-	e.u32(fmtVersion)
+	e.u32(gapRows)
 	e.str(table)
 	e.i64(nextID)
 	e.u8(uint8(gran))
@@ -204,11 +209,11 @@ func writeManifest(path, table string, nextID int64, gran timegran.Granularity, 
 }
 
 func loadManifest(path string) (*manifest, error) {
-	d, err := readChecked(path, magicManifest)
+	d, version, err := readChecked(path, magicManifest, gapRows)
 	if err != nil {
 		return nil, err
 	}
-	m := &manifest{counts: map[int64]int64{}}
+	m := &manifest{version: version, counts: map[int64]int64{}}
 	m.table = d.str()
 	m.nextID = d.i64()
 	m.gran = timegran.Granularity(d.u8())
@@ -231,56 +236,86 @@ func loadManifest(path string) (*manifest, error) {
 }
 
 // writeSegment writes rows [lo, hi) of t — the transactions of segment
-// idx — as one segment file, items widened to 4 bytes.
+// idx, in time order — as one segment file.
 func writeSegment(path string, idx int64, t *TxTable, lo, hi int) error {
+	return writeAtomic(path, t.encodeSegment(idx, lo, hi))
+}
+
+// encodeSegment is the body of a segment file holding rows [lo, hi):
+// its index, the row count and the rows in the gapRows coding. The
+// caller holds the read lock with the rows sorted.
+func (t *TxTable) encodeSegment(idx int64, lo, hi int) []byte {
 	e := &encoder{}
 	e.buf.WriteString(magicSegment)
-	e.u32(fmtVersion)
+	e.u32(gapRows)
 	e.i64(idx)
 	e.u64(uint64(hi - lo))
-	var p []byte
-	var buf itemset.Set
+	var prev row
 	for i := lo; i < hi; i++ {
 		r := t.row(i)
-		e.i64(int64(r.id))
-		e.i64(r.at)
-		p, buf = t.appendItemsLE(e.buf.AvailableBuffer(), r, buf)
-		e.buf.Write(p)
+		e.buf.Write(t.appendRow(e.buf.AvailableBuffer(), r, prev, true))
+		prev = r
 	}
-	return writeAtomic(path, e.buf.Bytes())
+	return e.buf.Bytes()
 }
 
 // loadSegment appends the transactions of one segment file to t, which
 // no one else can see yet, and returns how many there were. On an error
 // t holds a prefix of the segment and is to be discarded.
 func (t *TxTable) loadSegment(path string, wantIdx int64) (int, error) {
-	d, err := readChecked(path, magicSegment)
+	d, version, err := readChecked(path, magicSegment, gapRows)
 	if err != nil {
 		return 0, err
 	}
+	n, err := t.decodeSegment(d, version, wantIdx)
+	if err != nil {
+		return 0, fmt.Errorf("tdb: %s: %w", path, err)
+	}
+	return n, nil
+}
+
+// decodeSegment stores the rows of a segment body, d positioned after
+// its version. A gapRows segment's rows must be in time order, as the
+// writer leaves them; fixedRows rows are stored in any order.
+func (t *TxTable) decodeSegment(d *decoder, version uint32, wantIdx int64) (int, error) {
 	if idx := d.i64(); idx != wantIdx {
-		return 0, fmt.Errorf("tdb: %s: segment index %d, want %d", path, idx, wantIdx)
+		return 0, fmt.Errorf("segment index %d, want %d", idx, wantIdx)
 	}
 	n := d.u64()
+	if d.err == nil && n > uint64(len(d.b)-d.off) {
+		return 0, fmt.Errorf("implausible transaction count %d", n)
+	}
 	var items itemset.Set // decode scratch; storeRow copies it
+	var id, at int64
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		id := d.i64()
-		at := d.i64()
-		if items, err = d.items(items[:0]); err != nil {
-			return 0, fmt.Errorf("tdb: %s: transaction %d: %w", path, id, err)
+		var err error
+		if version == fixedRows {
+			id, at = d.i64(), d.i64()
+			items, err = d.items(items[:0])
+		} else {
+			prevAt := at
+			at += d.varint()
+			id += d.varint()
+			if i > 0 && at < prevAt && d.err == nil {
+				return 0, fmt.Errorf("transaction %d: earlier than the row before it", id)
+			}
+			items, err = d.gaps(items[:0])
 		}
 		if d.err != nil {
 			break
 		}
+		if err != nil {
+			return 0, fmt.Errorf("transaction %d: %w", id, err)
+		}
 		if err := t.storeRow(id, at, items); err != nil {
-			return 0, fmt.Errorf("tdb: %s: %w", path, err)
+			return 0, err
 		}
 	}
 	if d.err != nil {
 		return 0, d.err
 	}
 	if d.off != len(d.b) {
-		return 0, fmt.Errorf("tdb: %s: %d trailing bytes", path, len(d.b)-d.off)
+		return 0, fmt.Errorf("%d trailing bytes", len(d.b)-d.off)
 	}
 	return int(n), nil
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/tarm-project/tarm/internal/itemset"
 )
@@ -20,10 +22,20 @@ import (
 // written atomically via a temp file and rename, so readers never see a
 // half-written table. Corruption (truncation, bit flips) is detected by
 // the trailing CRC before any content is trusted.
+//
+// Dictionary, relational table and checkpoint files are at fmtVersion.
+// The files that hold transactions — segments, their manifest and the
+// WAL — are at gapRows, and are also read at fixedRows, the coding
+// they had before it: every integer fixed-width, so a transaction cost
+// 8 bytes a timestamp and an ID and 4 an item. Only gapRows is
+// written.
 const (
 	magicTable = "TDBT"
 	magicDict  = "TDBD"
 	fmtVersion = 1
+
+	fixedRows = 1
+	gapRows   = 2
 )
 
 type encoder struct {
@@ -101,10 +113,10 @@ func (d *decoder) str() string {
 	return s
 }
 
-// items appends an item list, {count u32, items u32…}, to dst: how the
-// WAL and segment files hold a transaction's items. A count the bytes
-// left cannot hold, or items that are not canonical, is an error, which
-// the caller prefixes with what it is reading; a short read sets d.err.
+// items appends an item list in the fixedRows coding, {count u32,
+// items u32…}, to dst. A count the bytes left cannot hold, or items
+// that are not canonical, is an error, which the caller prefixes with
+// what it is reading; a short read sets d.err.
 func (d *decoder) items(dst itemset.Set) (itemset.Set, error) {
 	n := int(d.u32())
 	if d.err != nil {
@@ -120,6 +132,152 @@ func (d *decoder) items(dst itemset.Set) (itemset.Set, error) {
 	}
 	if !dst[k:].Valid() {
 		return dst, fmt.Errorf("non-canonical itemset")
+	}
+	return dst, nil
+}
+
+// The gapRows coding of a transaction, which the segment writer and the
+// WAL share: its timestamp as a zig-zag varint delta from the row
+// before it (from zero for the first), in a segment its ID the same
+// way, then a uvarint item count and the items as uvarint gaps — the
+// first item as it is, each later one as its distance past the one
+// before less one. A decoded list is therefore strictly increasing
+// whatever the bytes say, and only the shortest encoding of each value
+// is read, so a row decodes from exactly one byte string.
+
+// uvarintLen is the length of v's uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the length of x's zig-zag varint.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// appendGaps appends the gap coding of a canonical item list, as the
+// arena holds it at either width.
+func appendGaps[T uint16 | itemset.Item](p []byte, items []T) []byte {
+	p = binary.AppendUvarint(p, uint64(len(items)))
+	next := uint64(0)
+	for _, x := range items {
+		p = binary.AppendUvarint(p, uint64(x)-next)
+		next = uint64(x) + 1
+	}
+	return p
+}
+
+// gapsLen is the length of appendGaps' coding of items.
+func gapsLen[T uint16 | itemset.Item](items []T) int {
+	n := uvarintLen(uint64(len(items)))
+	next := uint64(0)
+	for _, x := range items {
+		n += uvarintLen(uint64(x) - next)
+		next = uint64(x) + 1
+	}
+	return n
+}
+
+// uvarint reads a uvarint, a one-byte one without binary.Uvarint's
+// loop. A varint cut short is a short read; one that overflows 64 bits
+// or is longer than its value needs (a last byte of zero) is malformed.
+// Either leaves d.off where it was; callers check d.err before anything
+// they decoded.
+func (d *decoder) uvarint() uint64 {
+	b := d.b[d.off:]
+	if len(b) > 0 && b[0] < 0x80 {
+		d.off++
+		return uint64(b[0])
+	}
+	if len(b) >= 8 {
+		// Up to eight bytes at once, without binary.Uvarint's loop over
+		// them (a timestamp delta takes six): n is where the first byte
+		// that does not continue lies, and the seven low bits of the
+		// bytes up to it close up.
+		x := binary.LittleEndian.Uint64(b)
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			n := bits.TrailingZeros64(stop)>>3 + 1
+			if x>>(8*n-8)&0xff != 0 {
+				x &= 1<<(8*n) - 1
+				d.off += n
+				return x&0x7f | x>>1&0x3f80 | x>>2&0x1fc000 | x>>3&0xfe00000 |
+					x>>4&0x7f0000000 | x>>5&0x3f800000000 | x>>6&0x1fc0000000000 | x>>7&0xfe000000000000
+			}
+		}
+	}
+	v, n := binary.Uvarint(b)
+	if n <= 0 || b[n-1] == 0 {
+		d.badVarint(n)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// badVarint records why the varint at d.off could not be read: n is
+// what binary.Uvarint returned for it.
+func (d *decoder) badVarint(n int) {
+	if n == 0 {
+		d.fail("varint")
+	} else if d.err == nil {
+		d.err = fmt.Errorf("tdb: malformed varint at offset %d", d.off)
+	}
+}
+
+// varint reads a zig-zag varint.
+func (d *decoder) varint() int64 {
+	v := d.uvarint()
+	return int64(v>>1) ^ -int64(v&1)
+}
+
+// gaps appends an item list in the gapRows coding to dst. A count
+// larger than the bytes left, or an item past the Item range, is an
+// error, which the caller prefixes with what it is reading; a short
+// read or a malformed varint sets d.err.
+func (d *decoder) gaps(dst itemset.Set) (itemset.Set, error) {
+	n := d.uvarint()
+	if d.err != nil {
+		return dst, nil
+	}
+	if n > uint64(len(d.b)-d.off) {
+		return dst, fmt.Errorf("implausible item count %d", n)
+	}
+	k := len(dst)
+	dst = slices.Grow(dst, int(n))[:k+int(n)]
+	out := dst[k:]
+	// next is one past the item before; it stays below 2⁶⁴ because
+	// every gap is below 2³², and only the last item, the largest, is
+	// held to the Item range.
+	next := uint64(0)
+	b, off := d.b, d.off
+	for i := range out {
+		// A gap of one or two bytes — nearly all of them — is read
+		// without a branch on its length, which no predictor guesses:
+		// c is 1 when the first byte continues. Longer or malformed
+		// gaps, and a last byte with nothing after it, take uvarint.
+		if off+1 < len(b) {
+			b0, b1 := uint64(b[off]), uint64(b[off+1])
+			c := b0 >> 7
+			if c&(b1>>7|(b1-1)>>63) == 0 {
+				next += b0&0x7f | b1<<7&-c
+				off += 1 + int(c)
+				out[i] = itemset.Item(next)
+				next++
+				continue
+			}
+		}
+		d.off = off
+		g := d.uvarint()
+		if d.err != nil {
+			return dst, nil
+		}
+		if g > math.MaxUint32 {
+			return dst, fmt.Errorf("item past the item range")
+		}
+		off = d.off
+		next += g
+		out[i] = itemset.Item(next)
+		next++
+	}
+	d.off = off
+	if next > math.MaxUint32+1 {
+		return dst, fmt.Errorf("item past the item range")
 	}
 	return dst, nil
 }
@@ -185,29 +343,31 @@ func syncDir(dir string) error {
 }
 
 // readChecked loads a file, validates the trailing CRC and the magic,
-// and returns the body after the magic+version header.
-func readChecked(path, magic string) (*decoder, error) {
+// and returns the body after the magic+version header with the version,
+// which is refused past newest.
+func readChecked(path, magic string, newest uint32) (*decoder, uint32, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("tdb: read %s: %w", path, err)
+		return nil, 0, fmt.Errorf("tdb: read %s: %w", path, err)
 	}
 	if len(raw) < len(magic)+8 {
-		return nil, fmt.Errorf("tdb: %s: file too short (%d bytes)", path, len(raw))
+		return nil, 0, fmt.Errorf("tdb: %s: file too short (%d bytes)", path, len(raw))
 	}
 	body, crcBytes := raw[:len(raw)-4], raw[len(raw)-4:]
 	want := binary.LittleEndian.Uint32(crcBytes)
 	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("tdb: %s: checksum mismatch (file corrupt)", path)
+		return nil, 0, fmt.Errorf("tdb: %s: checksum mismatch (file corrupt)", path)
 	}
 	d := &decoder{b: body}
 	if got := string(body[:4]); got != magic {
-		return nil, fmt.Errorf("tdb: %s: bad magic %q, want %q", path, got, magic)
+		return nil, 0, fmt.Errorf("tdb: %s: bad magic %q, want %q", path, got, magic)
 	}
 	d.off = 4
-	if v := d.u32(); v != fmtVersion {
-		return nil, fmt.Errorf("tdb: %s: unsupported format version %d", path, v)
+	v := d.u32()
+	if v < 1 || v > newest {
+		return nil, 0, fmt.Errorf("tdb: %s: unsupported format version %d", path, v)
 	}
-	return d, nil
+	return d, v, nil
 }
 
 // ---------------------------------------------------------------------
@@ -273,7 +433,7 @@ func SaveTable(t *Table, path string) error {
 
 // LoadTable reads a table written by SaveTable.
 func LoadTable(path string) (*Table, error) {
-	d, err := readChecked(path, magicTable)
+	d, _, err := readChecked(path, magicTable, fmtVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +497,7 @@ func SaveDict(dict *itemset.Dict, path string) error {
 // LoadDict reads a dictionary written by SaveDict. Identifiers are
 // reassigned in the saved order, so ids are stable across reloads.
 func LoadDict(path string) (*itemset.Dict, error) {
-	d, err := readChecked(path, magicDict)
+	d, _, err := readChecked(path, magicDict, fmtVersion)
 	if err != nil {
 		return nil, err
 	}

@@ -33,9 +33,10 @@ type Tx struct {
 // A stored transaction is a 16-byte row in fixed row blocks plus its
 // item count and items in an arena, 2 bytes an item in a block whose
 // items all fit 16 bits and 4 otherwise: ≈ 37 B for a basket of ten.
-// The WAL and the segment files hold the same {UnixNano, id, items}
-// with 4-byte items; what is logged is converted from the rows at
-// encode time, and what is read back is narrowed as it is stored. A
+// The WAL and the segment files hold the same {UnixNano, id, items} as
+// varint deltas and item gaps (appendRow): 18–21 B. What is logged or
+// saved is coded from the rows and arena at encode time, and what is
+// read back is narrowed as it is stored. A
 // Tx exists only at the scan callbacks. A timestamp is therefore kept
 // as nanoseconds since the Unix epoch: one outside that range
 // (CheckTime) is the instant its wrapped UnixNano names — in memory at
@@ -398,8 +399,9 @@ func (t *TxTable) itemCount(r row) int {
 // rowItems returns r's items, and the scratch to pass for the next row.
 // A wide block's items are a capped view of the arena, so appending to
 // them never reaches it; a narrow block's are widened into buf, which
-// the next call reuses. With locate, it is the one reader of a block's
-// width, as storeRow is the one writer.
+// the next call reuses. With locate and the row coder (appendRow,
+// rowLen), which codes items at either width without widening them, it
+// is the one reader of a block's width, as storeRow is the one writer.
 func (t *TxTable) rowItems(r row, buf itemset.Set) (items, scratch itemset.Set) {
 	b, lo, n := t.locate(r)
 	if b.wide != nil {
@@ -413,16 +415,33 @@ func (t *TxTable) rowItems(r row, buf itemset.Set) (items, scratch itemset.Set) 
 	return buf, buf
 }
 
-// appendItemsLE appends r's item count and items as little-endian
-// uint32s — their form in the WAL and in segment files — widening
-// through buf as rowItems does, and returns buf for the next row.
-func (t *TxTable) appendItemsLE(p []byte, r row, buf itemset.Set) ([]byte, itemset.Set) {
-	items, buf := t.rowItems(r, buf)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(items)))
-	for _, x := range items {
-		p = binary.LittleEndian.AppendUint32(p, uint32(x))
+// appendRow appends r in the gapRows coding (store.go) as the delta from
+// prev, the row before it or the zero row: its timestamp, its ID when
+// withID (segments; WAL rows are consecutive from the record's first
+// ID), then its items, read from the arena at the block's width.
+func (t *TxTable) appendRow(p []byte, r, prev row, withID bool) []byte {
+	p = binary.AppendVarint(p, r.at-prev.at)
+	if withID {
+		p = binary.AppendVarint(p, int64(r.id)-int64(prev.id))
 	}
-	return p, buf
+	b, lo, n := t.locate(r)
+	if b.wide != nil {
+		return appendGaps(p, b.wide[lo:lo+n])
+	}
+	return appendGaps(p, b.narrow[lo:lo+n])
+}
+
+// rowLen is the length of appendRow's coding of r after prev.
+func (t *TxTable) rowLen(r, prev row, withID bool) int {
+	n := varintLen(r.at - prev.at)
+	if withID {
+		n += varintLen(int64(r.id) - int64(prev.id))
+	}
+	b, lo, k := t.locate(r)
+	if b.wide != nil {
+		return n + gapsLen(b.wide[lo:lo+k])
+	}
+	return n + gapsLen(b.narrow[lo:lo+k])
 }
 
 // DirtySince reports which granules at granularity g were touched by

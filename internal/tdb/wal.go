@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/obs"
 )
 
@@ -31,7 +30,10 @@ import (
 //	header:  magic "TDBW" | version u32 | checkpoint epoch u64
 //	records: length u32 | crc32 u32 (over payload) | payload
 //
-// A record's payload starts with a one-byte type. Records are
+// A record's payload starts with a one-byte type. The version is the
+// coding of the append records' rows: gapRows is written; a fixedRows
+// log is replayed and then checkpointed at open, which resets it at
+// gapRows, and a version past gapRows refuses the open. Records are
 // self-delimiting and individually checksummed, so a torn or corrupted
 // tail is detected record-precisely and recovery keeps the longest
 // valid prefix. The header's checkpoint epoch pairs the WAL with the
@@ -151,16 +153,23 @@ type wal struct {
 	synced atomic.Int64
 }
 
+// walHeaderAt is the header of a log at epoch: always gapRows, so a log
+// in the fixed-width coding is never appended to.
+func walHeaderAt(epoch uint64) [walHdrSize]byte {
+	var hdr [walHdrSize]byte
+	copy(hdr[:4], magicWAL)
+	binary.LittleEndian.PutUint32(hdr[4:8], gapRows)
+	binary.LittleEndian.PutUint64(hdr[8:16], epoch)
+	return hdr
+}
+
 // createWAL truncates (or creates) path with a fresh header at epoch.
 func createWAL(path string, epoch uint64, policy FsyncPolicy, reg *obs.Registry) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("tdb: create wal %s: %w", path, err)
 	}
-	var hdr [walHdrSize]byte
-	copy(hdr[:4], magicWAL)
-	binary.LittleEndian.PutUint32(hdr[4:8], fmtVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], epoch)
+	hdr := walHeaderAt(epoch)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tdb: write wal header %s: %w", path, err)
@@ -374,10 +383,7 @@ func (w *wal) reset(epoch uint64) error {
 	if err != nil {
 		return fmt.Errorf("tdb: reset wal: %w", err)
 	}
-	var hdr [walHdrSize]byte
-	copy(hdr[:4], magicWAL)
-	binary.LittleEndian.PutUint32(hdr[4:8], fmtVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], epoch)
+	hdr := walHeaderAt(epoch)
 	if _, err := nf.Write(hdr[:]); err == nil {
 		err = nf.Sync()
 	}
@@ -446,15 +452,19 @@ func (w *wal) stickyErr() error {
 // Record encoding. Payloads reuse the encoder of store.go.
 
 // encodeAppendFrame encodes rows [lo, hi) of t as one framed append
-// record — type, table, first ID, then {UnixNano, item count, items}
-// per row, items widened to 4 bytes —
-// in a single exactly-sized allocation: the payload is built behind an
-// 8-byte hole that then receives the length+CRC frame header. One alloc
-// and no copy — this is the append hot path. The caller holds t.mu.
+// record — type, table, first ID, row count, then each row in the
+// gapRows coding without its ID (appendRow) — in a single exactly-sized
+// allocation: a first pass over the rows sizes it, and the payload is
+// built behind an 8-byte hole that then receives the length+CRC frame
+// header. One alloc and no copy — this is the append hot path. The
+// caller holds t.mu.
 func encodeAppendFrame(t *TxTable, firstID int64, lo, hi int) []byte {
 	size := 1 + 4 + len(t.name) + 8 + 4
+	var prev row
 	for i := lo; i < hi; i++ {
-		size += 8 + 4 + 4*t.itemCount(t.row(i))
+		r := t.row(i)
+		size += t.rowLen(r, prev, false)
+		prev = r
 	}
 	out := make([]byte, 8+size)
 	p := out[8:8]
@@ -463,17 +473,22 @@ func encodeAppendFrame(t *TxTable, firstID int64, lo, hi int) []byte {
 	p = append(p, t.name...)
 	p = binary.LittleEndian.AppendUint64(p, uint64(firstID))
 	p = binary.LittleEndian.AppendUint32(p, uint32(hi-lo))
-	var scratch [64]itemset.Item // narrow rows widen here: no allocation past out
-	buf := scratch[:0]
+	prev = row{}
 	for i := lo; i < hi; i++ {
 		r := t.row(i)
-		p = binary.LittleEndian.AppendUint64(p, uint64(r.at))
-		p, buf = t.appendItemsLE(p, r, buf)
+		p = t.appendRow(p, r, prev, false)
+		prev = r
 	}
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(p))
 	return out[:8+len(p)]
 }
+
+// maxWALRowLen bounds what a row of k items adds to an append record:
+// a timestamp delta, a count and k items, each at its longest varint.
+// logAppend splits batches on it; the exact size can be smaller, never
+// larger.
+func maxWALRowLen(k int) int { return binary.MaxVarintLen64 + binary.MaxVarintLen32*(1+k) }
 
 func encodeDictRecord(startID int, names []string) []byte {
 	e := &encoder{}
