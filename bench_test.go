@@ -259,44 +259,16 @@ func BenchmarkE10FrequencySweep(b *testing.B) {
 // ---------------------------------------------------------------------
 // Substrate micro-benchmarks.
 
-// BenchmarkHashTreeVsNaive compares the hash-tree counter against the
-// per-candidate subset test it replaces.
-func BenchmarkHashTreeVsNaive(b *testing.B) {
-	tbl := dataset(b)
-	src := tbl.All()
-	// Build a realistic 2-candidate set from the frequent singles.
-	f, err := apriori.Mine(src, apriori.Config{MinSupport: 0.01, MaxK: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cands, _, _, _ := apriori.GenerateCandidatesCounted(context.Background(), f.ByK[1])
-	if len(cands) == 0 {
-		b.Fatal("no candidates")
-	}
-	// The whole table is the one-slice case of the counting seam; at
-	// this size the hash-tree backend counts by hash tree.
-	for _, bk := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendNaive} {
-		b.Run(fmt.Sprintf("%v-%dcands", bk, len(cands)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := apriori.NewSliceCounter(bk, []apriori.Source{src}, nil, 0).Count(context.Background(), cands); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCountingBackend is the backend ablation on the paper's
 // T10.I4 workload class: 10k Quest transactions mined to k=3 at 1%
-// support across the hash-tree, vertical-bitmap and roaring counters.
+// support on the vertical-bitmap and roaring counters.
 func BenchmarkCountingBackend(b *testing.B) {
 	q, err := gen.NewQuest(gen.QuestConfig{}, 1998)
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := apriori.Transactions(q.Transactions(10000))
-	for _, bk := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring} {
+	for _, bk := range []apriori.Backend{apriori.BackendBitmap, apriori.BackendRoaring} {
 		b.Run(bk.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -761,35 +733,6 @@ func BenchmarkExtendVsRebuild(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkHashTreeParams is the hash-tree tuning ablation DESIGN.md
-// calls out: fanout × leaf-size combinations on realistic candidates.
-func BenchmarkHashTreeParams(b *testing.B) {
-	tbl := dataset(b)
-	src := tbl.All()
-	f, err := apriori.Mine(src, apriori.Config{MinSupport: 0.01, MaxK: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cands, _, _, _ := apriori.GenerateCandidatesCounted(context.Background(), f.ByK[1])
-	if len(cands) == 0 {
-		b.Fatal("no candidates")
-	}
-	for _, fanout := range []int{4, 8, 16} {
-		for _, leaf := range []int{4, 16, 64} {
-			b.Run(fmt.Sprintf("fanout=%d/leaf=%d", fanout, leaf), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					tree, err := apriori.NewHashTree(cands, 2, fanout, leaf)
-					if err != nil {
-						b.Fatal(err)
-					}
-					src.ForEach(tree.Add)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkPatternParse times the calendar-algebra parser.

@@ -25,9 +25,9 @@ type Config struct {
 	// (BackendAuto) is bitmap wherever its index fits in memory.
 	Backend Backend
 	// Workers fans the bitmap and roaring backends' candidate counting
-	// out over a worker pool; 0 or 1 counts sequentially (as the hash
-	// tree and naive backends always do over a whole table, which is a
-	// single slice). Counts are identical at any worker count.
+	// out over a worker pool; 0 or 1 counts sequentially (as the naive
+	// backend always does over a whole table, which is a single slice).
+	// Counts are identical at any worker count.
 	Workers int
 	// Tracer receives per-pass telemetry (candidates generated, pruned,
 	// counted, frequent survivors, backend, wall time). Nil disables

@@ -98,7 +98,9 @@ func TestMineErrors(t *testing.T) {
 	}
 }
 
-func TestMineNaiveMatchesHashTree(t *testing.T) {
+// TestMineAutoMatchesNaive holds a full mine on the resolved backend to
+// the naive reference.
+func TestMineAutoMatchesNaive(t *testing.T) {
 	src := randomTransactions(rand.New(rand.NewSource(7)), 400, 40, 12)
 	for _, ms := range []float64{0.01, 0.05, 0.1} {
 		a, err := Mine(src, Config{MinSupport: ms})
@@ -110,7 +112,7 @@ func TestMineNaiveMatchesHashTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameFrequent(a, b) {
-			t.Errorf("minsup %v: hash tree and naive counting disagree", ms)
+			t.Errorf("minsup %v: auto and naive counting disagree", ms)
 		}
 	}
 }
@@ -140,77 +142,13 @@ func randomTransactions(r *rand.Rand, n, universe, maxLen int) Transactions {
 	return txs
 }
 
-func TestHashTreeMatchesNaiveQuick(t *testing.T) {
-	cfg := &quick.Config{
-		MaxCount: 60,
-		Values: func(vals []reflect.Value, r *rand.Rand) {
-			vals[0] = reflect.ValueOf(r.Int63())
-		},
-	}
-	law := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 2 + r.Intn(3)
-		src := randomTransactions(r, 80, 25, 10)
-		// Random distinct k-candidates.
-		seen := map[string]bool{}
-		var cands []itemset.Set
-		for len(cands) < 40 {
-			items := make([]itemset.Item, k)
-			for j := range items {
-				items[j] = itemset.Item(r.Intn(25))
-			}
-			s := itemset.New(items...)
-			if s.Len() != k || seen[s.Key()] {
-				continue
-			}
-			seen[s.Key()] = true
-			cands = append(cands, s)
-		}
-		// Tiny leaves force deep splits; exercise the split paths.
-		tree, err := NewHashTree(cands, k, 4, 2)
-		if err != nil {
-			return false
-		}
-		src.ForEach(tree.Add)
-		return reflect.DeepEqual(tree.Counts(), referenceCounts(src, cands))
-	}
-	if err := quick.Check(law, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHashTreeReset(t *testing.T) {
-	cands := []itemset.Set{itemset.New(0, 1), itemset.New(1, 2)}
-	tree, err := NewHashTree(cands, 2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.Add(itemset.New(0, 1, 2))
-	if tree.Counts()[0] != 1 || tree.Counts()[1] != 1 {
-		t.Fatalf("counts = %v", tree.Counts())
-	}
-	tree.Reset()
-	if tree.Counts()[0] != 0 || tree.Counts()[1] != 0 {
-		t.Fatalf("Reset left counts %v", tree.Counts())
-	}
-}
-
-func TestHashTreeRejectsBadCandidates(t *testing.T) {
-	if _, err := NewHashTree([]itemset.Set{itemset.New(1)}, 2, 0, 0); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := NewHashTree(nil, 0, 0, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 // TestCountSets pins the one-slice seam on the fixture: counts by
 // candidate, a nil vector for a candidate that never occurs, nothing
 // for no candidates.
 func TestCountSets(t *testing.T) {
 	src := groceries()
 	cands := []itemset.Set{itemset.New(0, 1), itemset.New(0, 4), itemset.New(3, 4)}
-	for _, b := range []Backend{BackendNaive, BackendHashTree, BackendBitmap, BackendRoaring} {
+	for _, b := range []Backend{BackendNaive, BackendBitmap, BackendRoaring} {
 		counts, err := NewSliceCounter(b, []Source{src}, nil, 0).Count(context.Background(), cands)
 		if err != nil {
 			t.Fatal(err)
@@ -396,52 +334,5 @@ func TestFuncSource(t *testing.T) {
 	f2, _ := Mine(txs, Config{MinSupport: 0.3})
 	if !sameFrequent(f1, f2) {
 		t.Error("FuncSource and Transactions disagree")
-	}
-}
-
-func TestDefaultFanoutScales(t *testing.T) {
-	cases := []struct {
-		n, k     int
-		min, max int
-	}{
-		{0, 2, 8, 8},
-		{100, 2, 8, 8},
-		{30000, 2, 40, 50},       // ~sqrt(30000/16) ≈ 43
-		{30000, 3, 8, 14},        // cube root ≈ 12.3
-		{1 << 30, 1, 2048, 2048}, // clamped
-	}
-	for _, c := range cases {
-		got := defaultFanout(c.n, c.k)
-		if got < c.min || got > c.max {
-			t.Errorf("defaultFanout(%d,%d) = %d, want in [%d,%d]", c.n, c.k, got, c.min, c.max)
-		}
-	}
-}
-
-func TestHashTreeLargeCandidateSetMatchesNaive(t *testing.T) {
-	// A large candidate set exercises the adaptive fanout path.
-	r := rand.New(rand.NewSource(99))
-	src := randomTransactions(r, 150, 200, 12)
-	seen := map[string]bool{}
-	var cands []itemset.Set
-	for len(cands) < 3000 {
-		a, b := itemset.Item(r.Intn(200)), itemset.Item(r.Intn(200))
-		if a == b {
-			continue
-		}
-		s := itemset.New(a, b)
-		if seen[s.Key()] {
-			continue
-		}
-		seen[s.Key()] = true
-		cands = append(cands, s)
-	}
-	tree, err := NewHashTree(cands, 2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.ForEach(tree.Add)
-	if !reflect.DeepEqual(tree.Counts(), referenceCounts(src, cands)) {
-		t.Error("adaptive-fanout tree disagrees with naive counting")
 	}
 }

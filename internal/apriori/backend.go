@@ -11,16 +11,13 @@ import (
 type Backend int
 
 const (
-	// BackendAuto is bitmap wherever its index fits in memory: hash
-	// tree under 64 rows, roaring past the cap. NewSliceCounter
-	// resolves it; see resolveAuto for the rule and its reason.
+	// BackendAuto is bitmap wherever its index fits in memory and
+	// roaring past the cap. NewSliceCounter resolves it; see
+	// resolveAuto for the rule and its reason.
 	BackendAuto Backend = iota
 	// BackendNaive tests every candidate against every transaction; it
 	// is the reference the others are property-tested against.
 	BackendNaive
-	// BackendHashTree is the classic Apriori hash tree: one pass per
-	// level over the transactions, visiting only plausible candidates.
-	BackendHashTree
 	// BackendBitmap is the vertical representation: per-item TID
 	// bitmaps intersected with word-parallel AND + popcount.
 	BackendBitmap
@@ -41,8 +38,6 @@ func (b Backend) String() string {
 		return "auto"
 	case BackendNaive:
 		return "naive"
-	case BackendHashTree:
-		return "hashtree"
 	case BackendBitmap:
 		return "bitmap"
 	case BackendRoaring:

@@ -83,7 +83,7 @@ func TestBackendEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				variants := []Config{}
-				for _, b := range []Backend{BackendAuto, BackendHashTree, BackendBitmap, BackendRoaring} {
+				for _, b := range []Backend{BackendAuto, BackendBitmap, BackendRoaring} {
 					c := base
 					c.Backend = b
 					variants = append(variants, c)

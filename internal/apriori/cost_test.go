@@ -48,22 +48,25 @@ func TestChooseBackendSparse(t *testing.T) {
 }
 
 func TestChooseBackendGuards(t *testing.T) {
-	// Tiny inputs and empty item sets short-circuit to the hash tree.
-	if got := autoFor(5, 10); got != BackendHashTree {
-		t.Errorf("tiny table chose %v, want hashtree", got)
+	// Under a word of rows the flat index is one word per item: it still
+	// fits, so auto counts on it. Rows are summed over the slices.
+	for _, rows := range [][]int{{1}, {32, 31}, {5, 0, 30}, {70}, {32, 0, 32}} {
+		if got := autoFor(5, rows...); got != BackendBitmap {
+			t.Errorf("%v rows chose %v, want bitmap", rows, got)
+		}
 	}
-	if got := autoFor(0, 1<<20); got != BackendHashTree {
-		t.Errorf("empty item set chose %v, want hashtree", got)
+	// No kept items, or no keep set at all: the index ranks the items it
+	// meets (NewBitmapIndex), so the cap has nothing to price.
+	if got := autoFor(0, 1<<20); got != BackendBitmap {
+		t.Errorf("empty item set chose %v, want bitmap", got)
 	}
-	if got := NewSliceCounter(BackendAuto, []Source{FuncSource{N: 1 << 20}}, nil, 0).Backend(); got != BackendHashTree {
-		t.Errorf("nil item filter chose %v, want hashtree", got)
+	if got := NewSliceCounter(BackendAuto, []Source{FuncSource{N: 1 << 20}}, nil, 0).Backend(); got != BackendBitmap {
+		t.Errorf("nil item filter chose %v, want bitmap", got)
 	}
-	// Rows are summed over the slices: 63 is under a word, 64 is not.
-	if got := autoFor(5, 32, 31); got != BackendHashTree {
-		t.Errorf("63 rows chose %v, want hashtree", got)
-	}
-	if got := autoFor(5, 32, 0, 32); got != BackendBitmap {
-		t.Errorf("64 rows over three slices chose %v, want bitmap", got)
+	// Past the cap, even under a word of rows, roaring (the rule itself:
+	// a keep set that large is not worth building here).
+	if got := resolveAuto(63, maxBitmapBytes/8+1); got != BackendRoaring {
+		t.Errorf("63 rows past the cap chose %v, want roaring", got)
 	}
 	// A forced backend is never second-guessed, and auto never survives.
 	for b := BackendNaive; b <= BackendRoaring; b++ {

@@ -16,15 +16,13 @@ import (
 // one slice per granule of its span (an inactive granule is an empty
 // slice); incremental maintenance passes only the dirty granules.
 //
-// It is implemented once per representation. The horizontal driver
-// scans a slice, feeds a resettable subset counter and flushes its
-// tallies into the slice's column; the vertical driver ingests the
-// slices into a TID index once — slice s owns the consecutive rows
+// The vertical driver serves every mine: it ingests the slices into a
+// TID index once — slice s owns the consecutive rows
 // bounds[s]..bounds[s+1] — then intersects each candidate once and cuts
 // the intersection into slice counts by range-count. The backend picks
-// the driver and its parameter: the subset counter (hash tree,
-// candidate-key map, naive subset test) or the index (flat words,
-// roaring containers).
+// the index (flat words, roaring containers). The horizontal driver is
+// the naive reference: it tests every candidate against every row of a
+// slice.
 //
 // A SliceCounter serves one mining run, level after level, so the
 // vertical index is built by the first Count and reused by the rest. It
@@ -72,14 +70,12 @@ const maxBitmapBytes = 512 << 20
 // resolveAuto is the whole of BackendAuto. It is a rule, not a model:
 // the flat bitmap won every full mine and hold-table build measured —
 // dense and sparse, 10⁴ to 10⁶ rows, up to 20 000 items (EXPERIMENTS.md
-// E14) — so there is nothing to price. Below a word of rows, or with no
-// items to index, the hash tree is never a bad pick; roaring is the one
-// vertical index that still fits once the flat one would not.
+// E14) — so there is nothing to price. Below a word of rows the index is
+// one word per item; with no keep set the index ranks the items itself
+// (NewBitmapIndex). Roaring is the one vertical index that still fits
+// once the flat one would not.
 func resolveAuto(rows, items int) Backend {
-	switch {
-	case rows < 64 || items == 0:
-		return BackendHashTree
-	case float64(items)*float64((rows+63)/64)*8 <= maxBitmapBytes:
+	if float64(items)*float64((rows+63)/64)*8 <= maxBitmapBytes {
 		return BackendBitmap
 	}
 	return BackendRoaring
@@ -127,11 +123,12 @@ func (c *SliceCounter) Count(ctx context.Context, cands []itemset.Set) (*Counts,
 			return nil, fmt.Errorf("apriori: candidate %v has length %d, want %d ≥ 1", cand, len(cand), k)
 		}
 	}
-	if c.backend == BackendBitmap || c.backend == BackendRoaring {
+	if c.backend == BackendNaive {
+		c.countHorizontal(ctx, cands, m)
+	} else {
 		c.countVertical(ctx, cands, m)
-		return m, nil
 	}
-	return m, c.countHorizontal(ctx, cands, m, c.subsetCounterFor(cands, k))
+	return m, nil
 }
 
 // Counts is the result of a Count: count[cand][slice], sparse by row — a
@@ -179,38 +176,12 @@ func (m *Counts) set(i, s, n int) {
 
 // --- horizontal driver ----------------------------------------------
 
-// subsetCounter is the horizontal driver's parameter: it tallies, per
-// candidate, how many of the transactions added since the last Reset
-// contain it. Counts aliases internal state.
-type subsetCounter interface {
-	Add(tx itemset.Set)
-	Counts() []int
-	Reset()
-}
-
-// smallSourceRows is the row total under which the hash-tree backend
-// counts levels up to k = 4 by key map instead: over a few dirty
-// granules the tree's construction over thousands of candidates costs
-// far more than enumerating the subsets of a handful of rows.
-const smallSourceRows = 4096
-
-// subsetCounterFor is the horizontal driver's choice of parameter: the
-// reference scan for the naive backend, else by the work it can see.
-func (c *SliceCounter) subsetCounterFor(cands []itemset.Set, k int) func() (subsetCounter, error) {
-	switch {
-	case c.backend == BackendNaive:
-		return func() (subsetCounter, error) { return newSubsetScan(cands), nil }
-	case c.rows <= smallSourceRows && k <= 4:
-		return func() (subsetCounter, error) { return newKeyMap(cands, k), nil }
-	}
-	return func() (subsetCounter, error) { return NewHashTree(cands, k, 0, 0) }
-}
-
-// countHorizontal scans each slice into a subset counter and flushes
-// its tallies into the slice's column. Slices are independent, so
-// workers take contiguous blocks of them, each with a counter of its
-// own from newCounter.
-func (c *SliceCounter) countHorizontal(ctx context.Context, cands []itemset.Set, m *Counts, newCounter func() (subsetCounter, error)) error {
+// countHorizontal is the naive reference: a direct subset test of every
+// candidate against every transaction of each slice, flushed into the
+// slice's column. The property tests anchor the vertical indexes to it.
+// Slices are independent, so workers take contiguous blocks of them,
+// each with tallies of its own.
+func (c *SliceCounter) countHorizontal(ctx context.Context, cands []itemset.Set, m *Counts) {
 	blocks := Blocks(len(c.slices), c.workers)
 	if len(blocks) > 1 {
 		// Workers own columns and share rows, so no worker may allocate
@@ -220,24 +191,22 @@ func (c *SliceCounter) countHorizontal(ctx context.Context, cands []itemset.Set,
 			m.rows[i] = make([]int32, m.width)
 		}
 	}
-	errs := make([]error, len(blocks))
-	fanOut(blocks, func(b, lo, hi int) {
-		sc, err := newCounter()
-		if err != nil {
-			errs[b] = err
-			return
-		}
+	fanOut(blocks, func(_, lo, hi int) {
+		counts := make([]int, len(cands))
 		for s := lo; s < hi && ctx.Err() == nil; s++ {
-			if c.slices[s].Len() == 0 {
-				continue
-			}
-			c.slices[s].ForEach(sc.Add)
-			for i, n := range sc.Counts() {
+			c.slices[s].ForEach(func(tx itemset.Set) {
+				for i, cand := range cands {
+					if tx.ContainsAll(cand) {
+						counts[i]++
+					}
+				}
+			})
+			for i, n := range counts {
 				if n != 0 {
 					m.set(i, s, n)
+					counts[i] = 0
 				}
 			}
-			sc.Reset()
 		}
 	})
 	if len(blocks) > 1 {
@@ -247,12 +216,6 @@ func (c *SliceCounter) countHorizontal(ctx context.Context, cands []itemset.Set,
 			}
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func allZero(v []int32) bool {
@@ -263,80 +226,6 @@ func allZero(v []int32) bool {
 	}
 	return true
 }
-
-// subsetScan is the reference subset counter: a direct subset test of
-// every candidate against every transaction. The property tests anchor
-// every other counter to it.
-type subsetScan struct {
-	cands  []itemset.Set
-	counts []int
-}
-
-func newSubsetScan(cands []itemset.Set) *subsetScan {
-	return &subsetScan{cands: cands, counts: make([]int, len(cands))}
-}
-
-func (n *subsetScan) Add(tx itemset.Set) {
-	for i, c := range n.cands {
-		if tx.ContainsAll(c) {
-			n.counts[i]++
-		}
-	}
-}
-
-func (n *subsetScan) Counts() []int { return n.counts }
-func (n *subsetScan) Reset()        { clear(n.counts) }
-
-// keyMap counts by enumerating each transaction's k-subsets against a
-// candidate hash map. Construction is one map insert per candidate — no
-// tree nodes — but a transaction costs C(|tx|, k) probes, so it only
-// pays on few rows and shallow levels (see smallSourceRows).
-type keyMap struct {
-	idx    map[string]int
-	k      int
-	counts []int
-	chosen itemset.Set
-	key    []byte
-}
-
-func newKeyMap(cands []itemset.Set, k int) *keyMap {
-	m := &keyMap{
-		idx:    make(map[string]int, len(cands)),
-		k:      k,
-		counts: make([]int, len(cands)),
-		chosen: make(itemset.Set, k),
-		key:    make([]byte, 0, 4*k),
-	}
-	for i, c := range cands {
-		m.idx[c.Key()] = i
-	}
-	return m
-}
-
-func (m *keyMap) Add(tx itemset.Set) {
-	if len(tx) >= m.k {
-		m.subsets(tx, 0, 0)
-	}
-}
-
-// subsets extends chosen[:depth] with every way of drawing the
-// remaining items from tx[start:], probing the map at full depth.
-func (m *keyMap) subsets(tx itemset.Set, start, depth int) {
-	if depth == m.k {
-		m.key = m.chosen.AppendKey(m.key[:0])
-		if i, ok := m.idx[string(m.key)]; ok {
-			m.counts[i]++
-		}
-		return
-	}
-	for i := start; i <= len(tx)-(m.k-depth); i++ {
-		m.chosen[depth] = tx[i]
-		m.subsets(tx, i+1, depth+1)
-	}
-}
-
-func (m *keyMap) Counts() []int { return m.counts }
-func (m *keyMap) Reset()        { clear(m.counts) }
 
 // --- vertical driver ------------------------------------------------
 

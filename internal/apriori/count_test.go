@@ -34,33 +34,23 @@ func referenceCounts(src Source, cands []itemset.Set) []int {
 // rowRange is one slice of a test table: rows [lo, hi).
 type rowRange struct{ lo, hi int }
 
-// representations lists the seam's five parameters as functions that
-// count cands over slices: the horizontal driver under each subset
-// counter, the vertical driver under each index.
+// representations lists the seam's backends as functions that count
+// cands over slices: the horizontal driver's naive reference and the
+// vertical driver under each index.
 func representations(cands []itemset.Set, keep *itemset.Ranks) map[string]func(slices []Source, workers int) (*Counts, error) {
-	k := len(cands[0])
-	horizontal := func(newCounter func() (subsetCounter, error)) func([]Source, int) (*Counts, error) {
-		return func(slices []Source, workers int) (*Counts, error) {
-			c := NewSliceCounter(BackendHashTree, slices, nil, workers)
-			m := newCounts(len(cands), len(slices))
-			return m, c.countHorizontal(context.Background(), cands, m, newCounter)
-		}
-	}
-	vertical := func(b Backend) func([]Source, int) (*Counts, error) {
+	count := func(b Backend) func([]Source, int) (*Counts, error) {
 		return func(slices []Source, workers int) (*Counts, error) {
 			return NewSliceCounter(b, slices, keep, workers).Count(context.Background(), cands)
 		}
 	}
 	return map[string]func([]Source, int) (*Counts, error){
-		"hashtree": horizontal(func() (subsetCounter, error) { return NewHashTree(cands, k, 0, 0) }),
-		"keymap":   horizontal(func() (subsetCounter, error) { return newKeyMap(cands, k), nil }),
-		"naive":    horizontal(func() (subsetCounter, error) { return newSubsetScan(cands), nil }),
-		"bitmap":   vertical(BackendBitmap),
-		"roaring":  vertical(BackendRoaring),
+		"naive":   count(BackendNaive),
+		"bitmap":  count(BackendBitmap),
+		"roaring": count(BackendRoaring),
 	}
 }
 
-// checkSeam asserts that every representation × workers {0, 3} counts
+// checkSeam asserts that every representation × workers {0, 1, 3, 4} counts
 // cands over the given row ranges of txs exactly as referenceCounts
 // does range by range, with a nil vector — not an allocated zero one —
 // for every candidate that occurs in none of them.
@@ -80,7 +70,7 @@ func checkSeam(t *testing.T, label string, txs Transactions, cands []itemset.Set
 		}
 	}
 	for name, count := range representations(cands, keep) {
-		for _, workers := range []int{0, 3} {
+		for _, workers := range []int{0, 1, 3, 4} {
 			got, err := count(slices, workers)
 			if err != nil {
 				t.Fatalf("%s %s/workers=%d: %v", label, name, workers, err)
@@ -225,9 +215,35 @@ func TestCountSlicesFixedInputs(t *testing.T) {
 	checkSeam(t, "triples/whole", dense, triples, []rowRange{{0, 300}}, nil)
 	checkSeam(t, "triples/sliced", dense, triples, []rowRange{{0, 64}, {64, 64}, {70, 200}, {200, 300}}, nil)
 
-	// A backend outside the enum is an error, not a silent hash-tree run.
+	// A backend outside the enum is an error, not a silent default run.
 	if _, err := NewSliceCounter(BackendRoaring+1, []Source{dense}, nil, 0).Count(context.Background(), triples); err == nil {
 		t.Error("Count on an out-of-range backend succeeded, want an invalid-backend error")
+	}
+
+	// Under one word of rows, the flat index's smallest shape: several
+	// slices inside one word, empty ones, single rows and skipped rows,
+	// every k-subset of 8 items up to k = 6, with and without a keep set.
+	var short Transactions
+	for i := 0; i < 40; i++ {
+		var items []itemset.Item
+		for x := 0; x < 8; x++ {
+			if i%5 == 0 || rng.Intn(3) != 0 {
+				items = append(items, itemset.Item(x))
+			}
+		}
+		short = append(short, itemset.New(items...))
+	}
+	all8 := new(itemset.Ranks)
+	for x := 0; x < 8; x++ {
+		all8.Add(itemset.Item(x))
+	}
+	for k := 1; k <= 6; k++ {
+		cands := subsetsOf(8, k)
+		for _, keep := range []*itemset.Ranks{nil, all8} {
+			label := fmt.Sprintf("sub-word k=%d keep=%v", k, keep != nil)
+			checkSeam(t, label+"/one row", short, cands, []rowRange{{3, 4}}, keep)
+			checkSeam(t, label+"/sliced", short, cands, []rowRange{{0, 0}, {0, 1}, {1, 1}, {1, 9}, {12, 30}, {30, 31}, {31, 40}}, keep)
+		}
 	}
 
 	for _, seed := range []int64{1, 2, 3} {
@@ -258,4 +274,22 @@ func octaveLevels(items int) [3][]itemset.Set {
 		itemset.SortSets(cands)
 	}
 	return lv
+}
+
+// subsetsOf returns every k-subset of items [0, n), sorted.
+func subsetsOf(n, k int) []itemset.Set {
+	var out []itemset.Set
+	var pick func(start int, chosen []itemset.Item)
+	pick = func(start int, chosen []itemset.Item) {
+		if len(chosen) == k {
+			out = append(out, itemset.New(chosen...))
+			return
+		}
+		for x := start; x < n; x++ {
+			pick(x+1, append(chosen, itemset.Item(x)))
+		}
+	}
+	pick(0, nil)
+	itemset.SortSets(out)
+	return out
 }

@@ -57,11 +57,10 @@ func TestMineSlicedMatchesWhole(t *testing.T) {
 	type route struct{ pairCells, verticalItems int }
 	triangle := []route{{MaxPairCells, 0}, {50, 0}}
 	routes := map[Backend][]route{
-		BackendAuto:     {{MaxPairCells, MaxVerticalItems}, {50, 0}},
-		BackendNaive:    {{MaxPairCells, 0}},
-		BackendHashTree: triangle,
-		BackendBitmap:   append([]route{{MaxPairCells, MaxVerticalItems}}, triangle...),
-		BackendRoaring:  triangle,
+		BackendAuto:    {{MaxPairCells, MaxVerticalItems}, {50, 0}},
+		BackendNaive:   {{MaxPairCells, 0}},
+		BackendBitmap:  append([]route{{MaxPairCells, MaxVerticalItems}}, triangle...),
+		BackendRoaring: triangle,
 	}
 	for _, support := range []float64{float64(counts[order[19]]) / float64(n), 0.05} {
 		for _, maxK := range []int{0, 2, 3} {
@@ -74,7 +73,7 @@ func TestMineSlicedMatchesWhole(t *testing.T) {
 			}
 			want := fmt.Sprint(ref.ByK)
 			for name, src := range sources {
-				for _, backend := range []Backend{BackendAuto, BackendNaive, BackendHashTree, BackendBitmap, BackendRoaring} {
+				for _, backend := range []Backend{BackendAuto, BackendNaive, BackendBitmap, BackendRoaring} {
 					for _, workers := range []int{1, 2, 4} {
 						for _, route := range routes[backend] {
 							cfg := Config{MinSupport: support, MaxK: maxK, Backend: backend, Workers: workers}
@@ -97,9 +96,9 @@ func TestMineSlicedMatchesWhole(t *testing.T) {
 // TestMineLevel2Route: the whole-table miner routes level 2 by the
 // build's rule. The flat bitmap backend intersects the join while at
 // most verticalItems items are frequent and counts the triangle past
-// that; every other backend but naive always counts the triangle, and
-// naive counts the join. The pass:L2 span records the route as one
-// granule, vertical or horizontal.
+// that; roaring always counts the triangle, and naive counts the join.
+// The pass:L2 span records the route as one granule, vertical or
+// horizontal.
 func TestMineLevel2Route(t *testing.T) {
 	txs := randomTransactions(rand.New(rand.NewSource(7)), 300, 30, 6)
 	ref, err := Mine(txs, Config{MinSupport: 0.02, Backend: BackendNaive})
@@ -110,7 +109,7 @@ func TestMineLevel2Route(t *testing.T) {
 	if l1 < 3 {
 		t.Fatalf("only %d frequent items", l1)
 	}
-	for _, backend := range []Backend{BackendNaive, BackendHashTree, BackendBitmap, BackendRoaring} {
+	for _, backend := range []Backend{BackendNaive, BackendBitmap, BackendRoaring} {
 		for _, verticalItems := range []int{0, l1 - 1, l1, MaxVerticalItems} {
 			trace := obs.NewTrace("")
 			cfg := Config{MinSupport: 0.02, MaxK: 2, Backend: backend, Workers: 2, Tracer: trace}

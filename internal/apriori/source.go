@@ -1,7 +1,7 @@
 // Package apriori implements the classic level-wise association-rule
 // miner of Agrawal & Srikant (VLDB'94): candidate generation by prefix
-// join with subset pruning, support counting with a hash tree, and
-// confidence-based rule generation.
+// join with subset pruning, support counting on vertical TID bitmaps,
+// and confidence-based rule generation.
 //
 // In this repository Apriori plays two roles: it is the *traditional*,
 // time-agnostic baseline the paper compares against, and its counting

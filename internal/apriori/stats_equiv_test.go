@@ -50,7 +50,7 @@ func TestPassInvariantsAcrossBackends(t *testing.T) {
 		stats obs.Summary
 	}
 	var runs []run
-	for _, backend := range []Backend{BackendHashTree, BackendBitmap, BackendRoaring} {
+	for _, backend := range []Backend{BackendBitmap, BackendRoaring} {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%v/workers=%d", backend, workers)
 			trace := obs.NewTrace("")

@@ -20,9 +20,9 @@ var (
 
 // E11CountingBackends is the counting-backend ablation: flat Apriori
 // over Quest-class data across transaction length (T), pattern length
-// (I), database size (D) and minimum support, timing the classic hash
-// tree against the vertical TID-bitmap backend and its compressed
-// roaring variant, reporting heap allocations. The itemsets column is
+// (I), database size (D) and minimum support, timing the vertical
+// TID-bitmap backend against its compressed roaring variant, reporting
+// heap allocations. The itemsets column is
 // the cross-check: all backends must find exactly as many frequent
 // itemsets.
 func E11CountingBackends(seed int64) (Table, error) {
@@ -36,7 +36,7 @@ func E11CountingBackends(seed int64) (Table, error) {
 		{t: 15, i: 6, d: 10_000},
 	}
 	supports := []float64{0.02, 0.01, 0.005}
-	backends := []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring}
+	backends := []apriori.Backend{apriori.BackendBitmap, apriori.BackendRoaring}
 
 	t := Table{
 		ID:     "E11",

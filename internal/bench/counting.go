@@ -9,9 +9,8 @@ import (
 )
 
 // E14DensitySweep is the compressed-bitmap ablation: the same flat
-// Apriori workload swept across item density, timing the hash tree,
-// the uncompressed vertical bitmap and the roaring-container backend
-// side by side, with the time inside the counting passes and the
+// Apriori workload swept across item density, timing the uncompressed
+// vertical bitmap and the roaring-container backend side by side, with the time inside the counting passes and the
 // backend auto resolved to — so the table shows whether compression
 // pays anywhere and that auto follows the measurement.
 func E14DensitySweep(seed int64) (Table, error) {
@@ -29,11 +28,11 @@ func E14DensitySweep(seed int64) (Table, error) {
 		{label: "sparse ~1/500", items: 5_000, txLen: 10, d: 20_000, minsup: 0.002},
 		{label: "very sparse ~1/2000", items: 20_000, txLen: 10, d: 20_000, minsup: 0.001},
 	}
-	backends := []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring, apriori.BackendAuto}
+	backends := []apriori.Backend{apriori.BackendBitmap, apriori.BackendRoaring, apriori.BackendAuto}
 
 	t := Table{
 		ID:     "E14",
-		Title:  "bitmap vs roaring vs hash tree across density",
+		Title:  "bitmap vs roaring across density",
 		Header: []string{"data", "minsup", "backend", "time ms", "counting ms", "resolved", "itemsets"},
 	}
 	for _, sh := range shapes {

@@ -94,7 +94,7 @@ func tableOfDays(t *testing.T, days ...[]itemset.Set) *tdb.TxTable {
 }
 
 // TestHoldTableBackendEquivalence is the per-granule half of the
-// cross-backend property test: naive, hash-tree, bitmap and roaring
+// cross-backend property test: naive, bitmap and roaring
 // builds of the HoldTable must agree bit for bit — same levels, a
 // trailing empty level included, same vectors — with the parallel
 // worker pool of each backend exercised as well. Naive is the
@@ -158,8 +158,6 @@ func TestHoldTableBackendEquivalence(t *testing.T) {
 	variants := []variant{
 		{apriori.BackendAuto, 0},
 		{apriori.BackendNaive, 4},
-		{apriori.BackendHashTree, 1},
-		{apriori.BackendHashTree, 4},
 		{apriori.BackendBitmap, 1},
 		{apriori.BackendBitmap, 4},
 		{apriori.BackendRoaring, 1},

@@ -59,7 +59,7 @@ func cacheEquivTable(t *testing.T, seed int64) *tdb.TxTable {
 // cross-backend equivalence check.
 func TestRethresholdMatchesColdBuild(t *testing.T) {
 	tbl := cacheEquivTable(t, 42)
-	backends := []apriori.Backend{apriori.BackendNaive, apriori.BackendHashTree, apriori.BackendBitmap}
+	backends := []apriori.Backend{apriori.BackendNaive, apriori.BackendBitmap}
 	type grid struct {
 		buildK  int
 		queryKs []int

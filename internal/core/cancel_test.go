@@ -83,7 +83,7 @@ func (t *startPassCancelTracer) StartPass(k int) {
 // zero survivors, and the build would return a table that ends at L1.
 func TestBuildHoldTableCancelDuringPairPrefilter(t *testing.T) {
 	tbl := buildFixture(t)
-	for _, backend := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring} {
+	for _, backend := range []apriori.Backend{apriori.BackendBitmap, apriori.BackendRoaring} {
 		for _, workers := range []int{1, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
 			cfg := fixtureConfig()

@@ -57,15 +57,16 @@ type Config struct {
 	MinGranuleTx int
 	// Workers parallelises the per-granule counting pass — across
 	// contiguous granule blocks on the level-1 scan, both routes of the
-	// level-2 pair decision, the flat-bitmap ingest and the hash-tree and naive
-	// backends, across candidate chunks on the bitmap and roaring
+	// level-2 pair decision, the flat-bitmap ingest and the naive
+	// backend, across candidate chunks on the bitmap and roaring
 	// backends. Either way granule counts are identical to a sequential
 	// pass. 0 or 1 counts sequentially; the CLIs' -workers defaults to
 	// one worker per CPU.
 	Workers int
 	// Backend selects the support-counting backend of the per-granule
-	// pass (auto, naive, hashtree, bitmap, roaring); see the apriori
-	// package. Auto picks from the data shape after the level-1 scan.
+	// pass (auto, naive, bitmap, roaring); see the apriori package.
+	// Auto picks from the data shape after the level-1 scan: the flat
+	// bitmap while its index fits under the cap, roaring past it.
 	Backend apriori.Backend
 	// Scope, when set, scopes the build to the one statement it serves:
 	// the build keeps only the itemsets that statement can report (and,

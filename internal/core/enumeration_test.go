@@ -267,7 +267,7 @@ func TestConcurrentAppendBuildCounts(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
-	backends := []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendNaive}
+	backends := []apriori.Backend{apriori.BackendBitmap, apriori.BackendNaive}
 	for b := range 60 {
 		cfg := Config{Granularity: timegran.Day, MinSupport: 0.1, MinConfidence: 0.5, MinFreq: 1, MaxK: 2,
 			Backend: backends[b%len(backends)], Workers: 1 + b%2}

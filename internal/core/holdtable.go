@@ -209,8 +209,8 @@ func ceilCount(frac float64, n int) int {
 
 // BuildHoldTableContext runs the shared level-wise pass over tbl: a
 // level-1 item scan, then per level a join+prune and a per-granule count
-// of the candidates on the configured backend (hash tree, flat or
-// roaring bitmaps, or the naive reference). The data is time-ordered, so
+// of the candidates on the configured backend (flat or roaring bitmaps,
+// or the naive reference). The data is time-ordered, so
 // each granule is a contiguous run of rows in every scan. Level 2 is
 // where nearly all candidates are and nearly none survive, so the
 // production backends decide it granule by granule before counting any
@@ -228,7 +228,7 @@ func ceilCount(frac float64, n int) int {
 // and every few thousand candidates of a join or a keep loop — never per
 // transaction, so the check stays off the counting hot path — and
 // returns ctx.Err() promptly once the context is done. Every counting
-// backend (sequential and parallel hash tree, naive, bitmap, roaring)
+// backend (sequential and parallel naive, bitmap, roaring)
 // and both routes of the level-2 decision are covered.
 func BuildHoldTableContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
 	return buildHoldTable(ctx, tbl, cfg, apriori.MaxPairCells, apriori.MaxVerticalItems)

@@ -187,6 +187,15 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 			break
 		}
 		stats.Candidates += int64(len(cands))
+		// keep names the level's items, the ingest filter of the vertical
+		// indexes: without it every granule would pay a level-1 scan to
+		// rank its items.
+		keep := new(itemset.Ranks)
+		for _, lc := range cands {
+			for _, x := range lc.set {
+				keep.Add(x)
+			}
+		}
 
 		// Index live candidates by the granules their cycles occupy.
 		// byGranule[gi] lists candidates that must be counted at gi.
@@ -224,7 +233,7 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 			stats.CandidateGranulePairs += int64(len(sets))
 			// One granule, these candidates: the counting seam's smallest case.
 			granule := []apriori.Source{view.Source(gi)}
-			counts, err := apriori.NewSliceCounter(apriori.BackendHashTree, granule, nil, 0).Count(context.Background(), sets)
+			counts, err := apriori.NewSliceCounter(cfg.Backend, granule, keep, 0).Count(context.Background(), sets)
 			if err != nil {
 				return nil, CycleMinerStats{}, err
 			}

@@ -187,8 +187,8 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 	// the join of the level below, and one with an item absent from the
 	// dirty region keeps a nil (all-zero) dirty vector uncounted. Both
 	// regions count on the table's own backend and workers, resolved as
-	// for a cold build: an appended day counts every level on one flat
-	// index over its rows, the first baskets of a granule on the key map.
+	// for a cold build: an appended day, or the first basket of a
+	// granule, counts every level on one flat index over its rows.
 	workers := nh.Cfg.Workers
 	items, itemCounts := apriori.CountLevel1(ctx, dirtySlices, workers)
 	present := new(itemset.Ranks)

@@ -305,8 +305,6 @@ var backendMatrix = []struct {
 }{
 	{apriori.BackendNaive, 0},
 	{apriori.BackendNaive, 3},
-	{apriori.BackendHashTree, 0},
-	{apriori.BackendHashTree, 3},
 	{apriori.BackendBitmap, 0},
 	{apriori.BackendBitmap, 3},
 	{apriori.BackendRoaring, 0},

@@ -128,12 +128,11 @@ func TestPairRoutesAgree(t *testing.T) {
 	}
 }
 
-// TestPairRoutesOnlyOnTheFlatIndex: the hash tree and roaring have no
-// flat index to decide on, so every granule takes the triangle however
-// high the threshold.
+// TestPairRoutesOnlyOnTheFlatIndex: roaring has no flat index to decide
+// on, so every granule takes the triangle however high the threshold.
 func TestPairRoutesOnlyOnTheFlatIndex(t *testing.T) {
 	tbl := backendTestTable(t, 42)
-	for _, backend := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendRoaring} {
+	for _, backend := range []apriori.Backend{apriori.BackendRoaring} {
 		trace := obs.NewTrace("")
 		cfg := Config{Granularity: timegran.Day, MinSupport: 0.1, MinConfidence: 0.5, MinFreq: 0.8,
 			Backend: backend, Workers: 2, Tracer: trace}
@@ -164,7 +163,7 @@ func TestJointlyFrequentPrune(t *testing.T) {
 	ref := cfg
 	ref.Backend = apriori.BackendNaive
 	want := mustBuild(t, tbl, ref)
-	for _, backend := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring} {
+	for _, backend := range []apriori.Backend{apriori.BackendBitmap, apriori.BackendRoaring} {
 		trace := obs.NewTrace("")
 		got := cfg
 		got.Backend, got.Tracer = backend, trace
@@ -193,7 +192,7 @@ func TestKeepLoopChecksContext(t *testing.T) {
 		}
 	}
 	view, _ := tbl.Granules(h.Cfg.Granularity)
-	counts, err := apriori.NewSliceCounter(apriori.BackendHashTree, h.slices(view), nil, 0).Count(bg, cands)
+	counts, err := apriori.NewSliceCounter(apriori.BackendNaive, h.slices(view), nil, 0).Count(bg, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

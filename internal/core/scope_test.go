@@ -190,7 +190,7 @@ func TestScopedBuildEmitsSameRules(t *testing.T) {
 		{"hour", scopeTable(t, 2, time.Date(2001, 6, 1, 0, 0, 0, 0, time.UTC), 5, 48), timegran.Hour, []float64{0.3, 0.6},
 			[]string{"hour in (9..11)", "hour in (6..22)", "month in (dec)"}},
 	}
-	backends := []apriori.Backend{apriori.BackendNaive, apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring, apriori.BackendAuto}
+	backends := []apriori.Backend{apriori.BackendNaive, apriori.BackendBitmap, apriori.BackendRoaring, apriori.BackendAuto}
 	workers := []int{1, 2, 4}
 	routes := []struct{ pairCells, verticalItems int }{
 		{apriori.MaxPairCells, apriori.MaxVerticalItems}, {apriori.MaxPairCells, 0}, {10, math.MaxInt}, {1, 0},

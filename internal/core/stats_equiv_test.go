@@ -22,7 +22,7 @@ func TestHoldTableStatsInvariantsAcrossBackends(t *testing.T) {
 		stats obs.Summary
 	}
 	var runs []run
-	for _, backend := range []apriori.Backend{apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring} {
+	for _, backend := range []apriori.Backend{apriori.BackendBitmap, apriori.BackendRoaring} {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%v/workers=%d", backend, workers)
 			trace := obs.NewTrace("")

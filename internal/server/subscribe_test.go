@@ -156,7 +156,6 @@ func waitSettled(t *testing.T, url, id string, epoch int64) subView {
 func TestStreamingOracleHTTP(t *testing.T) {
 	backends := []apriori.Backend{
 		apriori.BackendNaive,
-		apriori.BackendHashTree,
 		apriori.BackendBitmap,
 		apriori.BackendRoaring,
 	}

@@ -7,10 +7,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/tarm-project/tarm/internal/itemset"
 )
@@ -792,14 +794,17 @@ func TestDurableOversizedBatchSplitRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3000 transactions sharing one 6000-item set: ~72MiB encoded, past
-	// the 64MiB cap. The set is shared in memory but encoded per tx.
-	items := make([]itemset.Item, 6000)
+	// 8600 transactions sharing one 2000-item set whose items lie 2²¹+1
+	// apart: a gap codes the distance less one, 2²¹, in four bytes, so a
+	// transaction takes ≈ 8 KB and the batch ≈ 66 MiB, past the 64 MiB
+	// cap by its real coding and not only by maxWALRowLen's bound. The
+	// set is shared in memory but encoded per tx.
+	items := make([]itemset.Item, 2000)
 	for i := range items {
-		items[i] = itemset.Item(i)
+		items[i] = itemset.Item(i * (1<<21 + 1))
 	}
 	set := itemset.Set(items)
-	const nTx = 3000
+	const nTx = 8600
 	txs := make([]Tx, nTx)
 	for i := range txs {
 		txs[i] = Tx{At: durAt(i/24, i%24), Items: set}
@@ -807,12 +812,20 @@ func TestDurableOversizedBatchSplitRecover(t *testing.T) {
 	if _, _, err := tbl.AppendBatchDurable(txs); err != nil {
 		t.Fatalf("AppendBatchDurable: %v", err)
 	}
+	walPath := filepath.Join(dir, walFile)
+	st, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() <= maxWALRecord {
+		t.Fatalf("the batch logged %d bytes, not past the %d-byte cap it is meant to exceed", st.Size(), maxWALRecord)
+	}
 	// A marker append after the big batch: the old bug also discarded
 	// every record following the oversized one.
-	markerID := tbl.Append(durAt(200, 1), itemset.New(1, 2, 3))
+	markerID := tbl.Append(durAt(400, 1), itemset.New(1, 2, 3))
 	db.Kill()
 
-	_, recs, _, torn, err := readWALFile(filepath.Join(dir, walFile))
+	_, recs, _, torn, err := readWALFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -821,12 +834,12 @@ func TestDurableOversizedBatchSplitRecover(t *testing.T) {
 	}
 	appends := 0
 	for _, rec := range recs {
-		if rec.typ == walRecAppend {
+		if rec.typ == walRecAppend && (len(rec.txs) != 1 || rec.txs[0].ID != markerID) {
 			appends++
 		}
 	}
-	if appends < 3 {
-		t.Fatalf("batch was written as %d append records, want >= 3 (split at the %d-byte cap)", appends, maxWALRecord)
+	if appends < 2 {
+		t.Fatalf("batch was written as %d append records, want >= 2 (split at the %d-byte cap)", appends, maxWALRecord)
 	}
 
 	db2 := durOpen(t, dir, FsyncOff)
@@ -848,6 +861,48 @@ func TestDurableOversizedBatchSplitRecover(t *testing.T) {
 		t.Fatalf("marker append after the big batch recovered as %v", last)
 	}
 	db2.Kill()
+}
+
+// TestWALReplaySizesItemSlab: replaying an append record allocates its
+// items' one backing slice at the record's item count, not at one item
+// per byte left — about 1.8× the items of a basket of ten small gaps,
+// whose timestamp delta and count also take bytes. Measured as the
+// bytes the decode allocates less the record's Tx headers, against 4 B
+// an item; the least of three decodes, so another goroutine's
+// allocations cannot fail it.
+func TestWALReplaySizesItemSlab(t *testing.T) {
+	tbl, err := newTxTable("baskets", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 20_000
+	txs := make([]Tx, rows)
+	items := 0
+	for i := range txs {
+		set := make([]itemset.Item, 0, 10)
+		for x := i % 7; len(set) < 9+i%3; x += 1 + i%5 {
+			set = append(set, itemset.Item(x))
+		}
+		txs[i] = Tx{At: durAt(0, 0).Add(time.Duration(i) * time.Minute), Items: set}
+		items += len(set)
+	}
+	tbl.AppendBatch(txs)
+	payload := encodeAppendFrame(tbl, 0, 0, rows)[8:]
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rec, err := decodeWALPayload(payload, gapRows)
+		runtime.ReadMemStats(&m1)
+		if err != nil || len(rec.txs) != rows {
+			t.Fatalf("decoded %d txs, err %v; want %d", len(rec.txs), err, rows)
+		}
+		best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	slab := best - rows*uint64(unsafe.Sizeof(Tx{}))
+	if want := 4 * uint64(items); slab > want+want/50+16<<10 {
+		t.Errorf("decoding %d rows of %d items allocated %d B beyond their Tx headers, want ≈ %d (4 B an item)", rows, items, slab, want)
+	}
 }
 
 // Dropping a table that the newest checkpoint holds, with appends in

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"strings"
 	"time"
@@ -55,12 +56,16 @@ func decodeWALPayload(p []byte, version uint32) (walRecord, error) {
 			return rec, fmt.Errorf("tdb: wal append record: implausible tx count %d", n)
 		}
 		rec.txs = make([]Tx, 0, n)
-		// One backing slice for the record's items: it cannot hold more
-		// than one a byte left (a quarter of them at fixedRows), so it is
-		// never regrown.
+		// One backing slice for the record's items, sized to a bound a
+		// well-formed record cannot pass, so it is never regrown: at
+		// fixedRows an item takes four of the bytes left; gap-coded,
+		// every varint ends in exactly one byte below 0x80, and each row
+		// spends two of those on its timestamp delta and item count.
 		left := len(d.b) - d.off
 		if version == fixedRows {
 			left /= 4
+		} else {
+			left = max(varintEnds(d.b[d.off:])-2*n, 0)
 		}
 		items := make(itemset.Set, 0, left)
 		var at int64
@@ -108,6 +113,19 @@ func decodeWALPayload(p []byte, version uint32) (walRecord, error) {
 		return rec, fmt.Errorf("tdb: wal record: %d trailing bytes", len(d.b)-d.off)
 	}
 	return rec, nil
+}
+
+// varintEnds counts the bytes of b below 0x80, the last byte of every
+// varint in it.
+func varintEnds(b []byte) int {
+	n := len(b)
+	for ; len(b) >= 8; b = b[8:] {
+		n -= bits.OnesCount64(binary.LittleEndian.Uint64(b) & 0x8080808080808080)
+	}
+	for _, c := range b {
+		n -= int(c >> 7)
+	}
+	return n
 }
 
 // decodeWALRecords scans the record region (everything after the

@@ -225,9 +225,8 @@ func TestExplainEnumerationFloor(t *testing.T) {
 // span says which — pair_granules_vertical or _horizontal 1, the whole
 // table as the one granule — as a build's span does; EXPLAIN's observed
 // rows read it back. The fixture's few frequent items keep the flat
-// bitmap backend under the crossover, so it intersects; the hash tree
-// counts the triangle; the naive reference counts the join and takes
-// neither. The pass still reports the whole join as counted, and names
+// bitmap backend under the crossover, so it intersects; roaring counts
+// the triangle; the naive reference counts the join and takes neither. The pass still reports the whole join as counted, and names
 // the backend that counts the levels above it.
 func TestExplainRulesLevel2Route(t *testing.T) {
 	const stmt = `MINE RULES FROM baskets THRESHOLD SUPPORT 0.1 CONFIDENCE 0.5`
@@ -250,7 +249,6 @@ func TestExplainRulesLevel2Route(t *testing.T) {
 		level2Line           string
 	}{
 		{apriori.BackendBitmap, 2, "1", "", "1 vertical, 0 horizontal"},
-		{apriori.BackendHashTree, 1, "", "1", "0 vertical, 1 horizontal"},
 		{apriori.BackendRoaring, 2, "", "1", "0 vertical, 1 horizontal"},
 		{apriori.BackendNaive, 2, "", "", "0 vertical, 0 horizontal"},
 	} {

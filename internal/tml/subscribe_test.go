@@ -289,7 +289,7 @@ func TestStandingCloseState(t *testing.T) {
 // stream must equal a from-scratch MINE of the same statement on a
 // cold executor, bit for bit, on every counting backend.
 func TestStandingOracle(t *testing.T) {
-	backends := []apriori.Backend{apriori.BackendNaive, apriori.BackendHashTree, apriori.BackendBitmap, apriori.BackendRoaring}
+	backends := []apriori.Backend{apriori.BackendNaive, apriori.BackendBitmap, apriori.BackendRoaring}
 	for _, be := range backends {
 		be := be
 		t.Run(be.String(), func(t *testing.T) {

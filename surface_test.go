@@ -179,16 +179,26 @@ func TestNoTestOnlyExports(t *testing.T) {
 // BackendAuto: apriori.NewSliceCounter resolves it, so no layer above
 // may compare against it or switch on it — that is a second resolver
 // (or a prediction of the first) waiting to disagree with it. Passing
-// the value along, as tarm.MineTraditional does, is fine.
+// the value along, as tarm.MineTraditional does, is fine. Nor may a
+// miner count on a backend of its own choosing: every NewSliceCounter
+// call passes the configured backend (cfg.Backend), never a constant.
+// Reading what a counter resolved to (SliceCounter.Backend) is fine.
 func TestAutoResolvedInOnePlace(t *testing.T) {
-	isAuto := func(e ast.Expr) bool {
+	name := func(e ast.Expr) string {
 		switch e := e.(type) {
 		case *ast.Ident:
-			return e.Name == "BackendAuto"
+			return e.Name
 		case *ast.SelectorExpr:
-			return e.Sel.Name == "BackendAuto"
+			return e.Sel.Name
 		}
-		return false
+		return ""
+	}
+	isAuto := func(e ast.Expr) bool { return name(e) == "BackendAuto" }
+	// isConstant matches BackendNaive, apriori.BackendBitmap and the
+	// like, but not the field cfg.Backend.
+	isConstant := func(e ast.Expr) bool {
+		n := name(e)
+		return strings.HasPrefix(n, "Backend") && n != "Backend"
 	}
 	check := func(path string) {
 		fset := token.NewFileSet()
@@ -208,6 +218,10 @@ func TestAutoResolvedInOnePlace(t *testing.T) {
 					if isAuto(e) {
 						at = e.Pos()
 					}
+				}
+			case *ast.CallExpr:
+				if name(n.Fun) == "NewSliceCounter" && len(n.Args) > 0 && isConstant(n.Args[0]) {
+					t.Errorf("%s counts on a fixed backend: pass the configured one (cfg.Backend) to apriori.NewSliceCounter", fset.Position(n.Args[0].Pos()))
 				}
 			}
 			if at.IsValid() {

@@ -142,10 +142,9 @@ func NewMemDB() *DB { return tdb.NewMemDB() }
 
 // CountingBackend selects the support-counting strategy of the miners:
 // BackendAuto is the bitmap backend wherever its index fits in memory
-// (hash tree under 64 transactions, roaring past 512 MiB of index),
-// BackendBitmap is the vertical TID-bitmap backend, BackendRoaring its
-// compressed-container variant, BackendHashTree the classic Apriori
-// hash tree and BackendNaive the reference subset test. Every backend
+// (roaring past 512 MiB of index), BackendBitmap is the vertical
+// TID-bitmap backend, BackendRoaring its compressed-container variant
+// and BackendNaive the reference subset test. Every backend
 // returns the same rules; set one on Config.Backend to pin it (tests
 // and ablations do), or leave BackendAuto to let each build choose. No
 // CLI flag selects one.
@@ -153,11 +152,10 @@ type CountingBackend = apriori.Backend
 
 // Counting backends.
 const (
-	BackendAuto     = apriori.BackendAuto
-	BackendNaive    = apriori.BackendNaive
-	BackendHashTree = apriori.BackendHashTree
-	BackendBitmap   = apriori.BackendBitmap
-	BackendRoaring  = apriori.BackendRoaring
+	BackendAuto    = apriori.BackendAuto
+	BackendNaive   = apriori.BackendNaive
+	BackendBitmap  = apriori.BackendBitmap
+	BackendRoaring = apriori.BackendRoaring
 )
 
 // Mining configuration.
