@@ -339,9 +339,14 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		if k == 2 && backend != apriori.BackendNaive {
 			tc0 = time.Now()
 			// The join of L1 is every pair of it, pruning none; only the
-			// pairs frequent in some granule are materialised.
+			// pairs frequent in some granule are materialised. Every
+			// granule is decided: slice gi is granule gi.
 			nGen = len(l1) * (len(l1) - 1) / 2
-			counted, routes = h.frequentPairs(ctx, slices, counter, l1ranks, cfg.Workers, pairCells, verticalItems)
+			cols := make([]int, n)
+			for gi := range cols {
+				cols[gi] = gi
+			}
+			counted, routes = h.frequentPairs(ctx, slices, cols, counter, l1ranks, cfg.Workers, pairCells, verticalItems)
 		} else {
 			var cands []itemset.Set
 			cands, nGen, nPruned, err = generateFromSets(ctx, prev)

@@ -129,35 +129,20 @@ func MineItemsetCyclesInterleaved(tbl *tdb.TxTable, cfg Config, ccfg CycleConfig
 	n, active, minCounts := head.NGranules(), head.Active, head.MinCounts
 	stats := CycleMinerStats{}
 
-	// Level 1: count every item per active granule, one scan of each
-	// granule's source from the reading the header came from.
-	c1 := make(map[itemset.Item][]int32)
-	for gi := 0; gi < n; gi++ {
-		if !bitAt(active, gi) {
-			continue
-		}
-		view.Source(gi).ForEach(func(items itemset.Set) {
-			for _, x := range items {
-				v := c1[x]
-				if v == nil {
-					v = make([]int32, n)
-					c1[x] = v
-				}
-				v[gi]++
-			}
-		})
-	}
+	// Level 1: count every item per active granule, the build's level-1
+	// scan over the granules of the reading the header came from.
+	items, c1 := apriori.CountLevel1(context.Background(), head.slices(view), cfg.Workers)
 	thr := head.thresholds()
 	hold := make([]uint64, len(active))
 	classes := cycleClasses(active, n, span.Lo, ccfg.MaxLen, ccfg.MinReps, 1)
 	var prev []*liveCand
-	for x, v := range c1 {
+	for r, v := range c1 {
 		frequentGranules(hold, v, thr)
 		cycles := detectCycles(hold, classes)
 		if len(cycles) == 0 {
 			continue
 		}
-		lc := &liveCand{set: itemset.Set{x}, cycles: make(map[cycKey]struct{}, len(cycles))}
+		lc := &liveCand{set: itemset.Set{items[r]}, cycles: make(map[cycKey]struct{}, len(cycles))}
 		for _, c := range cycles {
 			lc.cycles[cycKey{c.Length, c.Offset}] = struct{}{}
 		}

@@ -59,6 +59,13 @@ import (
 // every keepCheckEvery candidates of a level's walk, never per
 // transaction.
 func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty []timegran.Granule) (*HoldTable, error) {
+	return h.maintain(ctx, tbl, dirty, apriori.MaxPairCells, apriori.MaxVerticalItems)
+}
+
+// maintain is MaintainContext with the level-2 decision's two limits as
+// parameters, as buildHoldTable takes them, so tests can route every
+// dirty granule to either kernel.
+func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []timegran.Granule, pairCells, verticalItems int) (*HoldTable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -180,23 +187,30 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		return thresholdWords(fw, fw, v, thr) >= nh.floor
 	}
 
-	// The cold build's level-wise loop — same candidates, same stopping
-	// rule — with each level counted over the dirty region only and
-	// spliced into the tracked vectors. Level 1's candidates are the
-	// tracked items and those of the dirty region; a higher level's are
-	// the join of the level below, and one with an item absent from the
-	// dirty region keeps a nil (all-zero) dirty vector uncounted. Both
-	// regions count on the table's own backend and workers, resolved as
-	// for a cold build: an appended day, or the first basket of a
-	// granule, counts every level on one flat index over its rows.
+	// The cold build's level-wise loop — same stopping rule, and every
+	// candidate the build would keep — with each level counted over the
+	// dirty region only and spliced into the tracked vectors. Level 1's
+	// candidates are the tracked items and those of the dirty region.
+	// Level 2's are the tracked pairs whose items both stayed in level 1
+	// and the pairs the build's own pair decision finds frequent in a
+	// dirty granule: by the splice invariant no other pair of the join
+	// can be frequent anywhere. A level from 3 on is the join of the
+	// level below. A candidate with an item absent from the dirty region
+	// keeps a nil (all-zero) dirty vector uncounted. Both regions count
+	// on the table's own backend and workers, resolved as for a cold
+	// build: an appended day, or the first basket of a granule, counts
+	// every level on one flat index over its rows, which the level-2
+	// decision shares.
 	workers := nh.Cfg.Workers
 	items, itemCounts := apriori.CountLevel1(ctx, dirtySlices, workers)
 	present := new(itemset.Ranks)
 	for _, x := range items {
 		present.Add(x)
 	}
-	dirtyCounter := apriori.NewSliceCounter(nh.Cfg.Backend, dirtySlices, present, workers)
-	var cleanCounter *apriori.SliceCounter
+	// The dirty counter counts from level 2 on, so it keeps the new
+	// level 1's items, ranked in item order as the pair decision needs.
+	var dirtyCounter, cleanCounter *apriori.SliceCounter
+	var l1ranks *itemset.Ranks
 	var dirtyRows, cleanRows int64
 	for _, s := range dirtySlices {
 		dirtyRows += int64(s.Len())
@@ -234,17 +248,39 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 			}
 			pass.Generated, pass.Counted = len(cands), len(items)
 		} else {
-			var err error
-			if cands, pass.Generated, pass.Pruned, err = generateFromSets(ctx, prev); err != nil {
-				return nil, err
+			if dirtyCounter == nil {
+				l1ranks = new(itemset.Ranks)
+				for _, s := range prev {
+					l1ranks.Add(s[0])
+				}
+				dirtyCounter = apriori.NewSliceCounter(nh.Cfg.Backend, dirtySlices, l1ranks, workers)
 			}
 			pass.Backend = dirtyCounter.Backend().String()
-			if len(cands) == 0 {
-				if trace {
-					pass.Rows, pass.Duration = 0, time.Since(t0)
-					tr.EndPass(pass)
+			if k == 2 && dirtyCounter.Backend() != apriori.BackendNaive {
+				// As in the build, the pass reports the whole join of L1,
+				// every pair of it, as generated; the naive backend counts
+				// that join, the unfiltered reference.
+				pass.Generated = len(prev) * (len(prev) - 1) / 2
+				fresh, _ := nh.frequentPairs(ctx, dirtySlices, dirtyCols, dirtyCounter, l1ranks, workers, pairCells, verticalItems)
+				if err := ctx.Err(); err != nil {
+					return nil, err // partial marks read as fewer pairs
 				}
-				break
+				var err error
+				if cands, err = h.pairCandidates(ctx, l1ranks, fresh); err != nil {
+					return nil, err
+				}
+			} else {
+				var err error
+				if cands, pass.Generated, pass.Pruned, err = generateFromSets(ctx, prev); err != nil {
+					return nil, err
+				}
+				if len(cands) == 0 {
+					if trace {
+						pass.Rows, pass.Duration = 0, time.Since(t0)
+						tr.EndPass(pass)
+					}
+					break
+				}
 			}
 			var countable []itemset.Set
 			var countIdx []int
@@ -370,4 +406,38 @@ func (h *HoldTable) MaintainContext(ctx context.Context, tbl *tdb.TxTable, dirty
 		tr.Counter(obs.MetricItemsetsFrequent, int64(nh.TotalItemsets()))
 	}
 	return nh, nil
+}
+
+// pairCandidates merges into fresh, the pairs frequent in some dirty
+// granule, the pairs h tracks whose items are both ranked in l1: level
+// 2's candidates, in canonical order, each once. A tracked pair with an
+// item gone from level 1 is frequent nowhere now, as the join would
+// not have generated it. ctx is sampled every keepCheckEvery tracked
+// pairs.
+func (h *HoldTable) pairCandidates(ctx context.Context, l1 *itemset.Ranks, fresh []itemset.Set) ([]itemset.Set, error) {
+	var tracked []itemset.Set
+	if len(h.ByK) > 2 {
+		tracked = h.ByK[2]
+	}
+	out := make([]itemset.Set, 0, len(tracked)+len(fresh))
+	f := 0
+	for t, c := range tracked {
+		if t > 0 && t%keepCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if l1.Rank(c[0]) < 0 || l1.Rank(c[1]) < 0 {
+			continue
+		}
+		for f < len(fresh) && fresh[f].Compare(c) < 0 {
+			out = append(out, fresh[f])
+			f++
+		}
+		if f < len(fresh) && fresh[f].Equal(c) {
+			f++
+		}
+		out = append(out, c)
+	}
+	return append(out, fresh[f:]...), nil
 }

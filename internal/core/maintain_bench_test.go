@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +18,11 @@ import (
 // whole day (day), against a cold build of the whole year (year-rebuild)
 // in the same run. A granule of fewer than 1/support transactions has
 // threshold 1, so open and sparse make every subset of their baskets
-// rise and be recounted over all of history.
+// rise and be recounted over all of history. next-days is the stream:
+// one op appends the next day to the year and maintains the table the
+// op before left, and every 10th day moves 5 % of its rows 3 to 10
+// days back, as late arrivals, so an old granule is dirty too. Only
+// Maintain is timed.
 func BenchmarkMaintainOneGranule(b *testing.B) {
 	cfg := gen.TemporalConfig{
 		Quest:        gen.QuestConfig{NItems: 1000, NPatterns: 200, AvgTxLen: 10, AvgPatLen: 4},
@@ -65,8 +70,11 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 	rebuild("rebuild", tbl, hcfg)
 
 	// One draw of 366 days split at day 365: the table holds the first
-	// 365, and the last day arrives in three growing prefixes.
-	cfg.NGranules, cfg.TxPerGranule = 366, 300
+	// 365, and the last day arrives in three growing prefixes. The draw
+	// runs nextDays days further (a prefix of a draw is the shorter
+	// draw): those days follow the last one in the next-days arm.
+	const nextDays = 100
+	cfg.NGranules, cfg.TxPerGranule = 366+nextDays, 300
 	year, err := gen.GenerateTemporal(cfg, 1998)
 	if err != nil {
 		b.Fatal(err)
@@ -77,15 +85,18 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 		b.Fatal(err)
 	}
 	var base, last []tdb.Tx
+	days := make([][]tdb.Tx, 1+nextDays) // the last day, then the next ones
 	year.Each(func(tx tdb.Tx) bool {
 		tx.Items = tx.Items.Clone()
 		if tx.At.Before(split) {
 			base = append(base, tx)
 		} else {
-			last = append(last, tx)
+			d := int(tx.At.Sub(split) / (24 * time.Hour))
+			days[d] = append(days[d], tx)
 		}
 		return true
 	})
+	last = days[0]
 	tbl.AppendBatch(base)
 	hcfg = Config{Granularity: timegran.Day, MinSupport: 0.05, MinConfidence: 0.6, MinFreq: 0.9, Workers: 2}
 	h = mustBuild(b, tbl, hcfg)
@@ -99,5 +110,38 @@ func BenchmarkMaintainOneGranule(b *testing.B) {
 		appended = arm.txs
 		maintain(arm.name, h, tbl, epoch)
 	}
+	b.Run("next-days", func(b *testing.B) {
+		b.ReportAllocs()
+		b.StopTimer()
+		tbl, err := tdb.NewTxTable("baskets")
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl.AppendBatch(base)
+		h := mustBuild(b, tbl, hcfg)
+		for i := 0; i < b.N; i++ {
+			// Past the draw, its days repeat, moved on by whole rounds.
+			shift := 24 * time.Hour * time.Duration(len(days)*(i/len(days)))
+			day := slices.Clone(days[i%len(days)])
+			for j := range day {
+				day[j].At = day[j].At.Add(shift)
+				if (i+1)%10 == 0 && j < len(day)/20 {
+					day[j].At = day[j].At.AddDate(0, 0, -(3 + j%8))
+				}
+			}
+			epoch := tbl.Epoch()
+			tbl.AppendBatch(day)
+			dirty, _, ok := tbl.DirtySince(timegran.Day, epoch)
+			if !ok {
+				b.Fatal("no dirty info")
+			}
+			b.StartTimer()
+			h, err = h.MaintainContext(bg, tbl, dirty)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	rebuild("year-rebuild", tbl, hcfg)
 }

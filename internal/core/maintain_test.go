@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
@@ -309,6 +311,180 @@ func TestMaintainCarryChecksContext(t *testing.T) {
 				t.Fatalf("%d items, cancelled at check %d: %v", tc.items, n, err)
 			case !holdTablesEqual(got, want):
 				t.Fatalf("%d items, cancelled at check %d: a table that differs from the uncancelled one", tc.items, n)
+			}
+		}
+	}
+}
+
+// level2Day appends rows baskets to day d: the hot items 0–9 each with
+// probability 0.5, the cold items 10–29 each with 0.05, and the triple
+// {40, 41, 42} whole with probability plant. It returns the day's
+// granule.
+func level2Day(tbl *tdb.TxTable, r *rand.Rand, d, rows int, plant float64) timegran.Granule {
+	at := fixtureStart.AddDate(0, 0, d)
+	for i := range rows {
+		var items []itemset.Item
+		for x := itemset.Item(0); x < 30; x++ {
+			p := 0.5
+			if x >= 10 {
+				p = 0.05
+			}
+			if r.Float64() < p {
+				items = append(items, x)
+			}
+		}
+		if r.Float64() < plant {
+			items = append(items, 40, 41, 42)
+		}
+		if len(items) == 0 {
+			items = append(items, itemset.Item(r.Intn(10)))
+		}
+		tbl.Append(at.Add(time.Duration(i)*time.Second), itemset.New(items...))
+	}
+	return timegran.GranuleOf(at, timegran.Day)
+}
+
+// dirtyFrequentPairs counts the pairs frequent in at least one of the
+// dirty granules active in h, by a direct count over each one's rows.
+func dirtyFrequentPairs(tbl *tdb.TxTable, h *HoldTable, dirty []timegran.Granule) int {
+	view, _ := tbl.Granules(h.Cfg.Granularity)
+	frequent := map[[2]itemset.Item]bool{}
+	for _, g := range dirty {
+		gi := int(g - view.Span.Lo)
+		if !bitAt(h.Active, gi) {
+			continue
+		}
+		counts := map[[2]itemset.Item]int{}
+		view.Source(gi).ForEach(func(tx itemset.Set) {
+			for a := range tx {
+				for _, y := range tx[a+1:] {
+					counts[[2]itemset.Item{tx[a], y}]++
+				}
+			}
+		})
+		for p, c := range counts {
+			if c >= h.MinCounts[gi] {
+				frequent[p] = true
+			}
+		}
+	}
+	return len(frequent)
+}
+
+// TestMaintainLevel2FromDirtyRows: Maintain decides level 2 over the
+// dirty rows — the tracked pairs that stay in level 1 and the pairs the
+// build's pair decision finds frequent in a dirty granule — and the
+// table equals a cold rebuild: for dirty granules at different
+// thresholds (an inactive one made active at MinGranuleTx 15), a late
+// row into an old granule, and a tracked pair whose items leave level
+// 1; on the flat index with either route forced and at 1 and 2
+// workers, on roaring, and on naive, which keeps the join. Level 2
+// counts at most the tracked pairs plus the dirty-frequent ones, and
+// its pass still reports the whole join of level 1 as generated.
+func TestMaintainLevel2FromDirtyRows(t *testing.T) {
+	type variant struct {
+		backend                  apriori.Backend
+		workers, pairCells, vert int
+	}
+	variants := []variant{
+		{apriori.BackendAuto, 1, apriori.MaxPairCells, apriori.MaxVerticalItems},
+		{apriori.BackendAuto, 2, apriori.MaxPairCells, 0},           // every granule on the triangle
+		{apriori.BackendAuto, 1, 10, 0},                             // the triangle in row blocks
+		{apriori.BackendAuto, 2, apriori.MaxPairCells, math.MaxInt}, // every granule on the index
+		{apriori.BackendRoaring, 1, apriori.MaxPairCells, apriori.MaxVerticalItems},
+		{apriori.BackendNaive, 1, apriori.MaxPairCells, apriori.MaxVerticalItems},
+	}
+	cases := []struct {
+		name   string
+		append func(tbl *tdb.TxTable, r *rand.Rand)
+	}{
+		{"thresholds", func(tbl *tdb.TxTable, r *rand.Rand) {
+			level2Day(tbl, r, 10, 6, 0)    // a small new day: a low threshold
+			level2Day(tbl, r, 11, 60, 0.5) // a large one, the triple frequent
+			level2Day(tbl, r, 4, 9, 0)     // into the span
+			level2Day(tbl, r, 7, 8, 0)     // lifts day 7 to 18 rows
+		}},
+		{"late", func(tbl *tdb.TxTable, r *rand.Rand) {
+			level2Day(tbl, r, 10, 40, 0)
+			level2Day(tbl, r, 2, 3, 0.9) // late rows: day 2 is long past
+		}},
+		{"item-leaves", func(tbl *tdb.TxTable, r *rand.Rand) {
+			level2Day(tbl, r, 5, 90, 0) // the triple's one day, diluted
+			level2Day(tbl, r, 10, 30, 0)
+		}},
+	}
+	triple := itemset.New(40, 41)
+	for seed := int64(0); seed < 4; seed++ {
+		for _, minTx := range []int{1, 15} {
+			for _, tc := range cases {
+				r := rand.New(rand.NewSource(seed))
+				tbl, err := tdb.NewTxTable("level2")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range 10 {
+					rows, plant := 20+r.Intn(30), 0.0
+					switch d {
+					case 5:
+						rows, plant = 30, 0.6 // the triple's only day
+					case 7:
+						rows = 10 // inactive at MinGranuleTx 15
+					}
+					level2Day(tbl, r, d, rows, plant)
+				}
+				epoch := tbl.Epoch()
+				base := Config{Granularity: timegran.Day, MinSupport: 0.35, MinConfidence: 0.5, MinFreq: 0.5, MinGranuleTx: minTx}
+				olds := make([]*HoldTable, len(variants))
+				for i, v := range variants {
+					cfg := base
+					cfg.Backend, cfg.Workers = v.backend, v.workers
+					olds[i] = mustBuild(t, tbl, cfg)
+				}
+				if olds[0].Counts(triple) == nil {
+					t.Fatalf("seed %d: fixture: %v not tracked", seed, triple)
+				}
+				tc.append(tbl, r)
+				dirty, _, ok := tbl.DirtySince(timegran.Day, epoch)
+				if !ok {
+					t.Fatal("DirtySince not covered")
+				}
+				for i, v := range variants {
+					label := fmt.Sprintf("seed %d MinGranuleTx %d %s %+v", seed, minTx, tc.name, v)
+					h := olds[i]
+					want := mustBuild(t, tbl, h.Cfg)
+					if tc.name == "item-leaves" && want.Counts(itemset.New(40)) != nil {
+						t.Fatalf("%s: fixture: item 40 still in level 1", label)
+					}
+					cfg := h.Cfg
+					trace := obs.NewTrace("")
+					cfg.Tracer = trace
+					m, err := h.withCfg(cfg).maintain(bg, tbl, dirty, v.pairCells, v.vert)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					m.Cfg.Tracer = nil
+					sameHoldTable(t, label, want, m)
+					if v.backend == apriori.BackendNaive {
+						continue
+					}
+					var pass *obs.PassStats
+					for _, p := range obs.Summarize(trace.Tree()).Passes {
+						if p.Level == 2 {
+							pass = &p
+							break // the dirty pass; a riser pass follows it
+						}
+					}
+					l1 := len(want.ByK[1])
+					switch bound := len(h.ByK[2]) + dirtyFrequentPairs(tbl, want, dirty); {
+					case pass == nil:
+						t.Fatalf("%s: no level-2 pass", label)
+					case pass.Counted > bound:
+						t.Errorf("%s: level 2 counted %d pairs, over the %d tracked plus %d dirty-frequent",
+							label, pass.Counted, len(h.ByK[2]), bound-len(h.ByK[2]))
+					case pass.Generated != l1*(l1-1)/2:
+						t.Errorf("%s: level 2 generated %d, want the join of %d items, %d", label, pass.Generated, l1, l1*(l1-1)/2)
+					}
+				}
 			}
 		}
 	}

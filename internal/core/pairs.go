@@ -23,8 +23,11 @@ import (
 type pairRoutes struct{ vertical, horizontal int }
 
 // frequentPairs returns, in canonical order, the level-2 candidates
-// that are frequent in at least h.floor active granules, and how many
-// granules each route decided.
+// that are frequent in at least h.floor of the given granules, and how
+// many granules each route decided. slices are the counter's slices:
+// slices[j] is granule cols[j] of the span, cols ascending. The build
+// decides every granule; Maintain decides its dirty ones, where a pair
+// untracked before can have become frequent.
 //
 // A pair can be frequent in granule g only if both its items are, so g
 // is decided over its local items: the L1 items whose frequency words
@@ -43,7 +46,7 @@ type pairRoutes struct{ vertical, horizontal int }
 // are summed, saturating, so any worker count selects the same pairs. A
 // cancelled decision leaves partial marks: the caller checks ctx.Err()
 // before using the result.
-func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, counter *apriori.SliceCounter, ranks *itemset.Ranks, workers, pairCells, verticalItems int) ([]itemset.Set, pairRoutes) {
+func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, cols []int, counter *apriori.SliceCounter, ranks *itemset.Ranks, workers, pairCells, verticalItems int) ([]itemset.Set, pairRoutes) {
 	m := ranks.Len()
 	tri := apriori.NewPairTriangle(ranks)
 	rowStart := tri.RowStart
@@ -51,16 +54,20 @@ func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, 
 	// floor above the cap is still applied exactly, by the keep loop.
 	sat := uint16(min(h.floor, math.MaxUint16))
 	marks := make([]uint16, rowStart[m])
-	local := h.itemsByGranule()
+	local := h.itemsByGranule(cols)
+	minCounts := make([]int, len(cols)) // slice j's threshold
+	for j, gi := range cols {
+		minCounts[j] = h.MinCounts[gi]
+	}
 	flat := counter.Backend() == apriori.BackendBitmap
-	var vertical, horizontal []int // granule offsets, in span order
-	for gi := range h.NGranules() {
-		switch f := local.off[gi+1] - local.off[gi]; {
+	var vertical, horizontal []int // slice indexes, in span order
+	for j := range cols {
+		switch f := local.off[j+1] - local.off[j]; {
 		case f < 2: // no pair can be frequent here
 		case flat && f <= verticalItems:
-			vertical = append(vertical, gi)
+			vertical = append(vertical, j)
 		default:
-			horizontal = append(horizontal, gi)
+			horizontal = append(horizontal, j)
 		}
 	}
 	routes := pairRoutes{vertical: len(vertical), horizontal: len(horizontal)}
@@ -69,10 +76,10 @@ func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, 
 		if ix == nil {
 			return nil, routes // the ingest was cancelled
 		}
-		h.markVertical(ctx, ix, bounds, local, vertical, rowStart, marks, sat, workers)
+		markVertical(ctx, ix, bounds, local, minCounts, vertical, rowStart, marks, sat, workers)
 	}
 	if len(horizontal) > 0 {
-		h.markHorizontal(ctx, slices, tri, horizontal, marks, sat, workers, pairCells)
+		markHorizontal(ctx, slices, minCounts, tri, horizontal, marks, sat, workers, pairCells)
 	}
 
 	n := 0
@@ -95,39 +102,46 @@ func (h *HoldTable) frequentPairs(ctx context.Context, slices []apriori.Source, 
 	return out, routes
 }
 
-// localItems lists, per granule, the ranks of the L1 items frequent in
-// it, ascending: granule gi's are rank[off[gi]:off[gi+1]].
+// localItems lists, per decided granule, the ranks of the L1 items
+// frequent in it, ascending: slice j's are rank[off[j]:off[j+1]].
 type localItems struct {
 	off  []int
 	rank []int32
 }
 
-// itemsByGranule transposes the L1 frequency words into per-granule
-// lists.
-func (h *HoldTable) itemsByGranule() localItems {
-	n, w := h.NGranules(), len(h.Active)
+// itemsByGranule transposes the L1 frequency words at the granules cols
+// (ascending offsets in the span) into per-granule lists, indexed by
+// position in cols.
+func (h *HoldTable) itemsByGranule(cols []int) localItems {
+	w := len(h.Active)
+	mask := make([]uint64, w) // the granules of cols
+	pos := make([]int32, h.NGranules())
+	for j, gi := range cols {
+		setBit(mask, gi)
+		pos[gi] = int32(j)
+	}
 	l1 := h.freq[1]
 	m := len(h.ByK[1])
-	off := make([]int, n+1)
+	off := make([]int, len(cols)+1)
 	for r := range m {
 		for wi, x := range l1[r*w : (r+1)*w] {
-			for ; x != 0; x &= x - 1 {
-				off[wi<<6+bits.TrailingZeros64(x)+1]++
+			for x &= mask[wi]; x != 0; x &= x - 1 {
+				off[pos[wi<<6+bits.TrailingZeros64(x)]+1]++
 			}
 		}
 	}
-	for gi := range n {
-		off[gi+1] += off[gi]
+	for j := range cols {
+		off[j+1] += off[j]
 	}
-	rank := make([]int32, off[n])
-	next := make([]int, n)
+	rank := make([]int32, off[len(cols)])
+	next := make([]int, len(cols))
 	copy(next, off)
 	for r := range m {
 		for wi, x := range l1[r*w : (r+1)*w] {
-			for ; x != 0; x &= x - 1 {
-				gi := wi<<6 + bits.TrailingZeros64(x)
-				rank[next[gi]] = int32(r)
-				next[gi]++
+			for x &= mask[wi]; x != 0; x &= x - 1 {
+				j := pos[wi<<6+bits.TrailingZeros64(x)]
+				rank[next[j]] = int32(r)
+				next[j]++
 			}
 		}
 	}
@@ -162,20 +176,21 @@ func shardMarks(granules []int, workers int, marks []uint16, sat uint16, mark fu
 	}
 }
 
-// markVertical is the vertical route. For each of its granules it
-// copies the local items' words over the granule's rows into a dense
-// f × W scratch, masked to the row range, then marks every local pair
-// whose AND popcounts to the granule's threshold. Cancellation is
-// sampled at each granule.
-func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, bounds []int, local localItems, granules []int, rowStart []int, marks []uint16, sat uint16, workers int) {
+// markVertical is the vertical route. For each of its granules — slice
+// indexes, as are local's lists and the index's bounds — it copies the
+// local items' words over the granule's rows into a dense f × W
+// scratch, masked to the row range, then marks every local pair whose
+// AND popcounts to the granule's threshold, minCounts[j]. Cancellation
+// is sampled at each granule.
+func markVertical(ctx context.Context, ix *apriori.BitmapIndex, bounds []int, local localItems, minCounts []int, granules []int, rowStart []int, marks []uint16, sat uint16, workers int) {
 	shardMarks(granules, workers, marks, sat, func(granules []int, marks []uint16) {
 		var scratch []uint64
-		for _, gi := range granules {
+		for _, j := range granules {
 			if ctx.Err() != nil {
 				return
 			}
-			rs := local.rank[local.off[gi]:local.off[gi+1]]
-			lo, hi := bounds[gi], bounds[gi+1]
+			rs := local.rank[local.off[j]:local.off[j+1]]
+			lo, hi := bounds[j], bounds[j+1]
 			nw := (hi-1)>>6 - lo>>6 + 1
 			if need := len(rs) * nw; cap(scratch) < need {
 				scratch = make([]uint64, need)
@@ -183,7 +198,7 @@ func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, b
 			for a, r := range rs {
 				ix.RangeWords(scratch[a*nw:(a+1)*nw], int(r), lo, hi)
 			}
-			thr := h.MinCounts[gi]
+			thr := minCounts[j]
 			for a, i := range rs[:len(rs)-1] {
 				row := scratch[a*nw : (a+1)*nw]
 				cell0 := rowStart[i] - int(i) - 1 // + j is the cell of (i, j)
@@ -203,10 +218,11 @@ func (h *HoldTable) markVertical(ctx context.Context, ix *apriori.BitmapIndex, b
 }
 
 // markHorizontal is the horizontal route: the triangle scan over its
-// granules. When the triangle exceeds pairCells its rows are split into
-// blocks that fit (apriori.PairTriangle.RowBlocks) and the granules are
-// scanned once per block.
-func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source, tri *apriori.PairTriangle, granules []int, marks []uint16, sat uint16, workers, pairCells int) {
+// granules, slice indexes with thresholds minCounts. When the triangle
+// exceeds pairCells its rows are split into blocks that fit
+// (apriori.PairTriangle.RowBlocks) and the granules are scanned once
+// per block.
+func markHorizontal(ctx context.Context, slices []apriori.Source, minCounts []int, tri *apriori.PairTriangle, granules []int, marks []uint16, sat uint16, workers, pairCells int) {
 	perWorker := pairCells / len(apriori.Blocks(len(granules), workers))
 	for _, rows := range tri.RowBlocks(perWorker) {
 		if ctx.Err() != nil {
@@ -215,7 +231,7 @@ func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source,
 		r0, r1 := rows[0], rows[1]
 		rowMarks := marks[tri.RowStart[r0]:tri.RowStart[r1]]
 		shardMarks(granules, workers, rowMarks, sat, func(granules []int, marks []uint16) {
-			h.markPairRows(ctx, slices, tri, r0, r1, granules, marks, sat)
+			markPairRows(ctx, slices, minCounts, tri, r0, r1, granules, marks, sat)
 		})
 	}
 }
@@ -229,15 +245,15 @@ func (h *HoldTable) markHorizontal(ctx context.Context, slices []apriori.Source,
 // bookkeeping sits on the increment path. Filtering a basket down to
 // its granule's local items was measured too, and cost as much as the
 // increments it saved. Cancellation is sampled at each granule.
-func (h *HoldTable) markPairRows(ctx context.Context, slices []apriori.Source, tri *apriori.PairTriangle, r0, r1 int, granules []int, marks []uint16, sat uint16) {
+func markPairRows(ctx context.Context, slices []apriori.Source, minCounts []int, tri *apriori.PairTriangle, r0, r1 int, granules []int, marks []uint16, sat uint16) {
 	cells := make([]int32, tri.RowStart[r1]-tri.RowStart[r0])
 	add := tri.Adder(r0, r1, cells)
-	for _, gi := range granules {
+	for _, j := range granules {
 		if ctx.Err() != nil {
 			return
 		}
-		slices[gi].ForEach(add)
-		thr := int32(h.MinCounts[gi])
+		slices[j].ForEach(add)
+		thr := int32(minCounts[j])
 		for c, v := range cells {
 			if v >= thr && marks[c] < sat {
 				marks[c]++

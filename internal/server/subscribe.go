@@ -335,7 +335,8 @@ func (m *subManager) refresh(sub *subscription) {
 // subView is the JSON shape of one subscription: identity, the standing
 // statement, and live progress counters. Epoch vs TableEpoch lets a
 // client detect a settled stream (every append reflected in an emitted
-// event).
+// event): Epoch is the newest pushed event's, so a reader that sees it
+// can read that event.
 type subView struct {
 	ID            string    `json:"id"`
 	RequestID     string    `json:"request_id,omitempty"`
@@ -362,7 +363,6 @@ func (s *Server) subView(sub *subscription, rid string) subView {
 		Table:      sub.table,
 		Task:       sub.standing.Task(),
 		Created:    sub.created,
-		Epoch:      sub.standing.Epoch(),
 		TableEpoch: sub.standing.Table().Epoch(),
 	}
 	sub.mu.Lock()
@@ -373,6 +373,7 @@ func (s *Server) subView(sub *subscription, rid string) subView {
 	v.LastError = sub.lastErr
 	if n := len(sub.events); n > 0 {
 		last := sub.events[n-1]
+		v.Epoch = last.Epoch
 		v.Rules = last.Rules
 		v.ClosedThrough = last.ClosedLabel
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/tarm-project/tarm/internal/apriori"
+	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/tml"
 )
@@ -144,6 +145,39 @@ func waitSettled(t *testing.T, url, id string, epoch int64) subView {
 				id, v.Epoch, epoch, v.Errors, v.LastError)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSubViewEpochIsPushed: a subscription's view reports the epoch of
+// the newest event it pushed, not the one its standing statement
+// reached in a Step whose event is not yet pushed, so a client that
+// waits for an epoch (waitSettled) can then read the event carrying it.
+func TestSubViewEpochIsPushed(t *testing.T) {
+	s, _, db := newStreamServer(t, Config{})
+	tbl, _ := db.TxTable("stream")
+	bread, milk := db.Dict().Intern("bread"), db.Dict().Intern("milk")
+	for i := range 4 {
+		tbl.Append(streamBase.Add(time.Duration(i)*time.Hour), itemset.New(bread, milk))
+	}
+	stmt, err := tml.Parse(streamStmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standing, err := tml.NewStanding(s.exec, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := &subscription{id: "sub-epoch", standing: standing, wake: make(chan struct{})}
+	upd, err := standing.Step(context.Background())
+	if err != nil || upd == nil {
+		t.Fatalf("first Step = %v, %v; want the registration snapshot", upd, err)
+	}
+	if v := s.subView(sub, ""); v.Epoch != 0 {
+		t.Fatalf("before the snapshot is pushed the view reads epoch %d, want 0", v.Epoch)
+	}
+	sub.push(subEvent{At: time.Now(), SubUpdate: *upd}, 8)
+	if v := s.subView(sub, ""); v.Epoch != tbl.Epoch() || v.Epoch != upd.Epoch {
+		t.Fatalf("after the push the view reads epoch %d, want the event's %d (table %d)", v.Epoch, upd.Epoch, tbl.Epoch())
 	}
 }
 

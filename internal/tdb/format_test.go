@@ -195,7 +195,7 @@ func decodeSegmentBody(body []byte, idx int64) (*TxTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, err = tbl.decodeSegment(&decoder{b: body, off: 8}, gapRows, idx)
+	_, err = tbl.decodeSegment(&decoder{b: body, off: 8}, gapRows, idx, math.MaxInt64)
 	return tbl, err
 }
 

@@ -2,6 +2,7 @@ package tdb
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -149,6 +150,12 @@ func (t *TxTable) nextIDSnapshot() int64 {
 
 // LoadTxTableSegmented reads a segment directory back into a table.
 // Every referenced segment must be present and pass its checksum.
+//
+// A segment holding more rows than its manifest count is one a
+// checkpoint rewrote before a crash kept it from writing the manifest:
+// its rows from the manifest's next ID on are appends the WAL still
+// holds and replays, so they are dropped, and the rest must match the
+// count. A segment whose count agrees is read whole.
 func LoadTxTableSegmented(dir string) (*TxTable, error) {
 	m, err := loadManifest(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -164,7 +171,7 @@ func LoadTxTableSegmented(dir string) (*TxTable, error) {
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	for _, idx := range idxs {
-		n, err := tbl.loadSegment(filepath.Join(dir, segFileName(idx)), idx)
+		n, err := tbl.loadSegment(filepath.Join(dir, segFileName(idx)), idx, m.counts[idx], m.nextID)
 		if err != nil {
 			return nil, err
 		}
@@ -260,24 +267,32 @@ func (t *TxTable) encodeSegment(idx int64, lo, hi int) []byte {
 }
 
 // loadSegment appends the transactions of one segment file to t, which
-// no one else can see yet, and returns how many there were. On an error
-// t holds a prefix of the segment and is to be discarded.
-func (t *TxTable) loadSegment(path string, wantIdx int64) (int, error) {
+// no one else can see yet, and returns how many it stored. A segment
+// holding more than count, its manifest's, gives up its rows from
+// nextID on. On an error t holds a prefix of the segment and is to be
+// discarded.
+func (t *TxTable) loadSegment(path string, wantIdx, count, nextID int64) (int, error) {
 	d, version, err := readChecked(path, magicSegment, gapRows)
 	if err != nil {
 		return 0, err
 	}
-	n, err := t.decodeSegment(d, version, wantIdx)
+	below := int64(math.MaxInt64)
+	if head := *d; head.i64() == wantIdx && head.u64() > uint64(count) && head.err == nil {
+		below = nextID // rewritten past its manifest: see LoadTxTableSegmented
+	}
+	n, err := t.decodeSegment(d, version, wantIdx, below)
 	if err != nil {
 		return 0, fmt.Errorf("tdb: %s: %w", path, err)
 	}
 	return n, nil
 }
 
-// decodeSegment stores the rows of a segment body, d positioned after
-// its version. A gapRows segment's rows must be in time order, as the
-// writer leaves them; fixedRows rows are stored in any order.
-func (t *TxTable) decodeSegment(d *decoder, version uint32, wantIdx int64) (int, error) {
+// decodeSegment stores the rows of a segment body whose IDs are below
+// below, d positioned after its version, and returns how many it
+// stored. Every row is decoded and checked. A gapRows segment's rows
+// must be in time order, as the writer leaves them; fixedRows rows are
+// stored in any order.
+func (t *TxTable) decodeSegment(d *decoder, version uint32, wantIdx, below int64) (int, error) {
 	if idx := d.i64(); idx != wantIdx {
 		return 0, fmt.Errorf("segment index %d, want %d", idx, wantIdx)
 	}
@@ -287,6 +302,7 @@ func (t *TxTable) decodeSegment(d *decoder, version uint32, wantIdx int64) (int,
 	}
 	var items itemset.Set // decode scratch; storeRow copies it
 	var id, at int64
+	stored := 0
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		var err error
 		if version == fixedRows {
@@ -307,9 +323,13 @@ func (t *TxTable) decodeSegment(d *decoder, version uint32, wantIdx int64) (int,
 		if err != nil {
 			return 0, fmt.Errorf("transaction %d: %w", id, err)
 		}
+		if id >= below {
+			continue
+		}
 		if err := t.storeRow(id, at, items); err != nil {
 			return 0, err
 		}
+		stored++
 	}
 	if d.err != nil {
 		return 0, d.err
@@ -317,5 +337,5 @@ func (t *TxTable) decodeSegment(d *decoder, version uint32, wantIdx int64) (int,
 	if d.off != len(d.b) {
 		return 0, fmt.Errorf("%d trailing bytes", len(d.b)-d.off)
 	}
-	return int(n), nil
+	return stored, nil
 }

@@ -254,14 +254,6 @@ func (s *Standing) Task() string { return taskKey(s.stmt) }
 // Table returns the transaction table the statement mines.
 func (s *Standing) Table() *tdb.TxTable { return s.tbl }
 
-// Epoch returns the table epoch the last emitted update was current
-// through (0 before the first).
-func (s *Standing) Epoch() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
 // Step advances the subscription. A refresh runs when (a) this is the
 // first Step (the registration snapshot), (b) the stream clock closed
 // one or more granules since the last Step, or (c) out-of-order appends
