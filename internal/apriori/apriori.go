@@ -323,10 +323,11 @@ func sumRow(v []int32) int {
 
 // CountLevel1 is the level-1 scan: the distinct items of slices,
 // ranked as met, and by the same index each one's count vector, one
-// count per slice. The slice blocks of Blocks are scanned concurrently,
-// each ranking its own items, and merged in block order; blocks own
-// disjoint slices, so the items and vectors are those of one sequential
-// scan at any worker count.
+// count per slice, allocated as a counter's rows are (newRow). The
+// slice blocks of Blocks are scanned concurrently, each ranking its own
+// items, and merged in block order; blocks own disjoint slices, so the
+// items and vectors are those of one sequential scan at any worker
+// count.
 //
 // Cancellation is sampled between slices: a cancelled scan stops, and
 // the caller checks ctx.Err() before using the (partial) counts.
@@ -347,7 +348,7 @@ func CountLevel1(ctx context.Context, slices []Source, workers int) ([]itemset.I
 		for i, x := range partItems[b] {
 			r := ranks.Add(x)
 			if r == len(vecs) {
-				vecs = append(vecs, make([]int32, n))
+				vecs = append(vecs, newRow(n))
 			}
 			copy(vecs[r][blk[0]:blk[1]], partVecs[b][i])
 		}
@@ -367,7 +368,7 @@ func countLevel1Range(ctx context.Context, slices []Source, lo, hi int) ([]items
 			r := ranks.Rank(x)
 			if r < 0 {
 				r = ranks.Add(x)
-				vecs = append(vecs, make([]int32, hi-lo))
+				vecs = append(vecs, newRow(hi-lo))
 			}
 			vecs[r][s-lo]++
 		}

@@ -151,7 +151,9 @@ func newCounts(nCands, width int) *Counts {
 
 // Row returns candidate i's count in every slice, or nil when it occurs
 // in none. The vector is shared: callers must not modify it, and over a
-// single slice keeping it keeps the level's counts alive.
+// single slice keeping it keeps the level's counts alive. Over 64 or
+// more slices its capacity is whole 64-count blocks, zero past its
+// length (newRow), so a caller may keep it as such blocks in place.
 func (m *Counts) Row(i int) []int32 {
 	if m.flat == nil {
 		return m.rows[i]
@@ -169,9 +171,22 @@ func (m *Counts) set(i, s, n int) {
 		return
 	}
 	if m.rows[i] == nil {
-		m.rows[i] = make([]int32, m.width)
+		m.rows[i] = newRow(m.width)
 	}
 	m.rows[i][s] = int32(n)
+}
+
+// newRow allocates a zero count row of width cells. From 64 cells on
+// its capacity is rounded up to a whole number of 64-cell blocks: the
+// hold table stores a row it keeps as 64-granule blocks over it, without
+// a copy, and Go's size classes already round most such widths this
+// far. A narrower row (a few dirty granules, a coarse span) is not
+// padded: a short tail is copied by whoever keeps it.
+func newRow(width int) []int32 {
+	if width < 64 {
+		return make([]int32, width)
+	}
+	return make([]int32, width, (width+63)&^63)
 }
 
 // --- horizontal driver ----------------------------------------------
@@ -188,7 +203,7 @@ func (c *SliceCounter) countHorizontal(ctx context.Context, cands []itemset.Set,
 		// one: all of them exist before the fan-out, and the untouched
 		// ones are dropped after it.
 		for i := range m.rows {
-			m.rows[i] = make([]int32, m.width)
+			m.rows[i] = newRow(m.width)
 		}
 	}
 	fanOut(blocks, func(_, lo, hi int) {

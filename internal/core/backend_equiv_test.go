@@ -63,7 +63,7 @@ func sameHoldTable(t *testing.T, label string, want, got *HoldTable) {
 			if !g.Equal(w) {
 				t.Fatalf("%s: level %d item %d = %v, want %v", label, k, i, g, w)
 			}
-			wc, gc := want.Counts(w), got.Counts(g)
+			wc, gc := flatCounts(want, w), flatCounts(got, g)
 			for gi := range wc {
 				if wc[gi] != gc[gi] {
 					t.Fatalf("%s: %v counts differ at granule %d: %d, want %d", label, w, gi, gc[gi], wc[gi])

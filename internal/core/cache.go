@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/tarm-project/tarm/internal/itemset"
@@ -562,18 +563,23 @@ func (h *HoldTable) withCfg(cfg Config) *HoldTable {
 }
 
 // MemBytes estimates the resident heap size of the hold table: the
-// per-granule count vectors dominate (4 bytes × itemsets × granules),
-// plus the frequency words (one bit per granule), the itemset itself,
-// its slots in the level slices and the per-granule scaffolding. It is
-// the sizing unit of the HoldCache budget.
+// count vectors' blocks dominate (256 bytes per itemset and 64
+// granules), plus a block pointer each, the frequency words (one bit
+// per granule), the itemset itself, its slot in its level and the
+// per-granule scaffolding. A maintained table's clean blocks are its
+// predecessor's, but each table is charged all of its own: the cache
+// evicts tables, not blocks. It is the sizing unit of the HoldCache
+// budget.
 func (h *HoldTable) MemBytes() int64 {
-	// The ByK slot and the count-vector slot, one slice header each.
-	const perItemset = 48
+	// The ByK slot, one slice header.
+	const perItemset = 24
 	n := int64(h.NGranules())
-	freqBytes := 8 * int64(len(h.Active))
+	blocks := int64(len(h.Active))
+	// Per block: the 64 counts, the pointer to them and the frequency word.
+	perVector := blocks * (4*64 + 8 + 8)
 	var itemBytes int64
 	for k, level := range h.ByK {
-		itemBytes += int64(len(level)) * (4*n + freqBytes + int64(8*k) + perItemset)
+		itemBytes += int64(len(level)) * (perVector + int64(8*k) + perItemset)
 	}
 	return itemBytes + n*24
 }
@@ -584,7 +590,7 @@ func (h *HoldTable) MemBytes() int64 {
 // recomputed, every stored level is filtered through them, and the
 // level-wise stopping rule is replayed so the ByK structure matches a
 // cold build level for level. Count vectors are shared with h by
-// position, never copied. An itemset's filter visits only the granules
+// block, never copied. An itemset's filter visits only the granules
 // its stored frequency words name, so a re-threshold costs the frequent
 // cells, not the span.
 //
@@ -631,7 +637,7 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 		NActive:   h.NActive,
 		ByK:       [][]itemset.Set{nil},
 		freq:      [][]uint64{nil},
-		vecs:      [][][]int32{nil},
+		vecs:      [][]*block{nil},
 		floor:     h.floor,
 	}
 	// filter passes stored level k through the new thresholds, visiting
@@ -644,20 +650,21 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 	thr := nh.thresholds()
 	fw := make([]uint64, len(h.Active))
 	var words []uint64
-	filter := func(k int) (level []itemset.Set, vecs [][]int32) {
-		words = words[:0]
+	var blocks []*block
+	filter := func(k int) (level []itemset.Set) {
+		words, blocks = words[:0], blocks[:0]
 		for i, s := range h.ByK[k] {
-			v := h.vecs[k][i]
+			v := h.vecOf(k, i)
 			if thresholdWords(fw, h.levelFreq(k, i), v, thr) >= nh.floor {
 				level = append(level, s)
 				words = append(words, fw...)
-				vecs = append(vecs, v)
+				blocks = append(blocks, v...)
 			}
 		}
-		return level, vecs
+		return level
 	}
-	l1, vecs := filter(1)
-	nh.appendLevel(l1, words, vecs)
+	l1 := filter(1)
+	nh.appendLevel(l1, slices.Clone(words), slices.Clone(blocks))
 	// Higher levels replay the cold build's loop: stop where it would
 	// stop (thin level, empty join, MaxK), append an empty level where
 	// it would count candidates and find none. A stored k-level can
@@ -670,7 +677,7 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 	// run only to tell "counted, none frequent" from "nothing to count".
 	prev := l1
 	for k := 2; len(prev) > 1 && (cfg.MaxK == 0 || k <= cfg.MaxK) && k < len(h.ByK); k++ {
-		level, vecs := filter(k)
+		level := filter(k)
 		if len(level) == 0 {
 			cands, _, _, err := generateFromSets(context.Background(), prev)
 			if err != nil {
@@ -680,7 +687,7 @@ func (h *HoldTable) Rethreshold(cfg Config) (*HoldTable, error) {
 				break
 			}
 		}
-		nh.appendLevel(level, words, vecs)
+		nh.appendLevel(level, slices.Clone(words), slices.Clone(blocks))
 		prev = level
 	}
 	if tr := cfg.tracer(); tr.Enabled() {

@@ -121,7 +121,7 @@ func TestBuildHoldTableBasics(t *testing.T) {
 		}
 	}
 	// bread is in every transaction.
-	bc := h.Counts(itemset.New(bread))
+	bc := flatCounts(h, itemset.New(bread))
 	if bc == nil {
 		t.Fatal("{bread} not granule-frequent")
 	}
@@ -131,7 +131,7 @@ func TestBuildHoldTableBasics(t *testing.T) {
 		}
 	}
 	// {bbq, charcoal} is frequent only on days 7..13.
-	sc := h.Counts(itemset.New(bbq, charcoal))
+	sc := flatCounts(h, itemset.New(bbq, charcoal))
 	if sc == nil {
 		t.Fatal("{bbq,charcoal} not granule-frequent")
 	}

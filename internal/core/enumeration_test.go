@@ -274,7 +274,7 @@ func TestConcurrentAppendBuildCounts(t *testing.T) {
 		h := mustBuild(t, tbl, cfg)
 		for k := 1; k < len(h.ByK); k++ {
 			for i, s := range h.ByK[k] {
-				for gi, c := range h.vecs[k][i] {
+				for gi, c := range flatten(h.vecOf(k, i), h.NGranules()) {
 					if int(c) > h.TxCounts[gi] {
 						close(stop)
 						wg.Wait()

@@ -40,7 +40,7 @@ func TestExtendMatchesRebuildFixture(t *testing.T) {
 		t.Fatal("Extend differs from full rebuild")
 	}
 	// The newcomer pair is tracked with correct zero history.
-	v := extended.Counts(itemset.New(7, 8))
+	v := flatCounts(extended, itemset.New(7, 8))
 	if v == nil {
 		t.Fatal("newcomer pair not tracked")
 	}

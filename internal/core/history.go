@@ -37,15 +37,17 @@ func (h *HoldTable) History(rc RuleCandidate) ([]GranuleStat, bool) {
 		s := GranuleStat{
 			Granule: h.Span.Lo + int64(gi),
 			TxCount: h.TxCounts[gi],
-			Count:   int(fullCounts[gi]),
+			Count:   int(fullCounts.at(gi)),
 			Active:  bitAt(h.Active, gi),
 			Holds:   bitAt(hold, gi),
 		}
 		if s.TxCount > 0 {
 			s.Support = float64(s.Count) / float64(s.TxCount)
 		}
-		if anteCounts != nil && anteCounts[gi] > 0 {
-			s.Confidence = float64(s.Count) / float64(anteCounts[gi])
+		if anteCounts != nil {
+			if a := anteCounts.at(gi); a > 0 {
+				s.Confidence = float64(s.Count) / float64(a)
+			}
 		}
 		out[gi] = s
 	}

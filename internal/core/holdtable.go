@@ -49,10 +49,14 @@ type HoldTable struct {
 	// Maintain, Rethreshold) and never again per rule candidate.
 	freq [][]uint64
 
-	// vecs[k] holds the per-granule count vectors of ByK[k], in ByK
-	// order: an itemset's vector is found by the same search as its
-	// frequency words, and a level's producer appends both.
-	vecs [][][]int32
+	// vecs[k] holds the count vectors of ByK[k] as block tables, in ByK
+	// order: len(Active) block pointers per itemset, block b holding its
+	// counts in granules 64b … 64b+63, the granules of frequency word b
+	// (see counts). An itemset's vector is found by the same search as
+	// its frequency words, and a level's producer appends both. Blocks
+	// are never written once published, so a maintained successor shares
+	// every block the appends left clean.
+	vecs [][]*block
 
 	// floor is the least number of granules a kept itemset is frequent
 	// in: 1 unless Cfg.Scope raised it (Scope.resolve).
@@ -83,6 +87,26 @@ func setBit(words []uint64, gi int) { words[gi>>6] |= 1 << uint(gi&63) }
 // popcount is the number of granules set in a packed vector.
 func popcount(words []uint64) int { return apriori.PopcountRange(words, 0, len(words)<<6) }
 
+// block holds one itemset's counts in 64 consecutive granules: block b
+// of a vector covers granules 64b … 64b+63, the granules of frequency
+// word b. Counts past the span's end are zero. A block in a stored
+// table is never written again: tables of successive epochs share it.
+type block [64]int32
+
+// zeroBlock is the block of no occurrences, shared by every vector whose
+// block of granules holds no data: Maintain's blocks before the old
+// span's start and over empty gaps past its end. It is never written.
+var zeroBlock block
+
+// counts is one itemset's count vector as its ⌈n/64⌉ blocks, a window
+// of its level's block table: granule gi's count is v[gi>>6][gi&63].
+// A loop over frequency words fetches one block per non-zero word, so a
+// per-granule read stays one load. nil is no vector.
+type counts []*block
+
+// at is granule gi's count.
+func (v counts) at(gi int) int32 { return v[gi>>6][gi&63] }
+
 // thresholds returns MinCounts in the form the counting loops compare
 // against: int32 like the count vectors, with inactive granules at
 // MaxInt32, which no count reaches — so "active and frequent" is one
@@ -99,29 +123,20 @@ func (h *HoldTable) thresholds() []int32 {
 	return thr
 }
 
-// Counts returns the per-granule count vector of s, or nil when s is
-// not granule-frequent. The slice is shared: callers must not modify.
-func (h *HoldTable) Counts(s itemset.Set) []int32 {
-	if i, _, ok := h.lookup(s); ok {
-		return h.vecs[len(s)][i]
-	}
-	return nil
-}
-
 // countsOf is s's stored count vector, by one search in its level, or
-// nil when s is not stored. Unlike Counts it does not ask a view
+// nil when s is not stored. Unlike lookup it does not ask a view
 // whether s is frequent at the view's support: the enumeration reads
 // the subsets of an itemset it already knows to be, and Maintain reads
 // a built table.
-func (h *HoldTable) countsOf(s itemset.Set) []int32 {
+func (h *HoldTable) countsOf(s itemset.Set) counts {
 	if i, ok := h.find(s); ok {
-		return h.vecs[len(s)][i]
+		return h.vecOf(len(s), i)
 	}
 	return nil
 }
 
 // freqOf returns s's frequency words, or nil when s is not
-// granule-frequent, by the same lookup as Counts.
+// granule-frequent, by lookup.
 func (h *HoldTable) freqOf(s itemset.Set) []uint64 {
 	_, words, _ := h.lookup(s)
 	return words
@@ -140,7 +155,7 @@ func (h *HoldTable) lookup(s itemset.Set) (i int, words []uint64, ok bool) {
 	if h.view {
 		stored := words
 		words = make([]uint64, len(stored))
-		if thresholdWords(words, stored, h.vecs[len(s)][i], h.thresholds()) < h.floor {
+		if thresholdWords(words, stored, h.vecOf(len(s), i), h.thresholds()) < h.floor {
 			return 0, nil, false
 		}
 	}
@@ -163,14 +178,44 @@ func (h *HoldTable) levelFreq(k, i int) []uint64 {
 	return h.freq[k][i*w : (i+1)*w : (i+1)*w]
 }
 
+// vecOf is the count vector of ByK[k][i]: its window of the level's
+// block table.
+func (h *HoldTable) vecOf(k, i int) counts {
+	w := len(h.Active)
+	return h.vecs[k][i*w : (i+1)*w : (i+1)*w]
+}
+
 // appendLevel stores the next level: its itemsets in canonical order,
-// their frequency words and their count vectors in the same order.
-// words is the producer's scratch; it is copied to size, so a resident
-// table carries no slack. vecs is kept as given.
-func (h *HoldTable) appendLevel(level []itemset.Set, words []uint64, vecs [][]int32) {
+// their frequency words and their block tables in the same order, all
+// kept as given. A producer that collects them in scratch copies them
+// to size, so a resident table carries no slack.
+func (h *HoldTable) appendLevel(level []itemset.Set, words []uint64, blocks []*block) {
 	h.ByK = append(h.ByK, level)
-	h.freq = append(h.freq, slices.Clone(words))
-	h.vecs = append(h.vecs, vecs)
+	h.freq = append(h.freq, words)
+	h.vecs = append(h.vecs, blocks)
+}
+
+// wrapRows returns the block tables of a level's flat count rows, nb
+// blocks each. The blocks wrap a row in place as far as its capacity
+// covers whole blocks — the counter allocates its rows so
+// (apriori.Counts.Row), with zeros past their length — and a short tail
+// is copied into a block of its own: the build stores its counter's
+// rows without copying them.
+func wrapRows(rows [][]int32, nb int) []*block {
+	blocks := make([]*block, 0, len(rows)*nb)
+	for _, row := range rows {
+		whole := min(cap(row)>>6, nb)
+		full := row[:cap(row)]
+		for b := range whole {
+			blocks = append(blocks, (*block)(full[b<<6:]))
+		}
+		if whole < nb {
+			tail := new(block)
+			copy(tail[:], row[whole<<6:])
+			blocks = append(blocks, tail)
+		}
+	}
+	return blocks
 }
 
 // sortLevel orders a level collected out of order canonically, carrying
@@ -282,8 +327,8 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		tr.StartPass(1)
 		t0 = time.Now()
 	}
-	slices := h.slices(view)
-	items, c1 := apriori.CountLevel1(ctx, slices, cfg.Workers)
+	sources := h.slices(view)
+	items, c1 := apriori.CountLevel1(ctx, sources, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -299,8 +344,8 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 			vecs = append(vecs, v)
 		}
 	}
-	l1, words, vecs = sortLevel(l1, words, vecs, w)
-	h.appendLevel(l1, words, vecs)
+	l1, l1Words, vecs := sortLevel(l1, words, vecs, w)
+	h.appendLevel(l1, l1Words, wrapRows(vecs, w))
 	if trace {
 		tr.EndPass(obs.PassStats{
 			Level: 1, Generated: len(c1), Counted: len(c1), Frequent: len(l1),
@@ -317,7 +362,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 	for _, s := range l1 {
 		l1ranks.Add(s[0])
 	}
-	counter := apriori.NewSliceCounter(cfg.Backend, slices, l1ranks, cfg.Workers)
+	counter := apriori.NewSliceCounter(cfg.Backend, sources, l1ranks, cfg.Workers)
 	backend := counter.Backend()
 
 	prev := l1
@@ -346,7 +391,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 			for gi := range cols {
 				cols[gi] = gi
 			}
-			counted, routes = h.frequentPairs(ctx, slices, cols, counter, l1ranks, cfg.Workers, pairCells, verticalItems)
+			counted, routes = h.frequentPairs(ctx, sources, cols, counter, l1ranks, cfg.Workers, pairCells, verticalItems)
 		} else {
 			var cands []itemset.Set
 			cands, nGen, nPruned, err = generateFromSets(ctx, prev)
@@ -385,7 +430,7 @@ func buildHoldTable(ctx context.Context, tbl *tdb.TxTable, cfg Config, pairCells
 		if err != nil {
 			return nil, err
 		}
-		h.appendLevel(level, words, vecs)
+		h.appendLevel(level, slices.Clone(words), wrapRows(vecs, w))
 		prev = level
 		if trace {
 			tr.EndPass(obs.PassStats{
@@ -450,7 +495,7 @@ func newHoldTable(view tdb.Granules, cfg Config) (*HoldTable, error) {
 		Active:    make([]uint64, granuleWords(n)),
 		ByK:       [][]itemset.Set{nil},
 		freq:      [][]uint64{nil},
-		vecs:      [][][]int32{nil},
+		vecs:      [][]*block{nil},
 		floor:     1,
 	}
 	for i, txc := range h.TxCounts {
@@ -502,19 +547,20 @@ func frequentGranules(words []uint64, v, thr []int32) int {
 // any superset of dst, such as the words of v under thresholds no
 // higher than thr's. dst may be stored. It returns how many granules
 // are set. It is the one word test of a table re-read: Rethreshold
-// filters the stored levels through it, a threshold view derives each
-// itemset's words with it as the itemset is read, and Maintain tests a
-// spliced vector on its old words rebased plus the dirty granules.
-func thresholdWords(dst, stored []uint64, v, thr []int32) int {
+// filters the stored levels through it, and a threshold view derives
+// each itemset's words with it as the itemset is read.
+func thresholdWords(dst, stored []uint64, v counts, thr []int32) int {
 	found := 0
 	for wi, w := range stored {
 		var nw uint64
-		for ; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			gi := wi<<6 + b
-			// v[gi] ≥ thr[gi] as the sign of thr-1-v: no branch to
-			// mispredict on a coin-flip test.
-			nw |= uint64(int64(thr[gi])-1-int64(v[gi])) >> 63 << b
+		if w != 0 {
+			blk, thrw := v[wi], thr[wi<<6:]
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				// v ≥ thr as the sign of thr-1-v: no branch to mispredict
+				// on a coin-flip test.
+				nw |= uint64(int64(thrw[b])-1-int64(blk[b])) >> 63 << b
+			}
 		}
 		dst[wi] = nw
 		found += bits.OnesCount64(nw)
@@ -543,7 +589,7 @@ type RuleCandidate struct {
 	Ante, Cons, Full itemset.Set
 	Freq             []uint64
 
-	full, ante, cons []int32 // count vectors of Full, Ante and Cons
+	full, ante, cons counts // count vectors of Full, Ante and Cons
 }
 
 // candidate resolves a rule named by its sets into a candidate of h:
@@ -556,7 +602,7 @@ func (h *HoldTable) candidate(ante, cons itemset.Set) (rc RuleCandidate, ok bool
 	if !ok {
 		return rc, false
 	}
-	rc.Freq, rc.full = words, h.vecs[len(rc.Full)][i]
+	rc.Freq, rc.full = words, h.vecOf(len(rc.Full), i)
 	rc.ante, rc.cons = h.countsOf(ante), h.countsOf(cons)
 	return rc, true
 }
@@ -630,11 +676,13 @@ func (h *HoldTable) holds(rc RuleCandidate, hold []uint64, conf confTest) {
 	}
 	for wi, w := range rc.Freq {
 		var hw uint64
-		for ; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			gi := wi<<6 + b
-			if conf.holds(fullCounts[gi], anteCounts[gi]) {
-				hw |= 1 << uint(b)
+		if w != 0 {
+			fb, ab := fullCounts[wi], anteCounts[wi]
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				if conf.holds(fb[b], ab[b]) {
+					hw |= 1 << uint(b)
+				}
 			}
 		}
 		hold[wi] = hw
@@ -701,14 +749,14 @@ func (h *HoldTable) EachRuleCandidate(floor int, mask []uint64, fn func(rc RuleC
 			}
 			if h.view {
 				// Absent from the materialised table, or below floor there.
-				n := thresholdWords(fw, freq, h.vecs[k][i], thr)
+				n := thresholdWords(fw, freq, h.vecOf(k, i), thr)
 				if n < h.floor || n < floor || mask != nil && floor > 1 && count(fw) < floor {
 					skipped++
 					continue
 				}
 				freq = fw
 			}
-			rc := RuleCandidate{Cons: cons, Full: full, Freq: freq, full: h.vecs[k][i]}
+			rc := RuleCandidate{Cons: cons, Full: full, Freq: freq, full: h.vecOf(k, i)}
 			for j, y := range full {
 				ante = append(append(ante[:0], full[:j]...), full[j+1:]...)
 				cons[0] = y
@@ -739,15 +787,26 @@ func (h *HoldTable) featureRule(rc RuleCandidate, hold []uint64, feature timegra
 	}
 	var nTx, nFull, nAnte, nCons int64
 	for wi, w := range mask {
+		if w == 0 {
+			continue
+		}
+		fb, txw := fullCounts[wi], h.TxCounts[wi<<6:]
+		var ab, cb *block
+		if anteCounts != nil {
+			ab = anteCounts[wi]
+		}
+		if consCounts != nil {
+			cb = consCounts[wi]
+		}
 		for ; w != 0; w &= w - 1 {
-			gi := wi<<6 + bits.TrailingZeros64(w)
-			nTx += int64(h.TxCounts[gi])
-			nFull += int64(fullCounts[gi])
-			if anteCounts != nil {
-				nAnte += int64(anteCounts[gi])
+			b := bits.TrailingZeros64(w)
+			nTx += int64(txw[b])
+			nFull += int64(fb[b])
+			if ab != nil {
+				nAnte += int64(ab[b])
 			}
-			if consCounts != nil {
-				nCons += int64(consCounts[gi])
+			if cb != nil {
+				nCons += int64(cb[b])
 			}
 		}
 	}

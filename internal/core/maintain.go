@@ -28,8 +28,10 @@ import (
 // status in it. So
 //
 //  1. Tracked itemsets are recounted over the dirty granules only and
-//     their fresh per-granule counts spliced into the carried vector;
-//     clean columns are reused verbatim.
+//     their fresh per-granule counts spliced into copies of the blocks
+//     they fall in; every clean block is the receiver's, shared (a
+//     stored block is never written), so a tracked itemset costs its
+//     words, its block pointers and its dirty blocks, not its span.
 //  2. An itemset not tracked before cannot have become frequent in a
 //     clean granule (if it were frequent there now, it was frequent
 //     there before and would have been tracked — Apriori monotonicity
@@ -125,18 +127,17 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 	}
 	// Dirty granules drive all recounting; an inactive one is an empty
 	// slice, as in a cold build, so it counts nothing. Clean active
-	// granules serve the risers' history. Each list is one sliced view of
-	// the table: counts over it are indexed by position in the list, and
-	// the cols give each position's offset in the span.
-	var dirtyCols, cleanCols []int
-	for gi := 0; gi < n; gi++ {
-		switch {
-		case bitAt(dirtyWords, gi):
-			dirtyCols = append(dirtyCols, gi)
-		case bitAt(nh.Active, gi):
-			cleanCols = append(cleanCols, gi)
+	// granules serve the risers' history, and are listed only when there
+	// are risers. Each list is one sliced view of the table: counts over
+	// it are indexed by position in the list, and the cols give each
+	// position's offset in the span.
+	dirtyCols := make([]int, 0, popcount(dirtyWords))
+	for wi, x := range dirtyWords {
+		for ; x != 0; x &= x - 1 {
+			dirtyCols = append(dirtyCols, wi<<6+bits.TrailingZeros64(x))
 		}
 	}
+	var cleanCols []int
 	sources := func(cols []int) []apriori.Source {
 		out := make([]apriori.Source, len(cols))
 		for j, gi := range cols {
@@ -150,41 +151,86 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 	dirtySlices := sources(dirtyCols)
 	thr := nh.thresholds()
 
-	// vector is a candidate's count vector over the new span: its old
-	// vector rebased by off (nil for an untracked candidate, which has no
-	// history yet) with the dirty columns' counts (nil = none) spliced in.
-	// It is one scratch vector, rewritten per candidate: the caller clones
-	// what it keeps, so a dropped candidate allocates nothing.
-	scratch := make([]int32, n)
-	vector := func(old, dirtyCounts []int32) []int32 {
-		clear(scratch[:off])
-		clear(scratch[off+copy(scratch[off:], old):])
-		for j, gi := range dirtyCols {
-			scratch[gi] = 0
-			if dirtyCounts != nil {
-				scratch[gi] = dirtyCounts[j]
-			}
-		}
-		return scratch
-	}
-	// frequent fills fw with the frequency words of v, without a span
-	// scan. A clean granule kept its transaction count, so its threshold
-	// and every verdict there are unchanged: the words to test are the
-	// old ones rebased by off, and the dirty granules. An untracked
-	// itemset is frequent in no clean granule (the splice invariant), so
-	// only its dirty granules are tested.
-	fw := make([]uint64, len(nh.Active))
-	frequent := func(old []uint64, v []int32) bool {
-		clear(fw)
-		for wi, x := range old {
-			for ; x != 0; x &= x - 1 {
-				setBit(fw, wi<<6+bits.TrailingZeros64(x)+off)
-			}
-		}
+	// frequent fills fw with a candidate's frequency words over the new
+	// span and reports whether they reach the floor, before any vector is
+	// made. A clean granule kept its transaction count, so its threshold
+	// and every verdict there are unchanged: the words are the old ones
+	// (nil for an untracked itemset, frequent in no clean granule by the
+	// splice invariant) moved by off, with the dirty granules cleared and
+	// re-tested on their fresh counts dc (nil = none).
+	nb := len(nh.Active)
+	fw := make([]uint64, nb)
+	frequent := func(old []uint64, dc []int32) bool {
+		shiftWords(fw, old, off)
+		found := 0
 		for wi, x := range dirtyWords {
-			fw[wi] |= x
+			fw[wi] &^= x
+			found += bits.OnesCount64(fw[wi])
 		}
-		return thresholdWords(fw, fw, v, thr) >= nh.floor
+		if dc != nil {
+			for j, gi := range dirtyCols {
+				if dc[j] >= thr[gi] {
+					setBit(fw, gi)
+					found++
+				}
+			}
+		}
+		return found >= nh.floor
+	}
+	// sharedBlocks appends a tracked itemset's block table over the new span
+	// when the span start moved by a whole number of blocks (q of them):
+	// every block no dirty granule falls in is the old vector's, or the
+	// zero block outside it, shared as is; a dirty block is a copy of it
+	// with the dirty columns' counts dc (nil = none) spliced in. A block
+	// the span grew into past the old tail holds zeros where no data
+	// arrived, as the old block does past the old span's end.
+	q := off >> 6
+	sharedBlocks := func(dst []*block, old counts, dc []int32) []*block {
+		j := 0 // next dirty column
+		for b := range nb {
+			src := &zeroBlock
+			if ob := b - q; ob >= 0 && ob < len(old) {
+				src = old[ob]
+			}
+			if dirtyWords[b] == 0 {
+				dst = append(dst, src)
+				continue
+			}
+			cp := new(block)
+			*cp = *src
+			for ; j < len(dirtyCols) && dirtyCols[j]>>6 == b; j++ {
+				cp[dirtyCols[j]&63] = 0
+				if dc != nil {
+					cp[dirtyCols[j]&63] = dc[j]
+				}
+			}
+			dst = append(dst, cp)
+		}
+		return dst
+	}
+	// newBlocks appends a block table of new blocks, one allocation for all
+	// of them: an untracked candidate's (a riser, whose clean history is
+	// written in below, so it shares nothing), or a tracked one's re-
+	// blocked when a late row moved the span start by a non-multiple of
+	// 64, so no old block lines up with a new one.
+	newBlocks := func(dst []*block, old counts, dc []int32) []*block {
+		blocks := make([]block, nb)
+		if old != nil {
+			for gi := range oldN {
+				ng := gi + off
+				blocks[ng>>6][ng&63] = old.at(gi)
+			}
+		}
+		for j, gi := range dirtyCols {
+			blocks[gi>>6][gi&63] = 0
+			if dc != nil {
+				blocks[gi>>6][gi&63] = dc[j]
+			}
+		}
+		for b := range blocks {
+			dst = append(dst, &blocks[b])
+		}
+		return dst
 	}
 
 	// The cold build's level-wise loop — same stopping rule, and every
@@ -194,8 +240,10 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 	// Level 2's are the tracked pairs whose items both stayed in level 1
 	// and the pairs the build's own pair decision finds frequent in a
 	// dirty granule: by the splice invariant no other pair of the join
-	// can be frequent anywhere. A level from 3 on is the join of the
-	// level below. A candidate with an item absent from the dirty region
+	// can be frequent anywhere. A level from 3 on is, the same way, the
+	// tracked itemsets whose subsets all stayed in the level below and
+	// the join of that level's dirty-frequent itemsets (levelCandidates).
+	// A candidate with an item absent from the dirty region
 	// keeps a nil (all-zero) dirty vector uncounted. Both regions count
 	// on the table's own backend and workers, resolved as for a cold
 	// build: an appended day, or the first basket of a granule, counts
@@ -217,7 +265,11 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 	}
 	risersTotal := 0
 	var prev []itemset.Set
-	var words []uint64
+	// keptCandidate is a candidate a level keeps: its index in the
+	// level's candidates and its position in the old level, -1 for a
+	// riser.
+	type keptCandidate struct{ cand, from int }
+	var kept []keptCandidate
 	var t0 time.Time
 	for k := 1; k == 1 || len(prev) > 1 && (nh.Cfg.MaxK == 0 || k <= nh.Cfg.MaxK); k++ {
 		if err := ctx.Err(); err != nil {
@@ -233,7 +285,7 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 		var cands []itemset.Set
 		var dirtyCounts [][]int32
 		if k == 1 {
-			cands = slices.Clone(h.ByK[1])
+			cands = append(make([]itemset.Set, 0, len(h.ByK[1])+len(items)), h.ByK[1]...)
 			for _, x := range items {
 				if s := (itemset.Set{x}); h.countsOf(s) == nil {
 					cands = append(cands, s)
@@ -270,11 +322,31 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 					return nil, err
 				}
 			} else {
+				// The naive backend counts the whole join, the unfiltered
+				// reference; the others take level k's candidates from
+				// the dirty-frequent part of the level below and the
+				// tracked k-itemsets, and form the whole join only when
+				// those are none, as the build stops where it is empty
+				// and appends an empty level where it is not.
 				var err error
-				if cands, pass.Generated, pass.Pruned, err = generateFromSets(ctx, prev); err != nil {
+				naive := dirtyCounter.Backend() == apriori.BackendNaive
+				if naive {
+					cands, pass.Generated, pass.Pruned, err = generateFromSets(ctx, prev)
+				} else {
+					cands, pass.Generated, pass.Pruned, err = h.levelCandidates(ctx, nh, k, dirtyWords)
+				}
+				if err != nil {
 					return nil, err
 				}
-				if len(cands) == 0 {
+				end := len(cands) == 0
+				if end && !naive {
+					join, _, _, err := generateFromSets(ctx, prev)
+					if err != nil {
+						return nil, err
+					}
+					end = len(join) == 0
+				}
+				if end {
 					if trace {
 						pass.Rows, pass.Duration = 0, time.Since(t0)
 						tr.EndPass(pass)
@@ -282,8 +354,8 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 					break
 				}
 			}
-			var countable []itemset.Set
-			var countIdx []int
+			countable := make([]itemset.Set, 0, len(cands))
+			countIdx := make([]int, 0, len(cands))
 			for i, c := range cands {
 				if !slices.ContainsFunc(c, func(x itemset.Item) bool { return present.Rank(x) < 0 }) {
 					countable = append(countable, c)
@@ -302,17 +374,16 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 		}
 		// Candidates and the old level are both in canonical order: one
 		// merge walk finds each tracked candidate's stored vector and
-		// words. An untracked candidate that clears a threshold in the
-		// dirty region is a riser: a tracked itemset with no history, which
-		// one clean-region count recovers below. Its verdict is already
-		// final, as the history is frequent nowhere.
+		// words, and decides it before any of its storage is made. An
+		// untracked candidate that clears a threshold in the dirty region
+		// is a riser: a tracked itemset with no history, which one
+		// clean-region count recovers below. Its verdict is already final,
+		// as the history is frequent nowhere.
 		var tracked []itemset.Set
 		if k < len(h.ByK) {
 			tracked = h.ByK[k]
 		}
-		var level, risers []itemset.Set
-		var vecs, riserVecs [][]int32
-		words = words[:0]
+		kept = kept[:0]
 		t := 0
 		for i, c := range cands {
 			if i > 0 && i%keepCheckEvery == 0 {
@@ -323,29 +394,44 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 			for t < len(tracked) && tracked[t].Compare(c) < 0 {
 				t++
 			}
-			var old []int32
+			from := -1
 			var oldWords []uint64
 			if t < len(tracked) && tracked[t].Equal(c) {
-				old, oldWords = h.vecs[k][t], h.levelFreq(k, t)
+				from, oldWords = t, h.levelFreq(k, t)
 			} else if dirtyCounts[i] == nil {
 				continue // absent from the dirty region and untracked: frequent nowhere
 			}
-			v := vector(old, dirtyCounts[i])
-			if !frequent(oldWords, v) {
-				continue
-			}
-			v = slices.Clone(v)
-			level = append(level, c)
-			words = append(words, fw...)
-			vecs = append(vecs, v)
-			if old == nil {
-				risers = append(risers, c)
-				riserVecs = append(riserVecs, v)
+			if frequent(oldWords, dirtyCounts[i]) {
+				kept = append(kept, keptCandidate{i, from})
 			}
 		}
-		// The risers' vectors are the level's own: the history fill below
-		// writes into the stored level.
-		nh.appendLevel(level, words, vecs)
+		// The kept candidates' storage, sized to them: the words (the
+		// test rerun, a few words' work), and the block tables.
+		level := make([]itemset.Set, len(kept))
+		words := make([]uint64, 0, len(kept)*nb)
+		blocks := make([]*block, 0, len(kept)*nb)
+		var risers []itemset.Set
+		var riserAt []int // the risers' positions in level
+		for x, kc := range kept {
+			level[x] = cands[kc.cand]
+			var old counts
+			var oldWords []uint64
+			if kc.from >= 0 {
+				old, oldWords = h.vecOf(k, kc.from), h.levelFreq(k, kc.from)
+			} else {
+				risers = append(risers, level[x])
+				riserAt = append(riserAt, x)
+			}
+			dc := dirtyCounts[kc.cand]
+			frequent(oldWords, dc)
+			words = append(words, fw...)
+			if old != nil && off&63 == 0 {
+				blocks = sharedBlocks(blocks, old, dc)
+			} else {
+				blocks = newBlocks(blocks, old, dc)
+			}
+		}
+		nh.appendLevel(level, words, blocks)
 		prev = level
 		if trace {
 			pass.Frequent, pass.Duration = len(level), time.Since(t0)
@@ -371,6 +457,11 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 					keep.Add(s[0])
 				}
 			}
+			for gi := range n {
+				if bitAt(nh.Active, gi) && !bitAt(dirtyWords, gi) {
+					cleanCols = append(cleanCols, gi)
+				}
+			}
 			cleanSlices := sources(cleanCols)
 			for _, s := range cleanSlices {
 				cleanRows += int64(s.Len())
@@ -381,10 +472,13 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 		if err != nil {
 			return nil, err
 		}
-		for r, v := range riserVecs {
+		// A riser's blocks are its own (fresh) and not yet read by anyone:
+		// its history is written into the stored level.
+		for r, at := range riserAt {
 			if hv := hist.Row(r); hv != nil { // nil: no clean-region occurrences
+				v := nh.vecOf(k, at)
 				for j, gi := range cleanCols {
-					v[gi] = hv[j]
+					v[gi>>6][gi&63] = hv[j]
 				}
 			}
 		}
@@ -412,12 +506,55 @@ func (h *HoldTable) maintain(ctx context.Context, tbl *tdb.TxTable, dirty []time
 // granule, the pairs h tracks whose items are both ranked in l1: level
 // 2's candidates, in canonical order, each once. A tracked pair with an
 // item gone from level 1 is frequent nowhere now, as the join would
-// not have generated it. ctx is sampled every keepCheckEvery tracked
-// pairs.
+// not have generated it.
 func (h *HoldTable) pairCandidates(ctx context.Context, l1 *itemset.Ranks, fresh []itemset.Set) ([]itemset.Set, error) {
+	return h.mergeTracked(ctx, 2, fresh, func(c itemset.Set) bool { return l1.Rank(c[0]) >= 0 && l1.Rank(c[1]) >= 0 })
+}
+
+// levelCandidates is Maintain's level k ≥ 3 on a counting backend: the
+// join of the itemsets of the new level k-1 (nh's) frequent in some
+// dirty granule, merged with the k-itemsets h tracks whose (k-1)-subsets
+// all stayed in that level. By the splice invariant no other candidate
+// of the level's whole join can be frequent anywhere: one frequent in a
+// clean granule was tracked, its subsets frequent there too, and one
+// frequent in a dirty granule has every subset frequent in it. It
+// reports the candidates formed and the dirty join's pruned ones.
+func (h *HoldTable) levelCandidates(ctx context.Context, nh *HoldTable, k int, dirtyWords []uint64) (cands []itemset.Set, generated, pruned int, err error) {
+	prev := nh.ByK[k-1]
+	var dirtyPrev []itemset.Set
+	for i, s := range prev {
+		if apriori.AndCount(nh.levelFreq(k-1, i), dirtyWords) > 0 {
+			dirtyPrev = append(dirtyPrev, s)
+		}
+	}
+	fresh, _, pruned, err := generateFromSets(ctx, dirtyPrev)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	sub := make(itemset.Set, k-1)
+	stays := func(c itemset.Set) bool {
+		for j := range c {
+			sub = append(append(sub[:0], c[:j]...), c[j+1:]...)
+			if _, ok := slices.BinarySearchFunc(prev, sub, itemset.Set.Compare); !ok {
+				return false
+			}
+		}
+		return true
+	}
+	if cands, err = h.mergeTracked(ctx, k, fresh, stays); err != nil {
+		return nil, 0, 0, err
+	}
+	return cands, len(cands) + pruned, pruned, nil
+}
+
+// mergeTracked merges into fresh, a level's candidates new to the
+// dirty region, the itemsets h tracks at level k for which stays holds:
+// the level's candidates, in canonical order, each once. ctx is sampled
+// every keepCheckEvery tracked itemsets.
+func (h *HoldTable) mergeTracked(ctx context.Context, k int, fresh []itemset.Set, stays func(itemset.Set) bool) ([]itemset.Set, error) {
 	var tracked []itemset.Set
-	if len(h.ByK) > 2 {
-		tracked = h.ByK[2]
+	if k < len(h.ByK) {
+		tracked = h.ByK[k]
 	}
 	out := make([]itemset.Set, 0, len(tracked)+len(fresh))
 	f := 0
@@ -427,7 +564,7 @@ func (h *HoldTable) pairCandidates(ctx context.Context, l1 *itemset.Ranks, fresh
 				return nil, err
 			}
 		}
-		if l1.Rank(c[0]) < 0 || l1.Rank(c[1]) < 0 {
+		if !stays(c) {
 			continue
 		}
 		for f < len(fresh) && fresh[f].Compare(c) < 0 {
@@ -440,4 +577,23 @@ func (h *HoldTable) pairCandidates(ctx context.Context, l1 *itemset.Ranks, fresh
 		out = append(out, c)
 	}
 	return append(out, fresh[f:]...), nil
+}
+
+// shiftWords sets dst to the packed granules of src moved up by off
+// granules: a table's frequency words re-based onto a span that starts
+// off granules earlier. dst must hold every moved bit; it is whole
+// words copied when off is a multiple of 64.
+func shiftWords(dst, src []uint64, off int) {
+	clear(dst)
+	q, r := off>>6, uint(off&63)
+	if r == 0 {
+		copy(dst[q:], src)
+		return
+	}
+	for wi, x := range src {
+		dst[wi+q] |= x << r
+		if hi := x >> (64 - r); hi != 0 {
+			dst[wi+q+1] |= hi
+		}
+	}
 }

@@ -61,7 +61,7 @@ func TestMaintainNewcomerRecovery(t *testing.T) {
 		appendDay(tbl, d, 2, 7, 8)
 	}
 	h := mustBuild(t, tbl, fixtureConfig())
-	if h.Counts(itemset.New(7, 8)) != nil {
+	if flatCounts(h, itemset.New(7, 8)) != nil {
 		t.Fatal("fixture: {7,8} already tracked")
 	}
 	g := appendDay(tbl, 14, 15, 7, 8)
@@ -73,7 +73,7 @@ func TestMaintainNewcomerRecovery(t *testing.T) {
 	if !holdTablesEqual(m, rebuilt) {
 		t.Fatal("Maintain differs from full rebuild")
 	}
-	if m.Counts(itemset.New(7, 8)) == nil {
+	if flatCounts(m, itemset.New(7, 8)) == nil {
 		t.Fatal("newcomer pair not tracked after Maintain")
 	}
 }
@@ -107,7 +107,7 @@ func TestMaintainReportsCounting(t *testing.T) {
 		var risen int64
 		for k := 1; k < len(m.ByK); k++ {
 			for _, s := range m.ByK[k] {
-				if h.Counts(s) == nil {
+				if flatCounts(h, s) == nil {
 					risen++
 				}
 			}
@@ -440,7 +440,7 @@ func TestMaintainLevel2FromDirtyRows(t *testing.T) {
 					cfg.Backend, cfg.Workers = v.backend, v.workers
 					olds[i] = mustBuild(t, tbl, cfg)
 				}
-				if olds[0].Counts(triple) == nil {
+				if flatCounts(olds[0], triple) == nil {
 					t.Fatalf("seed %d: fixture: %v not tracked", seed, triple)
 				}
 				tc.append(tbl, r)
@@ -452,7 +452,7 @@ func TestMaintainLevel2FromDirtyRows(t *testing.T) {
 					label := fmt.Sprintf("seed %d MinGranuleTx %d %s %+v", seed, minTx, tc.name, v)
 					h := olds[i]
 					want := mustBuild(t, tbl, h.Cfg)
-					if tc.name == "item-leaves" && want.Counts(itemset.New(40)) != nil {
+					if tc.name == "item-leaves" && flatCounts(want, itemset.New(40)) != nil {
 						t.Fatalf("%s: fixture: item 40 still in level 1", label)
 					}
 					cfg := h.Cfg

@@ -347,7 +347,7 @@ func checkHoldTable(t *testing.T, tag string, h *HoldTable, b *bruteTable) {
 		}
 		// And the count vectors themselves, granule by granule.
 		for _, s := range want {
-			hv := h.Counts(s)
+			hv := flatCounts(h, s)
 			bv := b.counts[s.Key()]
 			if hv == nil {
 				t.Fatalf("%s: no counts retained for frequent %v", tag, s)
@@ -899,7 +899,7 @@ func checkIdenticalTables(t *testing.T, tag string, got, want *HoldTable) {
 			if !got.ByK[k][i].Equal(s) {
 				t.Fatalf("%s: level %d itemset %d = %v, cold rebuild %v", tag, k, i, got.ByK[k][i], s)
 			}
-			gv, wv := got.Counts(s), want.Counts(s)
+			gv, wv := flatCounts(got, s), flatCounts(want, s)
 			for gi := range wv {
 				if gv[gi] != wv[gi] {
 					t.Fatalf("%s: counts(%v)[%d] = %d, cold rebuild %d", tag, s, gi, gv[gi], wv[gi])

@@ -8,8 +8,33 @@ import (
 	"testing/quick"
 
 	"github.com/tarm-project/tarm/internal/apriori"
+	"github.com/tarm-project/tarm/internal/itemset"
 	"github.com/tarm-project/tarm/internal/timegran"
 )
+
+// flatCounts is s's per-granule count vector as one flat copy, or nil
+// when s is not granule-frequent: lookup decides, so a view answers at
+// its own support. Changing the copy changes nothing in h.
+func flatCounts(h *HoldTable, s itemset.Set) []int32 {
+	i, _, ok := h.lookup(s)
+	if !ok {
+		return nil
+	}
+	return flatten(h.vecOf(len(s), i), h.NGranules())
+}
+
+// flatten copies the first n counts of a block table into one flat
+// slice; nil stays nil.
+func flatten(v counts, n int) []int32 {
+	if v == nil {
+		return nil
+	}
+	out := make([]int32, n)
+	for gi := range out {
+		out[gi] = v.at(gi)
+	}
+	return out
+}
 
 // holdTablesEqual compares every retained count vector.
 func holdTablesEqual(a, b *HoldTable) bool {
@@ -27,7 +52,7 @@ func holdTablesEqual(a, b *HoldTable) bool {
 			if !s.Equal(b.ByK[k][i]) {
 				return false
 			}
-			if !reflect.DeepEqual(a.Counts(s), b.Counts(s)) {
+			if !reflect.DeepEqual(flatCounts(a, s), flatCounts(b, s)) {
 				return false
 			}
 			// The stored support test too: a refresh (Maintain, Extend)

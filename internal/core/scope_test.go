@@ -152,7 +152,7 @@ func checkScopedTable(t *testing.T, label string, ref, h *HoldTable) {
 			if !slices.Equal(h.levelFreq(k, i), wantWords[i*len(fw):(i+1)*len(fw)]) {
 				t.Fatalf("%s: %v frequency words differ", label, s)
 			}
-			gc, rc := h.Counts(s), ref.Counts(s)
+			gc, rc := flatCounts(h, s), flatCounts(ref, s)
 			for gi := range h.NGranules() {
 				if bitAt(h.Active, gi) && gc[gi] != rc[gi] {
 					t.Fatalf("%s: %v counts %d at granule %d, want %d", label, s, gc[gi], gi, rc[gi])

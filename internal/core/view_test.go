@@ -125,7 +125,7 @@ func checkViewReaders(t *testing.T, label string, resident, view, mat *HoldTable
 	t.Helper()
 	for k := 1; k < len(resident.ByK); k++ {
 		for _, s := range resident.ByK[k] {
-			vc, mc := view.Counts(s), mat.Counts(s)
+			vc, mc := flatCounts(view, s), flatCounts(mat, s)
 			if !reflect.DeepEqual(vc, mc) {
 				t.Fatalf("%s: Counts(%v) = %v from the view, %v materialised", label, s, vc, mc)
 			}

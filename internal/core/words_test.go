@@ -173,7 +173,8 @@ func calendarRangesBool(hold, active []bool, f timegran.CalField, g timegran.Gra
 // featureRuleBool aggregates over the active granules keep selects,
 // asking keep — the pattern's own date arithmetic — granule by granule.
 func featureRuleBool(h *HoldTable, rc RuleCandidate, hold []bool, feature timegran.Pattern, keep func(gi int) bool) (TemporalRule, bool) {
-	fullCounts, anteCounts, consCounts := h.countsOf(rc.Full), h.countsOf(rc.Ante), h.countsOf(rc.Cons)
+	n := h.NGranules()
+	fullCounts, anteCounts, consCounts := flatten(h.countsOf(rc.Full), n), flatten(h.countsOf(rc.Ante), n), flatten(h.countsOf(rc.Cons), n)
 	var nTx, nFull, nAnte, nCons int64
 	nOcc, nHit := 0, 0
 	for gi := 0; gi < h.NGranules(); gi++ {
@@ -398,18 +399,19 @@ func vectorTable(c wordCase) *HoldTable {
 
 // withLevels gives a hand-built table its levels 1, 2, … the way a
 // build stores them: each level's itemsets, in canonical order, appended
-// with the frequency words of its count vectors and the vectors.
+// with the frequency words of its count vectors and the vectors, as
+// blocks over them.
 func withLevels(h *HoldTable, levels [][]itemset.Set, vecs [][][]int32) *HoldTable {
 	thr := h.thresholds()
 	fw := make([]uint64, len(h.Active))
-	h.ByK, h.freq, h.vecs = [][]itemset.Set{nil}, [][]uint64{nil}, [][][]int32{nil}
+	h.ByK, h.freq, h.vecs = [][]itemset.Set{nil}, [][]uint64{nil}, [][]*block{nil}
 	for k, level := range levels {
 		var words []uint64
 		for _, v := range vecs[k] {
 			frequentGranules(fw, v, thr)
 			words = append(words, fw...)
 		}
-		h.appendLevel(level, words, vecs[k])
+		h.appendLevel(level, words, wrapRows(vecs[k], len(h.Active)))
 	}
 	return h
 }
@@ -504,8 +506,8 @@ func TestQuickDuringMatchesBool(t *testing.T) {
 // inactive granules at MaxInt32 — and the ones that pass take the
 // confidence test.
 func holdsBool(h *HoldTable, rc RuleCandidate) []bool {
-	fullCounts := h.countsOf(rc.Full)
-	anteCounts := h.countsOf(rc.Ante)
+	fullCounts := flatten(h.countsOf(rc.Full), h.NGranules())
+	anteCounts := flatten(h.countsOf(rc.Ante), h.NGranules())
 	thr := h.thresholds()
 	hold := make([]bool, h.NGranules())
 	for gi, c := range fullCounts {
