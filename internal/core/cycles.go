@@ -63,7 +63,7 @@ func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleCon
 	for _, c := range classes {
 		maskOf[c.cycle] = c.mask
 	}
-	return emitRules(ctx, h, obs.TaskCycles, cyclesFloor(classes, h.NActive), nil, cyclicCmp, func(out []CyclicRule, rc RuleCandidate, hold []uint64) []CyclicRule {
+	return emitRules(ctx, h, obs.TaskCycles, cyclesFloor(classes, h.NActive), nil, CyclicRule.Compare, func(out []CyclicRule, rc RuleCandidate, hold []uint64) []CyclicRule {
 		for _, cyc := range FilterRedundantCycles(detectCycles(hold, classes)) {
 			if tr, ok := h.featureRule(rc, hold, cyc, maskOf[cyc]); ok {
 				out = append(out, CyclicRule{TemporalRule: tr, Cycle: cyc})
@@ -73,14 +73,16 @@ func MineCyclesFromTableContext(ctx context.Context, h *HoldTable, ccfg CycleCon
 	})
 }
 
-func cyclicCmp(a, b CyclicRule) int {
-	if c := a.Rule.Compare(b.Rule); c != 0 {
+// Compare orders Task II cycle results canonically, by identity: by
+// rule, then by cycle length and offset.
+func (r CyclicRule) Compare(o CyclicRule) int {
+	if c := r.Rule.Compare(o.Rule); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Cycle.Length, b.Cycle.Length); c != 0 {
+	if c := cmp.Compare(r.Cycle.Length, o.Cycle.Length); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Cycle.Offset, b.Cycle.Offset)
+	return cmp.Compare(r.Cycle.Offset, o.Cycle.Offset)
 }
 
 // cycleClass is one candidate cycle (ℓ, o) over a span: the mask of its
@@ -276,7 +278,7 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 
 	classes := h.calendarClasses(fields, ccfg.MinReps)
 	inClass := make([]uint64, len(h.Active)) // the qualifying values' granules, per candidate and field
-	return emitRules(ctx, h, obs.TaskCalendars, calendarsFloor(classes, h.NActive), nil, calendarCmp, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
+	return emitRules(ctx, h, obs.TaskCalendars, calendarsFloor(classes, h.NActive), nil, CalendarRule.Compare, func(out []CalendarRule, rc RuleCandidate, hold []uint64) []CalendarRule {
 		nHold := popcount(hold)
 		for fi, f := range fields {
 			var ranges []timegran.FieldRange
@@ -309,12 +311,14 @@ func MineCalendarPeriodicitiesFromTableContext(ctx context.Context, h *HoldTable
 	})
 }
 
-func calendarCmp(a, b CalendarRule) int {
-	if c := a.Rule.Compare(b.Rule); c != 0 {
+// Compare orders Task II calendar results canonically, by identity: by
+// rule, then by calendar field and the feature's textual form.
+func (r CalendarRule) Compare(o CalendarRule) int {
+	if c := r.Rule.Compare(o.Rule); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Field, b.Field); c != 0 {
+	if c := cmp.Compare(r.Field, o.Field); c != 0 {
 		return c
 	}
-	return strings.Compare(a.Feature.String(), b.Feature.String())
+	return strings.Compare(r.Feature.String(), o.Feature.String())
 }

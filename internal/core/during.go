@@ -108,7 +108,7 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 	}
 	minHold := ceilCount(h.Cfg.MinFreq, nFeature)
 
-	return emitRules(ctx, h, obs.TaskDuring, minHold, inFeature, temporalRuleCmp, func(out []TemporalRule, rc RuleCandidate, hold []uint64) []TemporalRule {
+	return emitRules(ctx, h, obs.TaskDuring, minHold, inFeature, TemporalRule.Compare, func(out []TemporalRule, rc RuleCandidate, hold []uint64) []TemporalRule {
 		if apriori.AndCount(inFeature, hold) < minHold {
 			return out
 		}
@@ -119,13 +119,14 @@ func MineDuringFromTableContext(ctx context.Context, h *HoldTable, feature timeg
 	})
 }
 
-// temporalRuleCmp orders results canonically: by rule, then by the
-// feature's textual form.
-func temporalRuleCmp(a, b TemporalRule) int {
-	if c := a.Rule.Compare(b.Rule); c != 0 {
+// Compare orders Task III results canonically, by identity: by rule,
+// then by the feature's textual form. The operator emits its rules in
+// this order, and a standing refresh merge-walks two results by it.
+func (r TemporalRule) Compare(o TemporalRule) int {
+	if c := r.Rule.Compare(o.Rule); c != 0 {
 		return c
 	}
-	return strings.Compare(a.Feature.String(), b.Feature.String())
+	return strings.Compare(r.Feature.String(), o.Feature.String())
 }
 
 // MineTraditionalContext is the time-agnostic baseline: plain Apriori

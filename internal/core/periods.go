@@ -53,7 +53,7 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 	var ivs []ivOff   // scratch, refilled per candidate
 	scan := newDenseScan(h.Cfg.MinFreq, pcfg.MinLen, h.NActive)
 	inPeriod := make([]uint64, len(h.Active))
-	return emitRules(ctx, h, obs.TaskPeriods, periodsFloor(h.Cfg.MinFreq, pcfg), nil, periodCmp, func(out []PeriodRule, rc RuleCandidate, hold []uint64) []PeriodRule {
+	return emitRules(ctx, h, obs.TaskPeriods, periodsFloor(h.Cfg.MinFreq, pcfg), nil, PeriodRule.Compare, func(out []PeriodRule, rc RuleCandidate, hold []uint64) []PeriodRule {
 		pos = holdPositions(pos[:0], hold, h.Active)
 		ivs = scan.intervals(ivs[:0], pos)
 		for _, iv := range ivs {
@@ -76,14 +76,16 @@ func MineValidPeriodsFromTableContext(ctx context.Context, h *HoldTable, pcfg Pe
 	})
 }
 
-func periodCmp(a, b PeriodRule) int {
-	if c := a.Rule.Compare(b.Rule); c != 0 {
+// Compare orders Task I results canonically, by identity: by rule,
+// then by the period's start and end.
+func (r PeriodRule) Compare(o PeriodRule) int {
+	if c := r.Rule.Compare(o.Rule); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Interval.Lo, b.Interval.Lo); c != 0 {
+	if c := cmp.Compare(r.Interval.Lo, o.Interval.Lo); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Interval.Hi, b.Interval.Hi)
+	return cmp.Compare(r.Interval.Hi, o.Interval.Hi)
 }
 
 // ivOff is an interval of granule *offsets* within the span.

@@ -326,7 +326,7 @@ func TestQuickDetectCyclesMatchesBool(t *testing.T) {
 				}
 			}
 		}
-		slices.SortFunc(want, cyclicCmp)
+		slices.SortFunc(want, CyclicRule.Compare)
 		return reflect.DeepEqual(rules, want)
 	})
 }
@@ -359,7 +359,7 @@ func TestQuickMaximalDenseIntervalsMatchesBool(t *testing.T) {
 				}
 			}
 		}
-		slices.SortFunc(want, periodCmp)
+		slices.SortFunc(want, PeriodRule.Compare)
 		return reflect.DeepEqual(rules, want)
 	})
 }
@@ -450,7 +450,7 @@ func TestQuickCalendarsMatchBool(t *testing.T) {
 				}
 			}
 		}
-		slices.SortFunc(want, calendarCmp)
+		slices.SortFunc(want, CalendarRule.Compare)
 		return reflect.DeepEqual(got, want)
 	})
 }
@@ -496,7 +496,7 @@ func TestQuickDuringMatchesBool(t *testing.T) {
 				}
 			}
 		}
-		slices.SortFunc(want, temporalRuleCmp)
+		slices.SortFunc(want, TemporalRule.Compare)
 		return reflect.DeepEqual(got, want)
 	})
 }

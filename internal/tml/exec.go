@@ -83,6 +83,18 @@ func (e *Executor) ExecContext(ctx context.Context, input string) (*minisql.Resu
 // boundaries, so a cancelled statement returns ctx.Err() promptly
 // without per-transaction overhead.
 func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisql.Result, error) {
+	out, err := e.run(ctx, stmt, planStatement)
+	if err != nil {
+		return nil, err
+	}
+	return out.(*minisql.Result), nil
+}
+
+// run executes stmt's plan built for mode and returns what its render
+// operator returned: a *minisql.Result for a statement, a *typedRows
+// for a standing refresh. Either way the statement is traced and
+// journalled alike.
+func (e *Executor) run(ctx context.Context, stmt *MineStmt, mode planMode) (any, error) {
 	tbl, err := e.txTable(stmt.Table)
 	if err != nil {
 		return nil, err
@@ -107,7 +119,7 @@ func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisq
 	tr.Counter(obs.MetricStatements, 1)
 	cfg := e.config(stmt)
 	cfg.Tracer = tr
-	root, err := e.buildPlan(tbl, stmt, cfg, false)
+	root, err := e.buildPlan(tbl, stmt, cfg, mode)
 	var out any
 	if err == nil {
 		out, err = plan.Execute(ctx, root, tr)
@@ -117,15 +129,21 @@ func (e *Executor) ExecStmtContext(ctx context.Context, stmt *MineStmt) (*minisq
 		fl.End(obs.QueryOutcome{Err: err})
 		return nil, err
 	}
-	res := out.(*minisql.Result)
+	rows := 0
+	switch out := out.(type) {
+	case *minisql.Result:
+		rows = len(out.Rows)
+	case refreshRows:
+		rows = out.size()
+	}
 	e.mu.Lock()
 	if e.last == nil {
 		e.last = make(map[string]*obs.Trace)
 	}
 	e.last[stmt.Table] = trace
 	e.mu.Unlock()
-	fl.End(obs.QueryOutcome{Rows: len(res.Rows)})
-	return res, nil
+	fl.End(obs.QueryOutcome{Rows: rows})
+	return out, nil
 }
 
 // config is the mining config a statement runs under, tracer aside:
@@ -300,7 +318,7 @@ func (e *Executor) Explain(stmt *MineStmt) (*minisql.Result, error) {
 	add("min support (per granule)", fmt.Sprintf("%g", stmt.Support))
 	add("min confidence", fmt.Sprintf("%g", stmt.Confidence))
 	add("min frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
-	if root, err := e.buildPlan(tbl, stmt, e.config(stmt), true); err != nil {
+	if root, err := e.buildPlan(tbl, stmt, e.config(stmt), planExplain); err != nil {
 		add("plan", "(unavailable: "+err.Error()+")")
 	} else {
 		for _, line := range plan.Explain(root) {

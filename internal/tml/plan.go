@@ -7,7 +7,6 @@ import (
 
 	"github.com/tarm-project/tarm/internal/apriori"
 	"github.com/tarm-project/tarm/internal/core"
-	"github.com/tarm-project/tarm/internal/minisql"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/plan"
 	"github.com/tarm-project/tarm/internal/prune"
@@ -68,9 +67,12 @@ func taskTitle(stmt *MineStmt) string {
 // work is a read-only cache probe and the table's span lookup. The
 // traditional task has no hold acquisition (Apriori mines the flat
 // transaction set); HISTORY resolves its rule spec here, so a bad rule
-// fails at plan time. explain is set for a plan that is only printed
+// fails at plan time. mode says what the plan is for: a statement's
+// render materialises its table, a standing refresh's hands back the
+// typed rules, and a plan that is only printed annotates its scope
 // (see holdNode).
-func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, explain bool) (*plan.Node, error) {
+func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, mode planMode) (*plan.Node, error) {
+	explain := mode == planExplain
 	key := taskKey(stmt)
 	if key == "" {
 		return nil, fmt.Errorf("tml: unknown target %v", stmt.Target)
@@ -108,8 +110,11 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 				return rules, err
 			}})
 		}
-		root = render(stmt, root, []string{"antecedent", "consequent", "support", "confidence"}, func(r apriori.Rule) []tdb.Value {
-			return ruleCells(e, r)
+		root = render(stmt, mode, root, typedRows[apriori.Rule]{
+			columns:      []string{"antecedent", "consequent", "support", "confidence"},
+			row:          func(r apriori.Rule) []tdb.Value { return ruleCells(e, r) },
+			cmp:          apriori.Rule.Compare,
+			sameMeasures: sameRuleMeasures,
 		})
 
 	case obs.TaskDuring:
@@ -127,8 +132,13 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 				return pruneTemporal(in.([]core.TemporalRule), opt)
 			}})
 		}
-		root = render(stmt, root, []string{"antecedent", "consequent", "support", "confidence", "frequency", "during"}, func(r core.TemporalRule) []tdb.Value {
-			return ruleCells(e, r.Rule, tdb.Float(r.Freq), tdb.Str(stmt.DuringSrc))
+		root = render(stmt, mode, root, typedRows[core.TemporalRule]{
+			columns: []string{"antecedent", "consequent", "support", "confidence", "frequency", "during"},
+			row: func(r core.TemporalRule) []tdb.Value {
+				return ruleCells(e, r.Rule, tdb.Float(r.Freq), tdb.Str(stmt.DuringSrc))
+			},
+			cmp:          core.TemporalRule.Compare,
+			sameMeasures: sameTemporalMeasures,
 		})
 
 	case obs.TaskPeriods:
@@ -143,12 +153,19 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
 		floorDetail(mine, tbl, cfg, explain)
-		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "from", "to", "frequency"}, func(r core.PeriodRule) []tdb.Value {
-			return ruleCells(e, r.Rule,
-				tdb.Str(timegran.FormatGranule(r.Interval.Lo, r.Granularity)),
-				tdb.Str(timegran.FormatGranule(r.Interval.Hi, r.Granularity)),
-				tdb.Float(r.Freq),
-			)
+		root = render(stmt, mode, mine, typedRows[core.PeriodRule]{
+			columns: []string{"antecedent", "consequent", "support", "confidence", "from", "to", "frequency"},
+			row: func(r core.PeriodRule) []tdb.Value {
+				return ruleCells(e, r.Rule,
+					tdb.Str(timegran.FormatGranule(r.Interval.Lo, r.Granularity)),
+					tdb.Str(timegran.FormatGranule(r.Interval.Hi, r.Granularity)),
+					tdb.Float(r.Freq),
+				)
+			},
+			cmp: core.PeriodRule.Compare,
+			sameMeasures: func(a, b core.PeriodRule) bool {
+				return sameTemporalMeasures(a.TemporalRule, b.TemporalRule)
+			},
 		})
 
 	case obs.TaskCycles:
@@ -166,8 +183,15 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
 		floorDetail(mine, tbl, cfg, explain)
-		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "cycle", "frequency"}, func(r core.CyclicRule) []tdb.Value {
-			return ruleCells(e, r.Rule, tdb.Str(r.Cycle.String()), tdb.Float(r.Freq))
+		root = render(stmt, mode, mine, typedRows[core.CyclicRule]{
+			columns: []string{"antecedent", "consequent", "support", "confidence", "cycle", "frequency"},
+			row: func(r core.CyclicRule) []tdb.Value {
+				return ruleCells(e, r.Rule, tdb.Str(r.Cycle.String()), tdb.Float(r.Freq))
+			},
+			cmp: core.CyclicRule.Compare,
+			sameMeasures: func(a, b core.CyclicRule) bool {
+				return sameTemporalMeasures(a.TemporalRule, b.TemporalRule)
+			},
 		})
 
 	case obs.TaskCalendars:
@@ -182,8 +206,15 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 		}
 		mine.With("frequency", fmt.Sprintf("%g", stmt.defaultFrequency()))
 		floorDetail(mine, tbl, cfg, explain)
-		root = render(stmt, mine, []string{"antecedent", "consequent", "support", "confidence", "calendar", "frequency"}, func(r core.CalendarRule) []tdb.Value {
-			return ruleCells(e, r.Rule, tdb.Str(r.Feature.String()), tdb.Float(r.Freq))
+		root = render(stmt, mode, mine, typedRows[core.CalendarRule]{
+			columns: []string{"antecedent", "consequent", "support", "confidence", "calendar", "frequency"},
+			row: func(r core.CalendarRule) []tdb.Value {
+				return ruleCells(e, r.Rule, tdb.Str(r.Feature.String()), tdb.Float(r.Freq))
+			},
+			cmp: core.CalendarRule.Compare,
+			sameMeasures: func(a, b core.CalendarRule) bool {
+				return sameTemporalMeasures(a.TemporalRule, b.TemporalRule)
+			},
 		})
 
 	case obs.TaskHistory:
@@ -199,15 +230,20 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 			return core.RuleHistoryFromTableContext(ctx, in.(*core.HoldTable), ante, cons)
 		}}
 		mine.With("rule", stmt.RuleSpec)
-		root = render(stmt, mine, []string{"granule", "transactions", "count", "support", "confidence", "holds"}, func(s core.GranuleStat) []tdb.Value {
-			return []tdb.Value{
-				tdb.Str(timegran.FormatGranule(s.Granule, stmt.Granularity)),
-				tdb.Int(int64(s.TxCount)),
-				tdb.Int(int64(s.Count)),
-				tdb.Float(s.Support),
-				tdb.Float(s.Confidence),
-				tdb.Bool(s.Holds),
-			}
+		// HISTORY is never a standing statement (NewStanding refuses
+		// it), so its rows need no identity order.
+		root = render(stmt, mode, mine, typedRows[core.GranuleStat]{
+			columns: []string{"granule", "transactions", "count", "support", "confidence", "holds"},
+			row: func(s core.GranuleStat) []tdb.Value {
+				return []tdb.Value{
+					tdb.Str(timegran.FormatGranule(s.Granule, stmt.Granularity)),
+					tdb.Int(int64(s.TxCount)),
+					tdb.Int(int64(s.Count)),
+					tdb.Float(s.Support),
+					tdb.Float(s.Confidence),
+					tdb.Bool(s.Holds),
+				}
+			},
 		})
 	}
 	return root, nil
@@ -287,10 +323,22 @@ func scopeDetails(sc core.ScopeInfo) []plan.KV {
 	return kvs
 }
 
+// planMode says what a built plan is for.
+type planMode int
+
+const (
+	planStatement planMode = iota // run; render returns a *minisql.Result
+	planRefresh                   // run by a standing refresh; render returns its *typedRows
+	planExplain                   // only printed
+)
+
 // render ends a plan over typed results R: a limit operator when the
-// statement has a LIMIT, then the render operator, which turns each
-// remaining R into one result row under cols.
-func render[R any](stmt *MineStmt, input *plan.Node, cols []string, row func(R) []tdb.Value) *plan.Node {
+// statement has a LIMIT, then the render operator. shape names the
+// columns, the row function and the identity and measure comparisons;
+// render hands it the remaining rules. A statement's render turns each
+// rule into one result row; a refresh's hands the typed rules back, so
+// the refresh renders only the rules its deltas carry.
+func render[R any](stmt *MineStmt, mode planMode, input *plan.Node, shape typedRows[R]) *plan.Node {
 	if stmt.Limit != NoLimit {
 		limit := &plan.Node{Op: plan.OpLimit, Input: input, Run: func(ctx context.Context, in any) (any, error) {
 			return limited(in.([]R), stmt.Limit), nil
@@ -298,16 +346,14 @@ func render[R any](stmt *MineStmt, input *plan.Node, cols []string, row func(R) 
 		input = limit.With("n", fmt.Sprint(stmt.Limit))
 	}
 	n := &plan.Node{Op: plan.OpRender, Input: input, Run: func(ctx context.Context, in any) (any, error) {
-		res := &minisql.Result{Cols: cols}
-		if rs := in.([]R); len(rs) > 0 {
-			res.Rows = make([]tdb.Row, len(rs))
-			for i, r := range rs {
-				res.Rows[i] = row(r)
-			}
+		rs := shape
+		rs.rules = in.([]R)
+		if mode == planRefresh {
+			return &rs, nil
 		}
-		return res, nil
+		return rs.result(), nil
 	}}
-	return n.With("cols", strings.Join(cols, ", "))
+	return n.With("cols", strings.Join(shape.columns, ", "))
 }
 
 // pruneDetails annotates a prune node with the statement's thresholds.

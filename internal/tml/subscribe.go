@@ -3,10 +3,14 @@ package tml
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"github.com/tarm-project/tarm/internal/apriori"
+	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/minisql"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
@@ -16,10 +20,10 @@ import (
 // statement that re-runs when granules close and emits only what
 // changed. This file is the transport-free half — the Standing type
 // that owns one statement's lifecycle (close detection, cache
-// pre-maintenance, re-execution, diffing) and the delta/fold algebra a
-// consumer needs to reconstruct the full result from the stream. The
-// tarmd server wraps Standings with queues and HTTP; iqms drives them
-// inline after each statement.
+// pre-maintenance, re-execution, the typed diff) and the delta/fold
+// algebra a consumer needs to reconstruct the full result from the
+// stream. The tarmd server wraps Standings with queues and HTTP; iqms
+// drives them inline after each statement.
 
 // Delta kinds. "changed" covers support/confidence/frequency movement
 // of a rule whose identity is unchanged.
@@ -65,11 +69,12 @@ func identityKey(cols, row []string) string {
 	return strings.Join(parts, "\x1f")
 }
 
-// rowsByKey indexes display rows by identity. Identity collisions
-// (impossible for the current renderers, whose non-measure columns are
-// unique per row) are disambiguated deterministically so a fold can
-// never silently lose a row.
-func rowsByKey(cols []string, rows [][]string) map[string][]string {
+// KeyRows indexes display rows by identity key, the form RuleSet folds
+// and DiffRows compare. Identity collisions (impossible for the current
+// renderers, whose non-measure columns are unique per row) are
+// disambiguated deterministically so a fold can never silently lose a
+// row.
+func KeyRows(cols []string, rows [][]string) map[string][]string {
 	m := make(map[string][]string, len(rows))
 	for _, r := range rows {
 		k := identityKey(cols, r)
@@ -98,9 +103,10 @@ func equalRows(a, b []string) bool {
 }
 
 // DiffRows computes the delta from prev to cur (both keyed by
-// identityKey). Emission order is deterministic — removed, then
-// changed, then added, each sorted by key — so equal states always
-// produce byte-identical streams.
+// identityKey), in the order a standing refresh emits. It is the
+// display-string form of the diff: a refresh diffs typed rules
+// (typedRows.diff), and DiffRows stays as the reference the refresh is
+// held to.
 func DiffRows(prev, cur map[string][]string) []RuleDelta {
 	var removed, changed, added []RuleDelta
 	for k, p := range prev {
@@ -115,16 +121,125 @@ func DiffRows(prev, cur map[string][]string) []RuleDelta {
 			added = append(added, RuleDelta{Kind: DeltaAdded, Key: k, Row: c})
 		}
 	}
-	byKey := func(ds []RuleDelta) {
-		sort.Slice(ds, func(i, j int) bool { return ds[i].Key < ds[j].Key })
-	}
-	byKey(removed)
-	byKey(changed)
-	byKey(added)
+	return emissionOrder(removed, changed, added)
+}
+
+// emissionOrder joins a diff's deltas in the one order both diffs emit:
+// removed, then changed, then added, each sorted by key, so equal
+// states always produce byte-identical streams.
+func emissionOrder(removed, changed, added []RuleDelta) []RuleDelta {
+	byKey := func(a, b RuleDelta) int { return strings.Compare(a.Key, b.Key) }
+	slices.SortFunc(removed, byKey)
+	slices.SortFunc(changed, byKey)
+	slices.SortFunc(added, byKey)
 	out := make([]RuleDelta, 0, len(removed)+len(changed)+len(added))
 	out = append(out, removed...)
 	out = append(out, changed...)
 	return append(out, added...)
+}
+
+// typedRows is a render operator's answer before it becomes a table:
+// the task's rules in the operator's identity order, and how to render
+// one. A statement materialises it (result); a standing refresh keeps
+// it and diffs the next refresh's against it (diff).
+type typedRows[R any] struct {
+	columns []string
+	rules   []R
+	row     func(R) []tdb.Value
+	// cmp is the identity order the operator emits its rules in (core's
+	// Compare methods, apriori.Rule.Compare): equal means one rule
+	// identity, which displays as one identity key. sameMeasures reports
+	// whether two rules of one identity carry bit-identical displayed
+	// measures.
+	cmp          func(a, b R) int
+	sameMeasures func(a, b R) bool
+}
+
+// refreshRows is a typedRows of any task, as a Standing keeps it.
+type refreshRows interface {
+	header() []string
+	size() int
+	// diff returns the deltas from prev (nil before the first refresh)
+	// to the receiver; prev is a refresh of the same statement.
+	diff(prev refreshRows) []RuleDelta
+}
+
+func (t *typedRows[R]) header() []string { return t.columns }
+func (t *typedRows[R]) size() int        { return len(t.rules) }
+
+// result materialises the rows as a statement's table.
+func (t *typedRows[R]) result() *minisql.Result {
+	res := &minisql.Result{Cols: t.columns}
+	if len(t.rules) > 0 {
+		res.Rows = make([]tdb.Row, len(t.rules))
+		for i, r := range t.rules {
+			res.Rows[i] = t.row(r)
+		}
+	}
+	return res
+}
+
+// display renders one rule as DisplayCells renders its row.
+func (t *typedRows[R]) display(r R) []string { return displayRow(t.row(r)) }
+
+// diff is a refresh's diff, over typed rules: it emits exactly the
+// deltas DiffRows emits over both results' display rows, but renders
+// only the rules those deltas carry. Both sides are in identity order,
+// so one merge walk pairs them. An identity on one side only is a
+// removed or added rule. A shared identity whose measures differ in
+// their bits is rendered on both sides and compared as display rows,
+// so formatting, not the typed compare, decides "changed". A removed
+// or changed rule's Prev re-renders from the previous typed rule: the
+// dictionary is append-only, so its names render as they did.
+func (t *typedRows[R]) diff(prev refreshRows) []RuleDelta {
+	var old []R
+	if prev != nil {
+		old = prev.(*typedRows[R]).rules
+	}
+	cur := t.rules
+	var removed, changed, added []RuleDelta
+	for i, j := 0, 0; i < len(old) || j < len(cur); {
+		c := 0
+		switch {
+		case i == len(old):
+			c = 1
+		case j == len(cur):
+			c = -1
+		default:
+			c = t.cmp(old[i], cur[j])
+		}
+		switch {
+		case c < 0:
+			p := t.display(old[i])
+			removed = append(removed, RuleDelta{Kind: DeltaRemoved, Key: identityKey(t.columns, p), Prev: p})
+			i++
+		case c > 0:
+			r := t.display(cur[j])
+			added = append(added, RuleDelta{Kind: DeltaAdded, Key: identityKey(t.columns, r), Row: r})
+			j++
+		default:
+			if !t.sameMeasures(old[i], cur[j]) {
+				if p, r := t.display(old[i]), t.display(cur[j]); !equalRows(p, r) {
+					changed = append(changed, RuleDelta{Kind: DeltaChanged, Key: identityKey(t.columns, r), Row: r, Prev: p})
+				}
+			}
+			i++
+			j++
+		}
+	}
+	return emissionOrder(removed, changed, added)
+}
+
+// sameRuleMeasures reports whether two rules carry bit-identical
+// support and confidence, the measures a rule row displays.
+func sameRuleMeasures(a, b apriori.Rule) bool {
+	return math.Float64bits(a.Support) == math.Float64bits(b.Support) &&
+		math.Float64bits(a.Confidence) == math.Float64bits(b.Confidence)
+}
+
+// sameTemporalMeasures adds the frequency a temporal rule row displays.
+func sameTemporalMeasures(a, b core.TemporalRule) bool {
+	return sameRuleMeasures(a.Rule, b.Rule) && math.Float64bits(a.Freq) == math.Float64bits(b.Freq)
 }
 
 // RuleSet is a folded view of a delta stream: apply every SubUpdate's
@@ -209,16 +324,17 @@ type SubUpdate struct {
 // the append stream's clock (timegran.ClosedThrough of the newest
 // transaction), pre-maintains the hold-table cache from the change
 // log's dirty granules, re-runs the statement through the shared
-// executor (plan pipeline, journal and metrics included) and returns
-// the delta update, or nil when nothing warranted a refresh. Safe for
-// concurrent Step calls (they serialise).
+// executor (plan pipeline, journal and metrics included), diffs its
+// typed rules against the last refresh's and returns the delta update,
+// or nil when nothing warranted a refresh. Safe for concurrent Step
+// calls (they serialise).
 type Standing struct {
 	exec *Executor
 	stmt *MineStmt
 	tbl  *tdb.TxTable
 
 	mu  sync.Mutex
-	cur map[string][]string
+	cur refreshRows // the last refresh's typed rules; nil before the first
 	// closed is the last granule seen closed, valid once baselined: the
 	// first Step over a non-empty table takes it as the baseline, and
 	// later Steps only ever raise it, so a clock that moves backwards
@@ -302,19 +418,19 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 	if _, err := s.exec.Cache.Premaintain(ctx, s.tbl, s.exec.Tracer); err != nil {
 		return nil, err
 	}
-	res, err := s.exec.ExecStmtContext(ctx, s.stmt)
+	out, err := s.exec.run(ctx, s.stmt, planRefresh)
 	if err != nil {
 		return nil, err
 	}
-	cur := rowsByKey(res.Cols, DisplayCells(res))
+	cur := out.(refreshRows)
 	upd := &SubUpdate{
 		ClosedThrough: s.closed,
 		ClosedLabel:   timegran.FormatGranule(s.closed, s.stmt.Granularity),
 		Epoch:         epoch,
 		Initial:       !s.started,
-		Rules:         len(cur),
-		Cols:          res.Cols,
-		Deltas:        DiffRows(s.cur, cur),
+		Rules:         cur.size(),
+		Cols:          cur.header(),
+		Deltas:        cur.diff(s.cur),
 	}
 	s.cur, s.epoch, s.started = cur, epoch, true
 	return upd, nil
@@ -326,15 +442,16 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 func DisplayCells(res *minisql.Result) [][]string {
 	rows := make([][]string, len(res.Rows))
 	for i, row := range res.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = v.Display()
-		}
-		rows[i] = cells
+		rows[i] = displayRow(row)
 	}
 	return rows
 }
 
-// KeyRows indexes display rows by identity key, the form RuleSet folds
-// compare against; exported for the oracle.
-func KeyRows(cols []string, rows [][]string) map[string][]string { return rowsByKey(cols, rows) }
+// displayRow renders one row's cells with tdb.Value.Display.
+func displayRow(row tdb.Row) []string {
+	cells := make([]string, len(row))
+	for j, v := range row {
+		cells[j] = v.Display()
+	}
+	return cells
+}
