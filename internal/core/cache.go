@@ -207,50 +207,91 @@ func (ent *cacheEntry) exact(cfg Config) bool {
 	return cfg.MinSupport == ent.h.Cfg.MinSupport && cfg.MaxK == ent.h.Cfg.MaxK
 }
 
-// GetContext returns a hold table for (tbl, cfg), from cache when a
-// resident build covers the statement, building (and caching) otherwise.
-// The returned table carries cfg verbatim — confidence, frequency and
-// tracer are the caller's — and must be treated as read-only, like
-// every shared HoldTable. A nil cache builds directly, under cfg's
-// Scope; a cache drops the scope, because what it builds it shares
-// (ScopeOf reports which applies). A statement above a covering entry's
-// support, or shallower than its MaxK, is served a threshold view of
-// the entry — resident or just refreshed by delta maintenance: its ByK
-// are the entry's levels, a superset of the statement's, so read it
-// through the task operators, Counts and History, which answer at the
-// statement's thresholds, or materialise it with Rethreshold(h.Cfg).
+// GetContext returns a hold table for (tbl, cfg): Acquire's decision,
+// run at once.
+func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
+	return c.Acquire(tbl, cfg).Run(ctx)
+}
+
+// Acquisition is the cache's one decision of how a hold table for
+// (tbl, cfg) is served, taken by Acquire and executed by Run. A plan
+// names its hold operator from Outcome and then runs it, so a statement
+// decides once and maintains once.
+type Acquisition struct {
+	c     *HoldCache
+	tbl   *tdb.TxTable
+	cfg   Config
+	err   error // from normalising cfg; Run returns it
+	key   cacheKey
+	epoch int64 // the decision, taken at epoch over the key's entry ent
+	out   outcome
+	ent   *cacheEntry
+	dirty []timegran.Granule
+}
+
+// Acquire decides how (tbl, cfg) is served now and changes nothing: no
+// counter, LRU move or invalidation happens until Run. A nil cache
+// builds, under cfg's Scope; a cache drops the scope, because what it
+// builds it shares.
+func (c *HoldCache) Acquire(tbl *tdb.TxTable, cfg Config) Acquisition {
+	a := Acquisition{c: c, tbl: tbl, cfg: cfg, out: outcomeBuild}
+	if c == nil {
+		return a
+	}
+	if a.cfg, a.err = cfg.normalise(); a.err != nil {
+		return a
+	}
+	a.cfg.Scope = Scope{}
+	a.key = cacheKey{table: tbl.Name(), granularity: a.cfg.Granularity, minGranuleTx: a.cfg.MinGranuleTx}
+	a.epoch = tbl.Epoch()
+	c.mu.Lock()
+	a.out, a.ent, a.dirty = c.decideLocked(tbl, a.key, a.cfg, a.epoch)
+	c.mu.Unlock()
+	return a
+}
+
+// Outcome is the decision's word, for EXPLAIN and the plan's hold
+// operator: "hit", "rethreshold", "delta" or "build" (see outcome).
+func (a Acquisition) Outcome() string { return string(a.out) }
+
+// Run executes the decision and returns the hold table. It decides
+// again, on its own copy, only when the table's epoch or the key's
+// entry changed since: a write or an eviction between plan and run
+// changes what runs. The table carries the caller's cfg verbatim and
+// is read-only, like every shared HoldTable. A statement above a
+// covering entry's support, or shallower than its MaxK, is served a
+// threshold view of the entry, resident or just maintained: its ByK
+// are the entry's levels, so read it through the task operators,
+// Counts and History, or materialise it with Rethreshold(h.Cfg).
 //
 // Cancellation reaches every path: a cold build runs
 // BuildHoldTableContext, and a singleflight waiter selects on ctx
-// alongside the flight — a cancelled waiter returns
-// ctx.Err() immediately while the build keeps running for the others.
-// When the *winning* builder is the one cancelled, its flight fails
-// with a context error that is not the waiter's own; such waiters
-// retry with a fresh build rather than inheriting a dead statement's
-// failure. Failed builds are never inserted, so a cancelled build
-// leaves no poisoned entry behind.
-func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config) (*HoldTable, error) {
-	if c == nil {
+// while the build runs on for the others. A waiter whose winning
+// builder was cancelled retries with a fresh build rather than
+// inheriting a dead statement's error. Failed builds are never
+// inserted, so a cancelled build leaves no poisoned entry behind.
+func (a Acquisition) Run(ctx context.Context) (*HoldTable, error) {
+	c, tbl, cfg := a.c, a.tbl, a.cfg
+	switch {
+	case a.err != nil:
+		return nil, a.err
+	case c == nil:
 		return BuildHoldTableContext(ctx, tbl, cfg)
 	}
-	cfg, err := cfg.normalise()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Scope = Scope{}
-	key := cacheKey{table: tbl.Name(), granularity: cfg.Granularity, minGranuleTx: cfg.MinGranuleTx}
 	tr := cfg.tracer()
-
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Re-read the epoch each attempt: a retry may straddle a write.
-		epoch := tbl.Epoch()
 		c.mu.Lock()
-		out, ent, dirty := c.decideLocked(tbl, key, cfg, epoch)
+		if epoch := tbl.Epoch(); epoch != a.epoch || c.byKey[a.key] != a.ent {
+			a.epoch = epoch
+			a.out, a.ent, a.dirty = c.decideLocked(tbl, a.key, cfg, epoch)
+		}
+		out, ent, epoch := a.out, a.ent, a.epoch
 		var h *HoldTable
 		var retry bool
+		var err error
 		switch out {
 		case outcomeHit, outcomeRethreshold:
 			c.lru.MoveToFront(ent.elem)
@@ -264,8 +305,8 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 			// tracer; the entry's stored config carries none.
 			buildCfg := cfg
 			buildCfg.MinSupport, buildCfg.MaxK = ent.h.Cfg.MinSupport, ent.h.Cfg.MaxK
-			h, retry, err = c.flyLocked(ctx, tbl, key, epoch, out, buildCfg, tr, func() (*HoldTable, error) {
-				nh, err := ent.h.withCfg(buildCfg).MaintainContext(ctx, tbl, dirty)
+			h, retry, err = c.flyLocked(ctx, tbl, a.key, epoch, out, buildCfg, tr, func() (*HoldTable, error) {
+				nh, err := ent.h.withCfg(buildCfg).MaintainContext(ctx, tbl, a.dirty)
 				if err != nil && ctx.Err() == nil {
 					// The dirty list raced a concurrent append, or the entry
 					// turned out unmaintainable: fall back to a cold build at
@@ -276,13 +317,13 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 				return nh, err
 			})
 		default:
-			if ent != nil {
+			if ent != nil && ent.epoch != epoch {
 				c.removeLocked(ent)
 				c.stats.Invalidations++
 				tr.Counter(obs.MetricCacheInvalidations, 1)
 				c.gaugeLocked(tr)
 			}
-			h, retry, err = c.flyLocked(ctx, tbl, key, epoch, out, cfg, tr, func() (*HoldTable, error) {
+			h, retry, err = c.flyLocked(ctx, tbl, a.key, epoch, out, cfg, tr, func() (*HoldTable, error) {
 				return BuildHoldTableContext(ctx, tbl, cfg)
 			})
 		}
@@ -300,7 +341,7 @@ func (c *HoldCache) GetContext(ctx context.Context, tbl *tdb.TxTable, cfg Config
 	}
 }
 
-// outcome is how the cache serves a statement; its text is Probe's
+// outcome is how the cache serves a statement; its text is Outcome's
 // word, and countLocked bumps its one counter.
 type outcome string
 
@@ -312,20 +353,18 @@ const (
 )
 
 // decideLocked is the cache's one decision of how (tbl, cfg) is served
-// at epoch. A fresh covering entry is a hit at its own thresholds and a
-// rethreshold otherwise. A stale covering entry is refreshed by delta
-// maintenance when delta is on, the table's change log still names the
-// granules written since the entry's epoch (returned as dirty) and they
-// hold a minority of the rows. Anything else builds; a stale entry it
-// returns then is to be dropped. It changes nothing. Caller holds c.mu.
+// at epoch, over the key's entry ent (nil when none). A fresh covering
+// entry is a hit at its own thresholds and a rethreshold otherwise. A
+// stale covering entry is refreshed by delta maintenance when delta is
+// on, the table's change log still names the granules written since
+// the entry's epoch (returned as dirty) and they hold a minority of the
+// rows. Anything else builds: a stale entry is then dropped, a fresh
+// narrower one replaced on insert. It changes nothing. Caller holds c.mu.
 func (c *HoldCache) decideLocked(tbl *tdb.TxTable, key cacheKey, cfg Config, epoch int64) (out outcome, ent *cacheEntry, dirty []timegran.Granule) {
 	ent = c.byKey[key]
 	switch {
-	case ent == nil:
-		return outcomeBuild, nil, nil
-	case ent.epoch == epoch && !ent.covers(cfg):
-		// The build replaces the narrower entry on insert.
-		return outcomeBuild, nil, nil
+	case ent == nil, ent.epoch == epoch && !ent.covers(cfg):
+		return outcomeBuild, ent, nil
 	case ent.epoch == epoch && ent.exact(cfg):
 		return outcomeHit, ent, nil
 	case ent.epoch == epoch:
@@ -439,39 +478,20 @@ func (c *HoldCache) DisableDelta() {
 	c.deltaOff = true
 }
 
-// Probe reports how GetContext would serve (tbl, cfg) right now, for
-// plan-time EXPLAIN annotation: "hit" (a resident entry matches the
-// thresholds exactly), "rethreshold" (a resident entry covers them at
-// lower support / deeper MaxK), "delta" (a covering entry is stale but
-// would be refreshed by delta maintenance rather than rebuilt) or
-// "build" (no covering entry; GetContext would build or join an
-// in-flight build). It takes GetContext's own decision, without its
-// counter, LRU or invalidation side effects. A nil cache always reports
-// "build".
+// Probe reports how GetContext would serve (tbl, cfg) right now:
+// Acquire's decision, not run. A nil cache always reports "build".
 func (c *HoldCache) Probe(tbl *tdb.TxTable, cfg Config) string {
-	cfg, err := cfg.normalise()
-	if c == nil || err != nil {
-		return string(outcomeBuild)
-	}
-	key := cacheKey{table: tbl.Name(), granularity: cfg.Granularity, minGranuleTx: cfg.MinGranuleTx}
-	epoch := tbl.Epoch()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out, _, _ := c.decideLocked(tbl, key, cfg, epoch)
-	return string(out)
+	return c.Acquire(tbl, cfg).Outcome()
 }
 
 // insertLocked adds a freshly built table, replacing the key's
 // previous entry unless that entry already covers at least as much,
 // then evicts from the cold end until the budget holds. The entry holds
 // h without its tracer, so a resident table does not keep the building
-// statement's trace alive. Oversized tables are not cached. Caller
-// holds c.mu.
+// statement's trace alive. A table over the budget is kept as the only
+// entry, so no stale entry is left to maintain again. Caller holds c.mu.
 func (c *HoldCache) insertLocked(key cacheKey, epoch int64, h *HoldTable, tr obs.Tracer) {
 	bytes := h.MemBytes()
-	if bytes > c.maxBytes {
-		return
-	}
 	if old := c.byKey[key]; old != nil {
 		if old.epoch == epoch && old.covers(h.Cfg) {
 			// A concurrent build with broader coverage landed first.

@@ -7,21 +7,13 @@ import (
 	"github.com/tarm-project/tarm/internal/tdb"
 )
 
-// Continuous-mining wiring on the cache side: refreshing stale entries
-// from the change log's dirty-granule sets via the same delta path that
-// serves statements, just ahead of any statement. Close detection —
-// when a granule closes under the append stream's clock — is the
-// standing statement's own (tml.Standing over timegran.ClosedThrough).
-
 // Premaintain refreshes every resident cache entry of tbl that has gone
 // stale, using the normal serving path (delta maintenance from the
 // change log's dirty granules when the log covers the window, cold
-// rebuild otherwise), and returns how many entries were refreshed. It
-// is the background half of continuous mining: run after a granule
-// closes, it moves the recount off the critical path so the standing
-// statement's re-run — and any interactive statement that follows —
-// finds a warm entry. tr (nil ok) receives the usual cache counters.
-// Safe on a nil cache (no entries, nothing to do).
+// rebuild otherwise), and returns how many entries were refreshed. No
+// served path calls it: a statement maintains the entry it reads. The
+// benchmarks call it to time a close's maintenance apart from any
+// statement. tr (nil ok) receives the cache counters. Safe on nil.
 func (c *HoldCache) Premaintain(ctx context.Context, tbl *tdb.TxTable, tr obs.Tracer) (refreshed int, err error) {
 	if c == nil {
 		return 0, nil

@@ -152,17 +152,6 @@ type ScopeInfo struct {
 	Counted int
 }
 
-// ScopeOf reports the scope GetContext would apply to a build of
-// (tbl, cfg) now: ok is false when cfg carries none, when the table
-// cannot be built, or when c is non-nil — a cache builds tables to
-// share, unscoped. Read-only, like Probe.
-func (c *HoldCache) ScopeOf(tbl *tdb.TxTable, cfg Config) (info ScopeInfo, ok bool) {
-	if c != nil {
-		return ScopeInfo{}, false
-	}
-	return ResolveScope(tbl, cfg)
-}
-
 // ResolveScope reports what cfg's Scope resolves to over tbl now,
 // whoever builds the table: its Floor is also the floor the task's
 // operator enumerates at over a table of tbl, scoped or shared. ok is
@@ -188,8 +177,9 @@ func ResolveScope(tbl *tdb.TxTable, cfg Config) (info ScopeInfo, ok bool) {
 	return ScopeInfo{Floor: h.floor, Cover: cfg.Scope.feature, Counted: h.NActive}, true
 }
 
-// ResolvedScope reports the scope h's build applied — what ScopeOf
-// predicts, read off the table: ok is false for an unscoped table.
+// ResolvedScope reports the scope h's build applied — what
+// ResolveScope predicts, read off the table: ok is false for an
+// unscoped table.
 func (h *HoldTable) ResolvedScope() (info ScopeInfo, ok bool) {
 	if h.Cfg.Scope.task == "" {
 		return ScopeInfo{}, false

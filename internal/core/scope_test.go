@@ -309,7 +309,7 @@ func TestScopeFloorIsTight(t *testing.T) {
 			t.Fatalf("%s: the rule's itemset is frequent in %d granules; the table is crafted for %d", c.name, n, c.floor)
 		}
 		cfg.Scope = c.task.scope
-		info, ok := (*HoldCache)(nil).ScopeOf(c.tbl, cfg)
+		info, ok := ResolveScope(c.tbl, cfg)
 		if !ok || info.Floor != c.floor {
 			t.Fatalf("%s: floor %d (ok %v), want %d", c.name, info.Floor, ok, c.floor)
 		}
@@ -437,9 +437,6 @@ func TestScopedTableRefusesRefresh(t *testing.T) {
 	}
 
 	cache := NewHoldCache(DefaultCacheBytes)
-	if _, ok := cache.ScopeOf(tbl, cfg); ok {
-		t.Fatal("a cache reports a scope it does not apply")
-	}
 	got, err := cache.GetContext(bg, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)

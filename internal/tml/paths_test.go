@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/tarm-project/tarm/internal/bench"
 	"github.com/tarm-project/tarm/internal/core"
+	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
 	"github.com/tarm-project/tarm/internal/tml"
@@ -172,5 +174,101 @@ func TestServedPathsAgree(t *testing.T) {
 			t.Errorf("%s: the standing fold holds %d rows that differ from the cold path's %d", stmt, len(got), len(want))
 		}
 		t.Logf("%s: %d rows on all five paths", name, len(want))
+	}
+}
+
+// TestHoldSpanMatchesExplain: a statement's hold acquisition is
+// decided once, so what EXPLAIN prints is what a run does. Over core's
+// TestHoldCacheProbeMatchesServe grid — no entry, a fresh one, one
+// stale after a small append, one after an append of most of the rows
+// and a stale one with delta maintenance off, against statements at
+// the entry's thresholds, at a higher support, at a shallower MAX SIZE
+// and at a lower support — the run's hold span has the operator and
+// cache= of the EXPLAIN line printed just before it, the journal's
+// outcome (obs.Summarize) agrees, and both are the grid's word.
+func TestHoldSpanMatchesExplain(t *testing.T) {
+	txs := streamTxs(t, 50, 30)
+	last := txs[len(txs)-1].At
+	small := func(tbl *tdb.TxTable) { tbl.Append(last, txs[0].Items) }
+	majority := func(tbl *tdb.TxTable) {
+		for _, tx := range txs {
+			tbl.Append(last, tx.Items)
+		}
+		tbl.Append(last, txs[0].Items)
+	}
+	stmt := func(support string, maxSize int) string {
+		return fmt.Sprintf("MINE PERIODS FROM baskets AT GRANULARITY day THRESHOLD SUPPORT %s CONFIDENCE 0.5 FREQUENCY 0.8 MAX SIZE %d", support, maxSize)
+	}
+	base := stmt("0.1", 3)
+	stmts := []string{base, stmt("0.2", 3), stmt("0.1", 2), stmt("0.06", 3)}
+	states := []struct {
+		name     string
+		primed   bool // base has run before the write
+		deltaOff bool
+		write    func(*tdb.TxTable)
+		want     []string // the cache word of each of stmts
+	}{
+		{"empty", false, false, nil, []string{"cold", "cold", "cold", "cold"}},
+		{"fresh", true, false, nil, []string{"hit", "rethreshold", "rethreshold", "cold"}},
+		{"stale", true, false, small, []string{"delta", "delta", "delta", "cold"}},
+		{"stale majority", true, false, majority, []string{"cold", "cold", "cold", "cold"}},
+		{"stale delta off", true, true, small, []string{"cold", "cold", "cold", "cold"}},
+	}
+	for _, st := range states {
+		for i, text := range stmts {
+			label := fmt.Sprintf("%s entry, %s", st.name, text)
+			db := tdb.NewMemDB()
+			tbl, err := db.CreateTxTable("baskets")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl.AppendBatch(txs)
+			e := tml.NewExecutor(db)
+			if st.deltaOff {
+				e.Cache.DisableDelta()
+			}
+			if st.primed {
+				if _, err := e.Exec(base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st.write != nil {
+				st.write(tbl)
+			}
+			res, err := e.Exec("EXPLAIN " + text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var line string
+			for _, row := range res.Rows {
+				if v := row[1].AsString(); row[0].AsString() == "plan" && strings.Contains(v, "-hold (") {
+					line = v
+				}
+			}
+			if _, err := e.Exec(text); err != nil {
+				t.Fatal(err)
+			}
+			run := lastStatement(e, "baskets")
+			var hold *obs.SpanNode
+			for _, op := range run.Children {
+				if op.Name == "op:build-hold" || op.Name == "op:cached-hold" {
+					hold = op
+				}
+			}
+			if hold == nil {
+				t.Fatalf("%s: no hold span", label)
+			}
+			word := hold.Attrs["cache"]
+			want := fmt.Sprintf("%s (cache=%s,", strings.TrimPrefix(hold.Name, "op:"), word)
+			if !strings.Contains(line, want) {
+				t.Fatalf("%s: EXPLAIN printed %q, the run's span is %s", label, line, want)
+			}
+			if word != st.want[i] {
+				t.Fatalf("%s: served as %q, want %q", label, word, st.want[i])
+			}
+			if got := obs.Summarize([]*obs.SpanNode{run}).Cache; got != word {
+				t.Fatalf("%s: the journal's outcome is %q, the hold span's %q", label, got, word)
+			}
+		}
 	}
 }

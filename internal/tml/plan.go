@@ -64,8 +64,8 @@ func taskTitle(stmt *MineStmt) string {
 // The same plan object serves ExecStmtContext (via plan.Execute) and
 // Explain (via plan.Explain), so the rendered tree is the execution by
 // construction. Building a plan runs nothing and is cheap: the only
-// work is a read-only cache probe and the table's span lookup. The
-// traditional task has no hold acquisition (Apriori mines the flat
+// work is the cache's decision (holdNode) and the table's span lookup.
+// The traditional task has no hold acquisition (Apriori mines the flat
 // transaction set); HISTORY resolves its rule spec here, so a bad rule
 // fails at plan time. mode says what the plan is for: a statement's
 // render materialises its table, a standing refresh's hands back the
@@ -249,19 +249,16 @@ func (e *Executor) buildPlan(tbl *tdb.TxTable, stmt *MineStmt, cfg core.Config, 
 	return root, nil
 }
 
-// holdNode builds the hold-acquisition operator: a cache probe decides
-// whether the plan reads "cached-hold" (hit, rethreshold, or delta —
-// a stale entry refreshed by recounting only its dirty granules) or
-// "build-hold" (cold build — also the nil-cache path), and the Run
-// closure goes through HoldCache.GetContext either way, so the
-// annotation is advisory while the execution is always coherent with
-// concurrent statements. cfg carries the task's scope; when the build
-// applies it (no cache), the node shows its floor and, for DURING, the
-// feature and the granules counted. A plan that is only explained
-// resolves the scope with HoldCache.ScopeOf; one that runs reports the
-// build's own resolution on its span, so the table header is made once.
+// holdNode builds the hold-acquisition operator over the cache's one
+// decision (HoldCache.Acquire): it names the node "cached-hold" (hit,
+// rethreshold or delta) or "build-hold" (cold, also with no cache), and
+// Run executes it. cfg carries the task's scope; when the build applies
+// it (no cache), the node shows its floor and, for DURING, the feature
+// and the granules counted: a printed plan resolves the scope with
+// core.ResolveScope, a run reports the build's own on its span.
 func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node, explain bool) *plan.Node {
-	mode := e.Cache.Probe(tbl, cfg)
+	acq := e.Cache.Acquire(tbl, cfg)
+	mode := acq.Outcome()
 	op := plan.OpCachedHold
 	if mode == "build" {
 		op = plan.OpBuildHold
@@ -275,15 +272,15 @@ func (e *Executor) holdNode(tbl *tdb.TxTable, cfg core.Config, input *plan.Node,
 	if cfg.MaxK > 0 {
 		n.With("max_size", fmt.Sprint(cfg.MaxK))
 	}
-	if explain {
-		if sc, ok := e.Cache.ScopeOf(tbl, cfg); ok {
+	if explain && e.Cache == nil {
+		if sc, ok := core.ResolveScope(tbl, cfg); ok {
 			for _, kv := range scopeDetails(sc) {
 				n.With(kv.Key, kv.Val)
 			}
 		}
 	}
-	n.Run = func(ctx context.Context, in any) (any, error) {
-		h, err := e.Cache.GetContext(ctx, in.(*tdb.TxTable), cfg)
+	n.Run = func(ctx context.Context, _ any) (any, error) {
+		h, err := acq.Run(ctx)
 		if err == nil {
 			if sc, ok := h.ResolvedScope(); ok {
 				t := obs.TraceFromContext(ctx)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/tarm-project/tarm/internal/bench"
+	"github.com/tarm-project/tarm/internal/core"
 	"github.com/tarm-project/tarm/internal/obs"
 	"github.com/tarm-project/tarm/internal/tdb"
 	"github.com/tarm-project/tarm/internal/timegran"
@@ -178,7 +179,9 @@ func lastStatement(e *tml.Executor, table string) *obs.SpanNode {
 // One op replays the whole stream on a fresh table; the setup (the
 // table and the registration snapshots) is untimed. Per close, summed
 // over both statements, it reports: premaintain-ms, the cache's
-// pre-maintenance, called first, as Step would; step-ms, the two
+// maintenance of the close, called first so that its cost is timed
+// apart from the statements (a Step does not call it: without it the
+// first Step's statement maintains the entry); step-ms, the two
 // Steps; mine-ms, their op:mine spans (Executor.Last); stmt-ms, their
 // whole statements (plan, journal); so step-ms − stmt-ms is what a
 // refresh spends outside its statement: the diff and the deltas'
@@ -190,7 +193,8 @@ func BenchmarkStandingRefresh(b *testing.B) {
 		txPerDay = 300
 		// refreshDays keeps the trickle arm within a few seconds at
 		// -benchtime=1x. Further in, a close that arrives with only a few
-		// baskets of the next day can cost seconds (EXPERIMENTS.md, E11t).
+		// baskets of the next day can cost seconds to maintain
+		// (EXPERIMENTS.md, E11t and E11u).
 		refreshDays = 10
 	)
 	txs := streamTxs(b, txPerDay, days)
@@ -423,4 +427,51 @@ func identity(cols, row []string) string {
 		}
 	}
 	return fmt.Sprint(parts)
+}
+
+// TestStandingMaintainsOncePerEpoch is core's TestHoldCacheMaintainsOncePerEpoch
+// on the refresh driver: at each of two day closes, a Premaintain, the
+// two standing statements' Steps and an ad-hoc statement maintain the
+// shared cache entry exactly once, under a budget above the maintained
+// table's size and under one below it.
+func TestStandingMaintainsOncePerEpoch(t *testing.T) {
+	s := newRefreshStream(streamTxs(t, lawTxPerDay, lawDays), lawLoaded, shapeDay, false)
+	// Half the table after the first close: below every maintained size.
+	_, sized := s.open(t)
+	sized.AppendBatch(s.batches[0])
+	h, err := core.BuildHoldTableContext(context.Background(), sized, core.Config{
+		Granularity: timegran.Day, MinSupport: 0.05, MinConfidence: 0.6, MinFreq: 0.9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, budget := range []int64{core.DefaultCacheBytes, h.MemBytes() / 2} {
+		db, tbl := s.open(t)
+		e := tml.NewExecutor(db)
+		e.Cache = core.NewHoldCache(budget)
+		var standing []*tml.Standing
+		for _, task := range []string{"PERIODS", "CYCLES"} {
+			standing = append(standing, subscribe(t, e, refreshStatement(task), nil))
+		}
+		for i, b := range s.batches[:2] {
+			tbl.AppendBatch(b)
+			before := e.Cache.Stats()
+			if _, err := e.Cache.Premaintain(ctx, tbl, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range standing {
+				if upd, err := st.Step(ctx); err != nil || upd == nil {
+					t.Fatalf("%s: a close refreshed nothing: %v", st.Stmt(), err)
+				}
+			}
+			if _, err := e.Exec(refreshStatement("CALENDARS")); err != nil {
+				t.Fatal(err)
+			}
+			after := e.Cache.Stats()
+			if n := after.Deltas + after.Misses - before.Deltas - before.Misses; n != 1 {
+				t.Fatalf("budget %d, close %d: %d maintenances or builds at one epoch, want 1 (%+v)", budget, i+1, n, after)
+			}
+		}
+	}
 }

@@ -19,8 +19,8 @@ import (
 // Continuous mining: a SUBSCRIBE MINE statement registers a *standing*
 // statement that re-runs when granules close and emits only what
 // changed. This file is the transport-free half — the Standing type
-// that owns one statement's lifecycle (close detection, cache
-// pre-maintenance, re-execution, the typed diff) and the delta/fold
+// that owns one statement's lifecycle (close detection, re-execution,
+// the typed diff) and the delta/fold
 // algebra a consumer needs to reconstruct the full result from the
 // stream. The tarmd server wraps Standings with queues and HTTP; iqms
 // drives them inline after each statement.
@@ -322,12 +322,13 @@ type SubUpdate struct {
 // Standing is one registered SUBSCRIBE MINE statement. Step — called
 // whenever the table may have advanced — detects granule closes over
 // the append stream's clock (timegran.ClosedThrough of the newest
-// transaction), pre-maintains the hold-table cache from the change
-// log's dirty granules, re-runs the statement through the shared
-// executor (plan pipeline, journal and metrics included), diffs its
-// typed rules against the last refresh's and returns the delta update,
-// or nil when nothing warranted a refresh. Safe for concurrent Step
-// calls (they serialise).
+// transaction), re-runs the statement through the shared executor
+// (plan pipeline, journal and metrics included) — whose hold
+// acquisition delta-maintains the stale cache entry it reads, once per
+// epoch however many standings share it — diffs its typed rules
+// against the last refresh's and returns the delta update, or nil when
+// nothing warranted a refresh. Safe for concurrent Step calls (they
+// serialise).
 type Standing struct {
 	exec *Executor
 	stmt *MineStmt
@@ -415,9 +416,6 @@ func (s *Standing) Step(ctx context.Context) (*SubUpdate, error) {
 	// and triggers a follow-up refresh, so the stream always converges
 	// to the table's settled state.
 	epoch := s.tbl.Epoch()
-	if _, err := s.exec.Cache.Premaintain(ctx, s.tbl, s.exec.Tracer); err != nil {
-		return nil, err
-	}
 	out, err := s.exec.run(ctx, s.stmt, planRefresh)
 	if err != nil {
 		return nil, err
